@@ -1,14 +1,13 @@
 //! Measures the end-to-end pipeline (newGoZ, 10 000 bots, 3 epochs) under
-//! both execution policies and both pipeline modes, and writes the evidence
-//! to `BENCH_pipeline.json`: wall times, lookup throughput, speedup, the
-//! worker-thread count each variant actually used and the peak number of
-//! raw-trace records resident in memory (the materializing path holds the
-//! full trace; the streaming path holds a few time shards). A final,
-//! instrumented pass runs the streaming pipeline with a collecting
-//! [`Obs`] recorder attached and dumps the full [`MetricsSnapshot`] —
-//! per-server cache hits/misses, border filter counts, matcher
-//! probes/matches, `sim.stream.*` residency metrics, per-epoch estimate
-//! latency histograms — to `METRICS_pipeline.json`.
+//! the full worker pool and under one thread, and writes the evidence to
+//! `BENCH_pipeline.json`: wall times, lookup and charting throughput, the
+//! worker-thread count each run actually used, the peak number of raw-trace
+//! records resident in memory and the simulate stage's allocator traffic.
+//! A final, instrumented pass runs the pipeline with a collecting [`Obs`]
+//! recorder attached and dumps the full [`MetricsSnapshot`] — per-server
+//! cache hits/misses, border filter counts, matcher probes/matches,
+//! `sim.stream.*` residency metrics, per-epoch estimate latency histograms
+//! — to `METRICS_pipeline.json`.
 //!
 //! Usage: `perf [--population N] [--epochs E] [--seed S] [--out PATH]
 //! [--metrics-out PATH]`.
@@ -42,10 +41,8 @@ struct Report {
     raw_lookups: u64,
     observed_lookups: usize,
     landscape_cells: usize,
-    parallel: Variant,
-    sequential: Variant,
-    /// Fused simulate→filter→fault pipeline (parallel policy): same
-    /// outputs, bounded residency.
+    /// The simulate→filter→fault pipeline under the full worker pool, raw
+    /// trace dropped shard by shard (`PipelineMode::Streaming`).
     streaming: Variant,
     /// Heap allocations per raw lookup during the streaming simulate
     /// stage — the zero-allocation hot-path figure the `perf_smoke`
@@ -54,8 +51,9 @@ struct Report {
     /// warms up, egress hydration), so "zero allocation" in the steady
     /// state shows up as a small constant-per-run fraction, not literal 0.
     allocs_per_raw_lookup: f64,
-    speedup: f64,
-    /// `parallel.peak_resident_records / streaming.peak_resident_records`.
+    /// `raw_lookups / streaming.peak_resident_records`: how much smaller
+    /// the resident raw footprint is than the whole trace (which is what
+    /// `PipelineMode::Materialize` keeps).
     residency_reduction: f64,
     /// Streaming multicore scaling evidence: the same fused pipeline with
     /// a 1-thread policy vs the full pool, so a `threads: 1` "parallel"
@@ -144,19 +142,18 @@ struct Bench {
 }
 
 impl Bench {
-    fn builder(&self, mode: PipelineMode) -> ScenarioSpecBuilder {
+    fn builder(&self) -> ScenarioSpecBuilder {
         ScenarioSpec::builder(DgaFamily::new_goz())
             .population(self.population)
             .num_epochs(self.epochs)
             .seed(self.seed)
-            .pipeline(mode)
+            .pipeline(PipelineMode::Streaming { shard: None })
     }
 
     #[allow(clippy::type_complexity)]
     fn pipeline(
         &self,
         policy: ExecPolicy,
-        mode: PipelineMode,
         obs: Obs,
     ) -> (
         ScenarioOutcome,
@@ -167,7 +164,7 @@ impl Bench {
         AllocSnapshot,
     ) {
         let spec = self
-            .builder(mode)
+            .builder()
             .obs(obs.clone())
             .build()
             .expect("valid scenario");
@@ -197,9 +194,9 @@ impl Bench {
         )
     }
 
-    fn measure(&self, policy: ExecPolicy, mode: PipelineMode) -> Measurement {
+    fn measure(&self, policy: ExecPolicy) -> Measurement {
         let (outcome, landscape, simulate_secs, chart_secs, simulate_alloc, _) =
-            self.pipeline(policy, mode, Obs::noop());
+            self.pipeline(policy, Obs::noop());
         Measurement {
             threads: policy.worker_threads(),
             simulate_secs,
@@ -261,36 +258,20 @@ fn main() {
         epochs,
         seed,
     };
-    let streaming_mode = PipelineMode::Streaming { shard: None };
 
     eprintln!("perf: newGoZ, {population} bots, {epochs} epochs, {threads} worker thread(s)");
     // One untimed warmup run: the first pipeline execution pays for page
     // faults and allocator growth over the trace's full footprint, which
     // would otherwise be billed to whichever variant runs first.
-    let _ = bench.measure(parallel, PipelineMode::Materialize);
-    let par = bench.measure(parallel, PipelineMode::Materialize);
-    let seq = bench.measure(ExecPolicy::Sequential, PipelineMode::Materialize);
-    let stream = bench.measure(parallel, streaming_mode);
-    let stream_single = bench.measure(ExecPolicy::Sequential, streaming_mode);
+    let _ = bench.measure(parallel);
+    let stream = bench.measure(parallel);
+    let stream_single = bench.measure(ExecPolicy::Sequential);
     assert_eq!(
-        stream.raw_lookups, stream_single.raw_lookups,
-        "streaming runs must agree across policies"
-    );
-    assert_eq!(
-        par.raw_lookups, seq.raw_lookups,
-        "parallel and sequential runs must agree"
-    );
-    assert_eq!(
-        par.raw_lookups, stream.raw_lookups,
-        "streaming and materializing runs must agree"
-    );
-    assert_eq!(
-        par.observed_lookups, stream.observed_lookups,
-        "streaming and materializing observed traces must agree"
+        (stream.raw_lookups, stream.observed_lookups),
+        (stream_single.raw_lookups, stream_single.observed_lookups),
+        "runs must agree across policies"
     );
 
-    let par_total = par.simulate_secs + par.chart_secs;
-    let seq_total = seq.simulate_secs + seq.chart_secs;
     let available_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -311,29 +292,23 @@ fn main() {
             multi_thread_raw_lookups_per_sec: multi_rate,
             ratio: multi_rate / single_rate.max(1e-9),
         },
-        raw_lookups: par.raw_lookups,
-        observed_lookups: par.observed_lookups,
-        landscape_cells: par.landscape_cells,
-        residency_reduction: par.peak_resident_records as f64
-            / stream.peak_resident_records.max(1) as f64,
+        raw_lookups: stream.raw_lookups,
+        observed_lookups: stream.observed_lookups,
+        landscape_cells: stream.landscape_cells,
+        residency_reduction: stream.raw_lookups as f64 / stream.peak_resident_records.max(1) as f64,
         allocs_per_raw_lookup: stream.allocs_per_raw_lookup(),
-        parallel: par.variant(),
-        sequential: seq.variant(),
         streaming: stream.variant(),
-        speedup: seq_total / par_total.max(1e-9),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");
     std::fs::write(&out, format!("{rendered}\n")).expect("write report");
     println!("{rendered}");
     eprintln!("perf: wrote {out}");
 
-    // Instrumented pass: the streaming pipeline with a collecting recorder,
-    // so the dump includes the `sim.stream.*` residency metrics alongside
-    // the cache/matcher/estimator counters. Kept out of the timed variants
-    // above so the reported wall times stay on the no-op hot path.
+    // Instrumented pass: the same pipeline with a collecting recorder. Kept
+    // out of the timed runs above so the reported wall times stay on the
+    // no-op hot path.
     let (observer, registry) = Obs::collecting();
-    let (_, _, _, _, simulate_alloc, chart_alloc) =
-        bench.pipeline(parallel, streaming_mode, observer.clone());
+    let (_, _, _, _, simulate_alloc, chart_alloc) = bench.pipeline(parallel, observer.clone());
     // Allocation accounting rides along under the `alloc.` prefix, which
     // `deterministic_counters()` excludes (allocator traffic depends on
     // worker count and buffer-recycling timing, like `sched.`).

@@ -1,5 +1,7 @@
-//! CI throughput guard: replays a scaled-down pipeline and fails (exit 1)
-//! if raw simulation throughput or estimator-charting throughput regresses
+//! CI throughput guard: replays the committed pipeline benchmark's scenario
+//! (same population as `perf`, because the pipeline's multi-worker
+//! throughput depends on how fat its shards are) and fails (exit 1) if raw
+//! simulation throughput or estimator-charting throughput regresses
 //! more than the allowed fraction below the committed
 //! `BENCH_pipeline.json` baseline, if the streaming pipeline loses its
 //! bounded-memory property, or if the streaming N-thread/1-thread scaling
@@ -27,7 +29,7 @@ static ALLOC: botmeter_obs::CountingAlloc = botmeter_obs::CountingAlloc;
 /// ignored by the deserializer).
 #[derive(Deserialize)]
 struct Baseline {
-    parallel: BaselineVariant,
+    streaming: BaselineVariant,
     /// Streaming 1-thread vs N-thread evidence; optional so the gate can
     /// still run against a pre-scaling baseline (it then only checks the
     /// core-count-derived floor).
@@ -52,7 +54,7 @@ struct BaselineScaling {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path = String::from("BENCH_pipeline.json");
-    let mut population = 3_000u64;
+    let mut population = 10_000u64;
     let mut epochs = 3u64;
     let mut seed = 42u64;
     let mut min_ratio = 0.75f64;
@@ -102,30 +104,30 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot read baseline {baseline_path}: {e}")));
     let baseline: Baseline = serde_json::from_str(&baseline_text)
         .unwrap_or_else(|e| fail(&format!("baseline {baseline_path} is not usable: {e}")));
-    let baseline_rate = baseline.parallel.raw_lookups_per_sec;
+    let baseline_rate = baseline.streaming.raw_lookups_per_sec;
     let floor = baseline_rate * min_ratio;
-    let chart_baseline_rate = baseline.parallel.chart_lookups_per_sec;
+    let chart_baseline_rate = baseline.streaming.chart_lookups_per_sec;
     let chart_floor = chart_baseline_rate * min_ratio;
 
-    let spec = |mode: PipelineMode| {
+    let spec = || {
         ScenarioSpec::builder(DgaFamily::new_goz())
             .population(population)
             .num_epochs(epochs)
             .seed(seed)
-            .pipeline(mode)
+            .pipeline(PipelineMode::Streaming { shard: None })
             .build()
             .expect("valid scenario")
     };
 
     // Warmup pays the one-time page-fault/allocator cost.
-    let _ = spec(PipelineMode::Materialize).run(ExecPolicy::parallel());
+    let _ = spec().run(ExecPolicy::parallel());
 
     let mut best_rate = 0.0f64;
     let mut best_chart_rate = 0.0f64;
     let mut last_outcome = None;
     for run in 0..runs {
         let started = Instant::now();
-        let outcome = spec(PipelineMode::Materialize).run(ExecPolicy::parallel());
+        let outcome = spec().run(ExecPolicy::parallel());
         let secs = started.elapsed().as_secs_f64();
         let rate = outcome.raw_lookups() as f64 / secs.max(1e-9);
 
@@ -179,10 +181,10 @@ fn main() {
         }
     }
 
-    // Streaming smoke: same scenario through the fused pipeline must keep
-    // its residency bound (a few shards, not the whole trace).
+    // Residency smoke: the pipeline must keep its bound (a few shards
+    // resident, not the whole trace).
     let alloc_before = AllocSnapshot::now();
-    let streaming = spec(PipelineMode::Streaming { shard: None }).run(ExecPolicy::parallel());
+    let streaming = spec().run(ExecPolicy::parallel());
     let streaming_alloc = AllocSnapshot::now().since(&alloc_before);
     eprintln!(
         "perf_smoke: streaming peak residency {} of {} raw lookups",
@@ -199,11 +201,11 @@ fn main() {
 
     // Alloc-budget gate: the streaming simulate stage must stay near its
     // committed allocations-per-raw-lookup figure. The budget is generous
-    // — 4× the committed figure, with an absolute floor of 0.5 — because
-    // the smoke population is smaller than the benchmark's, so per-run
-    // fixed allocations (interner build, buffer-pool warmup) amortize over
-    // fewer lookups. A hot path that regresses to one allocation per
-    // record still lands an order of magnitude above the ceiling.
+    // — 4× the committed figure, with an absolute floor of 0.5 — so a
+    // `--population` override that amortizes the per-run fixed allocations
+    // (interner build, buffer-pool warmup) over fewer lookups still
+    // passes. A hot path that regresses to one allocation per record
+    // still lands an order of magnitude above the ceiling.
     let measured_apl = streaming_alloc.count as f64 / (streaming.raw_lookups().max(1) as f64);
     if let Some(committed_apl) = baseline.allocs_per_raw_lookup {
         let budget = (4.0 * committed_apl).max(0.5);
@@ -282,10 +284,10 @@ fn main() {
     let mut best_multi = 0.0f64;
     for _ in 0..runs {
         let started = Instant::now();
-        let single = spec(PipelineMode::Streaming { shard: None }).run(ExecPolicy::Sequential);
+        let single = spec().run(ExecPolicy::Sequential);
         let single_secs = started.elapsed().as_secs_f64();
         let started = Instant::now();
-        let multi = spec(PipelineMode::Streaming { shard: None }).run(ExecPolicy::parallel());
+        let multi = spec().run(ExecPolicy::parallel());
         let multi_secs = started.elapsed().as_secs_f64();
         assert_eq!(
             single.raw_lookups(),

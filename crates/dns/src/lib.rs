@@ -66,5 +66,13 @@ pub use name::{DomainName, ParseDomainError};
 pub use record::{ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId};
 pub use resolver::LocalResolver;
 pub use time::{SimDuration, SimInstant};
-pub use topology::{CompactTopology, Topology, TopologyBuilder, TopologyError};
+pub use topology::{TopologyBuilder, TopologyError};
+
+/// The resolver tree keyed by [`DomainName`], filtering [`RawLookup`]s —
+/// names are the edge format (JSONL traces, hand-routed experiments).
+pub type Topology = topology::Topology<DomainName>;
+
+/// The same resolver tree keyed by [`DomainId`], filtering `Copy`
+/// [`CompactLookup`] records — what the simulation pipeline runs.
+pub type CompactTopology = topology::Topology<DomainId>;
 pub use ttl::TtlPolicy;

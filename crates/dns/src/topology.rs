@@ -7,9 +7,17 @@
 //! [`ObservedLookup`] attributed to the *last forwarding server* — exactly
 //! the `⟨t, s, d⟩` tuple BotMeter consumes — and the authoritative answer is
 //! then cached at every node along the path.
+//!
+//! That visibility rule is written once, in [`Topology<K>`], over whatever
+//! key the caches are indexed by. The crate exports its two
+//! instantiations: `Topology` (keyed by [`DomainName`], filtering
+//! [`RawLookup`]s — the edge format) and `CompactTopology` (keyed by
+//! [`DomainId`], filtering `Copy` [`CompactLookup`]s — what the simulation
+//! pipeline runs). Only the record adapters differ per key.
 
 use crate::authority::{Answer, Authority};
 use crate::cache::{CacheStats, DnsCache};
+use crate::intern::{DomainId, DomainInterner};
 use crate::name::DomainName;
 use crate::record::{
     ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId,
@@ -20,14 +28,36 @@ use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// Identifier of the border (root) server in every topology.
 const BORDER: ServerId = ServerId(0);
 
+/// What a [`Topology`]'s caches can be keyed by: [`DomainName`] or
+/// [`DomainId`]. Not exported — the two instantiations are the public
+/// surface.
+pub trait Key: Hash + Eq + Ord + Clone + Send + Sync {
+    /// The domain's content fingerprint, which the parallel trace path
+    /// shards by.
+    fn id(&self) -> DomainId;
+}
+
+impl Key for DomainName {
+    fn id(&self) -> DomainId {
+        DomainName::id(self)
+    }
+}
+
+impl Key for DomainId {
+    fn id(&self) -> DomainId {
+        *self
+    }
+}
+
 #[derive(Debug, Clone)]
-struct Node {
+struct Node<K> {
     parent: Option<ServerId>,
-    cache: DnsCache,
+    cache: DnsCache<K>,
 }
 
 /// Errors from topology construction or client routing.
@@ -59,7 +89,10 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// Builder for [`Topology`]. The border server (id 0) always exists.
+/// Builder for a resolver tree. The border server (id 0) always exists.
+///
+/// [`build`](Self::build) yields the name-keyed `Topology`; the id-keyed
+/// tree of the same shape is `CompactTopology::from(builder)`.
 ///
 /// # Example
 ///
@@ -78,7 +111,8 @@ impl std::error::Error for TopologyError {}
 #[derive(Debug, Clone)]
 pub struct TopologyBuilder {
     ttl: TtlPolicy,
-    nodes: Vec<Node>,
+    /// Each node's parent; index 0 is the border (no parent).
+    parents: Vec<Option<ServerId>>,
 }
 
 impl TopologyBuilder {
@@ -86,10 +120,7 @@ impl TopologyBuilder {
     pub fn new(ttl: TtlPolicy) -> Self {
         TopologyBuilder {
             ttl,
-            nodes: vec![Node {
-                parent: None,
-                cache: DnsCache::new(),
-            }],
+            parents: vec![None],
         }
     }
 
@@ -105,32 +136,51 @@ impl TopologyBuilder {
     /// Returns [`TopologyError::UnknownServer`] if `parent` was never
     /// created.
     pub fn add_resolver(&mut self, parent: ServerId) -> Result<ServerId, TopologyError> {
-        if parent.0 as usize >= self.nodes.len() {
+        if parent.0 as usize >= self.parents.len() {
             return Err(TopologyError::UnknownServer(parent));
         }
-        let id = ServerId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            parent: Some(parent),
-            cache: DnsCache::new(),
-        });
+        let id = ServerId(self.parents.len() as u32);
+        self.parents.push(Some(parent));
         Ok(id)
     }
 
-    /// Finalises the topology.
-    pub fn build(self) -> Topology {
+    /// Finalises the (name-keyed) topology.
+    pub fn build(self) -> Topology<DomainName> {
+        self.into()
+    }
+}
+
+impl<K: Key> From<TopologyBuilder> for Topology<K> {
+    fn from(builder: TopologyBuilder) -> Self {
         Topology {
-            ttl: self.ttl,
-            nodes: self.nodes,
+            ttl: builder.ttl,
+            nodes: builder
+                .parents
+                .into_iter()
+                .map(|parent| Node {
+                    parent,
+                    cache: DnsCache::new(),
+                })
+                .collect(),
             client_map: HashMap::new(),
             default_leaf: None,
             obs: Obs::noop(),
+            scratch_path: Vec::with_capacity(4),
         }
     }
 }
 
-/// A tree of caching resolvers rooted at the border vantage point.
+/// A tree of caching resolvers rooted at the border vantage point, with
+/// caches keyed by `K`.
 ///
-/// See the crate-level documentation for the forwarding model.
+/// See the crate-level documentation for the forwarding model. Every cache
+/// is unbounded, so filtering depends only on each domain's own history
+/// and the two key types produce bit-identical visibility (id equality ≡
+/// name equality; the interner panics at intern time on the astronomically
+/// unlikely fingerprint collision). The id-keyed instantiation moves `Copy`
+/// records and resolves a name through the interner's bytes arena only on
+/// a border cache miss, so its per-lookup path touches no `Arc` refcount
+/// and allocates nothing in steady state.
 ///
 /// # Example
 ///
@@ -150,33 +200,36 @@ impl TopologyBuilder {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Topology {
+pub struct Topology<K> {
     ttl: TtlPolicy,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<K>>,
     client_map: HashMap<ClientId, ServerId>,
     default_leaf: Option<ServerId>,
     obs: Obs,
+    /// The hierarchy walk's path buffer, owned here so steady-state
+    /// processing allocates nothing.
+    scratch_path: Vec<ServerId>,
 }
 
-impl Topology {
+impl<K: Key> Topology<K> {
     /// The simplest topology in the paper's evaluation: one local resolver
     /// under the border, serving every client by default.
-    pub fn single_local(ttl: TtlPolicy) -> Topology {
+    pub fn single_local(ttl: TtlPolicy) -> Self {
         let mut b = TopologyBuilder::new(ttl);
         let local = b.add_resolver_under_border();
-        let mut t = b.build();
+        let mut t = Self::from(b);
         t.set_default_leaf(local).expect("local resolver exists");
         t
     }
 
     /// A one-level topology with `n` local resolvers under the border
     /// (clients must be assigned, or a default leaf set, before processing).
-    pub fn star(ttl: TtlPolicy, n: usize) -> Topology {
+    pub fn star(ttl: TtlPolicy, n: usize) -> Self {
         let mut b = TopologyBuilder::new(ttl);
         for _ in 0..n {
             b.add_resolver_under_border();
         }
-        b.build()
+        b.into()
     }
 
     /// The border server's id (always `ServerId(0)`).
@@ -236,28 +289,57 @@ impl Topology {
             .ok_or(TopologyError::UnroutedClient(client))
     }
 
-    /// Processes one raw lookup through the hierarchy.
+    /// Attaches an observability handle; subsequent trace-level calls
+    /// report per-server cache deltas (`cache.s{id}.*`) and border
+    /// admission counters (`topology.lookups` / `topology.admitted` /
+    /// `topology.filtered`) through it. The default handle is the no-op
+    /// one.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
+    }
+
+    /// Cache statistics of one node.
     ///
-    /// Returns `Ok(Some(observed))` if the lookup reached the border (and is
-    /// therefore visible to BotMeter), `Ok(None)` if some cache absorbed it.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// [`TopologyError::UnroutedClient`] if the client cannot be routed.
-    pub fn process<A: Authority>(
+    /// Panics if `server` does not exist.
+    pub fn cache_stats(&self, server: ServerId) -> CacheStats {
+        self.nodes[server.0 as usize].cache.stats()
+    }
+
+    /// Clears every cache in the hierarchy.
+    pub fn clear_caches(&mut self) {
+        for node in &mut self.nodes {
+            node.cache.clear();
+        }
+    }
+
+    /// The visibility rule: walks one lookup for `domain` up from
+    /// `client`'s resolver. Returns the last forwarding server if the
+    /// lookup reaches the border (it is visible to BotMeter), `None` if a
+    /// cache below the border absorbed it. `name` is consulted only when
+    /// the border itself has to ask the authority.
+    fn walk<'n, A: Authority>(
         &mut self,
-        raw: &RawLookup,
+        t: SimInstant,
+        client: ClientId,
+        domain: &K,
+        name: impl FnOnce() -> &'n DomainName,
         authority: A,
-    ) -> Result<Option<ObservedLookup>, TopologyError> {
-        let entry = self.route(raw.client)?;
-        let t = raw.t;
+    ) -> Result<Option<ServerId>, TopologyError> {
+        let entry = self.route(client)?;
 
         // Walk up, collecting the path of caches below the border.
-        let mut path: Vec<ServerId> = Vec::with_capacity(4);
+        let mut path = std::mem::take(&mut self.scratch_path);
+        path.clear();
         let mut current = entry;
         loop {
-            if let Some(hit) = self.nodes[current.0 as usize].cache.lookup(t, &raw.domain) {
-                let _ = hit;
+            if self.nodes[current.0 as usize]
+                .cache
+                .lookup(t, domain)
+                .is_some()
+            {
+                self.scratch_path = path;
                 return Ok(None); // absorbed below the vantage point
             }
             path.push(current);
@@ -267,170 +349,150 @@ impl Topology {
                 None => break, // entry somehow was the border: defensive
             }
         }
-
         let forwarder = *path.last().expect("path has at least the entry node");
-        let observed = ObservedLookup::new(t, forwarder, raw.domain.clone());
 
         // Resolve at/above the border (the border's own cache does not
         // affect visibility, only upstream traffic, which we don't model).
-        let answer = self.resolve_at_border(t, &raw.domain, authority);
+        let answer = self.resolve_at_border(t, domain, name, authority);
 
         // The response propagates back down; every node on the path caches it.
-        for node in path {
+        for node in &path {
             self.nodes[node.0 as usize]
                 .cache
-                .store(t, raw.domain.clone(), answer, &self.ttl);
+                .store(t, domain.clone(), answer, &self.ttl);
         }
-        Ok(Some(observed))
+        self.scratch_path = path;
+        Ok(Some(forwarder))
     }
 
-    fn resolve_at_border<A: Authority>(
+    fn resolve_at_border<'n, A: Authority>(
         &mut self,
         t: SimInstant,
-        domain: &DomainName,
+        domain: &K,
+        name: impl FnOnce() -> &'n DomainName,
         authority: A,
     ) -> Answer {
         let border = &mut self.nodes[BORDER.0 as usize];
         if let Some(hit) = border.cache.lookup(t, domain) {
             return hit.answer;
         }
-        let answer = authority.resolve(t, domain);
+        let answer = authority.resolve(t, name());
         border.cache.store(t, domain.clone(), answer, &self.ttl);
         answer
     }
 
-    /// Attaches an observability handle; subsequent
-    /// [`process_trace`](Self::process_trace) calls report per-server cache
-    /// deltas (`cache.s{id}.*`) and border admission counters
-    /// (`topology.lookups` / `topology.admitted` / `topology.filtered`)
-    /// through it. The default handle is the no-op one.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
-    /// under `policy` and returns the border-visible sub-trace. Sequential
-    /// and parallel policies produce bit-identical output and cache state.
+    /// under `policy`, appending the border-visible sub-trace to `out`.
+    /// `step` filters one record (a key type's `process`); `route_key`
+    /// names a record's client and domain for the parallel path.
+    /// Sequential and parallel policies produce bit-identical output and
+    /// cache state.
     ///
-    /// The parallel path shards the trace by
-    /// [`DomainId`](crate::DomainId): cache visibility is a per-domain
-    /// property when every cache is unbounded (the simulated topologies),
-    /// because entries are domain-keyed and never evicted by other domains'
-    /// traffic. All lookups for one domain land in one shard with relative
-    /// order preserved, which reproduces the sequential outcome
-    /// bit-for-bit; the shards' observed lookups are stitched back into
-    /// trace order afterwards, the shards' cache entries and stat deltas
-    /// merged into `self`. It falls back to sequential processing when a
-    /// capacity-bounded cache is present (evictions couple domains), when
-    /// only one worker thread is configured, or when the trace is too short
-    /// to be worth sharding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any lookup's client is unroutable. (The parallel path
-    /// pre-routes and leaves the caches unchanged on error, whereas
-    /// sequential processing stops mid-trace.)
-    pub fn process_trace<A: Authority + Copy + Sync>(
+    /// The parallel path shards the trace by [`DomainId`]: cache visibility
+    /// is a per-domain property when every cache is unbounded (the
+    /// simulated topologies), because entries are domain-keyed and never
+    /// evicted by other domains' traffic. It falls back to sequential
+    /// processing when a capacity-bounded cache is present (evictions
+    /// couple domains), when only one worker thread is configured, or when
+    /// the trace is too short to be worth sharding.
+    fn filter_trace<R: Sync, O: Send>(
         &mut self,
-        raws: &[RawLookup],
-        authority: A,
+        raws: &[R],
         policy: ExecPolicy,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
+        out: &mut Vec<O>,
+        route_key: impl Fn(&R) -> (ClientId, DomainId) + Sync,
+        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError> + Sync,
+    ) -> Result<(), TopologyError> {
         const MIN_PARALLEL_TRACE: usize = 2048;
         let base_stats: Option<Vec<CacheStats>> = self
             .obs
             .enabled()
             .then(|| self.nodes.iter().map(|n| n.cache.stats()).collect());
+        let admitted_before = out.len();
 
         let shards = policy.worker_threads();
         let bounded = self.nodes.iter().any(|n| n.cache.capacity().is_some());
-        let out = if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
-            self.process_trace_seq(raws, authority)?
+        if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
+            for raw in raws {
+                if let Some(observed) = step(self, raw)? {
+                    out.push(observed);
+                }
+            }
         } else {
-            self.process_trace_sharded(raws, authority, shards)?
-        };
+            self.process_trace_sharded(raws, shards, out, route_key, step)?;
+        }
 
         if let Some(base) = base_stats {
             self.push_cache_deltas(&base);
             self.obs.counter_add("topology.lookups", raws.len() as u64);
-            self.obs.counter_add("topology.admitted", out.len() as u64);
+            let admitted = out.len() - admitted_before;
+            self.obs.counter_add("topology.admitted", admitted as u64);
             self.obs
-                .counter_add("topology.filtered", (raws.len() - out.len()) as u64);
+                .counter_add("topology.filtered", (raws.len() - admitted) as u64);
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn process_trace_seq<A: Authority + Copy>(
+    /// The domain-sharded parallel path of
+    /// [`filter_trace`](Self::filter_trace): all lookups for one domain
+    /// land in one shard with relative order preserved, which reproduces
+    /// the sequential outcome bit-for-bit; the shards' observed lookups are
+    /// stitched back into trace order afterwards, the shards' cache entries
+    /// and stat deltas merged into `self`. Pre-routes every client, so on
+    /// error the caches are unchanged.
+    fn process_trace_sharded<R: Sync, O: Send>(
         &mut self,
-        raws: &[RawLookup],
-        authority: A,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        let mut out = Vec::new();
-        for raw in raws {
-            if let Some(obs) = self.process(raw, authority)? {
-                out.push(obs);
-            }
-        }
-        Ok(out)
-    }
-
-    fn process_trace_sharded<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
+        raws: &[R],
         shards: usize,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        for raw in raws {
-            self.route(raw.client)?;
-        }
-
+        out: &mut Vec<O>,
+        route_key: impl Fn(&R) -> (ClientId, DomainId) + Sync,
+        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError> + Sync,
+    ) -> Result<(), TopologyError> {
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (i, raw) in raws.iter().enumerate() {
-            parts[(raw.domain.id().0 % shards as u64) as usize].push(i);
+            let (client, domain) = route_key(raw);
+            self.route(client)?;
+            parts[(domain.0 % shards as u64) as usize].push(i);
         }
 
         let base_stats: Vec<CacheStats> = self.nodes.iter().map(|n| n.cache.stats()).collect();
-        let template: &Topology = self;
-        let shard_results: Vec<(Topology, Vec<(usize, ObservedLookup)>)> =
-            botmeter_exec::run_indexed_with(
-                ExecPolicy::with_threads(shards),
-                &self.obs,
-                shards,
-                |s| {
-                    let mut topo = template.clone();
-                    let mut out = Vec::new();
-                    for &i in &parts[s] {
-                        let visible = topo
-                            .process(&raws[i], authority)
-                            .expect("every client pre-routed");
-                        if let Some(obs) = visible {
-                            out.push((i, obs));
-                        }
+        let template: &Self = self;
+        let shard_results: Vec<(Self, Vec<(usize, O)>)> = botmeter_exec::run_indexed_with(
+            ExecPolicy::with_threads(shards),
+            &self.obs,
+            shards,
+            |s| {
+                let mut topo = template.clone();
+                let mut visible = Vec::new();
+                for &i in &parts[s] {
+                    if let Some(observed) =
+                        step(&mut topo, &raws[i]).expect("every client pre-routed")
+                    {
+                        visible.push((i, observed));
                     }
-                    (topo, out)
-                },
-            );
+                }
+                (topo, visible)
+            },
+        );
 
         // Stitch observations back into trace order. Each shard's list is
         // already ascending in trace index, so this is a k-way merge; a sort
         // by unique index gives the same result with less code.
-        let mut indexed: Vec<(usize, ObservedLookup)> = shard_results
-            .iter()
-            .flat_map(|(_, obs)| obs.iter().cloned())
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-
-        for (s, (shard_topo, _)) in shard_results.into_iter().enumerate() {
+        let mut indexed: Vec<(usize, O)> = Vec::new();
+        for (s, (shard_topo, visible)) in shard_results.into_iter().enumerate() {
+            indexed.extend(visible);
             for (n, shard_node) in shard_topo.nodes.into_iter().enumerate() {
                 let shards = shards as u64;
-                self.nodes[n].cache.absorb_shard(
-                    shard_node.cache,
-                    base_stats[n],
-                    move |d: &DomainName| (d.id().0 % shards) as usize == s,
-                );
+                self.nodes[n]
+                    .cache
+                    .absorb_shard(shard_node.cache, base_stats[n], move |d: &K| {
+                        (d.id().0 % shards) as usize == s
+                    });
             }
         }
-        Ok(indexed.into_iter().map(|(_, obs)| obs).collect())
+        indexed.sort_by_key(|(i, _)| *i);
+        out.extend(indexed.into_iter().map(|(_, observed)| observed));
+        Ok(())
     }
 
     /// Pushes the difference between the current per-node cache stats and
@@ -461,123 +523,58 @@ impl Topology {
             }
         }
     }
+}
 
-    /// Runs a whole raw trace through the hierarchy in parallel.
+/// The name-keyed record adapters.
+impl Topology<DomainName> {
+    /// Processes one raw lookup through the hierarchy.
+    ///
+    /// Returns `Ok(Some(observed))` if the lookup reached the border (and is
+    /// therefore visible to BotMeter), `Ok(None)` if some cache absorbed it.
     ///
     /// # Errors
     ///
-    /// Same as [`process_trace`](Self::process_trace).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `process_trace(raws, authority, ExecPolicy::parallel())`"
-    )]
-    pub fn process_trace_parallel<A: Authority + Copy + Sync>(
+    /// [`TopologyError::UnroutedClient`] if the client cannot be routed.
+    pub fn process<A: Authority>(
+        &mut self,
+        raw: &RawLookup,
+        authority: A,
+    ) -> Result<Option<ObservedLookup>, TopologyError> {
+        let forwarder = self.walk(raw.t, raw.client, &raw.domain, || &raw.domain, authority)?;
+        Ok(forwarder.map(|server| ObservedLookup::new(raw.t, server, raw.domain.clone())))
+    }
+
+    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
+    /// under `policy` and returns the border-visible sub-trace. Sequential
+    /// and parallel policies produce bit-identical output and cache state
+    /// (the parallel path shards by domain and falls back to sequential
+    /// processing for one worker or a short trace).
+    ///
+    /// # Errors
+    ///
+    /// Fails if any lookup's client is unroutable. (The parallel path
+    /// pre-routes and leaves the caches unchanged on error, whereas
+    /// sequential processing stops mid-trace.)
+    pub fn process_trace<A: Authority + Copy + Sync>(
         &mut self,
         raws: &[RawLookup],
         authority: A,
+        policy: ExecPolicy,
     ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        self.process_trace(raws, authority, ExecPolicy::parallel())
-    }
-
-    /// Cache statistics of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` does not exist.
-    pub fn cache_stats(&self, server: ServerId) -> CacheStats {
-        self.nodes[server.0 as usize].cache.stats()
-    }
-
-    /// Clears every cache in the hierarchy.
-    pub fn clear_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.cache.clear();
-        }
+        let mut out = Vec::new();
+        self.filter_trace(
+            raws,
+            policy,
+            &mut out,
+            |raw| (raw.client, raw.domain.id()),
+            |topo, raw| topo.process(raw, authority),
+        )?;
+        Ok(out)
     }
 }
 
-#[derive(Debug, Clone)]
-struct CompactNode {
-    parent: Option<ServerId>,
-    cache: DnsCache<crate::DomainId>,
-}
-
-/// The id-resident mirror of [`Topology`]: the same resolver tree and
-/// forwarding model, but caches are keyed by [`DomainId`](crate::DomainId)
-/// and traffic flows as [`CompactLookup`]/[`CompactObserved`] `Copy`
-/// records, so the per-lookup hot path touches no `Arc` refcounts and
-/// performs no heap allocation in steady state.
-///
-/// Every cache is unbounded, so filtering depends only on each domain's own
-/// history and id-keyed probes produce bit-identical visibility to the
-/// name-keyed [`Topology`] (id equality ≡ name equality; the interner
-/// panics at intern time on the astronomically unlikely fingerprint
-/// collision). The authority is consulted — and the name resolved through
-/// the interner's bytes arena — only on a border cache miss.
-#[derive(Debug, Clone)]
-pub struct CompactTopology {
-    ttl: TtlPolicy,
-    nodes: Vec<CompactNode>,
-    client_map: HashMap<ClientId, ServerId>,
-    default_leaf: Option<ServerId>,
-    obs: Obs,
-    scratch_path: Vec<ServerId>,
-}
-
-impl CompactTopology {
-    /// The simplest topology in the paper's evaluation: one local resolver
-    /// under the border, serving every client by default (the id-resident
-    /// counterpart of [`Topology::single_local`]).
-    pub fn single_local(ttl: TtlPolicy) -> CompactTopology {
-        let nodes = vec![
-            CompactNode {
-                parent: None,
-                cache: DnsCache::new(),
-            },
-            CompactNode {
-                parent: Some(BORDER),
-                cache: DnsCache::new(),
-            },
-        ];
-        CompactTopology {
-            ttl,
-            nodes,
-            client_map: HashMap::new(),
-            default_leaf: Some(ServerId(1)),
-            obs: Obs::noop(),
-            scratch_path: Vec::with_capacity(4),
-        }
-    }
-
-    /// The border server's id (always `ServerId(0)`).
-    pub fn border(&self) -> ServerId {
-        BORDER
-    }
-
-    /// Ids of all non-border resolvers.
-    pub fn local_servers(&self) -> Vec<ServerId> {
-        (1..self.nodes.len() as u32).map(ServerId).collect()
-    }
-
-    /// Attaches an observability handle; mirrors [`Topology::set_obs`].
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// The resolver a client's lookups enter at.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::UnroutedClient`] if the client has no assignment
-    /// and no default leaf is set.
-    pub fn route(&self, client: ClientId) -> Result<ServerId, TopologyError> {
-        self.client_map
-            .get(&client)
-            .copied()
-            .or(self.default_leaf)
-            .ok_or(TopologyError::UnroutedClient(client))
-    }
-
+/// The id-keyed record adapters.
+impl Topology<DomainId> {
     /// Processes one compact raw lookup through the hierarchy. The interner
     /// must be the one that interned the lookup's domain; it is consulted
     /// only when the lookup reaches an authority-resolving border miss.
@@ -588,75 +585,23 @@ impl CompactTopology {
     pub fn process<A: Authority>(
         &mut self,
         raw: &CompactLookup,
-        interner: &crate::DomainInterner,
+        interner: &DomainInterner,
         authority: A,
     ) -> Result<Option<CompactObserved>, TopologyError> {
-        let entry = self.route(raw.client)?;
-        let t = raw.t;
-
-        // Walk up, collecting the path of caches below the border. The
-        // path scratch is owned by the topology so steady-state processing
-        // allocates nothing.
-        let mut path = std::mem::take(&mut self.scratch_path);
-        path.clear();
-        let mut current = entry;
-        loop {
-            if self.nodes[current.0 as usize]
-                .cache
-                .lookup(t, &raw.domain)
-                .is_some()
-            {
-                self.scratch_path = path;
-                return Ok(None); // absorbed below the vantage point
-            }
-            path.push(current);
-            match self.nodes[current.0 as usize].parent {
-                Some(parent) if parent == BORDER => break,
-                Some(parent) => current = parent,
-                None => break, // entry somehow was the border: defensive
-            }
-        }
-
-        let forwarder = *path.last().expect("path has at least the entry node");
-        let observed = CompactObserved::new(t, forwarder, raw.domain);
-
-        let answer = self.resolve_at_border(t, raw.domain, interner, authority);
-
-        // The response propagates back down; every node on the path caches it.
-        for node in &path {
-            self.nodes[node.0 as usize]
-                .cache
-                .store(t, raw.domain, answer, &self.ttl);
-        }
-        self.scratch_path = path;
-        Ok(Some(observed))
-    }
-
-    fn resolve_at_border<A: Authority>(
-        &mut self,
-        t: SimInstant,
-        domain: crate::DomainId,
-        interner: &crate::DomainInterner,
-        authority: A,
-    ) -> Answer {
-        let border = &mut self.nodes[BORDER.0 as usize];
-        if let Some(hit) = border.cache.lookup(t, &domain) {
-            return hit.answer;
-        }
-        let name = interner
-            .resolve(domain)
-            .expect("hot-path domains are interned before replay");
-        let answer = authority.resolve(t, name);
-        border.cache.store(t, domain, answer, &self.ttl);
-        answer
+        let name = || {
+            interner
+                .resolve(raw.domain)
+                .expect("hot-path domains are interned before replay")
+        };
+        let forwarder = self.walk(raw.t, raw.client, &raw.domain, name, authority)?;
+        Ok(forwarder.map(|server| CompactObserved::new(raw.t, server, raw.domain)))
     }
 
     /// Runs a whole compact raw trace (assumed time-ordered) through the
-    /// hierarchy and appends the border-visible sub-trace to `out` —
-    /// the caller owns (and recycles) the output buffer, keeping the
-    /// sequential steady state allocation-free. Mirrors
-    /// [`Topology::process_trace`], including the domain-sharded parallel
-    /// path and its sequential fallbacks.
+    /// hierarchy and appends the border-visible sub-trace to `out` — the
+    /// caller owns (and recycles) the output buffer, keeping the sequential
+    /// steady state allocation-free. Same policy semantics and fallbacks as
+    /// the name-keyed `process_trace`.
     ///
     /// # Errors
     ///
@@ -666,39 +611,18 @@ impl CompactTopology {
     pub fn process_trace_into<A: Authority + Copy + Sync>(
         &mut self,
         raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
+        interner: &DomainInterner,
         authority: A,
         policy: ExecPolicy,
         out: &mut Vec<CompactObserved>,
     ) -> Result<(), TopologyError> {
-        const MIN_PARALLEL_TRACE: usize = 2048;
-        let base_stats: Option<Vec<CacheStats>> = self
-            .obs
-            .enabled()
-            .then(|| self.nodes.iter().map(|n| n.cache.stats()).collect());
-        let admitted_before = out.len();
-
-        let shards = policy.worker_threads();
-        let bounded = self.nodes.iter().any(|n| n.cache.capacity().is_some());
-        if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
-            for raw in raws {
-                if let Some(obs) = self.process(raw, interner, authority)? {
-                    out.push(obs);
-                }
-            }
-        } else {
-            self.process_trace_sharded(raws, interner, authority, shards, out)?;
-        }
-
-        if let Some(base) = base_stats {
-            self.push_cache_deltas(&base);
-            self.obs.counter_add("topology.lookups", raws.len() as u64);
-            let admitted = out.len() - admitted_before;
-            self.obs.counter_add("topology.admitted", admitted as u64);
-            self.obs
-                .counter_add("topology.filtered", (raws.len() - admitted) as u64);
-        }
-        Ok(())
+        self.filter_trace(
+            raws,
+            policy,
+            out,
+            |raw| (raw.client, raw.domain),
+            |topo, raw| topo.process(raw, interner, authority),
+        )
     }
 
     /// Convenience wrapper over
@@ -711,119 +635,13 @@ impl CompactTopology {
     pub fn process_trace<A: Authority + Copy + Sync>(
         &mut self,
         raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
+        interner: &DomainInterner,
         authority: A,
         policy: ExecPolicy,
     ) -> Result<Vec<CompactObserved>, TopologyError> {
         let mut out = Vec::new();
         self.process_trace_into(raws, interner, authority, policy, &mut out)?;
         Ok(out)
-    }
-
-    fn process_trace_sharded<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
-        authority: A,
-        shards: usize,
-        out: &mut Vec<CompactObserved>,
-    ) -> Result<(), TopologyError> {
-        for raw in raws {
-            self.route(raw.client)?;
-        }
-
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, raw) in raws.iter().enumerate() {
-            parts[(raw.domain.0 % shards as u64) as usize].push(i);
-        }
-
-        let base_stats: Vec<CacheStats> = self.nodes.iter().map(|n| n.cache.stats()).collect();
-        let template: &CompactTopology = self;
-        let shard_results: Vec<(CompactTopology, Vec<(usize, CompactObserved)>)> =
-            botmeter_exec::run_indexed_with(
-                ExecPolicy::with_threads(shards),
-                &self.obs,
-                shards,
-                |s| {
-                    let mut topo = template.clone();
-                    let mut obs = Vec::new();
-                    for &i in &parts[s] {
-                        let visible = topo
-                            .process(&raws[i], interner, authority)
-                            .expect("every client pre-routed");
-                        if let Some(o) = visible {
-                            obs.push((i, o));
-                        }
-                    }
-                    (topo, obs)
-                },
-            );
-
-        // Stitch observations back into trace order (same scheme as the
-        // name-keyed topology: a sort by unique trace index).
-        let mut indexed: Vec<(usize, CompactObserved)> = shard_results
-            .iter()
-            .flat_map(|(_, obs)| obs.iter().copied())
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        out.extend(indexed.into_iter().map(|(_, o)| o));
-
-        for (s, (shard_topo, _)) in shard_results.into_iter().enumerate() {
-            for (n, shard_node) in shard_topo.nodes.into_iter().enumerate() {
-                let shards = shards as u64;
-                self.nodes[n].cache.absorb_shard(
-                    shard_node.cache,
-                    base_stats[n],
-                    move |d: &crate::DomainId| (d.0 % shards) as usize == s,
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Pushes the difference between the current per-node cache stats and
-    /// `base` into the recorder as `cache.s{id}.*` counters — the same
-    /// keys [`Topology`] pushes, so downstream metric consumers cannot
-    /// tell the record layouts apart.
-    fn push_cache_deltas(&self, base: &[CacheStats]) {
-        for (n, node) in self.nodes.iter().enumerate() {
-            let now = node.cache.stats();
-            let prev = base[n];
-            let fields = [
-                ("pos_hits", now.positive_hits - prev.positive_hits),
-                ("neg_hits", now.negative_hits - prev.negative_hits),
-                ("misses", now.misses - prev.misses),
-                (
-                    "expired_evictions",
-                    now.expired_evictions - prev.expired_evictions,
-                ),
-                (
-                    "capacity_evictions",
-                    now.capacity_evictions - prev.capacity_evictions,
-                ),
-            ];
-            for (field, delta) in fields {
-                if delta > 0 {
-                    self.obs.counter_add(&format!("cache.s{n}.{field}"), delta);
-                }
-            }
-        }
-    }
-
-    /// Cache statistics of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` does not exist.
-    pub fn cache_stats(&self, server: ServerId) -> CacheStats {
-        self.nodes[server.0 as usize].cache.stats()
-    }
-
-    /// Clears every cache in the hierarchy.
-    pub fn clear_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.cache.clear();
-        }
     }
 }
 
@@ -841,9 +659,54 @@ mod tests {
         RawLookup::new(SimInstant::from_millis(ms), ClientId(client), d(name))
     }
 
+    /// Lets one test body drive either instantiation from name-carrying
+    /// records: the id-keyed side interns, compacts, filters and hydrates.
+    trait Filter {
+        fn filter(
+            &mut self,
+            trace: &[RawLookup],
+            auth: &StaticAuthority,
+            policy: ExecPolicy,
+        ) -> Vec<ObservedLookup>;
+    }
+
+    impl Filter for Topology<DomainName> {
+        fn filter(
+            &mut self,
+            trace: &[RawLookup],
+            auth: &StaticAuthority,
+            policy: ExecPolicy,
+        ) -> Vec<ObservedLookup> {
+            self.process_trace(trace, auth, policy).unwrap()
+        }
+    }
+
+    impl Filter for Topology<DomainId> {
+        fn filter(
+            &mut self,
+            trace: &[RawLookup],
+            auth: &StaticAuthority,
+            policy: ExecPolicy,
+        ) -> Vec<ObservedLookup> {
+            let mut interner = DomainInterner::new();
+            let compact: Vec<CompactLookup> = trace
+                .iter()
+                .map(|r| {
+                    interner.intern(r.domain.clone());
+                    r.compact()
+                })
+                .collect();
+            self.process_trace(&compact, &interner, auth, policy)
+                .unwrap()
+                .iter()
+                .map(|o| o.hydrate(&interner).expect("interned"))
+                .collect()
+        }
+    }
+
     #[test]
     fn single_local_filters_duplicates() {
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let auth = StaticAuthority::empty();
         let first = topo.process(&raw(0, 1, "nx.example"), &auth).unwrap();
         assert!(first.is_some());
@@ -861,66 +724,72 @@ mod tests {
             .is_some());
     }
 
-    #[test]
-    fn star_attributes_forwarding_server() {
-        let mut topo = Topology::star(TtlPolicy::paper_default(), 2);
+    fn star_attributes_forwarding_server<K: Key>()
+    where
+        Topology<K>: Filter,
+    {
+        let mut topo = Topology::<K>::star(TtlPolicy::paper_default(), 2);
         let servers = topo.local_servers();
         topo.assign_client(ClientId(1), servers[0]).unwrap();
         topo.assign_client(ClientId(2), servers[1]).unwrap();
-        let auth = StaticAuthority::empty();
-
-        let a = topo
-            .process(&raw(0, 1, "nx.example"), &auth)
-            .unwrap()
-            .unwrap();
-        assert_eq!(a.server, servers[0]);
         // Same domain via the *other* resolver: its own cache is cold, so it
         // still reaches the border and is attributed to server 2.
-        let b = topo
-            .process(&raw(5, 2, "nx.example"), &auth)
-            .unwrap()
-            .unwrap();
-        assert_eq!(b.server, servers[1]);
+        let seen = topo.filter(
+            &[raw(0, 1, "nx.example"), raw(5, 2, "nx.example")],
+            &StaticAuthority::empty(),
+            ExecPolicy::Sequential,
+        );
+        let by: Vec<ServerId> = seen.iter().map(|o| o.server).collect();
+        assert_eq!(by, servers);
     }
 
     #[test]
-    fn two_level_hierarchy_masks_at_middle() {
+    fn star_attributes_forwarding_server_for_both_keys() {
+        star_attributes_forwarding_server::<DomainName>();
+        star_attributes_forwarding_server::<DomainId>();
+    }
+
+    fn two_level_hierarchy_masks_at_middle<K: Key>()
+    where
+        Topology<K>: Filter,
+    {
         let mut b = TopologyBuilder::new(TtlPolicy::paper_default());
         let site = b.add_resolver_under_border();
         let floor1 = b.add_resolver(site).unwrap();
         let floor2 = b.add_resolver(site).unwrap();
-        let mut topo = b.build();
+        let mut topo = Topology::<K>::from(b);
         topo.assign_client(ClientId(1), floor1).unwrap();
         topo.assign_client(ClientId(2), floor2).unwrap();
-        let auth = StaticAuthority::empty();
 
-        // Client 1's lookup reaches the border, attributed to `site`
-        // (the last forwarder below the border).
-        let obs = topo
-            .process(&raw(0, 1, "nx.example"), &auth)
-            .unwrap()
-            .unwrap();
-        assert_eq!(obs.server, site);
+        // Client 1's lookup reaches the border, attributed to `site` (the
+        // last forwarder below the border). Client 2 goes through floor2
+        // (cold) but hits site's warm cache: absorbed in the middle of the
+        // hierarchy. Absorption serves site's cached answer without floor2
+        // learning it, so a repeat via floor2 is absorbed again at site.
+        let seen = topo.filter(
+            &[
+                raw(0, 1, "nx.example"),
+                raw(10, 2, "nx.example"),
+                raw(20, 2, "nx.example"),
+            ],
+            &StaticAuthority::empty(),
+            ExecPolicy::Sequential,
+        );
+        assert_eq!(seen.len(), 1);
+        assert_eq!((seen[0].t.as_millis(), seen[0].server), (0, site));
+        assert_eq!(topo.cache_stats(floor2).hits(), 0);
+        assert_eq!(topo.cache_stats(site).hits(), 2);
+    }
 
-        // Client 2 goes through floor2 (cold) but hits site's warm cache:
-        // absorbed in the middle of the hierarchy.
-        assert!(topo
-            .process(&raw(10, 2, "nx.example"), &auth)
-            .unwrap()
-            .is_none());
-        // floor2 cached nothing (the lookup never got answered through it?
-        // No: absorption means site's cached answer is served; floor2 does
-        // not learn it in our model). A repeat via floor2 is absorbed again
-        // at site.
-        assert!(topo
-            .process(&raw(20, 2, "nx.example"), &auth)
-            .unwrap()
-            .is_none());
+    #[test]
+    fn two_level_hierarchy_masks_at_middle_for_both_keys() {
+        two_level_hierarchy_masks_at_middle::<DomainName>();
+        two_level_hierarchy_masks_at_middle::<DomainId>();
     }
 
     #[test]
     fn routing_errors() {
-        let mut topo = Topology::star(TtlPolicy::paper_default(), 1);
+        let mut topo = Topology::<DomainName>::star(TtlPolicy::paper_default(), 1);
         let auth = StaticAuthority::empty();
         let err = topo.process(&raw(0, 9, "nx.example"), &auth).unwrap_err();
         assert_eq!(err, TopologyError::UnroutedClient(ClientId(9)));
@@ -937,7 +806,7 @@ mod tests {
 
     #[test]
     fn positive_answers_cached_longer() {
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let auth = StaticAuthority::from_domains([d("c2.example")]);
         assert!(topo
             .process(&raw(0, 1, "c2.example"), &auth)
@@ -953,7 +822,7 @@ mod tests {
 
     #[test]
     fn process_trace_preserves_order_and_filters() {
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let auth = StaticAuthority::empty();
         let trace = vec![
             raw(0, 1, "a.example"),
@@ -970,7 +839,7 @@ mod tests {
 
     #[test]
     fn clear_caches_resets_filtering() {
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let auth = StaticAuthority::empty();
         assert!(topo
             .process(&raw(0, 1, "a.example"), &auth)
@@ -986,7 +855,7 @@ mod tests {
     #[test]
     fn cache_stats_survive_clear_caches_and_stay_counter_consistent() {
         let (obs, registry) = Obs::collecting();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         topo.set_obs(obs);
         let auth = StaticAuthority::empty();
         let trace: Vec<RawLookup> = (0..64u64)
@@ -1027,36 +896,43 @@ mod tests {
         assert_eq!(snap.counter(&format!("{prefix}misses")), Some(after.misses));
     }
 
-    #[test]
-    fn parallel_trace_matches_sequential_exactly() {
-        // A trace long enough to clear the parallel threshold, with heavy
-        // domain re-use so cache state actually matters.
-        let build_trace = || {
-            let mut trace = Vec::new();
-            for i in 0..4000u64 {
-                let name = format!("d{}.example", i % 97);
-                trace.push(raw(i * 10, (i % 7) as u32, &name));
-            }
-            trace
-        };
+    /// A trace long enough to clear the parallel threshold, with heavy
+    /// domain re-use so cache state actually matters; filtered under
+    /// `policy` on a fresh single-local topology.
+    fn filter_long_trace<K: Key>(policy: ExecPolicy) -> (Vec<ObservedLookup>, [CacheStats; 2])
+    where
+        Topology<K>: Filter,
+    {
+        let trace: Vec<RawLookup> = (0..4000u64)
+            .map(|i| raw(i * 10, (i % 7) as u32, &format!("d{}.example", i % 97)))
+            .collect();
         let auth = StaticAuthority::from_domains([d("d3.example"), d("d55.example")]);
+        let mut topo = Topology::<K>::single_local(TtlPolicy::paper_default());
+        let seen = topo.filter(&trace, &auth, policy);
+        (
+            seen,
+            [topo.cache_stats(ServerId(0)), topo.cache_stats(ServerId(1))],
+        )
+    }
 
-        let mut seq_topo = Topology::single_local(TtlPolicy::paper_default());
-        let seq = seq_topo
-            .process_trace(&build_trace(), &auth, ExecPolicy::Sequential)
-            .unwrap();
-
-        let mut par_topo = Topology::single_local(TtlPolicy::paper_default());
-        let par = par_topo
-            .process_trace(&build_trace(), &auth, ExecPolicy::with_threads(4))
-            .unwrap();
-
-        assert_eq!(seq, par, "parallel filtering must be bit-identical");
-        let local = seq_topo.local_servers()[0];
-        assert_eq!(seq_topo.cache_stats(local), par_topo.cache_stats(local));
+    #[test]
+    fn parallel_trace_matches_sequential_exactly_for_both_keys() {
+        let reference = filter_long_trace::<DomainName>(ExecPolicy::Sequential);
+        assert!(!reference.0.is_empty());
+        // Sharded filtering is bit-identical to the sequential scan —
+        // observed trace and both nodes' cache stats — and the id-keyed
+        // topology is bit-identical to the name-keyed one under either.
         assert_eq!(
-            seq_topo.cache_stats(ServerId(0)),
-            par_topo.cache_stats(ServerId(0))
+            filter_long_trace::<DomainName>(ExecPolicy::with_threads(4)),
+            reference
+        );
+        assert_eq!(
+            filter_long_trace::<DomainId>(ExecPolicy::Sequential),
+            reference
+        );
+        assert_eq!(
+            filter_long_trace::<DomainId>(ExecPolicy::with_threads(4)),
+            reference
         );
     }
 
@@ -1069,7 +945,7 @@ mod tests {
             trace.push(raw(i, (i % 3) as u32, &format!("d{}.example", i % 11)));
         }
         let auth = StaticAuthority::empty();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         topo.process_trace(&trace, &auth, ExecPolicy::parallel())
             .unwrap();
         // Every one of the 11 domains is now negatively cached.
@@ -1085,28 +961,19 @@ mod tests {
     #[test]
     fn parallel_trace_short_input_falls_back() {
         let auth = StaticAuthority::empty();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let obs = topo
             .process_trace(&[raw(0, 1, "a.example")], &auth, ExecPolicy::parallel())
             .unwrap();
         assert_eq!(obs.len(), 1);
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shim_still_works() {
-        let auth = StaticAuthority::empty();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
-        let obs = topo
-            .process_trace_parallel(&[raw(0, 1, "a.example")], &auth)
-            .unwrap();
-        assert_eq!(obs.len(), 1);
-    }
-
-    #[test]
-    fn trace_metrics_report_cache_deltas_and_admission() {
+    fn trace_metrics_report_cache_deltas_and_admission<K: Key>()
+    where
+        Topology<K>: Filter,
+    {
         let (handle, registry) = Obs::collecting();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<K>::single_local(TtlPolicy::paper_default());
         topo.set_obs(handle);
         let auth = StaticAuthority::from_domains([d("live.example")]);
         let trace = vec![
@@ -1115,9 +982,7 @@ mod tests {
             raw(20, 1, "nx.example"),
             raw(30, 2, "nx.example"), // negative cache hit at the local
         ];
-        let seen = topo
-            .process_trace(&trace, &auth, ExecPolicy::Sequential)
-            .unwrap();
+        let seen = topo.filter(&trace, &auth, ExecPolicy::Sequential);
         assert_eq!(seen.len(), 2);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("topology.lookups"), Some(4));
@@ -1135,71 +1000,14 @@ mod tests {
     }
 
     #[test]
-    fn compact_topology_matches_name_keyed_filtering_bit_for_bit() {
-        let mut interner = crate::DomainInterner::new();
-        let mut trace = Vec::new();
-        for i in 0..4000u64 {
-            let name = interner.intern(d(&format!("d{}.example", i % 97)));
-            trace.push(RawLookup::new(
-                SimInstant::from_millis(i * 10),
-                ClientId((i % 7) as u32),
-                name,
-            ));
-        }
-        let compact: Vec<CompactLookup> = trace.iter().map(|r| r.compact()).collect();
-        let auth = StaticAuthority::from_domains([d("d3.example"), d("d55.example")]);
-
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let mut legacy = Topology::single_local(TtlPolicy::paper_default());
-            let expect = legacy.process_trace(&trace, &auth, policy).unwrap();
-
-            let mut fast = CompactTopology::single_local(TtlPolicy::paper_default());
-            let got = fast
-                .process_trace(&compact, &interner, &auth, policy)
-                .unwrap();
-
-            let hydrated: Vec<ObservedLookup> = got
-                .iter()
-                .map(|o| o.hydrate(&interner).expect("interned"))
-                .collect();
-            assert_eq!(hydrated, expect, "policy {policy:?}");
-            for s in [ServerId(0), ServerId(1)] {
-                assert_eq!(fast.cache_stats(s), legacy.cache_stats(s), "server {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_topology_pushes_the_same_counters() {
-        let mut interner = crate::DomainInterner::new();
-        let live = interner.intern(d("live.example"));
-        let nx = interner.intern(d("nx.example"));
-        let auth = StaticAuthority::from_domains([d("live.example")]);
-        let trace = [
-            CompactLookup::new(SimInstant::from_millis(0), ClientId(1), live.id()),
-            CompactLookup::new(SimInstant::from_millis(10), ClientId(2), live.id()),
-            CompactLookup::new(SimInstant::from_millis(20), ClientId(1), nx.id()),
-            CompactLookup::new(SimInstant::from_millis(30), ClientId(2), nx.id()),
-        ];
-        let (handle, registry) = Obs::collecting();
-        let mut topo = CompactTopology::single_local(TtlPolicy::paper_default());
-        topo.set_obs(handle);
-        let mut out = Vec::new();
-        topo.process_trace_into(&trace, &interner, &auth, ExecPolicy::Sequential, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("topology.lookups"), Some(4));
-        assert_eq!(snap.counter("topology.admitted"), Some(2));
-        assert_eq!(snap.counter("topology.filtered"), Some(2));
-        assert_eq!(snap.counter("cache.s1.pos_hits"), Some(1));
-        assert_eq!(snap.counter("cache.s1.neg_hits"), Some(1));
-        assert_eq!(snap.counter("cache.s1.misses"), Some(2));
+    fn trace_metrics_report_cache_deltas_and_admission_for_both_keys() {
+        trace_metrics_report_cache_deltas_and_admission::<DomainName>();
+        trace_metrics_report_cache_deltas_and_admission::<DomainId>();
     }
 
     #[test]
     fn cache_stats_accessible_per_node() {
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
         let auth = StaticAuthority::empty();
         topo.process(&raw(0, 1, "a.example"), &auth).unwrap();
         topo.process(&raw(1, 1, "a.example"), &auth).unwrap();

@@ -5,9 +5,8 @@
 //! `botmeter-core`, trial sweeps in `botmeter-bench` — funnels through this
 //! crate, so the threading policy lives in one place:
 //!
-//! * **One execution policy.** Since the sequential/parallel API
-//!   unification, pipeline entry points take an [`ExecPolicy`]
-//!   (`Sequential` or `Parallel { threads }`) instead of forking into
+//! * **One execution policy.** Pipeline entry points take an
+//!   [`ExecPolicy`] (`Sequential` or `Parallel { threads }`); there are no
 //!   `*_parallel` twins. [`ExecPolicy::default`] resolves the worker count
 //!   from the `BOTMETER_THREADS` environment variable (see
 //!   [`num_threads`]).
@@ -20,20 +19,17 @@
 //! * **Determinism by index.** Workers write each job's result into its own
 //!   slot, so outputs are returned in job order no matter which thread ran
 //!   what. Callers keep the contract that job `i` is a pure function of `i`.
-//! * **Observability.** The `*_with` entry points accept a
-//!   [`botmeter_obs::Obs`] handle and report batch/task/steal counts and a
-//!   queue-depth high-water mark under the scheduling-dependent `sched.`
-//!   prefix (see `botmeter-obs` for why those counters are exempt from the
+//! * **Observability.** Every entry point takes a [`botmeter_obs::Obs`]
+//!   handle and reports batch/task/steal counts and a queue-depth
+//!   high-water mark under the scheduling-dependent `sched.` prefix (see
+//!   `botmeter-obs` for why those counters are exempt from the
 //!   sequential-vs-parallel determinism contract).
 //!
 //! ```
 //! use botmeter_exec::ExecPolicy;
-//! let squares = botmeter_exec::run_indexed(8, |i| i * i);
-//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! // Same jobs, explicit policy and metrics:
 //! let (obs, registry) = botmeter_obs::Obs::collecting();
-//! let again = botmeter_exec::run_indexed_with(ExecPolicy::default(), &obs, 8, |i| i * i);
-//! assert_eq!(again, squares);
+//! let squares = botmeter_exec::run_indexed_with(ExecPolicy::default(), &obs, 8, |i| i * i);
+//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! assert_eq!(registry.snapshot().counter("sched.exec.tasks"), Some(8));
 //! ```
 
@@ -41,7 +37,6 @@
 #![warn(missing_docs)]
 
 use botmeter_obs::Obs;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -51,11 +46,10 @@ use std::thread;
 /// How a pipeline stage should execute: single-threaded, or fanned out
 /// across a worker pool.
 ///
-/// Every unified pipeline entry point (`ScenarioSpec::run`,
-/// `Topology::process_trace`, `match_stream`, `BotMeter::chart`) takes one
-/// of these; the former `*_parallel`/`run_sequential` twins are deprecated
-/// shims over it. Both variants produce bit-identical pipeline results —
-/// the policy only chooses how the work is scheduled.
+/// Every pipeline entry point (`ScenarioSpec::run`,
+/// `Topology::process_trace`, `match_stream`, `BotMeter::chart_with`) takes
+/// one of these. Both variants produce bit-identical pipeline results — the
+/// policy only chooses how the work is scheduled.
 ///
 /// # Example
 ///
@@ -166,16 +160,6 @@ fn catch_job<T, F: Fn(usize) -> T>(f: &F, i: usize) -> Result<T, TaskPanic> {
         };
         TaskPanic { index: i, message }
     })
-}
-
-/// Runs `jobs` independent jobs of `f` (given the job index) with the
-/// default policy and no metrics. See [`run_indexed_with`].
-pub fn run_indexed<T, F>(jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_with(ExecPolicy::default(), &Obs::noop(), jobs, f)
 }
 
 /// Runs `jobs` independent jobs of `f` (given the job index) under
@@ -290,16 +274,6 @@ where
     results
 }
 
-/// [`map_chunks_with`] under the default policy with no metrics.
-pub fn map_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    map_chunks_with(ExecPolicy::default(), &Obs::noop(), items, f)
-}
-
 /// Splits `items` into at most [`ExecPolicy::worker_threads`] contiguous
 /// chunks of near-equal length and maps `f` over them under `policy`,
 /// returning one result per chunk in chunk order. Empty input yields no
@@ -336,251 +310,6 @@ pub fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     bounds
-}
-
-/// [`par_sort_by_key_with`] under the default policy with no metrics.
-pub fn par_sort_by_key<T, K, F>(items: &mut Vec<T>, key: F)
-where
-    T: Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sort_by_key_with(ExecPolicy::default(), &Obs::noop(), items, key)
-}
-
-/// Stable parallel sort by key: chunk-sorts in parallel, then merges
-/// adjacent runs pairwise (also in parallel) until one run remains.
-///
-/// Produces exactly the same ordering as `slice::sort_by_key` (which is
-/// stable), so sequential and parallel pipelines agree bit-for-bit even when
-/// keys collide.
-pub fn par_sort_by_key_with<T, K, F>(policy: ExecPolicy, obs: &Obs, items: &mut Vec<T>, key: F)
-where
-    T: Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let workers = policy.worker_threads();
-    if workers <= 1 || items.len() < 2 {
-        items.sort_by_key(key);
-        return;
-    }
-
-    // Phase 1: split into contiguous chunks and sort each independently
-    // (stable) in parallel.
-    let bounds = chunk_bounds(items.len(), workers);
-    let mut remaining = std::mem::take(items);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
-    for &(start, _) in bounds.iter().rev() {
-        chunks.push(remaining.split_off(start));
-    }
-    chunks.reverse();
-    let chunk_slots: Vec<Mutex<Option<Vec<T>>>> =
-        chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let sorted: Vec<Vec<T>> = run_indexed_with(policy, obs, chunk_slots.len(), |i| {
-        let mut chunk = chunk_slots[i]
-            .lock()
-            .expect("chunk slot poisoned")
-            .take()
-            .expect("chunk present");
-        chunk.sort_by_key(&key);
-        chunk
-    });
-
-    // Phase 2: pairwise stable merges until a single run remains. Merging
-    // adjacent runs left-to-right (ties favour the left run) reproduces the
-    // stable global order.
-    let mut runs = sorted;
-    while runs.len() > 1 {
-        let pair_count = runs.len() / 2;
-        let has_tail = runs.len() % 2 == 1;
-        let tail = if has_tail { runs.pop() } else { None };
-        type MergePair<T> = Mutex<Option<(Vec<T>, Vec<T>)>>;
-        let slots: Vec<MergePair<T>> = {
-            let mut pairs = Vec::with_capacity(pair_count);
-            let mut iter = runs.drain(..);
-            while let (Some(a), Some(b)) = (iter.next(), iter.next()) {
-                pairs.push(Mutex::new(Some((a, b))));
-            }
-            pairs
-        };
-        let mut merged: Vec<Vec<T>> = run_indexed_with(policy, obs, slots.len(), |i| {
-            let (a, b) = slots[i]
-                .lock()
-                .expect("merge slot poisoned")
-                .take()
-                .expect("pair present");
-            merge_stable(a, b, &key)
-        });
-        if let Some(t) = tail {
-            merged.push(t);
-        }
-        runs = merged;
-    }
-    *items = runs.pop().unwrap_or_default();
-}
-
-/// What the staged runner shares between the producer thread and the
-/// consuming caller: a bounded in-order queue plus wake-up signals for
-/// both sides.
-struct StageChannel<T> {
-    queue: Mutex<StageQueue<T>>,
-    /// Signalled when an item lands (or the producer finishes).
-    ready: Condvar,
-    /// Signalled when the consumer frees a slot (or aborts).
-    space: Condvar,
-}
-
-struct StageQueue<T> {
-    items: VecDeque<(usize, T)>,
-    /// The producer finished (normally or by panic).
-    done: bool,
-    /// The consumer died; the producer should stop generating.
-    aborted: bool,
-    /// Items whose hand-off had to wait for a free slot.
-    stalls: u64,
-    /// Deepest the queue ever got.
-    high_water: u64,
-}
-
-/// Marks the channel done (and wakes the consumer) when the producer
-/// exits — *including* by panic, so the consumer never waits forever.
-struct ProducerDoneGuard<'a, T>(&'a StageChannel<T>);
-
-impl<T> Drop for ProducerDoneGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        q.done = true;
-        drop(q);
-        self.0.ready.notify_all();
-    }
-}
-
-/// Runs a two-stage produce→consume pipeline over `jobs` indexed items
-/// with a bounded hand-off buffer: stage N+1 of the pipeline is generated
-/// while stage N is still being consumed, but never more than `capacity`
-/// finished items sit in memory at once.
-///
-/// `produce(i)` builds item `i`; `consume(i, item)` receives the items
-/// **strictly in index order** under every policy. Sequentially the two
-/// closures simply alternate on the calling thread; under a parallel
-/// policy `produce` runs on one background thread while `consume` runs on
-/// the calling thread, overlapping the stages. Because items are produced
-/// and consumed in index order either way, anything deterministic about a
-/// sequential run stays deterministic under overlap — only the *timing*
-/// changes, which is why this runner's metrics live under the
-/// scheduling-dependent `sched.` prefix: `sched.stream.batches`,
-/// `sched.stream.items`, `sched.stream.queue_high_water` and
-/// `sched.stream.backpressure_stalls` (hand-offs that blocked on a full
-/// buffer).
-///
-/// `capacity` is clamped to ≥ 1. A panic in either closure tears the
-/// pipeline down cleanly — the other side stops promptly instead of
-/// deadlocking on the buffer — and resurfaces on the calling thread.
-pub fn run_staged_with<T, P, C>(
-    policy: ExecPolicy,
-    obs: &Obs,
-    jobs: usize,
-    capacity: usize,
-    mut produce: P,
-    mut consume: C,
-) where
-    T: Send,
-    P: FnMut(usize) -> T + Send,
-    C: FnMut(usize, T),
-{
-    obs.counter_add("sched.stream.batches", 1);
-    obs.counter_add("sched.stream.items", jobs as u64);
-    if jobs == 0 {
-        return;
-    }
-    if policy.is_sequential() {
-        for i in 0..jobs {
-            let item = produce(i);
-            consume(i, item);
-        }
-        return;
-    }
-    let capacity = capacity.max(1);
-    let channel = StageChannel {
-        queue: Mutex::new(StageQueue {
-            items: VecDeque::with_capacity(capacity),
-            done: false,
-            aborted: false,
-            stalls: 0,
-            high_water: 0,
-        }),
-        ready: Condvar::new(),
-        space: Condvar::new(),
-    };
-    let consumer_outcome = thread::scope(|scope| {
-        scope.spawn(|| {
-            let _done = ProducerDoneGuard(&channel);
-            for i in 0..jobs {
-                // Build outside the lock so the consumer drains freely.
-                let item = produce(i);
-                let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut waited = false;
-                while q.items.len() >= capacity && !q.aborted {
-                    if !waited {
-                        q.stalls += 1;
-                        waited = true;
-                    }
-                    q = channel
-                        .space
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                if q.aborted {
-                    return;
-                }
-                q.items.push_back((i, item));
-                q.high_water = q.high_water.max(q.items.len() as u64);
-                drop(q);
-                channel.ready.notify_all();
-            }
-        });
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let next = loop {
-                if let Some(next) = q.items.pop_front() {
-                    break Some(next);
-                }
-                if q.done {
-                    break None;
-                }
-                q = channel
-                    .ready
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            };
-            drop(q);
-            channel.space.notify_all();
-            match next {
-                Some((i, item)) => consume(i, item),
-                None => return,
-            }
-        }));
-        if outcome.is_err() {
-            // Unblock a producer stuck on a full buffer so the scope can
-            // wind down instead of deadlocking.
-            let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.aborted = true;
-            drop(q);
-            channel.space.notify_all();
-        }
-        outcome
-        // A producer panic propagates here when the scope joins it.
-    });
-    let q = channel
-        .queue
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    obs.counter_add("sched.stream.backpressure_stalls", q.stalls);
-    obs.gauge_max("sched.stream.queue_high_water", q.high_water);
-    if let Err(payload) = consumer_outcome {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// How many items beyond the consumer's cursor the multi-producer runner
@@ -644,9 +373,8 @@ impl<T> Drop for ProducerExitGuard<'_, T> {
 /// concurrently while the calling thread consumes them **strictly in index
 /// order**.
 ///
-/// This is the fan-out form of [`run_staged_with`]: where the staged runner
-/// pins production to one background thread, this one hands item indices to
-/// a pool of producers through a ticket window — a producer may claim index
+/// Item indices are handed to the pool of producers through a ticket
+/// window — a producer may claim index
 /// `i` only once `i < consumed + `[`PIPELINE_WINDOW`], so at most
 /// `PIPELINE_WINDOW` items are in flight (being built or buffered) beyond
 /// the consumer's cursor at any moment. The window is a fixed constant
@@ -657,7 +385,7 @@ impl<T> Drop for ProducerExitGuard<'_, T> {
 /// `produce` must be a pure function of the index (it runs concurrently on
 /// several threads); `consume` runs only on the calling thread, so it may
 /// freely mutate carried state — cache topologies, fault streams,
-/// accumulators — exactly like the single-producer staged runner.
+/// accumulators.
 ///
 /// Sequential policies alternate the two closures inline, which is also the
 /// reference behaviour the determinism suites compare against. Metrics
@@ -804,39 +532,18 @@ pub fn run_pipelined_with<T, P, C>(
     }
 }
 
-/// Stable merge of already-sorted runs: equivalent to stably sorting the
-/// concatenation of `runs` in order, assuming each run is itself a stable
-/// sort of its source segment. Ties always take the earliest run's element
-/// first, so run order carries the same tie-breaking weight concatenation
-/// order would.
-///
-/// This is the reduction step of the sharded streaming pipeline: per-range
-/// producers pre-sort their partitions, and the consumer merges them in
-/// job-range order to reproduce exactly the global stable sort.
-pub fn merge_sorted_runs<T, K, F>(runs: Vec<Vec<T>>, key: F) -> Vec<T>
-where
-    K: Ord,
-    F: Fn(&T) -> K,
-{
-    let mut merged: Option<Vec<T>> = None;
-    for run in runs {
-        if run.is_empty() {
-            continue;
-        }
-        merged = Some(match merged {
-            None => run,
-            Some(acc) => merge_stable(acc, run, &key),
-        });
-    }
-    merged.unwrap_or_default()
-}
-
 /// Stable k-way merge of already-sorted runs into a caller-owned buffer,
-/// for `Copy` elements: equivalent to [`merge_sorted_runs`] on the same
-/// runs (ties take the earliest run's element first), but records are
-/// copied straight into `out` — no intermediate runs are allocated, so a
-/// consumer recycling `out` through a [`BufferPool`] merges shards without
-/// steady-state heap traffic.
+/// for `Copy` elements: equivalent to stably sorting the concatenation of
+/// `runs` in order, assuming each run is itself a stable sort of its source
+/// segment. Ties always take the earliest run's element first, so run order
+/// carries the same tie-breaking weight concatenation order would. Records
+/// are copied straight into `out` — no intermediate runs are allocated, so
+/// a consumer recycling `out` through a [`BufferPool`] merges shards
+/// without steady-state heap traffic.
+///
+/// This is the reduction step of the sharded pipeline: per-range producers
+/// pre-sort their partitions, and the consumer merges them in job-range
+/// order to reproduce exactly the global stable sort.
 ///
 /// `out` is appended to, not cleared.
 pub fn merge_sorted_runs_into<T, K, F>(runs: &[Vec<T>], key: F, out: &mut Vec<T>)
@@ -848,8 +555,7 @@ where
     out.reserve(runs.iter().map(Vec::len).sum());
     let mut cursors = vec![0usize; runs.len()];
     loop {
-        // Scan for the smallest head; ties favour the earliest run, which
-        // reproduces the pairwise left-biased merge order exactly.
+        // Scan for the smallest head; ties favour the earliest run.
         let mut best: Option<(usize, K)> = None;
         for (r, run) in runs.iter().enumerate() {
             if let Some(item) = run.get(cursors[r]) {
@@ -996,40 +702,13 @@ impl<T> BufferPool<T> {
     }
 }
 
-/// Stable two-run merge: ties take the left element first.
-fn merge_stable<T, K: Ord, F: Fn(&T) -> K>(a: Vec<T>, b: Vec<T>, key: &F) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    loop {
-        match (ai.peek(), bi.peek()) {
-            (Some(x), Some(y)) => {
-                if key(x) <= key(y) {
-                    out.push(ai.next().expect("peeked"));
-                } else {
-                    out.push(bi.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(ai);
-                break;
-            }
-            (None, _) => {
-                out.extend(bi);
-                break;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn run_indexed_ordered_and_complete() {
-        let xs = run_indexed(100, |i| i * i);
+        let xs = run_indexed_with(ExecPolicy::default(), &Obs::noop(), 100, |i| i * i);
         assert_eq!(xs.len(), 100);
         for (i, &v) in xs.iter().enumerate() {
             assert_eq!(v, i * i);
@@ -1038,7 +717,7 @@ mod tests {
 
     #[test]
     fn run_indexed_zero_jobs() {
-        assert!(run_indexed(0, |i| i).is_empty());
+        assert!(run_indexed_with(ExecPolicy::default(), &Obs::noop(), 0, |i| i).is_empty());
     }
 
     #[test]
@@ -1182,155 +861,14 @@ mod tests {
     #[test]
     fn map_chunks_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let sums = map_chunks(&items, |_, chunk| chunk.iter().sum::<u64>());
+        let sums = map_chunks_with(
+            ExecPolicy::with_threads(4),
+            &Obs::noop(),
+            &items,
+            |_, chunk| chunk.iter().sum::<u64>(),
+        );
+        assert_eq!(sums.len(), 4);
         assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn par_sort_matches_sequential_stable_sort() {
-        // Many duplicate keys so stability is observable through the payload.
-        let mut a: Vec<(u32, usize)> = (0..5000)
-            .map(|i| ((i as u32).wrapping_mul(2654435761) % 17, i))
-            .collect();
-        let mut b = a.clone();
-        a.sort_by_key(|&(k, _)| k);
-        par_sort_by_key(&mut b, |&(k, _)| k);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_sort_with_explicit_policies_agrees() {
-        let build = || -> Vec<(u32, usize)> {
-            (0..3000)
-                .map(|i| ((i as u32).wrapping_mul(2654435761) % 13, i))
-                .collect()
-        };
-        let mut seq = build();
-        let mut par = build();
-        par_sort_by_key_with(ExecPolicy::Sequential, &Obs::noop(), &mut seq, |&(k, _)| k);
-        par_sort_by_key_with(
-            ExecPolicy::with_threads(4),
-            &Obs::noop(),
-            &mut par,
-            |&(k, _)| k,
-        );
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn staged_runner_consumes_in_index_order_under_both_policies() {
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let mut seen = Vec::new();
-            run_staged_with(
-                policy,
-                &Obs::noop(),
-                200,
-                4,
-                |i| i * 7,
-                |i, item| seen.push((i, item)),
-            );
-            assert_eq!(seen.len(), 200, "{policy:?}");
-            for (k, &(i, item)) in seen.iter().enumerate() {
-                assert_eq!(i, k);
-                assert_eq!(item, k * 7);
-            }
-        }
-    }
-
-    #[test]
-    fn staged_runner_zero_jobs_is_inert() {
-        run_staged_with(
-            ExecPolicy::with_threads(4),
-            &Obs::noop(),
-            0,
-            8,
-            |i| i,
-            |_, _| panic!("no items to consume"),
-        );
-    }
-
-    #[test]
-    fn staged_runner_reports_stream_metrics_and_bounds_the_buffer() {
-        let (obs, registry) = botmeter_obs::Obs::collecting();
-        run_staged_with(
-            ExecPolicy::with_threads(2),
-            &obs,
-            64,
-            2,
-            |i| vec![i; 16],
-            |_, _| thread::sleep(std::time::Duration::from_micros(200)),
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("sched.stream.batches"), Some(1));
-        assert_eq!(snap.counter("sched.stream.items"), Some(64));
-        let high = snap.counter("sched.stream.queue_high_water").unwrap_or(0);
-        assert!(high <= 2, "buffer bound violated: {high}");
-        // With a sleeping consumer and a 2-slot buffer the producer must
-        // have blocked at least once.
-        assert!(
-            snap.counter("sched.stream.backpressure_stalls")
-                .unwrap_or(0)
-                > 0
-        );
-        // All stream metrics are scheduling-dependent and excluded from
-        // the determinism contract.
-        assert!(snap
-            .deterministic_counters()
-            .iter()
-            .all(|c| !c.name.starts_with("sched.")));
-    }
-
-    #[test]
-    fn staged_runner_producer_panic_resurfaces_without_deadlock() {
-        with_silent_panics(|| {
-            let consumed = AtomicUsize::new(0);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_staged_with(
-                    ExecPolicy::with_threads(2),
-                    &Obs::noop(),
-                    50,
-                    4,
-                    |i| {
-                        if i == 10 {
-                            panic!("producer died");
-                        }
-                        i
-                    },
-                    |_, _| {
-                        consumed.fetch_add(1, Ordering::Relaxed);
-                    },
-                );
-            }));
-            assert!(caught.is_err(), "producer panic must resurface");
-            // The consumer saw only a prefix, strictly in order.
-            assert!(consumed.load(Ordering::Relaxed) <= 10);
-        });
-    }
-
-    #[test]
-    fn staged_runner_consumer_panic_resurfaces_without_deadlock() {
-        with_silent_panics(|| {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_staged_with(
-                    ExecPolicy::with_threads(2),
-                    &Obs::noop(),
-                    1000,
-                    1,
-                    |i| i,
-                    |i, _| {
-                        if i == 3 {
-                            panic!("consumer died");
-                        }
-                    },
-                );
-            }));
-            let payload = caught.expect_err("consumer panic must resurface");
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .copied()
-                .unwrap_or("");
-            assert_eq!(msg, "consumer died");
-        });
     }
 
     #[test]
@@ -1456,38 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_runs_equals_stable_sort_of_concatenation() {
-        // Duplicate keys across runs so tie-breaking (earliest run first)
-        // is observable through the payload.
-        let runs: Vec<Vec<(u32, usize)>> = (0..5)
-            .map(|r| {
-                let mut run: Vec<(u32, usize)> = (0..200)
-                    .map(|i| {
-                        (
-                            ((r * 200 + i) as u32).wrapping_mul(2654435761) % 11,
-                            r * 200 + i,
-                        )
-                    })
-                    .collect();
-                run.sort_by_key(|&(k, _)| k);
-                run
-            })
-            .collect();
-        let mut reference: Vec<(u32, usize)> = runs.clone().into_iter().flatten().collect();
-        // Re-sorting the concatenation of stable-sorted runs stably equals
-        // stable-sorting the original concatenation.
-        reference.sort_by_key(|&(k, _)| k);
-        let merged = merge_sorted_runs(runs, |&(k, _)| k);
-        assert_eq!(merged, reference);
-        assert!(merge_sorted_runs(Vec::<Vec<u32>>::new(), |&x| x).is_empty());
-        assert_eq!(
-            merge_sorted_runs(vec![vec![], vec![1u32, 3], vec![], vec![2]], |&x| x),
-            vec![1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn merge_into_matches_pairwise_merge_bit_for_bit() {
+    fn merge_into_equals_stable_sort_of_concatenation() {
         // Duplicate keys across runs so the earliest-run tie-break is
         // observable through the payload.
         let runs: Vec<Vec<(u32, usize)>> = (0..5)
@@ -1504,7 +1011,10 @@ mod tests {
                 run
             })
             .collect();
-        let reference = merge_sorted_runs(runs.clone(), |&(k, _)| k);
+        // Re-sorting the concatenation of stable-sorted runs stably equals
+        // stable-sorting the original concatenation.
+        let mut reference: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
+        reference.sort_by_key(|&(k, _)| k);
         let mut out = Vec::new();
         merge_sorted_runs_into(&runs, |&(k, _)| k, &mut out);
         assert_eq!(out, reference);
@@ -1567,15 +1077,5 @@ mod tests {
             .deterministic_counters()
             .iter()
             .all(|c| !c.name.starts_with("sched.pool.")));
-    }
-
-    #[test]
-    fn par_sort_handles_small_inputs() {
-        let mut v: Vec<u32> = vec![];
-        par_sort_by_key(&mut v, |&x| x);
-        assert!(v.is_empty());
-        let mut v = vec![3u32, 1, 2];
-        par_sort_by_key(&mut v, |&x| x);
-        assert_eq!(v, vec![1, 2, 3]);
     }
 }

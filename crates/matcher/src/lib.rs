@@ -44,8 +44,6 @@ pub use collision::CollisionFilter;
 pub use exact::{ExactMatcher, PlainListError};
 pub use pattern::PatternMatcher;
 pub use sketching::SketchStream;
-#[allow(deprecated)]
-pub use stream::match_stream_parallel;
 pub use stream::{
     match_stream, match_stream_recorded, MatchedTraffic, StreamMatcher, StreamQuality,
 };

@@ -3,7 +3,7 @@
 
 use crate::DomainMatcher;
 use botmeter_dns::{
-    CompactLookup, CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup, ServerId,
+    CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup, ServerId,
 };
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
@@ -562,55 +562,12 @@ impl<'a, M: DomainMatcher + Sync> StreamMatcher<'a, M> {
         &self.acc
     }
 
-    /// Probes a batch of domains against the underlying matcher, one
-    /// verdict per domain (`hits` is cleared and refilled) — the raw
-    /// vectorized membership test, with none of the stream bookkeeping.
-    ///
-    /// Callers that already hold their candidates densely (a decoder ring
-    /// of interned names, a dedup front-end) can pre-filter through this
-    /// before paying [`ingest`](Self::ingest)'s per-lookup grouping.
-    /// Verdicts are identical to [`DomainMatcher::matches`] probe by probe.
-    pub fn probe_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-        self.matcher.matches_batch(domains, hits);
-    }
-
-    /// [`probe_batch`](Self::probe_batch) over id-resident records: one
-    /// verdict per lookup (`hits` is cleared and refilled), resolving each
-    /// domain through `interner`'s bytes arena. Verdicts are identical to
-    /// hydrating the lookup and probing [`DomainMatcher::matches`]; ids
-    /// unknown to the interner reject.
-    pub fn probe_batch_compact(
-        &self,
-        lookups: &[CompactLookup],
-        interner: &DomainInterner,
-        hits: &mut Vec<bool>,
-    ) {
-        hits.clear();
-        hits.extend(
-            lookups
-                .iter()
-                .map(|l| self.matcher.matches_id(l.domain, interner)),
-        );
-    }
-
     /// Emits the batched `matcher.*` metrics and returns the result —
     /// identical to `match_stream_recorded` over the concatenated chunks.
     pub fn finish(self) -> MatchedTraffic {
         record_metrics(&self.obs, &self.acc);
         self.acc
     }
-}
-
-/// Parallel [`match_stream`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `match_stream(observed, matcher, ExecPolicy::parallel())`"
-)]
-pub fn match_stream_parallel<M: DomainMatcher + Sync>(
-    observed: &[ObservedLookup],
-    matcher: &M,
-) -> MatchedTraffic {
-    match_stream(observed, matcher, ExecPolicy::parallel())
 }
 
 #[cfg(test)]
@@ -709,14 +666,6 @@ mod tests {
     fn parallel_short_stream_falls_back() {
         let stream = vec![obs(0, 1, "a.evil.example")];
         let m = match_stream(&stream, &matcher(), ExecPolicy::parallel());
-        assert_eq!(m.total_matched(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shim_still_works() {
-        let stream = vec![obs(0, 1, "a.evil.example")];
-        let m = match_stream_parallel(&stream, &matcher());
         assert_eq!(m.total_matched(), 1);
     }
 
@@ -993,31 +942,22 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_compact_matches_per_domain_verdicts() {
+    fn matches_id_agrees_with_per_domain_verdicts() {
         let stream = anomalous_stream(300);
         let mut interner = botmeter_dns::DomainInterner::new();
         for l in &stream {
             interner.intern(l.domain.clone());
         }
-        let raws: Vec<_> = stream
-            .iter()
-            .map(|l| CompactLookup::new(l.t, botmeter_dns::ClientId(0), l.domain.id()))
-            .collect();
         let m = matcher();
-        let sm = StreamMatcher::new(&m, ExecPolicy::Sequential, Obs::noop());
-        let mut hits = Vec::new();
-        sm.probe_batch_compact(&raws, &interner, &mut hits);
+        let hits: Vec<bool> = stream
+            .iter()
+            .map(|l| m.matches_id(l.domain.id(), &interner))
+            .collect();
         let expected: Vec<bool> = stream.iter().map(|l| m.matches(&l.domain)).collect();
         assert_eq!(hits, expected);
         assert!(expected.iter().any(|&h| h) && expected.iter().any(|&h| !h));
         // Ids unknown to the interner reject.
-        let stranger = [CompactLookup::new(
-            SimInstant::ZERO,
-            botmeter_dns::ClientId(0),
-            botmeter_dns::DomainId(u64::MAX),
-        )];
-        sm.probe_batch_compact(&stranger, &interner, &mut hits);
-        assert_eq!(hits, vec![false]);
+        assert!(!m.matches_id(botmeter_dns::DomainId(u64::MAX), &interner));
     }
 
     #[test]

@@ -63,22 +63,40 @@ pub fn replay_barrel<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<RawLookup> {
     let mut out = Vec::with_capacity(barrel.len().min(64));
+    walk_barrel(family, valid_indices, barrel, start, rng, |t, idx| {
+        out.push(RawLookup::new(t, client, pool[idx].clone()))
+    });
+    out
+}
+
+/// The barrel walk every replay shares: visits `barrel`'s pool indices in
+/// order, pacing them per the family's `δi` timing from `start`, and stops
+/// after the first index in `valid_indices` (C2 reached). `emit` receives
+/// each `(time, pool index)` and decides the record layout — names at the
+/// edges, [`DomainId`](botmeter_dns::DomainId)s inside the pipeline — so
+/// every layout consumes the identical rng stream.
+pub(crate) fn walk_barrel<R: Rng + ?Sized>(
+    family: &DgaFamily,
+    valid_indices: &HashSet<usize>,
+    barrel: impl IntoIterator<Item = usize>,
+    start: SimInstant,
+    rng: &mut R,
+    mut emit: impl FnMut(SimInstant, usize),
+) {
     let mut t = start;
     for (k, idx) in barrel.into_iter().enumerate() {
         if k > 0 {
             t += query_gap(family.params().timing(), rng);
         }
-        out.push(RawLookup::new(t, client, pool[idx].clone()));
+        emit(t, idx);
         if valid_indices.contains(&idx) {
             break; // C2 reached: the bot stops querying.
         }
     }
-    out
 }
 
-/// One inter-query pause draw — shared with the id-resident replay twin in
-/// `compact.rs` so both paths consume identical rng streams.
-pub(crate) fn query_gap<R: Rng + ?Sized>(timing: QueryTiming, rng: &mut R) -> SimDuration {
+/// One inter-query pause draw.
+fn query_gap<R: Rng + ?Sized>(timing: QueryTiming, rng: &mut R) -> SimDuration {
     match timing {
         QueryTiming::Fixed(d) => d,
         QueryTiming::Irregular { min, max } => {

@@ -43,7 +43,6 @@
 mod activation;
 mod background;
 mod bot;
-mod compact;
 mod enterprise;
 mod evasion;
 mod scenario;

@@ -1,10 +1,9 @@
 //! The synthetic-trace scenario: the paper's Fig. 6 experiment pipeline.
 
 use crate::activation::ActivationModel;
-use crate::bot::{replay_barrel, simulate_activation};
-use crate::compact::{self, CompactShardBatch};
+use crate::bot::{replay_barrel, simulate_activation, walk_barrel};
 use crate::evasion::EvasionStrategy;
-use crate::sink::{FnSink, ShardSink};
+use crate::sink::ShardSink;
 use botmeter_dga::DgaFamily;
 use botmeter_dns::{
     ClientId, CompactLookup, CompactObserved, CompactTopology, DomainId, DomainInterner,
@@ -37,25 +36,27 @@ const STREAM_ACCOUNT_WINDOW: usize = botmeter_exec::PIPELINE_WINDOW + 1;
 /// bounding how much capacity an overflow burst can pin after the run.
 const POOL_RETAIN: usize = 4 * STREAM_ACCOUNT_WINDOW;
 
-/// How a scenario run materialises its intermediate raw trace.
+/// Whether a scenario run keeps its intermediate raw trace.
 ///
-/// Both modes produce **bit-identical** [`ScenarioOutcome::observed`]
-/// traces, fault reports and deterministic counters — the
-/// `streaming_equivalence` and `parallel_determinism` suites enforce it —
-/// so the choice is purely a memory/latency trade-off.
+/// There is one pipeline — bots replayed, cache-filtered and faulted over
+/// fixed-width time shards, id-resident throughout — and both modes run
+/// it, so [`ScenarioOutcome::observed`], the fault report and the
+/// deterministic counters are **bit-identical** between them (the
+/// `streaming_equivalence` suite enforces it against a sequential
+/// whole-trace reference). The mode only decides what the shard consumer
+/// retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum PipelineMode {
-    /// Build the full raw trace in memory, then filter, then fault — the
-    /// reference path, and the only one that exposes
-    /// [`ScenarioOutcome::raw`].
+    /// Also hydrate every merged shard into [`ScenarioOutcome::raw`], at
+    /// the default shard width. The whole raw trace ends up resident,
+    /// which [`ScenarioOutcome::peak_resident_records`] reports.
     #[default]
     Materialize,
-    /// Fuse simulate→filter→fault over fixed-width time shards so no more
-    /// than a few shards of raw records are ever resident (see
-    /// [`ScenarioSpec::run_streaming`]).
+    /// Drop each shard's raw records once filtered, so no more than a few
+    /// shards are ever resident; [`ScenarioOutcome::raw`] stays empty.
     Streaming {
-        /// Shard width; `None` picks `epoch_len / 16`.
+        /// Shard width (non-zero); `None` picks `epoch_len / 16`.
         shard: Option<SimDuration>,
     },
 }
@@ -129,6 +130,9 @@ pub enum ScenarioBuildError {
     BadEvasion(&'static str),
     /// The fault plan's parameters are out of domain.
     BadFaults(FaultPlanError),
+    /// [`PipelineMode::Streaming`] was given a zero shard width (the shard
+    /// count is `horizon / width`).
+    ZeroShardWidth,
 }
 
 impl fmt::Display for ScenarioBuildError {
@@ -141,6 +145,9 @@ impl fmt::Display for ScenarioBuildError {
             }
             ScenarioBuildError::BadEvasion(msg) => write!(f, "invalid evasion strategy: {msg}"),
             ScenarioBuildError::BadFaults(err) => write!(f, "invalid fault plan: {err}"),
+            ScenarioBuildError::ZeroShardWidth => {
+                write!(f, "streaming shard width must be non-zero")
+            }
         }
     }
 }
@@ -176,118 +183,72 @@ impl ScenarioSpec {
     }
 
     /// Runs the simulation under `policy`: activations → raw lookups →
-    /// cache filtering.
+    /// cache filtering → faults, fused over fixed-width time shards.
     ///
-    /// Under a parallel policy, bot replays fan out across the worker pool:
-    /// every bot's RNG is an independently seeded ChaCha substream derived
-    /// from the scenario's [`SeedSequence`], so no draw depends on which
-    /// thread replays which bot. The outcome is bit-identical to
-    /// `run(ExecPolicy::Sequential)` for the same spec — the determinism
-    /// tests enforce it, including on the metrics counters an attached
-    /// [`Obs`] collects (`sim.activations`, `sim.bots_replayed`,
-    /// `sim.raw_lookups`, `sim.observed_lookups`, plus the per-bot
-    /// `sim.bot_replay_ns` replay-latency histogram).
+    /// Under a parallel policy shard production (per-bot replay + sort)
+    /// fans out across the worker pool — each shard built end-to-end by one
+    /// worker inside the bounded ticket window of
+    /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
+    /// filters and faults finished shards strictly in shard order. Every
+    /// bot's RNG is an independently seeded ChaCha substream derived from
+    /// the scenario's [`SeedSequence`], so no draw depends on which thread
+    /// replays which bot: the outcome is bit-identical to
+    /// `run(ExecPolicy::Sequential)` for the same spec, including on the
+    /// metrics counters an attached [`Obs`] collects (`sim.activations`,
+    /// `sim.bots_replayed`, `sim.raw_lookups`, `sim.observed_lookups`,
+    /// `sim.stream.shards`, `sim.stream.peak_resident_records`; the
+    /// per-bot `sim.bot_replay_ns` histogram and the `sched.*` counters
+    /// are timing-dependent by contract).
     ///
     /// The spec's [`PipelineMode`] (see
-    /// [`pipeline`](ScenarioSpecBuilder::pipeline)) selects between the
-    /// materializing reference path and the bounded-memory streaming path;
-    /// both produce bit-identical observed traces.
+    /// [`pipeline`](ScenarioSpecBuilder::pipeline)) decides whether the
+    /// raw trace is kept for [`ScenarioOutcome::raw`] or dropped shard by
+    /// shard; the observed trace is the same either way.
     pub fn run(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        match self.pipeline {
-            PipelineMode::Materialize => self.run_materialized(policy),
-            PipelineMode::Streaming { shard } => self.run_sharded(policy, shard, None),
-        }
+        self.run_sharded(policy, None)
     }
 
-    /// Replays one `(plan index, bot index)` job into its raw lookups.
-    /// Pure per job: every bot draws from its own pre-derived rng seed, so
-    /// jobs can run in any order on any thread.
-    fn replay_job(
+    /// [`run`](Self::run) feeding a [`ShardSink`]: `sink` receives each
+    /// shard's released observed records (post cache-filter, quantisation
+    /// and faults) in stream order, so callers can match or aggregate
+    /// incrementally without waiting for the whole observed trace — the
+    /// interface batch runs and the `botmeterd` daemon ingest share. The
+    /// returned outcome is identical to [`run`](Self::run)'s.
+    pub fn run_streaming_into(
         &self,
-        plans: &[EpochPlan],
-        job: (usize, usize),
-        theta_q: usize,
-    ) -> Vec<RawLookup> {
-        let (p, b) = job;
-        let plan = &plans[p];
-        let (t, client, rng_seed) = plan.bots[b];
-        let replay_start = self.obs.clock();
-        let mut bot_rng = ChaCha12Rng::seed_from_u64(rng_seed);
-        let lookups = match self
-            .evasion
-            .colluded_start(plan.epoch, plan.pool.len(), &mut bot_rng)
-        {
-            Some(start) => {
-                let barrel: Vec<usize> = (0..theta_q.min(plan.pool.len()))
-                    .map(|k| (start + k) % plan.pool.len())
-                    .collect();
-                replay_barrel(
-                    &self.family,
-                    &plan.pool,
-                    &plan.valid,
-                    barrel,
-                    t,
-                    client,
-                    &mut bot_rng,
-                )
-            }
-            None => simulate_activation(
-                &self.family,
-                plan.epoch,
-                &plan.pool,
-                &plan.valid,
-                t,
-                client,
-                &mut bot_rng,
-            ),
-        };
-        self.obs.observe_since("sim.bot_replay_ns", replay_start);
-        lookups
+        policy: ExecPolicy,
+        sink: &mut dyn ShardSink,
+    ) -> ScenarioOutcome {
+        self.run_sharded(policy, Some(sink))
     }
 
-    /// The id-resident twin of [`replay_job`](Self::replay_job): appends
-    /// the job's lookups to `out` as [`CompactLookup`] records instead of
-    /// returning a fresh name-carrying vector. Draw-for-draw identical rng
-    /// consumption, so `job.compact()` of the legacy records equals this
-    /// output exactly.
-    fn replay_job_compact(
+    /// Replays one `(plan index, bot index)` job, appending its lookups to
+    /// `out` as id-resident records. Pure per job: every bot draws from its
+    /// own pre-derived rng seed, so jobs can run in any order on any
+    /// thread.
+    fn replay_bot(
         &self,
         plans: &[EpochPlan],
         pool_ids: &[Vec<DomainId>],
-        job: (usize, usize),
+        (p, b): (usize, usize),
         theta_q: usize,
         out: &mut Vec<CompactLookup>,
     ) {
-        let (p, b) = job;
         let plan = &plans[p];
         let ids = &pool_ids[p];
         let (t, client, rng_seed) = plan.bots[b];
         let replay_start = self.obs.clock();
-        let mut bot_rng = ChaCha12Rng::seed_from_u64(rng_seed);
-        match self
-            .evasion
-            .colluded_start(plan.epoch, ids.len(), &mut bot_rng)
-        {
-            Some(start) => compact::replay_barrel_into(
-                &self.family,
-                ids,
-                &plan.valid,
-                (0..theta_q.min(ids.len())).map(|k| (start + k) % ids.len()),
-                t,
-                client,
-                &mut bot_rng,
-                out,
-            ),
-            None => compact::simulate_activation_into(
-                &self.family,
-                plan.epoch,
-                ids,
-                &plan.valid,
-                t,
-                client,
-                &mut bot_rng,
-                out,
-            ),
+        let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
+        let emit = |t, idx: usize| out.push(CompactLookup::new(t, client, ids[idx]));
+        match self.evasion.colluded_start(plan.epoch, ids.len(), &mut rng) {
+            Some(start) => {
+                let barrel = (0..theta_q.min(ids.len())).map(|k| (start + k) % ids.len());
+                walk_barrel(&self.family, &plan.valid, barrel, t, &mut rng, emit);
+            }
+            None => {
+                let barrel = self.family.draw_barrel(plan.epoch, &mut rng);
+                walk_barrel(&self.family, &plan.valid, barrel, t, &mut rng, emit);
+            }
         }
         self.obs.observe_since("sim.bot_replay_ns", replay_start);
     }
@@ -303,179 +264,16 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// The materializing reference pipeline: build the whole raw trace,
-    /// sort it, filter it through the cache topology, then fault it.
-    fn run_materialized(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        let authority = self.family.authority_for_epochs(self.num_epochs + 1);
-
-        // Phase A — sequential per epoch: activation sampling and evasion
-        // adjustment share one epoch rng, so their draws must stay ordered.
-        // This phase is cheap (no lookup synthesis); it only plans the
-        // per-bot jobs and pre-derives each bot's rng seed.
-        let (plans, ground_truth) = self.plan_epochs();
-
-        // Phase B — per-bot replay, fanned out over the worker pool. Jobs
-        // are flattened in (epoch asc, bot asc) order; concatenating the
-        // per-job lookup vectors in job order reproduces exactly the
-        // sequence the sequential loop builds.
-        let jobs = Self::flatten_jobs(&plans);
-        let theta_q = self.family.params().theta_q();
-        let replay_job = |j: usize| -> Vec<RawLookup> { self.replay_job(&plans, jobs[j], theta_q) };
-        let mut raw: Vec<RawLookup> = if policy.is_sequential() {
-            // Single worker: stream each bot's lookups straight into the
-            // trace instead of double-buffering 10k+ per-bot vectors.
-            let mut raw = Vec::new();
-            for j in 0..jobs.len() {
-                raw.extend(replay_job(j));
-            }
-            raw
-        } else {
-            let replays =
-                botmeter_exec::run_indexed_with(policy, &self.obs, jobs.len(), replay_job);
-            let mut raw = Vec::with_capacity(replays.iter().map(Vec::len).sum());
-            for lookups in replays {
-                raw.extend(lookups);
-            }
-            raw
-        };
-        botmeter_exec::par_sort_by_key_with(policy, &self.obs, &mut raw, |l| (l.t, l.client));
-
-        // Phase C — cache filtering, sharded by domain inside the topology
-        // (bit-identical to the sequential scan; see `Topology::process_trace`).
-        let mut topology = Topology::single_local(self.ttl);
-        topology.set_obs(self.obs.clone());
-        let observed: Vec<ObservedLookup> = topology
-            .process_trace(&raw, &authority, policy)
-            .expect("single-local topology routes every client")
-            .into_iter()
-            .map(|mut o| {
-                o.t = o.t.quantize(self.granularity);
-                o
-            })
-            .collect();
-
-        // Phase D — optional measurement faults: the configured plan
-        // degrades the observable trace (loss, duplication, reordering,
-        // skew, sampling, outages) deterministically from its own seed, so
-        // faulted runs stay bit-identical across execution policies.
-        let (observed, fault_report) = match &self.faults {
-            Some(plan) => {
-                let (faulted, report) = plan.apply(observed);
-                (faulted, Some(report))
-            }
-            None => (observed, None),
-        };
-
-        if self.obs.enabled() {
-            self.obs
-                .counter_add("sim.activations", ground_truth.iter().sum());
-            self.obs.counter_add("sim.bots_replayed", jobs.len() as u64);
-            self.obs.counter_add("sim.raw_lookups", raw.len() as u64);
-            self.obs
-                .counter_add("sim.observed_lookups", observed.len() as u64);
-            if let Some(report) = &fault_report {
-                self.obs.counter_add("sim.faults.input", report.input);
-                self.obs.counter_add("sim.faults.dropped", report.dropped);
-                self.obs
-                    .counter_add("sim.faults.duplicated", report.duplicated);
-                self.obs
-                    .counter_add("sim.faults.displaced", report.displaced);
-                self.obs
-                    .counter_add("sim.faults.perturbed", report.perturbed);
-            }
-        }
-
-        let raw_lookups = raw.len() as u64;
-        ScenarioOutcome {
-            family: self.family.clone(),
-            ttl: self.ttl,
-            granularity: self.granularity,
-            num_epochs: self.num_epochs,
-            // The whole raw trace was resident at once.
-            peak_resident_records: raw_lookups,
-            raw_lookups,
-            raw,
-            observed,
-            ground_truth,
-            fault_report,
-        }
-    }
-
-    /// Single-threaded reference run.
-    #[deprecated(since = "0.1.0", note = "use `run(ExecPolicy::Sequential)`")]
-    pub fn run_sequential(&self) -> ScenarioOutcome {
-        self.run(ExecPolicy::Sequential)
-    }
-
-    /// Runs the fused streaming pipeline: simulate → cache-filter → fault
-    /// over fixed-width time shards, never materializing the raw trace.
-    ///
-    /// The observed trace, ground truth, fault report and deterministic
-    /// `sim.*` counters are **bit-identical** to [`run`](Self::run) in
-    /// [`PipelineMode::Materialize`] under either [`ExecPolicy`] — only
-    /// [`ScenarioOutcome::raw`] is empty (the raw records are dropped as
-    /// soon as their shard has been filtered; the count survives as
-    /// [`ScenarioOutcome::raw_lookups`]).
-    ///
-    /// Under a parallel policy shard production (replay + sort) fans out
-    /// across the worker pool — each shard built end-to-end by one worker
-    /// inside the bounded ticket window of
-    /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
-    /// filters and faults finished shards strictly in shard order. Memory
-    /// stays bounded by a few shards of raw records; the deterministic
-    /// high-water mark is reported as
-    /// [`ScenarioOutcome::peak_resident_records`] and through the obs
-    /// counters `sim.stream.shards` / `sim.stream.peak_resident_records`
-    /// (backpressure stalls appear under `sched.stream.*`, which is
-    /// timing-dependent by contract).
-    pub fn run_streaming(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        let shard = match self.pipeline {
-            PipelineMode::Streaming { shard } => shard,
-            PipelineMode::Materialize => None,
-        };
-        self.run_sharded(policy, shard, None)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) with a per-shard closure —
-    /// sugar over [`run_streaming_into`](Self::run_streaming_into) via
-    /// [`FnSink`].
-    pub fn run_streaming_each<F>(&self, policy: ExecPolicy, on_shard: F) -> ScenarioOutcome
-    where
-        F: FnMut(&[ObservedLookup]),
-    {
-        let mut sink = FnSink(on_shard);
-        self.run_streaming_into(policy, &mut sink)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) feeding a [`ShardSink`]:
-    /// `sink` receives each shard's released observed records (post
-    /// cache-filter, quantisation and faults) in stream order, so callers
-    /// can match or aggregate incrementally without ever holding the whole
-    /// observed trace either — the interface batch runs and the
-    /// `botmeterd` daemon ingest share. The returned outcome is identical
-    /// to [`run_streaming`](Self::run_streaming).
-    pub fn run_streaming_into(
-        &self,
-        policy: ExecPolicy,
-        sink: &mut dyn ShardSink,
-    ) -> ScenarioOutcome {
-        let shard = match self.pipeline {
-            PipelineMode::Streaming { shard } => shard,
-            PipelineMode::Materialize => None,
-        };
-        self.run_sharded(policy, shard, Some(sink))
-    }
-
-    /// The streaming pipeline core. Shard `k` covers simulated time
-    /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
-    /// horizon estimate only sizes the shard count, never correctness.
+    /// The pipeline. Shard `k` covers simulated time `[k·w, (k+1)·w)`; the
+    /// last shard is a catch-all `[k·w, ∞)` so the horizon estimate only
+    /// sizes the shard count, never correctness.
     ///
     /// Shard *production* (per-bot replay + sort) fans out across the
     /// worker pool — each shard is owned end-to-end by one producer worker
     /// of [`botmeter_exec::run_pipelined_with`] — while the reduction
     /// (cache filtering, faulting) runs on the calling thread strictly in
-    /// shard order. Equivalence with the materializing path rests on three
-    /// invariants:
+    /// shard order. Equivalence with the whole-trace
+    /// [`run_reference`](Self::run_reference) rests on three invariants:
     ///
     /// 1. **Deterministic shard ownership and reduction order.** The
     ///    flattened job list is nondecreasing in activation time, so each
@@ -487,21 +285,24 @@ impl ScenarioSpec {
     ///    from earlier ranges (in range order) with the shard's own run —
     ///    and a stable merge of stable-sorted segments in concatenation
     ///    order *is* the global stable sort restricted to the shard, so the
-    ///    per-shard traces concatenate into exactly the materializing
-    ///    path's globally sorted trace.
-    /// 2. **Cache state chains.** One `Topology` filters every shard in
+    ///    per-shard traces concatenate into exactly the reference's
+    ///    globally sorted trace.
+    /// 2. **Cache state chains.** One topology filters every shard in
     ///    order on the consumer side; its per-server cache state carries
     ///    across shard boundaries, and per-call counter deltas telescope to
-    ///    the batch totals.
+    ///    the whole-trace totals.
     /// 3. **Fault state chains.** A [`FaultStream`] threads each stage's
     ///    rng and working state across shards (see `botmeter-faults`), so
     ///    chunked faulting is bit-identical to whole-trace faulting.
     fn run_sharded(
         &self,
         policy: ExecPolicy,
-        shard: Option<SimDuration>,
         mut on_shard: Option<&mut dyn ShardSink>,
     ) -> ScenarioOutcome {
+        let (keep_raw, shard) = match self.pipeline {
+            PipelineMode::Materialize => (true, None),
+            PipelineMode::Streaming { shard } => (false, shard),
+        };
         let authority = self.family.authority_for_epochs(self.num_epochs + 1);
         let (plans, ground_truth) = self.plan_epochs();
         let jobs = Self::flatten_jobs(&plans);
@@ -526,10 +327,11 @@ impl ScenarioSpec {
             .collect();
 
         let epoch_len = self.family.epoch_len();
+        // An explicit width is non-zero (`build` rejects zero).
         let shard_len = shard.unwrap_or_else(|| {
             SimDuration::from_millis((epoch_len.as_millis() / DEFAULT_SHARDS_PER_EPOCH).max(1))
         });
-        let shard_ms = shard_len.as_millis().max(1);
+        let shard_ms = shard_len.as_millis();
         // Horizon: the last activation plus the family's per-bot replay
         // span bound. (The catch-all last shard sweeps up any residue.)
         let last_activation = plans
@@ -578,7 +380,7 @@ impl ScenarioSpec {
         let buffers: botmeter_exec::BufferPool<CompactLookup> =
             botmeter_exec::BufferPool::new(POOL_RETAIN);
         let sort_key = |l: &CompactLookup| (l.t, l.client);
-        let produce = |k: usize| -> CompactShardBatch {
+        let produce = |k: usize| -> ShardBatch {
             let (start, end) = shard_ranges[k];
             let last = k + 1 == num_shards;
             let mut own = buffers.acquire();
@@ -587,7 +389,7 @@ impl ScenarioSpec {
             let mut generated = 0u64;
             for &job in &jobs[start..end] {
                 job_buf.clear();
-                self.replay_job_compact(&plans, &pool_ids, job, theta_q, &mut job_buf);
+                self.replay_bot(&plans, &pool_ids, job, theta_q, &mut job_buf);
                 generated += job_buf.len() as u64;
                 for &lookup in job_buf.iter() {
                     let dest = if last {
@@ -614,7 +416,7 @@ impl ScenarioSpec {
                     (dest, run)
                 })
                 .collect();
-            CompactShardBatch {
+            ShardBatch {
                 own,
                 overflow,
                 generated,
@@ -630,13 +432,27 @@ impl ScenarioSpec {
         // consumed in order). Records stay id-resident through filter and
         // fault; hydration through the interner happens once per *released*
         // record at the egress edge — the cache-filtered stream is roughly
-        // an order of magnitude smaller than the raw one.
+        // an order of magnitude smaller than the raw one — and, in
+        // `Materialize` mode, once per merged raw record.
         let mut topology = CompactTopology::single_local(self.ttl);
         topology.set_obs(self.obs.clone());
         let mut fault_stream: Option<FaultStream<CompactObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
+        let mut raw: Vec<RawLookup> = Vec::new();
         let mut observed: Vec<ObservedLookup> = Vec::new();
-        let mut filtered_any = false;
+        let mut release = |released: &[CompactObserved]| {
+            if released.is_empty() {
+                return;
+            }
+            let egress_from = observed.len();
+            observed.extend(released.iter().map(|o| {
+                o.hydrate(&interner)
+                    .expect("released records were interned at planning time")
+            }));
+            if let Some(sink) = on_shard.as_deref_mut() {
+                sink.on_shard(&observed[egress_from..]);
+            }
+        };
         let mut pending: BTreeMap<usize, Vec<Vec<CompactLookup>>> = BTreeMap::new();
         let mut in_shard: Vec<CompactLookup> = Vec::new();
         let mut raw_total = 0u64;
@@ -651,7 +467,7 @@ impl ScenarioSpec {
             &self.obs,
             num_shards,
             produce,
-            |k, batch: CompactShardBatch| {
+            |k, batch: ShardBatch| {
                 raw_total += batch.generated;
                 gen_sizes[k] = batch.generated;
                 let mut runs = pending.remove(&k).unwrap_or_default();
@@ -669,7 +485,12 @@ impl ScenarioSpec {
                 if in_shard.is_empty() {
                     return;
                 }
-                filtered_any = true;
+                if keep_raw {
+                    raw.extend(in_shard.iter().map(|l| {
+                        l.hydrate(&interner)
+                            .expect("replayed records were interned at planning time")
+                    }));
+                }
                 let mut chunk: Vec<CompactObserved> = Vec::new();
                 topology
                     .process_trace_into(&in_shard, &interner, &authority, policy, &mut chunk)
@@ -677,32 +498,29 @@ impl ScenarioSpec {
                 for o in &mut chunk {
                     o.t = o.t.quantize(self.granularity);
                 }
-                let released = match &mut fault_stream {
-                    Some(stream) => stream.push(chunk),
-                    None => chunk,
-                };
-                if !released.is_empty() {
-                    let egress_from = observed.len();
-                    observed.extend(released.iter().map(|o| {
-                        o.hydrate(&interner)
-                            .expect("released records were interned at planning time")
-                    }));
-                    if let Some(sink) = on_shard.as_deref_mut() {
-                        sink.on_shard(&observed[egress_from..]);
-                    }
+                match &mut fault_stream {
+                    Some(stream) => release(&stream.push(chunk)),
+                    None => release(&chunk),
                 }
             },
         );
         buffers.record_metrics(&self.obs);
+        let fault_report = fault_stream.map(FaultStream::finish).map(|(tail, report)| {
+            release(&tail);
+            report
+        });
 
-        // Deterministic resident high-water mark: while shard `s` is being
-        // consumed, up to STREAM_ACCOUNT_WINDOW shards (the producer ticket
-        // window plus the one in hand) may be materialised, plus every
-        // overflow run parked for a later shard. Charged from the
-        // deterministic per-shard sizes, so the figure is identical under
-        // every policy and worker count.
+        // Deterministic resident high-water mark: the whole trace when it
+        // is kept; otherwise, while shard `s` is being consumed, up to
+        // STREAM_ACCOUNT_WINDOW shards (the producer ticket window plus the
+        // one in hand) may be materialised, plus every overflow run parked
+        // for a later shard. Charged from the deterministic per-shard
+        // sizes, so the figure is identical under every policy and worker
+        // count.
         let mut peak_resident = 0u64;
-        {
+        if keep_raw {
+            peak_resident = raw_total;
+        } else {
             let window = STREAM_ACCOUNT_WINDOW.min(num_shards);
             let mut window_sum: u64 = gen_sizes[..window].iter().sum();
             let mut parked: i64 = 0;
@@ -715,24 +533,6 @@ impl ScenarioSpec {
                 }
             }
         }
-        if !filtered_any {
-            // Mirror the materializing path's single (empty) filter call so
-            // the topology counters agree even for an empty trace.
-            let _ = topology.process_trace(&[], &interner, &authority, policy);
-        }
-        let fault_report = fault_stream.map(FaultStream::finish).map(|(tail, report)| {
-            if !tail.is_empty() {
-                let egress_from = observed.len();
-                observed.extend(tail.iter().map(|o| {
-                    o.hydrate(&interner)
-                        .expect("released records were interned at planning time")
-                }));
-                if let Some(sink) = on_shard {
-                    sink.on_shard(&observed[egress_from..]);
-                }
-            }
-            report
-        });
 
         if self.obs.enabled() {
             self.obs
@@ -761,7 +561,7 @@ impl ScenarioSpec {
             ttl: self.ttl,
             granularity: self.granularity,
             num_epochs: self.num_epochs,
-            raw: Vec::new(),
+            raw,
             raw_lookups: raw_total,
             peak_resident_records: peak_resident,
             observed,
@@ -770,7 +570,74 @@ impl ScenarioSpec {
         }
     }
 
-    /// Phase A shared by both run paths: samples activations epoch by epoch
+    /// The whole-trace algorithm the equivalence suites hold
+    /// [`run`](Self::run) to, kept deliberately naive and independent of
+    /// the pipeline's machinery: replay every bot into name-carrying
+    /// records, stable-sort the lot by `(t, client)`, walk it through a
+    /// name-keyed [`Topology`] one lookup at a time, quantise, then apply
+    /// the fault plan to the whole observed trace at once. Sequential, no
+    /// metrics, keeps the raw trace. Not a production entry point.
+    #[doc(hidden)]
+    pub fn run_reference(&self) -> ScenarioOutcome {
+        let authority = self.family.authority_for_epochs(self.num_epochs + 1);
+        let (plans, ground_truth) = self.plan_epochs();
+        let theta_q = self.family.params().theta_q();
+        let mut raw: Vec<RawLookup> = Vec::new();
+        for plan in &plans {
+            let (family, pool, valid) = (&self.family, &plan.pool, &plan.valid);
+            for &(t, client, rng_seed) in &plan.bots {
+                let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
+                let colluded = self
+                    .evasion
+                    .colluded_start(plan.epoch, pool.len(), &mut rng);
+                raw.extend(match colluded {
+                    Some(start) => {
+                        let barrel = (0..theta_q.min(pool.len()))
+                            .map(|k| (start + k) % pool.len())
+                            .collect();
+                        replay_barrel(family, pool, valid, barrel, t, client, &mut rng)
+                    }
+                    None => {
+                        simulate_activation(family, plan.epoch, pool, valid, t, client, &mut rng)
+                    }
+                });
+            }
+        }
+        raw.sort_by_key(|l| (l.t, l.client));
+
+        let mut topology = Topology::single_local(self.ttl);
+        let mut observed = Vec::new();
+        for lookup in &raw {
+            let visible = topology
+                .process(lookup, &authority)
+                .expect("single-local topology routes every client");
+            if let Some(mut o) = visible {
+                o.t = o.t.quantize(self.granularity);
+                observed.push(o);
+            }
+        }
+        let (observed, fault_report) = match &self.faults {
+            Some(plan) => {
+                let (faulted, report) = plan.apply(observed);
+                (faulted, Some(report))
+            }
+            None => (observed, None),
+        };
+        ScenarioOutcome {
+            family: self.family.clone(),
+            ttl: self.ttl,
+            granularity: self.granularity,
+            num_epochs: self.num_epochs,
+            peak_resident_records: raw.len() as u64,
+            raw_lookups: raw.len() as u64,
+            raw,
+            observed,
+            ground_truth,
+            fault_report,
+        }
+    }
+
+    /// Phase A, shared with the reference: samples activations epoch by epoch
     /// (one sequential rng per epoch covers sampling *and* evasion
     /// adjustment) and pre-derives every bot's independent rng seed.
     fn plan_epochs(&self) -> (Vec<EpochPlan>, Vec<u64>) {
@@ -824,6 +691,22 @@ impl ScenarioSpec {
         }
         (plans, ground_truth)
     }
+}
+
+/// One producer worker's output for a shard: the records that fall inside
+/// the shard's own time slice plus the runs that overshoot into later
+/// shards, every run stable-sorted by the global key `(t, client)`. The
+/// buffers are drawn from the pipeline's
+/// [`BufferPool`](botmeter_exec::BufferPool) and recycled by the consumer
+/// once the shard is merged.
+struct ShardBatch {
+    /// Records whose destination is this shard, sorted by `(t, client)`.
+    own: Vec<CompactLookup>,
+    /// `(destination shard, sorted run)` pairs for overshooting records,
+    /// in ascending destination order.
+    overflow: Vec<(usize, Vec<CompactLookup>)>,
+    /// Total records this shard's job range generated.
+    generated: u64,
 }
 
 /// One epoch's replay plan: the materialised pool, the registered indices
@@ -887,10 +770,10 @@ impl ScenarioSpecBuilder {
         self
     }
 
-    /// Selects how [`ScenarioSpec::run`] materialises the raw trace
-    /// (default: [`PipelineMode::Materialize`]). Both modes produce
-    /// bit-identical observed traces; streaming trades the retained raw
-    /// trace for a bounded memory footprint.
+    /// Selects whether [`ScenarioSpec::run`] keeps the raw trace
+    /// (default: [`PipelineMode::Materialize`], which does). Both modes
+    /// produce bit-identical observed traces; streaming trades the retained
+    /// raw trace for a bounded memory footprint.
     pub fn pipeline(mut self, mode: PipelineMode) -> Self {
         self.pipeline = mode;
         self
@@ -927,6 +810,11 @@ impl ScenarioSpecBuilder {
             .map_err(ScenarioBuildError::BadEvasion)?;
         if let Some(plan) = &self.faults {
             plan.validate().map_err(ScenarioBuildError::BadFaults)?;
+        }
+        if let PipelineMode::Streaming { shard: Some(width) } = self.pipeline {
+            if width.is_zero() {
+                return Err(ScenarioBuildError::ZeroShardWidth);
+            }
         }
         Ok(ScenarioSpec {
             family: self.family,
@@ -983,17 +871,16 @@ impl ScenarioOutcome {
 
     /// The pre-cache, ground-truth lookup trace.
     ///
-    /// Only materializing runs keep it; streaming runs
-    /// ([`ScenarioSpec::run_streaming`] or [`PipelineMode::Streaming`])
-    /// return an empty slice here — that bounded memory footprint is their
-    /// point — while [`raw_lookups`](Self::raw_lookups) still reports the
-    /// count.
+    /// Only [`PipelineMode::Materialize`] runs keep it;
+    /// [`PipelineMode::Streaming`] runs return an empty slice here — that
+    /// bounded memory footprint is their point — while
+    /// [`raw_lookups`](Self::raw_lookups) still reports the count.
     pub fn raw(&self) -> &[RawLookup] {
         &self.raw
     }
 
     /// Total pre-cache lookups the simulation generated, counted even when
-    /// the raw trace was streamed and never materialised.
+    /// the raw trace was not kept.
     pub fn raw_lookups(&self) -> u64 {
         self.raw_lookups
     }
@@ -1059,6 +946,22 @@ mod tests {
                 .unwrap_err(),
             ScenarioBuildError::BadSigma
         );
+    }
+
+    #[test]
+    fn zero_shard_width_is_rejected() {
+        let with_shard = |shard| {
+            ScenarioSpec::builder(DgaFamily::murofet())
+                .pipeline(PipelineMode::Streaming { shard })
+                .build()
+        };
+        // A zero width used to be clamped to 1 ms, sizing the shard tables
+        // at one entry per simulated millisecond.
+        let err = with_shard(Some(SimDuration::ZERO)).unwrap_err();
+        assert_eq!(err, ScenarioBuildError::ZeroShardWidth);
+        assert!(err.to_string().contains("non-zero"));
+        assert!(with_shard(Some(SimDuration::from_millis(1))).is_ok());
+        assert!(with_shard(None).is_ok());
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! First-class shard consumption: the [`ShardSink`] trait the streaming
-//! pipeline feeds.
+//! First-class shard consumption: the [`ShardSink`] trait the pipeline
+//! feeds.
 //!
-//! [`ScenarioSpec::run_streaming_each`] started as an ad-hoc closure hook.
-//! Promoting it to a trait gives batch runs and long-running consumers
-//! (the `botmeterd` daemon engine ingests through the same interface) one
-//! contract: shards arrive in stream order, each shard is post
-//! cache-filter, quantisation and faults, and the concatenation of all
-//! shards is exactly the materialized observed trace.
-//!
-//! [`ScenarioSpec::run_streaming_each`]: crate::ScenarioSpec::run_streaming_each
+//! Batch runs and long-running consumers (the `botmeterd` daemon engine
+//! ingests through the same interface) share one contract: shards arrive in
+//! stream order, each shard is post cache-filter, quantisation and faults,
+//! and the concatenation of all shards is exactly
+//! [`ScenarioOutcome::observed`](crate::ScenarioOutcome::observed).
 
 use botmeter_dns::ObservedLookup;
 
@@ -30,8 +27,7 @@ impl<S: ShardSink + ?Sized> ShardSink for &mut S {
     }
 }
 
-/// Adapts a closure into a [`ShardSink`] — the compatibility bridge behind
-/// [`ScenarioSpec::run_streaming_each`](crate::ScenarioSpec::run_streaming_each).
+/// Adapts a closure into a [`ShardSink`].
 #[derive(Debug)]
 pub struct FnSink<F>(pub F);
 

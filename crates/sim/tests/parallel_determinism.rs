@@ -246,12 +246,12 @@ fn assert_streaming_runs_match_under(
         .obs(obs_par)
         .build()
         .expect("valid spec")
-        .run_streaming(policy);
+        .run(policy);
     let sequential = build()
         .obs(obs_seq)
         .build()
         .expect("valid spec")
-        .run_streaming(ExecPolicy::Sequential);
+        .run(ExecPolicy::Sequential);
     assert_eq!(
         parallel.observed(),
         sequential.observed(),
@@ -406,18 +406,4 @@ fn streaming_shard_widths_are_bit_identical_per_worker_count() {
             );
         }
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_sequential_matches_sequential_policy() {
-    let spec = ScenarioSpec::builder(DgaFamily::murofet())
-        .population(12)
-        .seed(3)
-        .build()
-        .expect("valid spec");
-    let via_shim = spec.run_sequential();
-    let via_policy = spec.run(ExecPolicy::Sequential);
-    assert_eq!(via_shim.raw(), via_policy.raw());
-    assert_eq!(via_shim.observed(), via_policy.observed());
 }

@@ -7,24 +7,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> deprecated entry-point grep gate"
-# The dual sequential/parallel entry points are deprecated shims; new code
-# must go through the unified ExecPolicy API. `chart_parallel` is fully
-# removed (no occurrences allowed anywhere); the other shim definitions
-# (and their shim-coverage tests) remain confined to the files below.
+echo "==> removed entry-point grep gate"
+# The dual sequential/parallel entry points are gone: every pipeline stage
+# takes an ExecPolicy. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
-  | grep -vxF \
-      -e crates/sim/src/scenario.rs \
-      -e crates/sim/tests/parallel_determinism.rs \
-      -e crates/dns/src/topology.rs \
-      -e crates/matcher/src/stream.rs \
-      -e crates/matcher/src/lib.rs \
-      -e crates/exec/src/lib.rs \
   || true)
 if [[ -n "$offenders" ]]; then
-  echo "error: deprecated dual entry points used outside their shim files:" >&2
+  echo "error: removed dual entry points referenced:" >&2
   echo "$offenders" >&2
   echo "use the unified ExecPolicy-taking API instead." >&2
   exit 1
@@ -98,19 +89,6 @@ if [[ -n "$fswrite_offenders" ]]; then
   exit 1
 fi
 
-echo "==> compact hot-path grep gate (no DomainName in crates/sim compact module)"
-# The streaming shard producers replay bots as ID-resident CompactLookup
-# records; string-keyed DomainName handles (and their Arc clones) must stay
-# out of that hot path. The compact module is the enforcement surface: it
-# may only speak DomainId / CompactLookup.
-compact_offenders=$(grep -n 'DomainName' crates/sim/src/compact.rs || true)
-if [[ -n "$compact_offenders" ]]; then
-  echo "error: DomainName referenced in the compact hot-path module:" >&2
-  echo "$compact_offenders" >&2
-  echo "replay must stay ID-resident; hydrate at the egress boundary instead." >&2
-  exit 1
-fi
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -143,5 +121,12 @@ echo "==> sketch accuracy smoke (ARE floors + constant-memory ceiling)"
 # or the committed BENCH_sketch.json accounting, or if doubling the matched
 # volume moves a saturated sketch's resident footprint.
 ./target/release/sketch_accuracy --smoke
+
+echo "==> benchmark contract (frozen benchmark/ builds and smoke-runs against these crates)"
+# benchmark/ is its own package with path dependencies on crates/*; the
+# driver builds it from source. A deletion in crates/* that breaks its API
+# list must fail here, not there. ~4 min cold, <15 s of run time.
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+benchmark/run.sh --smoke
 
 echo "All checks passed."

@@ -13,7 +13,7 @@ use botmeter::dga::DgaFamily;
 use botmeter::exec::ExecPolicy;
 use botmeter::matcher::{ExactMatcher, SketchStream};
 use botmeter::obs::Obs;
-use botmeter::sim::{PipelineMode, ScenarioSpec};
+use botmeter::sim::{FnSink, PipelineMode, ScenarioSpec};
 use botmeter::sketch::{SketchConfig, SketchedTraffic};
 use botmeter_dns::SimDuration;
 
@@ -78,7 +78,8 @@ fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
                     frontend.ingest(outcome.observed());
                 }
                 _ => {
-                    spec(mode).run_streaming_each(policy, |chunk| frontend.ingest(chunk));
+                    let mut sink = FnSink(|chunk: &[_]| frontend.ingest(chunk));
+                    spec(mode).run_streaming_into(policy, &mut sink);
                 }
             }
             let (sketch, quality) = frontend.finish();

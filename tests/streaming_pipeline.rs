@@ -10,7 +10,7 @@ use botmeter::exec::ExecPolicy;
 use botmeter::faults::{FaultModel, FaultPlan};
 use botmeter::matcher::{match_stream, ExactMatcher, StreamMatcher};
 use botmeter::obs::Obs;
-use botmeter::sim::{PipelineMode, ScenarioSpec};
+use botmeter::sim::{FnSink, PipelineMode, ScenarioSpec};
 
 fn spec(mode: PipelineMode) -> ScenarioSpec {
     ScenarioSpec::builder(DgaFamily::new_goz())
@@ -42,8 +42,8 @@ fn fused_streaming_match_equals_batch_match() {
         // Fused: every released shard goes straight into the matcher.
         let streaming_spec = spec(PipelineMode::Streaming { shard: None });
         let mut stream_matcher = StreamMatcher::new(&matcher, policy, Obs::noop());
-        let outcome =
-            streaming_spec.run_streaming_each(policy, |chunk| stream_matcher.ingest(chunk));
+        let mut sink = FnSink(|chunk: &[_]| stream_matcher.ingest(chunk));
+        let outcome = streaming_spec.run_streaming_into(policy, &mut sink);
         let matched = stream_matcher.finish();
 
         assert!(outcome.raw().is_empty(), "streaming materialized the trace");
