@@ -6,8 +6,9 @@
 //! `BENCH_pipeline.json` baseline, if the streaming pipeline loses its
 //! bounded-memory property, or if the streaming N-thread/1-thread scaling
 //! ratio falls below a core-count-aware floor derived from the committed
-//! `scaling` block. Takes the best of a few runs so scheduler noise on
-//! shared CI workers doesn't trip the gate.
+//! `scaling` block, or if on thin shards the default policy takes longer
+//! than one thread does. Takes the best of a few runs so scheduler noise
+//! on shared CI workers doesn't trip the gate.
 //!
 //! Usage: `perf_smoke [--baseline PATH] [--population N] [--epochs E]
 //! [--seed S] [--min-ratio R] [--runs K]`.
@@ -109,7 +110,7 @@ fn main() {
     let chart_baseline_rate = baseline.streaming.chart_lookups_per_sec;
     let chart_floor = chart_baseline_rate * min_ratio;
 
-    let spec = || {
+    let spec_of = |population, epochs| {
         ScenarioSpec::builder(DgaFamily::new_goz())
             .population(population)
             .num_epochs(epochs)
@@ -118,6 +119,7 @@ fn main() {
             .build()
             .expect("valid scenario")
     };
+    let spec = || spec_of(population, epochs);
 
     // Warmup pays the one-time page-fault/allocator cost.
     let _ = spec().run(ExecPolicy::parallel());
@@ -308,6 +310,37 @@ fn main() {
         fail(&format!(
             "multicore scaling regression: streaming N-thread/1-thread ratio \
              {scaling_ratio:.2} is below floor {scaling_floor:.2} on {cores_now} core(s)"
+        ));
+    }
+
+    // Thin-shard gate: 300 bots × 4 epochs over the default 16 shards per
+    // epoch leaves each shard a few thousand records, the shape where
+    // per-shard overhead on the consumer (a pool opened per call, cache
+    // state copied per worker) once made the default policy ~3× slower
+    // than one thread. The fat-shard ratio above cannot see that; this
+    // does, and it needs no baseline: with nothing but shard production
+    // fanned out, the pool policy costs at most the hand-off.
+    let best_secs = |policy: ExecPolicy| {
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                let _ = spec_of(300, 4).run(policy);
+                started.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let thin_single = best_secs(ExecPolicy::Sequential);
+    let thin_pool = best_secs(ExecPolicy::parallel());
+    const THIN_SHARD_CEILING: f64 = 1.25;
+    eprintln!(
+        "perf_smoke: thin shards: pool policy {thin_pool:.3}s vs 1 thread {thin_single:.3}s \
+         ({:.2}x, ceiling {THIN_SHARD_CEILING:.2}x)",
+        thin_pool / thin_single.max(1e-9)
+    );
+    if thin_pool > THIN_SHARD_CEILING * thin_single {
+        fail(&format!(
+            "thin-shard regression: the pool policy took {thin_pool:.3}s, more than \
+             {THIN_SHARD_CEILING:.2}x the 1-thread {thin_single:.3}s"
         ));
     }
 

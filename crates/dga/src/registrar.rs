@@ -42,12 +42,26 @@ pub struct EpochAuthority {
 impl EpochAuthority {
     /// Precomputes valid sets for `family` over epochs `0..num_epochs`.
     pub fn build(family: &DgaFamily, num_epochs: u64) -> Self {
-        let valid_by_epoch = (0..num_epochs)
-            .map(|e| family.valid_domains(e).into_iter().collect())
-            .collect();
+        Self::from_valid_domains(
+            family.epoch_len(),
+            (0..num_epochs).map(|e| family.valid_domains(e)),
+        )
+    }
+
+    /// An authority over registered sets the caller already holds, one per
+    /// epoch from epoch 0 — for callers that have materialised the pools
+    /// anyway and would otherwise pay [`build`](Self::build) generating
+    /// each of them a second time.
+    pub fn from_valid_domains(
+        epoch_len: SimDuration,
+        valid_by_epoch: impl IntoIterator<Item = Vec<DomainName>>,
+    ) -> Self {
         EpochAuthority {
-            epoch_len: family.epoch_len(),
-            valid_by_epoch,
+            epoch_len,
+            valid_by_epoch: valid_by_epoch
+                .into_iter()
+                .map(|valid| valid.into_iter().collect())
+                .collect(),
             c2_address: Ipv4Addr::new(203, 0, 113, 66),
         }
     }
@@ -126,6 +140,21 @@ mod tests {
                 .find(|d| !valid.contains(d))
                 .expect("pool has NXDs");
             assert!(!auth.resolve(t, nx).is_positive());
+        }
+    }
+
+    #[test]
+    fn from_valid_domains_answers_like_build() {
+        let f = DgaFamily::new_goz();
+        let built = f.authority_for_epochs(3);
+        let given =
+            EpochAuthority::from_valid_domains(f.epoch_len(), (0..3).map(|e| f.valid_domains(e)));
+        assert_eq!(given.num_epochs(), 3);
+        for epoch in 0..4u64 {
+            let t = SimInstant::ZERO + f.epoch_len() * epoch;
+            for d in f.pool_for_epoch(epoch) {
+                assert_eq!(given.resolve(t, &d), built.resolve(t, &d), "{epoch}: {d}");
+            }
         }
     }
 

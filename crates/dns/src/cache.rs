@@ -77,6 +77,10 @@ impl CacheStats {
 /// eviction order breaks ties on key order, which differs between text and
 /// fingerprint keys).
 ///
+/// A cache is the state of one resolver, read and written once per lookup
+/// in trace order by the thread that owns it; there is no operation that
+/// splits one or folds two together.
+///
 /// # Example
 ///
 /// ```
@@ -261,39 +265,6 @@ impl<K: Hash + Eq + Ord + Clone> DnsCache<K> {
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Folds a domain-shard's cache back into this one after parallel trace
-    /// processing: `shard` started as a clone of `self` and processed only
-    /// lookups whose domains satisfy `owned`, so it is authoritative for
-    /// exactly those entries. `base` is this cache's stats snapshot from
-    /// before the shards were cloned; the shard's deltas are added on top.
-    ///
-    /// Only meaningful for unbounded caches (sharding a capacity-bounded
-    /// cache is not order-independent, and callers fall back to sequential
-    /// processing there).
-    pub(crate) fn absorb_shard<F: Fn(&K) -> bool>(
-        &mut self,
-        shard: DnsCache<K>,
-        base: CacheStats,
-        owned: F,
-    ) {
-        debug_assert!(
-            self.capacity.is_none(),
-            "sharded merge requires unbounded cache"
-        );
-        // The shard owns its domains outright: drop our (possibly stale)
-        // copies, then adopt the shard's surviving entries.
-        self.entries.retain(|d, _| !owned(d));
-        for (d, e) in shard.entries {
-            if owned(&d) {
-                self.entries.insert(d, e);
-            }
-        }
-        self.stats.positive_hits += shard.stats.positive_hits - base.positive_hits;
-        self.stats.negative_hits += shard.stats.negative_hits - base.negative_hits;
-        self.stats.misses += shard.stats.misses - base.misses;
-        self.stats.expired_evictions += shard.stats.expired_evictions - base.expired_evictions;
     }
 }
 

@@ -36,23 +36,11 @@ const BORDER: ServerId = ServerId(0);
 /// What a [`Topology`]'s caches can be keyed by: [`DomainName`] or
 /// [`DomainId`]. Not exported — the two instantiations are the public
 /// surface.
-pub trait Key: Hash + Eq + Ord + Clone + Send + Sync {
-    /// The domain's content fingerprint, which the parallel trace path
-    /// shards by.
-    fn id(&self) -> DomainId;
-}
+pub trait Key: Hash + Eq + Ord + Clone {}
 
-impl Key for DomainName {
-    fn id(&self) -> DomainId {
-        DomainName::id(self)
-    }
-}
+impl Key for DomainName {}
 
-impl Key for DomainId {
-    fn id(&self) -> DomainId {
-        *self
-    }
-}
+impl Key for DomainId {}
 
 #[derive(Debug, Clone)]
 struct Node<K> {
@@ -381,118 +369,50 @@ impl<K: Key> Topology<K> {
         answer
     }
 
-    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
-    /// under `policy`, appending the border-visible sub-trace to `out`.
-    /// `step` filters one record (a key type's `process`); `route_key`
-    /// names a record's client and domain for the parallel path.
-    /// Sequential and parallel policies produce bit-identical output and
-    /// cache state.
+    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy,
+    /// one record after the other on the calling thread, appending the
+    /// border-visible sub-trace to `out`. `step` filters one record (a key
+    /// type's `process`).
     ///
-    /// The parallel path shards the trace by [`DomainId`]: cache visibility
-    /// is a per-domain property when every cache is unbounded (the
-    /// simulated topologies), because entries are domain-keyed and never
-    /// evicted by other domains' traffic. It falls back to sequential
-    /// processing when a capacity-bounded cache is present (evictions
-    /// couple domains), when only one worker thread is configured, or when
-    /// the trace is too short to be worth sharding.
-    fn filter_trace<R: Sync, O: Send>(
+    /// There is deliberately no parallel variant: the caches are the state
+    /// every record reads and writes, so a fan-out has to copy them per
+    /// worker and fold them back per call — work proportional to the
+    /// accumulated cache, not to the trace — and the one caller on a hot
+    /// path (the simulation pipeline's consumer) already runs beside
+    /// producers that occupy every core. DESIGN.md §8 has the measurements.
+    fn filter_trace<R, O>(
         &mut self,
         raws: &[R],
-        policy: ExecPolicy,
         out: &mut Vec<O>,
-        route_key: impl Fn(&R) -> (ClientId, DomainId) + Sync,
-        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError> + Sync,
+        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError>,
     ) -> Result<(), TopologyError> {
-        const MIN_PARALLEL_TRACE: usize = 2048;
         let base_stats: Option<Vec<CacheStats>> = self
             .obs
             .enabled()
             .then(|| self.nodes.iter().map(|n| n.cache.stats()).collect());
         let admitted_before = out.len();
 
-        let shards = policy.worker_threads();
-        let bounded = self.nodes.iter().any(|n| n.cache.capacity().is_some());
-        if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
-            for raw in raws {
-                if let Some(observed) = step(self, raw)? {
-                    out.push(observed);
-                }
+        // An unroutable record fails before it touches a cache, so on error
+        // `out`, the caches and the metrics below all account for exactly
+        // the `processed` records before it.
+        let mut processed = 0usize;
+        let result = raws.iter().try_for_each(|raw| {
+            if let Some(observed) = step(self, raw)? {
+                out.push(observed);
             }
-        } else {
-            self.process_trace_sharded(raws, shards, out, route_key, step)?;
-        }
+            processed += 1;
+            Ok(())
+        });
 
         if let Some(base) = base_stats {
             self.push_cache_deltas(&base);
-            self.obs.counter_add("topology.lookups", raws.len() as u64);
+            self.obs.counter_add("topology.lookups", processed as u64);
             let admitted = out.len() - admitted_before;
             self.obs.counter_add("topology.admitted", admitted as u64);
             self.obs
-                .counter_add("topology.filtered", (raws.len() - admitted) as u64);
+                .counter_add("topology.filtered", (processed - admitted) as u64);
         }
-        Ok(())
-    }
-
-    /// The domain-sharded parallel path of
-    /// [`filter_trace`](Self::filter_trace): all lookups for one domain
-    /// land in one shard with relative order preserved, which reproduces
-    /// the sequential outcome bit-for-bit; the shards' observed lookups are
-    /// stitched back into trace order afterwards, the shards' cache entries
-    /// and stat deltas merged into `self`. Pre-routes every client, so on
-    /// error the caches are unchanged.
-    fn process_trace_sharded<R: Sync, O: Send>(
-        &mut self,
-        raws: &[R],
-        shards: usize,
-        out: &mut Vec<O>,
-        route_key: impl Fn(&R) -> (ClientId, DomainId) + Sync,
-        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError> + Sync,
-    ) -> Result<(), TopologyError> {
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, raw) in raws.iter().enumerate() {
-            let (client, domain) = route_key(raw);
-            self.route(client)?;
-            parts[(domain.0 % shards as u64) as usize].push(i);
-        }
-
-        let base_stats: Vec<CacheStats> = self.nodes.iter().map(|n| n.cache.stats()).collect();
-        let template: &Self = self;
-        let shard_results: Vec<(Self, Vec<(usize, O)>)> = botmeter_exec::run_indexed_with(
-            ExecPolicy::with_threads(shards),
-            &self.obs,
-            shards,
-            |s| {
-                let mut topo = template.clone();
-                let mut visible = Vec::new();
-                for &i in &parts[s] {
-                    if let Some(observed) =
-                        step(&mut topo, &raws[i]).expect("every client pre-routed")
-                    {
-                        visible.push((i, observed));
-                    }
-                }
-                (topo, visible)
-            },
-        );
-
-        // Stitch observations back into trace order. Each shard's list is
-        // already ascending in trace index, so this is a k-way merge; a sort
-        // by unique index gives the same result with less code.
-        let mut indexed: Vec<(usize, O)> = Vec::new();
-        for (s, (shard_topo, visible)) in shard_results.into_iter().enumerate() {
-            indexed.extend(visible);
-            for (n, shard_node) in shard_topo.nodes.into_iter().enumerate() {
-                let shards = shards as u64;
-                self.nodes[n]
-                    .cache
-                    .absorb_shard(shard_node.cache, base_stats[n], move |d: &K| {
-                        (d.id().0 % shards) as usize == s
-                    });
-            }
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        out.extend(indexed.into_iter().map(|(_, observed)| observed));
-        Ok(())
+        result
     }
 
     /// Pushes the difference between the current per-node cache stats and
@@ -544,31 +464,27 @@ impl Topology<DomainName> {
         Ok(forwarder.map(|server| ObservedLookup::new(raw.t, server, raw.domain.clone())))
     }
 
-    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
-    /// under `policy` and returns the border-visible sub-trace. Sequential
-    /// and parallel policies produce bit-identical output and cache state
-    /// (the parallel path shards by domain and falls back to sequential
-    /// processing for one worker or a short trace).
+    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy,
+    /// in order on the calling thread, and returns the border-visible
+    /// sub-trace. `policy` affects neither the result nor the schedule: the
+    /// filter opens no worker pool (see DESIGN.md §8, "why the filter is not
+    /// parallel"); the parameter only keeps the signature in step with
+    /// [`process_trace_into`](Topology::process_trace_into).
     ///
     /// # Errors
     ///
-    /// Fails if any lookup's client is unroutable. (The parallel path
-    /// pre-routes and leaves the caches unchanged on error, whereas
-    /// sequential processing stops mid-trace.)
-    pub fn process_trace<A: Authority + Copy + Sync>(
+    /// Fails at the first lookup whose client is unroutable. The records
+    /// before it have been filtered — the caches (and the attached metrics)
+    /// reflect exactly those — but their observations are dropped with the
+    /// returned buffer; nothing after it is processed.
+    pub fn process_trace<A: Authority + Copy>(
         &mut self,
         raws: &[RawLookup],
         authority: A,
-        policy: ExecPolicy,
+        _policy: ExecPolicy,
     ) -> Result<Vec<ObservedLookup>, TopologyError> {
         let mut out = Vec::new();
-        self.filter_trace(
-            raws,
-            policy,
-            &mut out,
-            |raw| (raw.client, raw.domain.id()),
-            |topo, raw| topo.process(raw, authority),
-        )?;
+        self.filter_trace(raws, &mut out, |topo, raw| topo.process(raw, authority))?;
         Ok(out)
     }
 }
@@ -598,50 +514,31 @@ impl Topology<DomainId> {
     }
 
     /// Runs a whole compact raw trace (assumed time-ordered) through the
-    /// hierarchy and appends the border-visible sub-trace to `out` — the
-    /// caller owns (and recycles) the output buffer, keeping the sequential
-    /// steady state allocation-free. Same policy semantics and fallbacks as
-    /// the name-keyed `process_trace`.
+    /// hierarchy, in order on the calling thread, and appends the
+    /// border-visible sub-trace to `out` — the caller owns (and recycles)
+    /// the output buffer, keeping the steady state allocation-free.
+    /// `policy` affects neither the result nor the schedule: the filter
+    /// opens no worker pool (see DESIGN.md §8, "why the filter is not
+    /// parallel"); the parameter stays until the frozen benchmark's call
+    /// site can drop it.
     ///
     /// # Errors
     ///
-    /// Fails if any lookup's client is unroutable. (The parallel path
-    /// pre-routes and leaves the caches unchanged on error, whereas
-    /// sequential processing stops mid-trace.)
-    pub fn process_trace_into<A: Authority + Copy + Sync>(
+    /// Fails at the first lookup whose client is unroutable. The records
+    /// before it have been filtered and their observations appended to
+    /// `out`; the caches (and the attached metrics) reflect exactly those
+    /// records, and nothing after the unroutable one is processed.
+    pub fn process_trace_into<A: Authority + Copy>(
         &mut self,
         raws: &[CompactLookup],
         interner: &DomainInterner,
         authority: A,
-        policy: ExecPolicy,
+        _policy: ExecPolicy,
         out: &mut Vec<CompactObserved>,
     ) -> Result<(), TopologyError> {
-        self.filter_trace(
-            raws,
-            policy,
-            out,
-            |raw| (raw.client, raw.domain),
-            |topo, raw| topo.process(raw, interner, authority),
-        )
-    }
-
-    /// Convenience wrapper over
-    /// [`process_trace_into`](Self::process_trace_into) returning a fresh
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`process_trace_into`](Self::process_trace_into).
-    pub fn process_trace<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[CompactLookup],
-        interner: &DomainInterner,
-        authority: A,
-        policy: ExecPolicy,
-    ) -> Result<Vec<CompactObserved>, TopologyError> {
-        let mut out = Vec::new();
-        self.process_trace_into(raws, interner, authority, policy, &mut out)?;
-        Ok(out)
+        self.filter_trace(raws, out, |topo, raw| {
+            topo.process(raw, interner, authority)
+        })
     }
 }
 
@@ -696,9 +593,10 @@ mod tests {
                     r.compact()
                 })
                 .collect();
-            self.process_trace(&compact, &interner, auth, policy)
-                .unwrap()
-                .iter()
+            let mut seen = Vec::new();
+            self.process_trace_into(&compact, &interner, auth, policy, &mut seen)
+                .unwrap();
+            seen.iter()
                 .map(|o| o.hydrate(&interner).expect("interned"))
                 .collect()
         }
@@ -896,76 +794,106 @@ mod tests {
         assert_eq!(snap.counter(&format!("{prefix}misses")), Some(after.misses));
     }
 
-    /// A trace long enough to clear the parallel threshold, with heavy
-    /// domain re-use so cache state actually matters; filtered under
-    /// `policy` on a fresh single-local topology.
-    fn filter_long_trace<K: Key>(policy: ExecPolicy) -> (Vec<ObservedLookup>, [CacheStats; 2])
+    /// Filters `len` records with heavy domain re-use (so cache state
+    /// actually matters) under `policy` on a fresh single-local topology,
+    /// then re-asks for every domain just after the trace ends.
+    fn filter_reuse_heavy_trace<K: Key>(
+        len: u64,
+        policy: ExecPolicy,
+    ) -> (Vec<ObservedLookup>, [CacheStats; 2])
     where
         Topology<K>: Filter,
     {
-        let trace: Vec<RawLookup> = (0..4000u64)
+        let trace: Vec<RawLookup> = (0..len)
             .map(|i| raw(i * 10, (i % 7) as u32, &format!("d{}.example", i % 97)))
             .collect();
         let auth = StaticAuthority::from_domains([d("d3.example"), d("d55.example")]);
         let mut topo = Topology::<K>::single_local(TtlPolicy::paper_default());
         let seen = topo.filter(&trace, &auth, policy);
-        (
-            seen,
-            [topo.cache_stats(ServerId(0)), topo.cache_stats(ServerId(1))],
-        )
+        let stats = [topo.cache_stats(ServerId(0)), topo.cache_stats(ServerId(1))];
+
+        // The caches the call leaves behind keep filtering: every domain the
+        // trace touched is still cached a moment after its last record.
+        let follow_up: Vec<RawLookup> = (0..len.min(97))
+            .map(|k| raw(len * 10, 1, &format!("d{k}.example")))
+            .collect();
+        assert!(topo.filter(&follow_up, &auth, policy).is_empty());
+        (seen, stats)
     }
 
     #[test]
-    fn parallel_trace_matches_sequential_exactly_for_both_keys() {
-        let reference = filter_long_trace::<DomainName>(ExecPolicy::Sequential);
-        assert!(!reference.0.is_empty());
-        // Sharded filtering is bit-identical to the sequential scan —
-        // observed trace and both nodes' cache stats — and the id-keyed
-        // topology is bit-identical to the name-keyed one under either.
-        assert_eq!(
-            filter_long_trace::<DomainName>(ExecPolicy::with_threads(4)),
-            reference
-        );
-        assert_eq!(
-            filter_long_trace::<DomainId>(ExecPolicy::Sequential),
-            reference
-        );
-        assert_eq!(
-            filter_long_trace::<DomainId>(ExecPolicy::with_threads(4)),
-            reference
-        );
-    }
-
-    #[test]
-    fn parallel_trace_leaves_caches_usable() {
-        // After a parallel run the merged caches must keep filtering like
-        // sequentially-warmed ones.
-        let mut trace = Vec::new();
-        for i in 0..3000u64 {
-            trace.push(raw(i, (i % 3) as u32, &format!("d{}.example", i % 11)));
-        }
-        let auth = StaticAuthority::empty();
-        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
-        topo.process_trace(&trace, &auth, ExecPolicy::parallel())
-            .unwrap();
-        // Every one of the 11 domains is now negatively cached.
-        let t_after = 3000 + 10;
-        for k in 0..11 {
-            assert!(topo
-                .process(&raw(t_after, 1, &format!("d{k}.example")), &auth)
-                .unwrap()
-                .is_none());
+    fn filter_is_policy_independent_for_both_keys() {
+        for len in [4000, 1] {
+            let reference = filter_reuse_heavy_trace::<DomainName>(len, ExecPolicy::Sequential);
+            assert!(!reference.0.is_empty());
+            // The policy changes nothing — observed trace and both nodes'
+            // cache stats — and the id-keyed topology is bit-identical to
+            // the name-keyed one under each.
+            for policy in [
+                ExecPolicy::Sequential,
+                ExecPolicy::with_threads(2),
+                ExecPolicy::with_threads(8),
+            ] {
+                assert_eq!(
+                    filter_reuse_heavy_trace::<DomainName>(len, policy),
+                    reference
+                );
+                assert_eq!(filter_reuse_heavy_trace::<DomainId>(len, policy), reference);
+            }
         }
     }
 
     #[test]
-    fn parallel_trace_short_input_falls_back() {
+    fn unroutable_client_stops_the_trace_after_the_records_before_it() {
+        let (handle, registry) = Obs::collecting();
+        let mut topo = Topology::<DomainId>::star(TtlPolicy::paper_default(), 1);
+        topo.assign_client(ClientId(1), ServerId(1)).unwrap();
+        topo.set_obs(handle);
         let auth = StaticAuthority::empty();
-        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
-        let obs = topo
-            .process_trace(&[raw(0, 1, "a.example")], &auth, ExecPolicy::parallel())
-            .unwrap();
-        assert_eq!(obs.len(), 1);
+        let mut interner = DomainInterner::new();
+        let trace: Vec<CompactLookup> = [
+            raw(0, 1, "a.example"),
+            raw(10, 1, "a.example"), // absorbed
+            raw(20, 9, "b.example"), // client 9 has no resolver
+            raw(30, 1, "c.example"),
+        ]
+        .iter()
+        .map(|r| {
+            interner.intern(r.domain.clone());
+            r.compact()
+        })
+        .collect();
+
+        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
+            topo.clear_caches();
+            let before = topo.cache_stats(ServerId(1));
+            let mut out = Vec::new();
+            let err = topo
+                .process_trace_into(&trace, &interner, &auth, policy, &mut out)
+                .unwrap_err();
+            assert_eq!(err, TopologyError::UnroutedClient(ClientId(9)));
+            // The two records before the unroutable one were filtered and
+            // the visible one appended ...
+            assert_eq!(
+                out,
+                vec![CompactObserved::new(
+                    trace[0].t,
+                    ServerId(1),
+                    trace[0].domain
+                )]
+            );
+            // ... the caches saw exactly those two (one miss, one hit) ...
+            let after = topo.cache_stats(ServerId(1));
+            assert_eq!(after.misses - before.misses, 1);
+            assert_eq!(after.hits() - before.hits(), 1);
+            // ... and nothing after it ran: c.example still reaches the border.
+            assert!(topo.process(&trace[3], &interner, &auth).unwrap().is_some());
+        }
+        // The metrics account for the same two records per call.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("topology.lookups"), Some(4));
+        assert_eq!(snap.counter("topology.admitted"), Some(2));
+        assert_eq!(snap.counter("cache.s1.neg_hits"), Some(2));
     }
 
     fn trace_metrics_report_cache_deltas_and_admission<K: Key>()

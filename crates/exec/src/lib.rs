@@ -1,9 +1,11 @@
 //! Deterministic parallel execution primitives for the BotMeter pipeline.
 //!
-//! Every parallel stage in the workspace — bot replay in `botmeter-sim`,
-//! cache filtering in `botmeter-dns`, per-server estimation in
-//! `botmeter-core`, trial sweeps in `botmeter-bench` — funnels through this
-//! crate, so the threading policy lives in one place:
+//! Every parallel stage in the workspace — shard production (bot replay)
+//! in `botmeter-sim`, chunked matching in `botmeter-matcher`, per-server
+//! estimation in `botmeter-core`, trial sweeps in `botmeter-bench` —
+//! funnels through this crate. (The TTL-cache filter in `botmeter-dns` is
+//! deliberately not among them: it runs in order on the pipeline's
+//! consumer — DESIGN.md §8.) So the threading policy lives in one place:
 //!
 //! * **One execution policy.** Pipeline entry points take an
 //!   [`ExecPolicy`] (`Sequential` or `Parallel { threads }`); there are no
@@ -46,10 +48,10 @@ use std::thread;
 /// How a pipeline stage should execute: single-threaded, or fanned out
 /// across a worker pool.
 ///
-/// Every pipeline entry point (`ScenarioSpec::run`,
-/// `Topology::process_trace`, `match_stream`, `BotMeter::chart_with`) takes
-/// one of these. Both variants produce bit-identical pipeline results — the
-/// policy only chooses how the work is scheduled.
+/// Every pipeline entry point (`ScenarioSpec::run`, `match_stream`,
+/// `BotMeter::chart_with`) takes one of these. Both variants produce
+/// bit-identical pipeline results — the policy only chooses how the work
+/// is scheduled.
 ///
 /// # Example
 ///

@@ -4,7 +4,7 @@ use crate::activation::ActivationModel;
 use crate::bot::{replay_barrel, simulate_activation, walk_barrel};
 use crate::evasion::EvasionStrategy;
 use crate::sink::ShardSink;
-use botmeter_dga::DgaFamily;
+use botmeter_dga::{DgaFamily, EpochAuthority};
 use botmeter_dns::{
     ClientId, CompactLookup, CompactObserved, CompactTopology, DomainId, DomainInterner,
     ObservedLookup, RawLookup, SimDuration, SimInstant, Topology, TtlPolicy,
@@ -303,8 +303,18 @@ impl ScenarioSpec {
             PipelineMode::Materialize => (true, None),
             PipelineMode::Streaming { shard } => (false, shard),
         };
-        let authority = self.family.authority_for_epochs(self.num_epochs + 1);
         let (plans, ground_truth) = self.plan_epochs();
+        // The registrar oracle for the planned epochs plus the one replays
+        // spill into, built from the pools the plans already hold
+        // (`authority_for_epochs`, which the reference uses, would generate
+        // every pool a second time).
+        let authority = EpochAuthority::from_valid_domains(
+            self.family.epoch_len(),
+            plans
+                .iter()
+                .map(|p| p.valid.iter().map(|&i| p.pool[i].clone()).collect())
+                .chain([self.family.valid_domains(self.num_epochs)]),
+        );
         let jobs = Self::flatten_jobs(&plans);
         let theta_q = self.family.params().theta_q();
 

@@ -9,8 +9,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> removed entry-point grep gate"
 # The dual sequential/parallel entry points are gone: every pipeline stage
-# takes an ExecPolicy. No file may mention the old names.
+# takes an ExecPolicy. So is the cache filter's per-call clone-and-absorb
+# fan-out. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
+pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -50,6 +52,20 @@ if [[ -n "$spawn_offenders" ]]; then
   echo "error: direct thread::spawn outside botmeter-exec:" >&2
   echo "$spawn_offenders" >&2
   echo "route parallel work through the botmeter-exec worker pool." >&2
+  exit 1
+fi
+
+echo "==> no fan-out under a cache (crates/dns/src opens no worker pool)"
+# The TTL-cache filter runs in order on its caller's thread: a fan-out
+# there has to copy the caches per worker and fold them back per call
+# (DESIGN.md §8, "why the filter is not parallel"). Parallelism lives in
+# sim's shard producers, matcher's chunks and core's cells.
+fanout_offenders=$(grep -rnE 'run_indexed_with|map_chunks_with|thread::' \
+  --include='*.rs' crates/dns/src \
+  || true)
+if [[ -n "$fanout_offenders" ]]; then
+  echo "error: worker-pool fan-out inside crates/dns/src:" >&2
+  echo "$fanout_offenders" >&2
   exit 1
 fi
 
@@ -101,13 +117,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perf smoke (throughput + charting + residency + scaling + alloc gate)"
+echo "==> perf smoke (throughput + charting + residency + scaling + thin-shard + alloc gate)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
 # bounded-memory property, if the streaming N-thread/1-thread scaling
 # ratio falls below the core-count-aware floor derived from the committed
-# scaling block, or if the streaming simulate stage exceeds its committed
+# scaling block, if on thin shards (300 bots x 4 epochs) the pool policy
+# takes more than 1.25x the 1-thread time (per-shard overhead on the
+# consumer), or if the streaming simulate stage exceeds its committed
 # allocations-per-raw-lookup budget (counting global allocator; 4x the
 # committed allocs_per_raw_lookup figure with a 0.5 absolute floor).
 # Best-of-N to absorb scheduler noise.
