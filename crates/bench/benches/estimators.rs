@@ -4,30 +4,12 @@
 //! is pitched as a low-cost vantage-point tool, so estimation latency per
 //! (server, epoch) cell matters.
 
+use botmeter_bench::cell::simulated_cell as trace;
 use botmeter_core::{
-    BernoulliEstimator, CoverageEstimator, EstimationContext, Estimator, PoissonEstimator,
-    TimingEstimator,
+    BernoulliEstimator, CoverageEstimator, Estimator, PoissonEstimator, TimingEstimator,
 };
 use botmeter_dga::DgaFamily;
-use botmeter_dns::ObservedLookup;
-use botmeter_exec::ExecPolicy;
-use botmeter_sim::ScenarioSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-fn trace(family: DgaFamily, population: u64) -> (Vec<ObservedLookup>, EstimationContext) {
-    let outcome = ScenarioSpec::builder(family)
-        .population(population)
-        .seed(42)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::default());
-    let ctx = EstimationContext::new(
-        outcome.family().clone(),
-        outcome.ttl(),
-        outcome.granularity(),
-    );
-    (outcome.observed().to_vec(), ctx)
-}
 
 fn bench_timing(c: &mut Criterion) {
     let mut group = c.benchmark_group("timing_estimator");
@@ -38,6 +20,12 @@ fn bench_timing(c: &mut Criterion) {
             b.iter(|| TimingEstimator.estimate(std::hint::black_box(&lookups), &ctx))
         });
     }
+    // The cell `chart_heavy` charts: a few hundred entries opened, a
+    // handful live at once — where a scan over every entry is quadratic.
+    let (lookups, ctx) = trace(DgaFamily::conficker_c(), 250);
+    group.bench_with_input(BenchmarkId::new("conficker_c", 250), &250, |b, _| {
+        b.iter(|| TimingEstimator.estimate(std::hint::black_box(&lookups), &ctx))
+    });
     group.finish();
 }
 

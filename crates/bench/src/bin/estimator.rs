@@ -14,8 +14,11 @@
 //!
 //! A pre-pass fills the shared Stirling/binomial tables so the uncached
 //! pass is not billed for one-time triangle fills the cached passes would
-//! inherit. Usage: `estimator [--repeat K] [--out PATH]`.
+//! inherit. The report ends with the `timing` block: `MT` (Algorithm 1)
+//! on one `chart_heavy`-sized cell, the figure `perf_smoke` gates.
+//! Usage: `estimator [--repeat K] [--out PATH]`.
 
+use botmeter_bench::cell::TimingBench;
 use botmeter_core::{Segment, SegmentKernelCache, SegmentKind};
 use botmeter_stats::SharedStirling;
 use serde::Serialize;
@@ -35,6 +38,7 @@ struct Report {
     warm_speedup: f64,
     /// Distinct shapes the cache holds after the warm pass.
     memo_entries: usize,
+    timing: TimingBench,
 }
 
 #[derive(Serialize)]
@@ -170,6 +174,7 @@ fn main() {
         uncached,
         cached_cold: cold,
         cached_warm: warm,
+        timing: TimingBench::measure(repeat),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");
     std::fs::write(&out, format!("{rendered}\n")).expect("write report");

@@ -7,18 +7,22 @@
 //! bounded-memory property, or if the streaming N-thread/1-thread scaling
 //! ratio falls below a core-count-aware floor derived from the committed
 //! `scaling` block, or if on thin shards the default policy takes longer
-//! than one thread does. Takes the best of a few runs so scheduler noise
+//! than one thread does, or if `MT` on a `chart_heavy`-sized cell falls
+//! the same fraction below the `timing` block of the `BENCH_estimator.json`
+//! beside the baseline. Takes the best of a few runs so scheduler noise
 //! on shared CI workers doesn't trip the gate.
 //!
 //! Usage: `perf_smoke [--baseline PATH] [--population N] [--epochs E]
 //! [--seed S] [--min-ratio R] [--runs K]`.
 
+use botmeter_bench::cell::TimingBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::AllocSnapshot;
 use botmeter_sim::{PipelineMode, ScenarioSpec};
 use serde::Deserialize;
+use std::path::Path;
 use std::time::Instant;
 
 /// Counting allocator so the streaming smoke run can hold the hot path to
@@ -50,6 +54,12 @@ struct BaselineVariant {
 #[derive(Deserialize)]
 struct BaselineScaling {
     ratio: f64,
+}
+
+/// The slice of `BENCH_estimator.json` the Timing gate needs.
+#[derive(Deserialize)]
+struct EstimatorBaseline {
+    timing: TimingBench,
 }
 
 fn main() {
@@ -101,10 +111,7 @@ fn main() {
     }
     let runs = runs.max(1);
 
-    let baseline_text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| fail(&format!("cannot read baseline {baseline_path}: {e}")));
-    let baseline: Baseline = serde_json::from_str(&baseline_text)
-        .unwrap_or_else(|e| fail(&format!("baseline {baseline_path} is not usable: {e}")));
+    let baseline: Baseline = read_baseline(Path::new(&baseline_path));
     let baseline_rate = baseline.streaming.raw_lookups_per_sec;
     let floor = baseline_rate * min_ratio;
     let chart_baseline_rate = baseline.streaming.chart_lookups_per_sec;
@@ -344,6 +351,36 @@ fn main() {
         ));
     }
 
+    // Timing gate: `MT` over one Conficker.C cell of 250 bots — a few
+    // hundred entries opened, a handful live at once. The scan that
+    // visited every entry per lookup measured ~35x below the committed
+    // figure. One call takes ~10 ms, so best-of-five is free.
+    let committed_timing = read_baseline::<EstimatorBaseline>(
+        &Path::new(&baseline_path).with_file_name("BENCH_estimator.json"),
+    )
+    .timing;
+    let timing = TimingBench::measure(5);
+    let timing_floor = committed_timing.lookups_per_sec * min_ratio;
+    eprintln!(
+        "perf_smoke: Timing model {:.0} lookups/sec ({} lookups, {} entries in {:.4}s) \
+         vs floor {timing_floor:.0} ({}% of baseline {:.0})",
+        timing.lookups_per_sec,
+        timing.cell_lookups,
+        timing.entries,
+        timing.secs,
+        (min_ratio * 100.0) as u64,
+        committed_timing.lookups_per_sec
+    );
+    if timing.lookups_per_sec < timing_floor {
+        fail(&format!(
+            "Timing-model regression: {:.0} lookups/sec is below {timing_floor:.0} \
+             ({}% of committed baseline {:.0})",
+            timing.lookups_per_sec,
+            (min_ratio * 100.0) as u64,
+            committed_timing.lookups_per_sec
+        ));
+    }
+
     eprintln!(
         "perf_smoke: best {:.0} lookups/sec vs floor {:.0} ({}% of baseline {:.0})",
         best_rate,
@@ -373,6 +410,14 @@ fn main() {
         ));
     }
     println!("perf_smoke: OK");
+}
+
+/// Reads one committed `BENCH_*.json` baseline (extra keys are ignored).
+fn read_baseline<T: serde::de::DeserializeOwned>(path: &Path) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read baseline {}: {e}", path.display())));
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(&format!("baseline {} is not usable: {e}", path.display())))
 }
 
 fn fail(message: &str) -> ! {

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation_accuracy;
+pub mod cell;
 pub mod evasion_study;
 pub mod fig6;
 pub mod fig7;

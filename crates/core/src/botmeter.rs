@@ -19,9 +19,15 @@ use botmeter_matcher::{match_stream_recorded, DomainMatcher, ExactMatcher, Match
 use botmeter_obs::Obs;
 use botmeter_sketch::SketchedTraffic;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::Range;
+
+/// One (server, epoch) cell awaiting estimation: its matched lookups —
+/// borrowed from the telemetry source where it holds them contiguously —
+/// and the sketch error bound (`None` for exact telemetry).
+type Cell<'a> = (ServerId, u64, Cow<'a, [ObservedLookup]>, Option<f64>);
 
 /// Invalid analyst-supplied parameters, reported by
 /// [`BotMeter::try_chart_with`] instead of panicking.
@@ -562,12 +568,15 @@ impl BotMeter {
         // landscape independently of how they are estimated. The fourth
         // component is the sketch error bound: `Some` marks a cell whose
         // estimate may deviate from exact mode (flagged Degraded below).
+        let matched_here;
         let (cells, stream_quality) = match request.source() {
             TelemetrySource::Observed(observed) => {
                 let matcher = self.matcher_for(epochs.clone());
-                let filtered = match_stream_recorded(observed, &matcher, policy, &self.obs);
-                let quality = filtered.quality();
-                (Self::slice_cells(&filtered, &epochs, epoch_len), quality)
+                matched_here = match_stream_recorded(observed, &matcher, policy, &self.obs);
+                (
+                    Self::slice_cells(&matched_here, &epochs, epoch_len),
+                    matched_here.quality(),
+                )
             }
             TelemetrySource::Matched(filtered) => (
                 Self::slice_cells(filtered, &epochs, epoch_len),
@@ -666,22 +675,43 @@ impl BotMeter {
     /// Slices exact matched traffic per (server, epoch) cell, preserving
     /// the per-server arrival order of the matched substream. Exact cells
     /// carry no sketch error bound.
-    fn slice_cells(
-        filtered: &MatchedTraffic,
+    ///
+    /// One pass per server splits its substream into maximal runs of
+    /// consecutive same-epoch lookups. An epoch whose lookups form a single
+    /// run — every epoch of an in-order stream — is handed out as a
+    /// borrowed sub-slice; only an epoch that interleaves with others is
+    /// gathered into an owned copy.
+    fn slice_cells<'a>(
+        filtered: &'a MatchedTraffic,
         epochs: &Range<u64>,
         epoch_len: SimDuration,
-    ) -> Vec<(ServerId, u64, Vec<ObservedLookup>, Option<f64>)> {
+    ) -> Vec<Cell<'a>> {
         let mut cells = Vec::new();
         for (server, lookups) in filtered.iter() {
-            for epoch in epochs.clone() {
-                let slice: Vec<ObservedLookup> = lookups
+            let mut runs: BTreeMap<u64, Vec<Range<usize>>> = BTreeMap::new();
+            let mut start = 0;
+            while start < lookups.len() {
+                let epoch = lookups[start].t.epoch_day(epoch_len);
+                let len = lookups[start..]
                     .iter()
-                    .filter(|l| l.t.epoch_day(epoch_len) == epoch)
-                    .cloned()
-                    .collect();
-                if !slice.is_empty() {
-                    cells.push((server, epoch, slice, None));
+                    .take_while(|l| l.t.epoch_day(epoch_len) == epoch)
+                    .count();
+                if epochs.contains(&epoch) {
+                    runs.entry(epoch).or_default().push(start..start + len);
                 }
+                start += len;
+            }
+            for (epoch, runs) in runs {
+                let slice = match runs.as_slice() {
+                    [run] => Cow::Borrowed(&lookups[run.clone()]),
+                    _ => Cow::Owned(
+                        runs.into_iter()
+                            .flat_map(|run| &lookups[run])
+                            .cloned()
+                            .collect(),
+                    ),
+                };
+                cells.push((server, epoch, slice, None));
             }
         }
         cells
@@ -703,7 +733,7 @@ impl BotMeter {
         sketch: &SketchedTraffic,
         epochs: &Range<u64>,
         set_based: bool,
-    ) -> Vec<(ServerId, u64, Vec<ObservedLookup>, Option<f64>)> {
+    ) -> Vec<Cell<'static>> {
         let width = sketch.config().hh_width();
         let mut cells = Vec::new();
         for (server, epoch, cell) in sketch.cells() {
@@ -751,7 +781,7 @@ impl BotMeter {
                 }
                 Some(bound)
             };
-            cells.push((server, epoch, slice, bound));
+            cells.push((server, epoch, Cow::Owned(slice), bound));
         }
         cells
     }
@@ -959,6 +989,100 @@ mod tests {
             snap.histogram("chart.epoch0.estimate_ns").map(|h| h.count),
             Some(landscape.len() as u64)
         );
+    }
+
+    #[test]
+    fn one_pass_slicing_matches_per_cell_filtering() {
+        // Three servers × five epochs over one simulated stream: server 1
+        // sees it in order, server 2 in order but nothing in epoch 2, and
+        // server 3 with the odd-indexed lookups moved behind the even ones
+        // — two in-order halves, so its epochs interleave and every cell
+        // of it spans more than one run. Epoch 5 is charted but empty.
+        let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
+            .population(24)
+            .num_epochs(5)
+            .seed(21)
+            .build()
+            .unwrap()
+            .run(ExecPolicy::default());
+        let family = outcome.family().clone();
+        let epoch_len = family.epoch_len();
+        let relabel = |server: u32, lookups: &mut dyn Iterator<Item = &ObservedLookup>| {
+            lookups
+                .map(|l| ObservedLookup::new(l.t, ServerId(server), l.domain.clone()))
+                .collect::<Vec<_>>()
+        };
+        let in_order = outcome.observed();
+        let mut observed = relabel(1, &mut in_order.iter());
+        observed.extend(relabel(
+            2,
+            &mut in_order.iter().filter(|l| l.t.epoch_day(epoch_len) != 2),
+        ));
+        observed.extend(relabel(3, &mut in_order.iter().step_by(2)));
+        observed.extend(relabel(3, &mut in_order.iter().skip(1).step_by(2)));
+
+        let epochs = 0..6;
+        for model in [ModelKind::Timing, ModelKind::Bernoulli, ModelKind::Poisson] {
+            let meter = BotMeter::new(BotMeterConfig::new(family.clone()).model(model));
+            let matched = match_stream_recorded(
+                &observed,
+                &meter.matcher_for(epochs.clone()),
+                ExecPolicy::Sequential,
+                &Obs::noop(),
+            );
+            assert!(matched.quality().is_degraded(), "server 3 is out of order");
+
+            // Reference: one filter pass per (server, epoch), as
+            // `slice_cells` used to do, through the same batch estimator.
+            let mut reference: Vec<(ServerId, u64, Vec<ObservedLookup>)> = Vec::new();
+            for (server, lookups) in matched.iter() {
+                for epoch in epochs.clone() {
+                    let cell: Vec<ObservedLookup> = lookups
+                        .iter()
+                        .filter(|l| l.t.epoch_day(epoch_len) == epoch)
+                        .cloned()
+                        .collect();
+                    if !cell.is_empty() {
+                        reference.push((server, epoch, cell));
+                    }
+                }
+            }
+            assert_eq!(reference.len(), 14, "3 × 5 cells minus server 2's epoch 2");
+            let slices: Vec<CellSlice<'_>> = reference
+                .iter()
+                .map(|(_, epoch, cell)| CellSlice {
+                    epoch: *epoch,
+                    lookups: cell,
+                })
+                .collect();
+            let estimates = meter.resolve_model().estimate_batch(
+                &slices,
+                &meter.estimation_context(),
+                ExecPolicy::Sequential,
+                &Obs::noop(),
+            );
+            let expected: Vec<LandscapeEntry> = reference
+                .iter()
+                .zip(estimates)
+                .map(|((server, epoch, _), estimate)| LandscapeEntry {
+                    server: *server,
+                    epoch: *epoch,
+                    estimate,
+                    quality: CellQuality::Degraded,
+                    error_bound: None,
+                })
+                .collect();
+            assert!(expected.iter().all(|e| e.estimate > 0.0));
+
+            for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(2)] {
+                let landscape = meter.chart_with(
+                    &ChartRequest::from_matched(&matched)
+                        .epochs(epochs.clone())
+                        .policy(policy),
+                );
+                assert_eq!(landscape.entries(), expected, "{model:?} under {policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -86,7 +86,9 @@ impl DgaParams {
     /// # Errors
     ///
     /// * `θ∅ = 0` or `θq = 0` — a DGA that queries nothing is meaningless;
-    /// * `θq > θ∅ + θ∃` — a barrel cannot exceed the pool.
+    /// * `θq > θ∅ + θ∃` — a barrel cannot exceed the pool;
+    /// * `δi = Fixed(0)` — a zero interval spans no lattice and no
+    ///   activation duration (use [`QueryTiming::Irregular`] for "none").
     ///
     /// `θ∃ = 0` is allowed (a takedown day with no registered C2).
     pub fn new(
@@ -106,6 +108,9 @@ impl DgaParams {
                 theta_q,
                 pool: theta_nx + theta_valid,
             });
+        }
+        if timing == QueryTiming::Fixed(SimDuration::ZERO) {
+            return Err(ParamsError::ZeroInterval);
         }
         Ok(DgaParams {
             theta_nx,
@@ -162,6 +167,8 @@ pub enum ParamsError {
         /// The pool size it exceeded.
         pool: usize,
     },
+    /// The fixed inter-query interval `δi` was zero.
+    ZeroInterval,
 }
 
 impl fmt::Display for ParamsError {
@@ -172,6 +179,7 @@ impl fmt::Display for ParamsError {
             ParamsError::BarrelExceedsPool { theta_q, pool } => {
                 write!(f, "barrel size {theta_q} exceeds pool size {pool}")
             }
+            ParamsError::ZeroInterval => write!(f, "fixed query interval must be non-zero"),
         }
     }
 }
@@ -222,6 +230,13 @@ mod tests {
                 pool: 12
             })
         );
+    }
+
+    #[test]
+    fn rejects_zero_fixed_interval() {
+        let err = DgaParams::new(10, 2, 5, QueryTiming::Fixed(SimDuration::ZERO));
+        assert_eq!(err, Err(ParamsError::ZeroInterval));
+        assert!(ParamsError::ZeroInterval.to_string().contains("interval"));
     }
 
     #[test]

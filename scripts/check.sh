@@ -91,6 +91,20 @@ if [[ -n "$unwrap_offenders" ]]; then
   exit 1
 fi
 
+echo "==> no per-insert domain clone in MT (crates/core/src/timing.rs borrows from the slice)"
+# Algorithm 1's entries hold `&DomainName` borrowed from the cell's lookup
+# slice; cloning the name per insert is an `Arc` refcount round-trip per
+# matched lookup. The `#[cfg(test)]` reference loop keeps its clones.
+clone_offenders=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /\.domain\.clone\(\)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+  ' crates/core/src/timing.rs)
+if [[ -n "$clone_offenders" ]]; then
+  echo "error: .domain.clone() in the Timing estimator; borrow from the slice:" >&2
+  echo "$clone_offenders" >&2
+  exit 1
+fi
+
 echo "==> fs::write grep gate (daemon persistence is atomic-write only)"
 # Durability state in crates/daemon must go through the Storage trait's
 # write_atomic (temp file + fsync + rename) so a crash can never leave a
@@ -117,7 +131,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perf smoke (throughput + charting + residency + scaling + thin-shard + alloc gate)"
+echo "==> perf smoke (throughput + charting + Timing model + residency + scaling + thin-shard + alloc gate)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
@@ -125,9 +139,12 @@ echo "==> perf smoke (throughput + charting + residency + scaling + thin-shard +
 # ratio falls below the core-count-aware floor derived from the committed
 # scaling block, if on thin shards (300 bots x 4 epochs) the pool policy
 # takes more than 1.25x the 1-thread time (per-shard overhead on the
-# consumer), or if the streaming simulate stage exceeds its committed
-# allocations-per-raw-lookup budget (counting global allocator; 4x the
-# committed allocs_per_raw_lookup figure with a 0.5 absolute floor).
+# consumer), if MT on one Conficker.C cell of 250 bots drops more than 25%
+# below the `timing` block of BENCH_estimator.json (the scan over every
+# entry ever opened measured ~35x below it), or if the streaming simulate
+# stage exceeds its committed allocations-per-raw-lookup budget (counting
+# global allocator; 4x the committed allocs_per_raw_lookup figure with a
+# 0.5 absolute floor).
 # Best-of-N to absorb scheduler noise.
 ./target/release/perf_smoke
 
