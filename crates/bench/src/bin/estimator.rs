@@ -7,18 +7,23 @@
 //! 1. **uncached** — every query through
 //!    [`expected_bots_for_segment`](botmeter_core::expected_bots_for_segment);
 //! 2. **cached cold** — the same queries through a fresh
-//!    [`SegmentKernelCache`] (all misses: memoization overhead on top of
-//!    the kernel);
+//!    [`SegmentKernelCache`] (all memo misses: a shape's rows derived at
+//!    its first density, re-weighted at the other seven);
 //! 3. **cached warm** — the same queries repeated against the now-filled
 //!    cache (all hits: pure memo-table lookups).
 //!
 //! A pre-pass fills the shared Stirling/binomial tables so the uncached
 //! pass is not billed for one-time triangle fills the cached passes would
-//! inherit. The report ends with the `timing` block: `MT` (Algorithm 1)
-//! on one `chart_heavy`-sized cell, the figure `perf_smoke` gates.
+//! inherit. The sweep repeats each shape at eight densities, so passes 1
+//! and 2 differ by what the cache's shape table saves: the uncached pass
+//! re-derives a shape's rows per density, the cold cache derives them once
+//! and re-weights. The report ends with the two blocks `perf_smoke` gates:
+//! `fixpoint` — one b-segment at eight successive densities, first versus
+//! later — and `timing` — `MT` (Algorithm 1) on one `chart_heavy`-sized
+//! cell.
 //! Usage: `estimator [--repeat K] [--out PATH]`.
 
-use botmeter_bench::cell::TimingBench;
+use botmeter_bench::cell::{FixpointBench, TimingBench};
 use botmeter_core::{Segment, SegmentKernelCache, SegmentKind};
 use botmeter_stats::SharedStirling;
 use serde::Serialize;
@@ -36,8 +41,11 @@ struct Report {
     cached_warm: Pass,
     /// `cached_warm.evals_per_sec / uncached.evals_per_sec`.
     warm_speedup: f64,
-    /// Distinct shapes the cache holds after the warm pass.
+    /// Distinct `(shape, ρ̃)` values the cache holds after the warm pass.
     memo_entries: usize,
+    /// Distinct shapes whose ρ-free rows it holds.
+    shape_entries: usize,
+    fixpoint: FixpointBench,
     timing: TimingBench,
 }
 
@@ -49,6 +57,8 @@ struct Pass {
     memo_misses: u64,
     gap_tables_built: u64,
     gap_table_reuse: u64,
+    config_entries_computed: u64,
+    config_entries_reused: u64,
 }
 
 struct Sweep {
@@ -137,7 +147,7 @@ fn main() {
     uncached.finish(started.elapsed().as_secs_f64(), evals);
 
     // Pass 2: cold cache — every repeat uses a fresh quantized cache, so
-    // each query is a miss plus the memoization overhead.
+    // each query is a memo miss, and a shape-table miss once per shape.
     let started = Instant::now();
     let mut cold = Pass::zero();
     for _ in 0..repeat {
@@ -171,9 +181,11 @@ fn main() {
         repeat,
         warm_speedup: warm.evals_per_sec / uncached.evals_per_sec.max(1e-9),
         memo_entries: cache.len(),
+        shape_entries: cache.shape_count(),
         uncached,
         cached_cold: cold,
         cached_warm: warm,
+        fixpoint: FixpointBench::measure(repeat),
         timing: TimingBench::measure(repeat),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");
@@ -191,6 +203,8 @@ impl Pass {
             memo_misses: 0,
             gap_tables_built: 0,
             gap_table_reuse: 0,
+            config_entries_computed: 0,
+            config_entries_reused: 0,
         }
     }
 
@@ -206,6 +220,8 @@ impl Pass {
     fn absorb_stats(&mut self, stats: botmeter_core::KernelStats) {
         self.gap_tables_built += stats.gap_tables_built;
         self.gap_table_reuse += stats.gap_table_reuses;
+        self.config_entries_computed += stats.config_entries_computed;
+        self.config_entries_reused += stats.config_entries_reused;
     }
 
     fn finish(&mut self, secs: f64, evals: usize) {

@@ -9,13 +9,16 @@
 //! `scaling` block, or if on thin shards the default policy takes longer
 //! than one thread does, or if `MT` on a `chart_heavy`-sized cell falls
 //! the same fraction below the `timing` block of the `BENCH_estimator.json`
-//! beside the baseline. Takes the best of a few runs so scheduler noise
-//! on shared CI workers doesn't trip the gate.
+//! beside the baseline, or if pricing a segment shape at a second density
+//! costs more than a quarter of pricing it at the first (`MB`'s fixpoint
+//! re-weights a shape's rows, it does not re-derive them). Takes the best
+//! of a few runs so scheduler noise on shared CI workers doesn't trip the
+//! gate.
 //!
 //! Usage: `perf_smoke [--baseline PATH] [--population N] [--epochs E]
 //! [--seed S] [--min-ratio R] [--runs K]`.
 
-use botmeter_bench::cell::TimingBench;
+use botmeter_bench::cell::{FixpointBench, TimingBench};
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -378,6 +381,30 @@ fn main() {
             timing.lookups_per_sec,
             (min_ratio * 100.0) as u64,
             committed_timing.lookups_per_sec
+        ));
+    }
+
+    // Fixpoint gate: one b-segment at eight successive densities through
+    // one kernel cache. Needs no baseline — a ratio of two timings of the
+    // same run. A kernel that rebuilds the shape's rows per density sits
+    // near 1.0; the committed `fixpoint` block records what this one does.
+    const FIXPOINT_CEILING: f64 = 0.25;
+    let fixpoint = FixpointBench::measure(5);
+    eprintln!(
+        "perf_smoke: Theorem-1 kernel, b-segment {}/θq {}: first density {:.5}s, later \
+         densities {:.5}s each ({:.3} of the first, ceiling {:.2})",
+        fixpoint.len,
+        fixpoint.theta_q,
+        fixpoint.first_secs,
+        fixpoint.later_mean_secs,
+        fixpoint.later_over_first,
+        FIXPOINT_CEILING
+    );
+    if fixpoint.later_over_first > FIXPOINT_CEILING {
+        fail(&format!(
+            "fixpoint regression: a later density costs {:.3} of the first, above the \
+             {:.2} ceiling — the kernel is re-deriving ρ-free rows per round",
+            fixpoint.later_over_first, FIXPOINT_CEILING
         ));
     }
 

@@ -2,10 +2,9 @@
 
 use crate::config::EstimationContext;
 use crate::estimator::{CellSlice, Estimator};
-use crate::kernel::{KernelKey, SegmentKernelCache};
+use crate::kernel::{KernelKey, ShapeKey};
 use crate::segments::{extract_segments, Segment};
 use crate::theorem1::KernelStats;
-use botmeter_dns::FxHashMap;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::{saturating_ns, Obs};
@@ -33,8 +32,9 @@ use std::collections::{BTreeSet, HashMap};
 /// lower bound `Σ ⌈l/θq⌉`, estimate, feed the estimate back as the prior,
 /// repeat. The map is a contraction, and a secant-accelerated step
 /// ([`DensityFixpoint`]) drives it to convergence at the
-/// [`SegmentKernelCache`] ρ resolution — the final round re-probes the
-/// keys the previous one cached, so a converged cell costs only memo hits.
+/// [`SegmentKernelCache`](crate::SegmentKernelCache) ρ resolution — the
+/// final round re-probes the keys the previous one cached, so a converged
+/// cell costs only memo hits.
 ///
 /// See the faithfulness note on [`crate::expected_bots_for_segment`]: the
 /// printed Theorem 1 needed reconstruction, and
@@ -69,10 +69,10 @@ const MAX_FIXPOINT_ROUNDS: usize = 32;
 /// switches to the secant update on the residual `g(x) = F(x) − x`,
 /// falling back to the Picard step whenever the secant step is undefined
 /// or leaves the valid domain. Convergence is detected at the
-/// [`SegmentKernelCache`] ρ resolution: when two successive evaluations
-/// snap to the same density, the second probes exactly the keys the first
-/// cached — pure memo hits returning bit-identical values — so iterating
-/// further cannot change the estimate.
+/// [`SegmentKernelCache`](crate::SegmentKernelCache) ρ resolution: when two
+/// successive evaluations snap to the same density, the second probes
+/// exactly the keys the first cached — pure memo hits returning
+/// bit-identical values — so iterating further cannot change the estimate.
 struct DensityFixpoint {
     circle_len: f64,
     /// Current iterate (bot count).
@@ -157,21 +157,15 @@ impl BernoulliEstimator {
         }
         let family = ctx.family();
         let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let pool = family.pool_for_epoch(epoch);
-        let index: FxHashMap<_, usize> = pool
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.clone(), i))
-            .collect();
-        let valid: Vec<usize> = family.valid_indices(epoch);
-        let valid_set: BTreeSet<usize> = valid.iter().copied().collect();
+        let index = ctx.pool_index(epoch);
+        let pool = index.pool();
 
         // Distinct observed NXD positions (valid-domain sightings carry no
         // segment information; domains from other epochs' pools are dropped).
         let mut nxd_positions: BTreeSet<usize> = BTreeSet::new();
         for lookup in lookups {
-            if let Some(&i) = index.get(&lookup.domain) {
-                if !valid_set.contains(&i) {
+            if let Some(i) = index.position(&lookup.domain) {
+                if !index.is_valid(i) {
                     nxd_positions.insert(i);
                 }
             }
@@ -191,7 +185,7 @@ impl BernoulliEstimator {
                 let mut compressed_of_pool: Vec<Option<usize>> = vec![None; pool.len()];
                 let mut kept = 0usize;
                 for (i, domain) in pool.iter().enumerate() {
-                    if valid_set.contains(&i) || ctx.detectable(domain) {
+                    if index.is_valid(i) || ctx.detectable(domain) {
                         compressed_of_pool[i] = Some(kept);
                         kept += 1;
                     }
@@ -200,7 +194,8 @@ impl BernoulliEstimator {
                     .iter()
                     .filter_map(|&i| compressed_of_pool[i])
                     .collect();
-                let valid_c: Vec<usize> = valid
+                let valid_c: Vec<usize> = index
+                    .valid()
                     .iter()
                     .filter_map(|&i| compressed_of_pool[i])
                     .collect();
@@ -211,6 +206,7 @@ impl BernoulliEstimator {
                 (positions, valid_c, kept, scaled)
             } else {
                 let positions: Vec<usize> = nxd_positions.into_iter().collect();
+                let valid = index.valid().to_vec();
                 (positions, valid, pool.len(), family.params().theta_q())
             };
         if positions.is_empty() {
@@ -272,16 +268,19 @@ impl Estimator for BernoulliEstimator {
     /// Per-*segment* batch scheduling: all cells advance through the
     /// fixpoint in lockstep, and each round flattens every cell's segments
     /// into one work list — probed against the shared
-    /// [`SegmentKernelCache`], deduplicated, and only the *distinct
-    /// missing shapes* fanned out through `botmeter-exec`. One huge
-    /// server's segments therefore spread across all workers instead of
-    /// serializing behind a single per-cell task.
+    /// [`SegmentKernelCache`](crate::SegmentKernelCache), deduplicated, and
+    /// only the *distinct missing keys* fanned out through `botmeter-exec`,
+    /// one task per distinct shape. One huge server's segments therefore
+    /// spread across all workers instead of serializing behind a single
+    /// per-cell task.
     ///
     /// Determinism: the probe/dedup pass runs on the calling thread in
-    /// (cell, segment) order, workers compute pure functions of their
-    /// assigned key, results are inserted back in first-seen key order and
-    /// summed per cell in segment order — so estimates, cache contents at
-    /// every round barrier, and the `chart.kernel.*` /
+    /// (cell, segment) order, a worker prices its shape's pending densities
+    /// against rows no other worker touches (every row entry a pure
+    /// function of its indices, every value bit-identical to a fresh-table
+    /// evaluation), results are inserted back in first-seen key order and
+    /// summed per cell in segment order — so estimates, both cache tables
+    /// at every round barrier, and the `chart.kernel.*` /
     /// `chart.segments.scheduled` counters are all independent of
     /// [`ExecPolicy`], and each cell's estimate equals its sequential
     /// [`estimate`](Self::estimate) bit for bit.
@@ -399,19 +398,42 @@ impl Estimator for BernoulliEstimator {
                 }
             }
 
-            // Compute the distinct missing shapes — this is the flattened
-            // per-segment work list the policy schedules.
+            // Compute the distinct missing keys — the flattened per-segment
+            // work list the policy schedules — as one task per distinct
+            // *shape*: a task prices its shape's pending densities in
+            // first-seen key order against the shape's shared rows, so no
+            // two workers ever wait on one shape's lock.
             scheduled += missing.len() as u64;
-            let compute = |k: usize| SegmentKernelCache::compute(&missing[k], tables);
-            let computed: Vec<(f64, KernelStats)> = if !policy.is_sequential() && missing.len() > 1
-            {
-                botmeter_exec::run_indexed_with(policy, obs, missing.len(), compute)
-            } else {
-                (0..missing.len()).map(compute).collect()
+            let mut by_shape: Vec<Vec<usize>> = Vec::new();
+            let mut shape_index: HashMap<ShapeKey, usize> = HashMap::new();
+            for (k, key) in missing.iter().enumerate() {
+                let g = *shape_index.entry(key.shape()).or_insert_with(|| {
+                    by_shape.push(Vec::new());
+                    by_shape.len() - 1
+                });
+                by_shape[g].push(k);
+            }
+            let compute = |g: usize| -> Vec<(f64, KernelStats)> {
+                by_shape[g]
+                    .iter()
+                    .map(|&k| cache.compute(&missing[k], tables))
+                    .collect()
             };
-            for (key, (value, stats)) in missing.iter().zip(&computed) {
+            let per_shape: Vec<Vec<(f64, KernelStats)>> =
+                if !policy.is_sequential() && by_shape.len() > 1 {
+                    botmeter_exec::run_indexed_with(policy, obs, by_shape.len(), compute)
+                } else {
+                    (0..by_shape.len()).map(compute).collect()
+                };
+            let mut computed = vec![0.0f64; missing.len()];
+            for (keys, evals) in by_shape.iter().zip(&per_shape) {
+                for (&k, (value, stats)) in keys.iter().zip(evals) {
+                    computed[k] = *value;
+                    kernel_stats.merge(*stats);
+                }
+            }
+            for (key, value) in missing.iter().zip(&computed) {
                 cache.insert(*key, *value);
-                kernel_stats.merge(*stats);
             }
 
             // Deterministic reduction: per-cell sum in segment order, fed
@@ -425,7 +447,7 @@ impl Estimator for BernoulliEstimator {
                     .iter()
                     .map(|slot| match slot {
                         Slot::Hit(v) => *v,
-                        Slot::Pending(k) => computed[*k].0,
+                        Slot::Pending(k) => computed[*k],
                     })
                     .sum();
                 let fixpoint = fixpoints[i].as_mut().expect("active implies present");
@@ -447,7 +469,19 @@ impl Estimator for BernoulliEstimator {
             "chart.kernel.gap_table_reuse",
             kernel_stats.gap_table_reuses,
         );
+        obs.counter_add(
+            "chart.kernel.config_entries_computed",
+            kernel_stats.config_entries_computed,
+        );
+        obs.counter_add(
+            "chart.kernel.config_entries_reused",
+            kernel_stats.config_entries_reused,
+        );
         obs.counter_add("chart.segments.scheduled", scheduled);
+        // Neither table evicts: the memo grows with every distinct density
+        // ever priced, the shape table with every distinct shape.
+        obs.gauge_max("chart.kernel.memo_entries", cache.len() as u64);
+        obs.gauge_max("chart.kernel.shape_entries", cache.shape_count() as u64);
         if obs.enabled() {
             for (cell, &ns) in cells.iter().zip(&cell_ns) {
                 obs.observe_ns("chart.estimate_ns", ns);

@@ -930,8 +930,107 @@ mod tests {
                         > 0,
                     "gap tables must be hoisted out of the posterior sum"
                 );
+                assert!(
+                    seq_snap
+                        .counter("chart.kernel.config_entries_reused")
+                        .unwrap_or(0)
+                        > 0,
+                    "a later fixpoint round must re-weight rows, not re-derive them"
+                );
             }
         }
+    }
+
+    #[test]
+    fn parallel_policy_chart_reweights_shared_shapes_identically() {
+        // Two cells of one epoch, hand-built so they share segment shapes
+        // at different densities: server 1 sees one full barrel (an
+        // m-segment of θq) and two barrels 200 apart (θq + 200); server 2
+        // sees the same two shapes plus a second full barrel, so its
+        // fixpoint starts — and stays — at a denser prior. Every round
+        // then prices each shared shape at two densities in one task.
+        let family = DgaFamily::new_goz();
+        let pool = family.pool_for_epoch(0);
+        let valid = family.valid_indices(0);
+        let theta_q = family.params().theta_q();
+        let stretch = 4 * theta_q;
+        let base = (1..pool.len() - stretch - 1)
+            .find(|&s| valid.iter().all(|&v| v + 1 < s || v > s + stretch))
+            .expect("a 10k pool with 5 valid domains has a free stretch");
+        let runs = |server: u32| {
+            let mut runs = vec![(base, theta_q), (base + theta_q + 50, theta_q + 200)];
+            if server == 2 {
+                runs.push((base + 3 * theta_q, theta_q));
+            }
+            runs
+        };
+        let mut observed: Vec<ObservedLookup> = Vec::new();
+        for server in [1u32, 2] {
+            for (start, len) in runs(server) {
+                observed.extend((start..start + len).map(|i| {
+                    ObservedLookup::new(
+                        SimInstant::from_millis(1_000 * (i - base) as u64),
+                        ServerId(server),
+                        pool[i].clone(),
+                    )
+                }));
+            }
+        }
+        observed.sort_by_key(|l| l.t);
+
+        let chart = |policy: ExecPolicy| {
+            let (obs, registry) = Obs::collecting();
+            let landscape = BotMeter::new(BotMeterConfig::new(family.clone()))
+                .with_obs(obs)
+                .chart_with(&ChartRequest::new(&observed).epochs(0..1).policy(policy));
+            (landscape, registry.snapshot())
+        };
+        let (sequential, seq_snap) = chart(ExecPolicy::Sequential);
+        assert!(sequential.estimate(ServerId(2), 0) > sequential.estimate(ServerId(1), 0));
+        for threads in [2, 8] {
+            let (parallel, par_snap) = chart(ExecPolicy::with_threads(threads));
+            assert_eq!(parallel, sequential, "{threads} threads");
+            assert_eq!(
+                par_snap.deterministic_counters(),
+                seq_snap.deterministic_counters(),
+                "{threads} threads"
+            );
+        }
+        // Each cell alone, on a context nothing was ever priced in.
+        for server in [1u32, 2] {
+            let cell: Vec<ObservedLookup> = observed
+                .iter()
+                .filter(|l| l.server == ServerId(server))
+                .cloned()
+                .collect();
+            let cold = BotMeter::new(BotMeterConfig::new(family.clone())).estimation_context();
+            assert_eq!(
+                sequential.estimate(ServerId(server), 0).to_bits(),
+                BernoulliEstimator::default()
+                    .estimate(&cell, &cold)
+                    .to_bits(),
+                "server {server}"
+            );
+        }
+        let counter = |name: &str| seq_snap.counter(name).unwrap_or(0);
+        // Two distinct shapes, one sampled span each (m-segments), however
+        // many densities they were priced at.
+        assert_eq!(counter("chart.kernel.shape_entries"), 2);
+        assert_eq!(counter("chart.kernel.gap_tables_built"), 2);
+        assert_eq!(
+            counter("chart.kernel.memo_entries"),
+            counter("chart.kernel.memo_misses")
+        );
+        assert!(
+            counter("chart.kernel.memo_entries") >= 4,
+            "2 shapes × 2 cells"
+        );
+        assert!(counter("chart.kernel.config_entries_computed") > 0);
+        assert!(
+            counter("chart.kernel.config_entries_reused")
+                > counter("chart.kernel.config_entries_computed"),
+            "all but the densest pricing of a shape only reads"
+        );
     }
 
     #[test]

@@ -2,9 +2,71 @@
 
 use crate::kernel::SegmentKernelCache;
 use botmeter_dga::DgaFamily;
-use botmeter_dns::{DomainName, ObservedLookup, SimDuration, TtlPolicy};
+use botmeter_dns::{DomainName, FxHashMap, ObservedLookup, SimDuration, TtlPolicy};
 use botmeter_stats::SharedStirling;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// One epoch's query pool, indexed the way the set-statistic estimators
+/// (`MB`, `MC`, `MS`) read it: by position and by name, with the
+/// registered (valid) positions beside it. A pure function of
+/// `(family, epoch)`; built once per context by
+/// [`EstimationContext::pool_index`].
+#[derive(Debug)]
+pub struct PoolIndex {
+    pool: Vec<DomainName>,
+    positions: FxHashMap<DomainName, usize>,
+    valid: Vec<usize>,
+}
+
+impl PoolIndex {
+    fn build(family: &DgaFamily, epoch: u64) -> Self {
+        let pool = family.pool_for_epoch(epoch);
+        let positions = pool
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d.clone(), i))
+            .collect();
+        PoolIndex {
+            pool,
+            positions,
+            valid: family.valid_indices(epoch),
+        }
+    }
+
+    /// The ordered query pool.
+    pub fn pool(&self) -> &[DomainName] {
+        &self.pool
+    }
+
+    /// The pool position of `domain` (the last one, should a dictionary
+    /// pool repeat a name); `None` for a name outside this epoch's pool.
+    pub fn position(&self, domain: &DomainName) -> Option<usize> {
+        self.positions.get(domain).copied()
+    }
+
+    /// Positions of the registered domains, ascending and distinct.
+    pub fn valid(&self) -> &[usize] {
+        &self.valid
+    }
+
+    /// Whether position `i` holds a registered domain.
+    pub fn is_valid(&self, i: usize) -> bool {
+        self.valid.binary_search(&i).is_ok()
+    }
+}
+
+/// How many epochs' [`PoolIndex`] one context keeps before dropping the
+/// lowest-numbered one. Small on purpose: reuse happens between the cells
+/// and publishes of the few epochs around a stream's head, while a pool
+/// held is ≈1 MB that stays resident — a chart of 20 epochs that kept all
+/// 20 measured slower than rebuilding each (fresh pages for every pool
+/// instead of one warm allocation reused, and one serial teardown at the
+/// end), and a long-running `botmeterd` must not hold a pool per day it
+/// ever saw. A dropped epoch asked for again is rebuilt.
+const POOL_INDEX_EPOCHS: usize = 4;
+
+type PoolIndexSlot = Arc<OnceLock<Arc<PoolIndex>>>;
 
 /// The analyst-supplied knowledge an estimator runs with (Fig. 2, steps
 /// 6–7): the targeted DGA family (taxonomy cell + `θ` parameters), the
@@ -34,6 +96,7 @@ pub struct EstimationContext {
     detection_window: Option<HashSet<DomainName>>,
     tables: SharedStirling,
     kernel: SegmentKernelCache,
+    pools: Arc<Mutex<BTreeMap<u64, PoolIndexSlot>>>,
 }
 
 impl EstimationContext {
@@ -47,6 +110,7 @@ impl EstimationContext {
             detection_window: None,
             tables: SharedStirling::new(),
             kernel: SegmentKernelCache::default(),
+            pools: Arc::default(),
         }
     }
 
@@ -103,6 +167,26 @@ impl EstimationContext {
     /// for every other cell, epoch and fixpoint round.
     pub fn kernel_cache(&self) -> &SegmentKernelCache {
         &self.kernel
+    }
+
+    /// The indexed query pool of `epoch`, built on first use and shared —
+    /// like [`tables`](Self::tables) — by every cell, estimator and
+    /// charting round that holds this context (or a clone of it): two
+    /// cells of one epoch, or two `botmeterd` publishes, generate and index
+    /// the pool once. Callers racing for a missing epoch wait for one
+    /// build; other epochs build concurrently.
+    pub fn pool_index(&self, epoch: u64) -> Arc<PoolIndex> {
+        // The evicted pool is freed after the lock is released.
+        let (slot, _evicted) = {
+            let mut pools = self.pools.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = Arc::clone(pools.entry(epoch).or_default());
+            let evicted = (pools.len() > POOL_INDEX_EPOCHS).then(|| {
+                let oldest = pools.keys().copied().find(|&e| e != epoch);
+                pools.remove(&oldest.expect("more than one epoch is held"))
+            });
+            (slot, evicted)
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(PoolIndex::build(&self.family, epoch))))
     }
 
     /// Whether a domain is inside the detection window (always true when
@@ -167,5 +251,84 @@ mod tests {
             "a.example".parse().unwrap(),
         );
         assert_eq!(ctx.epoch_of(&[lookup]), Some(1));
+    }
+
+    #[test]
+    fn pool_index_equals_the_per_call_derivation() {
+        for family in [DgaFamily::new_goz(), DgaFamily::conficker_c()] {
+            let ctx = EstimationContext::new(
+                family.clone(),
+                TtlPolicy::paper_default(),
+                SimDuration::ZERO,
+            );
+            for epoch in [0u64, 3] {
+                let index = ctx.pool_index(epoch);
+                let pool = family.pool_for_epoch(epoch);
+                let positions: FxHashMap<_, usize> = pool
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| (d.clone(), i))
+                    .collect();
+                let valid = family.valid_indices(epoch);
+                assert_eq!(index.pool(), &pool[..]);
+                assert_eq!(index.valid(), &valid[..]);
+                for (i, domain) in pool.iter().enumerate() {
+                    assert_eq!(index.position(domain), positions.get(domain).copied());
+                    assert_eq!(index.is_valid(i), valid.contains(&i));
+                }
+                let foreign = family.pool_for_epoch(epoch + 50)[0].clone();
+                assert_eq!(index.position(&foreign), positions.get(&foreign).copied());
+            }
+        }
+    }
+
+    #[test]
+    fn pool_index_is_built_once_per_epoch_and_shared_by_clones() {
+        let ctx = EstimationContext::new(
+            DgaFamily::new_goz(),
+            TtlPolicy::paper_default(),
+            SimDuration::ZERO,
+        );
+        let first = ctx.pool_index(2);
+        assert!(Arc::ptr_eq(&first, &ctx.pool_index(2)));
+        assert!(Arc::ptr_eq(&first, &ctx.clone().pool_index(2)));
+        assert!(!Arc::ptr_eq(&first, &ctx.pool_index(3)));
+        // Two cells of epoch 2 through an estimator: same index after.
+        let lookups: Vec<ObservedLookup> = first.pool()[..40]
+            .iter()
+            .map(|d| {
+                ObservedLookup::new(
+                    SimInstant::ZERO + SimDuration::from_hours(49),
+                    ServerId(1),
+                    d.clone(),
+                )
+            })
+            .collect();
+        use crate::Estimator;
+        let a = crate::CoverageEstimator.estimate(&lookups, &ctx);
+        let b = crate::CoverageEstimator.estimate(&lookups[..20], &ctx);
+        assert!(a > 0.0 && b > 0.0);
+        assert!(Arc::ptr_eq(&first, &ctx.pool_index(2)));
+    }
+
+    #[test]
+    fn pool_index_keeps_a_bounded_window_of_epochs() {
+        let ctx = EstimationContext::new(
+            DgaFamily::murofet(),
+            TtlPolicy::paper_default(),
+            SimDuration::ZERO,
+        );
+        let oldest = ctx.pool_index(0);
+        for epoch in 1..=POOL_INDEX_EPOCHS as u64 {
+            ctx.pool_index(epoch);
+        }
+        let held = ctx.pools.lock().unwrap();
+        assert_eq!(held.len(), POOL_INDEX_EPOCHS);
+        assert!(!held.contains_key(&0), "the oldest epoch went first");
+        drop(held);
+        // Asked for again, it is rebuilt to the same content.
+        let rebuilt = ctx.pool_index(0);
+        assert!(!Arc::ptr_eq(&oldest, &rebuilt));
+        assert_eq!(oldest.pool(), rebuilt.pool());
     }
 }

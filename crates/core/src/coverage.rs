@@ -23,9 +23,8 @@
 
 use crate::config::EstimationContext;
 use crate::estimator::Estimator;
-use botmeter_dns::FxHashMap;
 use botmeter_dns::ObservedLookup;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// `MC`: closed-form coverage/rate inversion for `AR` DGAs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -134,22 +133,21 @@ impl CoverageEstimator {
         }
         let family = ctx.family();
         let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let pool = family.pool_for_epoch(epoch);
+        let index = ctx.pool_index(epoch);
+        let pool = index.pool();
         let pool_len = pool.len();
         let theta_q = family.params().theta_q();
-        let valid: BTreeSet<usize> = family.valid_indices(epoch).into_iter().collect();
 
         // Observed volume: matched lookups that belong to this epoch's
         // pool (valid-domain sightings excluded — positive caching gives
         // them different dynamics).
-        let index: FxHashMap<_, usize> = pool
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.clone(), i))
-            .collect();
         let observed = lookups
             .iter()
-            .filter(|l| index.get(&l.domain).is_some_and(|i| !valid.contains(i)))
+            .filter(|l| {
+                index
+                    .position(&l.domain)
+                    .is_some_and(|i| !index.is_valid(i))
+            })
             .count() as f64;
         if observed == 0.0 {
             return None;
@@ -160,14 +158,14 @@ impl CoverageEstimator {
         // A BTreeMap keeps the bucket order — and therefore the float
         // summation order in `expected_lookups` — deterministic.
         let mut bucket_map: BTreeMap<usize, usize> = BTreeMap::new();
-        if valid.is_empty() {
+        let boundaries = index.valid();
+        if boundaries.is_empty() {
             // No arc boundaries: every bot runs a full barrel.
             let detectable = pool.iter().filter(|d| ctx.detectable(d)).count();
             bucket_map.insert(theta_q.min(pool_len), detectable);
         } else {
-            let boundaries: Vec<usize> = valid.iter().copied().collect();
             for (i, domain) in pool.iter().enumerate() {
-                if valid.contains(&i) || !ctx.detectable(domain) {
+                if index.is_valid(i) || !ctx.detectable(domain) {
                     continue;
                 }
                 // Distance from the previous valid domain (circularly).

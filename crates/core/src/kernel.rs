@@ -1,27 +1,44 @@
-//! The memoized Theorem-1 segment kernel.
+//! The memoized Theorem-1 segment kernel: two tables, split where ρ
+//! enters.
 //!
-//! [`expected_bots_for_shape`](crate::expected_bots_for_shape) is a pure
-//! function of four values — the segment kind, its length, the barrel size
-//! `θq` and the prior start density `ρ` — and across a multi-server,
-//! multi-epoch landscape the same quadruples recur thousands of times: the
-//! fixpoint loop re-evaluates every segment six times, epochs repeat the
-//! same arc shapes, and servers behind the same border see the same pools.
-//! [`SegmentKernelCache`] memoizes the kernel on exactly that key.
+//! The expected bot count of a segment is a function of four values — the
+//! segment kind, its length, the barrel size `θq` and the prior start
+//! density `ρ` — but almost all of its cost is a function of the first
+//! three only: per sampled start span `l̃`, the gap/occupancy rows and the
+//! row `config[n] = config_probability(l̃, n)` never see ρ, which enters
+//! solely as the `Poisson(n; ρ·l̃)` weight on each `config[n]`
+//! ([`ShapeTables`]). `MB`'s fixpoint asks for the *same* shapes at a *new*
+//! ρ every round, so [`SegmentKernelCache`] keeps both halves:
 //!
-//! The ρ axis is continuous, so exact-bit keying would only ever hit once
-//! the fixpoint has converged. [`RhoQuantization::Relative`] therefore
-//! snaps ρ onto a geometric grid (default pitch `1e-6` relative) *before
-//! both keying and evaluating*: the cached value is the exact kernel value
-//! at the snapped density, so a cache hit never returns an approximation
-//! of its key — the only approximation is the bounded `ρ → ρ̃` snap, and
-//! [`RhoQuantization::Exact`] turns even that off, making the cache a pure
-//! memo table with bit-identical results to the uncached kernel.
+//! * the **shape table** `(kind, len, θq) → ShapeTables` — the ρ-free half.
+//!   A shape is derived once; every later density, fixpoint round, cell and
+//!   `botmeterd` publish re-weights its rows and extends them only where a
+//!   denser prior pushes the posterior sum further. Every entry is a pure
+//!   function of `(l̃, θq, n)`, so pricing against shared rows is
+//!   bit-identical to [`expected_bots_for_shape`](crate::expected_bots_for_shape)
+//!   on fresh ones. Bounded by the distinct shapes ever priced (at most 48
+//!   sampled spans each, rows as long as the largest `n` reached).
+//! * the **memo** `(shape, ρ̃) → value` — across a multi-server,
+//!   multi-epoch landscape the same quadruples recur: a converged fixpoint
+//!   re-probes its last round, epochs repeat the same arc shapes, servers
+//!   behind the same border see the same pools. Grows with every distinct
+//!   density ever asked for.
+//!
+//! The ρ axis is continuous, so exact-bit keying of the memo would only
+//! ever hit once the fixpoint has converged. [`RhoQuantization::Relative`]
+//! therefore snaps ρ onto a geometric grid (default pitch `1e-6` relative)
+//! *before both keying and evaluating*: the cached value is the exact
+//! kernel value at the snapped density, so a cache hit never returns an
+//! approximation of its key — the only approximation is the bounded
+//! `ρ → ρ̃` snap, and [`RhoQuantization::Exact`] turns even that off, making
+//! the cache a pure memo table with bit-identical results to the uncached
+//! kernel.
 
 use crate::segments::{Segment, SegmentKind};
-use crate::theorem1::{expected_bots_for_shape, KernelStats};
+use crate::theorem1::{KernelStats, ShapeTables};
 use botmeter_stats::SharedStirling;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// How the continuous ρ axis of the memo key is discretised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,10 +87,18 @@ pub struct KernelKey {
     rho_bits: u64,
 }
 
+/// The ρ-free part of a [`KernelKey`]: `(kind, len, θq)`.
+pub(crate) type ShapeKey = (SegmentKind, usize, usize);
+
 impl KernelKey {
     /// The (snapped) start density the kernel evaluates at.
     pub fn rho(&self) -> f64 {
         f64::from_bits(self.rho_bits)
+    }
+
+    /// The shape whose shared rows the key is priced against.
+    pub(crate) fn shape(&self) -> ShapeKey {
+        (self.kind, self.len, self.theta_q)
     }
 }
 
@@ -90,14 +115,21 @@ pub struct KernelEval {
     pub stats: KernelStats,
 }
 
-/// Concurrent memo table for the Theorem-1 segment kernel, keyed by
-/// [`KernelKey`].
+/// The ρ-free rows of every shape priced so far, keyed by `(kind, len, θq)`.
+/// Each shape has its own lock, so evaluations of different shapes never
+/// wait for each other.
+type ShapeTable = HashMap<ShapeKey, Arc<Mutex<ShapeTables>>>;
+
+/// Concurrent cache for the Theorem-1 segment kernel: the memo of finished
+/// values keyed by [`KernelKey`], and the shape table of ρ-free rows a
+/// memo miss is priced against (module docs).
 ///
 /// Cloning the cache — as sharing an
 /// [`EstimationContext`](crate::EstimationContext) across landscape cells
-/// effectively does — shares the underlying table, so a shape computed for
-/// one cell is a hit for every other cell, epoch and fixpoint round of the
-/// same chart.
+/// effectively does — shares both tables, so a value computed for one cell
+/// is a hit for every other cell, epoch and fixpoint round of the same
+/// chart, and a shape derived for one density is re-weighted, not
+/// re-derived, at every other.
 ///
 /// # Example
 ///
@@ -120,6 +152,7 @@ pub struct KernelEval {
 pub struct SegmentKernelCache {
     quantization: RhoQuantization,
     map: Arc<RwLock<HashMap<KernelKey, f64>>>,
+    shapes: Arc<RwLock<ShapeTable>>,
 }
 
 impl SegmentKernelCache {
@@ -128,6 +161,7 @@ impl SegmentKernelCache {
         SegmentKernelCache {
             quantization,
             map: Arc::default(),
+            shapes: Arc::default(),
         }
     }
 
@@ -189,9 +223,31 @@ impl SegmentKernelCache {
             .or_insert(value);
     }
 
-    /// Evaluates the kernel at the key's (snapped) inputs, uncached.
-    pub fn compute(key: &KernelKey, tables: &SharedStirling) -> (f64, KernelStats) {
-        expected_bots_for_shape(key.kind, key.len, key.theta_q, key.rho(), tables)
+    /// Evaluates the kernel at the key's (snapped) inputs against the
+    /// shape's shared rows, bypassing the memo. Holds the shape's lock for
+    /// the evaluation: concurrent calls on one shape run one after the
+    /// other, in either order to the same bits.
+    pub fn compute(&self, key: &KernelKey, tables: &SharedStirling) -> (f64, KernelStats) {
+        let shape = key.shape();
+        let existing = self
+            .shapes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&shape)
+            .cloned();
+        let rows = existing.unwrap_or_else(|| {
+            let fresh = ShapeTables::new(key.kind, key.len, key.theta_q);
+            let mut shapes = self.shapes.write().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(
+                shapes
+                    .entry(shape)
+                    .or_insert_with(|| Arc::new(Mutex::new(fresh))),
+            )
+        });
+        // Rows are append-only and every entry is complete when pushed, so
+        // a panic mid-evaluation leaves them valid.
+        let mut rows = rows.lock().unwrap_or_else(PoisonError::into_inner);
+        rows.expected_bots(key.rho(), tables)
     }
 
     /// Cached [`expected_bots_for_segment`](crate::expected_bots_for_segment):
@@ -211,7 +267,7 @@ impl SegmentKernelCache {
                 stats: KernelStats::default(),
             };
         }
-        let (value, stats) = Self::compute(&key, tables);
+        let (value, stats) = self.compute(&key, tables);
         self.insert(key, value);
         KernelEval {
             value,
@@ -220,9 +276,18 @@ impl SegmentKernelCache {
         }
     }
 
-    /// Number of memoized shapes.
+    /// Number of memoized `(shape, ρ̃)` values.
     pub fn len(&self) -> usize {
         self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// Number of distinct shapes `(kind, len, θq)` whose ρ-free rows are
+    /// held.
+    pub fn shape_count(&self) -> usize {
+        self.shapes
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
@@ -237,7 +302,8 @@ impl SegmentKernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorem1::expected_bots_for_segment;
+    use crate::theorem1::{expected_bots_for_segment, expected_bots_for_shape};
+    use proptest::prelude::*;
 
     fn seg(len: usize, kind: SegmentKind) -> Segment {
         Segment {
@@ -321,5 +387,77 @@ mod tests {
         let b = Segment { start: 9_000, ..a };
         assert!(!cache.expected_bots(&a, 100, 1e-3, &tables).memo_hit);
         assert!(cache.expected_bots(&b, 100, 1e-3, &tables).memo_hit);
+    }
+
+    #[test]
+    fn a_second_density_reweights_the_rows_the_first_left_behind() {
+        let cache = SegmentKernelCache::exact();
+        let tables = SharedStirling::new();
+        let s = seg(2000, SegmentKind::Boundary);
+        let first = cache.expected_bots(&s, 500, 64.0 / 10_000.0, &tables);
+        assert!(first.stats.gap_tables_built > 0);
+        assert!(first.stats.config_entries_computed > 0);
+        assert_eq!(first.stats.config_entries_reused, 0);
+        // A sparser prior stops its posterior sums earlier: nothing to
+        // derive, everything read.
+        let sparser = cache.expected_bots(&s, 500, 32.0 / 10_000.0, &tables);
+        assert!(!sparser.memo_hit, "a new density is a memo miss");
+        assert_eq!(sparser.stats.gap_tables_built, 0);
+        assert_eq!(sparser.stats.config_entries_computed, 0);
+        assert!(sparser.stats.config_entries_reused > 0);
+        // A denser one reads what is there and extends it.
+        let denser = cache.expected_bots(&s, 500, 256.0 / 10_000.0, &tables);
+        assert!(denser.stats.config_entries_computed > 0);
+        assert!(denser.stats.config_entries_reused > 0);
+        assert_eq!((cache.len(), cache.shape_count()), (3, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Pricing against shared rows equals pricing on fresh tables, bit
+        /// for bit, whatever was priced before: three neighbouring shapes
+        /// (another `θq`, the other kind) go through one cache interleaved,
+        /// so a row served to the wrong `l̃`/`θq` shows, and densities come
+        /// ascending, descending or shuffled, so a row a sparse prior left
+        /// short must be extended by a denser one, and a long one read by a
+        /// sparser one.
+        #[test]
+        fn shared_rows_price_bit_identically_to_fresh_tables(
+            len in 2usize..3000,
+            theta_q in 20usize..600,
+            boundary in any::<bool>(),
+            rhos in prop::collection::vec((1.0f64..10.0, 1u32..6), 1..13),
+            order in 0u8..3,
+        ) {
+            let mut rhos: Vec<f64> =
+                rhos.into_iter().map(|(m, e)| m * 10f64.powi(-(e as i32))).collect();
+            match order {
+                0 => rhos.sort_by(f64::total_cmp),
+                1 => rhos.sort_by(|a, b| b.total_cmp(a)),
+                _ => {}
+            }
+            let (kind, other) = if boundary {
+                (SegmentKind::Boundary, SegmentKind::Middle)
+            } else {
+                (SegmentKind::Middle, SegmentKind::Boundary)
+            };
+            let shapes = [(kind, len, theta_q), (kind, len, theta_q + 1), (other, len, theta_q)];
+            let cache = SegmentKernelCache::exact();
+            let tables = SharedStirling::new();
+            for &rho in &rhos {
+                for (kind, len, theta_q) in shapes {
+                    let shared = cache.compute(&cache.key(kind, len, theta_q, rho), &tables).0;
+                    let fresh =
+                        expected_bots_for_shape(kind, len, theta_q, rho, &SharedStirling::new()).0;
+                    prop_assert_eq!(
+                        shared.to_bits(), fresh.to_bits(),
+                        "{:?} len {} θq {} at ρ {} after {:?}: {} vs {}",
+                        kind, len, theta_q, rho, rhos, shared, fresh
+                    );
+                }
+            }
+            prop_assert_eq!(cache.shape_count(), shapes.len());
+        }
     }
 }

@@ -75,7 +75,7 @@ pub use botmeter::{
     BotMeter, BotMeterConfig, CellQuality, ChartMatcher, Error, Landscape, LandscapeEntry,
     ModelKind,
 };
-pub use config::EstimationContext;
+pub use config::{EstimationContext, PoolIndex};
 pub use coverage::CoverageEstimator;
 pub use delta::{CellChange, DeltaError, LandscapeDelta, LandscapeVersion};
 pub use estimator::{CellSlice, Estimator};

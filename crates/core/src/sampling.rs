@@ -29,7 +29,6 @@
 
 use crate::config::EstimationContext;
 use crate::estimator::Estimator;
-use botmeter_dns::FxHashMap;
 use botmeter_dns::ObservedLookup;
 use std::collections::HashSet;
 
@@ -68,27 +67,22 @@ impl Estimator for SamplingEstimator {
         }
         let family = ctx.family();
         let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let pool = family.pool_for_epoch(epoch);
-        let valid: HashSet<usize> = family.valid_indices(epoch).into_iter().collect();
-        let index: FxHashMap<_, usize> = pool
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.clone(), i))
-            .collect();
+        let index = ctx.pool_index(epoch);
+        let pool = index.pool();
 
         // Detectable NXD universe and observed distinct NXDs within it.
         let detectable_nxd = pool
             .iter()
             .enumerate()
-            .filter(|(i, d)| !valid.contains(i) && ctx.detectable(d))
+            .filter(|(i, d)| !index.is_valid(*i) && ctx.detectable(d))
             .count();
         if detectable_nxd == 0 {
             return 0.0;
         }
         let mut distinct: HashSet<usize> = HashSet::new();
         for l in lookups {
-            if let Some(&i) = index.get(&l.domain) {
-                if !valid.contains(&i) {
+            if let Some(i) = index.position(&l.domain) {
+                if !index.is_valid(i) {
                     distinct.insert(i);
                 }
             }

@@ -92,16 +92,24 @@ pub fn expected_bots_for_segment(
     expected_bots_for_shape(segment.kind, segment.len, theta_q, start_density, tables).0
 }
 
-/// Work done by one [`expected_bots_for_shape`] evaluation that the
-/// observability layer wants to know about: how many per-span gap tables
-/// were materialised and how many posterior `n` iterations reused one
-/// instead of re-deriving the inclusion–exclusion sum.
+/// Work done by one kernel evaluation that the observability layer wants
+/// to know about. Summed over a set of densities priced against one
+/// shape's shared rows, every field is independent of the order they were
+/// priced in: rows only grow, each to the largest `n` any density reached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Gap-constraint tables built (one per evaluated span `l̃`).
+    /// Span rows first instantiated (one per sampled span `l̃` of a shape
+    /// priced for the first time).
     pub gap_tables_built: u64,
-    /// Posterior `n` iterations that reused an already-built gap table.
+    /// Posterior `n` iterations that ran on an already-instantiated span
+    /// row instead of re-deriving the inclusion–exclusion sum.
     pub gap_table_reuses: u64,
+    /// `config[n]` entries derived (one Stirling-row fetch plus the `m`
+    /// accumulation each).
+    pub config_entries_computed: u64,
+    /// Posterior `n` iterations served by a `config[n]` entry an earlier
+    /// density left behind.
+    pub config_entries_reused: u64,
 }
 
 impl KernelStats {
@@ -109,15 +117,19 @@ impl KernelStats {
     pub fn merge(&mut self, other: KernelStats) {
         self.gap_tables_built += other.gap_tables_built;
         self.gap_table_reuses += other.gap_table_reuses;
+        self.config_entries_computed += other.config_entries_computed;
+        self.config_entries_reused += other.config_entries_reused;
     }
 }
 
-/// [`expected_bots_for_segment`] on the segment's *shape* alone.
+/// [`expected_bots_for_segment`] on the segment's *shape* alone, on fresh
+/// tables: the reference the shared-table path of
+/// [`SegmentKernelCache`](crate::SegmentKernelCache) is bit-identical to.
 ///
 /// The posterior depends only on `(kind, len, θq, ρ)` — never on the
-/// segment's start position — which is exactly the memo key of
-/// [`SegmentKernelCache`](crate::SegmentKernelCache). Also returns the
-/// [`KernelStats`] of the evaluation.
+/// segment's start position. This is the cache's own evaluation on
+/// `ShapeTables` built for the call and dropped after it — one kernel, not
+/// two. Also returns the [`KernelStats`] of the evaluation.
 pub fn expected_bots_for_shape(
     kind: SegmentKind,
     len: usize,
@@ -125,65 +137,137 @@ pub fn expected_bots_for_shape(
     start_density: f64,
     tables: &SharedStirling,
 ) -> (f64, KernelStats) {
-    assert!(theta_q > 0, "theta_q must be positive");
-    assert!(
-        start_density.is_finite() && start_density > 0.0,
-        "start density must be finite and positive"
-    );
-    let l = len;
-    assert!(l > 0, "segment length must be positive");
-
-    let ll = l.saturating_sub(theta_q - 1).max(1);
-    let lu = match kind {
-        SegmentKind::Middle => ll,
-        SegmentKind::Boundary => l,
-    };
-
-    // Uniform sub-grid over the span range (all values when the range is
-    // small; see MAX_SPAN_SAMPLES).
-    let range = lu - ll + 1;
-    let samples = range.min(MAX_SPAN_SAMPLES);
-    let span_values = (0..samples).map(|k| {
-        if samples == 1 {
-            ll
-        } else {
-            ll + k * (range - 1) / (samples - 1)
-        }
-    });
-
-    // Marginalise over l̃: weight each span's conditional mean by its
-    // total posterior mass.
-    let mut stats = KernelStats::default();
-    let mut weighted_mean = 0.0f64;
-    let mut total_weight = 0.0f64;
-    for l_tilde in span_values {
-        let (mass, mean) = span_posterior(l_tilde, theta_q, start_density, tables, &mut stats);
-        if mass > 0.0 {
-            weighted_mean += mass * mean;
-            total_weight += mass;
-        }
-    }
-
-    if total_weight <= 0.0 {
-        // No span admits any configuration (possible for fragmented
-        // segments under aggressive detection-window loss). Fall back to
-        // the deterministic lower bound: ceil(l / θq) bots.
-        return ((l as f64 / theta_q as f64).ceil().max(1.0), stats);
-    }
-    (weighted_mean / total_weight, stats)
+    ShapeTables::new(kind, len, theta_q).expected_bots(start_density, tables)
 }
 
-/// Per-span tables hoisted out of the posterior `n` sum: the gap
-/// constraint `g(l̃, m)` and the `n`-independent part of the occupancy
-/// log-mass depend only on `(l̃, θq)`, so computing each entry once per
-/// span — instead of once per `(n, m)` pair — removes the dominant cost
-/// of the Theorem-1 kernel without moving a single floating-point
-/// operation out of its original association order.
+/// The ρ-free half of the Theorem-1 kernel for one segment shape
+/// `(kind, len, θq)`: a [`SpanTables`] per sampled start span `l̃`.
 ///
-/// Entries are filled lazily up to the largest `m` the posterior sum
-/// reaches (`m ≤ min(n, l̃)`, and the `n` loop usually stops after a few
-/// dozen iterations): eagerly tabulating all `l̃` candidates would cost
-/// more than the hoisting saves on long spans.
+/// Nothing in here depends on the prior start density, so one value serves
+/// every density the shape is ever priced at — every round of `MB`'s
+/// fixpoint, every cell and every `botmeterd` publish.
+/// [`expected_bots`](Self::expected_bots) is the ρ-dependent half.
+#[derive(Debug)]
+pub(crate) struct ShapeTables {
+    kind: SegmentKind,
+    len: usize,
+    theta_q: usize,
+    /// One entry per sampled span, in sampling order; empty until the
+    /// first evaluation instantiates them.
+    spans: Vec<SpanTables>,
+}
+
+impl ShapeTables {
+    /// Empty tables for the shape; rows are filled by
+    /// [`expected_bots`](Self::expected_bots).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta_q == 0` or `len == 0`.
+    pub(crate) fn new(kind: SegmentKind, len: usize, theta_q: usize) -> Self {
+        assert!(theta_q > 0, "theta_q must be positive");
+        assert!(len > 0, "segment length must be positive");
+        ShapeTables {
+            kind,
+            len,
+            theta_q,
+            spans: Vec::new(),
+        }
+    }
+
+    /// Expected number of bots covering the shape at prior start density
+    /// `start_density`, and the work the evaluation did.
+    ///
+    /// Rows left behind by earlier densities are read, never re-derived,
+    /// and extended where this density's posterior sum reaches further;
+    /// every entry is a pure function of `(l̃, θq, n)`, so the value is
+    /// bit-identical to [`expected_bots_for_shape`] whatever was evaluated
+    /// before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start_density` is not finite and positive.
+    pub(crate) fn expected_bots(
+        &mut self,
+        start_density: f64,
+        tables: &SharedStirling,
+    ) -> (f64, KernelStats) {
+        assert!(
+            start_density.is_finite() && start_density > 0.0,
+            "start density must be finite and positive"
+        );
+        let mut stats = KernelStats::default();
+        if self.spans.is_empty() {
+            self.instantiate_spans();
+            stats.gap_tables_built = self.spans.len() as u64;
+        }
+
+        // Marginalise over l̃: weight each span's conditional mean by its
+        // total posterior mass.
+        let mut weighted_mean = 0.0f64;
+        let mut total_weight = 0.0f64;
+        for span in &mut self.spans {
+            let (mass, mean) = span_posterior(span, start_density, tables, &mut stats);
+            if mass > 0.0 {
+                weighted_mean += mass * mean;
+                total_weight += mass;
+            }
+        }
+        // The first iteration on a fresh row is the one that built it.
+        stats.gap_table_reuses -= stats.gap_tables_built;
+
+        if total_weight <= 0.0 {
+            // No span admits any configuration (possible for fragmented
+            // segments under aggressive detection-window loss). Fall back to
+            // the deterministic lower bound: ceil(l / θq) bots.
+            let bound = (self.len as f64 / self.theta_q as f64).ceil().max(1.0);
+            return (bound, stats);
+        }
+        (weighted_mean / total_weight, stats)
+    }
+
+    /// Uniform sub-grid over the span range (all values when the range is
+    /// small; see [`MAX_SPAN_SAMPLES`]).
+    fn instantiate_spans(&mut self) {
+        let l = self.len;
+        let ll = l.saturating_sub(self.theta_q - 1).max(1);
+        let lu = match self.kind {
+            SegmentKind::Middle => ll,
+            SegmentKind::Boundary => l,
+        };
+        let range = lu - ll + 1;
+        let samples = range.min(MAX_SPAN_SAMPLES);
+        self.spans = (0..samples)
+            .map(|k| {
+                let l_tilde = if samples == 1 {
+                    ll
+                } else {
+                    ll + k * (range - 1) / (samples - 1)
+                };
+                SpanTables::new(l_tilde, self.theta_q)
+            })
+            .collect();
+    }
+}
+
+/// Everything the posterior `n` sum of one span needs that does not depend
+/// on ρ. Three rows, each a pure function of `(l̃, θq)` and its index:
+///
+/// * `gap_ln[m]` and `base_ln[m]` — the gap constraint `g(l̃, m)` and the
+///   `n`-independent part of the occupancy log-mass, hoisted out of the
+///   `(n, m)` double loop;
+/// * `config[n] = config_probability(l̃, n)` — the whole `m` accumulation
+///   for one `n`, which a second density would otherwise repeat verbatim:
+///   only the `Poisson(n; ρ·l̃)` weight multiplying it changes with ρ.
+///
+/// Rows are filled lazily and only ever appended to: `m` up to the largest
+/// the posterior sum reaches (`m ≤ min(n, l̃)`), `n` up to where the tail
+/// cut-off of the densest prior seen so far stopped (usually a few dozen
+/// iterations). Eagerly tabulating all `l̃` candidates would cost more than
+/// the hoisting saves on long spans. No floating-point operation moves out
+/// of its original association order, so reading a row is bit-identical to
+/// re-deriving it.
+#[derive(Debug)]
 struct SpanTables {
     l_tilde: usize,
     theta_q: usize,
@@ -193,6 +277,8 @@ struct SpanTables {
     /// `base_ln[m] = ln C(l̃−2, m−2) + ln m!` — the `n`-independent
     /// occupancy factor, added in the same order as the unhoisted code.
     base_ln: Vec<f64>,
+    /// `config[n]`; index 0 is a placeholder (the sum starts at `n = 1`).
+    config: Vec<f64>,
 }
 
 impl SpanTables {
@@ -205,42 +291,55 @@ impl SpanTables {
             // appended by `ensure`.
             gap_ln: vec![f64::NEG_INFINITY; 2],
             base_ln: vec![f64::NEG_INFINITY; 2],
+            config: vec![0.0],
         }
     }
 
-    /// Extends both tables so every `m ≤ min(m_upto, l̃, cap)` is filled.
+    /// Extends both `m` rows so every `m ≤ min(m_upto, l̃, cap)` is filled.
     fn ensure(&mut self, m_upto: usize) {
         let target = m_upto.min(self.l_tilde.min(MAX_BOTS_PER_SEGMENT as usize));
         while self.gap_ln.len() <= target {
             let m = self.gap_ln.len();
             let g = g_gap_probability(self.l_tilde, m, self.theta_q);
-            self.gap_ln
-                .push(if g > 0.0 { g.ln() } else { f64::NEG_INFINITY });
-            self.base_ln.push(
-                ln_binomial((self.l_tilde - 2) as u64, (m - 2) as u64) + ln_factorial(m as u64),
-            );
+            // Both values first, then both pushes: the rows never differ
+            // in length, even if a derivation panics.
+            let gap = if g > 0.0 { g.ln() } else { f64::NEG_INFINITY };
+            let base =
+                ln_binomial((self.l_tilde - 2) as u64, (m - 2) as u64) + ln_factorial(m as u64);
+            self.gap_ln.push(gap);
+            self.base_ln.push(base);
         }
+    }
+
+    /// `config[n]`, derived and appended on first use. The posterior sum
+    /// asks for `n = 1, 2, …` in order, so the row has no holes.
+    fn config(&mut self, n: u64, tables: &SharedStirling, stats: &mut KernelStats) -> f64 {
+        let i = n as usize;
+        if i < self.config.len() {
+            stats.config_entries_reused += 1;
+        } else {
+            debug_assert_eq!(i, self.config.len(), "config row is filled in n order");
+            self.ensure(i.min(self.l_tilde));
+            let value = config_probability(self.l_tilde, n, self, tables);
+            self.config.push(value);
+            stats.config_entries_computed += 1;
+        }
+        self.config[i]
     }
 }
 
 /// Total (relative) posterior mass and conditional mean of `n` for one
-/// span `l̃`. Masses across spans share a common normalisation so they can
-/// be compared directly.
+/// span `l̃` at one density — the ρ-dependent half of the kernel. Masses
+/// across spans share a common normalisation so they can be compared
+/// directly.
 fn span_posterior(
-    l_tilde: usize,
-    theta_q: usize,
+    span: &mut SpanTables,
     start_density: f64,
     tables: &SharedStirling,
     stats: &mut KernelStats,
 ) -> (f64, f64) {
-    let mu = start_density * l_tilde as f64;
+    let mu = start_density * span.l_tilde as f64;
     let ln_mu = mu.ln();
-    // The gap constraint and the n-independent occupancy factor are fixed
-    // for the whole posterior sum; each entry is built once and reused by
-    // every later iteration.
-    let mut span = SpanTables::new(l_tilde, theta_q);
-    stats.gap_tables_built += 1;
-    let mut iterations = 0u64;
     // Work relative to e^{−μ}·μ (the n = 1 prior weight) so magnitudes
     // stay comparable across spans; the common e^{−μ} factor differs per
     // span and matters, so keep it.
@@ -249,10 +348,9 @@ fn span_posterior(
     let mut best = 0.0f64;
     let mut since_peak = 0u32;
     for n in 1..=MAX_BOTS_PER_SEGMENT {
-        iterations += 1;
+        stats.gap_table_reuses += 1;
         let ln_prior = -mu + n as f64 * ln_mu - ln_factorial(n);
-        span.ensure((n as usize).min(l_tilde));
-        let config = config_probability(l_tilde, n, &span, tables);
+        let config = span.config(n, tables, stats);
         let mass = if config > 0.0 {
             (ln_prior + config.ln()).exp()
         } else {
@@ -273,7 +371,6 @@ fn span_posterior(
             break;
         }
     }
-    stats.gap_table_reuses += iterations.saturating_sub(1);
     if total > 0.0 {
         (total, expectation / total)
     } else {
@@ -505,10 +602,16 @@ mod tests {
         let (e, stats) =
             expected_bots_for_shape(SegmentKind::Boundary, 2000, 500, 64.0 / 10_000.0, &t);
         assert!(e >= 1.0);
-        // One gap table per evaluated span, reused by every posterior
-        // iteration after the first.
+        // One span row per evaluated span, reused by every posterior
+        // iteration after the first; on fresh tables every `config[n]` the
+        // sum reads is derived by this call.
         assert!(stats.gap_tables_built > 0);
         assert!(stats.gap_table_reuses > stats.gap_tables_built);
+        assert_eq!(
+            stats.config_entries_computed,
+            stats.gap_tables_built + stats.gap_table_reuses
+        );
+        assert_eq!(stats.config_entries_reused, 0);
         let direct = expected_bots_for_segment(&b_seg(2000), 500, 64.0 / 10_000.0, &t);
         assert_eq!(e.to_bits(), direct.to_bits(), "wrapper must not perturb");
     }

@@ -186,7 +186,9 @@ impl RetryPolicy {
     }
 }
 
-/// Runs `op` under `policy`, sleeping between attempts via `sleeper`.
+/// Runs `op` under `policy`, sleeping between attempts via `sleeper`. The
+/// backoff schedule is only drawn once the first attempt has failed: the
+/// success path seeds no RNG and allocates nothing.
 fn with_retries<T>(
     policy: &RetryPolicy,
     obs: &Obs,
@@ -194,29 +196,22 @@ fn with_retries<T>(
     sleeper: &mut dyn FnMut(Duration),
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
-    let schedule = policy.backoff_schedule();
-    let mut last = None;
-    for (attempt, pause) in schedule
-        .iter()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .enumerate()
-    {
+    let mut last = match op() {
+        Ok(v) => return Ok(v),
+        Err(e) => e,
+    };
+    obs.counter_add(counter, 1);
+    for pause in policy.backoff_schedule() {
+        sleeper(pause);
         match op() {
             Ok(v) => return Ok(v),
             Err(e) => {
-                if obs.enabled() {
-                    obs.counter_add(counter, 1);
-                }
-                let _ = attempt;
-                last = Some(e);
-                if let Some(pause) = pause {
-                    sleeper(*pause);
-                }
+                obs.counter_add(counter, 1);
+                last = e;
             }
         }
     }
-    Err(last.unwrap_or_else(|| io::Error::other("retry loop ran zero attempts")))
+    Err(last)
 }
 
 /// Tuning of the durability layer.
@@ -411,8 +406,9 @@ impl<S: Storage> DurableDaemon<S> {
             if frame.seq <= checkpoint_seq {
                 continue;
             }
+            // `from_slice` refuses invalid UTF-8 instead of patching it.
             let shard: Vec<ObservedLookup> =
-                serde_json::from_str(&String::from_utf8_lossy(&frame.payload)).map_err(|e| {
+                serde_json::from_slice(&frame.payload).map_err(|e| {
                     DurabilityError::BadFramePayload {
                         seq: frame.seq,
                         reason: e.to_string(),
@@ -442,7 +438,7 @@ impl<S: Storage> DurableDaemon<S> {
     /// Returns the version auto-published by this shard, if any.
     pub fn ingest(&mut self, shard: &[ObservedLookup]) -> Option<LandscapeVersion> {
         let next_seq = self.seq + 1;
-        let payload = serde_json::to_string(&shard.to_vec()).expect("lookups always serialize");
+        let payload = serde_json::to_string(shard).expect("lookups always serialize");
         let start = self.obs.clock();
         let appended = with_retries(
             &self.options.retry,
@@ -666,7 +662,51 @@ mod tests {
         let stats = daemon.durability_stats();
         assert_eq!(stats.wal_appends, 1);
         assert_eq!(stats.unjournaled_shards, 0);
-        assert_eq!(slept.lock().unwrap().len(), 2, "two backoff pauses");
+        assert_eq!(
+            *slept.lock().unwrap(),
+            RetryPolicy::default().backoff_schedule()[..2],
+            "the schedule's first two pauses, in order"
+        );
+    }
+
+    #[test]
+    fn a_crc_valid_frame_that_is_not_a_shard_is_refused_not_replayed() {
+        let shard = serde_json::to_string(&observed()[..4])
+            .unwrap()
+            .into_bytes();
+        // One byte of a domain name clobbered after serialization: still a
+        // well-formed frame (the CRC is computed over the damaged bytes),
+        // no longer UTF-8. A lossy decode would swap in U+FFFD and go on.
+        let mut not_utf8 = shard.clone();
+        let at = shard
+            .windows(8)
+            .position(|w| w == b"\"domain\"")
+            .expect("lookups carry a domain")
+            + 11;
+        not_utf8[at] = 0xFF;
+        assert!(std::str::from_utf8(&not_utf8).is_err());
+        for (payload, needle) in [
+            (not_utf8, "UTF-8"),
+            (b"{\"not\": \"a shard\"}".to_vec(), ""),
+            (b"[1, 2, 3]".to_vec(), ""),
+        ] {
+            let mut storage = MemStorage::new();
+            let mut journal = crate::wal::encode_header(0);
+            journal.extend(crate::wal::encode_frame(1, &shard));
+            journal.extend(crate::wal::encode_frame(2, &payload));
+            storage
+                .write_atomic(crate::wal::WAL_FILE, &journal)
+                .unwrap();
+            let err =
+                DurableDaemon::open(meter(), options(), storage, DurabilityOptions::default())
+                    .expect_err("frame 2 is not a shard");
+            match err {
+                DurabilityError::BadFramePayload { seq: 2, reason } => {
+                    assert!(reason.contains(needle), "{reason}")
+                }
+                other => panic!("expected BadFramePayload for frame 2, got {other}"),
+            }
+        }
     }
 
     #[test]

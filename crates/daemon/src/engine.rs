@@ -312,6 +312,7 @@ impl BotMeterDaemon {
     pub fn ingest(&mut self, shard: &[ObservedLookup]) -> Option<LandscapeVersion> {
         self.cursor.note_scanned(shard.len());
         self.stats.ingested += shard.len() as u64;
+        let matched_before = self.stats.matched;
         let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK);
         for block in shard.chunks(PROBE_BLOCK) {
             let refs: Vec<&DomainName> = block.iter().map(|l| &l.domain).collect();
@@ -324,6 +325,14 @@ impl BotMeterDaemon {
         }
         if self.obs.enabled() {
             self.obs.counter_add("daemon.ingested", shard.len() as u64);
+            // Per-shard totals: one registry lock each, not one per record.
+            let matched = self.stats.matched - matched_before;
+            if matched > 0 {
+                self.obs.counter_add("daemon.matched", matched);
+                if self.sketch.is_some() {
+                    self.obs.counter_add("sketch.ingest", matched);
+                }
+            }
             self.obs.gauge_max(
                 "daemon.resident_records",
                 self.stats.resident_records as u64,
@@ -353,9 +362,6 @@ impl BotMeterDaemon {
     fn absorb(&mut self, lookup: &ObservedLookup) {
         self.cursor.note_matched(lookup);
         self.stats.matched += 1;
-        if self.obs.enabled() {
-            self.obs.counter_add("daemon.matched", 1);
-        }
         self.head = Some(match self.head {
             Some(h) => h.max(lookup.t),
             None => lookup.t,
@@ -364,12 +370,8 @@ impl BotMeterDaemon {
         // standalone `SketchStream` over the same window matcher would —
         // so the two accumulate bit-identical state.
         if let Some(sketch) = &mut self.sketch {
-            let effect = sketch.push(lookup);
-            if self.obs.enabled() {
-                self.obs.counter_add("sketch.ingest", 1);
-                if effect.evicted {
-                    self.obs.counter_add("sketch.hh_evictions", 1);
-                }
+            if sketch.push(lookup).evicted {
+                self.obs.counter_add("sketch.hh_evictions", 1);
             }
         }
         let epoch = lookup.t.epoch_day(self.epoch_len);
@@ -778,6 +780,51 @@ mod tests {
         assert_eq!(v2, v1.next());
         let delta = daemon.store().delta(v1, v2).expect("retained");
         assert!(delta.is_empty(), "identical snapshots diff empty");
+    }
+
+    #[test]
+    fn publishes_share_one_pool_index_and_count_matches_per_shard() {
+        // A Bernoulli daemon: every publish plans its dirty cell against
+        // the epoch's indexed pool, which the long-lived context builds
+        // once — and every snapshot still equals the cold batch chart.
+        let out = ScenarioSpec::builder(DgaFamily::new_goz())
+            .population(12)
+            .seed(5)
+            .build()
+            .expect("valid scenario")
+            .run(ExecPolicy::default());
+        let (obs, registry) = Obs::collecting();
+        let meter = BotMeter::new(BotMeterConfig::new(out.family().clone()));
+        let mut daemon = BotMeterDaemon::new(
+            meter,
+            DaemonOptions::new(0..1)
+                .policy(ExecPolicy::Sequential)
+                .obs(obs),
+        )
+        .expect("valid options");
+        let half = out.observed().len() / 2;
+        daemon.ingest(&out.observed()[..half]);
+        daemon.publish_now();
+        let index = daemon.ctx.pool_index(0);
+        assert_eq!(
+            daemon.latest().expect("published").1,
+            &daemon.reference_chart(&out.observed()[..half])
+        );
+        daemon.ingest(&out.observed()[half..]);
+        daemon.publish_now();
+        assert!(
+            std::sync::Arc::ptr_eq(&index, &daemon.ctx.pool_index(0)),
+            "the second publish reused the first one's index"
+        );
+        assert_eq!(
+            daemon.latest().expect("published").1,
+            &daemon.reference_chart(out.observed())
+        );
+        // `daemon.matched` is added once per shard, to the same total.
+        assert_eq!(
+            registry.snapshot().counter("daemon.matched"),
+            Some(daemon.stats().matched)
+        );
     }
 
     #[test]

@@ -146,6 +146,49 @@ fn every_epoch_prefix_matches_batch_chart() {
 }
 
 #[test]
+fn warm_shape_rows_publish_what_a_cold_batch_chart_does() {
+    // A Bernoulli daemon publishing mid-epoch re-prices the same growing
+    // cells again and again: by the later publishes almost every segment
+    // shape already has rows in the long-lived context, filled at the
+    // densities of earlier, smaller prefixes. Each snapshot must still be
+    // the chart a fresh context (cold rows) draws of that prefix.
+    const EPOCHS: u64 = 3;
+    const PUBLISHES: usize = 12;
+    let outcome = scenario(DgaFamily::new_goz(), EPOCHS, 31, false);
+    let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
+    let observed = outcome.observed();
+    for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(2)] {
+        let (obs, registry) = botmeter_obs::Obs::collecting();
+        let mut daemon = BotMeterDaemon::new(
+            meter.clone(),
+            DaemonOptions::new(0..EPOCHS)
+                .policy(policy)
+                .auto_publish(false)
+                .close_lag(u64::MAX)
+                .obs(obs),
+        )
+        .expect("valid options");
+        let mut fed = 0usize;
+        for chunk in observed.chunks(observed.len().div_ceil(PUBLISHES)) {
+            daemon.ingest(chunk);
+            fed += chunk.len();
+            daemon.publish_now();
+            let (_, snapshot) = daemon.latest().expect("published");
+            let cold = batch(&meter, &observed[..fed], EPOCHS, policy);
+            assert_eq!(snapshot, &cold, "prefix of {fed} records, {policy:?}");
+        }
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap_or(0);
+        assert!(
+            counter("chart.kernel.config_entries_reused")
+                > counter("chart.kernel.config_entries_computed"),
+            "later publishes must have run on warm rows ({policy:?})"
+        );
+        assert!(counter("chart.kernel.shape_entries") < counter("chart.kernel.memo_entries"));
+    }
+}
+
+#[test]
 fn detection_window_and_delivery_rate_match_batch() {
     const EPOCHS: u64 = 2;
     let outcome = scenario(DgaFamily::new_goz(), EPOCHS, 23, false);

@@ -9,8 +9,15 @@
 //! 3. flipping *any* single byte of an intact journal is detected — every
 //!    byte of the format is covered by one of its CRCs, so corruption can
 //!    never be mis-parsed as a torn tail or as different content.
+//!
+//! Plus one pin on what goes *into* a frame: the payload
+//! `DurableDaemon::ingest` journals for a shard.
 
-use botmeter_daemon::wal::{decode, encode_frame, encode_header};
+use botmeter_core::{BotMeter, BotMeterConfig};
+use botmeter_daemon::synthetic::{epoch_traffic, SoakLayout};
+use botmeter_daemon::wal::{decode, encode_frame, encode_header, WAL_FILE};
+use botmeter_daemon::{DaemonOptions, DurabilityOptions, DurableDaemon, MemStorage, Storage};
+use botmeter_dga::DgaFamily;
 use proptest::prelude::*;
 
 const HEADER_LEN: usize = 20;
@@ -25,6 +32,34 @@ fn build(base_seq: u64, payloads: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
         ends.push(file.len());
     }
     (file, ends)
+}
+
+/// `DurableDaemon::ingest` serialises the shard slice it is handed. The
+/// journal it writes is byte-for-byte the one the earlier spelling —
+/// serialising an owned copy of the shard — wrote, so journals from before
+/// and after that change replay interchangeably.
+#[test]
+fn ingest_journals_the_same_bytes_as_the_owned_copy_spelling() {
+    let family = DgaFamily::murofet();
+    let traffic = epoch_traffic(&family, 0, SoakLayout::default());
+    let shards: Vec<_> = traffic.chunks(3).collect();
+    assert!(shards.len() > 2);
+
+    let (mut daemon, _) = DurableDaemon::open(
+        BotMeter::new(BotMeterConfig::new(family)),
+        DaemonOptions::new(0..1),
+        MemStorage::new(),
+        DurabilityOptions::new(u64::MAX),
+    )
+    .expect("fresh storage opens");
+    let mut expected = encode_header(0);
+    for (i, shard) in shards.iter().enumerate() {
+        daemon.ingest(shard);
+        let owned_copy = serde_json::to_string(&shard.to_vec()).expect("lookups serialize");
+        expected.extend_from_slice(&encode_frame(1 + i as u64, owned_copy.as_bytes()));
+    }
+    let journal = daemon.storage_mut().read(WAL_FILE).expect("journal exists");
+    assert_eq!(journal, expected);
 }
 
 proptest! {

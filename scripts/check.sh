@@ -131,7 +131,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perf smoke (throughput + charting + Timing model + residency + scaling + thin-shard + alloc gate)"
+echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
@@ -141,7 +141,10 @@ echo "==> perf smoke (throughput + charting + Timing model + residency + scaling
 # takes more than 1.25x the 1-thread time (per-shard overhead on the
 # consumer), if MT on one Conficker.C cell of 250 bots drops more than 25%
 # below the `timing` block of BENCH_estimator.json (the scan over every
-# entry ever opened measured ~35x below it), or if the streaming simulate
+# entry ever opened measured ~35x below it), if pricing one b-segment
+# (len 2000, theta_q 500) at a later fixpoint density costs more than 25% of
+# pricing it at the first (the kernel re-weights a shape's rho-free rows,
+# ~0.12; re-deriving them per density measures ~1), or if the streaming simulate
 # stage exceeds its committed allocations-per-raw-lookup budget (counting
 # global allocator; 4x the committed allocs_per_raw_lookup figure with a
 # 0.5 absolute floor).
