@@ -10,7 +10,7 @@ use botmeter_stats::Summary;
 /// Trials must be deterministic functions of their index (derive per-trial
 /// seeds from it), so the sweep is reproducible regardless of scheduling.
 ///
-/// This is now a thin veneer over [`botmeter_exec::run_indexed`], the
+/// This is a thin veneer over [`botmeter_exec::run_indexed_with`], the
 /// workspace-wide self-scheduling executor: jobs are dispensed from an
 /// atomic counter (bounded coordination state, no pre-filled queue) and
 /// results land in per-index slots, so ordering is deterministic.

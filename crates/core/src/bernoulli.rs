@@ -1,4 +1,9 @@
 //! The Bernoulli estimator `MB` — §IV-D.
+//!
+//! The density fixpoint has one driver: the lockstep loop in
+//! [`Estimator::estimate_batch`], which advances every cell of a chart
+//! round by round over the shared segment-kernel cache.
+//! [`Estimator::estimate`] is that loop on a batch of one.
 
 use crate::config::EstimationContext;
 use crate::estimator::{CellSlice, Estimator};
@@ -237,32 +242,14 @@ impl Estimator for BernoulliEstimator {
         "Bernoulli"
     }
 
+    /// The one-cell, [`ExecPolicy::Sequential`], unobserved call of
+    /// [`estimate_batch`](Self::estimate_batch): `MB`'s density fixpoint is
+    /// driven from one place, so a cell estimated alone cannot drift from
+    /// the same cell estimated inside a chart.
     fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        let Some(plan) = self.plan(lookups, ctx) else {
-            return 0.0;
-        };
-        // The chart-wide caches: every cell of a chart shares one Stirling
-        // triangle and one segment-kernel memo table through the context
-        // instead of refilling them per estimate call.
-        let tables = ctx.tables();
-        let cache = ctx.kernel_cache();
-
-        // Fixpoint on the prior start density ρ = N̂/P, run to convergence
-        // at the kernel cache's ρ resolution.
-        let mut fixpoint = DensityFixpoint::new(plan.initial, plan.circle_len);
-        for _ in 0..MAX_FIXPOINT_ROUNDS {
-            let density = fixpoint.density();
-            let f = plan
-                .segments
-                .iter()
-                .map(|s| cache.expected_bots(s, plan.theta_q, density, tables).value)
-                .sum();
-            fixpoint.advance(f, cache.snap_rho(density).to_bits());
-            if fixpoint.converged {
-                break;
-            }
-        }
-        fixpoint.estimate
+        // The epoch only labels a latency histogram, which `noop` drops.
+        let cell = CellSlice { epoch: 0, lookups };
+        self.estimate_batch(&[cell], ctx, ExecPolicy::Sequential, &Obs::noop())[0]
     }
 
     /// Per-*segment* batch scheduling: all cells advance through the
@@ -282,8 +269,8 @@ impl Estimator for BernoulliEstimator {
     /// summed per cell in segment order — so estimates, both cache tables
     /// at every round barrier, and the `chart.kernel.*` /
     /// `chart.segments.scheduled` counters are all independent of
-    /// [`ExecPolicy`], and each cell's estimate equals its sequential
-    /// [`estimate`](Self::estimate) bit for bit.
+    /// [`ExecPolicy`] and of which other cells share the batch:
+    /// [`estimate`](Self::estimate) is this function on one cell.
     fn estimate_batch(
         &self,
         cells: &[CellSlice<'_>],
@@ -604,6 +591,53 @@ mod tests {
             large > small,
             "estimate should grow with N: {small} vs {large}"
         );
+    }
+
+    #[test]
+    fn one_cell_estimate_equals_its_slot_in_a_lockstep_batch() {
+        // Two cells of different size, so their fixpoints converge in
+        // different rounds and the batch keeps iterating one after the
+        // other dropped out.
+        let cell = |n: u64, seed: u64| {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(n)
+                .seed(seed)
+                .build()
+                .unwrap()
+                .run(ExecPolicy::default())
+                .observed()
+                .to_vec()
+        };
+        let (small, large) = (cell(8, 3), cell(48, 4));
+        let mb = BernoulliEstimator::default();
+        let slice = |lookups| CellSlice { epoch: 0, lookups };
+        for (first, second) in [(&small, &large), (&large, &small)] {
+            // Alone first, then batched, on one shared context — and the
+            // other way round on another — so neither a warm nor a cold
+            // cache can tell the two spellings apart.
+            let shared = ctx(DgaFamily::new_goz());
+            let alone = [mb.estimate(first, &shared), mb.estimate(second, &shared)];
+            let batched = mb.estimate_batch(
+                &[slice(first), slice(second)],
+                &shared,
+                ExecPolicy::with_threads(2),
+                &Obs::noop(),
+            );
+            let cold = ctx(DgaFamily::new_goz());
+            let batched_cold = mb.estimate_batch(
+                &[slice(first), slice(second)],
+                &cold,
+                ExecPolicy::Sequential,
+                &Obs::noop(),
+            );
+            let alone_after = [mb.estimate(first, &cold), mb.estimate(second, &cold)];
+            for i in 0..2 {
+                assert!(alone[i] > 0.0);
+                assert_eq!(alone[i].to_bits(), batched[i].to_bits());
+                assert_eq!(alone[i].to_bits(), batched_cold[i].to_bits());
+                assert_eq!(alone[i].to_bits(), alone_after[i].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@ use crate::bernoulli::BernoulliEstimator;
 use crate::config::EstimationContext;
 use crate::coverage::CoverageEstimator;
 use crate::estimator::{CellSlice, Estimator};
-use crate::kernel::{RhoQuantization, SegmentKernelCache};
 use crate::poisson::PoissonEstimator;
 use crate::request::{ChartRequest, TelemetrySource};
 use crate::timing::TimingEstimator;
 use botmeter_dga::{BarrelClass, DgaFamily};
 use botmeter_dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
-use botmeter_matcher::{match_stream_recorded, DomainMatcher, ExactMatcher, MatchedTraffic};
+use botmeter_matcher::{
+    match_stream_recorded, DomainMatcher, ExactMatcher, MatchedTraffic, StreamQuality,
+};
 use botmeter_obs::Obs;
 use botmeter_sketch::SketchedTraffic;
 use serde::{Deserialize, Serialize};
@@ -152,13 +153,12 @@ pub struct BotMeterConfig {
     granularity: SimDuration,
     model: ModelKind,
     delivery_rate: f64,
-    kernel_quantization: RhoQuantization,
 }
 
 impl BotMeterConfig {
     /// A configuration targeting `family` with paper-default TTLs,
-    /// 100 ms granularity, automatic model selection, full (lossless)
-    /// record delivery and the default (quantized) segment-kernel cache.
+    /// 100 ms granularity, automatic model selection and full (lossless)
+    /// record delivery.
     pub fn new(family: DgaFamily) -> Self {
         BotMeterConfig {
             family,
@@ -166,17 +166,7 @@ impl BotMeterConfig {
             granularity: SimDuration::from_millis(100),
             model: ModelKind::Auto,
             delivery_rate: 1.0,
-            kernel_quantization: RhoQuantization::default(),
         }
-    }
-
-    /// Sets the ρ quantization of the Theorem-1 segment-kernel cache
-    /// ([`RhoQuantization::Exact`] turns quantization off entirely, making
-    /// cached charting bit-identical to the uncached kernel).
-    #[must_use]
-    pub fn kernel_quantization(mut self, quantization: RhoQuantization) -> Self {
-        self.kernel_quantization = quantization;
-        self
     }
 
     /// Sets the network's cache TTL policy.
@@ -242,6 +232,48 @@ pub struct LandscapeEntry {
     /// to pre-sketch ones.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error_bound: Option<f64>,
+}
+
+impl LandscapeEntry {
+    /// The one cell rule: turns an estimator's raw output for one
+    /// (server, epoch) cell into its landscape entry. Both the batch chart
+    /// and `botmeterd`'s publish go through it, so a cell reads the same
+    /// however it was produced.
+    ///
+    /// A `raw` that is NaN, infinite or negative is clamped to `0.0` and
+    /// flagged [`CellQuality::Invalid`] instead of leaking into the chart.
+    /// Otherwise the estimate is `raw / rate` (the validated delivery rate,
+    /// see [`BotMeter::validate`]) and the cell is
+    /// [`CellQuality::Degraded`] when any of these holds: delivery was
+    /// partial (`rate < 1`), the matched `stream` showed ordering or
+    /// duplication anomalies, records for the cell arrived after its epoch
+    /// was frozen and were dropped (`stale`), or sketch telemetry could not
+    /// reproduce the cell's exact matched substream (`sketch_bound` is
+    /// `Some`, and becomes the entry's `error_bound`).
+    pub fn from_raw(
+        server: ServerId,
+        epoch: u64,
+        raw: f64,
+        rate: f64,
+        stream: &StreamQuality,
+        stale: bool,
+        sketch_bound: Option<f64>,
+    ) -> LandscapeEntry {
+        let (estimate, quality) = if !raw.is_finite() || raw < 0.0 {
+            (0.0, CellQuality::Invalid)
+        } else if rate < 1.0 || stream.is_degraded() || stale || sketch_bound.is_some() {
+            (raw / rate, CellQuality::Degraded)
+        } else {
+            (raw / rate, CellQuality::Ok)
+        };
+        LandscapeEntry {
+            server,
+            epoch,
+            estimate,
+            quality,
+            error_bound: sketch_bound,
+        }
+    }
 }
 
 /// The DGA-botnet landscape: per-server, per-epoch population estimates.
@@ -464,18 +496,42 @@ impl BotMeter {
         &self.config
     }
 
-    /// Validates and returns the configured delivery rate.
+    /// The one request validation, shared by
+    /// [`try_chart_with`](Self::try_chart_with) and `botmeterd`'s engine:
+    /// checks the configured delivery rate, the charted epoch window and —
+    /// when sketch telemetry is involved — the epoch length the sketch was
+    /// accumulated under. Returns the delivery rate every cell estimate is
+    /// divided by.
     ///
     /// # Errors
     ///
     /// [`Error::BadDeliveryRate`] when the rate is non-finite or outside
-    /// `(0, 1]`.
-    pub fn validated_delivery_rate(&self) -> Result<f64, Error> {
+    /// `(0, 1]`, [`Error::EmptyEpochRange`] when `epochs` selects nothing,
+    /// [`Error::SketchEpochMismatch`] when `sketch_epoch_len` differs from
+    /// the family's epoch length.
+    pub fn validate(
+        &self,
+        epochs: &Range<u64>,
+        sketch_epoch_len: Option<SimDuration>,
+    ) -> Result<f64, Error> {
         let rate = self.config.delivery_rate;
         if !rate.is_finite() || rate <= 0.0 || rate > 1.0 {
             return Err(Error::BadDeliveryRate { rate });
         }
-        Ok(rate)
+        if epochs.is_empty() {
+            return Err(Error::EmptyEpochRange {
+                start: epochs.start,
+                end: epochs.end,
+            });
+        }
+        let family_len = self.config.family.epoch_len();
+        match sketch_epoch_len {
+            Some(sketch_len) if sketch_len != family_len => Err(Error::SketchEpochMismatch {
+                sketch_ms: sketch_len.as_millis(),
+                family_ms: family_len.as_millis(),
+            }),
+            _ => Ok(rate),
+        }
     }
 
     /// The matcher one charting run over `epochs` probes: the family's
@@ -503,8 +559,7 @@ impl BotMeter {
             self.config.family.clone(),
             self.config.ttl,
             self.config.granularity,
-        )
-        .with_kernel_cache(SegmentKernelCache::new(self.config.kernel_quantization));
+        );
         if let Some(window) = &self.detection_window {
             ctx = ctx.with_detection_window(window.clone());
         }
@@ -523,7 +578,8 @@ impl BotMeter {
     /// identical to the sequential one — entry for entry, bit for bit — for
     /// any model and detection window.
     ///
-    /// Degradation handling: estimates are divided by the configured
+    /// Degradation handling is [`LandscapeEntry::from_raw`], the one cell
+    /// rule: estimates are divided by the configured
     /// [`delivery_rate`](BotMeterConfig::delivery_rate); cells estimated
     /// under partial delivery or from a stream with ordering/duplication
     /// anomalies are flagged [`CellQuality::Degraded`], and non-finite or
@@ -544,19 +600,18 @@ impl BotMeter {
         }
     }
 
-    /// [`chart_with`](Self::chart_with) with parameter validation: rejects
-    /// a non-finite or out-of-range delivery rate and an empty epoch range
-    /// with a typed [`Error`] instead of panicking or silently returning
-    /// nothing.
+    /// [`chart_with`](Self::chart_with) with parameter validation
+    /// ([`validate`](Self::validate)): rejects a non-finite or out-of-range
+    /// delivery rate, an empty epoch range and a sketch accumulated under
+    /// another epoch length with a typed [`Error`] instead of panicking or
+    /// silently returning nothing.
     pub fn try_chart_with(&self, request: &ChartRequest<'_>) -> Result<Landscape, Error> {
-        let rate = self.validated_delivery_rate()?;
         let epochs = request.epoch_range();
-        if epochs.is_empty() {
-            return Err(Error::EmptyEpochRange {
-                start: epochs.start,
-                end: epochs.end,
-            });
-        }
+        let sketch_epoch_len = match request.source() {
+            TelemetrySource::Sketch(sketch) => Some(sketch.config().epoch_len()),
+            _ => None,
+        };
+        let rate = self.validate(&epochs, sketch_epoch_len)?;
         let policy = request.exec_policy();
         let estimator = self.resolve_model();
         let epoch_len = self.config.family.epoch_len();
@@ -583,12 +638,6 @@ impl BotMeter {
                 filtered.quality(),
             ),
             TelemetrySource::Sketch(sketch) => {
-                if sketch.config().epoch_len() != epoch_len {
-                    return Err(Error::SketchEpochMismatch {
-                        sketch_ms: sketch.config().epoch_len().as_millis(),
-                        family_ms: epoch_len.as_millis(),
-                    });
-                }
                 // Set-consuming models (the Bernoulli MB works on the
                 // *set* of distinct NXDs per cell) are exact as long as
                 // the cell never evicted; everything that reads timing or
@@ -621,36 +670,19 @@ impl BotMeter {
             })
             .collect();
         let estimates: Vec<f64> = estimator.estimate_batch(&cell_slices, &ctx, policy, &self.obs);
-        // Loss-aware correction and per-cell quality flags: a raw estimate
-        // that is NaN, infinite or negative is clamped to zero and marked
-        // Invalid; otherwise the estimate is rescaled by the delivery rate,
-        // and any cell produced under partial delivery or from a degraded
-        // stream is marked Degraded.
-        let baseline = if rate < 1.0 || stream_quality.is_degraded() {
-            CellQuality::Degraded
-        } else {
-            CellQuality::Ok
-        };
         let entries: Vec<LandscapeEntry> = cells
             .into_iter()
             .zip(estimates)
             .map(|((server, epoch, _, sketch_bound), raw)| {
-                let (estimate, quality) = if !raw.is_finite() || raw < 0.0 {
-                    (0.0, CellQuality::Invalid)
-                } else if sketch_bound.is_some() {
-                    // Sketch telemetry could not reproduce this cell's
-                    // exact matched substream — never silently wrong.
-                    (raw / rate, CellQuality::Degraded)
-                } else {
-                    (raw / rate, baseline)
-                };
-                LandscapeEntry {
+                LandscapeEntry::from_raw(
                     server,
                     epoch,
-                    estimate,
-                    quality,
-                    error_bound: sketch_bound,
-                }
+                    raw,
+                    rate,
+                    &stream_quality,
+                    false,
+                    sketch_bound,
+                )
             })
             .collect();
         if self.obs.enabled() {
@@ -1182,6 +1214,112 @@ mod tests {
                 assert_eq!(landscape.entries(), expected, "{model:?} under {policy:?}");
             }
         }
+    }
+
+    #[test]
+    fn cell_rule_reproduces_both_spellings_it_replaced() {
+        // The batch chart's rule (no stale flag) and the daemon publish's
+        // rule (no sketch bound), as each was written before they merged.
+        let batch = |raw: f64, rate: f64, stream: &StreamQuality, bound: Option<f64>| {
+            let baseline = if rate < 1.0 || stream.is_degraded() {
+                CellQuality::Degraded
+            } else {
+                CellQuality::Ok
+            };
+            if !raw.is_finite() || raw < 0.0 {
+                (0.0f64.to_bits(), CellQuality::Invalid, bound)
+            } else if bound.is_some() {
+                ((raw / rate).to_bits(), CellQuality::Degraded, bound)
+            } else {
+                ((raw / rate).to_bits(), baseline, bound)
+            }
+        };
+        let daemon = |raw: f64, rate: f64, stream: &StreamQuality, stale: bool| {
+            let (estimate, quality, _) = batch(raw, rate, stream, None);
+            let quality = if stale {
+                quality.worst(CellQuality::Degraded)
+            } else {
+                quality
+            };
+            (estimate, quality, None)
+        };
+        let clean = StreamQuality {
+            scanned: 10,
+            matched: 4,
+            ..StreamQuality::default()
+        };
+        let out_of_order = StreamQuality {
+            out_of_order: 1,
+            ..clean
+        };
+        let mut checked = 0;
+        for raw in [f64::NAN, f64::INFINITY, -1.0, 0.0, 7.5] {
+            for rate in [1.0, 0.5] {
+                for stream in [&clean, &out_of_order] {
+                    for stale in [false, true] {
+                        for bound in [None, Some(0.25)] {
+                            let e = LandscapeEntry::from_raw(
+                                ServerId(3),
+                                2,
+                                raw,
+                                rate,
+                                stream,
+                                stale,
+                                bound,
+                            );
+                            assert_eq!((e.server, e.epoch), (ServerId(3), 2));
+                            let got = (e.estimate.to_bits(), e.quality, e.error_bound);
+                            let case = format!("{raw} / {rate} {stream:?} {stale} {bound:?}");
+                            if !stale {
+                                assert_eq!(got, batch(raw, rate, stream, bound), "{case}");
+                            }
+                            if bound.is_none() {
+                                assert_eq!(got, daemon(raw, rate, stream, stale), "{case}");
+                            }
+                            if stale && bound.is_some() {
+                                // Neither caller produces this; it must
+                                // still be the worse of the two flags.
+                                let (estimate, quality, _) = batch(raw, rate, stream, bound);
+                                let worst = quality.worst(CellQuality::Degraded);
+                                assert_eq!(got, (estimate, worst, bound), "{case}");
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 80);
+        // The only clean cell: finite, full delivery, nothing flagged.
+        let ok = LandscapeEntry::from_raw(ServerId(1), 0, 7.5, 1.0, &clean, false, None);
+        assert_eq!(ok.quality, CellQuality::Ok);
+        assert_eq!(ok.estimate, 7.5);
+    }
+
+    #[test]
+    fn validate_reports_rate_then_window_then_sketch_epoch() {
+        let family = DgaFamily::new_goz();
+        let epoch_len = family.epoch_len();
+        let other_len = SimDuration::from_millis(epoch_len.as_millis() / 2);
+        let bad_rate = BotMeter::new(BotMeterConfig::new(family.clone()).delivery_rate(0.0));
+        assert_eq!(
+            bad_rate.validate(&(3..3), Some(other_len)),
+            Err(Error::BadDeliveryRate { rate: 0.0 })
+        );
+        let meter = BotMeter::new(BotMeterConfig::new(family).delivery_rate(0.5));
+        assert_eq!(
+            meter.validate(&(3..3), Some(other_len)),
+            Err(Error::EmptyEpochRange { start: 3, end: 3 })
+        );
+        assert_eq!(
+            meter.validate(&(0..1), Some(other_len)),
+            Err(Error::SketchEpochMismatch {
+                sketch_ms: other_len.as_millis(),
+                family_ms: epoch_len.as_millis(),
+            })
+        );
+        assert_eq!(meter.validate(&(0..1), Some(epoch_len)), Ok(0.5));
+        assert_eq!(meter.validate(&(0..1), None), Ok(0.5));
     }
 
     #[test]

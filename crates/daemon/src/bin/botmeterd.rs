@@ -7,6 +7,12 @@
 //! and stream-quality counters. At end of input it publishes the trailing
 //! partial epoch and prints the final landscape to stderr.
 //!
+//! There is one publish schedule, the engine's: a snapshot whenever a shard
+//! moves the head of the matched stream into a later epoch, then one at end
+//! of input if unpublished traffic remains (or nothing was ever published).
+//! It is a function of the feed and `--shard-records` alone, so the report
+//! lines are the same with and without `--data-dir`, and after any crash.
+//!
 //! ```sh
 //! simulate --family newgoz --population 64 --epochs 7 | \
 //!     botmeterd --family newgoz --epochs 7
@@ -19,7 +25,8 @@
 //! journal replay. Records already ingested before a crash are skipped on
 //! the refed stream, so a `kill -9` + restart publishes snapshots
 //! bit-identical to an uninterrupted run. SIGTERM/SIGINT trigger a final
-//! checkpoint flush and a clean exit.
+//! checkpoint flush and a clean exit. `--data-dir` selects storage,
+//! recovery, that resume-skip and the signal handling — nothing else.
 //!
 //! Usage: `botmeterd --family NAME [--epochs E] [--model MODEL]
 //! [--threads N] [--close-lag L] [--retention R] [--shard-records S]
@@ -130,68 +137,141 @@ fn main() {
             .delivery_rate(delivery_rate),
     );
     let shard_records = shard_records.max(1);
-    // In durable mode the engine's own auto-publish drives reporting, so
-    // the publish schedule is a pure function of engine state and replays
-    // identically after a crash. The ephemeral path keeps the historical
-    // explicit per-shard trigger (identical schedule, binary-local state).
     let options = DaemonOptions::new(0..epochs)
         .policy(policy)
         .close_lag(close_lag)
-        .retention(retention.max(2)) // keep a previous snapshot to diff against
-        .auto_publish(data_dir.is_some());
+        .retention(retention.max(2)); // keep a previous snapshot to diff against
 
-    match data_dir {
-        Some(dir) => run_durable(
-            meter,
-            options,
-            &dir,
-            checkpoint_every,
-            shard_records,
-            final_snapshot.as_deref(),
-        ),
-        None => run_ephemeral(meter, options, shard_records, final_snapshot.as_deref()),
-    }
-}
+    // The feed restarts from the beginning of the trace; a recovered engine
+    // skips what it already ingested, and the first fresh shard is sized to
+    // land the next boundary back on a multiple of `shard_records`, so the
+    // publish/checkpoint schedule is identical to an uninterrupted run.
+    let (mut engine, skip) = match &data_dir {
+        Some(dir) => open_durable(meter, options, dir, checkpoint_every),
+        None => {
+            let daemon =
+                BotMeterDaemon::new(meter, options).unwrap_or_else(|e| usage(&e.to_string()));
+            (Engine::Ephemeral(daemon), 0)
+        }
+    };
+    let misalignment = (skip % shard_records as u64) as usize;
+    let mut next_shard_len = shard_records - misalignment;
 
-/// The historical in-memory mode: no journal, no checkpoints.
-fn run_ephemeral(
-    meter: BotMeter,
-    options: DaemonOptions,
-    shard_records: usize,
-    final_snapshot: Option<&str>,
-) {
-    let mut daemon = BotMeterDaemon::new(meter, options).unwrap_or_else(|e| usage(&e.to_string()));
     let stdin = io::stdin();
+    let mut seen = 0u64;
     let mut shard: Vec<ObservedLookup> = Vec::with_capacity(shard_records);
-    let mut last_epoch_published: Option<u64> = None;
+    let mut interrupted = false;
     for record in trace::read_jsonl_iter::<ObservedLookup, _>(stdin.lock()) {
         let lookup = record.unwrap_or_else(|e| usage(&e.to_string()));
+        seen += 1;
+        if seen <= skip {
+            continue;
+        }
         shard.push(lookup);
-        if shard.len() >= shard_records {
-            drain_shard(&mut daemon, &mut shard, &mut last_epoch_published);
+        if shard.len() >= next_shard_len {
+            if let Some(version) = engine.ingest(&shard) {
+                report(engine.daemon(), version);
+            }
+            shard.clear();
+            next_shard_len = shard_records;
+        }
+        if SHUTDOWN.load(Ordering::SeqCst) {
+            interrupted = true;
+            break;
         }
     }
-    drain_shard(&mut daemon, &mut shard, &mut last_epoch_published);
-    // Publish the trailing partial epoch.
-    let version = daemon.publish_now();
-    report(&daemon, version);
-    finish(&daemon, final_snapshot);
+    // A signal that arrived while the reader was blocked is only noticed
+    // once the read returns — re-check after the loop so "SIGTERM, then
+    // the feed closes" takes the graceful path, not the end-of-input one.
+    interrupted = interrupted || SHUTDOWN.load(Ordering::SeqCst);
+
+    if let (true, Engine::Durable(durable)) = (interrupted, &mut engine) {
+        // Graceful shutdown: the buffered partial shard was never
+        // journaled, so it is simply dropped — the restart re-reads those
+        // records from the feed. Flush a final checkpoint and exit clean.
+        match durable.shutdown() {
+            Ok(()) => eprintln!(
+                "[botmeterd] signal received: checkpointed at journal seq {}, exiting",
+                durable.journal_seq()
+            ),
+            Err(e) => {
+                eprintln!("[botmeterd] signal received but final checkpoint failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        std::process::exit(0);
+    }
+
+    if !shard.is_empty() {
+        if let Some(version) = engine.ingest(&shard) {
+            report(engine.daemon(), version);
+        }
+    }
+    // Publish the trailing partial epoch — but only when the engine has
+    // unpublished work. A restart that recovered a fully-caught-up state
+    // must not mint a new version for content it already published, or
+    // the version sequence would drift from an uninterrupted run's.
+    if engine.daemon().dirty_cells() > 0 || engine.daemon().store().is_empty() {
+        let version = engine.publish_now();
+        report(engine.daemon(), version);
+    }
+    if let Engine::Durable(durable) = &mut engine {
+        if let Err(e) = durable.shutdown() {
+            eprintln!("[botmeterd] final checkpoint failed: {e}");
+        }
+        if durable.is_degraded() {
+            eprintln!(
+                "[botmeterd] WARNING: journal degraded; {} shards rode on checkpoints alone",
+                durable.durability_stats().unjournaled_shards
+            );
+        }
+    }
+    finish(engine.daemon(), final_snapshot.as_deref());
 }
 
-/// Crash-safe mode: journal + checkpoints in `data_dir`, recovery on
-/// startup, resume-skip over the refed stream, graceful signal shutdown.
-fn run_durable(
+/// What the feed loop drives: the engine alone, or the engine behind its
+/// journal and checkpoints in `--data-dir`.
+enum Engine {
+    Ephemeral(BotMeterDaemon),
+    Durable(DurableDaemon<DiskStorage>),
+}
+
+impl Engine {
+    fn ingest(&mut self, shard: &[ObservedLookup]) -> Option<LandscapeVersion> {
+        match self {
+            Engine::Ephemeral(daemon) => daemon.ingest(shard),
+            Engine::Durable(durable) => durable.ingest(shard),
+        }
+    }
+
+    fn publish_now(&mut self) -> LandscapeVersion {
+        match self {
+            Engine::Ephemeral(daemon) => daemon.publish_now(),
+            Engine::Durable(durable) => durable.publish_now(),
+        }
+    }
+
+    fn daemon(&self) -> &BotMeterDaemon {
+        match self {
+            Engine::Ephemeral(daemon) => daemon,
+            Engine::Durable(durable) => durable.engine(),
+        }
+    }
+}
+
+/// Crash-safe mode: installs the signal handlers, opens the journal and
+/// checkpoints in `data_dir` and recovers whatever they hold. Returns the
+/// engine and how many records of the feed it has already ingested.
+fn open_durable(
     meter: BotMeter,
     options: DaemonOptions,
     data_dir: &str,
     checkpoint_every: u64,
-    shard_records: usize,
-    final_snapshot: Option<&str>,
-) {
+) -> (Engine, u64) {
     install_signal_handlers();
     let storage = DiskStorage::open(data_dir)
         .unwrap_or_else(|e| usage(&format!("cannot open --data-dir {data_dir:?}: {e}")));
-    let (mut daemon, recovery) = DurableDaemon::open(
+    let (daemon, recovery) = DurableDaemon::open(
         meter,
         options,
         storage,
@@ -214,88 +294,7 @@ fn run_durable(
             recovery.ingested_records,
         );
     }
-
-    // The feed restarts from the beginning of the trace; skip what the
-    // recovered engine already ingested, and size the first fresh shard to
-    // land the next boundary back on a multiple of `shard_records`, so the
-    // publish/checkpoint schedule is identical to an uninterrupted run.
-    let skip = recovery.ingested_records;
-    let misalignment = (skip % shard_records as u64) as usize;
-    let mut next_shard_len = if misalignment == 0 {
-        shard_records
-    } else {
-        shard_records - misalignment
-    };
-
-    let stdin = io::stdin();
-    let mut seen = 0u64;
-    let mut shard: Vec<ObservedLookup> = Vec::with_capacity(shard_records);
-    let mut interrupted = false;
-    for record in trace::read_jsonl_iter::<ObservedLookup, _>(stdin.lock()) {
-        let lookup = record.unwrap_or_else(|e| usage(&e.to_string()));
-        seen += 1;
-        if seen <= skip {
-            continue;
-        }
-        shard.push(lookup);
-        if shard.len() >= next_shard_len {
-            if let Some(version) = daemon.ingest(&shard) {
-                report(daemon.engine(), version);
-            }
-            shard.clear();
-            next_shard_len = shard_records;
-        }
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            interrupted = true;
-            break;
-        }
-    }
-    // A signal that arrived while the reader was blocked is only noticed
-    // once the read returns — re-check after the loop so "SIGTERM, then
-    // the feed closes" takes the graceful path, not the end-of-input one.
-    interrupted = interrupted || SHUTDOWN.load(Ordering::SeqCst);
-
-    if interrupted {
-        // Graceful shutdown: the buffered partial shard was never
-        // journaled, so it is simply dropped — the restart re-reads those
-        // records from the feed. Flush a final checkpoint and exit clean.
-        match daemon.shutdown() {
-            Ok(()) => eprintln!(
-                "[botmeterd] signal received: checkpointed at journal seq {}, exiting",
-                daemon.journal_seq()
-            ),
-            Err(e) => {
-                eprintln!("[botmeterd] signal received but final checkpoint failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        std::process::exit(0);
-    }
-
-    if !shard.is_empty() {
-        if let Some(version) = daemon.ingest(&shard) {
-            report(daemon.engine(), version);
-        }
-        shard.clear();
-    }
-    // Publish the trailing partial epoch — but only when the engine has
-    // unpublished work. A restart that recovered a fully-caught-up state
-    // must not mint a new version for content it already published, or
-    // the version sequence would drift from an uninterrupted run's.
-    if daemon.engine().dirty_cells() > 0 || daemon.engine().store().is_empty() {
-        let version = daemon.publish_now();
-        report(daemon.engine(), version);
-    }
-    if let Err(e) = daemon.shutdown() {
-        eprintln!("[botmeterd] final checkpoint failed: {e}");
-    }
-    if daemon.is_degraded() {
-        eprintln!(
-            "[botmeterd] WARNING: journal degraded; {} shards rode on checkpoints alone",
-            daemon.durability_stats().unjournaled_shards
-        );
-    }
-    finish(daemon.engine(), final_snapshot);
+    (Engine::Durable(daemon), recovery.ingested_records)
 }
 
 /// Prints the final landscape and counters; optionally writes the
@@ -330,27 +329,6 @@ fn finish(daemon: &BotMeterDaemon, final_snapshot: Option<&str>) {
         stats.peak_resident_records,
         stats.publishes
     );
-}
-
-/// Ingests the buffered shard and publishes when the last matched epoch
-/// advanced — the stdin equivalent of the engine's auto-publish trigger,
-/// but explicit so every boundary crossing yields exactly one report line.
-fn drain_shard(
-    daemon: &mut BotMeterDaemon,
-    shard: &mut Vec<ObservedLookup>,
-    last_epoch_published: &mut Option<u64>,
-) {
-    if shard.is_empty() {
-        return;
-    }
-    daemon.ingest(shard);
-    shard.clear();
-    let head_epoch = daemon.head_epoch();
-    if head_epoch > *last_epoch_published {
-        *last_epoch_published = head_epoch;
-        let version = daemon.publish_now();
-        report(daemon, version);
-    }
 }
 
 /// Prints one machine-readable summary line for a freshly published

@@ -9,26 +9,27 @@
 //! changed since the last one. Snapshots are bit-identical to a batch
 //! chart over the same observed prefix; see [`BotMeterDaemon`] for the
 //! exact contract and its one documented exception (stale arrivals).
+//!
+//! The engine owns only what is incremental — the cell ledger, freezing,
+//! the snapshot store. What a chart *is* it calls, the same three pieces
+//! the batch chart calls: [`BotMeter::validate`] for the request,
+//! [`scan_hits`] for the probe loop over each shard, and
+//! [`LandscapeEntry::from_raw`] for turning a raw estimate into a cell.
 
 use crate::checkpoint::{CellCheckpoint, EngineCheckpoint, SnapshotCheckpoint, StatsCheckpoint};
 use crate::store::LandscapeStore;
 use botmeter_core::{
-    BotMeter, CellQuality, CellSlice, ChartMatcher, ChartRequest, EstimationContext, Estimator,
-    Landscape, LandscapeEntry, LandscapeVersion,
+    BotMeter, CellSlice, ChartMatcher, ChartRequest, EstimationContext, Estimator, Landscape,
+    LandscapeEntry, LandscapeVersion,
 };
-use botmeter_dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant};
+use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{DomainMatcher, QualityCursor, StreamQuality};
+use botmeter_matcher::{scan_hits, QualityCursor, StreamQuality};
 use botmeter_obs::Obs;
 use botmeter_sim::ShardSink;
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
 use std::collections::BTreeMap;
 use std::ops::Range;
-
-/// How many lookups ingest probes per [`DomainMatcher::matches_batch`]
-/// call — a blocking factor only, mirroring the stream scanner's batching;
-/// results are identical for any value.
-const PROBE_BLOCK: usize = 64;
 
 /// Configuration of a [`BotMeterDaemon`].
 ///
@@ -204,6 +205,8 @@ pub struct DaemonStats {
 /// than buffered — bounded memory is the point of freezing. A batch chart
 /// over the full stream would have included it.
 ///
+/// [`CellQuality::Degraded`]: botmeter_core::CellQuality::Degraded
+///
 /// # Example
 ///
 /// ```
@@ -255,31 +258,16 @@ impl BotMeterDaemon {
     ///
     /// # Errors
     ///
-    /// [`botmeter_core::Error::BadDeliveryRate`] for a delivery rate
-    /// outside `(0, 1]`, [`botmeter_core::Error::EmptyEpochRange`] when the
-    /// options select no epochs — the same validation
-    /// [`BotMeter::try_chart_with`] performs.
+    /// Whatever [`BotMeter::validate`] rejects — the validation a batch
+    /// chart over the same window (and sketch sidecar, if configured)
+    /// performs.
     pub fn new(meter: BotMeter, options: DaemonOptions) -> Result<Self, botmeter_core::Error> {
-        let rate = meter.validated_delivery_rate()?;
         let epochs = options.epoch_range();
-        if epochs.is_empty() {
-            return Err(botmeter_core::Error::EmptyEpochRange {
-                start: epochs.start,
-                end: epochs.end,
-            });
-        }
+        let rate = meter.validate(&epochs, options.sketch.map(|c| c.epoch_len()))?;
         let matcher = meter.matcher_for(epochs.clone());
         let estimator = meter.resolve_model();
         let ctx = meter.estimation_context();
         let epoch_len = meter.config().family().epoch_len();
-        if let Some(config) = options.sketch {
-            if config.epoch_len() != epoch_len {
-                return Err(botmeter_core::Error::SketchEpochMismatch {
-                    sketch_ms: config.epoch_len().as_millis(),
-                    family_ms: epoch_len.as_millis(),
-                });
-            }
-        }
         Ok(BotMeterDaemon {
             meter,
             matcher,
@@ -313,16 +301,44 @@ impl BotMeterDaemon {
         self.cursor.note_scanned(shard.len());
         self.stats.ingested += shard.len() as u64;
         let matched_before = self.stats.matched;
-        let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK);
-        for block in shard.chunks(PROBE_BLOCK) {
-            let refs: Vec<&DomainName> = block.iter().map(|l| &l.domain).collect();
-            self.matcher.matches_batch(&refs, &mut hits);
-            for (lookup, &hit) in block.iter().zip(&hits) {
-                if hit {
-                    self.absorb(lookup);
+        // The closure borrows the ledger fields it folds into; the matcher
+        // is borrowed beside them, not through `self`.
+        scan_hits(shard, &self.matcher, |lookup| {
+            self.cursor.note_matched(lookup);
+            self.stats.matched += 1;
+            self.head = Some(self.head.map_or(lookup.t, |h| h.max(lookup.t)));
+            // The sketch sidecar folds *every* matched lookup — exactly
+            // what a standalone `SketchStream` over the same window matcher
+            // would — so the two accumulate bit-identical state.
+            if let Some(sketch) = &mut self.sketch {
+                if sketch.push(lookup).evicted {
+                    self.obs.counter_add("sketch.hh_evictions", 1);
                 }
             }
-        }
+            let epoch = lookup.t.epoch_day(self.epoch_len);
+            if !self.epochs.contains(&epoch) {
+                // Quality-counted (exactly like the batch scan) but
+                // chartless: pool overlap can match domains outside the
+                // epoch window.
+                return;
+            }
+            let cell = self.cells.entry((lookup.server, epoch)).or_default();
+            if cell.frozen {
+                cell.stale = true;
+                self.stats.stale_records += 1;
+                if self.obs.enabled() {
+                    self.obs.counter_add("daemon.stale_records", 1);
+                }
+                return;
+            }
+            cell.lookups.push(lookup.clone());
+            cell.dirty = true;
+            self.stats.resident_records += 1;
+            self.stats.peak_resident_records = self
+                .stats
+                .peak_resident_records
+                .max(self.stats.resident_records);
+        });
         if self.obs.enabled() {
             self.obs.counter_add("daemon.ingested", shard.len() as u64);
             // Per-shard totals: one registry lock each, not one per record.
@@ -342,7 +358,7 @@ impl BotMeterDaemon {
                     .gauge_max("sketch.peak_resident_bytes", sketch.peak_resident_bytes());
             }
         }
-        let head_epoch = self.head.map(|t| t.epoch_day(self.epoch_len));
+        let head_epoch = self.head_epoch();
         let advanced = match (self.prev_head_epoch, head_epoch) {
             (Some(prev), Some(now)) => now > prev,
             (None, Some(_)) => false, // first traffic opens the first epoch
@@ -356,46 +372,6 @@ impl BotMeterDaemon {
         } else {
             None
         }
-    }
-
-    /// Folds one matched lookup into the engine's state.
-    fn absorb(&mut self, lookup: &ObservedLookup) {
-        self.cursor.note_matched(lookup);
-        self.stats.matched += 1;
-        self.head = Some(match self.head {
-            Some(h) => h.max(lookup.t),
-            None => lookup.t,
-        });
-        // The sketch sidecar folds *every* matched lookup — exactly what a
-        // standalone `SketchStream` over the same window matcher would —
-        // so the two accumulate bit-identical state.
-        if let Some(sketch) = &mut self.sketch {
-            if sketch.push(lookup).evicted {
-                self.obs.counter_add("sketch.hh_evictions", 1);
-            }
-        }
-        let epoch = lookup.t.epoch_day(self.epoch_len);
-        if !self.epochs.contains(&epoch) {
-            // Quality-counted (exactly like the batch scan) but chartless:
-            // pool overlap can match domains outside the epoch window.
-            return;
-        }
-        let cell = self.cells.entry((lookup.server, epoch)).or_default();
-        if cell.frozen {
-            cell.stale = true;
-            self.stats.stale_records += 1;
-            if self.obs.enabled() {
-                self.obs.counter_add("daemon.stale_records", 1);
-            }
-            return;
-        }
-        cell.lookups.push(lookup.clone());
-        cell.dirty = true;
-        self.stats.resident_records += 1;
-        self.stats.peak_resident_records = self
-            .stats
-            .peak_resident_records
-            .max(self.stats.resident_records);
     }
 
     /// Re-estimates every dirty cell, freezes epochs that fell behind the
@@ -434,7 +410,7 @@ impl BotMeterDaemon {
 
         // 2. Freeze epochs that fell behind the close lag: keep the final
         //    raw estimate, drop the lookups.
-        if let Some(head_epoch) = self.head.map(|t| t.epoch_day(self.epoch_len)) {
+        if let Some(head_epoch) = self.head_epoch() {
             let mut frozen_cells = 0u64;
             for ((_, epoch), cell) in self.cells.iter_mut() {
                 if !cell.frozen && epoch.saturating_add(self.close_lag) < head_epoch {
@@ -449,33 +425,16 @@ impl BotMeterDaemon {
             }
         }
 
-        // 3. Build the snapshot with the batch chart's exact degradation
-        //    rules: Invalid clamps, delivery-rate rescale, stream-quality
-        //    baseline — plus the stale flag for post-freeze arrivals.
-        let baseline = if self.rate < 1.0 || self.cursor.quality().is_degraded() {
-            CellQuality::Degraded
-        } else {
-            CellQuality::Ok
-        };
+        // 3. Build the snapshot through the batch chart's cell rule; the
+        //    stale flag marks post-freeze arrivals.
+        let stream = self.cursor.quality();
         let entries: Vec<LandscapeEntry> = self
             .cells
             .iter()
             .map(|(&(server, epoch), cell)| {
-                let (estimate, mut quality) = if !cell.raw.is_finite() || cell.raw < 0.0 {
-                    (0.0, CellQuality::Invalid)
-                } else {
-                    (cell.raw / self.rate, baseline)
-                };
-                if cell.stale {
-                    quality = quality.worst(CellQuality::Degraded);
-                }
-                LandscapeEntry {
-                    server,
-                    epoch,
-                    estimate,
-                    quality,
-                    error_bound: None,
-                }
+                LandscapeEntry::from_raw(
+                    server, epoch, cell.raw, self.rate, &stream, cell.stale, None,
+                )
             })
             .collect();
         let version = self.store.publish(Landscape::from_entries(entries));
@@ -713,8 +672,9 @@ impl ShardSink for BotMeterDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botmeter_core::BotMeterConfig;
+    use botmeter_core::{BotMeterConfig, CellQuality};
     use botmeter_dga::DgaFamily;
+    use botmeter_matcher::DomainMatcher;
     use botmeter_sim::ScenarioSpec;
 
     fn outcome(num_epochs: u64) -> botmeter_sim::ScenarioOutcome {

@@ -1,0 +1,80 @@
+//! `botmeterd` has one publish schedule: the same feed yields the same
+//! report lines and the same final snapshot with and without `--data-dir`.
+//! The flag selects storage, recovery and signal handling, nothing an
+//! operator reading stdout could tell apart.
+
+use botmeter_dga::DgaFamily;
+use botmeter_dns::trace;
+use botmeter_exec::ExecPolicy;
+use botmeter_sim::ScenarioSpec;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+
+const EPOCHS: u64 = 3;
+
+/// Runs the real binary over `feed`; returns its stdout and the bytes of
+/// the `--final-snapshot` file (version line, then the landscape).
+fn run(feed: &[u8], scratch: &Path, mode: &str, data_dir: bool) -> (String, Vec<u8>) {
+    let snapshot = scratch.join(format!("{mode}.snapshot"));
+    let mut command = Command::new(env!("CARGO_BIN_EXE_botmeterd"));
+    command
+        .args(["--family", "murofet", "--shard-records", "512"])
+        .args(["--epochs", &EPOCHS.to_string()])
+        .arg("--final-snapshot")
+        .arg(&snapshot);
+    if data_dir {
+        command.arg("--data-dir").arg(scratch.join(mode));
+    }
+    let mut child = command
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("botmeterd spawns");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(feed)
+        .expect("feed written");
+    let output = child.wait_with_output().expect("botmeterd exits");
+    assert!(output.status.success(), "{mode}: {:?}", output.status);
+    (
+        String::from_utf8(output.stdout).expect("report lines are UTF-8"),
+        std::fs::read(&snapshot).expect("final snapshot written"),
+    )
+}
+
+#[test]
+fn report_lines_and_final_snapshot_do_not_depend_on_data_dir() {
+    let outcome = ScenarioSpec::builder(DgaFamily::murofet())
+        .population(32)
+        .num_epochs(EPOCHS)
+        .seed(7)
+        .build()
+        .expect("valid scenario")
+        .run(ExecPolicy::default());
+    let mut feed = Vec::new();
+    trace::write_jsonl(outcome.observed(), &mut feed).expect("trace encodes");
+
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("botmeterd_modes");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+
+    let (ephemeral_out, ephemeral_snap) = run(&feed, &scratch, "ephemeral", false);
+    let (durable_out, durable_snap) = run(&feed, &scratch, "durable", true);
+
+    assert_eq!(durable_out, ephemeral_out);
+    assert_eq!(durable_snap, ephemeral_snap);
+    // One publish when the head rolls into a later epoch, one trailing:
+    // the first matched shard opens the first epoch and publishes nothing.
+    let versions: Vec<&str> = ephemeral_out
+        .lines()
+        .map(|l| l.split(',').next().expect("version field"))
+        .collect();
+    assert_eq!(versions, ["{\"version\":1", "{\"version\":2"]);
+    assert!(ephemeral_snap.starts_with(b"v2\n"), "version line included");
+
+    std::fs::remove_dir_all(&scratch).expect("scratch removed");
+}

@@ -14,7 +14,9 @@
 //!   configured missing rate `x` (the Fig. 6(e) sweep);
 //! * [`match_stream`]/[`MatchedTraffic`] — filtering the observed stream
 //!   and grouping the hits per forwarding server, the exact shape the
-//!   estimators consume.
+//!   estimators consume — over [`scan_hits`], the one blocked probe loop
+//!   every consumer of the stream (batch scan, [`SketchStream`],
+//!   `botmeterd`) visits its hits through.
 //!
 //! # Example
 //!
@@ -45,12 +47,12 @@ pub use exact::{ExactMatcher, PlainListError};
 pub use pattern::PatternMatcher;
 pub use sketching::SketchStream;
 pub use stream::{
-    match_stream, match_stream_recorded, MatchedTraffic, StreamMatcher, StreamQuality,
+    match_stream, match_stream_recorded, scan_hits, MatchedTraffic, StreamMatcher, StreamQuality,
 };
 pub use stream::{CursorEntry, QualityCursor, QualityCursorState};
 pub use window::DetectionWindow;
 
-use botmeter_dns::{DomainId, DomainInterner, DomainName};
+use botmeter_dns::DomainName;
 
 /// Decides whether a domain belongs to the targeted DGA.
 ///
@@ -72,25 +74,6 @@ pub trait DomainMatcher {
         hits.clear();
         hits.extend(domains.iter().map(|d| self.matches(d)));
     }
-
-    /// Whether the domain interned under `id` is attributed to the
-    /// targeted DGA; ids unknown to `interner` reject.
-    ///
-    /// Semantically `interner.resolve(id)` followed by
-    /// [`matches`](Self::matches); byte-level implementations override
-    /// this to scan the interner's contiguous bytes arena directly, with
-    /// no name materialization on the probe path.
-    fn matches_id(&self, id: DomainId, interner: &DomainInterner) -> bool {
-        interner.resolve(id).is_some_and(|d| self.matches(d))
-    }
-
-    /// Batch form of [`matches_id`](Self::matches_id): one verdict per id
-    /// into `hits` (cleared first, then filled to `ids.len()`). This is
-    /// the probe entry point of the id-resident stream scanners.
-    fn matches_id_batch(&self, ids: &[DomainId], interner: &DomainInterner, hits: &mut Vec<bool>) {
-        hits.clear();
-        hits.extend(ids.iter().map(|&id| self.matches_id(id, interner)));
-    }
 }
 
 impl<M: DomainMatcher + ?Sized> DomainMatcher for &M {
@@ -101,14 +84,6 @@ impl<M: DomainMatcher + ?Sized> DomainMatcher for &M {
     fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
         (**self).matches_batch(domains, hits)
     }
-
-    fn matches_id(&self, id: DomainId, interner: &DomainInterner) -> bool {
-        (**self).matches_id(id, interner)
-    }
-
-    fn matches_id_batch(&self, ids: &[DomainId], interner: &DomainInterner, hits: &mut Vec<bool>) {
-        (**self).matches_id_batch(ids, interner, hits)
-    }
 }
 
 impl<M: DomainMatcher + ?Sized> DomainMatcher for Box<M> {
@@ -118,13 +93,5 @@ impl<M: DomainMatcher + ?Sized> DomainMatcher for Box<M> {
 
     fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
         (**self).matches_batch(domains, hits)
-    }
-
-    fn matches_id(&self, id: DomainId, interner: &DomainInterner) -> bool {
-        (**self).matches_id(id, interner)
-    }
-
-    fn matches_id_batch(&self, ids: &[DomainId], interner: &DomainInterner, hits: &mut Vec<bool>) {
-        (**self).matches_id_batch(ids, interner, hits)
     }
 }

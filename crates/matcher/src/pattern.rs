@@ -16,7 +16,7 @@
 
 use crate::DomainMatcher;
 use botmeter_dga::{Charset, DgaFamily};
-use botmeter_dns::{DomainId, DomainInterner, DomainName};
+use botmeter_dns::DomainName;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -228,9 +228,7 @@ impl PatternMatcher {
     }
 
     /// The byte-level match the hot loop runs: exactly
-    /// [`DomainMatcher::matches`], but taking the name's raw bytes so the
-    /// id-resident path can scan the interner's contiguous arena storage
-    /// directly — no `Arc<str>` deref, better probe locality.
+    /// [`DomainMatcher::matches`], on the name's raw bytes.
     #[inline]
     pub fn matches_bytes(&self, bytes: &[u8]) -> bool {
         // Tail check: walk the reversed-TLD automaton backwards until the
@@ -261,23 +259,6 @@ impl PatternMatcher {
 impl DomainMatcher for PatternMatcher {
     fn matches(&self, domain: &DomainName) -> bool {
         self.matches_bytes(domain.as_bytes())
-    }
-
-    /// Arena-direct override: probes the name's bytes in the interner's
-    /// contiguous storage, never materializing a [`DomainName`].
-    fn matches_id(&self, id: DomainId, interner: &DomainInterner) -> bool {
-        interner
-            .resolve_bytes(id)
-            .is_some_and(|bytes| self.matches_bytes(bytes))
-    }
-
-    fn matches_id_batch(&self, ids: &[DomainId], interner: &DomainInterner, hits: &mut Vec<bool>) {
-        hits.clear();
-        hits.extend(ids.iter().map(|&id| {
-            interner
-                .resolve_bytes(id)
-                .is_some_and(|bytes| self.matches_bytes(bytes))
-        }));
     }
 }
 
@@ -326,32 +307,6 @@ mod tests {
         assert!(m.matches(&d("abc.com")));
         assert!(m.matches(&d("abc.org")));
         assert!(!m.matches(&d("abc.io")));
-    }
-
-    #[test]
-    fn id_probes_equal_name_probes_through_the_arena() {
-        let family = DgaFamily::new_goz();
-        let m = PatternMatcher::for_family(&family);
-        let mut interner = DomainInterner::new();
-        let mut names = family.pool_for_epoch(0);
-        names.truncate(64);
-        names.push(d("www.benign.example"));
-        for name in &names {
-            interner.intern(name.clone());
-        }
-        for name in &names {
-            assert_eq!(
-                m.matches_id(name.id(), &interner),
-                m.matches(name),
-                "{name}"
-            );
-        }
-        let ids: Vec<DomainId> = names.iter().map(DomainName::id).collect();
-        let mut hits = Vec::new();
-        m.matches_id_batch(&ids, &interner, &mut hits);
-        let expected: Vec<bool> = names.iter().map(|n| m.matches(n)).collect();
-        assert_eq!(hits, expected);
-        assert!(!m.matches_id(DomainId(u64::MAX), &interner), "unknown id");
     }
 
     #[test]

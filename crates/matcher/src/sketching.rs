@@ -2,8 +2,8 @@
 //!
 //! [`SketchStream`] is the constant-memory sibling of
 //! [`StreamMatcher`](crate::StreamMatcher): it scans arrival-order chunks
-//! against a [`DomainMatcher`] with the same blocked batch probing, but
-//! instead of accumulating every hit into a [`MatchedTraffic`] it folds
+//! against a [`DomainMatcher`] through the same [`scan_hits`] kernel, but
+//! instead of accumulating every hit into a `MatchedTraffic` it folds
 //! them straight into a bounded [`SketchedTraffic`] — per-(server, epoch)
 //! HLL registers plus a bottom-k distinct sample — and tracks stream
 //! health through the bounded [`QualityCursor`](crate::QualityCursor).
@@ -17,14 +17,11 @@
 //! state via [`SketchStream::absorb_sketch`] — retention depends only on
 //! domain hash ranks, never on arrival order.
 
-use crate::stream::QualityCursor;
+use crate::stream::{scan_hits, QualityCursor};
 use crate::{DomainMatcher, StreamQuality};
-use botmeter_dns::{CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup};
+use botmeter_dns::ObservedLookup;
 use botmeter_obs::Obs;
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
-
-/// Probe block width, matching the batched scanner in `stream.rs`.
-const PROBE_BLOCK: usize = 64;
 
 /// Incrementally matches a stream and accumulates the hits into a
 /// [`SketchedTraffic`] without ever materializing them.
@@ -56,7 +53,6 @@ pub struct SketchStream<'a, M> {
     obs: Obs,
     sketch: SketchedTraffic,
     cursor: QualityCursor,
-    hits: Vec<bool>,
     evictions: u64,
     merges: u64,
 }
@@ -71,61 +67,23 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
             obs,
             sketch: SketchedTraffic::new(config),
             cursor: QualityCursor::new(),
-            hits: Vec::with_capacity(PROBE_BLOCK),
             evictions: 0,
             merges: 0,
         }
     }
 
-    /// Scans one arrival-order chunk, folding every hit into the sketch
-    /// and the quality cursor. Probes run through
-    /// [`DomainMatcher::matches_batch`] in dense blocks; folding happens
-    /// on the calling thread in arrival order, so the sketch is
-    /// bit-identical for any chunking of the same stream.
+    /// Scans one arrival-order chunk through [`scan_hits`], folding every
+    /// hit into the sketch and the quality cursor on the calling thread in
+    /// arrival order, so the sketch is bit-identical for any chunking of
+    /// the same stream.
     pub fn ingest(&mut self, chunk: &[ObservedLookup]) {
         self.cursor.note_scanned(chunk.len());
-        let mut refs: Vec<&DomainName> = Vec::with_capacity(PROBE_BLOCK.min(chunk.len()));
-        for block in chunk.chunks(PROBE_BLOCK) {
-            refs.clear();
-            refs.extend(block.iter().map(|l| &l.domain));
-            self.matcher.matches_batch(&refs, &mut self.hits);
-            for (lookup, &hit) in block.iter().zip(self.hits.iter()) {
-                if hit {
-                    self.cursor.note_matched(lookup);
-                    if self.sketch.push(lookup).evicted {
-                        self.evictions += 1;
-                    }
-                }
+        scan_hits(chunk, self.matcher, |lookup| {
+            self.cursor.note_matched(lookup);
+            if self.sketch.push(lookup).evicted {
+                self.evictions += 1;
             }
-        }
-    }
-
-    /// The id-resident [`ingest`](Self::ingest): scans one arrival-order
-    /// chunk of compact records, probing by [`DomainId`] through
-    /// `interner`'s bytes arena and hydrating *only the hits* for the
-    /// cursor and sketch folds. Bit-identical to hydrating the chunk and
-    /// calling [`ingest`](Self::ingest), but misses — the overwhelming
-    /// majority of border traffic — never touch a name allocation.
-    pub fn ingest_compact(&mut self, chunk: &[CompactObserved], interner: &DomainInterner) {
-        self.cursor.note_scanned(chunk.len());
-        let mut ids: Vec<DomainId> = Vec::with_capacity(PROBE_BLOCK.min(chunk.len()));
-        for block in chunk.chunks(PROBE_BLOCK) {
-            ids.clear();
-            ids.extend(block.iter().map(|l| l.domain));
-            self.matcher
-                .matches_id_batch(&ids, interner, &mut self.hits);
-            for (lookup, &hit) in block.iter().zip(self.hits.iter()) {
-                if hit {
-                    let lookup = lookup
-                        .hydrate(interner)
-                        .expect("matched ids resolve through the interner that produced them");
-                    self.cursor.note_matched(&lookup);
-                    if self.sketch.push(&lookup).evicted {
-                        self.evictions += 1;
-                    }
-                }
-            }
-        }
+        });
     }
 
     /// Merges a pre-accumulated sketch (e.g. built by an independent
@@ -241,29 +199,6 @@ mod tests {
         assert_eq!(sketch.total(), expected);
         assert_eq!(quality.matched as u64, expected);
         assert_eq!(quality.scanned, stream.len());
-    }
-
-    #[test]
-    fn compact_ingest_equals_name_ingest_bit_for_bit() {
-        let stream = stream();
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let compact: Vec<_> = stream.iter().map(ObservedLookup::compact).collect();
-        let matcher = matcher();
-        let mut by_name = SketchStream::new(&matcher, config(), Obs::noop());
-        by_name.ingest(&stream);
-        let (by_name, name_quality) = by_name.finish();
-        for chunk_len in [1, 7, 64, 199] {
-            let mut by_id = SketchStream::new(&matcher, config(), Obs::noop());
-            for chunk in compact.chunks(chunk_len) {
-                by_id.ingest_compact(chunk, &interner);
-            }
-            let (by_id, id_quality) = by_id.finish();
-            assert_eq!(by_id, by_name, "chunk_len {chunk_len}");
-            assert_eq!(id_quality, name_quality, "chunk_len {chunk_len}");
-        }
     }
 
     #[test]

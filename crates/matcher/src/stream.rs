@@ -1,20 +1,28 @@
 //! Stream matching: filtering the border-visible lookup stream down to the
 //! matched sub-streams the estimators consume (Fig. 2, steps 3–4).
+//!
+//! Every consumer of the observed stream probes it through the one blocked
+//! hit scan, [`scan_hits`]: the batch scan folds the hits into a
+//! [`MatchedTraffic`], [`SketchStream`](crate::SketchStream) into a sketch
+//! and `botmeterd` into its cell ledger. [`match_stream_recorded`] is the
+//! one-chunk call of [`StreamMatcher`], so the worker fan-out is written
+//! once too, and the adjacency anomalies are tallied by one function
+//! ([`StreamQuality`]) whether the predecessor lives in a [`MatchedTraffic`]
+//! group or a [`QualityCursor`].
 
 use crate::DomainMatcher;
-use botmeter_dns::{
-    CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup, ServerId,
-};
+use botmeter_dns::{DomainName, ObservedLookup, ServerId};
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Below this stream length the parallel matcher falls back to the
 /// sequential scan: thread start-up costs more than the matching itself.
 const MIN_PARALLEL_MATCH: usize = 2048;
 
-/// How many lookups the scan probes per [`DomainMatcher::matches_batch`]
+/// How many lookups [`scan_hits`] probes per [`DomainMatcher::matches_batch`]
 /// call: the domain refs and verdicts of one block stay resident in two
 /// small reused buffers, so batch-aware matchers see dense input without
 /// the scan ever cloning a non-matching lookup. Purely a blocking factor —
@@ -30,18 +38,9 @@ const PROBE_BLOCK: usize = 64;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MatchedTraffic {
     by_server: BTreeMap<ServerId, Vec<ObservedLookup>>,
-    scanned: usize,
-    /// Matched-lookup count across all servers, maintained on insert so
+    /// Scan totals and adjacency anomalies, maintained on insert so
     /// `total_matched`/`match_rate` never re-walk the per-server map.
-    total: usize,
-    /// Matched lookups that arrived with a timestamp *earlier* than their
-    /// server's previous matched lookup — evidence of reordering, jitter or
-    /// clock skew upstream.
-    out_of_order: usize,
-    /// Matched lookups identical (same timestamp, same domain) to their
-    /// server's immediately preceding matched lookup — evidence of
-    /// collector duplication.
-    duplicates: usize,
+    quality: StreamQuality,
 }
 
 /// What the matching scan learned about the health of the input stream —
@@ -79,28 +78,18 @@ impl StreamQuality {
             (self.out_of_order + self.duplicates) as f64 / self.matched as f64
         }
     }
-}
 
-/// How one matched lookup relates to its server's previous matched lookup
-/// — the single classification both [`MatchedTraffic`] and
-/// [`QualityCursor`] count anomalies with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Adjacency {
-    InOrder,
-    OutOfOrder,
-    Duplicate,
-}
-
-/// Classifies `next` against its server's previous matched lookup: a
-/// strict timestamp inversion, an exact adjacent repeat (same timestamp,
-/// same domain), or neither.
-fn classify_adjacency(prev: &ObservedLookup, next: &ObservedLookup) -> Adjacency {
-    if next.t < prev.t {
-        Adjacency::OutOfOrder
-    } else if next.t == prev.t && next.domain == prev.domain {
-        Adjacency::Duplicate
-    } else {
-        Adjacency::InOrder
+    /// Tallies how matched lookup `next` relates to its server's previous
+    /// matched lookup `prev`: a strict timestamp inversion, an exact
+    /// adjacent repeat (same timestamp, same domain), or neither. The one
+    /// classification [`MatchedTraffic`] (on push and at every chunk
+    /// boundary of a merge) and [`QualityCursor`] count anomalies with.
+    fn note_adjacent(&mut self, prev: &ObservedLookup, next: &ObservedLookup) {
+        if next.t < prev.t {
+            self.out_of_order += 1;
+        } else if next.t == prev.t && next.domain == prev.domain {
+            self.duplicates += 1;
+        }
     }
 }
 
@@ -140,11 +129,7 @@ impl QualityCursor {
     pub fn note_matched(&mut self, lookup: &ObservedLookup) {
         self.quality.matched += 1;
         if let Some(prev) = self.last.get(&lookup.server) {
-            match classify_adjacency(prev, lookup) {
-                Adjacency::OutOfOrder => self.quality.out_of_order += 1,
-                Adjacency::Duplicate => self.quality.duplicates += 1,
-                Adjacency::InOrder => {}
-            }
+            self.quality.note_adjacent(prev, lookup);
         }
         self.last.insert(lookup.server, lookup.clone());
     }
@@ -230,20 +215,20 @@ impl MatchedTraffic {
 
     /// Total matched lookups across servers (O(1) — the count is cached).
     pub fn total_matched(&self) -> usize {
-        self.total
+        self.quality.matched
     }
 
     /// How many observed lookups were scanned (matched or not).
     pub fn total_scanned(&self) -> usize {
-        self.scanned
+        self.quality.scanned
     }
 
     /// Fraction of scanned lookups that matched (O(1)).
     pub fn match_rate(&self) -> f64 {
-        if self.scanned == 0 {
+        if self.quality.scanned == 0 {
             0.0
         } else {
-            self.total as f64 / self.scanned as f64
+            self.quality.matched as f64 / self.quality.scanned as f64
         }
     }
 
@@ -254,40 +239,16 @@ impl MatchedTraffic {
 
     /// The stream-health summary of this scan (see [`StreamQuality`]).
     pub fn quality(&self) -> StreamQuality {
-        StreamQuality {
-            scanned: self.scanned,
-            matched: self.total,
-            out_of_order: self.out_of_order,
-            duplicates: self.duplicates,
-        }
-    }
-
-    /// Classifies `next` against the last lookup already held for its
-    /// server: a strict timestamp inversion, an exact adjacent repeat, or
-    /// neither. Shared by `push` and the `append` chunk boundary so the
-    /// chunked-parallel merge counts exactly what the sequential scan does.
-    fn note_adjacency(&mut self, prev: Option<&ObservedLookup>, next: &ObservedLookup) {
-        if let Some(prev) = prev {
-            match classify_adjacency(prev, next) {
-                Adjacency::OutOfOrder => self.out_of_order += 1,
-                Adjacency::Duplicate => self.duplicates += 1,
-                Adjacency::InOrder => {}
-            }
-        }
+        self.quality
     }
 
     fn push(&mut self, lookup: ObservedLookup) {
-        let prev = self
-            .by_server
-            .get(&lookup.server)
-            .and_then(|v| v.last())
-            .cloned();
-        self.note_adjacency(prev.as_ref(), &lookup);
-        self.by_server
-            .entry(lookup.server)
-            .or_default()
-            .push(lookup);
-        self.total += 1;
+        let group = self.by_server.entry(lookup.server).or_default();
+        if let Some(prev) = group.last() {
+            self.quality.note_adjacent(prev, &lookup);
+        }
+        group.push(lookup);
+        self.quality.matched += 1;
     }
 
     /// Appends another shard's groups. `other` must cover a stream segment
@@ -297,16 +258,23 @@ impl MatchedTraffic {
     /// anomaly counters identical to a single sequential scan.
     fn append(&mut self, other: MatchedTraffic) {
         for (server, lookups) in other.by_server {
-            let prev = self.by_server.get(&server).and_then(|v| v.last()).cloned();
-            if let (Some(prev), Some(first)) = (prev, lookups.first()) {
-                self.note_adjacency(Some(&prev), first);
+            match self.by_server.entry(server) {
+                Entry::Vacant(slot) => {
+                    slot.insert(lookups);
+                }
+                Entry::Occupied(mut slot) => {
+                    let group = slot.get_mut();
+                    if let (Some(prev), Some(first)) = (group.last(), lookups.first()) {
+                        self.quality.note_adjacent(prev, first);
+                    }
+                    group.extend(lookups);
+                }
             }
-            self.by_server.entry(server).or_default().extend(lookups);
         }
-        self.scanned += other.scanned;
-        self.total += other.total;
-        self.out_of_order += other.out_of_order;
-        self.duplicates += other.duplicates;
+        self.quality.scanned += other.quality.scanned;
+        self.quality.matched += other.quality.matched;
+        self.quality.out_of_order += other.quality.out_of_order;
+        self.quality.duplicates += other.quality.duplicates;
     }
 }
 
@@ -357,27 +325,16 @@ pub fn match_stream_recorded<M: DomainMatcher + Sync>(
     policy: ExecPolicy,
     obs: &Obs,
 ) -> MatchedTraffic {
-    let workers = policy.worker_threads();
-    let matched = if workers <= 1 || observed.len() < MIN_PARALLEL_MATCH {
-        scan(observed, matcher)
-    } else {
-        let chunks =
-            botmeter_exec::map_chunks_with(policy, obs, observed, |_, chunk| scan(chunk, matcher));
-        let mut merged = MatchedTraffic::default();
-        for chunk in chunks {
-            merged.append(chunk);
-        }
-        merged
-    };
-    record_metrics(obs, &matched);
-    matched
+    let mut stream = StreamMatcher::new(matcher, policy, obs.clone());
+    stream.ingest(observed);
+    stream.finish()
 }
 
 /// Emits the batched `matcher.*` counters for one finished scan.
 ///
 /// The `matcher.batch.*` pair accounts the probes that flowed through the
 /// vectorized [`DomainMatcher::matches_batch`] entry point — every scanned
-/// lookup does, since [`scan`] probes in [`PROBE_BLOCK`]-sized blocks. Both
+/// lookup does, since [`scan_hits`] probes in [`PROBE_BLOCK`]-sized blocks. Both
 /// are pure functions of the stream content (never of the blocking factor
 /// or policy), keeping them inside the deterministic-counter contract.
 fn record_metrics(obs: &Obs, matched: &MatchedTraffic) {
@@ -396,11 +353,17 @@ fn record_metrics(obs: &Obs, matched: &MatchedTraffic) {
     }
 }
 
-/// The sequential scan both policies bottom out in: probes the stream in
-/// [`PROBE_BLOCK`]-sized blocks through [`DomainMatcher::matches_batch`]
-/// (two small buffers reused across blocks) and clones only the hits.
-fn scan<M: DomainMatcher>(observed: &[ObservedLookup], matcher: &M) -> MatchedTraffic {
-    let mut matched = MatchedTraffic::default();
+/// The one blocked hit scan: probes `observed` in `PROBE_BLOCK`-sized (64)
+/// blocks through [`DomainMatcher::matches_batch`] (two small buffers reused
+/// across blocks) and hands every hit to `on_hit` in arrival order. Misses
+/// are never cloned or touched again; what a hit becomes — a
+/// [`MatchedTraffic`] entry, a sketch fold, a daemon cell — is the caller's
+/// closure, monomorphised into the loop.
+pub fn scan_hits<'a, M: DomainMatcher + ?Sized>(
+    observed: &'a [ObservedLookup],
+    matcher: &M,
+    mut on_hit: impl FnMut(&'a ObservedLookup),
+) {
     let mut refs: Vec<&DomainName> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
     let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
     for block in observed.chunks(PROBE_BLOCK) {
@@ -410,44 +373,18 @@ fn scan<M: DomainMatcher>(observed: &[ObservedLookup], matcher: &M) -> MatchedTr
         debug_assert_eq!(hits.len(), block.len(), "matches_batch verdict count");
         for (lookup, &hit) in block.iter().zip(&hits) {
             if hit {
-                matched.push(lookup.clone());
+                on_hit(lookup);
             }
         }
     }
-    matched.scanned = observed.len();
-    matched
 }
 
-/// The id-resident sibling of [`scan`]: probes each [`PROBE_BLOCK`] of
-/// compact records through [`DomainMatcher::matches_id_batch`] — byte-level
-/// matchers scan the interner's arena directly — and hydrates *only the
-/// hits* into the accumulated [`MatchedTraffic`]. Verdict-equivalent to
-/// hydrating the whole block up front and running [`scan`], but the
-/// (overwhelmingly more common) misses never touch a name allocation.
-fn scan_compact<M: DomainMatcher>(
-    observed: &[CompactObserved],
-    interner: &DomainInterner,
-    matcher: &M,
-) -> MatchedTraffic {
+/// The sequential scan both policies bottom out in: [`scan_hits`] cloning
+/// only the hits into a fresh [`MatchedTraffic`].
+fn scan<M: DomainMatcher>(observed: &[ObservedLookup], matcher: &M) -> MatchedTraffic {
     let mut matched = MatchedTraffic::default();
-    let mut ids: Vec<DomainId> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    for block in observed.chunks(PROBE_BLOCK) {
-        ids.clear();
-        ids.extend(block.iter().map(|l| l.domain));
-        matcher.matches_id_batch(&ids, interner, &mut hits);
-        debug_assert_eq!(hits.len(), block.len(), "matches_id_batch verdict count");
-        for (lookup, &hit) in block.iter().zip(&hits) {
-            if hit {
-                matched.push(
-                    lookup
-                        .hydrate(interner)
-                        .expect("matched ids resolve through the interner that produced them"),
-                );
-            }
-        }
-    }
-    matched.scanned = observed.len();
+    scan_hits(observed, matcher, |lookup| matched.push(lookup.clone()));
+    matched.quality.scanned = observed.len();
     matched
 }
 
@@ -506,54 +443,22 @@ impl<'a, M: DomainMatcher + Sync> StreamMatcher<'a, M> {
     }
 
     /// Scans one arrival-order chunk and folds its hits into the running
-    /// result. Large chunks fan out across workers exactly like
-    /// [`match_stream`] does.
+    /// result. A chunk of at least `MIN_PARALLEL_MATCH` lookups under a
+    /// multi-worker policy is split into contiguous pieces, scanned one per
+    /// worker and appended in piece order — the only fan-out in this crate;
+    /// [`match_stream`] is this call on the whole stream.
     pub fn ingest(&mut self, chunk: &[ObservedLookup]) {
-        if chunk.is_empty() {
-            return;
-        }
-        let matched = if self.policy.worker_threads() <= 1 || chunk.len() < MIN_PARALLEL_MATCH {
-            scan(chunk, self.matcher)
+        let matcher = self.matcher;
+        if self.policy.worker_threads() <= 1 || chunk.len() < MIN_PARALLEL_MATCH {
+            self.acc.append(scan(chunk, matcher));
         } else {
-            let chunks = botmeter_exec::map_chunks_with(self.policy, &self.obs, chunk, |_, c| {
-                scan(c, self.matcher)
+            let pieces = botmeter_exec::map_chunks_with(self.policy, &self.obs, chunk, |_, c| {
+                scan(c, matcher)
             });
-            let mut merged = MatchedTraffic::default();
-            for c in chunks {
-                merged.append(c);
+            for piece in pieces {
+                self.acc.append(piece);
             }
-            merged
-        };
-        self.acc.append(matched);
-    }
-
-    /// The id-resident [`ingest`](Self::ingest): scans one arrival-order
-    /// chunk of compact records, probing by [`DomainId`] through
-    /// `interner`'s bytes arena and hydrating only the hits.
-    ///
-    /// Bit-identical to hydrating the chunk and calling
-    /// [`ingest`](Self::ingest) — same [`MatchedTraffic`], same
-    /// `matcher.*` metrics — but the scan itself allocates nothing and the
-    /// per-record probe never touches an `Arc`. This is the matching stage
-    /// the zero-allocation streaming pipeline drives with recycled shard
-    /// buffers.
-    pub fn ingest_compact(&mut self, chunk: &[CompactObserved], interner: &DomainInterner) {
-        if chunk.is_empty() {
-            return;
         }
-        let matched = if self.policy.worker_threads() <= 1 || chunk.len() < MIN_PARALLEL_MATCH {
-            scan_compact(chunk, interner, self.matcher)
-        } else {
-            let chunks = botmeter_exec::map_chunks_with(self.policy, &self.obs, chunk, |_, c| {
-                scan_compact(c, interner, self.matcher)
-            });
-            let mut merged = MatchedTraffic::default();
-            for c in chunks {
-                merged.append(c);
-            }
-            merged
-        };
-        self.acc.append(matched);
     }
 
     /// The matched traffic accumulated so far (final after the last
@@ -813,21 +718,65 @@ mod tests {
 
     #[test]
     fn stream_matcher_metrics_match_batch_recorded_scan() {
-        let stream = anomalous_stream(3000);
+        let stream = anomalous_stream(6000);
         let m = matcher();
-        let (h_batch, r_batch) = Obs::collecting();
-        match_stream_recorded(&stream, &m, ExecPolicy::Sequential, &h_batch);
-        let (h_inc, r_inc) = Obs::collecting();
-        let mut incremental = StreamMatcher::new(&m, ExecPolicy::Sequential, h_inc);
-        for chunk in stream.chunks(111) {
-            incremental.ingest(chunk);
+        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
+            let (h_batch, r_batch) = Obs::collecting();
+            let batch = match_stream_recorded(&stream, &m, policy, &h_batch);
+            let (h_inc, r_inc) = Obs::collecting();
+            let mut incremental = StreamMatcher::new(&m, policy, h_inc);
+            for chunk in stream.chunks(2500) {
+                incremental.ingest(chunk);
+            }
+            assert!(incremental.matched_so_far().total_matched() > 0);
+            assert_eq!(incremental.finish(), batch, "{policy:?}");
+            assert_eq!(
+                r_batch.snapshot().deterministic_counters(),
+                r_inc.snapshot().deterministic_counters(),
+                "{policy:?}"
+            );
         }
-        assert!(incremental.matched_so_far().total_matched() > 0);
-        incremental.finish();
-        assert_eq!(
-            r_batch.snapshot().deterministic_counters(),
-            r_inc.snapshot().deterministic_counters()
-        );
+    }
+
+    /// Matches names starting with `hit` and records the size of each
+    /// `matches_batch` call it receives.
+    struct CountingMatcher {
+        batches: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl DomainMatcher for CountingMatcher {
+        fn matches(&self, domain: &DomainName) -> bool {
+            domain.as_str().starts_with("hit")
+        }
+
+        fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
+            self.batches.borrow_mut().push(domains.len());
+            hits.clear();
+            hits.extend(domains.iter().map(|d| self.matches(d)));
+        }
+    }
+
+    #[test]
+    fn scan_hits_probes_in_blocks_and_visits_hits_in_arrival_order() {
+        for n in [0usize, 1, 63, 64, 65, 4096] {
+            let stream: Vec<_> = (0..n as u64)
+                .map(|i| {
+                    let name = if i % 3 == 0 { "hit" } else { "miss" };
+                    obs(i, (i % 2) as u32, &format!("{name}{i}.example"))
+                })
+                .collect();
+            let m = CountingMatcher {
+                batches: Default::default(),
+            };
+            let mut visited = Vec::new();
+            scan_hits(&stream, &m, |lookup| visited.push(lookup.t));
+            let batches = m.batches.into_inner();
+            assert_eq!(batches.len(), n.div_ceil(PROBE_BLOCK), "n = {n}");
+            assert_eq!(batches.iter().sum::<usize>(), n, "n = {n}");
+            assert!(batches.iter().all(|&len| (1..=PROBE_BLOCK).contains(&len)));
+            let expected: Vec<_> = stream.iter().step_by(3).map(|l| l.t).collect();
+            assert_eq!(visited, expected, "n = {n}");
+        }
     }
 
     #[test]
@@ -901,63 +850,6 @@ mod tests {
             }
             assert_eq!(c.quality(), whole, "chunk_len {chunk_len} diverged");
         }
-    }
-
-    #[test]
-    fn compact_ingest_equals_name_ingest_bit_for_bit() {
-        let stream = anomalous_stream(6000);
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let compact: Vec<_> = stream.iter().map(ObservedLookup::compact).collect();
-        let m = matcher();
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            for chunk_len in [1usize, 37, 999, 4096, 10_000] {
-                let (h_name, r_name) = Obs::collecting();
-                let mut by_name = StreamMatcher::new(&m, policy, h_name);
-                for chunk in stream.chunks(chunk_len) {
-                    by_name.ingest(chunk);
-                }
-                let by_name = by_name.finish();
-
-                let (h_id, r_id) = Obs::collecting();
-                let mut by_id = StreamMatcher::new(&m, policy, h_id);
-                for chunk in compact.chunks(chunk_len) {
-                    by_id.ingest_compact(chunk, &interner);
-                }
-                let by_id = by_id.finish();
-
-                assert_eq!(
-                    by_id, by_name,
-                    "chunk_len {chunk_len} under {policy:?} diverged"
-                );
-                assert_eq!(
-                    r_id.snapshot().deterministic_counters(),
-                    r_name.snapshot().deterministic_counters(),
-                    "metrics diverged at chunk_len {chunk_len} under {policy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_id_agrees_with_per_domain_verdicts() {
-        let stream = anomalous_stream(300);
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let m = matcher();
-        let hits: Vec<bool> = stream
-            .iter()
-            .map(|l| m.matches_id(l.domain.id(), &interner))
-            .collect();
-        let expected: Vec<bool> = stream.iter().map(|l| m.matches(&l.domain)).collect();
-        assert_eq!(hits, expected);
-        assert!(expected.iter().any(|&h| h) && expected.iter().any(|&h| !h));
-        // Ids unknown to the interner reject.
-        assert!(!m.matches_id(botmeter_dns::DomainId(u64::MAX), &interner));
     }
 
     #[test]

@@ -10,9 +10,13 @@ cd "$(dirname "$0")/.."
 echo "==> removed entry-point grep gate"
 # The dual sequential/parallel entry points are gone: every pipeline stage
 # takes an ExecPolicy. So is the cache filter's per-call clone-and-absorb
-# fan-out. No file may mention the old names.
+# fan-out, the id-probe twins of the hit scan (`scan_hits` is the one
+# kernel), the kernel-quantization knob nobody set, and botmeterd's second
+# feed loop. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
+pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
+pattern+='|run_ephemeral|drain_shard'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
