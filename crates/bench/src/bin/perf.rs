@@ -2,7 +2,8 @@
 //! the full worker pool and under one thread, and writes the evidence to
 //! `BENCH_pipeline.json`: wall times, lookup and charting throughput, the
 //! worker-thread count each run actually used, the peak number of raw-trace
-//! records resident in memory and the simulate stage's allocator traffic.
+//! records resident in memory, the simulate stage's allocator traffic and
+//! what journaling the observed stream costs `botmeterd` to encode.
 //! A final, instrumented pass runs the pipeline with a collecting [`Obs`]
 //! recorder attached and dumps the full [`MetricsSnapshot`] — per-server
 //! cache hits/misses, border filter counts, matcher probes/matches,
@@ -12,6 +13,7 @@
 //! Usage: `perf [--population N] [--epochs E] [--seed S] [--out PATH]
 //! [--metrics-out PATH]`.
 
+use botmeter_bench::journal::JournalEncodeBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, Landscape};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -51,6 +53,9 @@ struct Report {
     /// warms up, egress hydration), so "zero allocation" in the steady
     /// state shows up as a small constant-per-run fraction, not literal 0.
     allocs_per_raw_lookup: f64,
+    /// The run's observed stream encoded as journal payloads: MB/s and
+    /// allocations per journaled record, both gated by `perf_smoke`.
+    journal_encode: JournalEncodeBench,
     /// `raw_lookups / streaming.peak_resident_records`: how much smaller
     /// the resident raw footprint is than the whole trace (which is what
     /// `PipelineMode::Materialize` keeps).
@@ -262,8 +267,11 @@ fn main() {
     eprintln!("perf: newGoZ, {population} bots, {epochs} epochs, {threads} worker thread(s)");
     // One untimed warmup run: the first pipeline execution pays for page
     // faults and allocator growth over the trace's full footprint, which
-    // would otherwise be billed to whichever variant runs first.
-    let _ = bench.measure(parallel);
+    // would otherwise be billed to whichever variant runs first. Its
+    // observed stream is what the journal-encode figure is taken over.
+    let (warmup, ..) = bench.pipeline(parallel, Obs::noop());
+    let journal_encode = JournalEncodeBench::measure(warmup.observed(), 5);
+    drop(warmup);
     let stream = bench.measure(parallel);
     let stream_single = bench.measure(ExecPolicy::Sequential);
     assert_eq!(
@@ -297,6 +305,7 @@ fn main() {
         landscape_cells: stream.landscape_cells,
         residency_reduction: stream.raw_lookups as f64 / stream.peak_resident_records.max(1) as f64,
         allocs_per_raw_lookup: stream.allocs_per_raw_lookup(),
+        journal_encode,
         streaming: stream.variant(),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");

@@ -11,7 +11,10 @@
 //! the same fraction below the `timing` block of the `BENCH_estimator.json`
 //! beside the baseline, or if pricing a segment shape at a second density
 //! costs more than a quarter of pricing it at the first (`MB`'s fixpoint
-//! re-weights a shape's rows, it does not re-derive them). Takes the best
+//! re-weights a shape's rows, it does not re-derive them), or if encoding
+//! the observed stream as journal payloads falls the same fraction below
+//! the committed `journal_encode` block or allocates per record at all
+//! (the durable path streams into a reused buffer). Takes the best
 //! of a few runs so scheduler noise on shared CI workers doesn't trip the
 //! gate.
 //!
@@ -19,6 +22,7 @@
 //! [--seed S] [--min-ratio R] [--runs K]`.
 
 use botmeter_bench::cell::{FixpointBench, TimingBench};
+use botmeter_bench::journal::JournalEncodeBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -46,6 +50,7 @@ struct Baseline {
     /// so the gate still runs against a pre-alloc-accounting baseline (it
     /// then skips the alloc-budget check).
     allocs_per_raw_lookup: Option<f64>,
+    journal_encode: JournalEncodeBench,
 }
 
 #[derive(Deserialize)]
@@ -240,6 +245,45 @@ fn main() {
             "perf_smoke: streaming allocs/raw lookup {measured_apl:.4} \
              (no committed figure in baseline; alloc-budget gate skipped)"
         );
+    }
+
+    // Journal-encode gate: the observed stream as 4096-record journal
+    // payloads through `serde_json::to_writer` into a reused buffer. The
+    // throughput floor is relative to the committed figure; the allocation
+    // ceiling is absolute, because the count repeats exactly: a handful of
+    // buffer growths per pass, where a per-value tree costs several
+    // allocations per record.
+    const JOURNAL_ALLOCS_PER_RECORD_CEILING: f64 = 0.05;
+    let journal = JournalEncodeBench::measure(streaming.observed(), 5);
+    let journal_floor = baseline.journal_encode.mb_per_sec * min_ratio;
+    eprintln!(
+        "perf_smoke: journal encode {:.0} MB/s ({} bytes, {} records in {:.4}s) vs floor \
+         {journal_floor:.0} ({}% of baseline {:.0}); {:.5} allocs/record \
+         (ceiling {JOURNAL_ALLOCS_PER_RECORD_CEILING})",
+        journal.mb_per_sec,
+        journal.bytes,
+        journal.records,
+        journal.secs,
+        (min_ratio * 100.0) as u64,
+        baseline.journal_encode.mb_per_sec,
+        journal.allocs_per_record
+    );
+    if journal.mb_per_sec < journal_floor {
+        fail(&format!(
+            "journal-encode regression: {:.0} MB/s is below {journal_floor:.0} \
+             ({}% of committed baseline {:.0})",
+            journal.mb_per_sec,
+            (min_ratio * 100.0) as u64,
+            baseline.journal_encode.mb_per_sec
+        ));
+    }
+    if journal.allocs_per_record > JOURNAL_ALLOCS_PER_RECORD_CEILING {
+        fail(&format!(
+            "journal-encode allocation regression: {:.5} allocations per journaled record, \
+             above the {JOURNAL_ALLOCS_PER_RECORD_CEILING} ceiling — the encoder is \
+             allocating per value",
+            journal.allocs_per_record
+        ));
     }
 
     // Sketch residency smoke: fold the same observed traffic through the

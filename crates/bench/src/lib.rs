@@ -24,5 +24,6 @@ pub mod cell;
 pub mod evasion_study;
 pub mod fig6;
 pub mod fig7;
+pub mod journal;
 pub mod render;
 pub mod sweep;

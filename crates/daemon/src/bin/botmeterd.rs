@@ -27,6 +27,10 @@
 //! bit-identical to an uninterrupted run. SIGTERM/SIGINT trigger a final
 //! checkpoint flush and a clean exit. `--data-dir` selects storage,
 //! recovery, that resume-skip and the signal handling — nothing else.
+//! A shard is one journal frame, and a frame holds at most 64 MiB, so with
+//! `--data-dir` a `--shard-records` above
+//! [`MAX_SHARD_RECORDS`] (215 092: what
+//! fits whatever the records are) is refused at start-up.
 //!
 //! Usage: `botmeterd --family NAME [--epochs E] [--model MODEL]
 //! [--threads N] [--close-lag L] [--retention R] [--shard-records S]
@@ -34,8 +38,10 @@
 //! [--final-snapshot PATH]`.
 
 use botmeter_core::{BotMeter, BotMeterConfig, LandscapeVersion, ModelKind};
+use botmeter_daemon::wal::MAX_FRAME_LEN;
 use botmeter_daemon::{
     BotMeterDaemon, DaemonOptions, DiskStorage, DurabilityOptions, DurableDaemon, Storage,
+    MAX_SHARD_RECORDS,
 };
 use botmeter_dga::DgaFamily;
 use botmeter_dns::{trace, ObservedLookup};
@@ -137,6 +143,13 @@ fn main() {
             .delivery_rate(delivery_rate),
     );
     let shard_records = shard_records.max(1);
+    if data_dir.is_some() && shard_records > MAX_SHARD_RECORDS {
+        usage(&format!(
+            "--shard-records {shard_records} is over {MAX_SHARD_RECORDS}, the most records one \
+             journal frame ({} MiB) is sure to hold",
+            MAX_FRAME_LEN >> 20
+        ));
+    }
     let options = DaemonOptions::new(0..epochs)
         .policy(policy)
         .close_lag(close_lag)

@@ -18,6 +18,10 @@
 //! <body: EngineCheckpoint as JSON>
 //! ```
 //!
+//! [`encode_checkpoint`] streams the body into its output buffer once and
+//! writes the envelope line, which states the body's CRC and length, into
+//! room left in front of it.
+//!
 //! The manager retains the newest two generations. Recovery tries the
 //! newest first; a damaged envelope or body falls back to the previous
 //! generation, whose WAL suffix is still on disk because the journal is
@@ -211,16 +215,24 @@ impl std::error::Error for CheckpointError {}
 
 const ENVELOPE_MAGIC: &str = "BMCKPT01";
 
+/// The longest envelope line: magic, 8 hex digits, a 20-digit length, two
+/// spaces and the newline.
+const ENVELOPE_ROOM: usize = ENVELOPE_MAGIC.len() + 1 + 8 + 1 + 20 + 1;
+
 /// Serializes `state` under the integrity envelope.
+///
+/// The envelope line states the body's CRC and length, so the body is
+/// written first — once, streamed into the output buffer behind room for
+/// the longest possible line — and the line is then laid right up against
+/// it and the unused room dropped.
 pub fn encode_checkpoint(state: &EngineCheckpoint) -> Result<Vec<u8>, String> {
-    let body = serde_json::to_string(state).map_err(|e| e.to_string())?;
-    let mut out = format!(
-        "{ENVELOPE_MAGIC} {:08x} {}\n",
-        crc32(body.as_bytes()),
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(body.as_bytes());
+    let mut out = vec![0u8; ENVELOPE_ROOM];
+    serde_json::to_writer(&mut out, state).map_err(|e| e.to_string())?;
+    let body = &out[ENVELOPE_ROOM..];
+    let line = format!("{ENVELOPE_MAGIC} {:08x} {}\n", crc32(body), body.len());
+    let unused = ENVELOPE_ROOM - line.len();
+    out[unused..ENVELOPE_ROOM].copy_from_slice(line.as_bytes());
+    out.drain(..unused);
     Ok(out)
 }
 
@@ -331,13 +343,24 @@ impl CheckpointManager {
     /// of the *oldest retained* checkpoint — the journal's new base.
     pub fn save<S: Storage>(storage: &mut S, state: &EngineCheckpoint) -> io::Result<u64> {
         let bytes = encode_checkpoint(state).map_err(io::Error::other)?;
-        storage.write_atomic(&Self::file_name(state.wal_seq), &bytes)?;
+        Self::save_encoded(storage, state.wal_seq, &bytes)
+    }
+
+    /// [`save`](Self::save) for a checkpoint [`encode_checkpoint`] already
+    /// produced: the storage half alone, so a caller retrying a failed write
+    /// encodes once.
+    pub(crate) fn save_encoded<S: Storage>(
+        storage: &mut S,
+        wal_seq: u64,
+        bytes: &[u8],
+    ) -> io::Result<u64> {
+        storage.write_atomic(&Self::file_name(wal_seq), bytes)?;
         let seqs = Self::stored_seqs(storage)?;
         let retire = seqs.len().saturating_sub(RETAINED_CHECKPOINTS);
         for &seq in &seqs[..retire] {
             storage.remove(&Self::file_name(seq))?;
         }
-        Ok(*seqs[retire..].first().unwrap_or(&state.wal_seq))
+        Ok(*seqs[retire..].first().unwrap_or(&wal_seq))
     }
 
     /// Loads the newest readable checkpoint, walking backwards over

@@ -17,18 +17,25 @@
 //! journal suffix through the normal ingest path — which re-fires the
 //! same auto-publishes with the same versions — and resumes.
 //!
+//! Both writes stream: the shard is serialized straight into its journal
+//! frame (`wal::encode_frame_into`, one buffer reused across shards), the
+//! engine state straight into the checkpoint's output buffer, and each is
+//! encoded once however often the storage write behind it is retried.
+//!
 //! Transient I/O faults are retried under bounded exponential backoff
 //! with deterministic jitter ([`RetryPolicy`]); a journal that stays
 //! unavailable past the retry budget degrades the daemon (counted, never
 //! crashed): ingest and publishing continue in memory, and the next
 //! successful checkpoint heals durability by capturing the unjournaled
-//! state wholesale.
+//! state wholesale. A shard too large for one journal frame
+//! ([`MAX_SHARD_RECORDS`]) takes the same route without the retries: the
+//! reader would refuse its frame as corrupt, so the writer never writes it.
 
-use crate::checkpoint::{CheckpointError, CheckpointManager};
+use crate::checkpoint::{encode_checkpoint, CheckpointError, CheckpointManager};
 use crate::engine::{BotMeterDaemon, DaemonOptions, DaemonStats};
 use crate::storage::Storage;
 use crate::store::StoreError;
-use crate::wal::{Wal, WalCodecError, WalFrame};
+use crate::wal::{encode_frame_into, Wal, WalCodecError, WalFrame, MAX_FRAME_LEN};
 use botmeter_core::{BotMeter, LandscapeVersion};
 use botmeter_dns::ObservedLookup;
 use botmeter_obs::Obs;
@@ -37,6 +44,17 @@ use rand_chacha::ChaCha12Rng;
 use std::fmt;
 use std::io;
 use std::time::Duration;
+
+/// The longest JSON one [`ObservedLookup`] can serialize to, with the comma
+/// that follows it in a shard: a 20-digit `t`, a 10-digit `server` and a
+/// 253-byte `domain` (validated names hold nothing JSON escapes).
+const MAX_RECORD_JSON_LEN: usize = r#"{"t":,"server":,"domain":""},"#.len() + 20 + 10 + 253;
+
+/// The most records a shard can hold and still be sure to fit one journal
+/// frame ([`MAX_FRAME_LEN`]) whatever the records are. [`DurableDaemon::ingest`]
+/// does not journal a shard whose frame would not fit (it degrades, see
+/// there); a feeder that cuts shards no longer than this never meets that.
+pub const MAX_SHARD_RECORDS: usize = (MAX_FRAME_LEN as usize - "[]".len()) / MAX_RECORD_JSON_LEN;
 
 /// Everything that can go wrong in the durability layer, typed.
 #[derive(Debug)]
@@ -302,6 +320,9 @@ pub struct DurableDaemon<S: Storage> {
     /// Whether the journal is currently unavailable (degraded mode).
     degraded: bool,
     stats: DurabilityStats,
+    /// The journal frame of the shard being ingested, laid out in place;
+    /// kept so the allocation is reused from shard to shard.
+    frame: Vec<u8>,
 }
 
 impl<S: Storage> fmt::Debug for DurableDaemon<S> {
@@ -401,6 +422,7 @@ impl<S: Storage> DurableDaemon<S> {
             last_checkpoint_seq: checkpoint_seq,
             degraded: false,
             stats: DurabilityStats::default(),
+            frame: Vec::new(),
         };
         for frame in &contents.frames {
             if frame.seq <= checkpoint_seq {
@@ -431,22 +453,36 @@ impl<S: Storage> DurableDaemon<S> {
 
     /// Journals then ingests one shard, checkpointing on cadence.
     ///
-    /// The shard is appended to the journal (under retry/backoff) before
-    /// it touches the engine; a journal that stays unavailable degrades
-    /// the daemon (counted via [`DurabilityStats::unjournaled_shards`]
-    /// and `wal.degraded_shards`) instead of failing the serve path.
+    /// The shard is serialized straight into its journal frame and the
+    /// frame appended (under retry/backoff) before the shard touches the
+    /// engine; a journal that stays unavailable degrades the daemon
+    /// (counted via [`DurabilityStats::unjournaled_shards`] and
+    /// `wal.degraded_shards`) instead of failing the serve path. So does a
+    /// shard whose frame would exceed the journal's frame ceiling
+    /// (more than [`MAX_SHARD_RECORDS`] records can): recovery would refuse
+    /// that frame as corrupt, so it is never written and no retry is spent
+    /// on it. Either way the next checkpoint covers the shard.
     /// Returns the version auto-published by this shard, if any.
     pub fn ingest(&mut self, shard: &[ObservedLookup]) -> Option<LandscapeVersion> {
         let next_seq = self.seq + 1;
-        let payload = serde_json::to_string(shard).expect("lookups always serialize");
         let start = self.obs.clock();
-        let appended = with_retries(
-            &self.options.retry,
-            &self.obs,
-            "wal.append_retries",
-            &mut self.options.sleeper,
-            || self.wal.append(next_seq, payload.as_bytes()),
-        );
+        self.frame.clear();
+        let encoded = encode_frame_into(&mut self.frame, next_seq, |payload| {
+            serde_json::to_writer(payload, shard).map_err(io::Error::other)
+        });
+        if self.obs.enabled() {
+            self.obs.observe_since("wal.encode_ns", start);
+        }
+        let start = self.obs.clock();
+        let appended = encoded.and_then(|()| {
+            with_retries(
+                &self.options.retry,
+                &self.obs,
+                "wal.append_retries",
+                &mut self.options.sleeper,
+                || self.wal.append_encoded(&self.frame),
+            )
+        });
         match appended {
             Ok(()) => {
                 self.stats.wal_appends += 1;
@@ -485,15 +521,22 @@ impl<S: Storage> DurableDaemon<S> {
     /// [`DurabilityStats::failed_checkpoints`] so callers on the ingest
     /// path can ignore it safely.
     pub fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
-        let state = self.engine.checkpoint_state(self.seq);
         let start = self.obs.clock();
-        let saved = with_retries(
-            &self.options.retry,
-            &self.obs,
-            "ckpt.save_retries",
-            &mut self.options.sleeper,
-            || CheckpointManager::save(self.wal.storage_mut(), &state),
-        );
+        let state = self.engine.checkpoint_state(self.seq);
+        let encoded = encode_checkpoint(&state).map_err(io::Error::other);
+        if self.obs.enabled() {
+            self.obs.observe_since("ckpt.encode_ns", start);
+        }
+        let start = self.obs.clock();
+        let saved = encoded.and_then(|bytes| {
+            with_retries(
+                &self.options.retry,
+                &self.obs,
+                "ckpt.save_retries",
+                &mut self.options.sleeper,
+                || CheckpointManager::save_encoded(self.wal.storage_mut(), self.seq, &bytes),
+            )
+        });
         let oldest_retained = match saved {
             Ok(seq) => seq,
             Err(source) => {
@@ -707,6 +750,98 @@ mod tests {
                 other => panic!("expected BadFramePayload for frame 2, got {other}"),
             }
         }
+    }
+
+    /// The widest record the types allow: every digit of `t` and `server`,
+    /// a full-length name.
+    fn widest_record() -> ObservedLookup {
+        let label = "x".repeat(63);
+        let name = format!("{label}.{label}.{label}.{}", &label[..61]);
+        assert_eq!(name.len(), 253);
+        ObservedLookup::new(
+            botmeter_dns::SimInstant::from_millis(u64::MAX),
+            botmeter_dns::ServerId(u32::MAX),
+            name.parse().expect("a valid 253-byte name"),
+        )
+    }
+
+    #[test]
+    fn max_shard_records_is_sized_from_the_widest_record() {
+        let one = serde_json::to_vec(&[widest_record()][..]).unwrap();
+        assert_eq!(one.len() - "[]".len() + ",".len(), MAX_RECORD_JSON_LEN);
+        let frame = "[]".len() + MAX_SHARD_RECORDS * MAX_RECORD_JSON_LEN;
+        assert!(frame <= MAX_FRAME_LEN as usize);
+        assert!(frame + MAX_RECORD_JSON_LEN > MAX_FRAME_LEN as usize);
+    }
+
+    #[test]
+    fn a_shard_over_the_frame_ceiling_is_never_journaled_and_the_journal_still_opens() {
+        let slept: Arc<Mutex<Vec<Duration>>> = Arc::default();
+        let sleeps = slept.clone();
+        let opts = DurabilityOptions {
+            sleeper: Box::new(move |d| sleeps.lock().unwrap().push(d)),
+            ..DurabilityOptions::new(1000)
+        };
+        let (mut daemon, _) =
+            DurableDaemon::open(meter(), options(), MemStorage::new(), opts).unwrap();
+        let stream = observed();
+        daemon.ingest(&stream[..64]);
+        let journal_before = daemon.storage_mut().read(crate::wal::WAL_FILE).unwrap();
+
+        // One record past what a frame is sure to hold, all of them widest.
+        let oversize = vec![widest_record(); MAX_SHARD_RECORDS + 1];
+        daemon.ingest(&oversize);
+        assert!(
+            daemon.is_degraded(),
+            "the shard rides on the next checkpoint"
+        );
+        let stats = daemon.durability_stats();
+        assert_eq!((stats.wal_appends, stats.unjournaled_shards), (1, 1));
+        assert!(slept.lock().unwrap().is_empty(), "no retry spent on it");
+        assert_eq!(
+            daemon.storage_mut().read(crate::wal::WAL_FILE).unwrap(),
+            journal_before,
+            "nothing of the oversize shard reached storage"
+        );
+        assert_eq!(daemon.stats().ingested, 64 + oversize.len() as u64);
+
+        // The journal keeps working, and a reference engine fed the same
+        // three shards without a journal publishes the same snapshot.
+        daemon.ingest(&stream[64..128]);
+        assert_eq!(daemon.durability_stats().wal_appends, 2);
+        let mut reference = BotMeterDaemon::new(meter(), options()).unwrap();
+        for shard in [&stream[..64], &oversize[..], &stream[64..128]] {
+            reference.ingest(shard);
+        }
+        daemon.publish_now();
+        reference.publish_now();
+        assert_eq!(daemon.engine().latest(), reference.latest());
+
+        // What is on storage opens: the unjournaled shard is a gap in the
+        // sequence (1, 3), which the format allows, not a corrupt frame.
+        let storage = std::mem::take(daemon.storage_mut());
+        drop(daemon);
+        let (recovered, report) =
+            DurableDaemon::open(meter(), options(), storage, DurabilityOptions::default())
+                .expect("no sequence of ingest calls produces a journal open refuses");
+        assert_eq!(report.replayed_frames, 2);
+        assert_eq!(recovered.stats().ingested, 128);
+
+        // And a checkpoint heals the gap, like any journal outage.
+        let (mut healed, _) = DurableDaemon::open(
+            meter(),
+            options(),
+            MemStorage::new(),
+            DurabilityOptions::new(2),
+        )
+        .unwrap();
+        healed.ingest(&stream[..64]);
+        healed.ingest(&oversize); // seq 2: unjournaled, then checkpointed on cadence
+        assert!(!healed.is_degraded());
+        let storage = std::mem::take(healed.storage_mut());
+        let (recovered, _) =
+            DurableDaemon::open(meter(), options(), storage, DurabilityOptions::default()).unwrap();
+        assert_eq!(recovered.stats().ingested, 64 + oversize.len() as u64);
     }
 
     #[test]

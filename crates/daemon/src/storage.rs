@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// A flat namespace of named byte blobs with crash-safe primitives.
@@ -90,9 +90,8 @@ impl DiskStorage {
 
 impl Storage for DiskStorage {
     fn read(&mut self, name: &str) -> io::Result<Vec<u8>> {
-        let mut bytes = Vec::new();
-        File::open(self.path(name))?.read_to_end(&mut bytes)?;
-        Ok(bytes)
+        // Sizes the buffer from the file's length before reading.
+        std::fs::read(self.path(name))
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {

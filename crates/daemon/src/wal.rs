@@ -27,6 +27,19 @@
 //! codec error (CRC-32 detects all burst errors up to 32 bits). `base_seq`
 //! is the truncation watermark: frames with `seq <= base_seq` have been
 //! folded into a retained checkpoint and rotated out.
+//!
+//! ## Writing a frame
+//!
+//! One function lays a frame out, `encode_frame_into`: it reserves the
+//! 16-byte frame header at the end of a caller's buffer, lets the caller
+//! write the payload straight behind it (the daemon serializes the shard
+//! there — no payload `String`, no payload → frame copy, and the buffer is
+//! reused from shard to shard), then patches `len` and `crc(seq ‖ len)` and
+//! appends `crc(payload)`. It is also where the writer enforces the
+//! reader's ceiling: a payload over [`MAX_FRAME_LEN`] is refused with
+//! `InvalidInput` before anything reaches storage, because [`decode`] would
+//! call the frame corrupt — the journal never acknowledges what it will
+//! not replay.
 
 use crate::storage::Storage;
 use std::fmt;
@@ -45,8 +58,12 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 // --- CRC-32 (IEEE 802.3, reflected) -------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, `CRC_TABLES[k][b]` the CRC state after byte `b` and `k` zero
+/// bytes — so eight input bytes fold into the state with eight independent
+/// lookups instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -59,20 +76,45 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE) over `bytes` — the checksum every journal frame and the
-/// checkpoint envelope carry.
+/// checkpoint envelope carry. Slicing-by-8: eight bytes a step, then the
+/// tail a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut steps = bytes.chunks_exact(8);
+    for step in &mut steps {
+        let lo = c ^ u32::from_le_bytes([step[0], step[1], step[2], step[3]]);
+        let hi = u32::from_le_bytes([step[4], step[5], step[6], step[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in steps.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -153,16 +195,71 @@ pub fn encode_header(base_seq: u64) -> Vec<u8> {
     out
 }
 
-/// Encodes one frame: `seq ‖ len ‖ crc(seq‖len) ‖ payload ‖ crc(payload)`.
-pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 4);
+/// Lays out one frame at the end of `out`:
+/// `seq ‖ len ‖ crc(seq‖len) ‖ payload ‖ crc(payload)`, the payload being
+/// whatever `payload` appends. The header is reserved first and patched
+/// once the length is known, so the payload is written where it will stay.
+///
+/// # Errors
+///
+/// `payload`'s own error, or `InvalidInput` for a payload longer than
+/// [`MAX_FRAME_LEN`] — [`decode`] refuses such a frame as corrupt, so it
+/// must never be written. Either way `out` is left as it was.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    payload: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let start = out.len();
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    let hcrc = crc32(&out[..12]);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN - 8]);
+    let payload_start = out.len();
+    let len = payload(out).and_then(|()| {
+        let len = out.len() - payload_start;
+        match u32::try_from(len) {
+            Ok(len) if len <= MAX_FRAME_LEN => Ok(len),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a {len}-byte payload exceeds the journal's frame ceiling \
+                     of {MAX_FRAME_LEN} bytes"
+                ),
+            )),
+        }
+    });
+    let len = match len {
+        Ok(len) => len,
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    out[start + 8..start + 12].copy_from_slice(&len.to_le_bytes());
+    let header_crc = crc32(&out[start..start + 12]);
+    out[start + 12..payload_start].copy_from_slice(&header_crc.to_le_bytes());
+    let payload_crc = crc32(&out[payload_start..]);
+    out.extend_from_slice(&payload_crc.to_le_bytes());
+    Ok(())
+}
+
+/// [`encode_frame_into`] for a payload that already exists as bytes.
+fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) -> io::Result<()> {
+    out.reserve(FRAME_HEADER_LEN + payload.len() + 4);
+    encode_frame_into(out, seq, |buf| {
+        buf.extend_from_slice(payload);
+        Ok(())
+    })
+}
+
+/// Encodes one frame: `seq ‖ len ‖ crc(seq‖len) ‖ payload ‖ crc(payload)`.
+///
+/// # Panics
+///
+/// If `payload` is longer than [`MAX_FRAME_LEN`]: no such frame exists in
+/// the format. ([`Wal::append`] returns the error instead.)
+pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_frame(&mut out, seq, payload).expect("payload within the frame ceiling");
     out
 }
 
@@ -295,9 +392,17 @@ impl<S: Storage> Wal<S> {
     }
 
     /// Appends one frame. The append is durable (storage-fsynced) when
-    /// this returns `Ok`.
+    /// this returns `Ok`. A payload longer than [`MAX_FRAME_LEN`] is
+    /// refused with `InvalidInput` before storage is touched.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
-        self.storage.append(WAL_FILE, &encode_frame(seq, payload))
+        let mut frame = Vec::new();
+        push_frame(&mut frame, seq, payload)?;
+        self.append_encoded(&frame)
+    }
+
+    /// Appends a frame [`encode_frame_into`] already laid out.
+    pub(crate) fn append_encoded(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.storage.append(WAL_FILE, frame)
     }
 
     /// Rewrites the journal to contain only `keep` (frames above the new
@@ -306,9 +411,14 @@ impl<S: Storage> Wal<S> {
     /// newest checkpoint can still fall back one generation and replay.
     pub fn rotate(&mut self, base_seq: u64, keep: &[WalFrame]) -> io::Result<()> {
         let mut bytes = encode_header(base_seq);
+        bytes.reserve(
+            keep.iter()
+                .map(|frame| FRAME_HEADER_LEN + frame.payload.len() + 4)
+                .sum(),
+        );
         for frame in keep {
             debug_assert!(frame.seq > base_seq, "kept frame below the watermark");
-            bytes.extend_from_slice(&encode_frame(frame.seq, &frame.payload));
+            push_frame(&mut bytes, frame.seq, &frame.payload)?;
         }
         self.storage.write_atomic(WAL_FILE, &bytes)
     }
@@ -338,6 +448,16 @@ mod tests {
     use super::*;
     use crate::storage::MemStorage;
 
+    /// The one-table, byte-at-a-time loop `crc32` used to be: the reference
+    /// slicing-by-8 must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE check values.
@@ -347,6 +467,89 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        // Lengths straddle 0..8 steps plus every tail; start offsets move
+        // the slice across every alignment of the shared buffer.
+        let buffer: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=70 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn crc32_matches_the_bytewise_loop_on_random_buffers(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..(1 << 20) + 1,
+        ) {
+            // A cheap xorshift fill: a megabyte drawn value by value from
+            // the strategy would dominate the test.
+            let mut x = seed | 1;
+            let buffer: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 32) as u8
+                })
+                .collect();
+            proptest::prop_assert_eq!(crc32(&buffer), crc32_bytewise(&buffer));
+        }
+    }
+
+    #[test]
+    fn frames_are_laid_out_in_place_behind_whatever_the_buffer_holds() {
+        let mut out = b"already here".to_vec();
+        encode_frame_into(&mut out, 9, |buf| {
+            buf.extend_from_slice(b"pay");
+            buf.extend_from_slice(b"load");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            out,
+            [&b"already here"[..], &encode_frame(9, b"payload")].concat()
+        );
+        // A failed payload leaves the buffer as it was.
+        let before = out.clone();
+        let err = encode_frame_into(&mut out, 10, |buf| {
+            buf.extend_from_slice(b"half a payl");
+            Err(io::Error::other("serializer gave up"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "serializer gave up");
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn an_oversize_payload_is_refused_before_storage_is_touched() {
+        let mut wal = Wal::create(MemStorage::new()).unwrap();
+        wal.append(1, b"fits").unwrap();
+        let before = wal.storage_mut().read(WAL_FILE).unwrap();
+        let oversize = vec![b'x'; MAX_FRAME_LEN as usize + 1];
+        let err = wal.append(2, &oversize).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("67108864"), "{err}");
+        assert_eq!(wal.storage_mut().read(WAL_FILE).unwrap(), before);
+        // The ceiling itself still fits, and decodes.
+        wal.append(2, &oversize[1..]).unwrap();
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!(contents.frames.len(), 2);
+        assert_eq!(contents.frames[1].payload.len(), MAX_FRAME_LEN as usize);
     }
 
     #[test]

@@ -78,3 +78,41 @@ fn report_lines_and_final_snapshot_do_not_depend_on_data_dir() {
 
     std::fs::remove_dir_all(&scratch).expect("scratch removed");
 }
+
+/// A shard is one journal frame; with a journal, a shard size whose frame
+/// might not fit is refused before anything is opened, naming the limit.
+#[test]
+fn shard_records_over_the_journal_frame_ceiling_is_refused_with_a_data_dir() {
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("botmeterd_shard_ceiling");
+    let _ = std::fs::remove_dir_all(&scratch);
+    let run = |shard_records: &str, data_dir: bool| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_botmeterd"));
+        command.args(["--family", "murofet", "--shard-records", shard_records]);
+        if data_dir {
+            command.arg("--data-dir").arg(&scratch);
+        }
+        command
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .output()
+            .expect("botmeterd runs")
+    };
+    let limit = botmeter_daemon::MAX_SHARD_RECORDS;
+
+    let refused = run("2000000", true);
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains(&format!("--shard-records 2000000 is over {limit}"))
+            && stderr.contains("64 MiB"),
+        "{stderr}"
+    );
+    assert!(!scratch.exists(), "refused before the data dir was opened");
+
+    assert_eq!(run(&(limit + 1).to_string(), true).status.code(), Some(2));
+    assert!(run(&limit.to_string(), true).status.success());
+    // Without a journal there is no frame to fit.
+    assert!(run("2000000", false).status.success());
+
+    std::fs::remove_dir_all(&scratch).expect("scratch removed");
+}

@@ -123,6 +123,42 @@ if [[ -n "$fswrite_offenders" ]]; then
   exit 1
 fi
 
+echo "==> durable path writes into buffers (no serde_json::to_string in the daemon library)"
+# Journal frames and checkpoint bodies are serialized straight into the
+# buffer that goes to storage (`serde_json::to_writer`); a `to_string` on
+# that path is a payload-sized String and a copy per shard. The harness
+# bins under src/bin/ are not the durable path; `#[cfg(test)]` modules are
+# skipped as in the unwrap gate.
+to_string_offenders=$(
+  find crates/daemon/src -maxdepth 1 -name '*.rs' -print0 \
+  | xargs -0 awk '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      in_tests { next }
+      /serde_json::to_string\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    '
+)
+if [[ -n "$to_string_offenders" ]]; then
+  echo "error: serde_json::to_string on the durable path; write into the buffer:" >&2
+  echo "$to_string_offenders" >&2
+  exit 1
+fi
+
+echo "==> serialization streams (no Content tree behind Serialize)"
+# `Serialize` impls and derived code drive the Serializer's compound entry
+# points; the tree builder they used to call (`to_content`,
+# `ContentSerializer`) lives on only as the test oracle under
+# vendor/serde_json/tests/oracle. `Content` itself stays: it is the
+# deserialization model and the `serialize_content` escape hatch.
+tree_offenders=$(grep -rnE 'to_content|ContentSerializer' \
+  vendor/serde/src vendor/serde_derive/src vendor/serde_json/src \
+  || true)
+if [[ -n "$tree_offenders" ]]; then
+  echo "error: the serialization path builds a Content tree again:" >&2
+  echo "$tree_offenders" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -135,7 +171,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate)"
+echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
@@ -148,10 +184,14 @@ echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint 
 # entry ever opened measured ~35x below it), if pricing one b-segment
 # (len 2000, theta_q 500) at a later fixpoint density costs more than 25% of
 # pricing it at the first (the kernel re-weights a shape's rho-free rows,
-# ~0.12; re-deriving them per density measures ~1), or if the streaming simulate
+# ~0.12; re-deriving them per density measures ~1), if the streaming simulate
 # stage exceeds its committed allocations-per-raw-lookup budget (counting
 # global allocator; 4x the committed allocs_per_raw_lookup figure with a
-# 0.5 absolute floor).
+# 0.5 absolute floor), or if encoding the observed stream as 4096-record
+# journal payloads (serde_json::to_writer into a reused buffer) drops more
+# than 25% below the committed journal_encode MB/s or spends more than 0.05
+# allocations per journaled record (a streaming encoder spends ~16 per
+# pass; one tree node per value is several per record).
 # Best-of-N to absorb scheduler noise.
 ./target/release/perf_smoke
 
