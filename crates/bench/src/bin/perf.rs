@@ -18,7 +18,7 @@ use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, Landscape};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::{AllocSnapshot, MetricsSnapshot, Obs};
-use botmeter_sim::{PipelineMode, ScenarioOutcome, ScenarioSpec, ScenarioSpecBuilder};
+use botmeter_sim::{ScenarioOutcome, ScenarioSpec, ScenarioSpecBuilder};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ struct Report {
     observed_lookups: usize,
     landscape_cells: usize,
     /// The simulate→filter→fault pipeline under the full worker pool, raw
-    /// trace dropped shard by shard (`PipelineMode::Streaming`).
+    /// trace dropped shard by shard.
     streaming: Variant,
     /// Heap allocations per raw lookup during the streaming simulate
     /// stage — the zero-allocation hot-path figure the `perf_smoke`
@@ -57,8 +57,7 @@ struct Report {
     /// allocations per journaled record, both gated by `perf_smoke`.
     journal_encode: JournalEncodeBench,
     /// `raw_lookups / streaming.peak_resident_records`: how much smaller
-    /// the resident raw footprint is than the whole trace (which is what
-    /// `PipelineMode::Materialize` keeps).
+    /// the resident raw footprint is than the whole trace.
     residency_reduction: f64,
     /// Streaming multicore scaling evidence: the same fused pipeline with
     /// a 1-thread policy vs the full pool, so a `threads: 1` "parallel"
@@ -152,7 +151,6 @@ impl Bench {
             .population(self.population)
             .num_epochs(self.epochs)
             .seed(self.seed)
-            .pipeline(PipelineMode::Streaming { shard: None })
     }
 
     #[allow(clippy::type_complexity)]

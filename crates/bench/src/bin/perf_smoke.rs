@@ -27,7 +27,7 @@ use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::AllocSnapshot;
-use botmeter_sim::{PipelineMode, ScenarioSpec};
+use botmeter_sim::ScenarioSpec;
 use serde::Deserialize;
 use std::path::Path;
 use std::time::Instant;
@@ -130,7 +130,6 @@ fn main() {
             .population(population)
             .num_epochs(epochs)
             .seed(seed)
-            .pipeline(PipelineMode::Streaming { shard: None })
             .build()
             .expect("valid scenario")
     };

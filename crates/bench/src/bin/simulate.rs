@@ -74,7 +74,7 @@ fn main() {
         outcome.family(),
         population,
         outcome.ground_truth(),
-        outcome.raw().len(),
+        outcome.raw_lookups(),
         outcome.observed().len(),
     );
 }

@@ -384,14 +384,6 @@ impl<S: Storage> DurableDaemon<S> {
         // 2. Restore the engine (or start fresh).
         let engine = match &state {
             Some(ckpt) => {
-                let expected = BotMeterDaemon::new(meter.clone(), engine_options.clone())?
-                    .config_fingerprint();
-                if ckpt.config != expected {
-                    return Err(DurabilityError::ConfigMismatch {
-                        expected,
-                        found: ckpt.config.clone(),
-                    });
-                }
                 report.checkpoint_seq = ckpt.wal_seq;
                 BotMeterDaemon::from_checkpoint(meter, engine_options, ckpt)?
             }

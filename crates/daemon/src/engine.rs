@@ -26,7 +26,6 @@ use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_exec::ExecPolicy;
 use botmeter_matcher::{scan_hits, QualityCursor, StreamQuality};
 use botmeter_obs::Obs;
-use botmeter_sim::ShardSink;
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -598,17 +597,25 @@ impl BotMeterDaemon {
     ///
     /// # Errors
     ///
-    /// The same validation as [`new`](Self::new), plus
+    /// The same validation as [`new`](Self::new);
+    /// [`ConfigMismatch`](crate::DurabilityError::ConfigMismatch) when the
+    /// checkpoint was taken under a different
+    /// [`config_fingerprint`](Self::config_fingerprint); and
     /// [`StoreError`](crate::StoreError) when the checkpointed snapshot
-    /// sequence is internally inconsistent. A config-fingerprint mismatch
-    /// is *not* checked here — the durability layer rejects it earlier
-    /// with full context.
+    /// sequence is internally inconsistent.
     pub fn from_checkpoint(
         meter: BotMeter,
         options: DaemonOptions,
         state: &EngineCheckpoint,
     ) -> Result<Self, crate::DurabilityError> {
         let mut engine = Self::new(meter, options)?;
+        let expected = engine.config_fingerprint();
+        if state.config != expected {
+            return Err(crate::DurabilityError::ConfigMismatch {
+                expected,
+                found: state.config.clone(),
+            });
+        }
         engine.cells = state
             .cells
             .iter()
@@ -660,12 +667,6 @@ impl std::fmt::Debug for BotMeterDaemon {
             .field("cells", &self.cells.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
-    }
-}
-
-impl ShardSink for BotMeterDaemon {
-    fn on_shard(&mut self, shard: &[ObservedLookup]) {
-        self.ingest(shard);
     }
 }
 

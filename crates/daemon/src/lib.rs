@@ -6,11 +6,11 @@
 //! stream, without re-charting the world every time an epoch closes. This
 //! crate keeps the Fig. 2 pipeline resident:
 //!
-//! * [`BotMeterDaemon`] ingests observed-lookup shards (it implements
-//!   [`botmeter_sim::ShardSink`], so the streaming simulator pipes into it
-//!   directly; the `botmeterd` binary feeds it JSON-Lines from stdin),
-//!   maintains per-server stream-health state across epoch boundaries with
-//!   a bounded [`botmeter_matcher::QualityCursor`], and re-estimates only
+//! * [`BotMeterDaemon`] ingests observed-lookup shards (the `botmeterd`
+//!   binary feeds it JSON-Lines from stdin; tests pipe the simulator's
+//!   shards into [`ingest`](BotMeterDaemon::ingest)), maintains
+//!   per-server stream-health state across epoch boundaries with a
+//!   bounded [`botmeter_matcher::QualityCursor`], and re-estimates only
 //!   the cells whose matched traffic changed — the Theorem-1 segment-kernel
 //!   cache lives inside one long-lived estimation context, so later epochs
 //!   reuse earlier epochs' kernel work.

@@ -8,10 +8,10 @@ use botmeter_dga::DgaFamily;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
 use botmeter_faults::{FaultModel, FaultPlan};
-use botmeter_sim::{PipelineMode, ScenarioOutcome, ScenarioSpec};
+use botmeter_sim::{ScenarioOutcome, ScenarioSpec};
 use std::collections::HashSet;
 
-fn scenario(family: DgaFamily, epochs: u64, seed: u64, faulty: bool) -> ScenarioOutcome {
+fn spec(family: DgaFamily, epochs: u64, seed: u64, faulty: bool) -> ScenarioSpec {
     let mut builder = ScenarioSpec::builder(family)
         .population(48)
         .num_epochs(epochs)
@@ -27,10 +27,11 @@ fn scenario(family: DgaFamily, epochs: u64, seed: u64, faulty: bool) -> Scenario
                 .with(FaultModel::Duplicate { rate: 0.05 }),
         );
     }
-    builder
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::default())
+    builder.build().expect("valid scenario")
+}
+
+fn scenario(family: DgaFamily, epochs: u64, seed: u64, faulty: bool) -> ScenarioOutcome {
+    spec(family, epochs, seed, faulty).run(ExecPolicy::default())
 }
 
 fn batch(
@@ -59,30 +60,14 @@ fn streaming_daemon_equals_batch_chart_across_policies() {
             let mut daemon =
                 BotMeterDaemon::new(meter.clone(), DaemonOptions::new(0..EPOCHS).policy(policy))
                     .expect("valid options");
-            // Feed the daemon through the streaming pipeline's ShardSink
-            // seam — the exact ingest path botmeterd uses.
-            let spec = ScenarioSpec::builder(outcome.family().clone())
-                .population(48)
-                .num_epochs(EPOCHS)
-                .seed(19)
-                .pipeline(PipelineMode::Streaming { shard: None });
-            let spec = if faulty {
-                spec.faults(
-                    FaultPlan::new(5)
-                        .with(FaultModel::Drop { rate: 0.1 })
-                        .with(FaultModel::Reorder {
-                            rate: 0.2,
-                            max_displacement: 4,
-                        })
-                        .with(FaultModel::Duplicate { rate: 0.05 }),
-                )
-            } else {
-                spec
-            };
-            let streamed = spec
-                .build()
-                .expect("valid scenario")
-                .run_streaming_into(policy, &mut daemon);
+            // Feed the daemon shard by shard, as the pipeline releases
+            // them — the ingest path botmeterd uses.
+            let streamed = spec(outcome.family().clone(), EPOCHS, 19, faulty).run_streaming_into(
+                policy,
+                &mut |shard| {
+                    daemon.ingest(shard);
+                },
+            );
             assert_eq!(
                 streamed.observed(),
                 outcome.observed(),

@@ -11,7 +11,6 @@ use crate::name::DomainName;
 use crate::time::{SimDuration, SimInstant};
 use crate::ttl::TtlPolicy;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::hash::Hash;
 
 /// A cached answer together with its expiry time.
@@ -41,8 +40,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries that were found expired and dropped lazily.
     pub expired_evictions: u64,
-    /// Live entries evicted to make room under a capacity bound.
-    pub capacity_evictions: u64,
 }
 
 impl CacheStats {
@@ -64,8 +61,7 @@ impl CacheStats {
 
 /// A resolver cache mapping domain keys to answers with TTL-based expiry.
 ///
-/// Expiry is lazy: entries are dropped when a lookup finds them expired, or
-/// in bulk via [`purge_expired`](Self::purge_expired).
+/// Expiry is lazy: entries are dropped when a lookup finds them expired.
 ///
 /// The cache is generic over its key: the default `K = DomainName` keys by
 /// the full validated name (equality compares text, so a fingerprint
@@ -73,9 +69,7 @@ impl CacheStats {
 /// instantiates `DnsCache<DomainId>` and probes with the bare 64-bit
 /// fingerprint — no `Arc` clone per stored key, no text compare per hit.
 /// Expiry arithmetic depends only on timestamps, so the two instantiations
-/// filter identical streams identically for unbounded caches (the bounded
-/// eviction order breaks ties on key order, which differs between text and
-/// fingerprint keys).
+/// filter identical streams identically.
 ///
 /// A cache is the state of one resolver, read and written once per lookup
 /// in trace order by the thread that owns it; there is no operation that
@@ -99,10 +93,6 @@ pub struct DnsCache<K = DomainName> {
     /// `DomainId` hash as one precomputed `u64`, so a probe costs one
     /// multiply.
     entries: FxHashMap<K, CachedAnswer>,
-    /// Expiry-ordered index, maintained only when a capacity bound is set
-    /// (unbounded caches skip the bookkeeping entirely).
-    expiry_index: BTreeSet<(SimInstant, K)>,
-    capacity: Option<usize>,
     stats: CacheStats,
 }
 
@@ -110,34 +100,15 @@ impl<K> Default for DnsCache<K> {
     fn default() -> Self {
         DnsCache {
             entries: FxHashMap::default(),
-            expiry_index: BTreeSet::new(),
-            capacity: None,
             stats: CacheStats::default(),
         }
     }
 }
 
-impl<K: Hash + Eq + Ord + Clone> DnsCache<K> {
-    /// Creates an empty, unbounded cache.
+impl<K: Hash + Eq> DnsCache<K> {
+    /// Creates an empty cache.
     pub fn new() -> Self {
         DnsCache::default()
-    }
-
-    /// Creates a cache bounded to `capacity` entries. When a store would
-    /// exceed the bound, the entry closest to expiry is evicted first —
-    /// the policy real resolvers approximate, and the one that perturbs
-    /// BotMeter's visibility model least (soon-to-expire entries were
-    /// about to stop masking lookups anyway).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        DnsCache {
-            capacity: Some(capacity),
-            ..DnsCache::default()
-        }
     }
 
     /// Looks up `domain` at time `t`.
@@ -154,12 +125,8 @@ impl<K: Hash + Eq + Ord + Clone> DnsCache<K> {
                 }
                 Some(*entry)
             }
-            Some(entry) => {
-                let expires_at = entry.expires_at;
+            Some(_) => {
                 self.entries.remove(domain);
-                if self.capacity.is_some() {
-                    self.expiry_index.remove(&(expires_at, domain.clone()));
-                }
                 self.stats.expired_evictions += 1;
                 self.stats.misses += 1;
                 None
@@ -187,68 +154,18 @@ impl<K: Hash + Eq + Ord + Clone> DnsCache<K> {
         if ttl.is_zero() {
             return;
         }
-        if let Some(cap) = self.capacity {
-            // Replace-in-place never grows the map; only fresh inserts can.
-            if !self.entries.contains_key(&domain) && self.entries.len() >= cap {
-                // Drop expired entries first; evict the soonest-to-expire
-                // live entry if that was not enough.
-                if self.purge_expired(t) == 0 {
-                    if let Some((exp, victim)) = self.expiry_index.iter().next().cloned() {
-                        self.expiry_index.remove(&(exp, victim.clone()));
-                        self.entries.remove(&victim);
-                        self.stats.capacity_evictions += 1;
-                    }
-                }
-            }
-            let expires_at = t + ttl;
-            if let Some(old) = self
-                .entries
-                .insert(domain.clone(), CachedAnswer { answer, expires_at })
-            {
-                self.expiry_index.remove(&(old.expires_at, domain.clone()));
-            }
-            self.expiry_index.insert((expires_at, domain));
-        } else {
-            self.entries.insert(
-                domain,
-                CachedAnswer {
-                    answer,
-                    expires_at: t + ttl,
-                },
-            );
-        }
-    }
-
-    /// Drops every entry that has expired as of `t`; returns how many were
-    /// removed.
-    pub fn purge_expired(&mut self, t: SimInstant) -> usize {
-        let before = self.entries.len();
-        if self.capacity.is_some() {
-            // The index is expiry-ordered: pop from the front.
-            while let Some((exp, domain)) = self.expiry_index.iter().next().cloned() {
-                if t < exp {
-                    break;
-                }
-                self.expiry_index.remove(&(exp, domain.clone()));
-                self.entries.remove(&domain);
-            }
-        } else {
-            self.entries.retain(|_, e| t < e.expires_at);
-        }
-        let removed = before - self.entries.len();
-        self.stats.expired_evictions += removed as u64;
-        removed
+        self.entries.insert(
+            domain,
+            CachedAnswer {
+                answer,
+                expires_at: t + ttl,
+            },
+        );
     }
 
     /// Removes every entry (e.g. at an epoch boundary in tests).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.expiry_index.clear();
-    }
-
-    /// The configured capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of entries currently stored (including not-yet-evicted
@@ -347,19 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_expired_bulk() {
-        let mut c = DnsCache::new();
-        let t0 = SimInstant::ZERO;
-        for i in 0..10 {
-            c.store(t0, d(&format!("x{i}.example")), Answer::NxDomain, &ttl());
-        }
-        assert_eq!(c.len(), 10);
-        assert_eq!(c.purge_expired(t0 + SimDuration::from_hours(1)), 0);
-        assert_eq!(c.purge_expired(t0 + SimDuration::from_hours(3)), 10);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn stats_track_hits_misses_evictions() {
         let mut c = DnsCache::new();
         let t0 = SimInstant::ZERO;
@@ -387,127 +291,6 @@ mod tests {
     #[test]
     fn hit_rate_empty_is_zero() {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_soonest_expiry_first() {
-        let mut c = DnsCache::with_capacity(2);
-        let t0 = SimInstant::ZERO;
-        let ip = Answer::Address(std::net::Ipv4Addr::new(192, 0, 2, 9));
-        // a expires in 1h, b in 2h.
-        c.store_with_ttl(
-            t0,
-            d("a.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(1),
-        );
-        c.store_with_ttl(t0, d("b.example"), ip, SimDuration::from_hours(2));
-        assert_eq!(c.capacity(), Some(2));
-        // Third insert evicts a (soonest expiry).
-        c.store_with_ttl(
-            t0,
-            d("c.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(3),
-        );
-        assert_eq!(c.len(), 2);
-        assert!(c
-            .lookup(t0 + SimDuration::from_mins(1), &d("a.example"))
-            .is_none());
-        assert!(c
-            .lookup(t0 + SimDuration::from_mins(1), &d("b.example"))
-            .is_some());
-        assert!(c
-            .lookup(t0 + SimDuration::from_mins(1), &d("c.example"))
-            .is_some());
-        assert_eq!(c.stats().capacity_evictions, 1);
-    }
-
-    #[test]
-    fn bounded_cache_prefers_purging_expired() {
-        let mut c = DnsCache::with_capacity(2);
-        let t0 = SimInstant::ZERO;
-        c.store_with_ttl(
-            t0,
-            d("a.example"),
-            Answer::NxDomain,
-            SimDuration::from_mins(1),
-        );
-        c.store_with_ttl(
-            t0,
-            d("b.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(5),
-        );
-        // a has expired by now: the new insert purges it, not b.
-        let later = t0 + SimDuration::from_mins(2);
-        c.store_with_ttl(
-            later,
-            d("c.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(5),
-        );
-        assert!(c.lookup(later, &d("b.example")).is_some());
-        assert!(c.lookup(later, &d("c.example")).is_some());
-        assert_eq!(c.stats().capacity_evictions, 0);
-    }
-
-    #[test]
-    fn bounded_cache_restore_updates_index() {
-        let mut c = DnsCache::with_capacity(2);
-        let t0 = SimInstant::ZERO;
-        c.store_with_ttl(
-            t0,
-            d("a.example"),
-            Answer::NxDomain,
-            SimDuration::from_mins(5),
-        );
-        // Refresh a with a later expiry; the stale index entry must go.
-        c.store_with_ttl(
-            t0,
-            d("a.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(5),
-        );
-        c.store_with_ttl(
-            t0,
-            d("b.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(1),
-        );
-        // Inserting c should evict b (1h), not a (5h).
-        c.store_with_ttl(
-            t0,
-            d("c.example"),
-            Answer::NxDomain,
-            SimDuration::from_hours(2),
-        );
-        assert!(c.lookup(t0, &d("a.example")).is_some());
-        assert!(c.lookup(t0, &d("b.example")).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        DnsCache::<DomainName>::with_capacity(0);
-    }
-
-    #[test]
-    fn bounded_purge_expired_uses_index() {
-        let mut c = DnsCache::with_capacity(8);
-        let t0 = SimInstant::ZERO;
-        for i in 0..5 {
-            c.store_with_ttl(
-                t0,
-                d(&format!("x{i}.example")),
-                Answer::NxDomain,
-                SimDuration::from_mins(10 + i),
-            );
-        }
-        // Expiry is exclusive: at +12 min the 10, 11 and 12-minute entries
-        // have all lapsed.
-        assert_eq!(c.purge_expired(t0 + SimDuration::from_mins(12)), 3);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

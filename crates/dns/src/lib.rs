@@ -12,8 +12,8 @@
 //! * a millisecond-granularity virtual clock ([`SimInstant`], [`SimDuration`]);
 //! * validated [`DomainName`]s;
 //! * a TTL-aware [`DnsCache`] with positive and negative caching;
-//! * [`LocalResolver`] (one caching-forwarding node) and [`Topology`] (a
-//!   whole resolver tree with the border vantage point);
+//! * [`Topology`], a whole tree of caching-forwarding resolvers with the
+//!   border vantage point;
 //! * the trace record types ([`RawLookup`], [`ObservedLookup`]) shared by
 //!   the simulator, the matcher and the estimators.
 //!
@@ -51,7 +51,6 @@ mod cache;
 mod intern;
 mod name;
 mod record;
-mod resolver;
 mod time;
 mod topology;
 pub mod trace;
@@ -64,7 +63,6 @@ pub use intern::{
 };
 pub use name::{DomainName, ParseDomainError};
 pub use record::{ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId};
-pub use resolver::LocalResolver;
 pub use time::{SimDuration, SimInstant};
 pub use topology::{TopologyBuilder, TopologyError};
 

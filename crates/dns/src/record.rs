@@ -63,9 +63,7 @@ impl RawLookup {
         self.domain.id()
     }
 
-    /// The id-resident form of this record (drops the `Arc`-backed text;
-    /// resolve it back through the [`DomainInterner`](crate::DomainInterner)
-    /// that interned the name).
+    /// The id-resident form of this record (drops the `Arc`-backed text).
     pub fn compact(&self) -> CompactLookup {
         CompactLookup {
             t: self.t,
@@ -99,16 +97,6 @@ impl CompactLookup {
     /// Convenience constructor.
     pub fn new(t: SimInstant, client: ClientId, domain: crate::DomainId) -> Self {
         CompactLookup { t, client, domain }
-    }
-
-    /// Rehydrates the full record through the interner that interned the
-    /// domain; `None` if the id is unknown to it.
-    pub fn hydrate(&self, interner: &crate::DomainInterner) -> Option<RawLookup> {
-        interner.resolve(self.domain).map(|domain| RawLookup {
-            t: self.t,
-            client: self.client,
-            domain: domain.clone(),
-        })
     }
 }
 
@@ -231,16 +219,13 @@ mod tests {
         let domain = interner.intern(d("a.example"));
         let raw = RawLookup::new(SimInstant::from_millis(5), ClientId(9), domain.clone());
         let compact = raw.compact();
-        assert_eq!(compact.domain, domain.id());
-        assert_eq!(compact.hydrate(&interner), Some(raw));
+        assert_eq!(compact, CompactLookup::new(raw.t, raw.client, domain.id()));
 
         let obs = ObservedLookup::new(SimInstant::from_millis(7), ServerId(2), domain);
         let cobs = obs.compact();
         assert_eq!(cobs.hydrate(&interner), Some(obs));
 
         // Ids unknown to the interner cannot rehydrate.
-        let stranger = CompactLookup::new(SimInstant::ZERO, ClientId(0), crate::DomainId(42));
-        assert_eq!(stranger.hydrate(&interner), None);
         let stranger = CompactObserved::new(SimInstant::ZERO, ServerId(0), crate::DomainId(42));
         assert_eq!(stranger.hydrate(&interner), None);
     }

@@ -36,7 +36,7 @@ const BORDER: ServerId = ServerId(0);
 /// What a [`Topology`]'s caches can be keyed by: [`DomainName`] or
 /// [`DomainId`]. Not exported — the two instantiations are the public
 /// surface.
-pub trait Key: Hash + Eq + Ord + Clone {}
+pub trait Key: Hash + Eq + Clone {}
 
 impl Key for DomainName {}
 
@@ -430,10 +430,6 @@ impl<K: Key> Topology<K> {
                 (
                     "expired_evictions",
                     now.expired_evictions - prev.expired_evictions,
-                ),
-                (
-                    "capacity_evictions",
-                    now.capacity_evictions - prev.capacity_evictions,
                 ),
             ];
             for (field, delta) in fields {

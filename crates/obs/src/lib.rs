@@ -1,20 +1,18 @@
-//! Pipeline observability for BotMeter: counters, fixed-bucket latency
-//! histograms and named stage spans, with a no-op default that stays off
-//! the hot path.
+//! Pipeline observability for BotMeter: counters and fixed-bucket latency
+//! histograms, with a no-op default that stays off the hot path.
 //!
 //! BotMeter's charting accuracy depends on pipeline stages that are
 //! otherwise invisible at runtime — cache-filter rates at local resolvers,
 //! matcher hit behaviour, per-(server, epoch) estimator cost. This crate is
 //! the substrate every layer reports through:
 //!
-//! * [`Recorder`] — the sink interface: monotonic counters, high-water
-//!   gauges and nanosecond latency observations;
-//! * [`Obs`] — the cloneable handle pipeline stages hold. The default
-//!   handle carries no recorder at all, so every recording call is a
-//!   single `Option` test that the optimiser folds away — disabled
+//! * [`Obs`] — the cloneable handle pipeline stages hold: monotonic
+//!   counters, high-water gauges and nanosecond latency observations. The
+//!   default handle carries no registry at all, so every recording call
+//!   is a single `Option` test that the optimiser folds away — disabled
 //!   observability costs (almost) nothing;
-//! * [`MetricsRegistry`] — the collecting [`Recorder`], aggregating into
-//!   atomic-free locked maps;
+//! * [`MetricsRegistry`] — where a collecting handle's records land,
+//!   aggregated into atomic-free locked maps;
 //! * [`MetricsSnapshot`] — the JSON-serialisable export the `perf` bin
 //!   writes next to `BENCH_pipeline.json`.
 //!
@@ -41,13 +39,13 @@
 //! let (obs, registry) = Obs::collecting();
 //! obs.counter_add("matcher.probes", 128);
 //! obs.counter_add("matcher.matches", 17);
-//! let span = obs.span("estimate");
+//! let start = obs.clock();
 //! // ... work ...
-//! drop(span); // records stage.estimate_ns
+//! obs.observe_since("chart.estimate_ns", start);
 //!
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("matcher.probes"), Some(128));
-//! assert!(snapshot.histogram("stage.estimate_ns").is_some());
+//! assert!(snapshot.histogram("chart.estimate_ns").is_some());
 //! ```
 
 // `unsafe` is forbidden except under the `bench` feature, whose counting
@@ -80,51 +78,14 @@ pub const SCHED_PREFIX: &str = "sched.";
 /// [`SCHED_PREFIX`].
 pub const ALLOC_PREFIX: &str = "alloc.";
 
-/// A sink for pipeline metrics.
-///
-/// Implementations must be cheap and callable from any worker thread. The
-/// shipped implementations are [`NoopRecorder`] (does nothing) and
-/// [`MetricsRegistry`] (aggregates for a later [`MetricsSnapshot`]).
-pub trait Recorder: Send + Sync + std::fmt::Debug {
-    /// Adds `delta` to the named monotonic counter.
-    fn counter_add(&self, name: &str, delta: u64);
-
-    /// Raises the named high-water gauge to `value` if it is larger than
-    /// everything recorded so far.
-    fn gauge_max(&self, name: &str, value: u64);
-
-    /// Records one latency observation, in nanoseconds, into the named
-    /// fixed-bucket histogram.
-    fn observe_ns(&self, name: &str, ns: u64);
-}
-
-/// A [`Recorder`] that discards everything.
-///
-/// Every method body is empty, so statically-dispatched calls compile to
-/// nothing. [`Obs::noop`] goes one step further and skips even the virtual
-/// call by carrying no recorder at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-    #[inline(always)]
-    fn gauge_max(&self, _name: &str, _value: u64) {}
-    #[inline(always)]
-    fn observe_ns(&self, _name: &str, _ns: u64) {}
-}
-
 /// The cloneable observability handle pipeline stages hold.
 ///
-/// `Obs::default()` (= [`Obs::noop`]) carries no recorder: every recording
-/// method is then a single branch on a `None`, and [`Obs::span`] does not
-/// even read the clock. Attach a [`MetricsRegistry`] via
-/// [`Obs::collecting`] (or any custom [`Recorder`] via
-/// [`Obs::from_recorder`]) to start collecting.
+/// `Obs::default()` (= [`Obs::noop`]) carries no registry: every recording
+/// method is then a single branch on a `None`, and [`Obs::clock`] does not
+/// even read the clock. [`Obs::collecting`] attaches a [`MetricsRegistry`].
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<dyn Recorder>>,
+    inner: Option<Arc<MetricsRegistry>>,
 }
 
 impl Obs {
@@ -133,20 +94,16 @@ impl Obs {
         Obs::default()
     }
 
-    /// Wraps an arbitrary recorder.
-    pub fn from_recorder(recorder: Arc<dyn Recorder>) -> Self {
-        Obs {
-            inner: Some(recorder),
-        }
-    }
-
     /// A fresh collecting handle plus the registry to snapshot later.
     pub fn collecting() -> (Self, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::default());
-        (Obs::from_recorder(registry.clone()), registry)
+        let obs = Obs {
+            inner: Some(registry.clone()),
+        };
+        (obs, registry)
     }
 
-    /// Whether a recorder is attached. Use this to skip *preparing*
+    /// Whether a registry is attached. Use this to skip *preparing*
     /// metrics (e.g. reading the clock) when recording would go nowhere.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -178,22 +135,6 @@ impl Obs {
         }
     }
 
-    /// Starts a named stage span. On drop it records the elapsed time into
-    /// the `stage.{name}_ns` histogram and bumps the `stage.{name}.calls`
-    /// counter. Disabled handles skip the clock read entirely.
-    #[inline]
-    pub fn span(&self, name: &'static str) -> StageSpan<'_> {
-        StageSpan {
-            obs: self,
-            name,
-            start: if self.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
     /// Reads the clock only when enabled; pair with
     /// [`observe_since`](Self::observe_since).
     #[inline]
@@ -221,25 +162,6 @@ pub fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A live stage span (see [`Obs::span`]); records on drop.
-#[derive(Debug)]
-pub struct StageSpan<'a> {
-    obs: &'a Obs,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for StageSpan<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = saturating_ns(start.elapsed());
-            self.obs.observe_ns(&format!("stage.{}_ns", self.name), ns);
-            self.obs
-                .counter_add(&format!("stage.{}.calls", self.name), 1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +174,6 @@ mod tests {
         obs.gauge_max("y", 9);
         obs.observe_ns("z", 100);
         assert!(obs.clock().is_none());
-        drop(obs.span("stage"));
     }
 
     #[test]
@@ -268,17 +189,6 @@ mod tests {
         assert_eq!(snap.counter("a.b"), Some(5));
         assert_eq!(snap.counter("hw"), Some(7));
         assert_eq!(snap.histogram("lat").unwrap().count, 1);
-    }
-
-    #[test]
-    fn span_records_histogram_and_counter() {
-        let (obs, registry) = Obs::collecting();
-        {
-            let _span = obs.span("match");
-        }
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("stage.match.calls"), Some(1));
-        assert_eq!(snap.histogram("stage.match_ns").unwrap().count, 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The collecting [`Recorder`]: locked maps of counters and fixed-bucket
+//! The collecting registry: locked maps of counters and fixed-bucket
 //! histograms.
 
 use crate::snapshot::{BucketCount, CounterSnapshot, HistogramSnapshot, MetricsSnapshot};
-use crate::Recorder;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -113,8 +112,8 @@ impl Histogram {
     }
 }
 
-/// The collecting [`Recorder`]: everything lands in two locked
-/// name-ordered maps, snapshotted on demand.
+/// Where a collecting [`Obs`](crate::Obs) records: everything lands in two
+/// locked name-ordered maps, snapshotted on demand.
 ///
 /// Locking (rather than lock-free atomics) keeps the implementation simple
 /// and dependency-free; pipeline stages record *batched deltas* at stage
@@ -160,10 +159,8 @@ impl MetricsRegistry {
             .expect("histogram map poisoned")
             .clear();
     }
-}
 
-impl Recorder for MetricsRegistry {
-    fn counter_add(&self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&self, name: &str, delta: u64) {
         let mut counters = self.counters.lock().expect("counter map poisoned");
         match counters.get_mut(name) {
             Some(v) => *v = v.saturating_add(delta),
@@ -173,7 +170,7 @@ impl Recorder for MetricsRegistry {
         }
     }
 
-    fn gauge_max(&self, name: &str, value: u64) {
+    pub(crate) fn gauge_max(&self, name: &str, value: u64) {
         let mut counters = self.counters.lock().expect("counter map poisoned");
         match counters.get_mut(name) {
             Some(v) => *v = (*v).max(value),
@@ -183,7 +180,7 @@ impl Recorder for MetricsRegistry {
         }
     }
 
-    fn observe_ns(&self, name: &str, ns: u64) {
+    pub(crate) fn observe_ns(&self, name: &str, ns: u64) {
         let mut histograms = self.histograms.lock().expect("histogram map poisoned");
         match histograms.get_mut(name) {
             Some(h) => h.record(ns),

@@ -7,12 +7,13 @@
 //!    (constant rate `λ0 = N/δe`, or the paper's Fig. 6(d) dynamic variant
 //!    `λi = λ0·e^{κi}`, `κi ~ N(0, σ²)`);
 //! 2. each activation replays one bot's query barrel as timestamped
-//!    [`RawLookup`](botmeter_dns::RawLookup)s, stopping at the first
-//!    registered C2 domain;
-//! 3. the raw trace runs through a caching-forwarding
-//!    [`Topology`](botmeter_dns::Topology), producing the border-visible
-//!    [`ObservedLookup`](botmeter_dns::ObservedLookup) stream (with
-//!    timestamps quantised to the trace's granularity).
+//!    pre-cache lookups, stopping at the first registered C2 domain;
+//! 3. the raw lookups run, one time shard at a time, through a
+//!    caching-forwarding [`Topology`](botmeter_dns::Topology), producing
+//!    the border-visible [`ObservedLookup`](botmeter_dns::ObservedLookup)
+//!    stream (with timestamps quantised to the trace's granularity). Only
+//!    that stream and the raw *count* leave the run: the raw trace is the
+//!    simulator's ground truth, never BotMeter's input (paper §II).
 //!
 //! [`ScenarioSpec`] packages the whole pipeline for the paper's synthetic
 //! experiments (Fig. 6); [`EnterpriseSpec`] builds the year-long
@@ -33,7 +34,7 @@
 //!     .expect("valid scenario")
 //!     .run(ExecPolicy::default());
 //! // Caching makes the observable stream a strict subset of the raw one.
-//! assert!(outcome.observed().len() < outcome.raw().len());
+//! assert!((outcome.observed().len() as u64) < outcome.raw_lookups());
 //! assert_eq!(outcome.ground_truth().len(), 1); // one epoch by default
 //! ```
 
@@ -46,7 +47,6 @@ mod bot;
 mod enterprise;
 mod evasion;
 mod scenario;
-mod sink;
 mod waves;
 
 pub use activation::ActivationModel;
@@ -57,5 +57,4 @@ pub use evasion::EvasionStrategy;
 pub use scenario::{
     PipelineMode, ScenarioBuildError, ScenarioOutcome, ScenarioSpec, ScenarioSpecBuilder,
 };
-pub use sink::{FnSink, ShardSink};
 pub use waves::WaveConfig;

@@ -3,7 +3,6 @@
 use crate::activation::ActivationModel;
 use crate::bot::{replay_barrel, simulate_activation, walk_barrel};
 use crate::evasion::EvasionStrategy;
-use crate::sink::ShardSink;
 use botmeter_dga::{DgaFamily, EpochAuthority};
 use botmeter_dns::{
     ClientId, CompactLookup, CompactObserved, CompactTopology, DomainId, DomainInterner,
@@ -36,29 +35,46 @@ const STREAM_ACCOUNT_WINDOW: usize = botmeter_exec::PIPELINE_WINDOW + 1;
 /// bounding how much capacity an overflow burst can pin after the run.
 const POOL_RETAIN: usize = 4 * STREAM_ACCOUNT_WINDOW;
 
-/// Whether a scenario run keeps its intermediate raw trace.
+/// The most shards one run may be cut into. The pipeline sizes its shard
+/// tables, and issues one producer ticket, per shard whether or not any
+/// traffic falls in it, so memory and time are `O(horizon / width)`; the
+/// default geometry is 16 shards per epoch, and a one-second width over a
+/// one-day epoch is under a tenth of this.
+const MAX_SHARDS: u64 = 1 << 20;
+
+/// The shard geometry of the pipeline.
 ///
 /// There is one pipeline — bots replayed, cache-filtered and faulted over
-/// fixed-width time shards, id-resident throughout — and both modes run
-/// it, so [`ScenarioOutcome::observed`], the fault report and the
-/// deterministic counters are **bit-identical** between them (the
-/// `streaming_equivalence` suite enforces it against a sequential
-/// whole-trace reference). The mode only decides what the shard consumer
-/// retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// fixed-width time shards, id-resident throughout, each shard's raw
+/// records dropped once filtered so no more than a few shards are ever
+/// resident. The width is a pure performance parameter: the observed
+/// trace, the fault report and every deterministic counter except the
+/// `sim.stream.*` geometry pair are **bit-identical** at every width (the
+/// `pipeline_equivalence` suite holds each to the whole-trace
+/// [`ScenarioSpec::run_reference`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PipelineMode {
-    /// Also hydrate every merged shard into [`ScenarioOutcome::raw`], at
-    /// the default shard width. The whole raw trace ends up resident,
-    /// which [`ScenarioOutcome::peak_resident_records`] reports.
-    #[default]
-    Materialize,
-    /// Drop each shard's raw records once filtered, so no more than a few
-    /// shards are ever resident; [`ScenarioOutcome::raw`] stays empty.
+    /// Fixed-width time shards.
     Streaming {
         /// Shard width (non-zero); `None` picks `epoch_len / 16`.
         shard: Option<SimDuration>,
     },
+}
+
+impl Default for PipelineMode {
+    fn default() -> Self {
+        PipelineMode::Streaming { shard: None }
+    }
+}
+
+/// The shard width `mode` resolves to for `family`: the explicit one
+/// (`build` rejects zero), else `epoch_len / 16`.
+fn shard_width(family: &DgaFamily, mode: PipelineMode) -> SimDuration {
+    let PipelineMode::Streaming { shard } = mode;
+    shard.unwrap_or_else(|| {
+        SimDuration::from_millis((family.epoch_len().as_millis() / DEFAULT_SHARDS_PER_EPOCH).max(1))
+    })
 }
 
 /// A fully-specified synthetic experiment: one DGA family, a bot
@@ -133,6 +149,15 @@ pub enum ScenarioBuildError {
     /// [`PipelineMode::Streaming`] was given a zero shard width (the shard
     /// count is `horizon / width`).
     ZeroShardWidth,
+    /// The shard width cuts the scenario's horizon (`num_epochs ·
+    /// epoch_len` plus one activation's replay span) into more shards than
+    /// the pipeline will size its tables for.
+    TooManyShards {
+        /// The shard width in force.
+        width: SimDuration,
+        /// How many shards it would take.
+        shards: u64,
+    },
 }
 
 impl fmt::Display for ScenarioBuildError {
@@ -148,6 +173,10 @@ impl fmt::Display for ScenarioBuildError {
             ScenarioBuildError::ZeroShardWidth => {
                 write!(f, "streaming shard width must be non-zero")
             }
+            ScenarioBuildError::TooManyShards { width, shards } => write!(
+                f,
+                "shard width {width} cuts the run into {shards} shards (at most {MAX_SHARDS})"
+            ),
         }
     }
 }
@@ -168,7 +197,7 @@ impl ScenarioSpec {
             faults: None,
             seed: 0,
             obs: Obs::noop(),
-            pipeline: PipelineMode::Materialize,
+            pipeline: PipelineMode::default(),
         }
     }
 
@@ -200,26 +229,12 @@ impl ScenarioSpec {
     /// per-bot `sim.bot_replay_ns` histogram and the `sched.*` counters
     /// are timing-dependent by contract).
     ///
-    /// The spec's [`PipelineMode`] (see
-    /// [`pipeline`](ScenarioSpecBuilder::pipeline)) decides whether the
-    /// raw trace is kept for [`ScenarioOutcome::raw`] or dropped shard by
-    /// shard; the observed trace is the same either way.
+    /// Raw records are dropped shard by shard once filtered — only their
+    /// count survives, as [`ScenarioOutcome::raw_lookups`]. The spec's
+    /// [`PipelineMode`] (see [`pipeline`](ScenarioSpecBuilder::pipeline))
+    /// sets the shard width; the outcome does not depend on it.
     pub fn run(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        self.run_sharded(policy, None)
-    }
-
-    /// [`run`](Self::run) feeding a [`ShardSink`]: `sink` receives each
-    /// shard's released observed records (post cache-filter, quantisation
-    /// and faults) in stream order, so callers can match or aggregate
-    /// incrementally without waiting for the whole observed trace — the
-    /// interface batch runs and the `botmeterd` daemon ingest share. The
-    /// returned outcome is identical to [`run`](Self::run)'s.
-    pub fn run_streaming_into(
-        &self,
-        policy: ExecPolicy,
-        sink: &mut dyn ShardSink,
-    ) -> ScenarioOutcome {
-        self.run_sharded(policy, Some(sink))
+        self.run_streaming_into(policy, &mut |_| {})
     }
 
     /// Replays one `(plan index, bot index)` job, appending its lookups to
@@ -264,9 +279,17 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// The pipeline. Shard `k` covers simulated time `[k·w, (k+1)·w)`; the
-    /// last shard is a catch-all `[k·w, ∞)` so the horizon estimate only
-    /// sizes the shard count, never correctness.
+    /// [`run`](Self::run) that also hands `sink` each shard's released
+    /// observed records (post cache-filter, quantisation and faults) in
+    /// stream order, from the calling thread, never an empty slice — so
+    /// callers can match or aggregate incrementally without waiting for
+    /// the whole observed trace. The slices concatenate to exactly
+    /// [`ScenarioOutcome::observed`], and the returned outcome is
+    /// identical to [`run`](Self::run)'s.
+    ///
+    /// This is the pipeline. Shard `k` covers simulated time
+    /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
+    /// horizon estimate only sizes the shard count, never correctness.
     ///
     /// Shard *production* (per-bot replay + sort) fans out across the
     /// worker pool — each shard is owned end-to-end by one producer worker
@@ -294,15 +317,11 @@ impl ScenarioSpec {
     /// 3. **Fault state chains.** A [`FaultStream`] threads each stage's
     ///    rng and working state across shards (see `botmeter-faults`), so
     ///    chunked faulting is bit-identical to whole-trace faulting.
-    fn run_sharded(
+    pub fn run_streaming_into(
         &self,
         policy: ExecPolicy,
-        mut on_shard: Option<&mut dyn ShardSink>,
+        sink: &mut dyn FnMut(&[ObservedLookup]),
     ) -> ScenarioOutcome {
-        let (keep_raw, shard) = match self.pipeline {
-            PipelineMode::Materialize => (true, None),
-            PipelineMode::Streaming { shard } => (false, shard),
-        };
         let (plans, ground_truth) = self.plan_epochs();
         // The registrar oracle for the planned epochs plus the one replays
         // spill into, built from the pools the plans already hold
@@ -336,11 +355,7 @@ impl ScenarioSpec {
             .map(|p| p.pool.iter().map(botmeter_dns::DomainName::id).collect())
             .collect();
 
-        let epoch_len = self.family.epoch_len();
-        // An explicit width is non-zero (`build` rejects zero).
-        let shard_len = shard.unwrap_or_else(|| {
-            SimDuration::from_millis((epoch_len.as_millis() / DEFAULT_SHARDS_PER_EPOCH).max(1))
-        });
+        let shard_len = shard_width(&self.family, self.pipeline);
         let shard_ms = shard_len.as_millis();
         // Horizon: the last activation plus the family's per-bot replay
         // span bound. (The catch-all last shard sweeps up any residue.)
@@ -442,13 +457,11 @@ impl ScenarioSpec {
         // consumed in order). Records stay id-resident through filter and
         // fault; hydration through the interner happens once per *released*
         // record at the egress edge — the cache-filtered stream is roughly
-        // an order of magnitude smaller than the raw one — and, in
-        // `Materialize` mode, once per merged raw record.
+        // an order of magnitude smaller than the raw one.
         let mut topology = CompactTopology::single_local(self.ttl);
         topology.set_obs(self.obs.clone());
         let mut fault_stream: Option<FaultStream<CompactObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
-        let mut raw: Vec<RawLookup> = Vec::new();
         let mut observed: Vec<ObservedLookup> = Vec::new();
         let mut release = |released: &[CompactObserved]| {
             if released.is_empty() {
@@ -459,9 +472,7 @@ impl ScenarioSpec {
                 o.hydrate(&interner)
                     .expect("released records were interned at planning time")
             }));
-            if let Some(sink) = on_shard.as_deref_mut() {
-                sink.on_shard(&observed[egress_from..]);
-            }
+            sink(&observed[egress_from..]);
         };
         let mut pending: BTreeMap<usize, Vec<Vec<CompactLookup>>> = BTreeMap::new();
         let mut in_shard: Vec<CompactLookup> = Vec::new();
@@ -495,12 +506,6 @@ impl ScenarioSpec {
                 if in_shard.is_empty() {
                     return;
                 }
-                if keep_raw {
-                    raw.extend(in_shard.iter().map(|l| {
-                        l.hydrate(&interner)
-                            .expect("replayed records were interned at planning time")
-                    }));
-                }
                 let mut chunk: Vec<CompactObserved> = Vec::new();
                 topology
                     .process_trace_into(&in_shard, &interner, &authority, policy, &mut chunk)
@@ -520,27 +525,22 @@ impl ScenarioSpec {
             report
         });
 
-        // Deterministic resident high-water mark: the whole trace when it
-        // is kept; otherwise, while shard `s` is being consumed, up to
-        // STREAM_ACCOUNT_WINDOW shards (the producer ticket window plus the
-        // one in hand) may be materialised, plus every overflow run parked
-        // for a later shard. Charged from the deterministic per-shard
-        // sizes, so the figure is identical under every policy and worker
-        // count.
+        // Deterministic resident high-water mark: while shard `s` is being
+        // consumed, up to STREAM_ACCOUNT_WINDOW shards (the producer ticket
+        // window plus the one in hand) may be materialised, plus every
+        // overflow run parked for a later shard. Charged from the
+        // deterministic per-shard sizes, so the figure is identical under
+        // every policy and worker count.
         let mut peak_resident = 0u64;
-        if keep_raw {
-            peak_resident = raw_total;
-        } else {
-            let window = STREAM_ACCOUNT_WINDOW.min(num_shards);
-            let mut window_sum: u64 = gen_sizes[..window].iter().sum();
-            let mut parked: i64 = 0;
-            for s in 0..num_shards {
-                parked += carry_diff[s];
-                peak_resident = peak_resident.max(window_sum + parked.max(0) as u64);
-                window_sum -= gen_sizes[s];
-                if s + window < num_shards {
-                    window_sum += gen_sizes[s + window];
-                }
+        let window = STREAM_ACCOUNT_WINDOW.min(num_shards);
+        let mut window_sum: u64 = gen_sizes[..window].iter().sum();
+        let mut parked: i64 = 0;
+        for s in 0..num_shards {
+            parked += carry_diff[s];
+            peak_resident = peak_resident.max(window_sum + parked.max(0) as u64);
+            window_sum -= gen_sizes[s];
+            if s + window < num_shards {
+                window_sum += gen_sizes[s + window];
             }
         }
 
@@ -571,7 +571,6 @@ impl ScenarioSpec {
             ttl: self.ttl,
             granularity: self.granularity,
             num_epochs: self.num_epochs,
-            raw,
             raw_lookups: raw_total,
             peak_resident_records: peak_resident,
             observed,
@@ -580,15 +579,18 @@ impl ScenarioSpec {
         }
     }
 
-    /// The whole-trace algorithm the equivalence suites hold
+    /// The whole-trace algorithm the `pipeline_equivalence` suite holds
     /// [`run`](Self::run) to, kept deliberately naive and independent of
     /// the pipeline's machinery: replay every bot into name-carrying
     /// records, stable-sort the lot by `(t, client)`, walk it through a
     /// name-keyed [`Topology`] one lookup at a time, quantise, then apply
     /// the fault plan to the whole observed trace at once. Sequential, no
-    /// metrics, keeps the raw trace. Not a production entry point.
+    /// metrics. It is also the only producer of the pre-cache raw trace —
+    /// the §V-A ground truth BotMeter itself never sees — returned beside
+    /// the outcome for tests that check it or route it through a
+    /// hand-built topology. Not a production entry point.
     #[doc(hidden)]
-    pub fn run_reference(&self) -> ScenarioOutcome {
+    pub fn run_reference(&self) -> (ScenarioOutcome, Vec<RawLookup>) {
         let authority = self.family.authority_for_epochs(self.num_epochs + 1);
         let (plans, ground_truth) = self.plan_epochs();
         let theta_q = self.family.params().theta_q();
@@ -633,18 +635,18 @@ impl ScenarioSpec {
             }
             None => (observed, None),
         };
-        ScenarioOutcome {
+        let outcome = ScenarioOutcome {
             family: self.family.clone(),
             ttl: self.ttl,
             granularity: self.granularity,
             num_epochs: self.num_epochs,
             peak_resident_records: raw.len() as u64,
             raw_lookups: raw.len() as u64,
-            raw,
             observed,
             ground_truth,
             fault_report,
-        }
+        };
+        (outcome, raw)
     }
 
     /// Phase A, shared with the reference: samples activations epoch by epoch
@@ -780,10 +782,10 @@ impl ScenarioSpecBuilder {
         self
     }
 
-    /// Selects whether [`ScenarioSpec::run`] keeps the raw trace
-    /// (default: [`PipelineMode::Materialize`], which does). Both modes
-    /// produce bit-identical observed traces; streaming trades the retained
-    /// raw trace for a bounded memory footprint.
+    /// Sets the shard width [`ScenarioSpec::run`] cuts the run into
+    /// (default: `Streaming { shard: None }`, 16 shards per epoch). Every
+    /// width produces the same outcome; it trades per-shard overhead
+    /// against how many raw records are resident at once.
     pub fn pipeline(mut self, mode: PipelineMode) -> Self {
         self.pipeline = mode;
         self
@@ -821,10 +823,19 @@ impl ScenarioSpecBuilder {
         if let Some(plan) = &self.faults {
             plan.validate().map_err(ScenarioBuildError::BadFaults)?;
         }
-        if let PipelineMode::Streaming { shard: Some(width) } = self.pipeline {
-            if width.is_zero() {
-                return Err(ScenarioBuildError::ZeroShardWidth);
-            }
+        let width = shard_width(&self.family, self.pipeline);
+        if width.is_zero() {
+            return Err(ScenarioBuildError::ZeroShardWidth);
+        }
+        let horizon_ms = self
+            .family
+            .epoch_len()
+            .as_millis()
+            .saturating_mul(self.num_epochs)
+            .saturating_add(self.family.params().max_activation_duration().as_millis());
+        let shards = horizon_ms / width.as_millis();
+        if shards > MAX_SHARDS {
+            return Err(ScenarioBuildError::TooManyShards { width, shards });
         }
         Ok(ScenarioSpec {
             family: self.family,
@@ -842,15 +853,15 @@ impl ScenarioSpecBuilder {
     }
 }
 
-/// Everything a simulation run produced: the (ground-truth) raw trace, the
-/// border-visible observed trace, and the per-epoch active-bot counts.
+/// Everything a simulation run produced: the border-visible observed
+/// trace, the per-epoch active-bot counts (the ground truth) and how many
+/// pre-cache lookups it took.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     family: DgaFamily,
     ttl: TtlPolicy,
     granularity: SimDuration,
     num_epochs: u64,
-    raw: Vec<RawLookup>,
     raw_lookups: u64,
     peak_resident_records: u64,
     observed: Vec<ObservedLookup>,
@@ -879,25 +890,15 @@ impl ScenarioOutcome {
         self.num_epochs
     }
 
-    /// The pre-cache, ground-truth lookup trace.
-    ///
-    /// Only [`PipelineMode::Materialize`] runs keep it;
-    /// [`PipelineMode::Streaming`] runs return an empty slice here — that
-    /// bounded memory footprint is their point — while
-    /// [`raw_lookups`](Self::raw_lookups) still reports the count.
-    pub fn raw(&self) -> &[RawLookup] {
-        &self.raw
-    }
-
-    /// Total pre-cache lookups the simulation generated, counted even when
-    /// the raw trace was not kept.
+    /// Total pre-cache lookups the simulation generated. The records
+    /// themselves are dropped shard by shard once filtered.
     pub fn raw_lookups(&self) -> u64 {
         self.raw_lookups
     }
 
     /// The deterministic high-water mark of raw-trace records resident in
-    /// memory at once: the full trace length for materializing runs, a few
-    /// time shards for streaming runs.
+    /// memory at once: a few time shards (the whole trace for
+    /// [`ScenarioSpec::run_reference`]).
     pub fn peak_resident_records(&self) -> u64 {
         self.peak_resident_records
     }
@@ -965,13 +966,48 @@ mod tests {
                 .pipeline(PipelineMode::Streaming { shard })
                 .build()
         };
-        // A zero width used to be clamped to 1 ms, sizing the shard tables
-        // at one entry per simulated millisecond.
         let err = with_shard(Some(SimDuration::ZERO)).unwrap_err();
         assert_eq!(err, ScenarioBuildError::ZeroShardWidth);
         assert!(err.to_string().contains("non-zero"));
-        assert!(with_shard(Some(SimDuration::from_millis(1))).is_ok());
         assert!(with_shard(None).is_ok());
+    }
+
+    #[test]
+    fn a_width_that_makes_too_many_shards_is_rejected() {
+        let with_shard = |shard, epochs| {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .num_epochs(epochs)
+                .pipeline(PipelineMode::Streaming { shard })
+                .build()
+        };
+        // 1 ms over one day is 86.4 M shards: one table entry and one
+        // producer ticket each, whatever the traffic.
+        let width = SimDuration::from_millis(1);
+        let err = with_shard(Some(width), 1).unwrap_err();
+        let ScenarioBuildError::TooManyShards { width: w, shards } = err else {
+            panic!("expected TooManyShards, got {err}");
+        };
+        assert_eq!(w, width);
+        assert!(shards >= 86_400_000, "{shards}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("1ms") && msg.contains(&shards.to_string()),
+            "{msg}"
+        );
+        // The ceiling is on the count, not the width: one second is fine
+        // over a day and too fine over a fortnight; the default geometry
+        // (16 per epoch) is bounded the same way.
+        let second = Some(SimDuration::from_secs(1));
+        assert!(with_shard(second, 1).is_ok());
+        assert!(matches!(
+            with_shard(second, 14).unwrap_err(),
+            ScenarioBuildError::TooManyShards { .. }
+        ));
+        assert!(with_shard(None, 365).is_ok());
+        assert!(matches!(
+            with_shard(None, 1 << 17).unwrap_err(),
+            ScenarioBuildError::TooManyShards { .. }
+        ));
     }
 
     #[test]
@@ -986,11 +1022,11 @@ mod tests {
         };
         let a = run(5);
         let b = run(5);
-        assert_eq!(a.raw(), b.raw());
+        assert_eq!(a.raw_lookups(), b.raw_lookups());
         assert_eq!(a.observed(), b.observed());
         assert_eq!(a.ground_truth(), b.ground_truth());
         let c = run(6);
-        assert_ne!(a.raw(), c.raw());
+        assert_ne!(a.observed(), c.observed());
     }
 
     #[test]
@@ -1002,7 +1038,7 @@ mod tests {
             .build()
             .unwrap()
             .run(ExecPolicy::default());
-        let raw = outcome.raw().len() as f64;
+        let raw = outcome.raw_lookups() as f64;
         let obs = outcome.observed().len() as f64;
         assert!(obs < raw * 0.5, "expected heavy masking: {obs} of {raw}");
         assert!(obs > 0.0);
@@ -1054,13 +1090,14 @@ mod tests {
 
     #[test]
     fn raw_trace_is_time_sorted() {
-        let outcome = ScenarioSpec::builder(DgaFamily::conficker_c())
+        let (outcome, raw) = ScenarioSpec::builder(DgaFamily::conficker_c())
             .population(8)
             .seed(5)
             .build()
             .unwrap()
-            .run(ExecPolicy::default());
-        for w in outcome.raw().windows(2) {
+            .run_reference();
+        assert_eq!(raw.len() as u64, outcome.raw_lookups());
+        for w in raw.windows(2) {
             assert!(w[0].t <= w[1].t);
         }
     }

@@ -1,0 +1,394 @@
+//! The pipeline's one contract, keyed on the reference: for any scenario,
+//! [`ScenarioSpec::run`] under any [`ExecPolicy`] and any shard width is
+//! **bit-identical** to the sequential whole-trace
+//! `ScenarioSpec::run_reference` (name-carrying replay → stable sort →
+//! name-keyed topology one lookup at a time → whole-trace faulting) on the
+//! observed trace, the ground truth, the fault report and the raw-lookup
+//! count; a sink fed by `run_streaming_into` sees exactly the observed
+//! trace; and the deterministic metrics counters and the resident
+//! high-water mark do not depend on the policy. The reference runs once per
+//! scenario. A proptest walks the space between the pinned corners.
+
+use botmeter_dga::DgaFamily;
+use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
+use botmeter_exec::ExecPolicy;
+use botmeter_faults::{FaultModel, FaultPlan};
+use botmeter_obs::Obs;
+use botmeter_sim::{
+    ActivationModel, EvasionStrategy, PipelineMode, ScenarioOutcome, ScenarioSpec,
+    ScenarioSpecBuilder,
+};
+use proptest::prelude::*;
+
+/// Pins the worker count `ExecPolicy::parallel()` resolves to, so the
+/// parallel producers really overlap on single-core machines too.
+fn force_parallel() {
+    std::env::set_var("BOTMETER_THREADS", "4");
+}
+
+/// Holds the scenario `build` describes to its reference under every one
+/// of `policies`; returns the reference outcome.
+fn assert_matches_reference(
+    build: impl Fn() -> ScenarioSpecBuilder,
+    policies: &[ExecPolicy],
+    what: &str,
+) -> ScenarioOutcome {
+    let (reference, raw) = build().build().expect("valid spec").run_reference();
+    assert_eq!(
+        raw.len() as u64,
+        reference.raw_lookups(),
+        "reference raw count: {what}"
+    );
+    // What must not depend on the policy, from the first one run.
+    let mut policy_free = None;
+    for &policy in policies {
+        let what = format!("{what} / {policy:?}");
+        let (obs, registry) = Obs::collecting();
+        let spec = build().obs(obs).build().expect("valid spec");
+        let outcome = spec.run(policy);
+        assert_eq!(
+            outcome.observed(),
+            reference.observed(),
+            "observed trace diverged: {what}"
+        );
+        assert_eq!(
+            outcome.ground_truth(),
+            reference.ground_truth(),
+            "ground truth diverged: {what}"
+        );
+        assert_eq!(
+            outcome.fault_report(),
+            reference.fault_report(),
+            "fault report diverged: {what}"
+        );
+        assert_eq!(
+            outcome.raw_lookups(),
+            reference.raw_lookups(),
+            "raw lookup count diverged: {what}"
+        );
+        let this = (
+            registry.snapshot().deterministic_counters(),
+            outcome.peak_resident_records(),
+        );
+        match &policy_free {
+            None => policy_free = Some(this),
+            Some(first) => assert_eq!(
+                &this, first,
+                "counters or peak residency depend on the policy: {what}"
+            ),
+        }
+
+        let mut sunk: Vec<ObservedLookup> = Vec::new();
+        spec.run_streaming_into(policy, &mut |shard| {
+            assert!(!shard.is_empty(), "empty shard sunk: {what}");
+            sunk.extend_from_slice(shard);
+        });
+        assert_eq!(
+            sunk,
+            outcome.observed(),
+            "sink concatenation diverged: {what}"
+        );
+    }
+    reference
+}
+
+/// Sequential against the default parallel pool.
+fn both_policies() -> [ExecPolicy; 2] {
+    [ExecPolicy::Sequential, ExecPolicy::parallel()]
+}
+
+/// Sequential plus the producer-pool sizes the pipelined runner treats
+/// differently: one worker (strict produce/consume alternation), a partial
+/// ticket window, and the full `PIPELINE_WINDOW`.
+fn every_worker_count() -> [ExecPolicy; 4] {
+    [
+        ExecPolicy::Sequential,
+        ExecPolicy::with_threads(1),
+        ExecPolicy::with_threads(2),
+        ExecPolicy::with_threads(8),
+    ]
+}
+
+/// Every fault model, with parameters aggressive enough to fire on a small
+/// trace.
+fn every_fault_model() -> Vec<(&'static str, FaultModel)> {
+    vec![
+        ("drop", FaultModel::Drop { rate: 0.3 }),
+        (
+            "burst_loss",
+            FaultModel::BurstLoss {
+                p_enter: 0.2,
+                p_exit: 0.3,
+                loss: 0.9,
+            },
+        ),
+        ("duplicate", FaultModel::Duplicate { rate: 0.25 }),
+        (
+            "reorder",
+            FaultModel::Reorder {
+                rate: 0.3,
+                max_displacement: 5,
+            },
+        ),
+        (
+            "jitter",
+            FaultModel::Jitter {
+                max: SimDuration::from_secs(30),
+            },
+        ),
+        (
+            "clock_skew",
+            FaultModel::ClockSkew {
+                max: SimDuration::from_secs(120),
+            },
+        ),
+        ("sample", FaultModel::Sample { keep_one_in: 3 }),
+        (
+            "outage",
+            FaultModel::Outage {
+                server: Some(ServerId(1)),
+                from: SimInstant::from_millis(3_600_000),
+                until: SimInstant::from_millis(14_400_000),
+            },
+        ),
+    ]
+}
+
+/// All eight stages stacked in one plan: the seed forking per (index,
+/// name) must keep every stage's substream independent of the policy, and
+/// each stage's rng/burst/reorder/sample state must chain across shards.
+fn composed_plan() -> FaultPlan {
+    every_fault_model()
+        .into_iter()
+        .fold(FaultPlan::new(99), |plan, (_, model)| plan.with(model))
+}
+
+#[test]
+fn pipeline_matches_reference_across_families_and_activations() {
+    force_parallel();
+    // One family per barrel class the estimators care about: AU (Murofet),
+    // AR (newGoZ), AS (Conficker.C) — plus Necurs for the
+    // sampling/irregular-timing corner. No `pipeline(..)` call: this is the
+    // default-built spec.
+    let families = [
+        DgaFamily::murofet,
+        DgaFamily::new_goz,
+        DgaFamily::conficker_c,
+        DgaFamily::necurs,
+    ];
+    let activations = [
+        ActivationModel::ConstantRate,
+        ActivationModel::DynamicRate { sigma: 1.5 },
+    ];
+    for family in families {
+        for activation in activations {
+            let build = || {
+                ScenarioSpec::builder(family())
+                    .population(48)
+                    .num_epochs(2)
+                    .activation(activation)
+                    .seed(7)
+            };
+            let what = format!("{} / {activation:?}", family().name());
+            assert_matches_reference(build, &both_policies(), &what);
+        }
+    }
+}
+
+#[test]
+fn pipeline_matches_reference_across_seeds() {
+    force_parallel();
+    for seed in [0u64, 1, 99, 0xdead_beef] {
+        let build = || {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(64)
+                .seed(seed)
+        };
+        assert_matches_reference(build, &both_policies(), &format!("newGoZ seed {seed}"));
+    }
+}
+
+#[test]
+fn pipeline_matches_reference_under_evasion() {
+    force_parallel();
+    // Evasion draws extra rng values both from the epoch rng (activation
+    // adjustment) and the per-bot rng (collusion) — the exact split the
+    // parallel producers have to preserve.
+    let strategies = [
+        EvasionStrategy::None,
+        EvasionStrategy::DutyCycle { active_prob: 0.5 },
+        EvasionStrategy::CoordinatedBurst {
+            window_fraction: 0.25,
+        },
+        EvasionStrategy::StartCollusion { shared_starts: 4 },
+    ];
+    let activations = [
+        ActivationModel::ConstantRate,
+        ActivationModel::DynamicRate { sigma: 1.5 },
+    ];
+    for evasion in strategies {
+        for activation in activations {
+            let build = || {
+                ScenarioSpec::builder(DgaFamily::conficker_c())
+                    .population(32)
+                    .activation(activation)
+                    .evasion(evasion)
+                    .seed(11)
+            };
+            let what = format!("{evasion:?} / {activation:?}");
+            assert_matches_reference(build, &both_policies(), &what);
+        }
+    }
+}
+
+#[test]
+fn pipeline_matches_reference_for_every_fault_model() {
+    force_parallel();
+    // The parallel shard producers must feed the consumer-side FaultStream
+    // in exactly the reference order, at every producer-pool size.
+    for (name, model) in every_fault_model() {
+        let build = || {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(48)
+                .num_epochs(2)
+                .seed(17)
+                .faults(FaultPlan::new(23).with(model.clone()))
+        };
+        let what = format!("fault model {name}");
+        let reference = assert_matches_reference(build, &every_worker_count(), &what);
+        assert!(reference.fault_report().is_some(), "{name}: report missing");
+    }
+}
+
+#[test]
+fn pipeline_matches_reference_for_composed_fault_plan() {
+    force_parallel();
+    for family in [DgaFamily::murofet, DgaFamily::new_goz] {
+        let build = || {
+            ScenarioSpec::builder(family())
+                .population(48)
+                .num_epochs(2)
+                .seed(29)
+                .faults(composed_plan())
+        };
+        let what = format!("composed fault plan / {}", family().name());
+        assert_matches_reference(build, &every_worker_count(), &what);
+    }
+}
+
+#[test]
+fn pipeline_matches_reference_for_explicit_shard_widths() {
+    force_parallel();
+    // Shard geometry is a performance parameter, never a correctness one.
+    // One second over a one-day epoch is the degenerate corner: 86 k
+    // shards, nearly all empty, every activation overflowing forward
+    // across hundreds of them — and the finest width over a day that
+    // `build` must still accept. Then a minute, one shard per epoch, and
+    // one shard swallowing the run.
+    let widths = [
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(24 * 3600),
+        SimDuration::from_secs(30 * 24 * 3600),
+    ];
+    for width in widths {
+        let build = || {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(32)
+                .seed(5)
+                .faults(FaultPlan::new(7).with(FaultModel::Reorder {
+                    rate: 0.3,
+                    max_displacement: 5,
+                }))
+                .pipeline(PipelineMode::Streaming { shard: Some(width) })
+        };
+        let what = format!("shard width {width}");
+        assert_matches_reference(build, &every_worker_count(), &what);
+    }
+}
+
+#[test]
+fn peak_residency_is_far_below_the_trace_length() {
+    force_parallel();
+    let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
+        .population(128)
+        .num_epochs(2)
+        .seed(21)
+        .build()
+        .expect("valid spec")
+        .run(ExecPolicy::parallel());
+    assert!(outcome.raw_lookups() > 0);
+    // The bound the perf harness advertises: a handful of shards, not the
+    // whole trace. With 16 shards/epoch the high-water mark should sit well
+    // under half the trace.
+    assert!(
+        outcome.peak_resident_records() * 2 < outcome.raw_lookups(),
+        "peak {} is not a small fraction of total {}",
+        outcome.peak_resident_records(),
+        outcome.raw_lookups()
+    );
+}
+
+const FAMILIES: [fn() -> DgaFamily; 5] = [
+    DgaFamily::murofet,
+    DgaFamily::new_goz,
+    DgaFamily::conficker_c,
+    DgaFamily::necurs,
+    DgaFamily::torpig,
+];
+
+/// Shard widths from degenerate (1 s) through multi-epoch, plus the
+/// default geometry.
+fn shard_width(selector: usize, secs: u64) -> Option<SimDuration> {
+    match selector {
+        0 => None,
+        1 => Some(SimDuration::from_secs(1)),
+        2 => Some(SimDuration::from_secs(secs)),
+        _ => Some(SimDuration::from_secs(3 * 24 * 3600)),
+    }
+}
+
+proptest! {
+    // Each case is a reference run plus two pipeline runs under each of two
+    // policies, so keep the populations small and the case count modest;
+    // the deterministic tests above carry the distinguished corners.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The id-resident sharded pipeline reproduces the name-keyed
+    /// whole-trace reference exactly, wherever the dice land.
+    #[test]
+    fn pipeline_matches_reference_on_random_scenarios(
+        family_idx in 0usize..FAMILIES.len(),
+        population in 4u64..32,
+        epochs in 1u64..3,
+        seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        fault_kinds in prop::collection::vec(0usize..8, 0..3),
+        shard_selector in 0usize..4,
+        shard_secs in 1u64..7200,
+        workers in 1usize..5,
+    ) {
+        force_parallel();
+        let family = FAMILIES[family_idx];
+        let models = every_fault_model();
+        let faults = (!fault_kinds.is_empty()).then(|| {
+            fault_kinds
+                .iter()
+                .fold(FaultPlan::new(fault_seed), |plan, &kind| plan.with(models[kind].1.clone()))
+        });
+        let shard = shard_width(shard_selector, shard_secs);
+        let build = || {
+            let mut b = ScenarioSpec::builder(family())
+                .population(population)
+                .num_epochs(epochs)
+                .seed(seed)
+                .pipeline(PipelineMode::Streaming { shard });
+            if let Some(plan) = faults.clone() {
+                b = b.faults(plan);
+            }
+            b
+        };
+        let policies = [ExecPolicy::Sequential, ExecPolicy::with_threads(workers)];
+        assert_matches_reference(build, &policies, "random scenario");
+    }
+}

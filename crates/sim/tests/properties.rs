@@ -15,16 +15,16 @@ proptest! {
     /// subset (by multiset of domains), and ground truth non-negative.
     #[test]
     fn scenario_invariants(seed in any::<u64>(), population in 1u64..40) {
-        let outcome = ScenarioSpec::builder(DgaFamily::torpig())
+        let (outcome, raw) = ScenarioSpec::builder(DgaFamily::torpig())
             .population(population)
             .seed(seed)
             .build()
             .expect("valid")
-            .run(ExecPolicy::default());
-        for w in outcome.raw().windows(2) {
+            .run_reference();
+        for w in raw.windows(2) {
             prop_assert!(w[0].t <= w[1].t);
         }
-        prop_assert!(outcome.observed().len() <= outcome.raw().len());
+        prop_assert!(outcome.observed().len() <= raw.len());
         prop_assert_eq!(outcome.ground_truth().len(), 1);
     }
 
@@ -78,17 +78,17 @@ proptest! {
     /// most one activation duration).
     #[test]
     fn burst_compresses_schedule(seed in any::<u64>()) {
-        let outcome = ScenarioSpec::builder(DgaFamily::torpig())
+        let (_, raw) = ScenarioSpec::builder(DgaFamily::torpig())
             .population(32)
             .evasion(EvasionStrategy::CoordinatedBurst { window_fraction: 0.1 })
             .seed(seed)
             .build()
             .expect("valid")
-            .run(ExecPolicy::default());
+            .run_reference();
         let day_ms = SimDuration::from_days(1).as_millis();
         let bound = day_ms / 10
             + DgaFamily::torpig().params().max_activation_duration().as_millis();
-        for l in outcome.raw() {
+        for l in &raw {
             prop_assert!(l.t.as_millis() <= bound, "lookup at {}", l.t);
         }
     }

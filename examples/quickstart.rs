@@ -27,7 +27,7 @@ fn main() {
         "simulated ground truth : {} active bots",
         outcome.ground_truth()[0]
     );
-    println!("raw lookups issued     : {}", outcome.raw().len());
+    println!("raw lookups issued     : {}", outcome.raw_lookups());
     println!(
         "border-visible lookups : {} (cache-filtered)",
         outcome.observed().len()

@@ -49,7 +49,7 @@ fn main() {
             .build()
             .expect("presets are valid")
             .run(ExecPolicy::default());
-        let raw = outcome.raw().len();
+        let raw = outcome.raw_lookups();
         let visible = outcome.observed().len();
         let p = family.params();
         println!(

@@ -11,12 +11,15 @@ echo "==> removed entry-point grep gate"
 # The dual sequential/parallel entry points are gone: every pipeline stage
 # takes an ExecPolicy. So is the cache filter's per-call clone-and-absorb
 # fan-out, the id-probe twins of the hit scan (`scan_hits` is the one
-# kernel), the kernel-quantization knob nobody set, and botmeterd's second
-# feed loop. No file may mention the old names.
+# kernel), the kernel-quantization knob nobody set, botmeterd's second
+# feed loop, the pipeline mode that kept the raw trace, the sink trait
+# around a closure, and the dns/obs capabilities nobody called. No file
+# may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
 pattern+='|run_ephemeral|drain_shard'
+pattern+='|Materialize|ShardSink|FnSink|LocalResolver|from_recorder'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -168,8 +171,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
+echo "==> cargo test (build)"
+cargo test --workspace --no-run -q
+
+echo "==> cargo test (run, 10-minute budget)"
+# ROADMAP item 5: the whole workspace's tests run inside 10 minutes on 2
+# cores. The build above is not counted; a suite that outgrows the budget
+# fails here instead of being skipped by the next builder.
+SECONDS=0
 cargo test --workspace -q
+if (( SECONDS > 600 )); then
+  echo "error: cargo test --workspace ran for ${SECONDS}s; the budget is 600s" >&2
+  exit 1
+fi
+echo "    tests ran in ${SECONDS}s"
 
 echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode)"
 # Fails if raw simulation throughput or estimator-charting throughput

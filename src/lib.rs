@@ -24,7 +24,7 @@
 //!   engine with versioned, diffable landscape snapshots;
 //! * [`exec`] — the execution substrate behind the unified
 //!   [`exec::ExecPolicy`] API (every pipeline entry point takes one);
-//! * [`obs`] — the observability layer: attach an [`obs::Obs`] recorder to
+//! * [`obs`] — the observability layer: attach an [`obs::Obs`] handle to
 //!   any stage and pull a JSON-serialisable [`obs::MetricsSnapshot`];
 //! * [`faults`] — deterministic measurement-fault injection (loss, bursts,
 //!   duplication, reordering, clock skew, sampling, outages) for studying
@@ -81,6 +81,6 @@ pub mod prelude {
     pub use botmeter_faults::{FaultModel, FaultPlan, FaultReport};
     pub use botmeter_matcher::{DetectionWindow, DomainMatcher, SketchStream};
     pub use botmeter_obs::{MetricsRegistry, MetricsSnapshot, Obs};
-    pub use botmeter_sim::{PipelineMode, ScenarioOutcome, ScenarioSpec, ShardSink};
+    pub use botmeter_sim::{PipelineMode, ScenarioOutcome, ScenarioSpec};
     pub use botmeter_sketch::{SketchConfig, SketchedTraffic};
 }

@@ -2,25 +2,38 @@
 //! on simulated traffic.
 
 use botmeter::dga::DgaFamily;
-use botmeter::dns::{SimDuration, TtlPolicy};
+use botmeter::dns::{RawLookup, SimDuration, TtlPolicy};
 use botmeter::exec::ExecPolicy;
-use botmeter::sim::ScenarioSpec;
+use botmeter::sim::{ScenarioOutcome, ScenarioSpec};
 use std::collections::{HashMap, HashSet};
 
-fn outcome(family: DgaFamily, ttl: TtlPolicy, seed: u64) -> botmeter::sim::ScenarioOutcome {
+fn spec(family: DgaFamily, ttl: TtlPolicy, seed: u64) -> ScenarioSpec {
     ScenarioSpec::builder(family)
         .population(32)
         .ttl(ttl)
         .seed(seed)
         .build()
         .expect("valid scenario")
-        .run(ExecPolicy::default())
+}
+
+fn outcome(family: DgaFamily, ttl: TtlPolicy, seed: u64) -> ScenarioOutcome {
+    spec(family, ttl, seed).run(ExecPolicy::default())
+}
+
+/// The pipeline's outcome beside the pre-cache trace it was filtered from
+/// (which only the whole-trace reference run keeps).
+fn outcome_and_raw(family: DgaFamily, seed: u64) -> (ScenarioOutcome, Vec<RawLookup>) {
+    let spec = spec(family, TtlPolicy::paper_default(), seed);
+    let (reference, raw) = spec.run_reference();
+    let o = spec.run(ExecPolicy::default());
+    assert_eq!(o.raw_lookups(), reference.raw_lookups());
+    (o, raw)
 }
 
 #[test]
 fn observed_domains_are_subset_of_raw() {
-    let o = outcome(DgaFamily::new_goz(), TtlPolicy::paper_default(), 1);
-    let raw_domains: HashSet<_> = o.raw().iter().map(|l| l.domain.clone()).collect();
+    let (o, raw) = outcome_and_raw(DgaFamily::new_goz(), 1);
+    let raw_domains: HashSet<_> = raw.iter().map(|l| l.domain.clone()).collect();
     for obs in o.observed() {
         assert!(
             raw_domains.contains(&obs.domain),
@@ -32,9 +45,9 @@ fn observed_domains_are_subset_of_raw() {
 
 #[test]
 fn per_domain_observed_counts_never_exceed_raw() {
-    let o = outcome(DgaFamily::conficker_c(), TtlPolicy::paper_default(), 2);
+    let (o, raw) = outcome_and_raw(DgaFamily::conficker_c(), 2);
     let mut raw_counts: HashMap<&str, usize> = HashMap::new();
-    for l in o.raw() {
+    for l in &raw {
         *raw_counts.entry(l.domain.as_str()).or_insert(0) += 1;
     }
     let mut obs_counts: HashMap<&str, usize> = HashMap::new();
@@ -53,9 +66,9 @@ fn per_domain_observed_counts_never_exceed_raw() {
 #[test]
 fn first_sighting_of_every_domain_is_never_masked() {
     // The cache can only absorb a lookup if an earlier one populated it.
-    let o = outcome(DgaFamily::new_goz(), TtlPolicy::paper_default(), 3);
+    let (o, raw) = outcome_and_raw(DgaFamily::new_goz(), 3);
     let mut first_raw: HashMap<&str, u64> = HashMap::new();
-    for l in o.raw() {
+    for l in &raw {
         first_raw
             .entry(l.domain.as_str())
             .or_insert(l.t.as_millis());
@@ -86,7 +99,7 @@ fn longer_negative_ttl_masks_more() {
         4,
     );
     // Same seed → identical raw traffic; only the cache differs.
-    assert_eq!(short.raw().len(), long.raw().len());
+    assert_eq!(short.raw_lookups(), long.raw_lookups());
     assert!(
         long.observed().len() < short.observed().len(),
         "5x negative TTL must absorb more: {} vs {}",
@@ -113,7 +126,7 @@ fn uniform_barrel_masking_grows_with_population() {
             .build()
             .expect("valid")
             .run(ExecPolicy::default());
-        o.observed().len() as f64 / o.raw().len() as f64
+        o.observed().len() as f64 / o.raw_lookups() as f64
     };
     let small = visible_fraction(8);
     let large = visible_fraction(128);

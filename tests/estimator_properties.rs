@@ -238,14 +238,14 @@ proptest! {
 }
 
 /// Per-segment parallel charting is bit-identical to sequential charting,
-/// and the observed trace it charts is the same whether the pipeline
-/// materialized or streamed: all four `ExecPolicy` × `PipelineMode`
-/// combinations produce the same landscape bits and the same
-/// deterministic estimator counters (memo hits/misses, scheduled
-/// segments, cell counts).
+/// and the observed trace it charts is the same whatever shard width the
+/// pipeline ran at: all four `ExecPolicy` × `PipelineMode` combinations
+/// produce the same landscape bits and the same deterministic estimator
+/// counters (memo hits/misses, scheduled segments, cell counts).
 #[test]
 fn charting_is_bit_identical_across_policies_and_pipeline_modes() {
     use botmeter::core::{BotMeter, BotMeterConfig, ChartRequest};
+    use botmeter::dns::SimDuration;
     use botmeter::obs::Obs;
     use botmeter::sim::{PipelineMode, ScenarioSpec};
 
@@ -262,17 +262,19 @@ fn charting_is_bit_identical_across_policies_and_pipeline_modes() {
             .expect("valid scenario")
             .run(ExecPolicy::parallel())
     };
-    let materialized = run(PipelineMode::Materialize);
-    let streamed = run(PipelineMode::Streaming { shard: None });
+    let default_width = run(PipelineMode::Streaming { shard: None });
+    let ten_minutes = run(PipelineMode::Streaming {
+        shard: Some(SimDuration::from_secs(600)),
+    });
     assert_eq!(
-        materialized.observed(),
-        streamed.observed(),
+        default_width.observed(),
+        ten_minutes.observed(),
         "pipeline modes disagree on the observed trace"
     );
 
     let mut landscapes = Vec::new();
     let mut counters = Vec::new();
-    for (mode, outcome) in [("materialize", &materialized), ("streaming", &streamed)] {
+    for (mode, outcome) in [("default", &default_width), ("600 s", &ten_minutes)] {
         for policy in [ExecPolicy::Sequential, ExecPolicy::parallel()] {
             let (obs, registry) = Obs::collecting();
             let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone())).with_obs(obs);

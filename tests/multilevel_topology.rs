@@ -4,14 +4,25 @@
 use botmeter::core::{BotMeter, BotMeterConfig, ChartRequest, ModelKind};
 use botmeter::dga::DgaFamily;
 use botmeter::dns::{ClientId, ObservedLookup, RawLookup, ServerId, TopologyBuilder, TtlPolicy};
-use botmeter::exec::ExecPolicy;
-use botmeter::sim::ScenarioSpec;
+use botmeter::sim::{ScenarioOutcome, ScenarioSpec};
+
+/// The whole-trace reference run: the flat single-resolver outcome beside
+/// the pre-cache trace the tests below route through a tree of their own.
+fn simulate(family: DgaFamily, population: u64, seed: u64) -> (ScenarioOutcome, Vec<RawLookup>) {
+    ScenarioSpec::builder(family)
+        .population(population)
+        .seed(seed)
+        .build()
+        .expect("valid scenario")
+        .run_reference()
+}
 
 /// Routes a simulated raw trace through a two-level tree: two sites under
 /// the border, two floors under each site. Returns the border-visible
 /// stream and the site each client was assigned to.
 fn route_through_tree(
-    outcome: &botmeter::sim::ScenarioOutcome,
+    family: &DgaFamily,
+    raw_trace: &[RawLookup],
 ) -> (Vec<ObservedLookup>, ServerId, ServerId) {
     let mut b = TopologyBuilder::new(TtlPolicy::paper_default());
     let site_a = b.add_resolver_under_border();
@@ -21,17 +32,16 @@ fn route_through_tree(
     let floor_b1 = b.add_resolver(site_b).expect("site exists");
     let mut topo = b.build();
 
-    let authority = outcome.family().authority_for_epochs(2);
+    let authority = family.authority_for_epochs(2);
     let mut observed = Vec::new();
-    for raw in outcome.raw() {
+    for raw in raw_trace {
         let floor = match raw.client.0 % 3 {
             0 => floor_a1,
             1 => floor_a2,
             _ => floor_b1,
         };
         topo.assign_client(raw.client, floor).expect("floor exists");
-        let r = RawLookup::new(raw.t, raw.client, raw.domain.clone());
-        if let Some(obs) = topo.process(&r, &authority).expect("routable") {
+        if let Some(obs) = topo.process(raw, &authority).expect("routable") {
             observed.push(obs);
         }
     }
@@ -40,13 +50,8 @@ fn route_through_tree(
 
 #[test]
 fn border_attributes_lookups_to_sites_not_floors() {
-    let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-        .population(48)
-        .seed(13)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::default());
-    let (observed, site_a, site_b) = route_through_tree(&outcome);
+    let (outcome, raw) = simulate(DgaFamily::new_goz(), 48, 13);
+    let (observed, site_a, site_b) = route_through_tree(outcome.family(), &raw);
     assert!(!observed.is_empty());
     // Everything the border sees is attributed to a *site* (its direct
     // children), never to the floors two levels down.
@@ -66,13 +71,8 @@ fn intermediate_caches_absorb_cross_floor_duplicates() {
     // The same domain queried from two floors of one site must reach the
     // border at most once per TTL window: the site cache absorbs the
     // second floor's miss.
-    let outcome = ScenarioSpec::builder(DgaFamily::murofet())
-        .population(32)
-        .seed(14)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::default());
-    let (tree_observed, _, _) = route_through_tree(&outcome);
+    let (outcome, raw) = simulate(DgaFamily::murofet(), 32, 14);
+    let (tree_observed, _, _) = route_through_tree(outcome.family(), &raw);
 
     // Against the flat single-local baseline on the same raw trace, each
     // of the two *sites* dedupes independently, so the border can see each
@@ -96,13 +96,8 @@ fn intermediate_caches_absorb_cross_floor_duplicates() {
 
 #[test]
 fn landscape_ranks_the_heavier_site_first() {
-    let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-        .population(60)
-        .seed(15)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::default());
-    let (observed, site_a, site_b) = route_through_tree(&outcome);
+    let (outcome, raw) = simulate(DgaFamily::new_goz(), 60, 15);
+    let (observed, site_a, site_b) = route_through_tree(outcome.family(), &raw);
 
     // Two of three floors (≈ 2/3 of bots) hang under site A.
     let meter =

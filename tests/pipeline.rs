@@ -91,7 +91,7 @@ fn matcher_strips_foreign_traffic_before_estimation() {
 #[test]
 fn landscape_separates_servers_in_star_topology() {
     use botmeter::dga::DgaFamily;
-    use botmeter::dns::{RawLookup, SimInstant, Topology, TtlPolicy};
+    use botmeter::dns::{SimInstant, Topology, TtlPolicy};
 
     // Hand-route two bot populations behind different local resolvers.
     let family = DgaFamily::new_goz();
@@ -99,9 +99,15 @@ fn landscape_separates_servers_in_star_topology() {
     let mut topo = Topology::star(TtlPolicy::paper_default(), 2);
     let servers = topo.local_servers();
 
-    // Re-simulate raw traffic, then route clients by parity.
-    let outcome = run(family.clone(), 32, 11);
-    for raw in outcome.raw() {
+    // Re-simulate raw traffic (only the whole-trace reference run keeps
+    // it), then route clients by parity.
+    let (_, raw_trace) = ScenarioSpec::builder(family.clone())
+        .population(32)
+        .seed(11)
+        .build()
+        .expect("valid scenario")
+        .run_reference();
+    for raw in &raw_trace {
         let leaf = if raw.client.0 % 2 == 0 {
             servers[0]
         } else {
@@ -110,9 +116,8 @@ fn landscape_separates_servers_in_star_topology() {
         topo.assign_client(raw.client, leaf).expect("leaf exists");
     }
     let mut observed = Vec::new();
-    for raw in outcome.raw() {
-        let r = RawLookup::new(raw.t, raw.client, raw.domain.clone());
-        if let Some(obs) = topo.process(&r, &authority).expect("routable") {
+    for raw in &raw_trace {
+        if let Some(obs) = topo.process(raw, &authority).expect("routable") {
             observed.push(obs);
         }
     }

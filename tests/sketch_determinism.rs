@@ -13,7 +13,7 @@ use botmeter::dga::DgaFamily;
 use botmeter::exec::ExecPolicy;
 use botmeter::matcher::{ExactMatcher, SketchStream};
 use botmeter::obs::Obs;
-use botmeter::sim::{FnSink, PipelineMode, ScenarioSpec};
+use botmeter::sim::{PipelineMode, ScenarioSpec};
 use botmeter::sketch::{SketchConfig, SketchedTraffic};
 use botmeter_dns::SimDuration;
 
@@ -43,8 +43,9 @@ fn state_json(sketch: &SketchedTraffic) -> String {
 
 #[test]
 fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
-    // Reference: sequential materialized trace, single-shot ingest.
-    let reference_outcome = spec(PipelineMode::Materialize).run(ExecPolicy::Sequential);
+    // Reference: the whole observed trace of a sequential run, ingested in
+    // one call.
+    let reference_outcome = spec(PipelineMode::default()).run(ExecPolicy::Sequential);
     let family = reference_outcome.family().clone();
     let matcher = ExactMatcher::from_family(&family, EPOCHS);
     let mut reference_frontend =
@@ -63,7 +64,6 @@ fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
         ExecPolicy::with_threads(8),
     ];
     let modes = [
-        PipelineMode::Materialize,
         PipelineMode::Streaming { shard: None },
         PipelineMode::Streaming {
             shard: Some(SimDuration::from_secs(600)),
@@ -71,17 +71,9 @@ fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
     ];
     for policy in policies {
         for mode in modes {
+            // Shard by shard, as the pipeline releases them.
             let mut frontend = SketchStream::new(&matcher, config(family.epoch_len()), Obs::noop());
-            match mode {
-                PipelineMode::Materialize => {
-                    let outcome = spec(mode).run(policy);
-                    frontend.ingest(outcome.observed());
-                }
-                _ => {
-                    let mut sink = FnSink(|chunk: &[_]| frontend.ingest(chunk));
-                    spec(mode).run_streaming_into(policy, &mut sink);
-                }
-            }
+            spec(mode).run_streaming_into(policy, &mut |shard| frontend.ingest(shard));
             let (sketch, quality) = frontend.finish();
             assert_eq!(
                 state_json(&sketch),
@@ -98,7 +90,7 @@ fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
 
 #[test]
 fn worker_shard_sketches_merge_to_the_same_state_in_any_order() {
-    let outcome = spec(PipelineMode::Materialize).run(ExecPolicy::Sequential);
+    let outcome = spec(PipelineMode::default()).run(ExecPolicy::Sequential);
     let family = outcome.family().clone();
     let matcher = ExactMatcher::from_family(&family, EPOCHS);
     let mut reference_frontend =
@@ -137,7 +129,7 @@ fn worker_shard_sketches_merge_to_the_same_state_in_any_order() {
 
 #[test]
 fn sketch_metrics_surface_through_deterministic_counters() {
-    let outcome = spec(PipelineMode::Materialize).run(ExecPolicy::Sequential);
+    let outcome = spec(PipelineMode::default()).run(ExecPolicy::Sequential);
     let family = outcome.family().clone();
     let matcher = ExactMatcher::from_family(&family, EPOCHS);
 
