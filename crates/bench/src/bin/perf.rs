@@ -2,8 +2,9 @@
 //! the full worker pool and under one thread, and writes the evidence to
 //! `BENCH_pipeline.json`: wall times, lookup and charting throughput, the
 //! worker-thread count each run actually used, the peak number of raw-trace
-//! records resident in memory, the simulate stage's allocator traffic and
-//! what journaling the observed stream costs `botmeterd` to encode.
+//! records resident in memory, the simulate stage's allocator traffic,
+//! what journaling the observed stream costs `botmeterd` to encode and what
+//! enumerating a chart window's pools into a matcher (and dropping it) costs.
 //! A final, instrumented pass runs the pipeline with a collecting [`Obs`]
 //! recorder attached and dumps the full [`MetricsSnapshot`] — per-server
 //! cache hits/misses, border filter counts, matcher probes/matches,
@@ -14,6 +15,7 @@
 //! [--metrics-out PATH]`.
 
 use botmeter_bench::journal::JournalEncodeBench;
+use botmeter_bench::pool::PoolBuildBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, Landscape};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -56,6 +58,9 @@ struct Report {
     /// The run's observed stream encoded as journal payloads: MB/s and
     /// allocations per journaled record, both gated by `perf_smoke`.
     journal_encode: JournalEncodeBench,
+    /// A 20-epoch newGoZ matcher built and dropped: names/s and allocations
+    /// per pooled name, both gated by `perf_smoke`.
+    pool_build: PoolBuildBench,
     /// `raw_lookups / streaming.peak_resident_records`: how much smaller
     /// the resident raw footprint is than the whole trace.
     residency_reduction: f64,
@@ -270,6 +275,7 @@ fn main() {
     let (warmup, ..) = bench.pipeline(parallel, Obs::noop());
     let journal_encode = JournalEncodeBench::measure(warmup.observed(), 5);
     drop(warmup);
+    let pool_build = PoolBuildBench::measure(5);
     let stream = bench.measure(parallel);
     let stream_single = bench.measure(ExecPolicy::Sequential);
     assert_eq!(
@@ -304,6 +310,7 @@ fn main() {
         residency_reduction: stream.raw_lookups as f64 / stream.peak_resident_records.max(1) as f64,
         allocs_per_raw_lookup: stream.allocs_per_raw_lookup(),
         journal_encode,
+        pool_build,
         streaming: stream.variant(),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");

@@ -14,7 +14,10 @@
 //! re-weights a shape's rows, it does not re-derive them), or if encoding
 //! the observed stream as journal payloads falls the same fraction below
 //! the committed `journal_encode` block or allocates per record at all
-//! (the durable path streams into a reused buffer). Takes the best
+//! (the durable path streams into a reused buffer), or if building and
+//! dropping a 20-epoch pool matcher falls the same fraction below the
+//! committed `pool_build` block or allocates per name at all (a pool is
+//! one buffer). Takes the best
 //! of a few runs so scheduler noise on shared CI workers doesn't trip the
 //! gate.
 //!
@@ -23,6 +26,7 @@
 
 use botmeter_bench::cell::{FixpointBench, TimingBench};
 use botmeter_bench::journal::JournalEncodeBench;
+use botmeter_bench::pool::PoolBuildBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -51,6 +55,7 @@ struct Baseline {
     /// then skips the alloc-budget check).
     allocs_per_raw_lookup: Option<f64>,
     journal_encode: JournalEncodeBench,
+    pool_build: PoolBuildBench,
 }
 
 #[derive(Deserialize)]
@@ -282,6 +287,44 @@ fn main() {
              above the {JOURNAL_ALLOCS_PER_RECORD_CEILING} ceiling — the encoder is \
              allocating per value",
             journal.allocs_per_record
+        ));
+    }
+
+    // Pool-build gate: a 20-epoch newGoZ matcher built and dropped, as
+    // `estimate` and every `botmeterd` open do. The throughput floor is
+    // relative to the committed figure; the allocation ceiling is absolute,
+    // because the count repeats exactly: a handful of allocations per
+    // epoch's batch, where a name that owns its text costs two per name
+    // (and as many frees, which is where the time went).
+    const POOL_ALLOCS_PER_NAME_CEILING: f64 = 0.01;
+    let pool = PoolBuildBench::measure(5);
+    let pool_floor = baseline.pool_build.names_per_sec * min_ratio;
+    eprintln!(
+        "perf_smoke: pool build+drop {:.0} names/s ({} names in {:.4}s) vs floor \
+         {pool_floor:.0} ({}% of baseline {:.0}); {:.5} allocs/name \
+         (ceiling {POOL_ALLOCS_PER_NAME_CEILING})",
+        pool.names_per_sec,
+        pool.names,
+        pool.secs,
+        (min_ratio * 100.0) as u64,
+        baseline.pool_build.names_per_sec,
+        pool.allocs_per_name
+    );
+    if pool.names_per_sec < pool_floor {
+        fail(&format!(
+            "pool-build regression: {:.0} names/s is below {pool_floor:.0} \
+             ({}% of committed baseline {:.0})",
+            pool.names_per_sec,
+            (min_ratio * 100.0) as u64,
+            baseline.pool_build.names_per_sec
+        ));
+    }
+    if pool.allocs_per_name > POOL_ALLOCS_PER_NAME_CEILING {
+        fail(&format!(
+            "pool-build allocation regression: {:.5} allocations per pooled name, above \
+             the {POOL_ALLOCS_PER_NAME_CEILING} ceiling — generated names are heap \
+             objects again",
+            pool.allocs_per_name
         ));
     }
 

@@ -25,5 +25,6 @@ pub mod evasion_study;
 pub mod fig6;
 pub mod fig7;
 pub mod journal;
+pub mod pool;
 pub mod render;
 pub mod sweep;

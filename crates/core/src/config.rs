@@ -59,11 +59,13 @@ impl PoolIndex {
 /// How many epochs' [`PoolIndex`] one context keeps before dropping the
 /// lowest-numbered one. Small on purpose: reuse happens between the cells
 /// and publishes of the few epochs around a stream's head, while a pool
-/// held is ≈1 MB that stays resident — a chart of 20 epochs that kept all
-/// 20 measured slower than rebuilding each (fresh pages for every pool
-/// instead of one warm allocation reused, and one serial teardown at the
-/// end), and a long-running `botmeterd` must not hold a pool per day it
-/// ever saw. A dropped epoch asked for again is rebuilt.
+/// held is one text buffer, the `Vec` of names and the position map —
+/// ≈1.2 MB for a 10 k pool — that stays resident, and a long-running
+/// `botmeterd` must not hold a pool per day it ever saw. (Keeping all 20
+/// epochs of a chart once measured 10–20 % *slower* than rebuilding each;
+/// that was the allocator churn of 20 000 heap objects per pool, and with
+/// pools batch-built 4 and 32 measure the same — DESIGN.md §12.) A dropped
+/// epoch asked for again is rebuilt.
 const POOL_INDEX_EPOCHS: usize = 4;
 
 type PoolIndexSlot = Arc<OnceLock<Arc<PoolIndex>>>;

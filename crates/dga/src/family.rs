@@ -143,12 +143,15 @@ impl DgaFamily {
         }
     }
 
-    /// The registered C2 domains for `epoch`.
+    /// The registered C2 domains for `epoch`, each owning its own text:
+    /// these `θ∃` names outlive the pool they were picked from (an
+    /// [`EpochAuthority`] keeps every epoch's), and a shared name would keep
+    /// the whole pool's buffer alive with it.
     pub fn valid_domains(&self, epoch: u64) -> Vec<DomainName> {
         let pool = self.pool_for_epoch(epoch);
         self.valid_indices(epoch)
             .into_iter()
-            .map(|i| pool[i].clone())
+            .map(|i| pool[i].detached())
             .collect()
     }
 

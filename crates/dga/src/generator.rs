@@ -5,8 +5,15 @@
 //! deterministic, collision-free, lexically random names per
 //! `(family, stream, index)` — via SplitMix64 mixing, so the whole
 //! simulation is reproducible without any malware code.
+//!
+//! A pool is thousands of names made, held and dropped together, so
+//! [`DomainGenerator::batch`] writes them straight into one
+//! [`DomainBatch`] text buffer — validated in place like any parsed name —
+//! instead of building a `String` and an `Arc` per name.
+//! [`DomainGenerator::domain`] is the same label routine run for a batch of
+//! one.
 
-use botmeter_dns::DomainName;
+use botmeter_dns::{DomainBatch, DomainName, FxBuildHasher, FxHashMap};
 use botmeter_stats::mix64;
 use serde::{Deserialize, Serialize};
 
@@ -198,9 +205,10 @@ impl DomainGenerator {
         &self.tld
     }
 
-    /// Generates the `index`-th domain of stream `stream` (a stream is
-    /// typically an epoch or a sliding-window batch).
-    pub fn domain(&self, stream: u64, index: u64) -> DomainName {
+    /// Appends the text of the `index`-th name of stream `stream` to
+    /// `out`'s open name — the one label routine behind both
+    /// [`domain`](Self::domain) and [`batch`](Self::batch).
+    fn write_name(&self, stream: u64, index: u64, out: &mut DomainBatch) {
         let mut state = mix64(self.seed ^ mix64(stream.wrapping_add(0x5bd1_e995)));
         state = mix64(state ^ mix64(index.wrapping_add(0x1000_0193)));
         // Mix the label into the stream so different families with the same
@@ -208,7 +216,8 @@ impl DomainGenerator {
         for &b in self.label.as_bytes() {
             state = mix64(state ^ b as u64);
         }
-        let mut name = match &self.style {
+        let mut r = state;
+        match &self.style {
             NameStyle::Chars {
                 min_len,
                 max_len,
@@ -216,34 +225,45 @@ impl DomainGenerator {
             } => {
                 let span = (max_len - min_len + 1) as u64;
                 let len = min_len + (state % span) as usize;
-                let mut label = String::with_capacity(len);
-                let mut r = state;
                 for _ in 0..len {
                     r = mix64(r);
-                    label.push(charset.pick(r));
+                    out.push(charset.pick(r));
                 }
-                label
             }
             NameStyle::Dictionary {
                 words,
                 words_per_name,
             } => {
-                let mut label = String::new();
-                let mut r = state;
                 for _ in 0..*words_per_name {
                     r = mix64(r);
-                    label.push_str(&words[(r % words.len() as u64) as usize]);
+                    out.push_str(&words[(r % words.len() as u64) as usize]);
                 }
-                label
             }
-        };
-        name.push('.');
-        name.push_str(&self.tld);
-        name.parse()
-            .expect("generated names are valid by construction")
+        }
+        out.push('.');
+        out.push_str(&self.tld);
     }
 
-    /// Generates a batch of `count` *distinct* domains for one stream.
+    /// Longest name (label, dot, TLD) this generator writes, in bytes.
+    fn max_name_len(&self) -> usize {
+        self.max_len() + 1 + self.tld.len()
+    }
+
+    /// Generates the `index`-th domain of stream `stream` (a stream is
+    /// typically an epoch or a sliding-window batch) — a batch of one, so
+    /// the name owns exactly its own text.
+    pub fn domain(&self, stream: u64, index: u64) -> DomainName {
+        let mut one = DomainBatch::with_capacity(1, self.max_name_len());
+        self.write_name(stream, index, &mut one);
+        one.commit()
+            .expect("generated names are valid by construction");
+        one.finish().pop().expect("one committed name")
+    }
+
+    /// Generates a batch of `count` *distinct* domains for one stream, all
+    /// over one shared text buffer (see [`DomainBatch`]): names are written
+    /// straight into it, so a pool costs a handful of allocations, not
+    /// two per name.
     ///
     /// Character-style generators essentially never collide; dictionary
     /// generators draw from a small combination space (Suppobox has a few
@@ -255,20 +275,28 @@ impl DomainGenerator {
     /// Panics if the style cannot produce `count` distinct names (a
     /// dictionary with fewer combinations than the pool needs).
     pub fn batch(&self, stream: u64, count: usize) -> Vec<DomainName> {
-        let mut out = Vec::with_capacity(count);
-        // Dedup probes ride on the names' pre-interned ids: DomainName
-        // hashes as its fingerprint u64, and the Fx table folds that in a
-        // single multiply.
-        let mut seen = botmeter_dns::FxHashSet::with_capacity_and_hasher(
-            count * 2,
-            botmeter_dns::FxBuildHasher::default(),
-        );
+        let mut out = DomainBatch::with_capacity(count, count * self.max_name_len());
+        // Dedupe on fingerprint → first index carrying it; a fingerprint
+        // hit is confirmed on the text, so a collision between distinct
+        // names cannot drop one.
+        let mut first_with_id =
+            FxHashMap::with_capacity_and_hasher(count, FxBuildHasher::default());
         let mut index = 0u64;
         let give_up = count as u64 * 1000 + 10_000;
         while out.len() < count {
-            let d = self.domain(stream, index);
-            if seen.insert(d.clone()) {
-                out.push(d);
+            self.write_name(stream, index, &mut out);
+            let id = out
+                .commit()
+                .expect("generated names are valid by construction");
+            let at = out.len() - 1;
+            let first = *first_with_id.entry(id).or_insert(at);
+            if first != at {
+                let name = out.get(at);
+                // Same id, different text is a fingerprint collision
+                // (≈2⁻⁶⁴ a pair); only then is every later name compared.
+                if out.get(first) == name || (first + 1..at).any(|i| out.get(i) == name) {
+                    out.roll_back();
+                }
             }
             index += 1;
             assert!(
@@ -276,7 +304,7 @@ impl DomainGenerator {
                 "generator cannot produce {count} distinct names (dictionary too small?)"
             );
         }
-        out
+        out.finish()
     }
 }
 

@@ -15,6 +15,10 @@
 //! generate each epoch's pool, the registrar's `θ∃` valid C2 domains, and a
 //! bot's barrel order.
 //!
+//! A generated pool is one shared text buffer under one `Vec` of names
+//! ([`botmeter_dns::DomainBatch`]); the `θ∃` names meant to outlive it
+//! ([`DgaFamily::valid_domains`]) own their text instead.
+//!
 //! # Example
 //!
 //! ```

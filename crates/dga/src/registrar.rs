@@ -121,6 +121,7 @@ impl Authority for EpochAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PoolModel;
 
     #[test]
     fn resolves_only_registered_epoch_domains() {
@@ -194,6 +195,42 @@ mod tests {
     #[should_panic(expected = "cannot merge zero")]
     fn merge_empty_panics() {
         EpochAuthority::merge(&[]);
+    }
+
+    /// The retention rule: a pool is one text buffer per generated batch,
+    /// and the few registered names that outlive it — what `valid_domains`
+    /// hands out and an authority keeps for every epoch — own exactly their
+    /// own text, so they never keep a pool's buffer alive.
+    #[test]
+    fn registered_names_own_their_text_while_pools_share_one_buffer() {
+        for f in [
+            DgaFamily::new_goz(),
+            DgaFamily::conficker_c(),
+            DgaFamily::ranbyus(), // sliding window: a buffer per daily batch
+            DgaFamily::pykspa(),  // mixture: a buffer per component
+        ] {
+            let pool = f.pool_for_epoch(2);
+            if matches!(f.pool_model(), PoolModel::DrainReplenish { .. }) {
+                let pool_text: usize = pool.iter().map(|d| d.as_str().len()).sum();
+                assert!(pool.iter().all(|d| d.backing_len() == pool_text));
+            }
+            let valid = f.valid_domains(2);
+            assert_eq!(valid.len(), f.params().theta_valid());
+            for d in &valid {
+                assert!(pool.contains(d));
+                assert_eq!(d.backing_len(), d.as_str().len(), "{}: {d}", f.name());
+            }
+            let auth = f.authority_for_epochs(3);
+            for epoch in 0..3 {
+                for d in auth.valid_domains(epoch).unwrap() {
+                    assert_eq!(d.backing_len(), d.as_str().len(), "{}: {d}", f.name());
+                }
+            }
+            let merged = EpochAuthority::merge(&[auth.clone(), auth]);
+            for d in merged.valid_domains(2).unwrap() {
+                assert_eq!(d.backing_len(), d.as_str().len());
+            }
+        }
     }
 
     #[test]

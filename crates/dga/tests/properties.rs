@@ -1,14 +1,81 @@
 //! Property-based tests for the DGA library.
 
-use botmeter_dga::{draw_barrel, BarrelClass, DgaFamily, DgaParams, PoolModel, QueryTiming};
-use botmeter_dns::SimDuration;
+use botmeter_dga::{
+    draw_barrel, BarrelClass, Charset, DgaFamily, DgaParams, DomainGenerator, PoolModel,
+    QueryTiming,
+};
+use botmeter_dns::{DomainName, SimDuration};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::HashSet;
 
+/// `DomainGenerator::batch` as it was first written: one `domain(stream, i)`
+/// per index from 0, keeping first sightings. Test-side reference only.
+fn reference_batch(g: &DomainGenerator, stream: u64, count: usize) -> Vec<DomainName> {
+    let mut seen = HashSet::new();
+    let mut out = Vec::with_capacity(count);
+    let mut index = 0;
+    while out.len() < count {
+        let d = g.domain(stream, index);
+        if seen.insert(d.clone()) {
+            out.push(d);
+        }
+        index += 1;
+    }
+    out
+}
+
+/// Same names, same order — and the batch is one buffer while every
+/// reference name owns its text.
+fn assert_batch_is_the_reference(g: &DomainGenerator, stream: u64, count: usize) {
+    let batch = g.batch(stream, count);
+    let reference = reference_batch(g, stream, count);
+    assert_eq!(batch, reference);
+    let text: usize = batch.iter().map(|d| d.as_str().len()).sum();
+    assert!(batch.iter().all(|d| d.backing_len() == text));
+    assert!(reference
+        .iter()
+        .all(|d| d.backing_len() == d.as_str().len()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A character-style pool is the per-index reference, name for name —
+    /// down to label ranges short enough (26² names) to repeat often.
+    #[test]
+    fn chars_batch_is_the_per_index_reference(
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+        label in "[a-z0-9]{1,8}",
+        min_len in 2usize..7,
+        extra in 0usize..5,
+        alpha in any::<bool>(),
+        count in 0usize..200,
+    ) {
+        let charset = if alpha { Charset::Alpha } else { Charset::AlphaNumeric };
+        let g = DomainGenerator::new(&label, seed, min_len, min_len + extra, charset, "example");
+        assert_batch_is_the_reference(&g, stream, count);
+    }
+
+    /// A dictionary small enough that most indices repeat an earlier name:
+    /// the skipped repeats are the reference's, up to 60 % of the whole
+    /// combination space.
+    #[test]
+    fn dictionary_batch_is_the_per_index_reference(
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+        vocabulary in 3usize..9,
+        words_per_name in 1usize..3,
+        fill_percent in 0usize..61,
+    ) {
+        // Equal-length words: every word sequence spells a distinct label.
+        let words = ["red", "blu", "grn", "ylw", "blk", "wht", "gry", "pnk"];
+        let g = DomainGenerator::dictionary("dict", seed, &words[..vocabulary], words_per_name, "net");
+        let combinations = vocabulary.pow(words_per_name as u32);
+        assert_batch_is_the_reference(&g, stream, combinations * fill_percent / 100);
+    }
 
     /// Every barrel class yields in-range, length-clamped barrels; the
     /// non-sampling classes yield distinct indices.
@@ -127,4 +194,11 @@ proptest! {
         let useful = ((back + forward + 1) as usize) * per_day;
         prop_assert_eq!(m.steady_pool_len(useful), useful);
     }
+}
+
+/// Two one-word names exist; asking for a third still fails loudly.
+#[test]
+#[should_panic(expected = "cannot produce 3 distinct names")]
+fn batch_larger_than_the_dictionary_space_panics() {
+    DomainGenerator::dictionary("tiny", 1, &["red", "blu"], 1, "net").batch(0, 3);
 }

@@ -155,11 +155,13 @@ struct ArenaSpan {
     label_count: u16,
 }
 
-/// Deduplicates [`DomainName`](crate::DomainName) allocations: interning a
-/// name returns the canonical `Arc`-backed instance, so a pool that is
-/// materialised repeatedly (generators re-derive epoch pools for the
-/// authority, the matcher and the simulator) shares one allocation per
-/// distinct name instead of one per materialisation.
+/// Canonicalises [`DomainName`](crate::DomainName)s: interning a name
+/// returns the first equal instance seen, so text that arrives from several
+/// sources — a pool generated twice, a decoded record and the pool it was
+/// drawn from — is held once. The canonical instance keeps the backing it
+/// arrived with: a batch-built pool name goes on sharing its pool's one
+/// buffer (interning a whole pool allocates nothing per name), a parsed
+/// name keeps its own.
 ///
 /// Every interned name is also appended to a contiguous **bytes arena**
 /// with an offset table, so a [`DomainId`] resolves back to its text
@@ -222,7 +224,8 @@ impl DomainInterner {
 
     /// Returns the canonical instance of `name`, registering it if it is
     /// new. The returned value always compares equal to the input; if an
-    /// equal name was interned before, its allocation is reused.
+    /// equal name was interned before, that instance's text is the one
+    /// shared.
     ///
     /// # Panics
     ///
@@ -333,8 +336,8 @@ impl DomainInterner {
     }
 
     /// The canonical [`DomainName`](crate::DomainName) for an interned id —
-    /// the rehydration point where id-resident records regain their
-    /// `Arc`-backed text at egress edges.
+    /// the rehydration point where id-resident records regain their text
+    /// (a refcount on the canonical instance's buffer) at egress edges.
     #[inline]
     pub fn resolve(&self, id: DomainId) -> Option<&crate::DomainName> {
         self.slots.get(&id).map(|&slot| &self.names[slot as usize])

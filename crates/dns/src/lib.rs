@@ -10,7 +10,8 @@
 //! This crate provides that substrate, built from scratch:
 //!
 //! * a millisecond-granularity virtual clock ([`SimInstant`], [`SimDuration`]);
-//! * validated [`DomainName`]s;
+//! * validated [`DomainName`]s, one at a time or batch-built over one buffer
+//!   ([`DomainBatch`]);
 //! * a TTL-aware [`DnsCache`] with positive and negative caching;
 //! * [`Topology`], a whole tree of caching-forwarding resolvers with the
 //!   border vantage point;
@@ -61,7 +62,7 @@ pub use cache::{CacheStats, CachedAnswer, DnsCache};
 pub use intern::{
     fx_hash64, DomainId, DomainInterner, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
 };
-pub use name::{DomainName, ParseDomainError};
+pub use name::{DomainBatch, DomainName, ParseDomainError};
 pub use record::{ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId};
 pub use time::{SimDuration, SimInstant};
 pub use topology::{TopologyBuilder, TopologyError};

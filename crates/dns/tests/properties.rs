@@ -2,7 +2,8 @@
 
 use botmeter_dns::{
     trace, Answer, ClientId, DnsCache, DomainId, DomainInterner, DomainName, ObservedLookup,
-    RawLookup, ServerId, SimDuration, SimInstant, StaticAuthority, Topology, TtlPolicy,
+    ParseDomainError, RawLookup, ServerId, SimDuration, SimInstant, StaticAuthority, Topology,
+    TtlPolicy,
 };
 use proptest::prelude::*;
 
@@ -15,6 +16,34 @@ fn arb_domain() -> impl Strategy<Value = DomainName> {
 fn arb_deep_domain() -> impl Strategy<Value = DomainName> {
     prop::collection::vec("[a-z][a-z0-9]{0,15}", 2..6)
         .prop_map(|labels| labels.join(".").parse().expect("joined valid labels parse"))
+}
+
+/// Name validation as it was written before the one-pass byte loop: split
+/// into labels, judge each label whole. Test-side reference only.
+fn reference_validate(s: &str) -> Result<(), ParseDomainError> {
+    if s.is_empty() {
+        return Err(ParseDomainError::Empty);
+    }
+    if s.len() > 253 {
+        return Err(ParseDomainError::TooLong(s.len()));
+    }
+    for label in s.split('.') {
+        if label.is_empty() {
+            return Err(ParseDomainError::EmptyLabel);
+        }
+        if label.len() > 63 {
+            return Err(ParseDomainError::LabelTooLong(label.len()));
+        }
+        if label.starts_with('-') || label.ends_with('-') {
+            return Err(ParseDomainError::HyphenAtEdge);
+        }
+        for c in label.chars() {
+            if !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-') {
+                return Err(ParseDomainError::BadCharacter(c));
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -40,6 +69,24 @@ proptest! {
             prop_assert!(text.split('.').all(|l| !l.is_empty() && l.len() <= 63));
             let back: DomainName = text.parse().expect("accepted names round-trip");
             prop_assert_eq!(d, back);
+        }
+    }
+
+    /// The one-pass byte validator answers exactly as the label-by-label
+    /// reference does — same acceptance, same error variant and payload —
+    /// on inputs built to break several rules at once.
+    #[test]
+    fn domain_validation_matches_the_label_by_label_reference(
+        labels in prop::collection::vec("[ab0_Aé-]{0,70}", 0..6),
+    ) {
+        let s = labels.join(".");
+        match (s.parse::<DomainName>(), reference_validate(&s)) {
+            (Ok(d), Ok(())) => {
+                prop_assert_eq!(d.as_str(), s.as_str());
+                prop_assert_eq!(d.id(), DomainId::of(&s));
+            }
+            (Err(got), Err(expected)) => prop_assert_eq!(got, expected, "{:?}", s),
+            (got, expected) => prop_assert!(false, "{s:?}: {got:?} vs reference {expected:?}"),
         }
     }
 

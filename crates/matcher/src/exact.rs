@@ -193,6 +193,21 @@ mod tests {
         assert_eq!(missed, 0);
     }
 
+    /// Where a name's text lives — a pool's shared buffer or a decoded
+    /// record's own — is invisible to matching, in both directions.
+    #[test]
+    fn pool_built_and_decoded_names_match_each_other() {
+        let f = DgaFamily::torpig();
+        let pooled = ExactMatcher::from_family(&f, 0..2);
+        let json = serde_json::to_string(&f.pool_for_epoch(1)).unwrap();
+        let decoded: Vec<DomainName> = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded.len(), 100);
+        assert!(decoded.iter().all(|d| pooled.matches(d)));
+        let from_decoded = ExactMatcher::from_domains(decoded);
+        assert!(f.pool_for_epoch(1).iter().all(|d| from_decoded.matches(d)));
+        assert!(!f.pool_for_epoch(0).iter().any(|d| from_decoded.matches(d)));
+    }
+
     #[test]
     fn rejects_foreign_domains() {
         let f = DgaFamily::murofet();

@@ -326,7 +326,8 @@ impl ScenarioSpec {
         // The registrar oracle for the planned epochs plus the one replays
         // spill into, built from the pools the plans already hold
         // (`authority_for_epochs`, which the reference uses, would generate
-        // every pool a second time).
+        // every pool a second time). Its names share the pools' buffers:
+        // the plans outlive it.
         let authority = EpochAuthority::from_valid_domains(
             self.family.epoch_len(),
             plans
