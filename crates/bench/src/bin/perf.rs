@@ -14,6 +14,7 @@
 //! Usage: `perf [--population N] [--epochs E] [--seed S] [--out PATH]
 //! [--metrics-out PATH]`.
 
+use botmeter_bench::decode::DecodeBench;
 use botmeter_bench::journal::JournalEncodeBench;
 use botmeter_bench::pool::PoolBuildBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, Landscape};
@@ -58,6 +59,12 @@ struct Report {
     /// The run's observed stream encoded as journal payloads: MB/s and
     /// allocations per journaled record, both gated by `perf_smoke`.
     journal_encode: JournalEncodeBench,
+    /// The same stream read back from JSON Lines (`estimate`'s and
+    /// `botmeterd`'s input path) and from journal payloads (recovery's
+    /// replay): MB/s and allocations per decoded record, both gated by
+    /// `perf_smoke`.
+    trace_decode: DecodeBench,
+    journal_decode: DecodeBench,
     /// A 20-epoch newGoZ matcher built and dropped: names/s and allocations
     /// per pooled name, both gated by `perf_smoke`.
     pool_build: PoolBuildBench,
@@ -271,9 +278,12 @@ fn main() {
     // One untimed warmup run: the first pipeline execution pays for page
     // faults and allocator growth over the trace's full footprint, which
     // would otherwise be billed to whichever variant runs first. Its
-    // observed stream is what the journal-encode figure is taken over.
+    // observed stream is what the journal-encode and decode figures are
+    // taken over.
     let (warmup, ..) = bench.pipeline(parallel, Obs::noop());
     let journal_encode = JournalEncodeBench::measure(warmup.observed(), 5);
+    let trace_decode = DecodeBench::trace(warmup.observed(), 5);
+    let journal_decode = DecodeBench::journal(warmup.observed(), 5);
     drop(warmup);
     let pool_build = PoolBuildBench::measure(5);
     let stream = bench.measure(parallel);
@@ -310,6 +320,8 @@ fn main() {
         residency_reduction: stream.raw_lookups as f64 / stream.peak_resident_records.max(1) as f64,
         allocs_per_raw_lookup: stream.allocs_per_raw_lookup(),
         journal_encode,
+        trace_decode,
+        journal_decode,
         pool_build,
         streaming: stream.variant(),
     };

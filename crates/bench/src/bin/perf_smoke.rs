@@ -14,7 +14,11 @@
 //! re-weights a shape's rows, it does not re-derive them), or if encoding
 //! the observed stream as journal payloads falls the same fraction below
 //! the committed `journal_encode` block or allocates per record at all
-//! (the durable path streams into a reused buffer), or if building and
+//! (the durable path streams into a reused buffer), or if reading that
+//! stream back — as a JSON Lines trace, and as journal payloads — falls the
+//! same fraction below the committed `trace_decode` / `journal_decode`
+//! blocks or allocates more than the one name per record (the reader
+//! streams out of a reused line buffer), or if building and
 //! dropping a 20-epoch pool matcher falls the same fraction below the
 //! committed `pool_build` block or allocates per name at all (a pool is
 //! one buffer). Takes the best
@@ -25,6 +29,7 @@
 //! [--seed S] [--min-ratio R] [--runs K]`.
 
 use botmeter_bench::cell::{FixpointBench, TimingBench};
+use botmeter_bench::decode::DecodeBench;
 use botmeter_bench::journal::JournalEncodeBench;
 use botmeter_bench::pool::PoolBuildBench;
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
@@ -55,6 +60,8 @@ struct Baseline {
     /// then skips the alloc-budget check).
     allocs_per_raw_lookup: Option<f64>,
     journal_encode: JournalEncodeBench,
+    trace_decode: DecodeBench,
+    journal_decode: DecodeBench,
     pool_build: PoolBuildBench,
 }
 
@@ -288,6 +295,57 @@ fn main() {
              allocating per value",
             journal.allocs_per_record
         ));
+    }
+
+    // Decode gates: the same stream read back with `trace::read_jsonl` (the
+    // input path of `estimate` and `botmeterd`) and, as 4096-record
+    // payloads, with `serde_json::from_slice` (journal replay). Throughput
+    // floors are relative to the committed figures; the allocation ceiling
+    // is absolute, because the count repeats exactly: one per record, the
+    // decoded name's own text, where a tree per line costs seven.
+    const DECODE_ALLOCS_PER_RECORD_CEILING: f64 = 1.05;
+    for (what, measured, committed) in [
+        (
+            "trace decode",
+            DecodeBench::trace(streaming.observed(), 5),
+            &baseline.trace_decode,
+        ),
+        (
+            "journal decode",
+            DecodeBench::journal(streaming.observed(), 5),
+            &baseline.journal_decode,
+        ),
+    ] {
+        let floor = committed.mb_per_sec * min_ratio;
+        eprintln!(
+            "perf_smoke: {what} {:.0} MB/s ({} bytes, {} records in {:.4}s) vs floor \
+             {floor:.0} ({}% of baseline {:.0}); {:.5} allocs/record \
+             (ceiling {DECODE_ALLOCS_PER_RECORD_CEILING})",
+            measured.mb_per_sec,
+            measured.bytes,
+            measured.records,
+            measured.secs,
+            (min_ratio * 100.0) as u64,
+            committed.mb_per_sec,
+            measured.allocs_per_record
+        );
+        if measured.mb_per_sec < floor {
+            fail(&format!(
+                "{what} regression: {:.0} MB/s is below {floor:.0} \
+                 ({}% of committed baseline {:.0})",
+                measured.mb_per_sec,
+                (min_ratio * 100.0) as u64,
+                committed.mb_per_sec
+            ));
+        }
+        if measured.allocs_per_record > DECODE_ALLOCS_PER_RECORD_CEILING {
+            fail(&format!(
+                "{what} allocation regression: {:.5} allocations per decoded record, above \
+                 the {DECODE_ALLOCS_PER_RECORD_CEILING} ceiling — something between the \
+                 text and the record is built per line again",
+                measured.allocs_per_record
+            ));
+        }
     }
 
     // Pool-build gate: a 20-epoch newGoZ matcher built and dropped, as

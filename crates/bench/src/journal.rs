@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The daemon's default `--shard-records`.
-const SHARD_RECORDS: usize = 4096;
+pub(crate) const SHARD_RECORDS: usize = 4096;
 
 /// `serde_json::to_writer` over an observed stream cut into journal-sized
 /// shards, each serialized into one buffer reused from shard to shard — the

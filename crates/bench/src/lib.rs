@@ -21,6 +21,7 @@
 
 pub mod ablation_accuracy;
 pub mod cell;
+pub mod decode;
 pub mod evasion_study;
 pub mod fig6;
 pub mod fig7;

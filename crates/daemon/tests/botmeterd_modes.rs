@@ -116,3 +116,48 @@ fn shard_records_over_the_journal_frame_ceiling_is_refused_with_a_data_dir() {
 
     std::fs::remove_dir_all(&scratch).expect("scratch removed");
 }
+
+/// One pathological line ends the feed the way any malformed line does —
+/// exit status 2 naming the line — not the process with a signal. Before
+/// the reader bounded its nesting, a million brackets under a key the
+/// record ignores overflowed the stack (SIGABRT).
+#[test]
+fn a_deeply_nested_line_is_a_malformed_feed_not_a_crash() {
+    let record =
+        |extra: &str| format!("{{\"t\":0,\"server\":1,\"domain\":\"nx.example\"{extra}}}\n");
+    let nested = |brackets: usize| {
+        record(&format!(
+            ",\"x\":{}{}",
+            "[".repeat(brackets),
+            "]".repeat(brackets)
+        ))
+    };
+    let run = |feed: String| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_botmeterd"))
+            .args(["--family", "murofet"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("botmeterd spawns");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        // The daemon may exit before it has been fed everything.
+        let _ = stdin.write_all(feed.as_bytes());
+        drop(stdin);
+        child.wait_with_output().expect("botmeterd exits")
+    };
+
+    let refused = run(record("") + &nested(1_000_000) + &record(""));
+    assert_eq!(refused.status.code(), Some(2), "{:?}", refused.status);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("malformed trace line 2") && stderr.contains("recursion limit exceeded"),
+        "{stderr}"
+    );
+
+    // The record's own braces are one level: 127 more are within the limit,
+    // and so is what `json.dumps` writes for a character outside the BMP.
+    let annotated = record(",\"note\":\"\\ud83d\\ude00\"");
+    let accepted = run(record("") + &nested(127) + &annotated);
+    assert!(accepted.status.success(), "{:?}", accepted.status);
+}

@@ -1,10 +1,14 @@
-//! What the durable path writes is what it wrote through the tree path.
+//! What the durable path writes is what it wrote through the tree path,
+//! and what it reads back is what the tree path read.
 //!
 //! Journal payloads and checkpoint bodies used to be a `Content` tree,
 //! printed; they are now streamed into the frame / envelope buffer. The
 //! oracle (`vendor/serde_json/tests/oracle`, the tree builder and the old
 //! printer, included by path) renders real engine state the old way and
-//! the bytes must be equal.
+//! the bytes must be equal. Recovery used to parse those bytes back into a
+//! tree; it now streams them into the value, and `oracle::de` (the old
+//! parser and a tree-walking `Deserializer`) must decode — or refuse — the
+//! same bytes, damaged ones included, the same way.
 
 #[path = "../../../vendor/serde_json/tests/oracle/mod.rs"]
 mod oracle;
@@ -18,6 +22,7 @@ use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
 use botmeter_sim::ScenarioSpec;
 use botmeter_sketch::SketchConfig;
+use oracle::de::assert_same_decode;
 
 const EPOCHS: u64 = 3;
 
@@ -31,6 +36,19 @@ fn observed(family: DgaFamily) -> Vec<ObservedLookup> {
         .run(ExecPolicy::default())
         .observed()
         .to_vec()
+}
+
+/// `bytes` cut short, with a byte overwritten, and with a byte dropped, at
+/// `points` places spread over its length.
+fn damaged(bytes: &[u8], points: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+    (0..points).flat_map(move |i| {
+        let at = (bytes.len() - 1) * i / (points - 1);
+        let mut overwritten = bytes.to_vec();
+        overwritten[at] = b"\"x0,]}-"[i % 7];
+        let mut dropped = bytes.to_vec();
+        dropped.remove(at);
+        [bytes[..at].to_vec(), overwritten, dropped]
+    })
 }
 
 /// The envelope the tree path produced: the line, then the printed tree.
@@ -53,6 +71,22 @@ fn journal_payloads_are_the_tree_paths_bytes() {
             streamed,
             serde_json::to_string(&shard.to_vec()).unwrap().into_bytes()
         );
+    }
+}
+
+#[test]
+fn journal_payloads_decode_as_the_tree_path_decoded_them() {
+    let stream = observed(DgaFamily::new_goz());
+    for shard in [&stream[..0], &stream[..1], &stream[..4096], &stream[4096..]] {
+        let payload = serde_json::to_vec(shard).expect("lookups serialize");
+        let replayed = assert_same_decode::<Vec<ObservedLookup>>(&payload);
+        assert_eq!(replayed.as_deref(), Some(shard));
+    }
+    // A payload the journal's CRC would have refused still has to be
+    // refused, or read, the way it was.
+    let payload = serde_json::to_vec(&stream[..64]).expect("lookups serialize");
+    for bytes in damaged(&payload, 400) {
+        assert_same_decode::<Vec<ObservedLookup>>(&bytes);
     }
 }
 
@@ -86,6 +120,16 @@ fn checkpoints_are_the_tree_paths_bytes_with_and_without_a_sketch_sidecar() {
                 let encoded = encode_checkpoint(state).expect("engine state serializes");
                 assert_eq!(encoded, tree_checkpoint(state), "{}", family.name());
                 assert_eq!(&decode_checkpoint(&encoded).expect("decodes"), state);
+                let body = &encoded[encoded.iter().position(|&b| b == b'\n').unwrap() + 1..];
+                assert_eq!(
+                    assert_same_decode::<EngineCheckpoint>(body).as_ref(),
+                    Some(state)
+                );
+            }
+            // The fullest body, damaged.
+            let body = oracle::tree_string(states.last().expect("states")).into_bytes();
+            for bytes in damaged(&body, 60) {
+                assert_same_decode::<EngineCheckpoint>(&bytes);
             }
         }
     }

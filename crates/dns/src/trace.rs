@@ -4,6 +4,15 @@
 //! stream; the `simulate` / `estimate` command-line tools in
 //! `botmeter-bench` exchange traces in this format, one JSON object per
 //! line, so they compose with standard shell tooling.
+//!
+//! Reading is one pass over one buffer: [`read_jsonl_iter`] owns a single
+//! line buffer it refills for every line (`read_line`, which checks the
+//! line is UTF-8 once), and `serde_json::from_str` decodes the record
+//! straight out of it — the only allocation a record costs is what the
+//! record itself owns (an `ObservedLookup`: its name's text). A line that is
+//! not UTF-8, like any reader failure, is [`TraceError::Io`] (kind
+//! `InvalidData`); a line that is not the record's JSON is
+//! [`TraceError::Parse`] with its 1-based number, blank lines counted.
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -65,6 +74,7 @@ pub fn read_jsonl<T: DeserializeOwned, R: BufRead>(reader: R) -> Result<Vec<T>, 
 /// records into ingest shards).
 ///
 /// Blank lines are skipped; parse errors carry the 1-based line number.
+/// An error does not end the stream: the next call reads the next line.
 ///
 /// # Example
 ///
@@ -78,26 +88,27 @@ pub fn read_jsonl<T: DeserializeOwned, R: BufRead>(reader: R) -> Result<Vec<T>, 
 /// # Ok::<(), botmeter_dns::trace::TraceError>(())
 /// ```
 pub fn read_jsonl_iter<T: DeserializeOwned, R: BufRead>(
-    reader: R,
+    mut reader: R,
 ) -> impl Iterator<Item = Result<T, TraceError>> {
-    reader
-        .lines()
-        .enumerate()
-        .filter_map(|(i, line)| match line {
-            Err(e) => Some(Err(TraceError::Io(e))),
-            Ok(line) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    return None;
-                }
-                Some(
-                    serde_json::from_str(trimmed).map_err(|source| TraceError::Parse {
-                        line: i + 1,
-                        source,
-                    }),
-                )
-            }
-        })
+    let mut buf = String::new();
+    let mut line = 0;
+    std::iter::from_fn(move || loop {
+        buf.clear();
+        let read = reader.read_line(&mut buf);
+        if matches!(read, Ok(0)) {
+            return None;
+        }
+        line += 1;
+        if let Err(e) = read {
+            return Some(Err(TraceError::Io(e)));
+        }
+        let text = buf.trim();
+        if !text.is_empty() {
+            return Some(
+                serde_json::from_str(text).map_err(|source| TraceError::Parse { line, source }),
+            );
+        }
+    })
 }
 
 /// A trace I/O failure.
@@ -211,5 +222,53 @@ mod tests {
     fn empty_input_is_empty_vec() {
         let back: Vec<ObservedLookup> = read_jsonl("".as_bytes()).unwrap();
         assert!(back.is_empty());
+    }
+
+    /// A line nested `depth` containers deep: the record, and `depth - 1`
+    /// brackets under a key it ignores.
+    fn nested_line(depth: usize) -> String {
+        format!(
+            "{{\"t\":0,\"server\":1,\"domain\":\"nx.example\",\"x\":{}{}}}\n",
+            "[".repeat(depth - 1),
+            "]".repeat(depth - 1)
+        )
+    }
+
+    #[test]
+    fn nesting_past_128_is_a_parse_error_with_its_line() {
+        let back: Vec<ObservedLookup> = read_jsonl(nested_line(128).as_bytes()).unwrap();
+        assert_eq!(back.len(), 1);
+        // A million brackets used to overflow the stack and abort the process.
+        for depth in [129, 1_000_000] {
+            let text = nested_line(128) + &nested_line(depth);
+            match read_jsonl::<ObservedLookup, _>(text.as_bytes()) {
+                Err(TraceError::Parse { line: 2, source }) => {
+                    assert!(source.to_string().contains("recursion limit exceeded"))
+                }
+                other => panic!("expected a parse error on line 2, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_surrogate_pair_in_an_ignored_field_does_not_stop_the_feed() {
+        // What Python's `json.dumps` writes for U+1F600.
+        let text = "{\"t\":0,\"server\":1,\"domain\":\"a.example\",\"note\":\"\\ud83d\\ude00\"}";
+        let back: Vec<ObservedLookup> = read_jsonl(text.as_bytes()).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].domain.as_str(), "a.example");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_an_io_error_and_the_stream_goes_on() {
+        let mut text = b"{\"t\":0,\"server\":1,\"domain\":\"a.example\"}\r\n\xff\n".to_vec();
+        text.extend_from_slice(b"\n{\"t\":0,\"server\":1,\"domain\":\"a.example\"}");
+        match read_jsonl::<ObservedLookup, _>(text.as_slice()) {
+            Err(TraceError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+        let items: Vec<_> = read_jsonl_iter::<ObservedLookup, _>(text.as_slice()).collect();
+        assert_eq!(items.len(), 3);
+        assert!(items[0].is_ok() && items[1].is_err() && items[2].is_ok());
     }
 }

@@ -6,6 +6,55 @@ use botmeter_dns::{
     TtlPolicy,
 };
 use proptest::prelude::*;
+use std::io::{BufRead, ErrorKind};
+
+/// The tree decoder `serde_json::from_str` used to be (the vendored
+/// crate's test oracle, included by path).
+#[path = "../../../vendor/serde_json/tests/oracle/mod.rs"]
+mod oracle;
+
+/// What one item of a trace read comes to: a record, or which error on
+/// which line.
+#[derive(Debug, PartialEq)]
+enum Read {
+    Record(ObservedLookup),
+    Io(ErrorKind),
+    Parse(usize),
+}
+
+impl From<Result<ObservedLookup, trace::TraceError>> for Read {
+    fn from(item: Result<ObservedLookup, trace::TraceError>) -> Self {
+        match item {
+            Ok(record) => Read::Record(record),
+            Err(trace::TraceError::Io(e)) => Read::Io(e.kind()),
+            Err(trace::TraceError::Parse { line, .. }) => Read::Parse(line),
+            Err(other) => panic!("a read cannot fail with {other}"),
+        }
+    }
+}
+
+/// `trace::read_jsonl_iter` as it was written before the reused line
+/// buffer: a fresh `String` per line off `lines()`, each decoded through
+/// the tree path. Test-side reference only.
+fn reference_read_jsonl_iter(input: &[u8]) -> Vec<Read> {
+    input
+        .lines()
+        .enumerate()
+        .filter_map(|(i, line)| match line {
+            Err(e) => Some(Read::Io(e.kind())),
+            Ok(line) => {
+                let trimmed = line.trim();
+                if trimmed.is_empty() {
+                    return None;
+                }
+                Some(match oracle::de::tree_from_str(trimmed) {
+                    Ok(record) => Read::Record(record),
+                    Err(_) => Read::Parse(i + 1),
+                })
+            }
+        })
+        .collect()
+}
 
 fn arb_domain() -> impl Strategy<Value = DomainName> {
     "[a-z][a-z0-9]{2,20}".prop_map(|label| format!("{label}.example").parse().expect("valid"))
@@ -211,7 +260,60 @@ proptest! {
         let mut buf = Vec::new();
         trace::write_jsonl(&records, &mut buf).expect("write");
         let back: Vec<ObservedLookup> = trace::read_jsonl(buf.as_slice()).expect("read");
+        // A decoded name owns exactly its own text: holders that keep a few
+        // decoded names (the sketch's sample, the daemon's cell stores) pin
+        // nothing else.
+        prop_assert!(back.iter().all(|r| r.domain.backing_len() == r.domain.as_str().len()));
         prop_assert_eq!(records, back);
+    }
+
+    /// Reading a trace one reused buffer at a time yields what reading it a
+    /// `String` per line through the tree decoder yielded: the same records,
+    /// the same error variants on the same 1-based line numbers, over
+    /// records, blank and whitespace lines, CRLF endings, lines that are
+    /// not UTF-8, lines that are not the record, and a last line with or
+    /// without its newline. `read_jsonl` is that up to the first error.
+    #[test]
+    fn trace_read_matches_the_line_per_string_tree_reader(
+        lines in prop::collection::vec((0u8..12, 0u64..1_000_000, any::<u8>()), 0..24),
+        final_newline in any::<bool>(),
+    ) {
+        let mut input = Vec::new();
+        for (i, &(kind, ms, byte)) in lines.iter().enumerate() {
+            let record = format!("{{\"t\":{ms},\"server\":{},\"domain\":\"d{i}.example\"}}", byte % 5);
+            match kind {
+                0..=3 => input.extend_from_slice(record.as_bytes()),
+                4 => input.extend_from_slice(format!("  {record}\t\r").as_bytes()),
+                5 => {}
+                6 => input.extend_from_slice(b" \t \r"),
+                // Not UTF-8, in and out of a string.
+                7 => {
+                    input.extend_from_slice(record.as_bytes());
+                    let at = input.len() - 1 - usize::from(byte) % record.len();
+                    input[at] = 0x80 | byte;
+                }
+                // Not the record: cut short, wrong type, bad name, not JSON.
+                8 => input.extend_from_slice(&record.as_bytes()[..usize::from(byte) % record.len()]),
+                9 => input.extend_from_slice(record.replace("\"server\":", "\"server\":\"x\",\"was\":").as_bytes()),
+                10 => input.extend_from_slice(record.replace(".example", ".EXAMPLE").as_bytes()),
+                _ => input.extend_from_slice(record.replace("\"t\"", "\"x\":[1,{\"y\":null}],\"t\"").as_bytes()),
+            }
+            if i + 1 < lines.len() || final_newline {
+                input.push(b'\n');
+            }
+        }
+        let expected = reference_read_jsonl_iter(&input);
+        let read: Vec<Read> = trace::read_jsonl_iter(input.as_slice()).map(Read::from).collect();
+        prop_assert_eq!(&read, &expected);
+        let all_or_first_error = trace::read_jsonl::<ObservedLookup, _>(input.as_slice());
+        match expected.iter().find(|item| !matches!(item, Read::Record(_))) {
+            None => {
+                let records: Vec<Read> =
+                    all_or_first_error.expect("every line read").into_iter().map(Read::Record).collect();
+                prop_assert_eq!(&records, &expected);
+            }
+            Some(first_error) => prop_assert_eq!(&Read::from(all_or_first_error.map(|_| unreachable!())), first_error),
+        }
     }
 
     /// Arena round-trip: every interned name resolves back — as a handle,

@@ -147,18 +147,34 @@ if [[ -n "$to_string_offenders" ]]; then
   exit 1
 fi
 
-echo "==> serialization streams (no Content tree behind Serialize)"
+echo "==> serialization streams both ways (no Content tree behind Serialize or Deserialize)"
 # `Serialize` impls and derived code drive the Serializer's compound entry
-# points; the tree builder they used to call (`to_content`,
-# `ContentSerializer`) lives on only as the test oracle under
-# vendor/serde_json/tests/oracle. `Content` itself stays: it is the
-# deserialization model and the `serialize_content` escape hatch.
-tree_offenders=$(grep -rnE 'to_content|ContentSerializer' \
-  vendor/serde/src vendor/serde_derive/src vendor/serde_json/src \
-  || true)
+# points; `Deserialize` impls and derived code hand the Deserializer a
+# visitor and read fields in place. The tree builder and the tree decoder
+# they used to go through (`to_content`, `ContentSerializer`,
+# `deserialize_content`, `from_content`, `ContentDeserializer`) live on only
+# as the test oracle under vendor/serde_json/tests/oracle. `Content` itself
+# stays as the `serialize_content` escape hatch.
+tree_offenders=$(
+  grep -rnE 'to_content|ContentSerializer|deserialize_content|from_content|ContentDeserializer' \
+    vendor/serde/src vendor/serde_derive/src vendor/serde_json/src \
+    || true
+  # The decoder's names appear in no Rust source outside the oracle.
+  grep -rnE 'deserialize_content|from_content|ContentDeserializer' --include='*.rs' \
+    --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=oracle . \
+    || true
+)
 if [[ -n "$tree_offenders" ]]; then
-  echo "error: the serialization path builds a Content tree again:" >&2
+  echo "error: a Content tree is built behind Serialize or Deserialize again:" >&2
   echo "$tree_offenders" >&2
+  exit 1
+fi
+
+echo "==> trace reader reuses its line buffer (no lines() in crates/dns/src/trace.rs)"
+# `BufRead::lines()` allocates a String per line; `read_jsonl_iter` refills
+# one buffer with `read_line`.
+if grep -nE '\.lines\(\)' crates/dns/src/trace.rs; then
+  echo "error: lines() in crates/dns/src/trace.rs; refill one buffer with read_line" >&2
   exit 1
 fi
 
@@ -186,7 +202,7 @@ if (( SECONDS > 600 )); then
 fi
 echo "    tests ran in ${SECONDS}s"
 
-echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode)"
+echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode + trace/journal decode)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
@@ -206,7 +222,11 @@ echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint 
 # journal payloads (serde_json::to_writer into a reused buffer) drops more
 # than 25% below the committed journal_encode MB/s or spends more than 0.05
 # allocations per journaled record (a streaming encoder spends ~16 per
-# pass; one tree node per value is several per record).
+# pass; one tree node per value is several per record), or if reading the
+# same stream back (trace::read_jsonl over JSON Lines; serde_json::from_slice
+# over journal payloads) drops more than 25% below the committed
+# trace_decode / journal_decode MB/s or spends more than 1.05 allocations per
+# decoded record (the name's own text; a tree per line is seven).
 # Best-of-N to absorb scheduler noise.
 ./target/release/perf_smoke
 
