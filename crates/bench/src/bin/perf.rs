@@ -3,8 +3,9 @@
 //! `BENCH_pipeline.json`: wall times, lookup and charting throughput, the
 //! worker-thread count each run actually used, the peak number of raw-trace
 //! records resident in memory, the simulate stage's allocator traffic,
-//! what journaling the observed stream costs `botmeterd` to encode and what
-//! enumerating a chart window's pools into a matcher (and dropping it) costs.
+//! what journaling the observed stream costs `botmeterd` to encode, what
+//! enumerating a chart window's pools into a matcher (and dropping it) costs
+//! and how many pools a whole chart generates.
 //! A final, instrumented pass runs the pipeline with a collecting [`Obs`]
 //! recorder attached and dumps the full [`MetricsSnapshot`] — per-server
 //! cache hits/misses, border filter counts, matcher probes/matches,
@@ -16,7 +17,7 @@
 
 use botmeter_bench::decode::DecodeBench;
 use botmeter_bench::journal::JournalEncodeBench;
-use botmeter_bench::pool::PoolBuildBench;
+use botmeter_bench::pool::{ChartPoolsBench, PoolBuildBench};
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, Landscape};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -68,6 +69,9 @@ struct Report {
     /// A 20-epoch newGoZ matcher built and dropped: names/s and allocations
     /// per pooled name, both gated by `perf_smoke`.
     pool_build: PoolBuildBench,
+    /// A 20-epoch newGoZ chart, matcher to landscape: pools generated (one
+    /// per epoch) and seconds, both gated by `perf_smoke`.
+    chart_pools: ChartPoolsBench,
     /// `raw_lookups / streaming.peak_resident_records`: how much smaller
     /// the resident raw footprint is than the whole trace.
     residency_reduction: f64,
@@ -286,6 +290,7 @@ fn main() {
     let journal_decode = DecodeBench::journal(warmup.observed(), 5);
     drop(warmup);
     let pool_build = PoolBuildBench::measure(5);
+    let chart_pools = ChartPoolsBench::measure(5);
     let stream = bench.measure(parallel);
     let stream_single = bench.measure(ExecPolicy::Sequential);
     assert_eq!(
@@ -323,6 +328,7 @@ fn main() {
         trace_decode,
         journal_decode,
         pool_build,
+        chart_pools,
         streaming: stream.variant(),
     };
     let rendered = serde_json::to_string_pretty(&report).expect("report serialises");

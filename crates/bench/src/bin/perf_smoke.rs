@@ -21,7 +21,9 @@
 //! streams out of a reused line buffer), or if building and
 //! dropping a 20-epoch pool matcher falls the same fraction below the
 //! committed `pool_build` block or allocates per name at all (a pool is
-//! one buffer). Takes the best
+//! one buffer), or if a 20-epoch chart generates any number of pools but
+//! 20 or takes that fraction longer than the committed `chart_pools` block
+//! (the matcher and the estimators read one pool per epoch). Takes the best
 //! of a few runs so scheduler noise on shared CI workers doesn't trip the
 //! gate.
 //!
@@ -31,7 +33,7 @@
 use botmeter_bench::cell::{FixpointBench, TimingBench};
 use botmeter_bench::decode::DecodeBench;
 use botmeter_bench::journal::JournalEncodeBench;
-use botmeter_bench::pool::PoolBuildBench;
+use botmeter_bench::pool::{ChartPoolsBench, PoolBuildBench};
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
@@ -63,6 +65,7 @@ struct Baseline {
     trace_decode: DecodeBench,
     journal_decode: DecodeBench,
     pool_build: PoolBuildBench,
+    chart_pools: ChartPoolsBench,
 }
 
 #[derive(Deserialize)]
@@ -383,6 +386,39 @@ fn main() {
              the {POOL_ALLOCS_PER_NAME_CEILING} ceiling — generated names are heap \
              objects again",
             pool.allocs_per_name
+        ));
+    }
+
+    // One-pool-per-epoch gate: a whole 20-epoch newGoZ chart, matcher to
+    // landscape. The count repeats exactly, so its ceiling is absolute:
+    // every pool the estimators index is one the matcher built.
+    let chart_pools = ChartPoolsBench::measure(5);
+    let chart_pools_ceiling = baseline.chart_pools.secs / min_ratio;
+    eprintln!(
+        "perf_smoke: {}-epoch chart generated {} pools in {:.4}s ({} cells) vs ceiling \
+         {chart_pools_ceiling:.4}s (committed {:.4}s at {}%)",
+        chart_pools.epochs,
+        chart_pools.pools_built,
+        chart_pools.secs,
+        chart_pools.cells,
+        baseline.chart_pools.secs,
+        (min_ratio * 100.0) as u64
+    );
+    if chart_pools.pools_built != chart_pools.epochs {
+        fail(&format!(
+            "pool-sharing regression: a {}-epoch chart generated {} pools — more, and the \
+             matcher and the estimators generate their own again; fewer, and the \
+             `chart.pools_built` counter is gone",
+            chart_pools.epochs, chart_pools.pools_built
+        ));
+    }
+    if chart_pools.secs > chart_pools_ceiling {
+        fail(&format!(
+            "chart-pools regression: {:.4}s is above {chart_pools_ceiling:.4}s \
+             (committed {:.4}s at {}%)",
+            chart_pools.secs,
+            baseline.chart_pools.secs,
+            (min_ratio * 100.0) as u64
         ));
     }
 

@@ -59,12 +59,9 @@ impl TimingBench {
         let name = family.name().to_owned();
         let (lookups, ctx) = simulated_cell(family, 250);
         let mut entries = 0.0;
-        let mut secs = f64::INFINITY;
-        for _ in 0..runs.max(1) {
-            let started = Instant::now();
+        let secs = crate::best_of(runs, || {
             entries = TimingEstimator.estimate(std::hint::black_box(&lookups), &ctx);
-            secs = secs.min(started.elapsed().as_secs_f64());
-        }
+        });
         TimingBench {
             family: name,
             cell_lookups: lookups.len(),

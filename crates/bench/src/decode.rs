@@ -4,9 +4,7 @@
 
 use crate::journal::SHARD_RECORDS;
 use botmeter_dns::{trace, ObservedLookup};
-use botmeter_obs::AllocSnapshot;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// An observed stream decoded from JSON text — what `estimate` and
 /// `botmeterd` pay per record before any of BotMeter runs, and what
@@ -71,17 +69,10 @@ impl DecodeBench {
         records: usize,
         bytes: usize,
         runs: usize,
-        mut pass: impl FnMut() -> usize,
+        pass: impl FnMut() -> usize,
     ) -> DecodeBench {
-        let before = AllocSnapshot::now();
-        assert_eq!(pass(), records, "every record decodes");
-        let allocs = AllocSnapshot::now().since(&before).count;
-        let mut secs = f64::INFINITY;
-        for _ in 0..runs.max(1) {
-            let started = Instant::now();
-            pass();
-            secs = secs.min(started.elapsed().as_secs_f64());
-        }
+        let (decoded, allocs, secs) = crate::counted_then_best_of(runs, pass);
+        assert_eq!(decoded, records, "every record decodes");
         DecodeBench {
             records,
             bytes,

@@ -3,9 +3,7 @@
 //! and held to by `perf_smoke`.
 
 use botmeter_dns::ObservedLookup;
-use botmeter_obs::AllocSnapshot;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The daemon's default `--shard-records`.
 pub(crate) const SHARD_RECORDS: usize = 4096;
@@ -38,7 +36,7 @@ impl JournalEncodeBench {
     /// time; allocations are counted over the first pass.
     pub fn measure(observed: &[ObservedLookup], runs: usize) -> JournalEncodeBench {
         let mut payload = Vec::new();
-        let mut pass = || {
+        let (bytes, allocs, secs) = crate::counted_then_best_of(runs, || {
             let mut bytes = 0;
             for shard in observed.chunks(SHARD_RECORDS) {
                 payload.clear();
@@ -47,16 +45,7 @@ impl JournalEncodeBench {
                 bytes += std::hint::black_box(&payload).len();
             }
             bytes
-        };
-        let before = AllocSnapshot::now();
-        let bytes = pass();
-        let allocs = AllocSnapshot::now().since(&before).count;
-        let mut secs = f64::INFINITY;
-        for _ in 0..runs.max(1) {
-            let started = Instant::now();
-            pass();
-            secs = secs.min(started.elapsed().as_secs_f64());
-        }
+        });
         JournalEncodeBench {
             records: observed.len(),
             shard_records: SHARD_RECORDS,

@@ -29,3 +29,29 @@ pub mod journal;
 pub mod pool;
 pub mod render;
 pub mod sweep;
+
+/// The best wall time, in seconds, of `runs` calls of `pass` (at least
+/// one): scheduler noise only ever adds time.
+pub(crate) fn best_of(runs: usize, mut pass: impl FnMut()) -> f64 {
+    let mut secs = f64::INFINITY;
+    for _ in 0..runs.max(1) {
+        let started = std::time::Instant::now();
+        pass();
+        secs = secs.min(started.elapsed().as_secs_f64());
+    }
+    secs
+}
+
+/// One call of `pass` with its heap allocations counted (zero unless the
+/// binary installs [`botmeter_obs::CountingAlloc`]), then [`best_of`]
+/// `runs` more: what the first call returned, its allocations, the best
+/// seconds.
+pub(crate) fn counted_then_best_of<T>(runs: usize, mut pass: impl FnMut() -> T) -> (T, u64, f64) {
+    let before = botmeter_obs::AllocSnapshot::now();
+    let first = pass();
+    let allocs = botmeter_obs::AllocSnapshot::now().since(&before).count;
+    let secs = best_of(runs, || {
+        pass();
+    });
+    (first, allocs, secs)
+}

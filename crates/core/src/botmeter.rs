@@ -6,7 +6,7 @@
 //! to prioritise remediation.
 
 use crate::bernoulli::BernoulliEstimator;
-use crate::config::EstimationContext;
+use crate::config::{EpochPool, EstimationContext, PoolIndex, PoolTable};
 use crate::coverage::CoverageEstimator;
 use crate::estimator::{CellSlice, Estimator};
 use crate::poisson::PoissonEstimator;
@@ -14,6 +14,7 @@ use crate::request::{ChartRequest, TelemetrySource};
 use crate::timing::TimingEstimator;
 use botmeter_dga::{BarrelClass, DgaFamily};
 use botmeter_dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
+use botmeter_exec::ExecPolicy;
 use botmeter_matcher::{
     match_stream_recorded, DomainMatcher, ExactMatcher, MatchedTraffic, StreamQuality,
 };
@@ -24,6 +25,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One (server, epoch) cell awaiting estimation: its matched lookups —
 /// borrowed from the telemetry source where it holds them contiguously —
@@ -439,6 +441,9 @@ pub struct BotMeter {
     config: BotMeterConfig,
     detection_window: Option<HashSet<botmeter_dns::DomainName>>,
     obs: Obs,
+    /// The chart's pools: every matcher and estimation context this meter
+    /// makes reads one generation of each epoch's pool.
+    pools: PoolTable,
 }
 
 impl BotMeter {
@@ -448,6 +453,7 @@ impl BotMeter {
             config,
             detection_window: None,
             obs: Obs::noop(),
+            pools: PoolTable::default(),
         }
     }
 
@@ -462,9 +468,11 @@ impl BotMeter {
     /// Attaches an observability handle; [`chart_with`](Self::chart_with)
     /// then reports `matcher.*` and `chart.*` counters plus the per-cell
     /// `chart.estimate_ns` / `chart.epoch{e}.estimate_ns` latency
-    /// histograms through it (default: the no-op handle).
+    /// histograms through it, and `chart.pools_built` once per pool
+    /// generated (default: the no-op handle).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.pools = self.pools.with_obs(obs.clone());
         self.obs = obs;
         self
     }
@@ -540,15 +548,27 @@ impl BotMeter {
     /// long-running engine (`botmeterd`) builds one for its configured
     /// window and keeps it across epochs, which is what makes its
     /// incremental snapshots bit-identical to batch charts.
+    ///
+    /// The pools are generated one job per epoch on the default worker
+    /// pool and kept by the matcher: while it lives, this meter's
+    /// [`estimation_context`](Self::estimation_context)s index those pools
+    /// instead of generating their own.
     pub fn matcher_for(&self, epochs: Range<u64>) -> ChartMatcher {
+        self.matcher_under(epochs, ExecPolicy::default())
+    }
+
+    fn matcher_under(&self, epochs: Range<u64>, policy: ExecPolicy) -> ChartMatcher {
+        let pools = self.pools.pools(&self.config.family, epochs, policy);
         ChartMatcher {
-            inner: ExactMatcher::from_family(&self.config.family, epochs),
+            inner: ExactMatcher::from_pools(pools.iter().map(|pool| &pool.names[..])),
             window: self.detection_window.clone(),
+            pools,
         }
     }
 
     /// A fresh estimation context for this configuration: family, TTLs,
-    /// granularity, detection window and an empty segment-kernel cache.
+    /// granularity, detection window and an empty segment-kernel cache,
+    /// reading this meter's pools.
     ///
     /// The cache memoizes deterministically — a hit returns exactly what a
     /// fresh computation would — so holding one context across many
@@ -559,7 +579,8 @@ impl BotMeter {
             self.config.family.clone(),
             self.config.ttl,
             self.config.granularity,
-        );
+        )
+        .with_pool_table(self.pools.clone());
         if let Some(window) = &self.detection_window {
             ctx = ctx.with_detection_window(window.clone());
         }
@@ -624,10 +645,13 @@ impl BotMeter {
         // component is the sketch error bound: `Some` marks a cell whose
         // estimate may deviate from exact mode (flagged Degraded below).
         let matched_here;
+        // Lives to the end of the chart: the matcher pins the pools the
+        // estimators below index.
+        let matcher_here;
         let (cells, stream_quality) = match request.source() {
             TelemetrySource::Observed(observed) => {
-                let matcher = self.matcher_for(epochs.clone());
-                matched_here = match_stream_recorded(observed, &matcher, policy, &self.obs);
+                matcher_here = self.matcher_under(epochs.clone(), policy);
+                matched_here = match_stream_recorded(observed, &matcher_here, policy, &self.obs);
                 (
                     Self::slice_cells(&matched_here, &epochs, epoch_len),
                     matched_here.quality(),
@@ -824,10 +848,23 @@ impl BotMeter {
 /// (unknown domains are invisible). Built by [`BotMeter::matcher_for`] and
 /// shared between the batch [`BotMeter::chart_with`] path and the
 /// `botmeterd` incremental engine, so both match bit-identically.
+///
+/// It keeps the pools it was built from (its set pins their text
+/// anyway): the ordered names and valid positions the meter's estimators
+/// index for as long as the matcher lives.
 #[derive(Debug, Clone)]
 pub struct ChartMatcher {
     inner: ExactMatcher,
     window: Option<HashSet<botmeter_dns::DomainName>>,
+    pools: Vec<Arc<EpochPool>>,
+}
+
+impl ChartMatcher {
+    /// Whether `index` reads a pool this matcher was built from and keeps
+    /// alive — the same generation, not an equal copy.
+    pub fn shares_pool(&self, index: &PoolIndex) -> bool {
+        self.pools.iter().any(|pool| Arc::ptr_eq(pool, &index.pool))
+    }
 }
 
 impl DomainMatcher for ChartMatcher {
@@ -968,6 +1005,66 @@ mod tests {
                         .unwrap_or(0)
                         > 0,
                     "a later fixpoint round must re-weight rows, not re-derive them"
+                );
+            }
+        }
+    }
+
+    /// The chart's pools are filled under the request's policy; the
+    /// matcher and the landscape must not show which. Families whose pools
+    /// rotate (Necurs), slide (Ranbyus) or mix (Pykspa) included.
+    #[test]
+    fn matcher_and_landscape_do_not_depend_on_the_pool_fill_policy() {
+        let export = |m: &ChartMatcher| {
+            let mut text = Vec::new();
+            m.inner.write_plain_list(&mut text).unwrap();
+            text
+        };
+        for family in [
+            DgaFamily::new_goz(),
+            DgaFamily::conficker_c(),
+            DgaFamily::necurs(),
+            DgaFamily::ranbyus(),
+            DgaFamily::pykspa(),
+        ] {
+            let epochs = 0..6;
+            let outcome = ScenarioSpec::builder(family)
+                .population(24)
+                .num_epochs(epochs.end)
+                .seed(17)
+                .build()
+                .unwrap()
+                .run(ExecPolicy::Sequential);
+            let name = outcome.family().name().to_owned();
+            let chart = |policy: ExecPolicy| {
+                let (obs, registry) = Obs::collecting();
+                let meter =
+                    BotMeter::new(BotMeterConfig::new(outcome.family().clone())).with_obs(obs);
+                let matcher = export(&meter.matcher_under(epochs.clone(), policy));
+                let request = ChartRequest::new(outcome.observed()).epochs(epochs.clone());
+                let landscape = meter.chart_with(&request.policy(policy));
+                let built = registry.snapshot().counter("chart.pools_built");
+                (matcher, landscape, built)
+            };
+            let reference = chart(ExecPolicy::Sequential);
+            assert_eq!(
+                reference.0,
+                export(&ChartMatcher {
+                    inner: ExactMatcher::from_family(outcome.family(), epochs.clone()),
+                    window: None,
+                    pools: Vec::new(),
+                }),
+                "{name}"
+            );
+            assert!(!reference.1.is_empty(), "{name}");
+            // The export's matcher is gone before the chart builds its own:
+            // two generations of six pools, under every policy.
+            assert_eq!(reference.2, Some(12), "{name}");
+            for threads in [1, 2, 4, 7] {
+                assert_eq!(
+                    chart(ExecPolicy::with_threads(threads)),
+                    reference,
+                    "{name} / {threads} workers"
                 );
             }
         }

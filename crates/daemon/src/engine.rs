@@ -789,6 +789,21 @@ mod tests {
     }
 
     #[test]
+    fn context_indexes_the_pools_the_matcher_was_built_from() {
+        let (obs, registry) = Obs::collecting();
+        let meter = BotMeter::new(BotMeterConfig::new(DgaFamily::new_goz())).with_obs(obs);
+        let daemon = BotMeterDaemon::new(meter, DaemonOptions::new(2..9)).expect("valid options");
+        for epoch in 2..9 {
+            assert!(
+                daemon.matcher.shares_pool(&daemon.ctx.pool_index(epoch)),
+                "epoch {epoch}"
+            );
+        }
+        // One generation per configured epoch, however often indexed.
+        assert_eq!(registry.snapshot().counter("chart.pools_built"), Some(7));
+    }
+
+    #[test]
     fn chunked_ingest_is_chunking_independent() {
         let out = outcome(1);
         let meter = BotMeter::new(BotMeterConfig::new(out.family().clone()));

@@ -1,8 +1,9 @@
 //! Deterministic parallel execution primitives for the BotMeter pipeline.
 //!
 //! Every parallel stage in the workspace — shard production (bot replay)
-//! in `botmeter-sim`, chunked matching in `botmeter-matcher`, per-server
-//! estimation in `botmeter-core`, trial sweeps in `botmeter-bench` —
+//! in `botmeter-sim`, per-epoch pool generation and chunked matching in
+//! `botmeter-matcher`, pool generation and per-server estimation in
+//! `botmeter-core`, trial sweeps in `botmeter-bench` —
 //! funnels through this crate. (The TTL-cache filter in `botmeter-dns` is
 //! deliberately not among them: it runs in order on the pipeline's
 //! consumer — DESIGN.md §8.) So the threading policy lives in one place:

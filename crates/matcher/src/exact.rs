@@ -3,6 +3,8 @@
 use crate::DomainMatcher;
 use botmeter_dga::DgaFamily;
 use botmeter_dns::{DomainName, FxBuildHasher, FxHashSet, ParseDomainError};
+use botmeter_exec::ExecPolicy;
+use botmeter_obs::Obs;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::ops::Range;
@@ -38,17 +40,38 @@ impl ExactMatcher {
     /// domain of every epoch in `epochs` (what a D3 algorithm with a full
     /// detection window would know).
     ///
-    /// The set is pre-sized to the summed pool lengths of the requested
-    /// epochs, so building from a large window (newGoZ pools 10 000 names
-    /// per epoch) does one allocation instead of a rehash cascade.
+    /// The pools are generated one job per epoch on the default worker
+    /// pool (`BOTMETER_THREADS=1`, or one core, generates them inline) and
+    /// folded in epoch order by [`from_pools`](Self::from_pools), so the
+    /// set does not depend on the worker count.
     pub fn from_family(family: &DgaFamily, epochs: Range<u64>) -> Self {
-        let expected: usize = epochs
-            .clone()
-            .map(|epoch| family.pool_for_epoch_len(epoch))
-            .sum();
+        Self::from_family_under(family, epochs, ExecPolicy::default())
+    }
+
+    fn from_family_under(family: &DgaFamily, epochs: Range<u64>, policy: ExecPolicy) -> Self {
+        let jobs = epochs.end.saturating_sub(epochs.start) as usize;
+        let pools = botmeter_exec::run_indexed_with(policy, &Obs::noop(), jobs, |i| {
+            family.pool_for_epoch(epochs.start + i as u64)
+        });
+        Self::from_pools(pools.iter().map(Vec::as_slice))
+    }
+
+    /// Builds a matcher from already generated pools: their names,
+    /// inserted pool by pool in the order given.
+    ///
+    /// The set is pre-sized to the summed pool lengths, so building from a
+    /// large window (newGoZ pools 10 000 names per epoch) does one
+    /// allocation instead of a rehash cascade.
+    pub fn from_pools<'a, I>(pools: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [DomainName]>,
+        I::IntoIter: Clone,
+    {
+        let pools = pools.into_iter();
+        let expected: usize = pools.clone().map(<[DomainName]>::len).sum();
         let mut domains = FxHashSet::with_capacity_and_hasher(expected, FxBuildHasher::default());
-        for epoch in epochs {
-            domains.extend(family.pool_for_epoch(epoch));
+        for pool in pools {
+            domains.extend(pool.iter().cloned());
         }
         ExactMatcher { domains }
     }
@@ -191,6 +214,51 @@ mod tests {
             .filter(|d| m.matches(d))
             .count();
         assert_eq!(missed, 0);
+    }
+
+    /// Under any worker count `from_family` is the fold it replaced —
+    /// each epoch's pool generated and moved into the pre-sized set in
+    /// turn: the same names in the same iteration order, and a byte-equal
+    /// export. Rotating (Necurs), sliding-window (Ranbyus) and mixture
+    /// (Pykspa) pools included.
+    #[test]
+    fn from_family_does_not_depend_on_the_worker_count() {
+        let export = |m: &ExactMatcher| {
+            let mut text = Vec::new();
+            m.write_plain_list(&mut text).unwrap();
+            text
+        };
+        for (family, epochs) in [
+            (DgaFamily::new_goz(), 0..5u64),
+            (DgaFamily::conficker_c(), 2..4),
+            (DgaFamily::necurs(), 0..9),
+            (DgaFamily::ranbyus(), 28..35),
+            (DgaFamily::pykspa(), 0..5),
+        ] {
+            let expected: usize = epochs.clone().map(|e| family.pool_for_epoch_len(e)).sum();
+            let mut domains =
+                FxHashSet::with_capacity_and_hasher(expected, FxBuildHasher::default());
+            for epoch in epochs.clone() {
+                domains.extend(family.pool_for_epoch(epoch));
+            }
+            let reference = ExactMatcher { domains };
+            for policy in [
+                ExecPolicy::Sequential,
+                ExecPolicy::with_threads(1),
+                ExecPolicy::with_threads(2),
+                ExecPolicy::with_threads(4),
+                ExecPolicy::with_threads(7),
+            ] {
+                let what = format!("{} / {policy:?}", family.name());
+                let built = ExactMatcher::from_family_under(&family, epochs.clone(), policy);
+                assert!(built.domains().iter().eq(reference.domains()), "{what}");
+                assert_eq!(export(&built), export(&reference), "{what}");
+            }
+        }
+        assert!(ExactMatcher::from_family(&DgaFamily::torpig(), 3..3).is_empty());
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = ExactMatcher::from_family(&DgaFamily::torpig(), 3..1);
+        assert!(reversed.is_empty());
     }
 
     /// Where a name's text lives — a pool's shared buffer or a decoded

@@ -178,6 +178,27 @@ if grep -nE '\.lines\(\)' crates/dns/src/trace.rs; then
   exit 1
 fi
 
+echo "==> one pool per epoch per chart (core and matcher each generate pools in one place)"
+# `PoolTable::pool` (crates/core/src/config.rs) is the one generation a
+# chart's matcher and estimators share; `ExactMatcher::from_family` is the
+# standalone matcher's. A third `pool_for_epoch` call in either library is
+# a second generation of something one of those two already holds.
+pool_sites=$(
+  find crates/core/src crates/matcher/src -name '*.rs' -print0 \
+  | xargs -0 awk '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      in_tests { next }
+      /^[[:space:]]*\/\// { next }
+      /\.pool_for_epoch\(/ { print FILENAME }
+    ' | sort
+)
+if [[ "$pool_sites" != $'crates/core/src/config.rs\ncrates/matcher/src/exact.rs' ]]; then
+  echo "error: pools are generated outside PoolTable::pool / ExactMatcher::from_family:" >&2
+  echo "$pool_sites" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -202,7 +223,7 @@ if (( SECONDS > 600 )); then
 fi
 echo "    tests ran in ${SECONDS}s"
 
-echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode + trace/journal decode)"
+echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode + trace/journal decode + pool build + pools per chart)"
 # Fails if raw simulation throughput or estimator-charting throughput
 # (chart_lookups_per_sec) drops more than 25% below the committed
 # BENCH_pipeline.json baseline, if the streaming pipeline loses its
@@ -226,8 +247,14 @@ echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint 
 # same stream back (trace::read_jsonl over JSON Lines; serde_json::from_slice
 # over journal payloads) drops more than 25% below the committed
 # trace_decode / journal_decode MB/s or spends more than 1.05 allocations per
-# decoded record (the name's own text; a tree per line is seven).
-# Best-of-N to absorb scheduler noise.
+# decoded record (the name's own text; a tree per line is seven), or if
+# building and dropping a 20-epoch newGoZ matcher drops more than 25% below
+# the committed pool_build names/s or spends more than 0.01 allocations per
+# pooled name, or if one 20-epoch newGoZ chart (matcher_for, match_stream,
+# chart_with(from_matched)) generates any number of pools but 20 (its
+# `chart.pools_built` counter; 40 means the estimators generate their own
+# beside the matcher's) or takes more than 1/0.75 of the committed
+# chart_pools seconds. Best-of-N to absorb scheduler noise.
 ./target/release/perf_smoke
 
 echo "==> sketch accuracy smoke (ARE floors + constant-memory ceiling)"
