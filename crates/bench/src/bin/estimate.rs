@@ -39,17 +39,9 @@ fn main() {
             }
             "--model" => {
                 let name = value.unwrap_or_else(|| usage("--model needs a name"));
-                model = match name.to_ascii_lowercase().as_str() {
-                    "auto" => ModelKind::Auto,
-                    "timing" => ModelKind::Timing,
-                    "poisson" => ModelKind::Poisson,
-                    "bernoulli" => ModelKind::Bernoulli,
-                    "coverage" => ModelKind::Coverage,
-                    "sampling" => ModelKind::Sampling,
-                    "windowoccupancy" => ModelKind::WindowOccupancy,
-                    "hybrid" => ModelKind::Hybrid,
-                    other => usage(&format!("unknown model {other:?}")),
-                };
+                model = name
+                    .parse()
+                    .unwrap_or_else(|e: botmeter_core::UnknownModel| usage(&e.to_string()));
             }
             "--epochs" => epochs = parse(value, "--epochs"),
             "--neg-ttl-mins" => neg_ttl_mins = parse(value, "--neg-ttl-mins"),

@@ -1,6 +1,5 @@
 //! What reading lookups back out of JSON costs: the `trace_decode` and
-//! `journal_decode` blocks of `BENCH_pipeline.json`, written by `--bin perf`
-//! and held to by `perf_smoke`.
+//! `journal_decode` blocks of `BENCH_pipeline.json`.
 
 use crate::journal::SHARD_RECORDS;
 use botmeter_dns::{trace, ObservedLookup};
@@ -30,10 +29,10 @@ pub struct DecodeBench {
 impl DecodeBench {
     /// `observed` written with [`trace::write_jsonl`] and read back with
     /// [`trace::read_jsonl`]: the input path of `estimate` and `botmeterd`.
-    pub fn trace(observed: &[ObservedLookup], runs: usize) -> DecodeBench {
+    pub fn trace(observed: &[ObservedLookup]) -> DecodeBench {
         let mut text = Vec::new();
         trace::write_jsonl(observed, &mut text).expect("lookups serialize");
-        Self::measure(observed.len(), text.len(), runs, || {
+        Self::measure(observed.len(), text.len(), || {
             let records: Vec<ObservedLookup> =
                 trace::read_jsonl(std::hint::black_box(text.as_slice())).expect("trace reads");
             std::hint::black_box(records).len()
@@ -43,13 +42,13 @@ impl DecodeBench {
     /// `observed` as the journal holds it — one JSON array per
     /// [`SHARD_RECORDS`] records — through `serde_json::from_slice`: the
     /// decode half of `DurableDaemon`'s replay.
-    pub fn journal(observed: &[ObservedLookup], runs: usize) -> DecodeBench {
+    pub fn journal(observed: &[ObservedLookup]) -> DecodeBench {
         let payloads: Vec<Vec<u8>> = observed
             .chunks(SHARD_RECORDS)
             .map(|shard| serde_json::to_vec(shard).expect("lookups serialize"))
             .collect();
         let bytes = payloads.iter().map(Vec::len).sum();
-        Self::measure(observed.len(), bytes, runs, || {
+        Self::measure(observed.len(), bytes, || {
             payloads
                 .iter()
                 .map(|payload| {
@@ -63,15 +62,9 @@ impl DecodeBench {
     }
 
     /// Runs `pass` (which returns how many records it decoded) once
-    /// counting allocations, then `runs` times (at least once) keeping the
-    /// best time.
-    fn measure(
-        records: usize,
-        bytes: usize,
-        runs: usize,
-        pass: impl FnMut() -> usize,
-    ) -> DecodeBench {
-        let (decoded, allocs, secs) = crate::counted_then_best_of(runs, pass);
+    /// counting allocations, then keeps the best time of five more.
+    fn measure(records: usize, bytes: usize, pass: impl FnMut() -> usize) -> DecodeBench {
+        let (decoded, allocs, secs) = crate::counted_then_best_of(pass);
         assert_eq!(decoded, records, "every record decodes");
         DecodeBench {
             records,

@@ -1,6 +1,5 @@
 //! What `botmeterd` pays to turn a shard into journal bytes: the
-//! `journal_encode` block of `BENCH_pipeline.json`, written by `--bin perf`
-//! and held to by `perf_smoke`.
+//! `journal_encode` block of `BENCH_pipeline.json`.
 
 use botmeter_dns::ObservedLookup;
 use serde::{Deserialize, Serialize};
@@ -32,11 +31,11 @@ pub struct JournalEncodeBench {
 }
 
 impl JournalEncodeBench {
-    /// Encodes `observed` `runs` times (at least once), keeping the best
-    /// time; allocations are counted over the first pass.
-    pub fn measure(observed: &[ObservedLookup], runs: usize) -> JournalEncodeBench {
+    /// Encodes `observed` once counting allocations, then keeps the best
+    /// time of five more passes.
+    pub fn measure(observed: &[ObservedLookup]) -> JournalEncodeBench {
         let mut payload = Vec::new();
-        let (bytes, allocs, secs) = crate::counted_then_best_of(runs, || {
+        let (bytes, allocs, secs) = crate::counted_then_best_of(|| {
             let mut bytes = 0;
             for shard in observed.chunks(SHARD_RECORDS) {
                 payload.clear();

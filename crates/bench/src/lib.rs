@@ -14,7 +14,9 @@
 //! The library half hosts the sweep machinery ([`sweep`]), the plain-text
 //! renderers ([`render`]) and the experiment definitions themselves
 //! ([`fig6`], [`fig7`]), so integration tests can run scaled-down versions
-//! of every experiment.
+//! of every experiment. It also hosts the performance gate the `perf`
+//! binary drives: one measurement pass ([`report`]) held to the committed
+//! `BENCH_pipeline.json` by a table of gates ([`gates`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,16 +27,23 @@ pub mod decode;
 pub mod evasion_study;
 pub mod fig6;
 pub mod fig7;
+pub mod gates;
 pub mod journal;
 pub mod pool;
 pub mod render;
+pub mod report;
 pub mod sweep;
 
-/// The best wall time, in seconds, of `runs` calls of `pass` (at least
-/// one): scheduler noise only ever adds time.
+/// Timed passes a micro-bench keeps the best of.
+pub(crate) const MICRO_RUNS: usize = 5;
+/// Timed runs a whole-pipeline measurement keeps the best of.
+pub(crate) const PIPELINE_RUNS: usize = 3;
+
+/// The best wall time, in seconds, of `runs` calls of `pass`: scheduler
+/// noise only ever adds time.
 pub(crate) fn best_of(runs: usize, mut pass: impl FnMut()) -> f64 {
     let mut secs = f64::INFINITY;
-    for _ in 0..runs.max(1) {
+    for _ in 0..runs {
         let started = std::time::Instant::now();
         pass();
         secs = secs.min(started.elapsed().as_secs_f64());
@@ -43,14 +52,14 @@ pub(crate) fn best_of(runs: usize, mut pass: impl FnMut()) -> f64 {
 }
 
 /// One call of `pass` with its heap allocations counted (zero unless the
-/// binary installs [`botmeter_obs::CountingAlloc`]), then [`best_of`]
-/// `runs` more: what the first call returned, its allocations, the best
-/// seconds.
-pub(crate) fn counted_then_best_of<T>(runs: usize, mut pass: impl FnMut() -> T) -> (T, u64, f64) {
+/// binary installs [`botmeter_obs::CountingAlloc`]), then the best of
+/// [`MICRO_RUNS`] more: what the first call returned, its allocations, the
+/// best seconds.
+pub(crate) fn counted_then_best_of<T>(mut pass: impl FnMut() -> T) -> (T, u64, f64) {
     let before = botmeter_obs::AllocSnapshot::now();
     let first = pass();
     let allocs = botmeter_obs::AllocSnapshot::now().since(&before).count;
-    let secs = best_of(runs, || {
+    let secs = best_of(MICRO_RUNS, || {
         pass();
     });
     (first, allocs, secs)

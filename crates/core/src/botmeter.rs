@@ -136,6 +136,53 @@ pub enum ModelKind {
     Hybrid,
 }
 
+impl ModelKind {
+    /// Every variant under the name `--model` takes for it.
+    const NAMES: [(&'static str, ModelKind); 8] = [
+        ("auto", ModelKind::Auto),
+        ("timing", ModelKind::Timing),
+        ("poisson", ModelKind::Poisson),
+        ("bernoulli", ModelKind::Bernoulli),
+        ("coverage", ModelKind::Coverage),
+        ("sampling", ModelKind::Sampling),
+        ("windowoccupancy", ModelKind::WindowOccupancy),
+        ("hybrid", ModelKind::Hybrid),
+    ];
+}
+
+/// A model name no [`ModelKind`] variant goes by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownModel(String);
+
+impl fmt::Display for UnknownModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names = ModelKind::NAMES.map(|(name, _)| name).join(", ");
+        write!(f, "unknown model {:?} (one of {names})", self.0)
+    }
+}
+
+impl std::error::Error for UnknownModel {}
+
+/// Parses the names the command-line tools take for `--model`, ignoring
+/// ASCII case.
+///
+/// ```
+/// use botmeter_core::ModelKind;
+/// assert_eq!("Bernoulli".parse(), Ok(ModelKind::Bernoulli));
+/// assert!("mb".parse::<ModelKind>().unwrap_err().to_string().contains("bernoulli"));
+/// ```
+impl std::str::FromStr for ModelKind {
+    type Err = UnknownModel;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        ModelKind::NAMES
+            .into_iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|(_, kind)| kind)
+            .ok_or_else(|| UnknownModel(s.to_owned()))
+    }
+}
+
 /// Analyst-facing configuration of a BotMeter deployment.
 ///
 /// # Example
@@ -909,6 +956,26 @@ mod tests {
         assert_eq!(pick(DgaFamily::new_goz()), "Bernoulli");
         assert_eq!(pick(DgaFamily::conficker_c()), "Timing");
         assert_eq!(pick(DgaFamily::necurs()), "Timing");
+    }
+
+    #[test]
+    fn every_model_kind_round_trips_through_its_name() {
+        let mut kinds = HashSet::new();
+        for (name, kind) in ModelKind::NAMES {
+            assert_eq!(name.parse(), Ok(kind));
+            assert_eq!(name.to_ascii_uppercase().parse(), Ok(kind));
+            // `Debug`'s spelling (`WindowOccupancy`) parses too.
+            assert_eq!(format!("{kind:?}").parse(), Ok(kind));
+            kinds.insert(kind);
+        }
+        assert_eq!(kinds.len(), 8, "a variant is listed twice");
+        let err = "mb".parse::<ModelKind>().unwrap_err().to_string();
+        assert!(err.contains("\"mb\""), "{err}");
+        for (name, _) in ModelKind::NAMES {
+            assert!(err.contains(name), "{err} does not list {name}");
+        }
+        assert!("".parse::<ModelKind>().is_err());
+        assert!(" auto".parse::<ModelKind>().is_err());
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod window_occupancy;
 pub use bernoulli::BernoulliEstimator;
 pub use botmeter::{
     BotMeter, BotMeterConfig, CellQuality, ChartMatcher, Error, Landscape, LandscapeEntry,
-    ModelKind,
+    ModelKind, UnknownModel,
 };
 pub use config::{EstimationContext, PoolIndex};
 pub use coverage::CoverageEstimator;

@@ -120,7 +120,8 @@ fn shard_records_over_the_journal_frame_ceiling_is_refused_with_a_data_dir() {
 /// One pathological line ends the feed the way any malformed line does —
 /// exit status 2 naming the line — not the process with a signal. Before
 /// the reader bounded its nesting, a million brackets under a key the
-/// record ignores overflowed the stack (SIGABRT).
+/// record ignores overflowed the stack (SIGABRT). A line past the reader's
+/// length cap ends it the same way, by its length.
 #[test]
 fn a_deeply_nested_line_is_a_malformed_feed_not_a_crash() {
     let record =
@@ -147,11 +148,22 @@ fn a_deeply_nested_line_is_a_malformed_feed_not_a_crash() {
         child.wait_with_output().expect("botmeterd exits")
     };
 
-    let refused = run(record("") + &nested(1_000_000) + &record(""));
+    // A million brackets in all: about the most the reader's 1 MiB line cap
+    // lets through to the parser.
+    let refused = run(record("") + &nested(500_000) + &record(""));
     assert_eq!(refused.status.code(), Some(2), "{:?}", refused.status);
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(
         stderr.contains("malformed trace line 2") && stderr.contains("recursion limit exceeded"),
+        "{stderr}"
+    );
+
+    // Past the cap the line is never buffered whole, let alone parsed.
+    let refused = run(record("") + &nested(1_000_000) + &record(""));
+    assert_eq!(refused.status.code(), Some(2), "{:?}", refused.status);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("trace line 2 is longer than 1048576 bytes"),
         "{stderr}"
     );
 

@@ -13,6 +13,7 @@
 //! compares the underlying text (after an id fast-path), so a fingerprint
 //! collision can never conflate two distinct names.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -139,38 +140,15 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` hashed through [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Where one interned name lives inside the interner's arenas: its byte
-/// range in the contiguous `bytes` storage and its label-boundary range in
-/// the `label_starts` table. Both are plain offsets, so `DomainId → bytes`
-/// resolution is two array indexes with no pointer chase.
-#[derive(Debug, Clone, Copy)]
-struct ArenaSpan {
-    /// Start of the name's bytes in the bytes arena.
-    offset: u32,
-    /// Name length in bytes (validated names are ≤ 253 bytes).
-    len: u16,
-    /// Start of the name's label boundaries in the label-offset arena.
-    label_offset: u32,
-    /// Number of labels (≤ 127 for a validated name).
-    label_count: u16,
-}
-
 /// Canonicalises [`DomainName`](crate::DomainName)s: interning a name
 /// returns the first equal instance seen, so text that arrives from several
 /// sources — a pool generated twice, a decoded record and the pool it was
 /// drawn from — is held once. The canonical instance keeps the backing it
 /// arrived with: a batch-built pool name goes on sharing its pool's one
 /// buffer (interning a whole pool allocates nothing per name), a parsed
-/// name keeps its own.
-///
-/// Every interned name is also appended to a contiguous **bytes arena**
-/// with an offset table, so a [`DomainId`] resolves back to its text
-/// ([`resolve_bytes`](Self::resolve_bytes) / [`resolve_str`](Self::resolve_str)
-/// / [`resolve`](Self::resolve)) by indexing — no `Arc` dereference, no
-/// hash-table walk over `Arc<str>` allocations scattered across the heap.
-/// Label boundaries are precomputed at intern time, so
-/// [`tld_of`](Self::tld_of), [`first_label_of`](Self::first_label_of) and
-/// [`labels_of`](Self::labels_of) never rescan the text for dots.
+/// name keeps its own. A name carries its own text and id, so the interner
+/// is one map from [`DomainId`] to the canonical instance and
+/// [`resolve`](Self::resolve) is the way back from an id-resident record.
 ///
 /// # Example
 ///
@@ -182,44 +160,20 @@ struct ArenaSpan {
 /// assert!(!std::ptr::eq(a.as_str(), b.as_str())); // two allocations
 /// let a = interner.intern(a);
 /// let b = interner.intern(b);
-/// assert!(std::ptr::eq(a.as_str(), b.as_str())); // one canonical Arc
+/// assert!(std::ptr::eq(a.as_str(), b.as_str())); // one canonical instance
 /// assert_eq!(interner.len(), 1);
-/// assert_eq!(interner.resolve_str(a.id()), Some("abc.example"));
-/// assert_eq!(interner.tld_of(a.id()), Some("example"));
+/// assert_eq!(interner.resolve(a.id()), Some(&a));
 /// # Ok::<(), botmeter_dns::ParseDomainError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DomainInterner {
-    table: FxHashSet<crate::DomainName>,
-    /// `DomainId` → slot in `names`/`spans`.
-    slots: FxHashMap<DomainId, u32>,
-    /// Canonical names by slot, for zero-cost rehydration at egress edges.
-    names: Vec<crate::DomainName>,
-    /// Contiguous, append-only storage of every interned name's bytes.
-    bytes: Vec<u8>,
-    /// Per-slot location of a name's bytes and label boundaries.
-    spans: Vec<ArenaSpan>,
-    /// Concatenated per-name label start positions (name-relative; a
-    /// validated name is ≤ 253 bytes, so `u8` positions suffice).
-    label_starts: Vec<u8>,
+    names: FxHashMap<DomainId, crate::DomainName>,
 }
 
 impl DomainInterner {
     /// An empty interner.
     pub fn new() -> Self {
         DomainInterner::default()
-    }
-
-    /// An empty interner pre-sized for `capacity` distinct names.
-    pub fn with_capacity(capacity: usize) -> Self {
-        DomainInterner {
-            table: FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-            slots: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-            names: Vec::with_capacity(capacity),
-            bytes: Vec::new(),
-            spans: Vec::with_capacity(capacity),
-            label_starts: Vec::new(),
-        }
     }
 
     /// Returns the canonical instance of `name`, registering it if it is
@@ -233,106 +187,34 @@ impl DomainInterner {
     /// interned before — a content-hash collision (probability ~2⁻⁶⁴ per
     /// pair) that would make id-resident records ambiguous.
     pub fn intern(&mut self, name: crate::DomainName) -> crate::DomainName {
-        match self.table.get(&name) {
-            Some(canonical) => canonical.clone(),
-            None => {
-                self.register(&name);
-                self.table.insert(name.clone());
+        match self.names.entry(name.id()) {
+            Entry::Vacant(slot) => {
+                slot.insert(name.clone());
                 name
             }
-        }
-    }
-
-    /// Appends a new name to the bytes/label arenas and its id to the slot
-    /// table. Only called for names not yet in `table`.
-    fn register(&mut self, name: &crate::DomainName) {
-        let id = name.id();
-        if let Some(&slot) = self.slots.get(&id) {
-            // `table` missed but the id is taken: a fingerprint collision
-            // between distinct texts. Refuse rather than conflate.
-            assert!(
-                self.names[slot as usize] == *name,
-                "DomainId fingerprint collision: {:?} vs {:?}",
-                self.names[slot as usize].as_str(),
-                name.as_str(),
-            );
-            return;
-        }
-        let text = name.as_bytes();
-        let offset = u32::try_from(self.bytes.len()).expect("bytes arena exceeds u32 range");
-        let label_offset =
-            u32::try_from(self.label_starts.len()).expect("label arena exceeds u32 range");
-        self.bytes.extend_from_slice(text);
-        // A label starts at 0 and after every dot; positions fit in u8
-        // because validated names are at most 253 bytes long.
-        self.label_starts.push(0);
-        let mut label_count = 1u16;
-        for (i, &b) in text.iter().enumerate() {
-            if b == b'.' {
-                self.label_starts.push((i + 1) as u8);
-                label_count += 1;
+            Entry::Occupied(slot) => {
+                // The id is taken by another text: refuse rather than
+                // conflate. This check is what lets id equality stand in
+                // for name equality.
+                assert!(
+                    *slot.get() == name,
+                    "DomainId fingerprint collision: {:?} vs {:?}",
+                    slot.get().as_str(),
+                    name.as_str(),
+                );
+                slot.get().clone()
             }
         }
-        let slot = u32::try_from(self.names.len()).expect("slot table exceeds u32 range");
-        self.spans.push(ArenaSpan {
-            offset,
-            len: text.len() as u16,
-            label_offset,
-            label_count,
-        });
-        self.names.push(name.clone());
-        self.slots.insert(id, slot);
-    }
-
-    /// Parses and interns a string in one step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the name-validation failure.
-    pub fn intern_str(&mut self, s: &str) -> Result<crate::DomainName, crate::ParseDomainError> {
-        Ok(self.intern(s.parse()?))
-    }
-
-    /// Whether an equal name has already been interned.
-    pub fn contains(&self, name: &crate::DomainName) -> bool {
-        self.table.contains(name)
-    }
-
-    /// Whether a name with this fingerprint has been interned.
-    pub fn contains_id(&self, id: DomainId) -> bool {
-        self.slots.contains_key(&id)
     }
 
     /// Number of distinct names interned.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.names.len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// The arena span of an interned id, if any.
-    #[inline]
-    fn span(&self, id: DomainId) -> Option<ArenaSpan> {
-        self.slots.get(&id).map(|&slot| self.spans[slot as usize])
-    }
-
-    /// The interned name's bytes, straight out of the contiguous arena —
-    /// the zero-indirection representation byte-level matchers sweep.
-    #[inline]
-    pub fn resolve_bytes(&self, id: DomainId) -> Option<&[u8]> {
-        self.span(id)
-            .map(|s| &self.bytes[s.offset as usize..s.offset as usize + s.len as usize])
-    }
-
-    /// The interned name's text. Arena bytes are validated ASCII, so the
-    /// UTF-8 check is a formality the optimiser sees through.
-    #[inline]
-    pub fn resolve_str(&self, id: DomainId) -> Option<&str> {
-        self.resolve_bytes(id)
-            .map(|b| std::str::from_utf8(b).expect("interned names are ASCII"))
+        self.names.is_empty()
     }
 
     /// The canonical [`DomainName`](crate::DomainName) for an interned id —
@@ -340,60 +222,7 @@ impl DomainInterner {
     /// (a refcount on the canonical instance's buffer) at egress edges.
     #[inline]
     pub fn resolve(&self, id: DomainId) -> Option<&crate::DomainName> {
-        self.slots.get(&id).map(|&slot| &self.names[slot as usize])
-    }
-
-    /// The final label (TLD) of an interned name, via the precomputed
-    /// label-boundary table — no rescan for dots.
-    #[inline]
-    pub fn tld_of(&self, id: DomainId) -> Option<&str> {
-        let s = self.span(id)?;
-        let last = self.label_starts[(s.label_offset + u32::from(s.label_count) - 1) as usize];
-        let bytes =
-            &self.bytes[s.offset as usize + last as usize..s.offset as usize + s.len as usize];
-        Some(std::str::from_utf8(bytes).expect("interned names are ASCII"))
-    }
-
-    /// The first label (the DGA-generated part) of an interned name, via
-    /// the precomputed label boundaries.
-    #[inline]
-    pub fn first_label_of(&self, id: DomainId) -> Option<&str> {
-        let s = self.span(id)?;
-        let end = if s.label_count > 1 {
-            // The next label starts one past this label's trailing dot.
-            s.offset as usize + self.label_starts[(s.label_offset + 1) as usize] as usize - 1
-        } else {
-            s.offset as usize + s.len as usize
-        };
-        let bytes = &self.bytes[s.offset as usize..end];
-        Some(std::str::from_utf8(bytes).expect("interned names are ASCII"))
-    }
-
-    /// Number of labels of an interned name.
-    #[inline]
-    pub fn label_count_of(&self, id: DomainId) -> Option<usize> {
-        self.span(id).map(|s| s.label_count as usize)
-    }
-
-    /// Iterates an interned name's labels left to right, from the
-    /// precomputed boundary table.
-    pub fn labels_of(&self, id: DomainId) -> Option<impl Iterator<Item = &str>> {
-        let s = self.span(id)?;
-        let starts = &self.label_starts
-            [s.label_offset as usize..s.label_offset as usize + s.label_count as usize];
-        let name = &self.bytes[s.offset as usize..s.offset as usize + s.len as usize];
-        Some(starts.iter().enumerate().map(move |(i, &start)| {
-            let end = starts
-                .get(i + 1)
-                .map(|&next| next as usize - 1)
-                .unwrap_or(name.len());
-            std::str::from_utf8(&name[start as usize..end]).expect("interned names are ASCII")
-        }))
-    }
-
-    /// Total bytes held by the contiguous bytes arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.bytes.len()
+        self.names.get(&id)
     }
 }
 
@@ -439,20 +268,42 @@ mod tests {
         assert_ne!(build.hash_one(42u64), build.hash_one(43u64));
     }
 
+    /// The first instance interned is the one kept and handed back, whether
+    /// it is a span of a batch's buffer or a parsed name with its own text.
     #[test]
-    fn interner_canonicalises_allocations() {
-        let mut interner = DomainInterner::with_capacity(8);
-        let a: DomainName = "x.example".parse().unwrap();
-        let b: DomainName = "x.example".parse().unwrap();
-        let a = interner.intern(a);
-        let b = interner.intern(b);
-        assert!(std::ptr::eq(a.as_str(), b.as_str()));
-        assert_eq!(interner.len(), 1);
-        assert!(interner.contains(&a));
-        let c = interner.intern_str("y.example").unwrap();
-        assert_eq!(interner.len(), 2);
-        assert!(!interner.is_empty());
-        assert_ne!(a, c);
+    fn interner_keeps_the_first_instance_across_backings() {
+        let batch_built = || {
+            let mut batch = crate::DomainBatch::with_capacity(1, 16);
+            batch.push_str("x.example");
+            batch.commit().unwrap();
+            batch.finish().remove(0)
+        };
+        let parsed = || "x.example".parse::<DomainName>().unwrap();
+        for (first, second) in [(batch_built(), parsed()), (parsed(), batch_built())] {
+            let mut interner = DomainInterner::new();
+            assert!(interner.is_empty());
+            let canonical = interner.intern(first.clone());
+            assert!(std::ptr::eq(canonical.as_str(), first.as_str()));
+            let again = interner.intern(second.clone());
+            assert_eq!(again, second);
+            assert!(std::ptr::eq(again.as_str(), first.as_str()));
+            assert!(!std::ptr::eq(again.as_str(), second.as_str()));
+            assert_eq!(interner.len(), 1);
+            let resolved = interner.resolve(second.id()).unwrap();
+            assert!(std::ptr::eq(resolved.as_str(), first.as_str()));
+            let other = interner.intern("y.example".parse().unwrap());
+            assert_ne!(other, canonical);
+            assert_eq!(interner.len(), 2);
+        }
+    }
+
+    #[test]
+    fn resolve_of_a_never_interned_id_is_none() {
+        let mut interner = DomainInterner::new();
+        assert_eq!(interner.resolve(DomainId::of("x.example")), None);
+        interner.intern("x.example".parse().unwrap());
+        assert_eq!(interner.resolve(DomainId::of("y.example")), None);
+        assert_eq!(interner.resolve(DomainId(12345)), None);
     }
 
     #[test]
@@ -461,56 +312,5 @@ mod tests {
         assert_eq!(d.id(), DomainId::of("q3hbx07a.example"));
         assert_eq!(d.id().0, fx_hash64(b"q3hbx07a.example"));
         assert_eq!(format!("{}", DomainId(0xabc)), "0000000000000abc");
-    }
-
-    #[test]
-    fn arena_resolves_interned_ids() {
-        let mut interner = DomainInterner::new();
-        let a = interner.intern_str("foo.bar.example").unwrap();
-        let b = interner.intern_str("x.co").unwrap();
-        assert!(interner.contains_id(a.id()));
-        assert_eq!(interner.resolve_str(a.id()), Some("foo.bar.example"));
-        assert_eq!(interner.resolve_bytes(b.id()), Some(&b"x.co"[..]));
-        assert_eq!(interner.resolve(a.id()), Some(&a));
-        assert_eq!(interner.resolve(DomainId(12345)), None);
-        assert!(!interner.contains_id(DomainId(12345)));
-        assert_eq!(
-            interner.arena_bytes(),
-            "foo.bar.example".len() + "x.co".len()
-        );
-        // Re-interning an equal name must not grow the arena.
-        interner.intern_str("foo.bar.example").unwrap();
-        assert_eq!(
-            interner.arena_bytes(),
-            "foo.bar.example".len() + "x.co".len()
-        );
-    }
-
-    #[test]
-    fn label_offsets_match_rescanning_accessors() {
-        let mut interner = DomainInterner::new();
-        for s in [
-            "a.example",
-            "foo.bar.example",
-            "q3hbx07a4mlp.biz",
-            "0-0.ru",
-            "x.co.uk",
-            "single",
-            "a.b.c.d.e.f",
-        ] {
-            let name = interner.intern_str(s).unwrap();
-            let id = name.id();
-            assert_eq!(interner.tld_of(id), Some(name.tld()), "{s}");
-            assert_eq!(interner.first_label_of(id), Some(name.first_label()), "{s}");
-            assert_eq!(interner.label_count_of(id), Some(name.label_count()), "{s}");
-            assert_eq!(
-                interner.labels_of(id).unwrap().collect::<Vec<_>>(),
-                name.labels().collect::<Vec<_>>(),
-                "{s}"
-            );
-        }
-        assert!(interner.labels_of(DomainId(7)).is_none());
-        assert_eq!(interner.tld_of(DomainId(7)), None);
-        assert_eq!(interner.first_label_of(DomainId(7)), None);
     }
 }

@@ -82,7 +82,7 @@ impl RawLookup {
 /// buffers full of these recycle through a
 /// [`BufferPool`](https://docs.rs/botmeter-exec) without per-record cost.
 /// The text stays resolvable through the
-/// [`DomainInterner`](crate::DomainInterner) bytes arena.
+/// [`DomainInterner`](crate::DomainInterner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactLookup {
     /// When the client issued the query.

@@ -166,8 +166,8 @@ impl<K: Key> From<TopologyBuilder> for Topology<K> {
 /// and the two key types produce bit-identical visibility (id equality ≡
 /// name equality; the interner panics at intern time on the astronomically
 /// unlikely fingerprint collision). The id-keyed instantiation moves `Copy`
-/// records and resolves a name through the interner's bytes arena only on
-/// a border cache miss, so its per-lookup path touches no `Arc` refcount
+/// records and resolves a name through the interner only on a border
+/// cache miss, so its per-lookup path touches no `Arc` refcount
 /// and allocates nothing in steady state.
 ///
 /// # Example

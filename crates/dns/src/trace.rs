@@ -6,18 +6,20 @@
 //! line, so they compose with standard shell tooling.
 //!
 //! Reading is one pass over one buffer: [`read_jsonl_iter`] owns a single
-//! line buffer it refills for every line (`read_line`, which checks the
-//! line is UTF-8 once), and `serde_json::from_str` decodes the record
-//! straight out of it — the only allocation a record costs is what the
-//! record itself owns (an `ObservedLookup`: its name's text). A line that is
-//! not UTF-8, like any reader failure, is [`TraceError::Io`] (kind
-//! `InvalidData`); a line that is not the record's JSON is
-//! [`TraceError::Parse`] with its 1-based number, blank lines counted.
+//! line buffer it refills for every line (`read_until`, then one UTF-8
+//! check), and `serde_json::from_str` decodes the record straight out of
+//! it — the only allocation a record costs is what the record itself owns
+//! (an `ObservedLookup`: its name's text). The buffer never grows past
+//! [`MAX_LINE_BYTES`]: a longer line is dropped as it streams by and
+//! reported as [`TraceError::LineTooLong`]. A line that is not UTF-8, like
+//! any reader failure, is [`TraceError::Io`] (kind `InvalidData`); a line
+//! that is not the record's JSON is [`TraceError::Parse`] with its 1-based
+//! number, blank lines counted.
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Writes records as JSON Lines (one object per line).
 ///
@@ -74,7 +76,8 @@ pub fn read_jsonl<T: DeserializeOwned, R: BufRead>(reader: R) -> Result<Vec<T>, 
 /// records into ingest shards).
 ///
 /// Blank lines are skipped; parse errors carry the 1-based line number.
-/// An error does not end the stream: the next call reads the next line.
+/// An error does not end the stream: the next call reads the next line
+/// (after a [`TraceError::LineTooLong`], the one after the oversized line).
 ///
 /// # Example
 ///
@@ -90,11 +93,10 @@ pub fn read_jsonl<T: DeserializeOwned, R: BufRead>(reader: R) -> Result<Vec<T>, 
 pub fn read_jsonl_iter<T: DeserializeOwned, R: BufRead>(
     mut reader: R,
 ) -> impl Iterator<Item = Result<T, TraceError>> {
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut line = 0;
     std::iter::from_fn(move || loop {
-        buf.clear();
-        let read = reader.read_line(&mut buf);
+        let read = read_piece(&mut reader, &mut buf);
         if matches!(read, Ok(0)) {
             return None;
         }
@@ -102,13 +104,50 @@ pub fn read_jsonl_iter<T: DeserializeOwned, R: BufRead>(
         if let Err(e) = read {
             return Some(Err(TraceError::Io(e)));
         }
-        let text = buf.trim();
+        let too_long = !ends_line(&buf);
+        // Drop the rest of an oversized line a bounded piece at a time (at
+        // the end of the input the piece is empty, which ends it too).
+        while !ends_line(&buf) {
+            if let Err(e) = read_piece(&mut reader, &mut buf) {
+                return Some(Err(TraceError::Io(e)));
+            }
+        }
+        if too_long {
+            let limit = MAX_LINE_BYTES;
+            return Some(Err(TraceError::LineTooLong { line, limit }));
+        }
+        let Ok(text) = std::str::from_utf8(&buf) else {
+            let e = io::Error::new(io::ErrorKind::InvalidData, "line is not valid UTF-8");
+            return Some(Err(TraceError::Io(e)));
+        };
+        let text = text.trim();
         if !text.is_empty() {
             return Some(
                 serde_json::from_str(text).map_err(|source| TraceError::Parse { line, source }),
             );
         }
     })
+}
+
+/// The longest line, newline excluded, [`read_jsonl_iter`] buffers. The
+/// widest record BotMeter writes is 312 bytes; without a cap a feed that
+/// never sends a newline grows one buffer until the process dies.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Refills `buf` with the input up to and including the next newline, or
+/// with the first `MAX_LINE_BYTES + 1` bytes of it if the line is longer.
+fn read_piece<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<usize> {
+    buf.clear();
+    reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)
+}
+
+/// Whether a piece [`read_piece`] returned reaches the end of its line
+/// (a newline, or the end of the input short of the cap).
+fn ends_line(piece: &[u8]) -> bool {
+    piece.len() <= MAX_LINE_BYTES || piece.ends_with(b"\n")
 }
 
 /// A trace I/O failure.
@@ -130,6 +169,13 @@ pub enum TraceError {
         /// The serde_json failure.
         source: serde_json::Error,
     },
+    /// A line was longer than [`MAX_LINE_BYTES`]; it was skipped unread.
+    LineTooLong {
+        /// 1-based line number in the input.
+        line: usize,
+        /// The cap, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -142,6 +188,9 @@ impl fmt::Display for TraceError {
             TraceError::Parse { line, source } => {
                 write!(f, "malformed trace line {line}: {source}")
             }
+            TraceError::LineTooLong { line, limit } => {
+                write!(f, "trace line {line} is longer than {limit} bytes")
+            }
         }
     }
 }
@@ -151,6 +200,7 @@ impl std::error::Error for TraceError {
         match self {
             TraceError::Io(e) => Some(e),
             TraceError::Serialize { source, .. } | TraceError::Parse { source, .. } => Some(source),
+            TraceError::LineTooLong { .. } => None,
         }
     }
 }
@@ -238,14 +288,54 @@ mod tests {
     fn nesting_past_128_is_a_parse_error_with_its_line() {
         let back: Vec<ObservedLookup> = read_jsonl(nested_line(128).as_bytes()).unwrap();
         assert_eq!(back.len(), 1);
-        // A million brackets used to overflow the stack and abort the process.
-        for depth in [129, 1_000_000] {
+        // A million brackets (about the most the line cap lets through)
+        // used to overflow the stack and abort the process.
+        for depth in [129, 500_000] {
             let text = nested_line(128) + &nested_line(depth);
             match read_jsonl::<ObservedLookup, _>(text.as_bytes()) {
                 Err(TraceError::Parse { line: 2, source }) => {
                     assert!(source.to_string().contains("recursion limit exceeded"))
                 }
                 other => panic!("expected a parse error on line 2, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_line_is_a_typed_error_and_the_stream_goes_on() {
+        let good = "{\"t\":0,\"server\":1,\"domain\":\"a.example\"}";
+        let text = format!("{good}\n{}\n{good}\n", "x".repeat(2 << 20));
+        let items: Vec<_> = read_jsonl_iter::<ObservedLookup, _>(text.as_bytes()).collect();
+        match items.as_slice() {
+            [Ok(_), Err(e @ TraceError::LineTooLong { line: 2, limit }), Ok(_)] => {
+                assert_eq!(*limit, MAX_LINE_BYTES);
+                assert!(e.to_string().contains("line 2"));
+            }
+            other => panic!("expected Ok, LineTooLong on line 2, Ok; got {other:?}"),
+        }
+        // No newline ever arrives: one error, then the end of the stream.
+        let endless = "x".repeat((3 << 20) + 1);
+        let items: Vec<_> = read_jsonl_iter::<ObservedLookup, _>(endless.as_bytes()).collect();
+        assert!(matches!(
+            items.as_slice(),
+            [Err(TraceError::LineTooLong { line: 1, .. })]
+        ));
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_limit_parses() {
+        let good = "{\"t\":0,\"server\":1,\"domain\":\"a.example\"}";
+        for ending in ["\n", ""] {
+            let at_limit = format!("{good}{}", " ".repeat(MAX_LINE_BYTES - good.len()));
+            let text = format!("{at_limit}{ending}");
+            let back: Vec<ObservedLookup> = read_jsonl(text.as_bytes()).unwrap();
+            assert_eq!(back.len(), 1);
+            let text = format!(" {at_limit}{ending}{good}");
+            let items: Vec<_> = read_jsonl_iter::<ObservedLookup, _>(text.as_bytes()).collect();
+            match (ending, items.as_slice()) {
+                ("\n", [Err(TraceError::LineTooLong { line: 1, .. }), Ok(_)]) => {}
+                ("", [Err(TraceError::LineTooLong { line: 1, .. })]) => {}
+                other => panic!("one byte over the limit: {other:?}"),
             }
         }
     }

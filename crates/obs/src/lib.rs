@@ -13,7 +13,7 @@
 //!   observability costs (almost) nothing;
 //! * [`MetricsRegistry`] — where a collecting handle's records land,
 //!   aggregated into atomic-free locked maps;
-//! * [`MetricsSnapshot`] — the JSON-serialisable export the `perf` bin
+//! * [`MetricsSnapshot`] — the JSON-serialisable export `perf --record`
 //!   writes next to `BENCH_pipeline.json`.
 //!
 //! # Counter name conventions

@@ -340,8 +340,7 @@ impl ScenarioSpec {
 
         // Intern every pool domain once, up front: producers then work
         // purely in ids (8-byte `Copy` records, no `Arc` traffic), and the
-        // interner's bytes arena resolves them back to text at the egress
-        // edge. Pool materialisation draws no rng, so planning streams are
+        // interner resolves them back to names at the egress edge. Pool materialisation draws no rng, so planning streams are
         // untouched; fingerprint collisions would panic here, which is what
         // makes id equality stand in for name equality downstream.
         let mut interner = DomainInterner::new();

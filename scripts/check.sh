@@ -13,13 +13,16 @@ echo "==> removed entry-point grep gate"
 # fan-out, the id-probe twins of the hit scan (`scan_hits` is the one
 # kernel), the kernel-quantization knob nobody set, botmeterd's second
 # feed loop, the pipeline mode that kept the raw trace, the sink trait
-# around a closure, and the dns/obs capabilities nobody called. No file
-# may mention the old names.
+# around a closure, the dns/obs capabilities nobody called, the second
+# gate binary and the interner's arena accessors. No file may mention the
+# old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
 pattern+='|run_ephemeral|drain_shard'
 pattern+='|Materialize|ShardSink|FnSink|LocalResolver|from_recorder'
+# (the first name in two pieces, so a repo-wide grep for it finds nothing)
+pattern+='|perf_''smoke|resolve_bytes|resolve_str|arena_bytes|tld_of|first_label_of|label_count_of'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -172,9 +175,9 @@ fi
 
 echo "==> trace reader reuses its line buffer (no lines() in crates/dns/src/trace.rs)"
 # `BufRead::lines()` allocates a String per line; `read_jsonl_iter` refills
-# one buffer with `read_line`.
+# one buffer with `read_until`, a bounded piece at a time.
 if grep -nE '\.lines\(\)' crates/dns/src/trace.rs; then
-  echo "error: lines() in crates/dns/src/trace.rs; refill one buffer with read_line" >&2
+  echo "error: lines() in crates/dns/src/trace.rs; refill one buffer with read_until" >&2
   exit 1
 fi
 
@@ -223,39 +226,10 @@ if (( SECONDS > 600 )); then
 fi
 echo "    tests ran in ${SECONDS}s"
 
-echo "==> perf smoke (throughput + charting + Timing model + Theorem-1 fixpoint + residency + scaling + thin-shard + alloc gate + journal encode + trace/journal decode + pool build + pools per chart)"
-# Fails if raw simulation throughput or estimator-charting throughput
-# (chart_lookups_per_sec) drops more than 25% below the committed
-# BENCH_pipeline.json baseline, if the streaming pipeline loses its
-# bounded-memory property, if the streaming N-thread/1-thread scaling
-# ratio falls below the core-count-aware floor derived from the committed
-# scaling block, if on thin shards (300 bots x 4 epochs) the pool policy
-# takes more than 1.25x the 1-thread time (per-shard overhead on the
-# consumer), if MT on one Conficker.C cell of 250 bots drops more than 25%
-# below the `timing` block of BENCH_estimator.json (the scan over every
-# entry ever opened measured ~35x below it), if pricing one b-segment
-# (len 2000, theta_q 500) at a later fixpoint density costs more than 25% of
-# pricing it at the first (the kernel re-weights a shape's rho-free rows,
-# ~0.12; re-deriving them per density measures ~1), if the streaming simulate
-# stage exceeds its committed allocations-per-raw-lookup budget (counting
-# global allocator; 4x the committed allocs_per_raw_lookup figure with a
-# 0.5 absolute floor), or if encoding the observed stream as 4096-record
-# journal payloads (serde_json::to_writer into a reused buffer) drops more
-# than 25% below the committed journal_encode MB/s or spends more than 0.05
-# allocations per journaled record (a streaming encoder spends ~16 per
-# pass; one tree node per value is several per record), or if reading the
-# same stream back (trace::read_jsonl over JSON Lines; serde_json::from_slice
-# over journal payloads) drops more than 25% below the committed
-# trace_decode / journal_decode MB/s or spends more than 1.05 allocations per
-# decoded record (the name's own text; a tree per line is seven), or if
-# building and dropping a 20-epoch newGoZ matcher drops more than 25% below
-# the committed pool_build names/s or spends more than 0.01 allocations per
-# pooled name, or if one 20-epoch newGoZ chart (matcher_for, match_stream,
-# chart_with(from_matched)) generates any number of pools but 20 (its
-# `chart.pools_built` counter; 40 means the estimators generate their own
-# beside the matcher's) or takes more than 1/0.75 of the committed
-# chart_pools seconds. Best-of-N to absorb scheduler noise.
-./target/release/perf_smoke
+echo "==> perf (every gate in crates/bench/src/gates.rs against the committed BENCH_pipeline.json)"
+# Measures once, prints one row per gate (name, measured, bound; what a
+# failure means under each failed row) and exits 1 if any row failed.
+./target/release/perf
 
 echo "==> sketch accuracy smoke (ARE floors + constant-memory ceiling)"
 # Trimmed ARE-vs-width sweep of the sketch telemetry frontend. Fails if the
