@@ -5,16 +5,18 @@
 //! murofet (Poisson MP, multiplicity-consuming: always flagged Degraded) —
 //! charting each width from the sketch and comparing cell-by-cell against
 //! the exact-mode landscape. Also records the deterministic
-//! `sketch.peak_resident_bytes` accounting and checks it against the
+//! `sketch.peak_resident_bytes` accounting beside its
 //! `cells × cell_budget_bytes` ceiling, plus a volume-independence probe:
-//! doubling the bot population (≈2× matched volume) must not move a
-//! saturated sketch's resident footprint by a single byte.
+//! the same saturated sketch over twice the bot population (≈2× matched
+//! volume).
 //!
-//! Full mode writes `BENCH_sketch.json`; `--smoke` re-runs a trimmed sweep
-//! and gates against the accuracy floors and (when present) the committed
-//! baseline's byte accounting, exiting 1 on any violation.
+//! Takes no arguments (any argument exits 2) and writes the study to
+//! `BENCH_sketch.json` in the working directory. The floors it is held to
+//! — fidelity at the widest width, `Degraded` cells at the narrowest, the
+//! byte ceiling, volume independence and the committed accounting — are
+//! cases of `crates/core/tests/sketch_mode.rs`.
 //!
-//! Usage: `sketch_accuracy [--out PATH] [--baseline PATH] [--smoke]`.
+//! Usage: `sketch_accuracy`.
 
 use botmeter_core::{BotMeter, BotMeterConfig, CellQuality, ChartRequest, Landscape};
 use botmeter_dga::DgaFamily;
@@ -23,14 +25,10 @@ use botmeter_matcher::SketchStream;
 use botmeter_obs::Obs;
 use botmeter_sim::{ScenarioOutcome, ScenarioSpec};
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-/// Widths swept in full mode; `--smoke` keeps the endpoints only.
+/// Widths swept.
 const WIDTHS: [usize; 6] = [8, 32, 128, 1024, 4096, 16384];
-
-/// Wide-sketch accuracy floor: the widest width must land within 5% of
-/// exact mode on the set-consuming regime (it is in fact bit-identical).
-const WIDE_ARE_CEILING: f64 = 0.05;
 
 #[derive(Serialize)]
 struct Report {
@@ -54,7 +52,7 @@ struct FamilyReport {
     sweep: Vec<SweepPoint>,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct SweepPoint {
     width: usize,
     mean_are: f64,
@@ -77,19 +75,6 @@ struct VolumeIndependence {
     matched_large: u64,
     peak_resident_bytes_small: u64,
     peak_resident_bytes_large: u64,
-}
-
-/// The slice of a committed `BENCH_sketch.json` the smoke gate compares
-/// against (extra keys ignored).
-#[derive(Deserialize)]
-struct Baseline {
-    families: Vec<BaselineFamily>,
-}
-
-#[derive(Deserialize)]
-struct BaselineFamily {
-    family: String,
-    sweep: Vec<SweepPoint>,
 }
 
 struct Case {
@@ -177,7 +162,7 @@ fn are_against(exact: &Landscape, sketched: &Landscape) -> (f64, f64) {
     (mean, max)
 }
 
-fn sweep_case(case: &Case, widths: &[usize]) -> FamilyReport {
+fn sweep_case(case: &Case) -> FamilyReport {
     let outcome = run_scenario(&case.family, case.population, case.seed, case.epochs);
     let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
     let exact = meter.chart_with(
@@ -186,9 +171,9 @@ fn sweep_case(case: &Case, widths: &[usize]) -> FamilyReport {
             .policy(ExecPolicy::Sequential),
     );
 
-    let mut sweep = Vec::with_capacity(widths.len());
+    let mut sweep = Vec::with_capacity(WIDTHS.len());
     let mut matched_total = 0;
-    for &width in widths {
+    for width in WIDTHS {
         let sketch = build_sketch(&meter, &outcome, case.epochs, width);
         matched_total = sketch.total();
         let sketched = meter
@@ -239,8 +224,8 @@ fn sweep_case(case: &Case, widths: &[usize]) -> FamilyReport {
     }
 }
 
-/// Doubles the population at a saturating width: the matched volume must
-/// grow while the sketch's resident footprint stays byte-identical.
+/// Doubles the population at a saturating width: the matched volume grows,
+/// the sketch's resident footprint should not move by a byte.
 fn volume_probe() -> VolumeIndependence {
     let family = DgaFamily::new_goz();
     let width = 8;
@@ -268,170 +253,19 @@ fn volume_probe() -> VolumeIndependence {
     }
 }
 
-fn gate(report: &Report, baseline: Option<&Baseline>) {
-    for family in &report.families {
-        for point in &family.sweep {
-            if point.peak_resident_bytes > point.resident_bound_bytes {
-                fail(&format!(
-                    "{} width {}: peak {} bytes exceeds the O(cells × width) bound {}",
-                    family.family,
-                    point.width,
-                    point.peak_resident_bytes,
-                    point.resident_bound_bytes
-                ));
-            }
-        }
-    }
-
-    let newgoz = report
-        .families
-        .iter()
-        .find(|f| f.model == "Bernoulli")
-        .unwrap_or_else(|| fail("no set-consuming family in the sweep"));
-    let wide = newgoz
-        .sweep
-        .iter()
-        .max_by_key(|p| p.width)
-        .unwrap_or_else(|| fail("empty sweep"));
-    if wide.mean_are > WIDE_ARE_CEILING {
-        fail(&format!(
-            "wide sketch lost fidelity: width {} mean ARE {:.4} above ceiling {WIDE_ARE_CEILING}",
-            wide.width, wide.mean_are
-        ));
-    }
-    let narrow = newgoz
-        .sweep
-        .iter()
-        .min_by_key(|p| p.width)
-        .unwrap_or_else(|| fail("empty sweep"));
-    if !narrow.lossy || narrow.degraded_cells == 0 {
-        fail(&format!(
-            "narrow sketch (width {}) must evict and flag its cells Degraded \
-             (lossy {}, degraded {})",
-            narrow.width, narrow.lossy, narrow.degraded_cells
-        ));
-    }
-
-    let vi = &report.volume_independence;
-    if vi.matched_large <= vi.matched_small {
-        fail("volume probe did not increase the matched volume");
-    }
-    if vi.peak_resident_bytes_large != vi.peak_resident_bytes_small {
-        fail(&format!(
-            "sketch memory tracked traffic volume: peak went {} → {} bytes when the \
-             matched volume grew {} → {}",
-            vi.peak_resident_bytes_small,
-            vi.peak_resident_bytes_large,
-            vi.matched_small,
-            vi.matched_large
-        ));
-    }
-
-    // Byte-accounting ceiling vs the committed study: the accounting is
-    // deterministic, so on identical parameters measured == committed; the
-    // 10% headroom only absorbs intentional layout-constant changes that
-    // ship with a regenerated baseline.
-    if let Some(baseline) = baseline {
-        for family in &report.families {
-            let Some(committed) = baseline.families.iter().find(|f| f.family == family.family)
-            else {
-                continue;
-            };
-            for point in &family.sweep {
-                let Some(twin) = committed.sweep.iter().find(|p| p.width == point.width) else {
-                    continue;
-                };
-                let ceiling = (twin.peak_resident_bytes as f64 * 1.10) as u64;
-                if point.peak_resident_bytes > ceiling {
-                    fail(&format!(
-                        "{} width {}: peak {} bytes above committed ceiling {} \
-                         (baseline {} × 1.10)",
-                        family.family,
-                        point.width,
-                        point.peak_resident_bytes,
-                        ceiling,
-                        twin.peak_resident_bytes
-                    ));
-                }
-            }
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = String::from("BENCH_sketch.json");
-    let mut baseline_path = String::from("BENCH_sketch.json");
-    let mut smoke = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| usage("--out needs a path"));
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_path = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| usage("--baseline needs a path"));
-            }
-            "--smoke" => smoke = true,
-            other => usage(&format!("unknown flag {other}")),
-        }
-        i += 1;
+    if std::env::args().len() > 1 {
+        eprintln!("usage: sketch_accuracy (no arguments; writes BENCH_sketch.json)");
+        std::process::exit(2);
     }
-
-    let widths: Vec<usize> = if smoke {
-        vec![WIDTHS[0], WIDTHS[WIDTHS.len() - 1]]
-    } else {
-        WIDTHS.to_vec()
-    };
-
     let report = Report {
         benchmark: "sketch_accuracy",
         available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        widths: widths.clone(),
-        families: cases()
-            .iter()
-            .map(|case| sweep_case(case, &widths))
-            .collect(),
+        widths: WIDTHS.to_vec(),
+        families: cases().iter().map(sweep_case).collect(),
         volume_independence: volume_probe(),
     };
-
-    if smoke {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .ok()
-            .and_then(|text| serde_json::from_str::<Baseline>(&text).ok());
-        if baseline.is_none() {
-            eprintln!(
-                "sketch_accuracy: no usable baseline at {baseline_path}; \
-                 gating on floors only"
-            );
-        }
-        gate(&report, baseline.as_ref());
-        println!("sketch_accuracy: OK");
-    } else {
-        gate(&report, None);
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&out_path, json + "\n")
-            .unwrap_or_else(|e| fail(&format!("cannot write {out_path}: {e}")));
-        println!("sketch_accuracy: wrote {out_path}");
-    }
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("sketch_accuracy: FAIL: {message}");
-    std::process::exit(1);
-}
-
-fn usage(message: &str) -> ! {
-    eprintln!("sketch_accuracy: {message}");
-    eprintln!("usage: sketch_accuracy [--out PATH] [--baseline PATH] [--smoke]");
-    std::process::exit(2);
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write("BENCH_sketch.json", json + "\n").expect("write BENCH_sketch.json");
+    println!("sketch_accuracy: wrote BENCH_sketch.json");
 }

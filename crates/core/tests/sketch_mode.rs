@@ -5,7 +5,10 @@
 //! same `CellQuality`, no error bound. A sketch that evicted, or one
 //! feeding a timing/multiplicity model, must never be silently wrong: every
 //! affected cell is flagged `CellQuality::Degraded` and carries a
-//! quantified `error_bound`.
+//! quantified `error_bound`. Memory is the sketch's other contract: the
+//! resident bytes stay under `cells × cell_budget_bytes`, do not grow with
+//! traffic volume, and stay within the accounting `BENCH_sketch.json`
+//! commits.
 
 use botmeter_core::{
     BotMeter, BotMeterConfig, CellQuality, ChartRequest, Error, Landscape, ModelKind,
@@ -16,6 +19,7 @@ use botmeter_matcher::{SketchStream, StreamQuality};
 use botmeter_obs::Obs;
 use botmeter_sim::ScenarioSpec;
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
+use serde::Deserialize;
 
 fn meter_and_sketch(
     family: DgaFamily,
@@ -194,4 +198,95 @@ fn mismatched_epoch_length_is_a_typed_error() {
         }
     );
     assert!(err.to_string().contains("epoch length"));
+}
+
+/// The ends of the `sketch_accuracy` width sweep, over both of its regimes
+/// (family, population, seed): newGoZ charted by the set-consuming MB,
+/// murofet by the multiplicity-consuming MP.
+fn sweep_ends() -> Vec<(DgaFamily, usize, SketchedTraffic)> {
+    let mut points = Vec::new();
+    for (family, population, seed) in [
+        (DgaFamily::new_goz(), 48, 21),
+        (DgaFamily::murofet(), 32, 9),
+    ] {
+        for width in [8, 16384] {
+            let (_, sketch, _) = meter_and_sketch(family.clone(), population, seed, 0..2, width);
+            points.push((family.clone(), width, sketch));
+        }
+    }
+    points
+}
+
+#[test]
+fn resident_bytes_stay_within_cells_times_the_cell_budget() {
+    for (family, width, sketch) in sweep_ends() {
+        let bound = sketch.cell_count() as u64 * sketch.config().cell_budget_bytes();
+        assert!(
+            sketch.peak_resident_bytes() <= bound,
+            "{} width {width}: peak {} bytes exceeds the O(cells × width) bound {bound}",
+            family.name(),
+            sketch.peak_resident_bytes()
+        );
+    }
+}
+
+#[test]
+fn a_saturated_sketch_does_not_grow_with_traffic_volume() {
+    let probe = |population| meter_and_sketch(DgaFamily::new_goz(), population, 21, 0..2, 8).1;
+    let (small, large) = (probe(48), probe(96));
+    assert!(
+        large.total() > small.total(),
+        "volume probe did not increase the matched volume"
+    );
+    assert_eq!(
+        large.peak_resident_bytes(),
+        small.peak_resident_bytes(),
+        "sketch memory tracked traffic volume: matched volume grew {} → {}",
+        small.total(),
+        large.total()
+    );
+}
+
+/// One sweep point of the committed study (extra keys ignored).
+#[derive(Deserialize)]
+struct CommittedPoint {
+    width: usize,
+    peak_resident_bytes: u64,
+}
+
+#[derive(Deserialize)]
+struct CommittedFamily {
+    family: String,
+    sweep: Vec<CommittedPoint>,
+}
+
+#[derive(Deserialize)]
+struct CommittedStudy {
+    families: Vec<CommittedFamily>,
+}
+
+#[test]
+fn resident_bytes_stay_within_the_committed_study() {
+    // The accounting is deterministic, so on the study's parameters
+    // measured == committed; the 10% headroom only absorbs intentional
+    // layout-constant changes that ship with a regenerated study.
+    let study: CommittedStudy = serde_json::from_str(include_str!("../../../BENCH_sketch.json"))
+        .expect("the committed study parses");
+    for (family, width, sketch) in sweep_ends() {
+        let committed = study
+            .families
+            .iter()
+            .find(|f| f.family == family.name())
+            .and_then(|f| f.sweep.iter().find(|p| p.width == width))
+            .unwrap_or_else(|| panic!("{} width {width} is in the study", family.name()))
+            .peak_resident_bytes;
+        let ceiling = (committed as f64 * 1.10) as u64;
+        assert!(
+            sketch.peak_resident_bytes() <= ceiling,
+            "{} width {width}: peak {} bytes above committed ceiling {ceiling} \
+             (study {committed} × 1.10)",
+            family.name(),
+            sketch.peak_resident_bytes()
+        );
+    }
 }

@@ -12,6 +12,9 @@
 //! of input if unpublished traffic remains (or nothing was ever published).
 //! It is a function of the feed and `--shard-records` alone, so the report
 //! lines are the same with and without `--data-dir`, and after any crash.
+//! A feed that ends early is a different feed: its end-of-input publish is
+//! real, and a later full refeed publishes one version more — the
+//! bit-identity contract covers crashes and signals, not truncated feeds.
 //!
 //! ```sh
 //! simulate --family newgoz --population 64 --epochs 7 | \
@@ -304,7 +307,7 @@ fn open_durable(
 
 /// Prints the final landscape and counters; optionally writes the
 /// snapshot to `final_snapshot` (atomically, via the storage layer) for
-/// byte-for-byte comparison by the chaos harness.
+/// byte-for-byte comparison by the chaos test.
 fn finish(daemon: &BotMeterDaemon, final_snapshot: Option<&str>) {
     if let Some((version, landscape)) = daemon.latest() {
         eprintln!("[botmeterd] final snapshot {version}:");

@@ -37,7 +37,6 @@ use crate::wal::crc32;
 use botmeter_core::{CellQuality, Landscape, LandscapeEntry, LandscapeVersion};
 use botmeter_dns::{ObservedLookup, ServerId, SimInstant};
 use botmeter_matcher::QualityCursorState;
-use botmeter_sketch::SketchState;
 use serde::{Deserialize, Serialize};
 use std::io;
 
@@ -125,11 +124,6 @@ pub struct EngineCheckpoint {
     pub snapshots: Vec<SnapshotCheckpoint>,
     /// The newest version ever published (survives eviction).
     pub newest_version: u64,
-    /// The constant-memory sketch sidecar, when the engine runs with one
-    /// (absent otherwise, keeping pre-sketch checkpoints readable and
-    /// non-sketch checkpoints byte-stable).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sketch: Option<SketchState>,
 }
 
 impl SnapshotCheckpoint {
@@ -414,7 +408,6 @@ mod tests {
                 }],
             }],
             newest_version: 2,
-            sketch: None,
         }
     }
 

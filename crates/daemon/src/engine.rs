@@ -24,9 +24,8 @@ use botmeter_core::{
 };
 use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{scan_hits, QualityCursor, StreamQuality};
+use botmeter_matcher::{scan_hits, QualityCursor};
 use botmeter_obs::Obs;
-use botmeter_sketch::{SketchConfig, SketchedTraffic};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -53,7 +52,6 @@ pub struct DaemonOptions {
     retention: usize,
     auto_publish: bool,
     obs: Obs,
-    sketch: Option<SketchConfig>,
 }
 
 impl DaemonOptions {
@@ -68,7 +66,6 @@ impl DaemonOptions {
             retention: 8,
             auto_publish: true,
             obs: Obs::noop(),
-            sketch: None,
         }
     }
 
@@ -116,26 +113,9 @@ impl DaemonOptions {
         self
     }
 
-    /// Runs a constant-memory sketch sidecar alongside the exact cell
-    /// ledger: every matched lookup is also folded into a
-    /// [`SketchedTraffic`] under `config`, checkpointed and recovered with
-    /// the rest of the engine state. The sidecar never changes published
-    /// snapshots — it is the bounded telemetry an operator can chart (or
-    /// ship) when the exact per-cell lookups are too big to keep.
-    #[must_use]
-    pub fn sketch(mut self, config: SketchConfig) -> Self {
-        self.sketch = Some(config);
-        self
-    }
-
     /// The configured epoch window.
     pub fn epoch_range(&self) -> Range<u64> {
         self.epochs.clone()
-    }
-
-    /// The sketch sidecar configuration, if one was requested.
-    pub fn sketch_config(&self) -> Option<SketchConfig> {
-        self.sketch
     }
 
     /// The attached observability handle (a noop handle by default).
@@ -240,7 +220,6 @@ pub struct BotMeterDaemon {
     auto_publish: bool,
     obs: Obs,
     cells: BTreeMap<(ServerId, u64), CellState>,
-    sketch: Option<SketchedTraffic>,
     cursor: QualityCursor,
     /// Latest timestamp seen on any matched lookup.
     head: Option<SimInstant>,
@@ -258,11 +237,10 @@ impl BotMeterDaemon {
     /// # Errors
     ///
     /// Whatever [`BotMeter::validate`] rejects — the validation a batch
-    /// chart over the same window (and sketch sidecar, if configured)
-    /// performs.
+    /// chart over the same window performs.
     pub fn new(meter: BotMeter, options: DaemonOptions) -> Result<Self, botmeter_core::Error> {
         let epochs = options.epoch_range();
-        let rate = meter.validate(&epochs, options.sketch.map(|c| c.epoch_len()))?;
+        let rate = meter.validate(&epochs, None)?;
         let matcher = meter.matcher_for(epochs.clone());
         let estimator = meter.resolve_model();
         let ctx = meter.estimation_context();
@@ -280,7 +258,6 @@ impl BotMeterDaemon {
             auto_publish: options.auto_publish,
             obs: options.obs,
             cells: BTreeMap::new(),
-            sketch: options.sketch.map(SketchedTraffic::new),
             cursor: QualityCursor::new(),
             head: None,
             prev_head_epoch: None,
@@ -306,14 +283,6 @@ impl BotMeterDaemon {
             self.cursor.note_matched(lookup);
             self.stats.matched += 1;
             self.head = Some(self.head.map_or(lookup.t, |h| h.max(lookup.t)));
-            // The sketch sidecar folds *every* matched lookup — exactly
-            // what a standalone `SketchStream` over the same window matcher
-            // would — so the two accumulate bit-identical state.
-            if let Some(sketch) = &mut self.sketch {
-                if sketch.push(lookup).evicted {
-                    self.obs.counter_add("sketch.hh_evictions", 1);
-                }
-            }
             let epoch = lookup.t.epoch_day(self.epoch_len);
             if !self.epochs.contains(&epoch) {
                 // Quality-counted (exactly like the batch scan) but
@@ -344,18 +313,11 @@ impl BotMeterDaemon {
             let matched = self.stats.matched - matched_before;
             if matched > 0 {
                 self.obs.counter_add("daemon.matched", matched);
-                if self.sketch.is_some() {
-                    self.obs.counter_add("sketch.ingest", matched);
-                }
             }
             self.obs.gauge_max(
                 "daemon.resident_records",
                 self.stats.resident_records as u64,
             );
-            if let Some(sketch) = &self.sketch {
-                self.obs
-                    .gauge_max("sketch.peak_resident_bytes", sketch.peak_resident_bytes());
-            }
         }
         let head_epoch = self.head_epoch();
         let advanced = match (self.prev_head_epoch, head_epoch) {
@@ -464,19 +426,6 @@ impl BotMeterDaemon {
         self.stats
     }
 
-    /// The constant-memory sketch sidecar, when one is configured. Chart
-    /// it with `ChartRequest::from_sketch(daemon.sketch()?)` paired with
-    /// [`stream_quality`](Self::stream_quality).
-    pub fn sketch(&self) -> Option<&SketchedTraffic> {
-        self.sketch.as_ref()
-    }
-
-    /// The stream-health summary accumulated so far — what a sketch-mode
-    /// chart over the sidecar should attach.
-    pub fn stream_quality(&self) -> StreamQuality {
-        self.cursor.quality()
-    }
-
     /// The epoch of the latest matched timestamp seen so far (`None`
     /// before any match).
     pub fn head_epoch(&self) -> Option<u64> {
@@ -517,7 +466,7 @@ impl BotMeterDaemon {
     /// deliberately excluded: results are policy-independent, so a daemon
     /// may restart with a different worker count.
     pub fn config_fingerprint(&self) -> String {
-        let mut fingerprint = format!(
+        format!(
             "family={};model={};epochs={}..{};close_lag={};rate={};retention={}",
             self.meter.config().family().name(),
             self.estimator.name(),
@@ -526,18 +475,7 @@ impl BotMeterDaemon {
             self.close_lag,
             self.rate.to_bits(),
             self.store.retention(),
-        );
-        // Appended only when a sidecar runs, so non-sketch daemons keep
-        // their historical fingerprint (and can load old checkpoints).
-        if let Some(sketch) = &self.sketch {
-            let config = sketch.config();
-            fingerprint.push_str(&format!(
-                ";sketch={}w{}p",
-                config.hh_width(),
-                config.hll_precision()
-            ));
-        }
-        fingerprint
+        )
     }
 
     /// Serializes the engine's complete recoverable state at journal
@@ -585,7 +523,6 @@ impl BotMeterDaemon {
                 })
                 .collect(),
             newest_version: self.store.newest_version().0,
-            sketch: self.sketch.as_ref().map(|s| s.to_state()),
         }
     }
 
@@ -632,11 +569,6 @@ impl BotMeterDaemon {
                 )
             })
             .collect();
-        if engine.sketch.is_some() {
-            if let Some(sketch) = &state.sketch {
-                engine.sketch = Some(SketchedTraffic::from_state(sketch.clone()));
-            }
-        }
         engine.cursor = QualityCursor::from_state(state.cursor.clone());
         engine.head = state.head;
         engine.prev_head_epoch = state.prev_head_epoch;
@@ -849,54 +781,11 @@ mod tests {
     }
 
     #[test]
-    fn sketch_sidecar_matches_stream_frontend_and_survives_checkpoint() {
-        let out = outcome(2);
-        let meter = BotMeter::new(BotMeterConfig::new(out.family().clone()));
-        let config = SketchConfig::new(meter.config().family().epoch_len())
-            .expect("valid epoch length")
-            .width(32)
-            .expect("valid width");
-        let options = || {
-            DaemonOptions::new(0..2)
-                .policy(ExecPolicy::Sequential)
-                .sketch(config)
-        };
-
-        // Reference: a standalone sketching frontend over the same window
-        // matcher must accumulate bit-identical state.
-        let matcher = meter.matcher_for(0..2);
-        let mut frontend = botmeter_matcher::SketchStream::new(&matcher, config, Obs::noop());
-        frontend.ingest(out.observed());
-        let (reference, reference_quality) = frontend.finish();
-        assert!(reference.total() > 0, "scenario produces matched traffic");
-
-        let mut daemon = BotMeterDaemon::new(meter.clone(), options()).expect("valid options");
-        let split = out.observed().len() / 2;
-        daemon.ingest(&out.observed()[..split]);
-        // Checkpoint mid-stream, restore into a fresh engine, and finish
-        // ingesting on both: states must stay bit-identical.
-        let checkpoint = daemon.checkpoint_state(1);
-        assert!(checkpoint.sketch.is_some(), "sidecar state is checkpointed");
-        let mut restored =
-            BotMeterDaemon::from_checkpoint(meter, options(), &checkpoint).expect("recoverable");
-        daemon.ingest(&out.observed()[split..]);
-        restored.ingest(&out.observed()[split..]);
-        assert_eq!(daemon.sketch(), restored.sketch());
-        assert_eq!(daemon.sketch(), Some(&reference));
-        assert_eq!(daemon.stream_quality(), reference_quality);
-        assert!(
-            daemon.config_fingerprint().contains(";sketch=32w"),
-            "sidecar is part of the recovery fingerprint"
-        );
-    }
-
-    #[test]
     fn sketchless_daemon_keeps_its_historical_fingerprint() {
         let out = outcome(1);
         let meter = BotMeter::new(BotMeterConfig::new(out.family().clone()));
         let daemon = BotMeterDaemon::new(meter, DaemonOptions::new(0..1)).expect("valid options");
         assert!(!daemon.config_fingerprint().contains("sketch"));
-        assert!(daemon.checkpoint_state(0).sketch.is_none());
     }
 
     #[test]

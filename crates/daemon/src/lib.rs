@@ -41,7 +41,6 @@ mod durable;
 mod engine;
 pub mod storage;
 mod store;
-pub mod synthetic;
 pub mod wal;
 
 pub use checkpoint::{CheckpointError, CheckpointManager, EngineCheckpoint};

@@ -7,10 +7,14 @@
 //! "Kill" here is in-process: the daemon is dropped without a shutdown
 //! flush, exactly what `kill -9` leaves on storage (journal yes, final
 //! checkpoint no). The process-level equivalent (real SIGKILL against the
-//! real binary) lives in the `daemon_chaos` harness.
+//! real binary) is `tests/daemon_chaos.rs`.
 
 use botmeter_core::{BotMeter, BotMeterConfig};
-use botmeter_daemon::{DaemonOptions, DurabilityOptions, DurableDaemon, MemStorage, Storage};
+use botmeter_daemon::checkpoint::decode_checkpoint;
+use botmeter_daemon::wal::crc32;
+use botmeter_daemon::{
+    DaemonOptions, DurabilityError, DurabilityOptions, DurableDaemon, MemStorage, Storage,
+};
 use botmeter_dga::DgaFamily;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
@@ -233,4 +237,59 @@ fn all_checkpoints_corrupt_fails_loudly() {
         msg.contains("no stored checkpoint is readable"),
         "unexpected error: {msg}"
     );
+}
+
+/// A data dir written while the engine could still run a sketch sidecar:
+/// its checkpoints carry a `;sketch=…` fingerprint suffix and a `"sketch"`
+/// body key. The sidecar is gone, so recovery refuses the dir with the
+/// typed mismatch instead of half-loading it.
+#[test]
+fn sidecar_era_data_dir_is_refused_with_a_config_mismatch() {
+    let family = DgaFamily::murofet();
+    let policy = ExecPolicy::Sequential;
+    let observed = stream(&family);
+    let (mut victim, _) = DurableDaemon::open(
+        meter(&family),
+        options(&policy),
+        MemStorage::new(),
+        durability(),
+    )
+    .expect("fresh open");
+    for shard in shards_of(&observed) {
+        victim.ingest(shard);
+    }
+    let mut storage = std::mem::take(victim.storage_mut());
+    drop(victim);
+
+    let names: Vec<String> = storage
+        .list()
+        .expect("list")
+        .into_iter()
+        .filter(|n| n.starts_with("checkpoint."))
+        .collect();
+    assert!(!names.is_empty(), "the run wrote checkpoints");
+    for name in names {
+        let mut state = decode_checkpoint(&storage.read(&name).expect("stored")).expect("intact");
+        state.config.push_str(";sketch=32w12p");
+        let mut body = serde_json::to_string(&state).expect("state serializes");
+        body.pop(); // the closing brace
+        body.push_str(r#","sketch":{"config":{"width":32,"precision":12},"total":0,"cells":[]}}"#);
+        let envelope = format!(
+            "BMCKPT01 {:08x} {}\n{body}",
+            crc32(body.as_bytes()),
+            body.len()
+        );
+        storage
+            .write_atomic(&name, envelope.as_bytes())
+            .expect("rewrite checkpoint");
+    }
+
+    let err = DurableDaemon::open(meter(&family), options(&policy), storage, durability())
+        .expect_err("a sidecar-era checkpoint must not load");
+    match err {
+        DurabilityError::ConfigMismatch { expected, found } => {
+            assert_eq!(found, format!("{expected};sketch=32w12p"));
+        }
+        other => panic!("expected ConfigMismatch, got {other}"),
+    }
 }

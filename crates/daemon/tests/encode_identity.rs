@@ -21,7 +21,6 @@ use botmeter_dga::DgaFamily;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
 use botmeter_sim::ScenarioSpec;
-use botmeter_sketch::SketchConfig;
 use oracle::de::assert_same_decode;
 
 const EPOCHS: u64 = 3;
@@ -91,46 +90,39 @@ fn journal_payloads_decode_as_the_tree_path_decoded_them() {
 }
 
 #[test]
-fn checkpoints_are_the_tree_paths_bytes_with_and_without_a_sketch_sidecar() {
+fn checkpoints_are_the_tree_paths_bytes() {
     for family in [DgaFamily::murofet(), DgaFamily::new_goz()] {
         let stream = observed(family.clone());
         let meter = BotMeter::new(BotMeterConfig::new(family.clone()));
-        let sketch = SketchConfig::new(family.epoch_len())
-            .expect("valid epoch length")
-            .width(32)
-            .expect("valid width");
-        let plain = DaemonOptions::new(0..EPOCHS).policy(ExecPolicy::Sequential);
-        for options in [plain.clone(), plain.sketch(sketch)] {
-            let mut engine = BotMeterDaemon::new(meter.clone(), options).expect("valid options");
-            // Fresh, mid-stream (resident lookups, dirty cells, a frozen
-            // epoch, retained snapshots) and fully published.
-            let mut states = vec![engine.checkpoint_state(0)];
-            for (seq, shard) in stream.chunks(stream.len() / 5 + 1).enumerate() {
-                engine.ingest(shard);
-                states.push(engine.checkpoint_state(seq as u64 + 1));
-            }
-            engine.publish_now();
-            states.push(engine.checkpoint_state(99));
-            assert!(states
-                .iter()
-                .any(|s| s.cells.iter().any(|c| !c.lookups.is_empty())));
-            assert!(states.iter().any(|s| !s.snapshots.is_empty()));
-            for state in &states {
-                assert_eq!(state.sketch.is_some(), engine.sketch().is_some());
-                let encoded = encode_checkpoint(state).expect("engine state serializes");
-                assert_eq!(encoded, tree_checkpoint(state), "{}", family.name());
-                assert_eq!(&decode_checkpoint(&encoded).expect("decodes"), state);
-                let body = &encoded[encoded.iter().position(|&b| b == b'\n').unwrap() + 1..];
-                assert_eq!(
-                    assert_same_decode::<EngineCheckpoint>(body).as_ref(),
-                    Some(state)
-                );
-            }
-            // The fullest body, damaged.
-            let body = oracle::tree_string(states.last().expect("states")).into_bytes();
-            for bytes in damaged(&body, 60) {
-                assert_same_decode::<EngineCheckpoint>(&bytes);
-            }
+        let options = DaemonOptions::new(0..EPOCHS).policy(ExecPolicy::Sequential);
+        let mut engine = BotMeterDaemon::new(meter, options).expect("valid options");
+        // Fresh, mid-stream (resident lookups, dirty cells, a frozen
+        // epoch, retained snapshots) and fully published.
+        let mut states = vec![engine.checkpoint_state(0)];
+        for (seq, shard) in stream.chunks(stream.len() / 5 + 1).enumerate() {
+            engine.ingest(shard);
+            states.push(engine.checkpoint_state(seq as u64 + 1));
+        }
+        engine.publish_now();
+        states.push(engine.checkpoint_state(99));
+        assert!(states
+            .iter()
+            .any(|s| s.cells.iter().any(|c| !c.lookups.is_empty())));
+        assert!(states.iter().any(|s| !s.snapshots.is_empty()));
+        for state in &states {
+            let encoded = encode_checkpoint(state).expect("engine state serializes");
+            assert_eq!(encoded, tree_checkpoint(state), "{}", family.name());
+            assert_eq!(&decode_checkpoint(&encoded).expect("decodes"), state);
+            let body = &encoded[encoded.iter().position(|&b| b == b'\n').unwrap() + 1..];
+            assert_eq!(
+                assert_same_decode::<EngineCheckpoint>(body).as_ref(),
+                Some(state)
+            );
+        }
+        // The fullest body, damaged.
+        let body = oracle::tree_string(states.last().expect("states")).into_bytes();
+        for bytes in damaged(&body, 60) {
+            assert_same_decode::<EngineCheckpoint>(&bytes);
         }
     }
 }

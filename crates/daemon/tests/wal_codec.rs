@@ -13,11 +13,13 @@
 //! Plus one pin on what goes *into* a frame: the payload
 //! `DurableDaemon::ingest` journals for a shard.
 
+mod common;
+
 use botmeter_core::{BotMeter, BotMeterConfig};
-use botmeter_daemon::synthetic::{epoch_traffic, SoakLayout};
 use botmeter_daemon::wal::{decode, encode_frame, encode_header, WAL_FILE};
 use botmeter_daemon::{DaemonOptions, DurabilityOptions, DurableDaemon, MemStorage, Storage};
 use botmeter_dga::DgaFamily;
+use common::{epoch_traffic, SoakLayout};
 use proptest::prelude::*;
 
 const HEADER_LEN: usize = 20;

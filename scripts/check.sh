@@ -14,15 +14,18 @@ echo "==> removed entry-point grep gate"
 # kernel), the kernel-quantization knob nobody set, botmeterd's second
 # feed loop, the pipeline mode that kept the raw trace, the sink trait
 # around a closure, the dns/obs capabilities nobody called, the second
-# gate binary and the interner's arena accessors. No file may mention the
-# old names.
+# gate binary, the interner's arena accessors, the daemon's public
+# test-traffic generator and its sketch sidecar's accessors. No file may
+# mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
 pattern+='|run_ephemeral|drain_shard'
 pattern+='|Materialize|ShardSink|FnSink|LocalResolver|from_recorder'
-# (the first name in two pieces, so a repo-wide grep for it finds nothing)
+# (names written in two pieces, so a repo-wide grep for them finds nothing)
 pattern+='|perf_''smoke|resolve_bytes|resolve_str|arena_bytes|tld_of|first_label_of|label_count_of'
+pattern+='|botmeter_daemon::''synthetic|fn stream_quality\(&self\)|\.stream_quality\(\)'
+pattern+='|sketch_config\(&self\)'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -132,8 +135,8 @@ fi
 echo "==> durable path writes into buffers (no serde_json::to_string in the daemon library)"
 # Journal frames and checkpoint bodies are serialized straight into the
 # buffer that goes to storage (`serde_json::to_writer`); a `to_string` on
-# that path is a payload-sized String and a copy per shard. The harness
-# bins under src/bin/ are not the durable path; `#[cfg(test)]` modules are
+# that path is a payload-sized String and a copy per shard. `botmeterd`
+# under src/bin/ is not the durable path; `#[cfg(test)]` modules are
 # skipped as in the unwrap gate.
 to_string_offenders=$(
   find crates/daemon/src -maxdepth 1 -name '*.rs' -print0 \
@@ -230,15 +233,6 @@ echo "==> perf (every gate in crates/bench/src/gates.rs against the committed BE
 # Measures once, prints one row per gate (name, measured, bound; what a
 # failure means under each failed row) and exits 1 if any row failed.
 ./target/release/perf
-
-echo "==> sketch accuracy smoke (ARE floors + constant-memory ceiling)"
-# Trimmed ARE-vs-width sweep of the sketch telemetry frontend. Fails if the
-# widest sketch loses set-based fidelity (mean ARE above 5% of exact mode),
-# if a saturated narrow sketch stops flagging its cells Degraded, if
-# sketch.peak_resident_bytes exceeds the cells x cell_budget_bytes ceiling
-# or the committed BENCH_sketch.json accounting, or if doubling the matched
-# volume moves a saturated sketch's resident footprint.
-./target/release/sketch_accuracy --smoke
 
 echo "==> benchmark contract (frozen benchmark/ builds and smoke-runs against these crates)"
 # benchmark/ is its own package with path dependencies on crates/*; the
