@@ -1,24 +1,30 @@
 //! ARE-vs-width study for the constant-memory sketch telemetry frontend.
 //!
-//! Sweeps the bottom-k width over two family/model regimes — newGoZ
-//! (Bernoulli MB, set-consuming: wide sketches chart bit-identically) and
-//! murofet (Poisson MP, multiplicity-consuming: always flagged Degraded) —
-//! charting each width from the sketch and comparing cell-by-cell against
-//! the exact-mode landscape. Also records the deterministic
-//! `sketch.peak_resident_bytes` accounting beside its
-//! `cells × cell_budget_bytes` ceiling, plus a volume-independence probe:
-//! the same saturated sketch over twice the bot population (≈2× matched
-//! volume).
+//! Sweeps the bottom-k width over three family/model cases — newGoZ under
+//! its default Bernoulli `MB` (positions lane: a lossy cell is `Invalid`),
+//! newGoZ under a forced Coverage `MC` (volume lane: a lossy cell is
+//! scaled from the sample and `Degraded`) and murofet under its default
+//! Poisson `MP` (lookups lane: refused) — charting each width from the
+//! sketch and comparing cell by cell against the exact-mode landscape,
+//! whose own ARE against the simulator's ground truth sits beside every
+//! row. Also records the deterministic `sketch.peak_resident_bytes`
+//! accounting beside its `cells × cell_budget_bytes` ceiling, plus a
+//! volume-independence probe: the same saturated sketch over twice the bot
+//! population (≈2× matched volume).
 //!
 //! Takes no arguments (any argument exits 2) and writes the study to
 //! `BENCH_sketch.json` in the working directory. The floors it is held to
-//! — fidelity at the widest width, `Degraded` cells at the narrowest, the
-//! byte ceiling, volume independence and the committed accounting — are
-//! cases of `crates/core/tests/sketch_mode.rs`.
+//! — exact or refused at the widest width, `Invalid` positions cells at
+//! the narrowest, `MC` error non-increasing in width, the byte ceiling,
+//! volume independence and the committed accounting — are cases of
+//! `crates/core/tests/sketch_mode.rs`.
 //!
 //! Usage: `sketch_accuracy`.
 
-use botmeter_core::{BotMeter, BotMeterConfig, CellQuality, ChartRequest, Landscape};
+use botmeter_core::{
+    absolute_relative_error, BotMeter, BotMeterConfig, CellQuality, ChartRequest, Landscape,
+    ModelKind,
+};
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_matcher::SketchStream;
@@ -49,15 +55,21 @@ struct FamilyReport {
     observed_lookups: usize,
     matched_total: u64,
     exact_cells: usize,
+    /// Why sketch mode refuses the model, when it does.
+    refused: Option<String>,
     sweep: Vec<SweepPoint>,
 }
 
 #[derive(Serialize)]
 struct SweepPoint {
     width: usize,
-    mean_are: f64,
-    max_are: f64,
+    /// Sketch-mode ARE against exact mode (`null` when refused).
+    mean_are: Option<f64>,
+    max_are: Option<f64>,
+    /// Exact-mode ARE against the ground truth, over the same cells.
+    exact_are: f64,
     degraded_cells: usize,
+    invalid_cells: usize,
     lossy: bool,
     cells: usize,
     peak_resident_bytes: u64,
@@ -79,28 +91,24 @@ struct VolumeIndependence {
 
 struct Case {
     family: DgaFamily,
-    model: &'static str,
+    model: ModelKind,
     population: u64,
     seed: u64,
     epochs: u64,
 }
 
 fn cases() -> Vec<Case> {
+    let case = |family, model, population, seed| Case {
+        family,
+        model,
+        population,
+        seed,
+        epochs: 2,
+    };
     vec![
-        Case {
-            family: DgaFamily::new_goz(),
-            model: "Bernoulli",
-            population: 48,
-            seed: 21,
-            epochs: 2,
-        },
-        Case {
-            family: DgaFamily::murofet(),
-            model: "Poisson",
-            population: 32,
-            seed: 9,
-            epochs: 2,
-        },
+        case(DgaFamily::new_goz(), ModelKind::Auto, 48, 21),
+        case(DgaFamily::new_goz(), ModelKind::Coverage, 48, 21),
+        case(DgaFamily::murofet(), ModelKind::Auto, 32, 9),
     ]
 }
 
@@ -162,35 +170,55 @@ fn are_against(exact: &Landscape, sketched: &Landscape) -> (f64, f64) {
     (mean, max)
 }
 
+/// Mean absolute relative error of `exact` against the simulator's
+/// per-epoch ground truth (one server, so one cell per epoch).
+fn are_against_truth(exact: &Landscape, outcome: &ScenarioOutcome) -> f64 {
+    let truth = outcome.ground_truth();
+    let cells: Vec<f64> = exact
+        .entries()
+        .iter()
+        .map(|c| absolute_relative_error(c.estimate, truth[c.epoch as usize] as f64))
+        .collect();
+    cells.iter().sum::<f64>() / cells.len().max(1) as f64
+}
+
 fn sweep_case(case: &Case) -> FamilyReport {
     let outcome = run_scenario(&case.family, case.population, case.seed, case.epochs);
-    let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
+    let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()).model(case.model));
     let exact = meter.chart_with(
         &ChartRequest::new(outcome.observed())
             .epochs(0..case.epochs)
             .policy(ExecPolicy::Sequential),
     );
+    let exact_are = are_against_truth(&exact, &outcome);
 
     let mut sweep = Vec::with_capacity(WIDTHS.len());
     let mut matched_total = 0;
+    let mut refused = None;
     for width in WIDTHS {
         let sketch = build_sketch(&meter, &outcome, case.epochs, width);
         matched_total = sketch.total();
-        let sketched = meter
-            .try_chart_with(&ChartRequest::from_sketch(&sketch).epochs(0..case.epochs))
-            .expect("sketch epoch length matches the family");
-        let (mean_are, max_are) = are_against(&exact, &sketched);
-        let degraded = sketched
-            .entries()
-            .iter()
-            .filter(|c| c.quality == CellQuality::Degraded)
-            .count();
+        let request = ChartRequest::from_sketch(&sketch).epochs(0..case.epochs);
+        let sketched = match meter.try_chart_with(&request) {
+            Ok(landscape) => Some(landscape),
+            Err(err) => {
+                refused = Some(err.to_string());
+                None
+            }
+        };
+        let are = sketched.as_ref().map(|s| are_against(&exact, s));
+        let count = |quality| {
+            let cells = sketched.as_ref().map_or(&[][..], |l| l.entries());
+            cells.iter().filter(|c| c.quality == quality).count()
+        };
         let budget = sketch.config().cell_budget_bytes();
         let point = SweepPoint {
             width,
-            mean_are,
-            max_are,
-            degraded_cells: degraded,
+            mean_are: are.map(|(mean, _)| mean),
+            max_are: are.map(|(_, max)| max),
+            exact_are,
+            degraded_cells: count(CellQuality::Degraded),
+            invalid_cells: count(CellQuality::Invalid),
             lossy: sketch.any_lossy(),
             cells: sketch.cell_count(),
             peak_resident_bytes: sketch.peak_resident_bytes(),
@@ -198,12 +226,14 @@ fn sweep_case(case: &Case) -> FamilyReport {
             resident_bound_bytes: sketch.cell_count() as u64 * budget,
         };
         eprintln!(
-            "sketch_accuracy: {} width {width}: mean ARE {:.4}, max ARE {:.4}, \
-             {} degraded / {} cells, peak {} bytes (bound {})",
+            "sketch_accuracy: {} / {} width {width}: mean ARE {:?} (exact {:.4}), \
+             {} degraded + {} invalid / {} cells, peak {} bytes (bound {})",
             case.family.name(),
+            meter.resolve_model().name(),
             point.mean_are,
-            point.max_are,
+            point.exact_are,
             point.degraded_cells,
+            point.invalid_cells,
             point.cells,
             point.peak_resident_bytes,
             point.resident_bound_bytes,
@@ -213,13 +243,14 @@ fn sweep_case(case: &Case) -> FamilyReport {
 
     FamilyReport {
         family: case.family.name().to_owned(),
-        model: case.model,
+        model: meter.resolve_model().name(),
         population: case.population,
         seed: case.seed,
         epochs: case.epochs,
         observed_lookups: outcome.observed().len(),
         matched_total,
         exact_cells: exact.len(),
+        refused,
         sweep,
     }
 }

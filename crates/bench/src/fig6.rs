@@ -17,8 +17,9 @@
 use crate::render::TextTable;
 use crate::sweep::{run_trials_with, SweepPoint};
 use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, CoverageEstimator, EstimationContext, Estimator,
-    PoissonEstimator, SamplingEstimator, TimingEstimator, WindowOccupancyEstimator,
+    absolute_relative_error, BernoulliEstimator, CellStats, CoverageEstimator, EstimationContext,
+    Estimator, Lane, PoissonEstimator, SamplingEstimator, TimingEstimator,
+    WindowOccupancyEstimator,
 };
 use botmeter_dga::{BarrelClass, DgaFamily};
 use botmeter_dns::{ObservedLookup, SimDuration, TtlPolicy};
@@ -147,8 +148,11 @@ impl Estimator for NaiveBernoulli {
     fn name(&self) -> &'static str {
         "Bernoulli-naive"
     }
-    fn estimate(&self, lookups: &[botmeter_dns::ObservedLookup], ctx: &EstimationContext) -> f64 {
-        BernoulliEstimator::window_naive().estimate(lookups, ctx)
+    fn lanes(&self) -> &'static [Lane] {
+        BernoulliEstimator::window_naive().lanes()
+    }
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        BernoulliEstimator::window_naive().estimate_cell(cell, ctx)
     }
 }
 

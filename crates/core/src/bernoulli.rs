@@ -3,17 +3,16 @@
 //! The density fixpoint has one driver: the lockstep loop in
 //! [`Estimator::estimate_batch`], which advances every cell of a chart
 //! round by round over the shared segment-kernel cache.
-//! [`Estimator::estimate`] is that loop on a batch of one.
+//! [`Estimator::estimate_cell`] is that loop on a batch of one.
 
 use crate::config::EstimationContext;
-use crate::estimator::{CellSlice, Estimator};
+use crate::estimator::{CellStats, Estimator, Lane};
 use crate::kernel::{KernelKey, ShapeKey};
 use crate::segments::{extract_segments, Segment};
 use crate::theorem1::KernelStats;
-use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::{saturating_ns, Obs};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// `MB`: the estimator for randomcut-barrel DGAs (`AR`, e.g. newGoZ).
 ///
@@ -155,29 +154,16 @@ impl BernoulliEstimator {
     }
 
     /// Extracts one cell's segments and fixpoint seed; `None` when the
-    /// cell contributes nothing (no in-pool NXD sightings).
-    fn plan(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> Option<CellPlan> {
-        if lookups.is_empty() {
-            return None;
-        }
-        let family = ctx.family();
-        let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let index = ctx.pool_index(epoch);
-        let pool = index.pool();
-
-        // Distinct observed NXD positions (valid-domain sightings carry no
-        // segment information; domains from other epochs' pools are dropped).
-        let mut nxd_positions: BTreeSet<usize> = BTreeSet::new();
-        for lookup in lookups {
-            if let Some(i) = index.position(&lookup.domain) {
-                if !index.is_valid(i) {
-                    nxd_positions.insert(i);
-                }
-            }
-        }
+    /// cell contributes nothing (no in-pool NXD sightings) or cannot fill
+    /// its positions lane.
+    fn plan(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> Option<CellPlan> {
+        let nxd_positions = cell.positions(ctx)?;
         if nxd_positions.is_empty() {
             return None;
         }
+        let family = ctx.family();
+        let index = ctx.pool_index(cell.epoch());
+        let pool = index.pool();
         // With an imperfect D3 detection window, positions outside the
         // window are simply *unobservable* — treating them as "not
         // queried" would shatter every covered arc into one fragment per
@@ -210,7 +196,7 @@ impl BernoulliEstimator {
                     .max(1.0) as usize;
                 (positions, valid_c, kept, scaled)
             } else {
-                let positions: Vec<usize> = nxd_positions.into_iter().collect();
+                let positions = nxd_positions.into_owned();
                 let valid = index.valid().to_vec();
                 (positions, valid, pool.len(), family.params().theta_q())
             };
@@ -242,14 +228,21 @@ impl Estimator for BernoulliEstimator {
         "Bernoulli"
     }
 
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Positions]
+    }
+
     /// The one-cell, [`ExecPolicy::Sequential`], unobserved call of
     /// [`estimate_batch`](Self::estimate_batch): `MB`'s density fixpoint is
     /// driven from one place, so a cell estimated alone cannot drift from
     /// the same cell estimated inside a chart.
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        // The epoch only labels a latency histogram, which `noop` drops.
-        let cell = CellSlice { epoch: 0, lookups };
-        self.estimate_batch(&[cell], ctx, ExecPolicy::Sequential, &Obs::noop())[0]
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        self.estimate_batch(
+            std::slice::from_ref(cell),
+            ctx,
+            ExecPolicy::Sequential,
+            &Obs::noop(),
+        )[0]
     }
 
     /// Per-*segment* batch scheduling: all cells advance through the
@@ -270,10 +263,10 @@ impl Estimator for BernoulliEstimator {
     /// at every round barrier, and the `chart.kernel.*` /
     /// `chart.segments.scheduled` counters are all independent of
     /// [`ExecPolicy`] and of which other cells share the batch:
-    /// [`estimate`](Self::estimate) is this function on one cell.
+    /// [`estimate_cell`](Self::estimate_cell) is this function on one cell.
     fn estimate_batch(
         &self,
-        cells: &[CellSlice<'_>],
+        cells: &[CellStats<'_>],
         ctx: &EstimationContext,
         policy: ExecPolicy,
         obs: &Obs,
@@ -281,12 +274,12 @@ impl Estimator for BernoulliEstimator {
         let tables = ctx.tables();
         let cache = ctx.kernel_cache();
 
-        // Phase A: per-cell planning (pool indexing + segment extraction),
-        // one task per cell.
+        // Phase A: per-cell planning (the positions lane + segment
+        // extraction), one task per cell.
         let mut cell_ns = vec![0u64; cells.len()];
         let plan_cell = |i: usize| -> (Option<CellPlan>, u64) {
             let start = obs.clock();
-            let plan = self.plan(cells[i].lookups, ctx);
+            let plan = self.plan(&cells[i], ctx);
             let ns = start.map_or(0, |t| saturating_ns(t.elapsed()));
             (plan, ns)
         };
@@ -472,7 +465,7 @@ impl Estimator for BernoulliEstimator {
         if obs.enabled() {
             for (cell, &ns) in cells.iter().zip(&cell_ns) {
                 obs.observe_ns("chart.estimate_ns", ns);
-                obs.observe_ns(&format!("chart.epoch{}.estimate_ns", cell.epoch), ns);
+                obs.observe_ns(&format!("chart.epoch{}.estimate_ns", cell.epoch()), ns);
             }
         }
         estimates
@@ -484,8 +477,9 @@ mod tests {
     use super::*;
     use crate::absolute_relative_error;
     use botmeter_dga::DgaFamily;
-    use botmeter_dns::{ServerId, SimDuration, SimInstant, TtlPolicy};
+    use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
     use botmeter_sim::ScenarioSpec;
+    use std::collections::BTreeSet;
 
     fn ctx(family: DgaFamily) -> EstimationContext {
         EstimationContext::new(
@@ -610,7 +604,7 @@ mod tests {
         };
         let (small, large) = (cell(8, 3), cell(48, 4));
         let mb = BernoulliEstimator::default();
-        let slice = |lookups| CellSlice { epoch: 0, lookups };
+        let slice = |lookups| CellStats::exact(0, lookups);
         for (first, second) in [(&small, &large), (&large, &small)] {
             // Alone first, then batched, on one shared context — and the
             // other way round on another — so neither a warm nor a cold

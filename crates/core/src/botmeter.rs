@@ -8,18 +8,17 @@
 use crate::bernoulli::BernoulliEstimator;
 use crate::config::{EpochPool, EstimationContext, PoolIndex, PoolTable};
 use crate::coverage::CoverageEstimator;
-use crate::estimator::{CellSlice, Estimator};
+use crate::estimator::{CellStats, Estimator, Lane};
 use crate::poisson::PoissonEstimator;
 use crate::request::{ChartRequest, TelemetrySource};
 use crate::timing::TimingEstimator;
 use botmeter_dga::{BarrelClass, DgaFamily};
-use botmeter_dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
+use botmeter_dns::{ObservedLookup, ServerId, SimDuration, TtlPolicy};
 use botmeter_exec::ExecPolicy;
 use botmeter_matcher::{
     match_stream_recorded, DomainMatcher, ExactMatcher, MatchedTraffic, StreamQuality,
 };
 use botmeter_obs::Obs;
-use botmeter_sketch::SketchedTraffic;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
@@ -27,10 +26,9 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// One (server, epoch) cell awaiting estimation: its matched lookups —
-/// borrowed from the telemetry source where it holds them contiguously —
-/// and the sketch error bound (`None` for exact telemetry).
-type Cell<'a> = (ServerId, u64, Cow<'a, [ObservedLookup]>, Option<f64>);
+/// One exact (server, epoch) cell: its matched lookups, borrowed from the
+/// telemetry source where it holds them contiguously.
+type Cell<'a> = (ServerId, u64, Cow<'a, [ObservedLookup]>);
 
 /// Invalid analyst-supplied parameters, reported by
 /// [`BotMeter::try_chart_with`] instead of panicking.
@@ -59,6 +57,14 @@ pub enum Error {
         /// The family's epoch length in milliseconds.
         family_ms: u64,
     },
+    /// The model reads a [`Lane`] that sketch telemetry never fills, so a
+    /// sketch cannot be charted with it.
+    LaneNotInSketch {
+        /// The model's display name.
+        model: &'static str,
+        /// The lane it reads.
+        lane: Lane,
+    },
 }
 
 impl fmt::Display for Error {
@@ -77,6 +83,10 @@ impl fmt::Display for Error {
             } => write!(
                 f,
                 "sketch epoch length {sketch_ms} ms does not match the family's {family_ms} ms"
+            ),
+            Error::LaneNotInSketch { model, lane } => write!(
+                f,
+                "the {model} model reads the {lane} lane, which sketch telemetry does not fill"
             ),
         }
     }
@@ -99,8 +109,9 @@ pub enum CellQuality {
     /// or duplication anomalies) or rescaled for partial delivery — usable
     /// but with widened error bars.
     Degraded,
-    /// The raw estimate was non-finite or negative and has been clamped to
-    /// `0.0`; do not act on this cell.
+    /// The raw estimate was non-finite or negative, or the telemetry could
+    /// not fill a lane the model reads; the estimate is clamped to `0.0`.
+    /// Do not act on this cell.
     Invalid,
 }
 
@@ -296,9 +307,9 @@ impl LandscapeEntry {
     /// [`CellQuality::Degraded`] when any of these holds: delivery was
     /// partial (`rate < 1`), the matched `stream` showed ordering or
     /// duplication anomalies, records for the cell arrived after its epoch
-    /// was frozen and were dropped (`stale`), or sketch telemetry could not
-    /// reproduce the cell's exact matched substream (`sketch_bound` is
-    /// `Some`, and becomes the entry's `error_bound`).
+    /// was frozen and were dropped (`stale`), or the cell's lanes were
+    /// estimated from a lossy sketch (`sketch_bound` is `Some`, and becomes
+    /// the entry's `error_bound`).
     pub fn from_raw(
         server: ServerId,
         epoch: u64,
@@ -670,9 +681,13 @@ impl BotMeter {
 
     /// [`chart_with`](Self::chart_with) with parameter validation
     /// ([`validate`](Self::validate)): rejects a non-finite or out-of-range
-    /// delivery rate, an empty epoch range and a sketch accumulated under
-    /// another epoch length with a typed [`Error`] instead of panicking or
-    /// silently returning nothing.
+    /// delivery rate, an empty epoch range, a sketch accumulated under
+    /// another epoch length and a sketch charted by a model that reads
+    /// lookups with a typed [`Error`] instead of panicking or silently
+    /// returning nothing.
+    ///
+    /// A sketch cell that cannot fill a lane the model reads (a lossy cell
+    /// has no positions) is [`CellQuality::Invalid`].
     pub fn try_chart_with(&self, request: &ChartRequest<'_>) -> Result<Landscape, Error> {
         let epochs = request.epoch_range();
         let sketch_epoch_len = match request.source() {
@@ -685,37 +700,45 @@ impl BotMeter {
         let epoch_len = self.config.family.epoch_len();
         let ctx = self.estimation_context();
 
-        // Resolve the telemetry source into per-cell lookup slices plus a
+        // Resolve the telemetry source into per-cell statistics plus a
         // stream-health summary. Cells are collected in (server asc, epoch
         // asc) order in every arm, which fixes the entry order of the
-        // landscape independently of how they are estimated. The fourth
-        // component is the sketch error bound: `Some` marks a cell whose
-        // estimate may deviate from exact mode (flagged Degraded below).
+        // landscape independently of how they are estimated.
         let matched_here;
         // Lives to the end of the chart: the matcher pins the pools the
         // estimators below index.
         let matcher_here;
-        let (cells, stream_quality) = match request.source() {
+        let sliced;
+        let ((servers, cells), stream_quality) = match request.source() {
             TelemetrySource::Observed(observed) => {
                 matcher_here = self.matcher_under(epochs.clone(), policy);
                 matched_here = match_stream_recorded(observed, &matcher_here, policy, &self.obs);
-                (
-                    Self::slice_cells(&matched_here, &epochs, epoch_len),
-                    matched_here.quality(),
-                )
+                sliced = Self::slice_cells(&matched_here, &epochs, epoch_len);
+                (Self::exact_cells(&sliced), matched_here.quality())
             }
-            TelemetrySource::Matched(filtered) => (
-                Self::slice_cells(filtered, &epochs, epoch_len),
-                filtered.quality(),
-            ),
+            TelemetrySource::Matched(filtered) => {
+                sliced = Self::slice_cells(filtered, &epochs, epoch_len);
+                (Self::exact_cells(&sliced), filtered.quality())
+            }
             TelemetrySource::Sketch(sketch) => {
-                // Set-consuming models (the Bernoulli MB works on the
-                // *set* of distinct NXDs per cell) are exact as long as
-                // the cell never evicted; everything that reads timing or
-                // multiplicity is approximate under sketch telemetry.
-                let set_based = estimator.name() == "Bernoulli";
-                let quality = request.attached_stream_quality().unwrap_or_default();
-                (Self::sketch_cells(sketch, &epochs, set_based), quality)
+                // A sketch never fills the lookups lane: refuse a model that
+                // reads it before estimating anything.
+                if estimator.lanes().contains(&Lane::Lookups) {
+                    return Err(Error::LaneNotInSketch {
+                        model: estimator.name(),
+                        lane: Lane::Lookups,
+                    });
+                }
+                let width = sketch.config().hh_width();
+                let cells = sketch
+                    .cells()
+                    .filter(|(_, epoch, _)| epochs.contains(epoch))
+                    .map(|(server, epoch, cell)| {
+                        let index = ctx.pool_index(epoch);
+                        (server, CellStats::from_sketch(epoch, cell, &index, width))
+                    })
+                    .unzip();
+                (cells, request.attached_stream_quality().unwrap_or_default())
             }
             // `TelemetrySource` is non-exhaustive for future frontends;
             // charting an unknown source would be silently wrong.
@@ -733,26 +756,24 @@ impl BotMeter {
         // under `policy` (per cell by default; per segment for the
         // Bernoulli model) and reports the per-cell latency into the
         // global and per-epoch `estimate_ns` histograms.
-        let cell_slices: Vec<CellSlice<'_>> = cells
-            .iter()
-            .map(|(_, epoch, slice, _)| CellSlice {
-                epoch: *epoch,
-                lookups: slice,
-            })
-            .collect();
-        let estimates: Vec<f64> = estimator.estimate_batch(&cell_slices, &ctx, policy, &self.obs);
-        let entries: Vec<LandscapeEntry> = cells
+        let estimates: Vec<f64> = estimator.estimate_batch(&cells, &ctx, policy, &self.obs);
+        let lanes = estimator.lanes();
+        let entries: Vec<LandscapeEntry> = servers
             .into_iter()
+            .zip(&cells)
             .zip(estimates)
-            .map(|((server, epoch, _, sketch_bound), raw)| {
+            .map(|((server, stats), raw)| {
+                // A cell that cannot fill a lane its model reads has no
+                // estimate: the cell rule clamps NaN to an Invalid zero.
+                let raw = if stats.fills(lanes) { raw } else { f64::NAN };
                 LandscapeEntry::from_raw(
                     server,
-                    epoch,
+                    stats.epoch(),
                     raw,
                     rate,
                     &stream_quality,
                     false,
-                    sketch_bound,
+                    stats.error_bound(),
                 )
             })
             .collect();
@@ -775,9 +796,16 @@ impl BotMeter {
         Ok(Landscape { entries })
     }
 
+    /// The servers and exact cells of sliced matched traffic.
+    fn exact_cells<'a>(sliced: &'a [Cell<'_>]) -> (Vec<ServerId>, Vec<CellStats<'a>>) {
+        let cells = sliced.iter();
+        cells
+            .map(|(server, epoch, lookups)| (*server, CellStats::exact(*epoch, lookups)))
+            .unzip()
+    }
+
     /// Slices exact matched traffic per (server, epoch) cell, preserving
-    /// the per-server arrival order of the matched substream. Exact cells
-    /// carry no sketch error bound.
+    /// the per-server arrival order of the matched substream.
     ///
     /// One pass per server splits its substream into maximal runs of
     /// consecutive same-epoch lookups. An epoch whose lookups form a single
@@ -814,77 +842,8 @@ impl BotMeter {
                             .collect(),
                     ),
                 };
-                cells.push((server, epoch, slice, None));
+                cells.push((server, epoch, slice));
             }
-        }
-        cells
-    }
-
-    /// Synthesizes per-cell lookup slices from sketch telemetry.
-    ///
-    /// Each retained domain contributes its first sighting, plus its last
-    /// when it recurred, ordered by `(time, hash rank, domain)` — a pure
-    /// function of the sketch state, so charting is deterministic no
-    /// matter how the sketch was accumulated. Set-consuming estimators
-    /// over a never-lossy cell see exactly the distinct-domain set the
-    /// exact pipeline would, and get no error bound; every other
-    /// combination gets a quantified bound (and a `Degraded` flag): the
-    /// bottom-k distinct-count relative error `1/sqrt(width-2)` when the
-    /// cell evicted, widened by the fraction of matched volume the
-    /// synthesis could not replay for timing/multiplicity models.
-    fn sketch_cells(
-        sketch: &SketchedTraffic,
-        epochs: &Range<u64>,
-        set_based: bool,
-    ) -> Vec<Cell<'static>> {
-        let width = sketch.config().hh_width();
-        let mut cells = Vec::new();
-        for (server, epoch, cell) in sketch.cells() {
-            if !epochs.contains(&epoch) {
-                continue;
-            }
-            let mut events: Vec<(u64, u64, &DomainName)> = Vec::new();
-            for r in cell.retained_domains() {
-                events.push((r.first_ms, r.rank, r.domain));
-                if r.count >= 2 && r.last_ms > r.first_ms {
-                    events.push((r.last_ms, r.rank, r.domain));
-                }
-            }
-            if events.is_empty() {
-                continue;
-            }
-            events.sort();
-            let emitted = events.len() as u64;
-            let slice: Vec<ObservedLookup> = events
-                .into_iter()
-                .map(|(t, _, domain)| {
-                    ObservedLookup::new(SimInstant::from_millis(t), server, domain.clone())
-                })
-                .collect();
-            let bound = if set_based && !cell.is_lossy() {
-                None
-            } else {
-                // Telemetry-level relative error: the KMV distinct-count
-                // error, the fraction of the distinct set truncated away
-                // (lossy cells hand the model `width` of ≈`distinct`
-                // domains), and — for models that read multiplicity or
-                // timing — the fraction of sightings collapsed by the
-                // first/last compression. Nonlinear models can amplify
-                // this beyond the bound; the `Degraded` flag, not the
-                // number, is the "do not trust blindly" signal.
-                let mut bound = cell.distinct_error_bound(width);
-                if cell.is_lossy() {
-                    let distinct = cell.distinct_estimate().max(1.0);
-                    let set_loss = 1.0 - cell.retained() as f64 / distinct;
-                    bound = bound.max(set_loss.clamp(0.0, 1.0));
-                }
-                if !set_based {
-                    let lost = 1.0 - emitted as f64 / cell.total().max(1) as f64;
-                    bound = bound.max(lost.clamp(0.0, 1.0));
-                }
-                Some(bound)
-            };
-            cells.push((server, epoch, Cow::Owned(slice), bound));
         }
         cells
     }
@@ -932,6 +891,7 @@ impl DomainMatcher for ChartMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botmeter_dns::SimInstant;
     use botmeter_exec::ExecPolicy;
     use botmeter_sim::ScenarioSpec;
 
@@ -1343,12 +1303,9 @@ mod tests {
                 }
             }
             assert_eq!(reference.len(), 14, "3 × 5 cells minus server 2's epoch 2");
-            let slices: Vec<CellSlice<'_>> = reference
+            let slices: Vec<CellStats<'_>> = reference
                 .iter()
-                .map(|(_, epoch, cell)| CellSlice {
-                    epoch: *epoch,
-                    lookups: cell,
-                })
+                .map(|(_, epoch, cell)| CellStats::exact(*epoch, cell))
                 .collect();
             let estimates = meter.resolve_model().estimate_batch(
                 &slices,

@@ -2,7 +2,7 @@
 
 use crate::kernel::SegmentKernelCache;
 use botmeter_dga::DgaFamily;
-use botmeter_dns::{DomainName, FxHashMap, ObservedLookup, SimDuration, TtlPolicy};
+use botmeter_dns::{DomainName, FxHashMap, SimDuration, TtlPolicy};
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use botmeter_stats::SharedStirling;
@@ -20,12 +20,13 @@ pub(crate) struct EpochPool {
     valid: Vec<usize>,
 }
 
-/// One epoch's query pool, indexed the way the set-statistic estimators
-/// (`MB`, `MC`, `MS`) read it: by position and by name, with the
-/// registered (valid) positions beside it. Handed out by
-/// [`EstimationContext::pool_index`]; the name → position map is built by
-/// the first [`position`](Self::position) call, so a chart that never asks
-/// for one (`MP`, `MT`) never pays for it.
+/// One epoch's query pool, indexed by position and by name, with the
+/// registered (valid) positions beside it: what a
+/// [`CellStats`](crate::CellStats) derives its positions, distinct and
+/// volume lanes against. Handed out by [`EstimationContext::pool_index`];
+/// the name → position map is built by the first
+/// [`position`](Self::position) call, so a chart whose model reads only
+/// lookups (`MP`, `MT`) never pays for it.
 #[derive(Debug)]
 pub struct PoolIndex {
     pub(crate) pool: Arc<EpochPool>,
@@ -295,20 +296,12 @@ impl EstimationContext {
             .as_ref()
             .is_none_or(|w| w.contains(domain))
     }
-
-    /// The epoch the (single-epoch) lookup slice belongs to: the epoch of
-    /// its first lookup. `None` for an empty slice.
-    pub fn epoch_of(&self, lookups: &[ObservedLookup]) -> Option<u64> {
-        lookups
-            .first()
-            .map(|l| l.t.epoch_day(self.family.epoch_len()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botmeter_dns::{ServerId, SimInstant};
+    use botmeter_dns::{ObservedLookup, ServerId, SimInstant};
 
     #[test]
     fn accessors_and_defaults() {
@@ -334,22 +327,6 @@ mod tests {
         assert!(ctx.detectable(&"a.example".parse().unwrap()));
         assert!(!ctx.detectable(&"b.example".parse().unwrap()));
         assert_eq!(ctx.detection_window().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn epoch_of_lookup_slices() {
-        let ctx = EstimationContext::new(
-            DgaFamily::murofet(),
-            TtlPolicy::paper_default(),
-            SimDuration::ZERO,
-        );
-        assert_eq!(ctx.epoch_of(&[]), None);
-        let lookup = ObservedLookup::new(
-            SimInstant::ZERO + SimDuration::from_hours(30),
-            ServerId(1),
-            "a.example".parse().unwrap(),
-        );
-        assert_eq!(ctx.epoch_of(&[lookup]), Some(1));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! `O` and the sum over `d` symmetrically.
 
 use crate::config::EstimationContext;
-use crate::estimator::Estimator;
+use crate::estimator::{CellStats, Estimator, Lane};
 use botmeter_dns::ObservedLookup;
 use std::collections::BTreeMap;
 
@@ -68,12 +68,13 @@ impl CoverageEstimator {
     /// ```
     pub fn estimate_with_interval(
         &self,
-        lookups: &[botmeter_dns::ObservedLookup],
+        lookups: &[ObservedLookup],
         ctx: &EstimationContext,
         z: f64,
     ) -> (f64, f64, f64) {
         assert!(z.is_finite() && z >= 0.0, "z-score must be non-negative");
-        let Some((buckets, pool_len, r, observed)) = Self::prepare(lookups, ctx) else {
+        let cell = CellStats::of_slice(lookups, ctx);
+        let Some((buckets, pool_len, r, observed)) = Self::prepare(&cell, ctx) else {
             return (0.0, 0.0, 0.0);
         };
         let invert = |target: f64| -> f64 {
@@ -112,8 +113,12 @@ impl Estimator for CoverageEstimator {
         "Coverage"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        match Self::prepare(lookups, ctx) {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Volume]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        match Self::prepare(cell, ctx) {
             Some((buckets, pool_len, r, observed)) => Self::invert(&buckets, pool_len, r, observed),
             None => 0.0,
         }
@@ -121,37 +126,25 @@ impl Estimator for CoverageEstimator {
 }
 
 impl CoverageEstimator {
-    /// Builds the `(cover, multiplicity)` buckets and counts the observed
-    /// matched volume; `None` when the stream carries no usable signal.
+    /// Builds the `(cover, multiplicity)` buckets and reads the cell's
+    /// volume lane; `None` when the cell carries no usable signal.
     #[allow(clippy::type_complexity)]
     fn prepare(
-        lookups: &[ObservedLookup],
+        cell: &CellStats<'_>,
         ctx: &EstimationContext,
     ) -> Option<(Vec<(usize, usize)>, usize, f64, f64)> {
-        if lookups.is_empty() {
-            return None;
-        }
-        let family = ctx.family();
-        let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let index = ctx.pool_index(epoch);
-        let pool = index.pool();
-        let pool_len = pool.len();
-        let theta_q = family.params().theta_q();
-
-        // Observed volume: matched lookups that belong to this epoch's
-        // pool (valid-domain sightings excluded — positive caching gives
-        // them different dynamics).
-        let observed = lookups
-            .iter()
-            .filter(|l| {
-                index
-                    .position(&l.domain)
-                    .is_some_and(|i| !index.is_valid(i))
-            })
-            .count() as f64;
+        // Observed volume: matched lookups of this epoch's pool NXDs
+        // (valid-domain sightings excluded — positive caching gives them
+        // different dynamics).
+        let observed = cell.volume(ctx);
         if observed == 0.0 {
             return None;
         }
+        let family = ctx.family();
+        let index = ctx.pool_index(cell.epoch());
+        let pool = index.pool();
+        let pool_len = pool.len();
+        let theta_q = family.params().theta_q();
 
         // Per-domain cover counts over the detectable NXDs, compressed into
         // (cover, multiplicity) buckets: cover(d) = min(arc offset, θq).

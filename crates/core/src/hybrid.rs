@@ -23,13 +23,12 @@
 use crate::bernoulli::BernoulliEstimator;
 use crate::config::EstimationContext;
 use crate::coverage::CoverageEstimator;
-use crate::estimator::Estimator;
+use crate::estimator::{CellStats, Estimator, Lane};
 use crate::poisson::PoissonEstimator;
 use crate::sampling::SamplingEstimator;
 use crate::timing::TimingEstimator;
 use crate::window_occupancy::WindowOccupancyEstimator;
 use botmeter_dga::BarrelClass;
-use botmeter_dns::ObservedLookup;
 
 /// `MH`: statistical estimate floored by `MT`'s temporal evidence.
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,14 +66,20 @@ impl Estimator for HybridEstimator {
         "Hybrid"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        if lookups.is_empty() {
+    /// `MT`'s lookups plus whichever lane the family's statistical model
+    /// reads.
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Lookups, Lane::Distinct, Lane::Volume]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        if cell.lookups().is_empty() {
             return 0.0;
         }
         let statistical = Self::statistical_for(ctx.family().barrel_class());
-        let s = statistical.estimate(lookups, ctx);
+        let s = statistical.estimate_cell(cell, ctx);
         if Self::timing_reliable(ctx) {
-            let t = TimingEstimator.estimate(lookups, ctx);
+            let t = TimingEstimator.estimate_cell(cell, ctx);
             s.max(t)
         } else {
             s
@@ -92,13 +97,17 @@ impl Estimator for HybridBernoulli {
         "Hybrid-Bernoulli"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        if lookups.is_empty() {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Lookups, Lane::Positions]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        if cell.lookups().is_empty() {
             return 0.0;
         }
-        let s = BernoulliEstimator::default().estimate(lookups, ctx);
+        let s = BernoulliEstimator::default().estimate_cell(cell, ctx);
         if HybridEstimator::timing_reliable(ctx) {
-            s.max(TimingEstimator.estimate(lookups, ctx))
+            s.max(TimingEstimator.estimate_cell(cell, ctx))
         } else {
             s
         }

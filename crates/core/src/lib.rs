@@ -19,8 +19,14 @@
 //!   cover each segment.
 //! * [`CoverageEstimator`] (`MC`) — this reproduction's extension for `AR`
 //!   (DESIGN.md §3, substitution 3): inverts the closed-form expected
-//!   distinct-NXD count `E[C|N] = Σ_d 1−(1−p_d)^N`, which shares `MB`'s
-//!   qualitative strengths and serves as its cross-check.
+//!   *volume* of visible NXD lookups
+//!   `E[O|N] = Σ_d N·p_d / (1 + N·p_d·δl/δe)`, which keeps resolving
+//!   populations after `MB`'s distinct-NXD set saturates and serves as its
+//!   cross-check.
+//!
+//! Every model reads one [`CellStats`] per (server, epoch) cell and
+//! declares which of its lanes — positions, distinct, volume, lookups —
+//! it uses ([`Estimator::lanes`]).
 //!
 //! The [`BotMeter`] facade wires the full Fig. 2 pipeline — match, group
 //! per forwarding server, estimate — and produces the per-server
@@ -78,7 +84,7 @@ pub use botmeter::{
 pub use config::{EstimationContext, PoolIndex};
 pub use coverage::CoverageEstimator;
 pub use delta::{CellChange, DeltaError, LandscapeDelta, LandscapeVersion};
-pub use estimator::{CellSlice, Estimator};
+pub use estimator::{CellStats, Estimator, Lane};
 pub use hybrid::{HybridBernoulli, HybridEstimator};
 pub use kernel::{KernelEval, KernelKey, RhoQuantization, SegmentKernelCache};
 pub use metrics::{absolute_relative_error, mean_absolute_relative_error};

@@ -1,7 +1,7 @@
 //! The Poisson estimator `MP` — §IV-C, Eq. 1.
 
 use crate::config::EstimationContext;
-use crate::estimator::Estimator;
+use crate::estimator::{CellStats, Estimator, Lane};
 use botmeter_dns::{ObservedLookup, SimInstant};
 
 /// `MP`: the estimator for uniform-barrel DGAs (`AU`), whose bots all query
@@ -92,14 +92,17 @@ impl Estimator for PoissonEstimator {
         "Poisson"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Lookups]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        let lookups = cell.lookups();
         if lookups.is_empty() {
             return 0.0;
         }
         let delta_l = ctx.ttl().negative().as_millis();
-        let epoch_len = ctx.family().epoch_len();
-        let epoch = ctx.epoch_of(lookups).expect("non-empty slice has an epoch");
-        let window_start = (epoch_len * epoch).as_millis();
+        let window_start = (ctx.family().epoch_len() * cell.epoch()).as_millis();
 
         let starts = Self::visible_activations(lookups, delta_l);
         let n = starts.len() as f64;

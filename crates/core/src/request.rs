@@ -29,8 +29,11 @@ use std::ops::Range;
 ///   accumulated by `StreamMatcher`); charting skips matching. Exact.
 /// * [`Sketch`](Self::Sketch) — bounded sketch telemetry accumulated by
 ///   `SketchStream`; per-server state is `O(width)` regardless of traffic
-///   volume, and any cell whose estimate may deviate from exact mode is
-///   flagged `CellQuality::Degraded` with a quantified error bound.
+///   volume. It fills a [`CellStats`](crate::CellStats)' positions,
+///   distinct and volume lanes exactly while a cell is lossless; a lossy
+///   cell is `CellQuality::Degraded` with a quantified error bound, or
+///   `Invalid` under a model reading positions, and a model reading
+///   lookups is refused.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub enum TelemetrySource<'a> {

@@ -28,9 +28,7 @@
 //! detection window (which shrinks both `D` and `w` symmetrically).
 
 use crate::config::EstimationContext;
-use crate::estimator::Estimator;
-use botmeter_dns::ObservedLookup;
-use std::collections::HashSet;
+use crate::estimator::{CellStats, Estimator, Lane};
 
 /// `MS`: distinct-NXD occupancy inversion for sampling-barrel DGAs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,34 +59,26 @@ impl Estimator for SamplingEstimator {
         "Sampling"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
-        if lookups.is_empty() {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Distinct]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        let observed = cell.distinct(ctx);
+        if observed == 0.0 {
             return 0.0;
         }
         let family = ctx.family();
-        let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let index = ctx.pool_index(epoch);
+        let index = ctx.pool_index(cell.epoch());
         let pool = index.pool();
 
-        // Detectable NXD universe and observed distinct NXDs within it.
+        // Detectable NXD universe; the observed distinct NXDs lie within it.
         let detectable_nxd = pool
             .iter()
             .enumerate()
             .filter(|(i, d)| !index.is_valid(*i) && ctx.detectable(d))
             .count();
         if detectable_nxd == 0 {
-            return 0.0;
-        }
-        let mut distinct: HashSet<usize> = HashSet::new();
-        for l in lookups {
-            if let Some(i) = index.position(&l.domain) {
-                if !index.is_valid(i) {
-                    distinct.insert(i);
-                }
-            }
-        }
-        let observed = distinct.len() as f64;
-        if observed == 0.0 {
             return 0.0;
         }
 

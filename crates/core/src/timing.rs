@@ -1,8 +1,8 @@
 //! The Timing estimator `MT` — Algorithm 1 of the paper.
 
 use crate::config::EstimationContext;
-use crate::estimator::Estimator;
-use botmeter_dns::{DomainName, ObservedLookup, SimInstant};
+use crate::estimator::{CellStats, Estimator, Lane};
+use botmeter_dns::{DomainName, SimInstant};
 use std::collections::HashSet;
 
 /// `MT`: attributes lookups to distinct bots using three temporal
@@ -56,7 +56,12 @@ impl Estimator for TimingEstimator {
         "Timing"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Lookups]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        let lookups = cell.lookups();
         let params = ctx.family().params();
         let lattice_ms = params
             .timing()
@@ -115,7 +120,7 @@ impl Estimator for TimingEstimator {
 mod tests {
     use super::*;
     use botmeter_dga::{BarrelClass, DgaFamily, DgaParams, QueryTiming};
-    use botmeter_dns::{ServerId, SimDuration, TtlPolicy};
+    use botmeter_dns::{ObservedLookup, ServerId, SimDuration, TtlPolicy};
     use botmeter_faults::{FaultModel, FaultPlan};
     use proptest::prelude::*;
 

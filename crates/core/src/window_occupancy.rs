@@ -22,8 +22,7 @@
 //! continuity correction `k → K − ½`.
 
 use crate::config::EstimationContext;
-use crate::estimator::Estimator;
-use botmeter_dns::ObservedLookup;
+use crate::estimator::{CellStats, Estimator, Lane};
 use std::collections::HashSet;
 
 /// `MW`: fixed-window occupancy inversion for permutation-barrel DGAs.
@@ -35,15 +34,18 @@ impl Estimator for WindowOccupancyEstimator {
         "WindowOccupancy"
     }
 
-    fn estimate(&self, lookups: &[ObservedLookup], ctx: &EstimationContext) -> f64 {
+    fn lanes(&self) -> &'static [Lane] {
+        &[Lane::Lookups]
+    }
+
+    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
+        let lookups = cell.lookups();
         if lookups.is_empty() {
             return 0.0;
         }
-        let family = ctx.family();
-        let epoch = ctx.epoch_of(lookups).expect("non-empty slice");
-        let epoch_len = family.epoch_len().as_millis();
+        let epoch_len = ctx.family().epoch_len().as_millis();
         let delta_l = ctx.ttl().negative().as_millis().max(1);
-        let window_start = epoch * epoch_len;
+        let window_start = cell.epoch() * epoch_len;
 
         let k_total = (epoch_len / delta_l).max(1);
         let mut occupied: HashSet<u64> = HashSet::new();
@@ -64,7 +66,7 @@ mod tests {
     use super::*;
     use crate::absolute_relative_error;
     use botmeter_dga::DgaFamily;
-    use botmeter_dns::{ServerId, SimDuration, SimInstant, TtlPolicy};
+    use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
     use botmeter_sim::ScenarioSpec;
 
     fn ctx(family: DgaFamily) -> EstimationContext {

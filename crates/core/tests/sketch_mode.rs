@@ -1,183 +1,186 @@
-//! Sketch-mode charting: fidelity and degradation contracts.
+//! Sketch-mode charting: fidelity, refusal and memory contracts.
 //!
-//! A wide-enough sketch feeding a set-consuming model (the Bernoulli MB on
-//! newGoZ) must chart **bit-identically** to exact mode — same estimates,
-//! same `CellQuality`, no error bound. A sketch that evicted, or one
-//! feeding a timing/multiplicity model, must never be silently wrong: every
-//! affected cell is flagged `CellQuality::Degraded` and carries a
-//! quantified `error_bound`. Memory is the sketch's other contract: the
-//! resident bytes stay under `cells × cell_budget_bytes`, do not grow with
-//! traffic volume, and stay within the accounting `BENCH_sketch.json`
-//! commits.
+//! A sketch hands each cell's model a `CellStats` whose lanes it fills or
+//! cannot fill, never a fabricated trace. A sketch wide enough that no cell
+//! evicted fills positions, distinct and volume exactly, so every model
+//! reading only those lanes charts **bit-identically** to exact mode —
+//! same estimates, same `CellQuality`, no error bound — and every model
+//! that reads lookups is refused with a typed `Error` before anything is
+//! estimated. A narrow sketch invalidates cells under a positions-lane
+//! model and bounds the scaled distinct and volume lanes. Memory is the
+//! sketch's other contract: the resident bytes stay under
+//! `cells × cell_budget_bytes`, do not grow with traffic volume, and stay
+//! within the accounting `BENCH_sketch.json` commits.
 
 use botmeter_core::{
-    BotMeter, BotMeterConfig, CellQuality, ChartRequest, Error, Landscape, ModelKind,
+    BotMeter, BotMeterConfig, CellQuality, ChartRequest, Error, Landscape, Lane, ModelKind,
 };
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_matcher::{SketchStream, StreamQuality};
 use botmeter_obs::Obs;
-use botmeter_sim::ScenarioSpec;
+use botmeter_sim::{ScenarioOutcome, ScenarioSpec};
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
 use serde::Deserialize;
 
-fn meter_and_sketch(
-    family: DgaFamily,
-    population: u64,
-    seed: u64,
-    epochs: std::ops::Range<u64>,
-    width: usize,
-) -> (BotMeter, SketchedTraffic, StreamQuality) {
-    let outcome = ScenarioSpec::builder(family)
+const EPOCHS: std::ops::Range<u64> = 0..2;
+
+/// The widths `sketch_accuracy` sweeps.
+const WIDTHS: [usize; 6] = [8, 32, 128, 1024, 4096, 16384];
+
+fn scenario(family: DgaFamily, population: u64, seed: u64) -> ScenarioOutcome {
+    ScenarioSpec::builder(family)
         .population(population)
-        .num_epochs(epochs.end)
+        .num_epochs(EPOCHS.end)
         .seed(seed)
         .build()
         .expect("valid scenario")
-        .run(ExecPolicy::Sequential);
+        .run(ExecPolicy::Sequential)
+}
+
+fn sketch_of(outcome: &ScenarioOutcome, width: usize) -> (SketchedTraffic, StreamQuality) {
     let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
-    let config = SketchConfig::new(meter.config().family().epoch_len())
+    let config = SketchConfig::new(outcome.family().epoch_len())
         .expect("valid epoch length")
         .width(width)
         .expect("valid width");
-    let matcher = meter.matcher_for(epochs);
+    let matcher = meter.matcher_for(EPOCHS);
     let mut frontend = SketchStream::new(&matcher, config, Obs::noop());
     frontend.ingest(outcome.observed());
-    let (sketch, quality) = frontend.finish();
-    (meter, sketch, quality)
+    frontend.finish()
 }
 
-fn exact_landscape(
-    family: DgaFamily,
-    population: u64,
-    seed: u64,
-    epochs: std::ops::Range<u64>,
-) -> Landscape {
-    let outcome = ScenarioSpec::builder(family)
-        .population(population)
-        .num_epochs(epochs.end)
-        .seed(seed)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::Sequential);
-    let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
+fn meter(outcome: &ScenarioOutcome, model: ModelKind) -> BotMeter {
+    BotMeter::new(BotMeterConfig::new(outcome.family().clone()).model(model))
+}
+
+fn sketch_chart(
+    meter: &BotMeter,
+    (sketch, quality): &(SketchedTraffic, StreamQuality),
+) -> Result<Landscape, Error> {
+    meter.try_chart_with(
+        &ChartRequest::from_sketch(sketch)
+            .stream_quality(*quality)
+            .epochs(EPOCHS),
+    )
+}
+
+fn exact_chart(meter: &BotMeter, outcome: &ScenarioOutcome) -> Landscape {
     meter
-        .try_chart_with(&ChartRequest::new(outcome.observed()).epochs(epochs))
+        .try_chart_with(&ChartRequest::new(outcome.observed()).epochs(EPOCHS))
         .expect("chartable")
 }
 
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Outcome {
+    /// Bit-identical to exact mode.
+    Exact,
+    /// Refused: the model reads the lookups lane.
+    Refused,
+}
+
 #[test]
-fn wide_sketch_with_set_based_model_is_bit_identical_to_exact_mode() {
-    // newGoZ resolves to the Bernoulli MB, which consumes the *set* of
-    // distinct matched domains per cell; a never-lossy sketch holds
-    // exactly that set, so the landscapes must agree bit for bit.
-    let epochs = 0..2;
-    let (meter, sketch, quality) =
-        meter_and_sketch(DgaFamily::new_goz(), 48, 21, epochs.clone(), 16384);
-    assert!(!sketch.any_lossy(), "width 16384 must never evict here");
-    let sketched = meter
-        .try_chart_with(
-            &ChartRequest::from_sketch(&sketch)
-                .stream_quality(quality)
-                .epochs(epochs.clone()),
-        )
-        .expect("chartable");
-    let exact = exact_landscape(DgaFamily::new_goz(), 48, 21, epochs);
-    assert_eq!(sketched, exact);
-    assert!(!sketched.is_empty());
-    for entry in sketched.entries() {
-        assert_eq!(entry.quality, CellQuality::Ok);
-        assert_eq!(entry.error_bound, None);
+fn every_model_on_a_wide_sketch_is_exact_or_refused() {
+    use Outcome::{Exact, Refused};
+    // Per model: newGoZ (48 bots, seed 21), murofet (32 bots, seed 9).
+    // Auto resolves to MB on newGoZ and to MP on murofet.
+    let table = [
+        (ModelKind::Auto, [Exact, Refused]),
+        (ModelKind::Timing, [Refused, Refused]),
+        (ModelKind::Poisson, [Refused, Refused]),
+        (ModelKind::Bernoulli, [Exact, Exact]),
+        (ModelKind::Coverage, [Exact, Exact]),
+        (ModelKind::Sampling, [Exact, Exact]),
+        (ModelKind::WindowOccupancy, [Refused, Refused]),
+        (ModelKind::Hybrid, [Refused, Refused]),
+    ];
+    let regimes = [
+        scenario(DgaFamily::new_goz(), 48, 21),
+        scenario(DgaFamily::murofet(), 32, 9),
+    ];
+    for (column, outcome) in regimes.iter().enumerate() {
+        let sketch = sketch_of(outcome, 16384);
+        assert!(!sketch.0.any_lossy(), "width 16384 must never evict here");
+        for (model, expected) in table {
+            let meter = meter(outcome, model);
+            let name = meter.resolve_model().name();
+            let row = format!("{} / {model:?} ({name})", outcome.family().name());
+            match (sketch_chart(&meter, &sketch), expected[column]) {
+                (Ok(sketched), Exact) => {
+                    assert!(!sketched.is_empty(), "{row}");
+                    assert_eq!(sketched, exact_chart(&meter, outcome), "{row}");
+                }
+                (Err(err), Refused) => assert_eq!(
+                    err,
+                    Error::LaneNotInSketch {
+                        model: name,
+                        lane: Lane::Lookups,
+                    },
+                    "{row}"
+                ),
+                (got, expected) => panic!("{row}: expected {expected:?}, got {got:?}"),
+            }
+        }
     }
 }
 
 #[test]
-fn narrow_sketch_marks_cells_degraded_with_a_quantified_bound() {
-    let epochs = 0..2;
-    let (meter, sketch, quality) =
-        meter_and_sketch(DgaFamily::new_goz(), 48, 21, epochs.clone(), 8);
-    assert!(sketch.any_lossy(), "width 8 must evict on this scenario");
-    let sketched = meter
-        .try_chart_with(
-            &ChartRequest::from_sketch(&sketch)
-                .stream_quality(quality)
-                .epochs(epochs),
-        )
-        .expect("chartable");
-    assert!(!sketched.is_empty());
-    let degraded: Vec<_> = sketched
-        .entries()
-        .iter()
-        .filter(|e| e.quality == CellQuality::Degraded)
-        .collect();
+fn refusal_names_the_model_and_the_lane() {
+    let outcome = scenario(DgaFamily::murofet(), 32, 9);
+    let err = sketch_chart(&meter(&outcome, ModelKind::Auto), &sketch_of(&outcome, 8))
+        .expect_err("MP reads lookups");
+    let text = err.to_string();
     assert!(
-        !degraded.is_empty(),
-        "a lossy narrow sketch must flag cells Degraded"
+        text.contains("Poisson") && text.contains("lookups"),
+        "{text}"
     );
-    for entry in degraded {
-        let bound = entry
-            .error_bound
-            .expect("degraded sketch cells carry a bound");
-        assert!(bound > 0.0 && bound <= 1.0, "bound {bound} out of range");
+}
+
+#[test]
+fn narrow_sketch_invalidates_positions_cells_and_bounds_the_rest() {
+    let outcome = scenario(DgaFamily::new_goz(), 48, 21);
+    let sketch = sketch_of(&outcome, 8);
+    assert!(sketch.0.any_lossy(), "width 8 must evict on this scenario");
+    // MB reads positions, which a lossy cell cannot fill.
+    let positions = sketch_chart(&meter(&outcome, ModelKind::Bernoulli), &sketch).expect("MB");
+    assert!(!positions.is_empty());
+    for entry in positions.entries() {
+        assert_eq!(entry.quality, CellQuality::Invalid);
+        assert_eq!(entry.estimate, 0.0);
+    }
+    // MS and MC read lanes a lossy cell scales from its sample.
+    for model in [ModelKind::Sampling, ModelKind::Coverage] {
+        let landscape = sketch_chart(&meter(&outcome, model), &sketch).expect("chartable");
+        assert!(!landscape.is_empty());
+        for entry in landscape.entries() {
+            assert_eq!(entry.quality, CellQuality::Degraded, "{model:?}");
+            assert!(entry.estimate > 0.0, "{model:?}");
+            let bound = entry.error_bound.expect("a lossy cell carries a bound");
+            assert!(bound > 0.0 && bound <= 1.0, "{model:?}: bound {bound}");
+        }
     }
 }
 
 #[test]
-fn non_set_based_models_degrade_even_when_the_sketch_is_wide() {
-    // murofet resolves to the Poisson MP, which reads lookup multiplicity
-    // the bounded sketch cannot fully replay — never silently wrong.
-    let epochs = 0..2;
-    let (meter, sketch, quality) =
-        meter_and_sketch(DgaFamily::murofet(), 32, 9, epochs.clone(), 4096);
-    assert!(!sketch.any_lossy());
-    let sketched = meter
-        .try_chart_with(
-            &ChartRequest::from_sketch(&sketch)
-                .stream_quality(quality)
-                .epochs(epochs),
-        )
-        .expect("chartable");
-    assert!(!sketched.is_empty());
-    for entry in sketched.entries() {
-        assert_eq!(entry.quality, CellQuality::Degraded);
-        let bound = entry.error_bound.expect("sketch bound");
-        assert!((0.0..=1.0).contains(&bound));
-    }
-}
-
-#[test]
-fn forced_set_based_model_stays_exact_on_a_non_bernoulli_family() {
-    // Forcing the Bernoulli MB onto murofet keeps sketch mode bit-exact:
-    // exactness is a property of what the *model* consumes, not the family.
-    let epochs = 0..2;
-    let outcome = ScenarioSpec::builder(DgaFamily::murofet())
-        .population(32)
-        .num_epochs(2)
-        .seed(9)
-        .build()
-        .expect("valid scenario")
-        .run(ExecPolicy::Sequential);
-    let meter =
-        BotMeter::new(BotMeterConfig::new(outcome.family().clone()).model(ModelKind::Bernoulli));
-    let config = SketchConfig::new(meter.config().family().epoch_len())
-        .expect("valid epoch length")
-        .width(4096)
-        .expect("valid width");
-    let matcher = meter.matcher_for(epochs.clone());
-    let mut frontend = SketchStream::new(&matcher, config, Obs::noop());
-    frontend.ingest(outcome.observed());
-    let (sketch, quality) = frontend.finish();
-    let sketched = meter
-        .try_chart_with(
-            &ChartRequest::from_sketch(&sketch)
-                .stream_quality(quality)
-                .epochs(epochs.clone()),
-        )
-        .expect("chartable");
-    let exact = meter
-        .try_chart_with(&ChartRequest::new(outcome.observed()).epochs(epochs))
-        .expect("chartable");
-    assert_eq!(sketched, exact);
+fn forced_coverage_error_does_not_grow_with_width() {
+    let outcome = scenario(DgaFamily::new_goz(), 48, 21);
+    let meter = meter(&outcome, ModelKind::Coverage);
+    let exact = exact_chart(&meter, &outcome);
+    let mean_are = |width| {
+        let sketched = sketch_chart(&meter, &sketch_of(&outcome, width)).expect("MC");
+        let cells = exact.entries().iter().zip(sketched.entries());
+        let ares: Vec<f64> = cells
+            .map(|(e, s)| (s.estimate - e.estimate).abs() / e.estimate)
+            .collect();
+        ares.iter().sum::<f64>() / ares.len() as f64
+    };
+    let ares: Vec<f64> = WIDTHS.into_iter().map(mean_are).collect();
+    assert!(ares[0] > 0.0, "width 8 is lossy: {ares:?}");
+    assert!(
+        ares.windows(2).all(|w| w[1] <= w[0]),
+        "MC's sketch-mode ARE grew with width: {ares:?}"
+    );
+    assert_eq!(ares[WIDTHS.len() - 1], 0.0, "width 16384 is lossless");
 }
 
 #[test]
@@ -200,18 +203,17 @@ fn mismatched_epoch_length_is_a_typed_error() {
     assert!(err.to_string().contains("epoch length"));
 }
 
-/// The ends of the `sketch_accuracy` width sweep, over both of its regimes
-/// (family, population, seed): newGoZ charted by the set-consuming MB,
-/// murofet by the multiplicity-consuming MP.
+/// The ends of the `sketch_accuracy` width sweep, over both of its
+/// scenarios (family, population, seed).
 fn sweep_ends() -> Vec<(DgaFamily, usize, SketchedTraffic)> {
     let mut points = Vec::new();
     for (family, population, seed) in [
         (DgaFamily::new_goz(), 48, 21),
         (DgaFamily::murofet(), 32, 9),
     ] {
+        let outcome = scenario(family.clone(), population, seed);
         for width in [8, 16384] {
-            let (_, sketch, _) = meter_and_sketch(family.clone(), population, seed, 0..2, width);
-            points.push((family.clone(), width, sketch));
+            points.push((family.clone(), width, sketch_of(&outcome, width).0));
         }
     }
     points
@@ -232,7 +234,7 @@ fn resident_bytes_stay_within_cells_times_the_cell_budget() {
 
 #[test]
 fn a_saturated_sketch_does_not_grow_with_traffic_volume() {
-    let probe = |population| meter_and_sketch(DgaFamily::new_goz(), population, 21, 0..2, 8).1;
+    let probe = |population| sketch_of(&scenario(DgaFamily::new_goz(), population, 21), 8).0;
     let (small, large) = (probe(48), probe(96));
     assert!(
         large.total() > small.total(),

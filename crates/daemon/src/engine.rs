@@ -19,7 +19,7 @@
 use crate::checkpoint::{CellCheckpoint, EngineCheckpoint, SnapshotCheckpoint, StatsCheckpoint};
 use crate::store::LandscapeStore;
 use botmeter_core::{
-    BotMeter, CellSlice, ChartMatcher, ChartRequest, EstimationContext, Estimator, Landscape,
+    BotMeter, CellStats, ChartMatcher, ChartRequest, EstimationContext, Estimator, Landscape,
     LandscapeEntry, LandscapeVersion,
 };
 use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
@@ -352,12 +352,9 @@ impl BotMeterDaemon {
             .filter(|(_, c)| c.dirty)
             .map(|(k, _)| *k)
             .collect();
-        let slices: Vec<CellSlice<'_>> = dirty
+        let slices: Vec<CellStats<'_>> = dirty
             .iter()
-            .map(|key| CellSlice {
-                epoch: key.1,
-                lookups: &self.cells[key].lookups,
-            })
+            .map(|key| CellStats::exact(key.1, &self.cells[key].lookups))
             .collect();
         let estimates = self
             .estimator

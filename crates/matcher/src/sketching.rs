@@ -16,6 +16,10 @@
 //! Per-shard sketches built by independent workers merge into the same
 //! state via [`SketchStream::absorb_sketch`] — retention depends only on
 //! domain hash ranks, never on arrival order.
+//!
+//! The sketch keeps a sighting count per retained domain and no
+//! timestamps: charting reads it as a cell statistic (positions, distinct
+//! count, volume), never as a stream of lookups.
 
 use crate::stream::{scan_hits, QualityCursor};
 use crate::{DomainMatcher, StreamQuality};

@@ -3,18 +3,9 @@
 
 use crate::SketchConfig;
 use botmeter_dns::DomainName;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Aggregates kept for one retained (heavy-hitter) domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct HhAggregates {
-    count: u64,
-    first_ms: u64,
-    last_ms: u64,
-}
-
-/// A retained domain with its exact aggregates, as exposed by
+/// A retained domain with its exact sighting count, as exposed by
 /// [`CellSketch::retained_domains`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetainedDomain<'a> {
@@ -24,10 +15,6 @@ pub struct RetainedDomain<'a> {
     pub rank: u64,
     /// Exact number of matched sightings of this domain in the cell.
     pub count: u64,
-    /// Millisecond timestamp of the first sighting.
-    pub first_ms: u64,
-    /// Millisecond timestamp of the last sighting.
-    pub last_ms: u64,
 }
 
 /// What a single ingest did to a cell's bounded structures.
@@ -41,7 +28,7 @@ pub(crate) struct CellEffect {
 
 /// The constant-memory summary of one (server, epoch) matched substream:
 /// `2^precision` HLL registers plus the `width` domains with the smallest
-/// stable hash rank, each with exact occurrence aggregates.
+/// stable hash rank, each with its exact sighting count.
 ///
 /// Retention is a pure function of the *set* of domains seen (never of
 /// arrival order), so merging per-shard cells is bit-identical to one
@@ -51,8 +38,8 @@ pub struct CellSketch {
     registers: Box<[u8]>,
     /// Bottom-k sample keyed by (hash rank, domain). The domain is part of
     /// the key so two texts colliding on the 64-bit rank stay distinct and
-    /// the order stays fully deterministic.
-    entries: BTreeMap<(u64, DomainName), HhAggregates>,
+    /// the order stays fully deterministic. The value is the sighting count.
+    entries: BTreeMap<(u64, DomainName), u64>,
     /// Whether any distinct domain was *not* retained — equivalently,
     /// whether the cell has seen more than `width` distinct domains.
     lossy: bool,
@@ -73,7 +60,6 @@ impl CellSketch {
     /// Folds one matched sighting into the cell.
     pub(crate) fn ingest(
         &mut self,
-        t_ms: u64,
         domain: &DomainName,
         width: usize,
         precision: u8,
@@ -81,15 +67,7 @@ impl CellSketch {
         self.total += 1;
         let rank = domain.id().0;
         self.observe_register(rank, precision);
-        self.absorb_entry(
-            (rank, domain.clone()),
-            HhAggregates {
-                count: 1,
-                first_ms: t_ms,
-                last_ms: t_ms,
-            },
-            width,
-        )
+        self.absorb_entry((rank, domain.clone()), 1, width)
     }
 
     /// Element-wise max of the HLL register banks plus a bottom-k union;
@@ -102,8 +80,8 @@ impl CellSketch {
         self.lossy |= other.lossy;
         self.total += other.total;
         let mut evictions = 0;
-        for (key, agg) in &other.entries {
-            let effect = self.absorb_entry(key.clone(), *agg, width);
+        for (key, count) in &other.entries {
+            let effect = self.absorb_entry(key.clone(), *count, width);
             if effect.evicted {
                 evictions += 1;
             }
@@ -111,22 +89,15 @@ impl CellSketch {
         evictions
     }
 
-    /// Merges `agg` for `key` into the bottom-k summary, evicting the
-    /// largest-rank entry when the sample overflows `width`.
-    fn absorb_entry(
-        &mut self,
-        key: (u64, DomainName),
-        agg: HhAggregates,
-        width: usize,
-    ) -> CellEffect {
+    /// Merges `count` sightings of `key` into the bottom-k summary,
+    /// evicting the largest-rank entry when the sample overflows `width`.
+    fn absorb_entry(&mut self, key: (u64, DomainName), count: u64, width: usize) -> CellEffect {
         if let Some(existing) = self.entries.get_mut(&key) {
-            existing.count += agg.count;
-            existing.first_ms = existing.first_ms.min(agg.first_ms);
-            existing.last_ms = existing.last_ms.max(agg.last_ms);
+            *existing += count;
             return CellEffect::default();
         }
         if self.entries.len() < width {
-            self.entries.insert(key, agg);
+            self.entries.insert(key, count);
             return CellEffect {
                 inserted: true,
                 evicted: false,
@@ -144,7 +115,7 @@ impl CellSketch {
             .expect("non-empty: len == width >= 1");
         if key < max_key {
             self.entries.remove(&max_key);
-            self.entries.insert(key, agg);
+            self.entries.insert(key, count);
             CellEffect {
                 inserted: true,
                 evicted: true,
@@ -180,21 +151,14 @@ impl CellSketch {
         self.total
     }
 
-    /// Sum of the exact occurrence counts of the retained domains.
-    pub fn retained_volume(&self) -> u64 {
-        self.entries.values().map(|a| a.count).sum()
-    }
-
     /// The retained domains in ascending rank order.
     pub fn retained_domains(&self) -> impl Iterator<Item = RetainedDomain<'_>> {
         self.entries
             .iter()
-            .map(|((rank, domain), agg)| RetainedDomain {
+            .map(|((rank, domain), count)| RetainedDomain {
                 domain,
                 rank: *rank,
-                count: agg.count,
-                first_ms: agg.first_ms,
-                last_ms: agg.last_ms,
+                count: *count,
             })
     }
 
@@ -255,74 +219,4 @@ impl CellSketch {
             1.0
         }
     }
-
-    /// Fraction of matched sightings whose exact aggregates were lost to
-    /// eviction: `0` while lossless, `(total - retained_volume) / total`
-    /// once domains fell out of the sample.
-    pub fn lost_volume_fraction(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let lost = self.total.saturating_sub(self.retained_volume());
-        lost as f64 / self.total as f64
-    }
-
-    pub(crate) fn to_state(&self) -> CellSketchState {
-        CellSketchState {
-            registers: self.registers.to_vec(),
-            lossy: self.lossy,
-            total: self.total,
-            entries: self
-                .entries
-                .iter()
-                .map(|((_, domain), agg)| RetainedEntryState {
-                    domain: domain.clone(),
-                    count: agg.count,
-                    first_ms: agg.first_ms,
-                    last_ms: agg.last_ms,
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn from_state(state: CellSketchState) -> CellSketch {
-        CellSketch {
-            registers: state.registers.into_boxed_slice(),
-            lossy: state.lossy,
-            total: state.total,
-            entries: state
-                .entries
-                .into_iter()
-                .map(|e| {
-                    let rank = e.domain.id().0;
-                    (
-                        (rank, e.domain),
-                        HhAggregates {
-                            count: e.count,
-                            first_ms: e.first_ms,
-                            last_ms: e.last_ms,
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Serializable form of one cell (ranks are recomputed from the stable
-/// domain hash on restore, so they never hit the wire).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CellSketchState {
-    pub(crate) registers: Vec<u8>,
-    pub(crate) lossy: bool,
-    pub(crate) total: u64,
-    pub(crate) entries: Vec<RetainedEntryState>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct RetainedEntryState {
-    pub(crate) domain: DomainName,
-    pub(crate) count: u64,
-    pub(crate) first_ms: u64,
-    pub(crate) last_ms: u64,
 }

@@ -8,10 +8,9 @@
 //!
 //! * **HLL-style distinct-counting registers** (`2^precision` one-byte
 //!   registers updated with the harmonic max-ρ rule), and
-//! * a **distinct-heavy-hitter summary**: the `width` matched domains with
-//!   the *smallest stable hash rank* (a bottom-k / KMV distinct sample),
-//!   each carrying exact aggregates (occurrence count, first and last
-//!   sighting).
+//! * a **bottom-k distinct sample**: the `width` matched domains with the
+//!   *smallest stable hash rank* (a KMV sample), each with its exact
+//!   sighting count.
 //!
 //! Both structures are bounded by configuration, not by traffic volume:
 //! per-cell state is `O(2^precision + width)` no matter how many lookups
@@ -23,12 +22,14 @@
 //! count` combination (the same determinism contract every other BotMeter
 //! layer obeys).
 //!
-//! The estimator side consumes a [`SketchedTraffic`] through
-//! `botmeter_core::TelemetrySource::Sketch`: set-consuming models (the
-//! Bernoulli `MB`) chart **bit-identically to exact mode** as long as no
-//! cell evicted, and every lossy or timing-dependent cell surfaces as
-//! `CellQuality::Degraded` with a quantified relative error bound — never
-//! a silently wrong estimate.
+//! A sketch is a statistic, not a trace: it keeps no timestamps. The
+//! estimator side (`botmeter_core::TelemetrySource::Sketch`) turns each
+//! cell into the lanes of a `botmeter_core::CellStats`. A cell that never
+//! evicted fills positions, distinct count and volume exactly, so the
+//! set- and volume-reading models chart **bit-identically to exact mode**;
+//! a lossy cell fills distinct count and volume with the KMV bound
+//! [`CellSketch::distinct_error_bound`]. A model that reads lookups is
+//! refused.
 //!
 //! # Example
 //!
@@ -57,7 +58,7 @@ mod cell;
 mod traffic;
 
 pub use cell::{CellSketch, RetainedDomain};
-pub use traffic::{MergeEffect, PushEffect, SketchCellState, SketchState, SketchedTraffic};
+pub use traffic::{MergeEffect, PushEffect, SketchedTraffic};
 
 use botmeter_dns::SimDuration;
 use serde::{Deserialize, Serialize};

@@ -1,14 +1,13 @@
 //! [`SketchedTraffic`]: the bounded, mergeable accumulation of matched
 //! lookups across all (server, epoch) cells.
 
-use crate::cell::{CellSketch, CellSketchState};
+use crate::cell::CellSketch;
 use crate::SketchConfig;
 use botmeter_dns::{ObservedLookup, ServerId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Logical cost charged per retained heavy-hitter entry (key plus
-/// aggregates plus map-node overhead). Deterministic accounting, not
+/// Logical cost charged per retained heavy-hitter entry (key plus count
+/// plus map-node overhead). Deterministic accounting, not
 /// allocator truth: the point is a *volume-independent* bound that is
 /// bit-identical across platforms and runs.
 pub(crate) const ENTRY_BYTES: u64 = 64;
@@ -18,8 +17,8 @@ pub(crate) const ENTRY_BYTES: u64 = 64;
 pub(crate) const CELL_OVERHEAD_BYTES: u64 = 48;
 
 /// What one [`SketchedTraffic::push`] did to the bounded structures — the
-/// caller (the sketching matcher frontend, the daemon) folds these into
-/// its `sketch.*` observability counters.
+/// caller (the sketching matcher frontend) folds these into its `sketch.*`
+/// observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushEffect {
     /// A new (server, epoch) cell was allocated.
@@ -91,7 +90,6 @@ impl SketchedTraffic {
             self.resident_bytes += self.config.registers() as u64 + CELL_OVERHEAD_BYTES;
         }
         let effect = cell.ingest(
-            lookup.t.as_millis(),
             &lookup.domain,
             self.config.hh_width(),
             self.config.hll_precision(),
@@ -206,66 +204,6 @@ impl SketchedTraffic {
     pub fn any_lossy(&self) -> bool {
         self.cells.values().any(|c| c.is_lossy())
     }
-
-    /// Serializable state, for checkpoint/restore (the `botmeterd` WAL
-    /// and checkpoint machinery persist this through
-    /// `EngineCheckpoint`).
-    pub fn to_state(&self) -> SketchState {
-        SketchState {
-            config: self.config,
-            total: self.total,
-            cells: self
-                .cells
-                .iter()
-                .map(|((server, epoch), cell)| SketchCellState {
-                    server: *server,
-                    epoch: *epoch,
-                    cell: cell.to_state(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a sketch from checkpointed state; the inverse of
-    /// [`to_state`](Self::to_state) (resident accounting is recomputed
-    /// from the restored structure, so a restored sketch compares equal
-    /// to the one that was saved).
-    pub fn from_state(state: SketchState) -> SketchedTraffic {
-        let config = state.config;
-        let mut cells = BTreeMap::new();
-        let mut resident = 0u64;
-        for entry in state.cells {
-            let cell = CellSketch::from_state(entry.cell);
-            resident += config.registers() as u64
-                + CELL_OVERHEAD_BYTES
-                + cell.retained() as u64 * ENTRY_BYTES;
-            cells.insert((entry.server, entry.epoch), cell);
-        }
-        SketchedTraffic {
-            config,
-            cells,
-            total: state.total,
-            resident_bytes: resident,
-            peak_resident_bytes: resident,
-        }
-    }
-}
-
-/// Serializable snapshot of a [`SketchedTraffic`], persisted by the
-/// daemon's checkpoint machinery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SketchState {
-    config: SketchConfig,
-    total: u64,
-    cells: Vec<SketchCellState>,
-}
-
-/// One (server, epoch) cell of a [`SketchState`] — opaque like its parent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SketchCellState {
-    server: ServerId,
-    epoch: u64,
-    cell: CellSketchState,
 }
 
 #[cfg(test)]
@@ -307,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_track_count_first_last() {
+    fn retained_domains_count_every_sighting() {
         let mut sketch = SketchedTraffic::new(config(8));
         sketch.push(&lookup(50, 1, "aaa.com"));
         sketch.push(&lookup(10, 1, "aaa.com"));
@@ -316,8 +254,6 @@ mod tests {
         let retained: Vec<_> = cell.retained_domains().collect();
         assert_eq!(retained.len(), 1);
         assert_eq!(retained[0].count, 3);
-        assert_eq!(retained[0].first_ms, 10);
-        assert_eq!(retained[0].last_ms, 90);
         assert!(!cell.is_lossy());
         assert_eq!(cell.distinct_estimate(), 1.0);
         assert_eq!(cell.distinct_error_bound(8), 0.0);
@@ -396,21 +332,6 @@ mod tests {
         let mut a = SketchedTraffic::new(config(4));
         let b = SketchedTraffic::new(config(8));
         a.absorb(&b);
-    }
-
-    #[test]
-    fn state_round_trips_bit_identically() {
-        let mut sketch = SketchedTraffic::new(config(3));
-        for i in 0..20 {
-            sketch.push(&lookup(
-                i * 7,
-                1 + (i % 2) as u32,
-                &format!("x{}.org", i % 9),
-            ));
-        }
-        let json = serde_json::to_string(&sketch.to_state()).unwrap();
-        let back = SketchedTraffic::from_state(serde_json::from_str(&json).unwrap());
-        assert_eq!(back, sketch);
     }
 
     #[test]

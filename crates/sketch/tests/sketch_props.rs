@@ -5,10 +5,10 @@
 //! merge order. That is what makes sharded accumulation bit-identical to
 //! single-shot ingest across every execution plan. These properties pin it
 //! with randomized streams, alongside the `lossy ⟺ distinct > width`
-//! oracle and state serialization round-trips.
+//! oracle.
 
 use botmeter_dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant};
-use botmeter_sketch::{SketchConfig, SketchState, SketchedTraffic};
+use botmeter_sketch::{SketchConfig, SketchedTraffic};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,11 +41,6 @@ fn sketch_of(lookups: &[ObservedLookup]) -> SketchedTraffic {
     sketch
 }
 
-/// Canonical bit-level comparison via the serialized state.
-fn state_json(sketch: &SketchedTraffic) -> String {
-    serde_json::to_string(&sketch.to_state()).expect("sketch state serializes")
-}
-
 fn entry_strategy() -> impl Strategy<Value = Vec<(u64, u32, u8)>> {
     prop::collection::vec((0u64..3 * EPOCH_MS, 0u32..4, 0u8..40), 0..120)
 }
@@ -67,7 +62,7 @@ proptest! {
         let mut head = sketch_of(&lookups[..cut]);
         let tail = sketch_of(&lookups[cut..]);
         head.absorb(&tail);
-        prop_assert_eq!(state_json(&head), state_json(&reference));
+        prop_assert_eq!(head, reference);
     }
 
     /// Merge is commutative: `a ∪ b == b ∪ a`, bit for bit.
@@ -78,7 +73,7 @@ proptest! {
         ab.absorb(&sb);
         let mut ba = sb.clone();
         ba.absorb(&sa);
-        prop_assert_eq!(state_json(&ab), state_json(&ba));
+        prop_assert_eq!(ab, ba);
     }
 
     /// Merge is associative: `(a ∪ b) ∪ c == a ∪ (b ∪ c)`, bit for bit.
@@ -100,7 +95,7 @@ proptest! {
         bc.absorb(&sc);
         let mut right = sa;
         right.absorb(&bc);
-        prop_assert_eq!(state_json(&left), state_json(&right));
+        prop_assert_eq!(left, right);
     }
 
     /// `lossy` is exact, not heuristic: a cell is lossy iff it saw more
@@ -133,19 +128,5 @@ proptest! {
             prop_assert!(cell.retained_domains().all(|r| truth.contains(r.domain)));
         }
         prop_assert!(sketch.any_lossy() == distinct.values().any(|s| s.len() > WIDTH));
-    }
-
-    /// Checkpoint round-trip: `to_state → JSON → from_state` reproduces
-    /// the sketch exactly, including the resident-memory accounting.
-    #[test]
-    fn state_round_trips_through_json(entries in entry_strategy()) {
-        let sketch = sketch_of(&stream(&entries));
-        let json = state_json(&sketch);
-        let state: SketchState = serde_json::from_str(&json).expect("state parses");
-        let restored = SketchedTraffic::from_state(state);
-        prop_assert_eq!(state_json(&restored), json);
-        prop_assert_eq!(restored.resident_bytes(), sketch.resident_bytes());
-        prop_assert_eq!(restored.peak_resident_bytes(), sketch.peak_resident_bytes());
-        prop_assert_eq!(restored.total(), sketch.total());
     }
 }

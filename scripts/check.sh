@@ -15,8 +15,10 @@ echo "==> removed entry-point grep gate"
 # feed loop, the pipeline mode that kept the raw trace, the sink trait
 # around a closure, the dns/obs capabilities nobody called, the second
 # gate binary, the interner's arena accessors, the daemon's public
-# test-traffic generator and its sketch sidecar's accessors. No file may
-# mention the old names.
+# test-traffic generator and its sketch sidecar's accessors, and the
+# sketch's fabricated lookups (one at the first sighting, one at the
+# last) with its unread checkpoint state. No file may mention the old
+# names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -26,6 +28,7 @@ pattern+='|Materialize|ShardSink|FnSink|LocalResolver|from_recorder'
 pattern+='|perf_''smoke|resolve_bytes|resolve_str|arena_bytes|tld_of|first_label_of|label_count_of'
 pattern+='|botmeter_daemon::''synthetic|fn stream_quality\(&self\)|\.stream_quality\(\)'
 pattern+='|sketch_config\(&self\)'
+pattern+='|sketch_cells|SketchState|SketchCellState|first_ms|last_ms'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -202,6 +205,29 @@ pool_sites=$(
 if [[ "$pool_sites" != $'crates/core/src/config.rs\ncrates/matcher/src/exact.rs' ]]; then
   echo "error: pools are generated outside PoolTable::pool / ExactMatcher::from_family:" >&2
   echo "$pool_sites" >&2
+  exit 1
+fi
+
+echo "==> one position scan (a cell's domains meet pool positions only in CellStats)"
+# `CellStats` (crates/core/src/estimator.rs) derives the positions,
+# distinct and volume lanes from a cell's lookups or sketch; `PoolIndex`
+# (config.rs) owns the map. A model that calls `.position(` derives a lane
+# itself — the copy of the scan `MB`, `MC` and `MS` each used to carry.
+position_offenders=$(
+  find crates/core/src -name '*.rs' -print0 \
+  | xargs -0 awk '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      in_tests { next }
+      /^[[:space:]]*\/\// { next }
+      /\.position\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    ' \
+  | grep -vE '^crates/core/src/(estimator|config)\.rs:' \
+  || true
+)
+if [[ -n "$position_offenders" ]]; then
+  echo "error: a pool position scan outside CellStats; read the cell's lane instead:" >&2
+  echo "$position_offenders" >&2
   exit 1
 fi
 
