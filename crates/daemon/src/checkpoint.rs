@@ -24,8 +24,8 @@
 //!
 //! The manager retains the newest two generations. Recovery tries the
 //! newest first; a damaged envelope or body falls back to the previous
-//! generation, whose WAL suffix is still on disk because the journal is
-//! only truncated to the *oldest retained* watermark.
+//! generation, whose WAL suffix is still on disk because the journal only
+//! retires sealed segments at or below the *oldest retained* watermark.
 //!
 //! Floating-point state crosses the serialization boundary as raw `u64`
 //! bits (`estimate_bits`, `raw_bits`), so recovery is bit-identical even
@@ -334,7 +334,8 @@ impl CheckpointManager {
 
     /// Atomically writes the checkpoint for `state.wal_seq`, then retires
     /// generations beyond [`RETAINED_CHECKPOINTS`]. Returns the watermark
-    /// of the *oldest retained* checkpoint — the journal's new base.
+    /// of the *oldest retained* checkpoint — what the journal may retire
+    /// up to ([`Wal::retire`](crate::Wal::retire)).
     pub fn save<S: Storage>(storage: &mut S, state: &EngineCheckpoint) -> io::Result<u64> {
         let bytes = encode_checkpoint(state).map_err(io::Error::other)?;
         Self::save_encoded(storage, state.wal_seq, &bytes)

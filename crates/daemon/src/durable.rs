@@ -11,11 +11,14 @@
 //! The mechanism: every shard is appended to the journal (CRC-framed,
 //! fsynced) *before* it reaches the engine, so acknowledged ingest is
 //! replayable; every `checkpoint_every` shards the complete engine state
-//! is written atomically and the journal is truncated back to the oldest
-//! retained checkpoint's watermark. Recovery loads the newest readable
+//! is written atomically, the journal's active segment is sealed at that
+//! watermark, and the sealed segments the oldest retained checkpoint
+//! covers are deleted whole. Recovery loads the newest readable
 //! checkpoint (falling back a generation past corruption), replays the
 //! journal suffix through the normal ingest path — which re-fires the
-//! same auto-publishes with the same versions — and resumes.
+//! same auto-publishes with the same versions — and resumes. After
+//! [`DurableDaemon::open`] the write path reads storage only to mend the
+//! journal after a failed write.
 //!
 //! Both writes stream: the shard is serialized straight into its journal
 //! frame (`wal::encode_frame_into`, one buffer reused across shards), the
@@ -35,7 +38,7 @@ use crate::checkpoint::{encode_checkpoint, CheckpointError, CheckpointManager};
 use crate::engine::{BotMeterDaemon, DaemonOptions, DaemonStats};
 use crate::storage::Storage;
 use crate::store::StoreError;
-use crate::wal::{encode_frame_into, Wal, WalCodecError, WalFrame, MAX_FRAME_LEN};
+use crate::wal::{encode_frame_into, Wal, WalCodecError, MAX_FRAME_LEN};
 use botmeter_core::{BotMeter, LandscapeVersion};
 use botmeter_dns::ObservedLookup;
 use botmeter_obs::Obs;
@@ -410,7 +413,7 @@ impl<S: Storage> DurableDaemon<S> {
                 options
             },
             obs,
-            seq: checkpoint_seq.max(contents.base_seq),
+            seq: checkpoint_seq,
             last_checkpoint_seq: checkpoint_seq,
             degraded: false,
             stats: DurabilityStats::default(),
@@ -433,6 +436,9 @@ impl<S: Storage> DurableDaemon<S> {
             daemon.engine.ingest(&shard);
             daemon.seq = frame.seq;
         }
+        // The next shard goes above everything the journal accounts for,
+        // a sealed watermark with no frame after it included.
+        daemon.seq = daemon.seq.max(contents.last_seq);
         if daemon.obs.enabled() && (had_checkpoint_files || report.replayed_frames > 0) {
             daemon.obs.counter_add("daemon.recoveries", 1);
             daemon
@@ -503,8 +509,8 @@ impl<S: Storage> DurableDaemon<S> {
     }
 
     /// Writes a checkpoint at the current watermark, retires old
-    /// generations, and truncates the journal to the oldest retained
-    /// checkpoint's watermark.
+    /// generations, seals the journal's active segment at the watermark and
+    /// deletes the sealed segments the oldest retained checkpoint covers.
     ///
     /// # Errors
     ///
@@ -520,17 +526,18 @@ impl<S: Storage> DurableDaemon<S> {
             self.obs.observe_since("ckpt.encode_ns", start);
         }
         let start = self.obs.clock();
+        let seq = self.seq;
         let saved = encoded.and_then(|bytes| {
             with_retries(
                 &self.options.retry,
                 &self.obs,
                 "ckpt.save_retries",
                 &mut self.options.sleeper,
-                || CheckpointManager::save_encoded(self.wal.storage_mut(), self.seq, &bytes),
+                || CheckpointManager::save_encoded(self.wal.storage_mut(), seq, &bytes),
             )
         });
         let oldest_retained = match saved {
-            Ok(seq) => seq,
+            Ok(oldest) => oldest,
             Err(source) => {
                 self.stats.failed_checkpoints += 1;
                 if self.obs.enabled() {
@@ -543,7 +550,7 @@ impl<S: Storage> DurableDaemon<S> {
             }
         };
         self.stats.checkpoints += 1;
-        self.last_checkpoint_seq = self.seq;
+        self.last_checkpoint_seq = seq;
         // A successful checkpoint covers every shard up to `seq`,
         // including any that skipped the journal while degraded.
         self.degraded = false;
@@ -551,32 +558,27 @@ impl<S: Storage> DurableDaemon<S> {
             self.obs.counter_add("ckpt.saves", 1);
             self.obs.observe_since("ckpt.write_ns", start);
         }
-        // Truncate the journal to the *oldest retained* watermark so a
-        // corrupt newest checkpoint can still fall back and replay.
-        let keep: Vec<WalFrame> = match self.wal.load() {
-            Ok(Ok(contents)) => contents
-                .frames
-                .into_iter()
-                .filter(|f| f.seq > oldest_retained)
-                .collect(),
-            // Unreadable journal during rotation: leave it alone; the
-            // next recovery will surface the damage with full context.
-            Ok(Err(_)) | Err(_) => return Ok(()),
-        };
+        // Seal at this watermark; retire only what the *oldest retained*
+        // checkpoint covers, so a corrupt newest one can still fall back
+        // and replay. Rotation is an optimization: a segment that is not
+        // sealed or retired replays extra already-checkpointed frames,
+        // which recovery skips.
+        let start = self.obs.clock();
         let rotated = with_retries(
             &self.options.retry,
             &self.obs,
             "wal.rotate_retries",
             &mut self.options.sleeper,
-            || self.wal.rotate(oldest_retained, &keep),
+            || {
+                self.wal.seal(seq)?;
+                self.wal.retire(oldest_retained)
+            },
         );
-        if let Err(source) = rotated {
-            // Rotation is an optimization — an over-long journal replays
-            // extra already-checkpointed frames, which recovery skips.
-            if self.obs.enabled() {
+        if self.obs.enabled() {
+            self.obs.observe_since("wal.rotate_ns", start);
+            if rotated.is_err() {
                 self.obs.counter_add("wal.rotate_failed", 1);
             }
-            let _ = source;
         }
         Ok(())
     }
@@ -866,6 +868,141 @@ mod tests {
         let (recovered, report) = DurableDaemon::open(meter(), options(), storage, opts).unwrap();
         assert_eq!(recovered.stats().ingested, 128);
         assert_eq!(report.replayed_frames, 0, "checkpoint covered everything");
+    }
+
+    #[test]
+    fn a_torn_append_never_leaves_a_journal_that_will_not_reopen() {
+        let opts = || DurabilityOptions {
+            sleeper: Box::new(|_| {}),
+            ..DurabilityOptions::new(1000)
+        };
+        let (mut daemon, _) = DurableDaemon::open(
+            meter(),
+            options(),
+            FailingStorage::new(MemStorage::new()),
+            opts(),
+        )
+        .unwrap();
+        let stream = observed();
+        let shards: Vec<_> = stream[..160].chunks(32).collect();
+        daemon.ingest(shards[0]);
+        // Half of frame 2 lands, then the write fails; the retry cuts the
+        // half frame off before the whole one goes behind it.
+        daemon.storage_mut().tear_next_appends(1);
+        daemon.ingest(shards[1]);
+        assert!(!daemon.is_degraded());
+        // Every attempt at frame 3 tears: degraded, and the shard next in
+        // line (frame 4) is the one whose append mends the segment.
+        daemon.storage_mut().tear_next_appends(u64::MAX);
+        daemon.ingest(shards[2]);
+        assert!(daemon.is_degraded());
+        daemon.storage_mut().tear_next_appends(0);
+        daemon.ingest(shards[3]);
+        assert_eq!(daemon.durability_stats().wal_appends, 3);
+
+        let storage = std::mem::take(daemon.storage_mut().inner_mut());
+        let (_, report) = DurableDaemon::open(meter(), options(), storage.clone(), opts())
+            .expect("every acknowledged frame reopens");
+        assert_eq!((report.replayed_frames, report.torn_tail_bytes), (3, 0));
+        assert_eq!(report.ingested_records, 96);
+
+        // A checkpoint that seals a torn segment mends it first: a sealed
+        // segment never ends mid-frame. (Checkpoint 4 is retained beside 5,
+        // so the segment sealed at 5 is kept and read on reopen.)
+        let (mut daemon, _) =
+            DurableDaemon::open(meter(), options(), FailingStorage::new(storage), opts()).unwrap();
+        daemon.checkpoint_now().unwrap();
+        daemon.storage_mut().tear_next_appends(u64::MAX);
+        daemon.ingest(shards[4]);
+        daemon.checkpoint_now().unwrap();
+        let storage = std::mem::take(daemon.storage_mut().inner_mut());
+        let (recovered, report) =
+            DurableDaemon::open(meter(), options(), storage, opts()).expect("the chain reopens");
+        assert_eq!(report.checkpoint_seq, 5);
+        assert_eq!(
+            recovered.stats().ingested,
+            96 + 32,
+            "frame 3 was never acknowledged"
+        );
+    }
+
+    #[test]
+    fn a_seal_that_fails_is_counted_and_the_next_checkpoint_seals_everything() {
+        let (obs, registry) = Obs::collecting();
+        let opts = DurabilityOptions {
+            sleeper: Box::new(|_| {}),
+            ..DurabilityOptions::new(2)
+        };
+        let (mut daemon, _) = DurableDaemon::open(
+            meter(),
+            options().obs(obs),
+            FailingStorage::new(MemStorage::new()),
+            opts,
+        )
+        .unwrap();
+        let stream = observed();
+        daemon.storage_mut().fail_next_renames(u64::MAX);
+        daemon.ingest(&stream[..32]);
+        daemon.ingest(&stream[32..64]); // checkpoint 2; its seal fails
+        assert_eq!(daemon.durability_stats().failed_checkpoints, 0);
+        assert_eq!(registry.snapshot().counter("wal.rotate_failed"), Some(1));
+        daemon.storage_mut().fail_next_renames(0);
+        daemon.ingest(&stream[64..96]);
+        daemon.ingest(&stream[96..128]); // checkpoint 4 seals frames 1–4
+        let mut storage = std::mem::take(daemon.storage_mut().inner_mut());
+        assert_eq!(
+            storage.list().unwrap(),
+            [
+                CheckpointManager::file_name(2),
+                CheckpointManager::file_name(4),
+                crate::wal::segment_name(4),
+                crate::wal::WAL_FILE.to_owned(),
+            ]
+        );
+        storage.remove(&CheckpointManager::file_name(4)).unwrap();
+        let (recovered, report) =
+            DurableDaemon::open(meter(), options(), storage, DurabilityOptions::default()).unwrap();
+        assert_eq!((report.checkpoint_seq, report.replayed_frames), (2, 2));
+        assert_eq!(recovered.stats().ingested, 128);
+    }
+
+    #[test]
+    fn falling_back_past_a_sealed_watermark_numbers_the_next_frame_above_it() {
+        let opts = || DurabilityOptions {
+            sleeper: Box::new(|_| {}),
+            ..DurabilityOptions::new(1000)
+        };
+        let (mut daemon, _) = DurableDaemon::open(
+            meter(),
+            options(),
+            FailingStorage::new(MemStorage::new()),
+            opts(),
+        )
+        .unwrap();
+        let stream = observed();
+        daemon.ingest(&stream[..32]);
+        daemon.checkpoint_now().unwrap();
+        // Shard 2 rides on checkpoint 2 alone, which then turns out corrupt:
+        // recovery falls back to 1 with nothing to replay, and the journal
+        // is already sealed at 2.
+        daemon.storage_mut().fail_next_appends(u64::MAX);
+        daemon.ingest(&stream[32..64]);
+        daemon.checkpoint_now().unwrap();
+        let mut storage = std::mem::take(daemon.storage_mut().inner_mut());
+        storage
+            .get_mut(&CheckpointManager::file_name(2))
+            .unwrap()
+            .truncate(10);
+        let (mut daemon, report) =
+            DurableDaemon::open(meter(), options(), storage, opts()).unwrap();
+        assert_eq!((report.checkpoint_seq, report.corrupt_checkpoints), (1, 1));
+        assert_eq!(daemon.journal_seq(), 2);
+        daemon.ingest(&stream[64..96]);
+        let storage = std::mem::take(daemon.storage_mut());
+        let (reopened, report) = DurableDaemon::open(meter(), options(), storage, opts())
+            .expect("frame 3 lands above the sealed watermark");
+        assert_eq!(report.replayed_frames, 1);
+        assert_eq!(reopened.journal_seq(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The write-ahead journal and the checkpoint manager never touch the
 //! filesystem directly: they speak to a [`Storage`] — a flat namespace of
-//! named byte blobs with exactly the three durability primitives crash
+//! named byte blobs with exactly the four durability primitives crash
 //! safety needs:
 //!
 //! * **atomic replace** ([`Storage::write_atomic`]): the new content
@@ -11,8 +11,16 @@
 //! * **durable append** ([`Storage::append`]): bytes are flushed to stable
 //!   storage before the call returns, so a journal frame acknowledged is a
 //!   journal frame recovered;
+//! * **durable rename** ([`Storage::rename`]): a blob changes its name
+//!   without its bytes being copied — how a checkpoint seals the journal's
+//!   active segment;
 //! * **full read-back** ([`Storage::read`]) plus listing and removal for
-//!   recovery and checkpoint retirement.
+//!   recovery and for retiring checkpoints and sealed segments.
+//!
+//! Every durable file mutation in `crates/daemon` goes through this trait:
+//! `scripts/check.sh` rejects `fs::write`, `fs::rename`, `remove_file`,
+//! `File::create` and `OpenOptions` anywhere else in `crates/daemon/src`,
+//! so the fault double and the crash matrix see every write there is.
 //!
 //! Three implementations ship: [`DiskStorage`] (production, rooted at
 //! `--data-dir`), [`MemStorage`] (fast deterministic tests), and
@@ -42,6 +50,11 @@ pub trait Storage: std::fmt::Debug {
     /// — the journal's frame CRCs exist to detect exactly that.
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
 
+    /// Renames `from` to `to`, replacing any `to`. Durable when it returns
+    /// `Ok`: a crash afterwards finds `from`'s bytes under `to` and no
+    /// `from`. `NotFound` if `from` does not exist.
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()>;
+
     /// Whether `name` exists.
     fn exists(&mut self, name: &str) -> io::Result<bool>;
 
@@ -57,9 +70,9 @@ pub trait Storage: std::fmt::Debug {
 /// `write_atomic` goes through the classic temp-file protocol — write to
 /// `<name>.tmp`, `fsync` the file, rename over `<name>`, `fsync` the
 /// directory — so a torn replace can never be observed. `append` opens in
-/// append mode and `fsync`s before acknowledging. This helper is the
-/// **only** sanctioned write path in `crates/daemon`; `scripts/check.sh`
-/// rejects bare `fs::write` anywhere in the crate.
+/// append mode and `fsync`s before acknowledging; `rename` `fsync`s the
+/// directory after the rename. This helper is the **only** sanctioned
+/// write path in `crates/daemon`.
 #[derive(Debug)]
 pub struct DiskStorage {
     root: PathBuf,
@@ -111,6 +124,11 @@ impl Storage for DiskStorage {
             .open(self.path(name))?;
         file.write_all(bytes)?;
         file.sync_all()
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+        std::fs::rename(self.path(from), self.path(to))?;
+        self.sync_dir()
     }
 
     fn exists(&mut self, name: &str) -> io::Result<bool> {
@@ -181,6 +199,15 @@ impl Storage for MemStorage {
         Ok(())
     }
 
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+        let bytes = self
+            .files
+            .remove(from)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {from:?}")))?;
+        self.files.insert(to.to_string(), bytes);
+        Ok(())
+    }
+
     fn exists(&mut self, name: &str) -> io::Result<bool> {
         Ok(self.files.contains_key(name))
     }
@@ -204,6 +231,8 @@ pub enum OpKind {
     WriteAtomic,
     /// [`Storage::append`].
     Append,
+    /// [`Storage::rename`].
+    Rename,
     /// [`Storage::exists`] / [`Storage::list`] / [`Storage::remove`].
     Other,
 }
@@ -216,12 +245,17 @@ pub enum OpKind {
 /// storage. This is what makes the journal's retry/backoff observable in
 /// tests — "fail the first two appends, succeed on the third" — and what
 /// drives the degraded-mode path ("fail every append from now on").
+/// A *torn* append is the one fault that does reach the inner storage: it
+/// writes the first half of the bytes and then fails, as a full disk or an
+/// I/O error part-way through `write_all` does.
 #[derive(Debug)]
 pub struct FailingStorage<S: Storage> {
     inner: S,
     fail_reads: u64,
     fail_writes: u64,
     fail_appends: u64,
+    fail_renames: u64,
+    tear_appends: u64,
     /// Total faults injected so far (all kinds).
     injected: u64,
 }
@@ -234,6 +268,8 @@ impl<S: Storage> FailingStorage<S> {
             fail_reads: 0,
             fail_writes: 0,
             fail_appends: 0,
+            fail_renames: 0,
+            tear_appends: 0,
             injected: 0,
         }
     }
@@ -254,6 +290,18 @@ impl<S: Storage> FailingStorage<S> {
         self.fail_reads = n;
     }
 
+    /// Schedules the next `n` renames to fail.
+    pub fn fail_next_renames(&mut self, n: u64) {
+        self.fail_renames = n;
+    }
+
+    /// Schedules the next `n` appends to tear: each writes the first half
+    /// of its bytes to the inner storage, then fails. Counted before
+    /// [`fail_next_appends`](Self::fail_next_appends)' budget.
+    pub fn tear_next_appends(&mut self, n: u64) {
+        self.tear_appends = n;
+    }
+
     /// Faults injected so far.
     pub fn injected(&self) -> u64 {
         self.injected
@@ -269,6 +317,7 @@ impl<S: Storage> FailingStorage<S> {
             OpKind::Read => &mut self.fail_reads,
             OpKind::WriteAtomic => &mut self.fail_writes,
             OpKind::Append => &mut self.fail_appends,
+            OpKind::Rename => &mut self.fail_renames,
             OpKind::Other => return Ok(()),
         };
         if *budget > 0 {
@@ -292,8 +341,19 @@ impl<S: Storage> Storage for FailingStorage<S> {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        if self.tear_appends > 0 {
+            self.tear_appends -= 1;
+            self.injected += 1;
+            self.inner.append(name, &bytes[..bytes.len() / 2])?;
+            return Err(io::Error::other("injected torn append"));
+        }
         self.maybe_fail(OpKind::Append)?;
         self.inner.append(name, bytes)
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+        self.maybe_fail(OpKind::Rename)?;
+        self.inner.rename(from, to)
     }
 
     fn exists(&mut self, name: &str) -> io::Result<bool> {
@@ -327,9 +387,16 @@ mod tests {
         assert_eq!(s.read("a").unwrap(), b"replaced");
         s.append("b", b"fresh").unwrap();
         assert_eq!(s.list().unwrap(), vec!["a".to_string(), "b".to_string()]);
+        s.rename("b", "c").unwrap();
+        assert_eq!(s.read("c").unwrap(), b"fresh");
+        assert_eq!(
+            s.rename("b", "c").unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
         s.remove("a").unwrap();
         s.remove("a").unwrap(); // idempotent
         assert!(s.read("a").is_err());
+        assert_eq!(s.list().unwrap(), vec!["c".to_string()]);
     }
 
     #[test]
@@ -344,6 +411,13 @@ mod tests {
         assert!(s.exists("wal").unwrap());
         let listed = s.list().unwrap();
         assert!(listed.contains(&"ckpt".to_string()) && listed.contains(&"wal".to_string()));
+        s.rename("ckpt", "wal").unwrap();
+        assert_eq!(
+            s.read("wal").unwrap(),
+            b"hello",
+            "the rename replaced the target"
+        );
+        assert!(!s.exists("ckpt").unwrap());
         s.remove("wal").unwrap();
         s.remove("wal").unwrap();
         assert!(!s.exists("wal").unwrap());
@@ -362,5 +436,22 @@ mod tests {
         s.fail_next_reads(1);
         assert!(s.read("wal").is_err());
         assert_eq!(s.read("wal").unwrap(), b"x");
+        s.fail_next_renames(1);
+        assert!(s.rename("wal", "sealed").is_err());
+        s.rename("wal", "sealed").unwrap();
+        assert_eq!(s.read("sealed").unwrap(), b"x");
+    }
+
+    #[test]
+    fn a_torn_append_lands_half_its_bytes_then_fails() {
+        let mut s = FailingStorage::new(MemStorage::new());
+        s.tear_next_appends(1);
+        s.fail_next_appends(1);
+        assert!(s.append("wal", b"abcdef").is_err());
+        assert_eq!(s.inner_mut().read("wal").unwrap(), b"abc");
+        assert!(s.append("wal", b"ghij").is_err(), "then the plain fault");
+        s.append("wal", b"ghij").unwrap();
+        assert_eq!(s.read("wal").unwrap(), b"abcghij");
+        assert_eq!(s.injected(), 2);
     }
 }

@@ -25,8 +25,24 @@
 //! detected instead of mis-parsed as a torn tail: any single-byte flip in
 //! a complete file — header, length, payload or checksum — surfaces as a
 //! codec error (CRC-32 detects all burst errors up to 32 bits). `base_seq`
-//! is the truncation watermark: frames with `seq <= base_seq` have been
-//! folded into a retained checkpoint and rotated out.
+//! is the file's watermark: its frames all have `seq > base_seq`.
+//!
+//! ## A chain of segments
+//!
+//! The journal is zero or more *sealed* segments `wal.<seq:020>.log` and
+//! the *active* segment `wal.log`, each one such file. Appends go to the
+//! active segment. After a checkpoint at watermark `S` is on storage,
+//! [`Wal::seal`] renames `wal.log` to `wal.<S>.log` — every frame it holds
+//! is at or below `S` — and starts a fresh `wal.log` based at `S`; then
+//! [`Wal::retire`] deletes every sealed segment at or below the *oldest*
+//! retained checkpoint, whose frames each retained generation covers. A
+//! checkpoint therefore renames one file and deletes whole ones: no frame
+//! is read back, re-checked or written twice. [`Wal::load`] reads the
+//! sealed segments in watermark order and then `wal.log`, and requires the
+//! sequence numbers to ascend strictly across files; a torn tail is
+//! tolerated only in the active segment (a sealed one was complete when it
+//! was sealed). A directory holding `wal.log` alone — what builds before
+//! segments wrote — is a chain with no sealed segments.
 //!
 //! ## Writing a frame
 //!
@@ -45,8 +61,22 @@ use crate::storage::Storage;
 use std::fmt;
 use std::io;
 
-/// The journal's file name inside the data directory.
+/// The active segment's file name inside the data directory: the file
+/// appends go to.
 pub const WAL_FILE: &str = "wal.log";
+
+/// The file name of the segment sealed at checkpoint watermark `seq`:
+/// `wal.<seq, 20 digits zero-padded>.log`, so the storage's sorted listing
+/// is also chain order.
+pub fn segment_name(seq: u64) -> String {
+    format!("wal.{seq:020}.log")
+}
+
+/// Parses a sealed segment's file name back into its watermark.
+fn parse_segment_name(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("wal.")?.strip_suffix(".log")?;
+    digits.parse().ok()
+}
 
 const MAGIC: &[u8; 8] = b"BMWAL001";
 const HEADER_LEN: usize = 8 + 8 + 4;
@@ -134,13 +164,17 @@ pub struct WalFrame {
 /// A fully decoded journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalContents {
-    /// Frames at or below this sequence number have been rotated out.
+    /// Frames at or below this sequence number have been retired.
     pub base_seq: u64,
     /// Valid frames, in append order.
     pub frames: Vec<WalFrame>,
     /// Bytes of a torn (incomplete) final frame that were discarded, if
     /// the file ended mid-append.
     pub torn_tail_bytes: usize,
+    /// The highest sequence number the journal accounts for: its last
+    /// frame's, or a file header's base where that is higher (a segment
+    /// sealed with no frame after it). The next frame must be above it.
+    pub last_seq: u64,
 }
 
 /// Structural damage the codec refuses to read through.
@@ -162,6 +196,15 @@ pub enum WalCodecError {
         /// What was wrong with it.
         reason: String,
     },
+    /// A file of the segment chain does not fit it: a sealed segment is
+    /// damaged, ends mid-frame or holds a frame above its watermark, or a
+    /// file's frames do not ascend from the preceding file's.
+    BadSegment {
+        /// The file's name.
+        name: String,
+        /// What was wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for WalCodecError {
@@ -178,6 +221,12 @@ impl fmt::Display for WalCodecError {
                 f,
                 "write-ahead journal frame {index} (offset {offset}) is corrupt: {reason}"
             ),
+            WalCodecError::BadSegment { name, reason } => {
+                write!(
+                    f,
+                    "write-ahead journal segment {name} is unusable: {reason}"
+                )
+            }
         }
     }
 }
@@ -299,6 +348,7 @@ pub fn decode(bytes: &[u8]) -> Result<WalContents, WalCodecError> {
                 base_seq,
                 frames,
                 torn_tail_bytes: remaining,
+                last_seq: prev_seq,
             });
         }
         let index = frames.len();
@@ -335,6 +385,7 @@ pub fn decode(bytes: &[u8]) -> Result<WalContents, WalCodecError> {
                 base_seq,
                 frames,
                 torn_tail_bytes: bytes.len() - pos,
+                last_seq: prev_seq,
             });
         }
         let payload = &bytes[payload_start..payload_start + len as usize];
@@ -357,38 +408,127 @@ pub fn decode(bytes: &[u8]) -> Result<WalContents, WalCodecError> {
         base_seq,
         frames,
         torn_tail_bytes: 0,
+        last_seq: prev_seq,
     })
+}
+
+/// Appends `next`, the decoded file `name`, to the chain decoded so far.
+fn chain(
+    mut so_far: WalContents,
+    next: WalContents,
+    name: &str,
+) -> Result<WalContents, WalCodecError> {
+    if let Some(first) = next.frames.first() {
+        if first.seq <= so_far.last_seq {
+            return Err(WalCodecError::BadSegment {
+                name: name.to_owned(),
+                reason: format!(
+                    "sequence {} not above the preceding segment's {}",
+                    first.seq, so_far.last_seq
+                ),
+            });
+        }
+    }
+    so_far.frames.extend(next.frames);
+    so_far.torn_tail_bytes = next.torn_tail_bytes;
+    so_far.last_seq = so_far.last_seq.max(next.last_seq);
+    Ok(so_far)
 }
 
 // --- The journal over a Storage ------------------------------------------
 
 /// The write-ahead journal: appends acknowledged shards, replays them on
-/// recovery, and rotates acknowledged prefixes out after checkpoints.
+/// recovery, and seals and retires segments after checkpoints.
 ///
 /// All I/O goes through the wrapped [`Storage`]; retry/backoff around
 /// transient faults lives one layer up in
 /// [`DurableDaemon`](crate::DurableDaemon), so this type stays a thin,
-/// deterministic codec-plus-file wrapper.
+/// deterministic codec-plus-file wrapper. Outside recovery it reads
+/// storage only to mend the active segment after a write to it failed.
 #[derive(Debug)]
 pub struct Wal<S: Storage> {
     storage: S,
+    /// Whether a write to the active segment failed part-way — an append
+    /// that may have landed part of a frame, or a seal whose fresh header
+    /// never landed — so the next write must mend the segment first.
+    mend: bool,
 }
 
 impl<S: Storage> Wal<S> {
-    /// Wraps `storage`; creates an empty journal (base 0) if none exists.
-    pub fn create(mut storage: S) -> io::Result<Self> {
-        if !storage.exists(WAL_FILE)? {
-            storage.write_atomic(WAL_FILE, &encode_header(0))?;
+    /// Wraps `storage`; creates an empty active segment if none exists,
+    /// based where the newest sealed segment ends (0 if there is none).
+    pub fn create(storage: S) -> io::Result<Self> {
+        let mut wal = Wal {
+            storage,
+            mend: false,
+        };
+        if !wal.storage.exists(WAL_FILE)? {
+            wal.start_active()?;
         }
-        Ok(Wal { storage })
+        Ok(wal)
     }
 
-    /// Reads and decodes the whole journal. Torn tails are tolerated (and
-    /// reported via [`WalContents::torn_tail_bytes`]); corruption is a
-    /// loud error the caller must surface, never skip.
+    /// The sealed segments' watermarks, ascending.
+    fn sealed(&mut self) -> io::Result<Vec<u64>> {
+        let mut seqs: Vec<u64> = self
+            .storage
+            .list()?
+            .iter()
+            .filter_map(|name| parse_segment_name(name))
+            .collect();
+        seqs.sort_unstable();
+        Ok(seqs)
+    }
+
+    fn start_active(&mut self) -> io::Result<()> {
+        let base = self.sealed()?.last().copied().unwrap_or(0);
+        self.storage.write_atomic(WAL_FILE, &encode_header(base))
+    }
+
+    /// Reads and decodes the whole chain: the sealed segments in order,
+    /// then the active one. A torn tail of the active segment is tolerated
+    /// (and reported via [`WalContents::torn_tail_bytes`]); corruption —
+    /// and a torn sealed segment, or sequences that do not ascend across
+    /// files — is a loud error the caller must surface, never skip.
     pub fn load(&mut self) -> io::Result<Result<WalContents, WalCodecError>> {
-        let bytes = self.storage.read(WAL_FILE)?;
-        Ok(decode(&bytes))
+        let mut sealed: Option<WalContents> = None;
+        for seq in self.sealed()? {
+            let name = segment_name(seq);
+            let bad = |reason: String| {
+                Ok(Err(WalCodecError::BadSegment {
+                    name: name.clone(),
+                    reason,
+                }))
+            };
+            let segment = match decode(&self.storage.read(&name)?) {
+                Ok(segment) => segment,
+                Err(e) => return bad(e.to_string()),
+            };
+            if segment.torn_tail_bytes > 0 {
+                return bad("a sealed segment ends mid-frame".into());
+            }
+            if segment.last_seq > seq {
+                return bad(format!(
+                    "sequence {} above the segment's watermark",
+                    segment.last_seq
+                ));
+            }
+            sealed = Some(match sealed {
+                None => segment,
+                Some(so_far) => match chain(so_far, segment, &name) {
+                    Ok(joined) => joined,
+                    Err(e) => return Ok(Err(e)),
+                },
+            });
+        }
+        let active = match decode(&self.storage.read(WAL_FILE)?) {
+            Ok(active) => active,
+            Err(e) => return Ok(Err(e)),
+        };
+        Ok(match sealed {
+            None => Ok(active),
+            Some(sealed) => chain(sealed, active, WAL_FILE),
+        })
     }
 
     /// Appends one frame. The append is durable (storage-fsynced) when
@@ -400,15 +540,58 @@ impl<S: Storage> Wal<S> {
         self.append_encoded(&frame)
     }
 
-    /// Appends a frame [`encode_frame_into`] already laid out.
+    /// Appends a frame [`encode_frame_into`] already laid out. After a
+    /// failed append the active segment may end in part of a frame, and a
+    /// whole frame behind that prefix would read as mid-log corruption, so
+    /// the next append first cuts the segment back to its last whole frame.
     pub(crate) fn append_encoded(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.storage.append(WAL_FILE, frame)
+        if self.mend {
+            self.mend_active()?;
+        }
+        let appended = self.storage.append(WAL_FILE, frame);
+        self.mend = appended.is_err();
+        appended
     }
 
-    /// Rewrites the journal to contain only `keep` (frames above the new
-    /// `base_seq`), atomically. Called after a checkpoint so the journal
-    /// tracks the *oldest retained* checkpoint's watermark — a corrupt
-    /// newest checkpoint can still fall back one generation and replay.
+    /// Seals the active segment after a checkpoint at watermark `seq` is on
+    /// storage: renames `wal.log` to [`segment_name`]`(seq)` and starts a
+    /// fresh `wal.log` based at `seq`. Every frame of the sealed segment is
+    /// at or below `seq`.
+    ///
+    /// Sealing a watermark that is already sealed — a retry after the
+    /// rename landed, or a second checkpoint with no shard between — only
+    /// writes the fresh header: no frame above `seq` can exist yet.
+    pub fn seal(&mut self, seq: u64) -> io::Result<()> {
+        let sealed = segment_name(seq);
+        if !self.storage.exists(&sealed)? {
+            if self.mend {
+                self.mend_active()?;
+            }
+            self.storage.rename(WAL_FILE, &sealed)?;
+        }
+        self.mend = true;
+        self.storage.write_atomic(WAL_FILE, &encode_header(seq))?;
+        self.mend = false;
+        Ok(())
+    }
+
+    /// Deletes every sealed segment at or below `oldest_retained`, the
+    /// watermark of the oldest checkpoint storage retains: each of their
+    /// frames is covered by every retained generation. The segments above
+    /// it stay, so a corrupt newest checkpoint can still fall back one
+    /// generation and replay.
+    pub fn retire(&mut self, oldest_retained: u64) -> io::Result<()> {
+        for seq in self.sealed()? {
+            if seq <= oldest_retained {
+                self.storage.remove(&segment_name(seq))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Rewrites the active segment to contain only `keep` (frames above
+    /// `base_seq`), atomically. The daemon calls it only to cut a torn tail
+    /// off; a checkpoint seals the segment instead of rewriting it.
     pub fn rotate(&mut self, base_seq: u64, keep: &[WalFrame]) -> io::Result<()> {
         let mut bytes = encode_header(base_seq);
         bytes.reserve(
@@ -423,16 +606,34 @@ impl<S: Storage> Wal<S> {
         self.storage.write_atomic(WAL_FILE, &bytes)
     }
 
-    /// If the journal has a torn tail, truncates it back to the longest
-    /// valid prefix so future appends start on a frame boundary. Returns
-    /// the decoded contents.
+    /// Makes the active segment end on a frame boundary again: starts it
+    /// afresh if a seal's header never landed, and cuts a torn tail back to
+    /// the last whole frame. A segment the codec refuses is left alone, as
+    /// `InvalidData`: recovery surfaces that damage with full context.
+    fn mend_active(&mut self) -> io::Result<()> {
+        if !self.storage.exists(WAL_FILE)? {
+            self.start_active()?;
+        } else {
+            let active = decode(&self.storage.read(WAL_FILE)?)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if active.torn_tail_bytes > 0 {
+                self.rotate(active.base_seq, &active.frames)?;
+            }
+        }
+        self.mend = false;
+        Ok(())
+    }
+
+    /// [`load`](Self::load), then, if the active segment has a torn tail,
+    /// truncates it back to the longest valid prefix so future appends
+    /// start on a frame boundary. Returns the decoded contents.
     pub fn load_and_repair(&mut self) -> io::Result<Result<WalContents, WalCodecError>> {
         let contents = match self.load()? {
             Ok(c) => c,
             Err(e) => return Ok(Err(e)),
         };
         if contents.torn_tail_bytes > 0 {
-            self.rotate(contents.base_seq, &contents.frames)?;
+            self.mend_active()?;
         }
         Ok(Ok(contents))
     }
@@ -651,6 +852,158 @@ mod tests {
         // Appends continue above the rotated frames.
         wal.append(6, b"after-rotate").unwrap();
         assert_eq!(wal.load().unwrap().unwrap().frames.len(), 3);
+    }
+
+    /// The journal's file names, sorted.
+    fn names(wal: &mut Wal<MemStorage>) -> Vec<String> {
+        wal.storage_mut().list().unwrap()
+    }
+
+    fn seqs(contents: &WalContents) -> Vec<u64> {
+        contents.frames.iter().map(|f| f.seq).collect()
+    }
+
+    #[test]
+    fn sealing_renames_the_active_segment_and_load_reads_the_chain() {
+        let mut wal = Wal::create(MemStorage::new()).unwrap();
+        for seq in 1..=3 {
+            wal.append(seq, format!("shard-{seq}").as_bytes()).unwrap();
+        }
+        let active = wal.storage_mut().read(WAL_FILE).unwrap();
+        wal.seal(3).unwrap();
+        assert_eq!(names(&mut wal), [segment_name(3), WAL_FILE.to_owned()]);
+        assert_eq!(
+            wal.storage_mut().read(&segment_name(3)).unwrap(),
+            active,
+            "sealed byte for byte"
+        );
+        assert_eq!(wal.storage_mut().read(WAL_FILE).unwrap(), encode_header(3));
+        wal.append(4, b"shard-4").unwrap();
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!((contents.base_seq, contents.last_seq), (0, 4));
+        assert_eq!(seqs(&contents), [1, 2, 3, 4]);
+        assert_eq!(contents.frames[3].payload, b"shard-4");
+    }
+
+    #[test]
+    fn retire_deletes_only_segments_the_oldest_checkpoint_covers() {
+        let mut wal = Wal::create(MemStorage::new()).unwrap();
+        for (seq, seal) in [(1, false), (2, true), (3, false), (4, true), (5, false)] {
+            wal.append(seq, b"x").unwrap();
+            if seal {
+                wal.seal(seq).unwrap();
+            }
+        }
+        wal.retire(1).unwrap();
+        assert_eq!(names(&mut wal).len(), 3, "no segment ends at or below 1");
+        wal.retire(2).unwrap();
+        assert_eq!(names(&mut wal), [segment_name(4), WAL_FILE.to_owned()]);
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!((contents.base_seq, seqs(&contents)), (2, vec![3, 4, 5]));
+    }
+
+    #[test]
+    fn a_second_seal_at_one_watermark_keeps_the_sealed_frames() {
+        let mut wal = Wal::create(MemStorage::new()).unwrap();
+        wal.append(1, b"one").unwrap();
+        wal.seal(1).unwrap();
+        wal.seal(1).unwrap();
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!((seqs(&contents), contents.last_seq), (vec![1], 1));
+    }
+
+    #[test]
+    fn a_seal_cut_short_before_its_header_is_finished_by_the_next_write() {
+        // Renamed, no fresh `wal.log` yet: what a crash (or a failed header
+        // write) between the seal's two steps leaves.
+        let mut storage = MemStorage::new();
+        let mut bytes = encode_header(0);
+        bytes.extend_from_slice(&encode_frame(1, b"one"));
+        storage.write_atomic(&segment_name(1), &bytes).unwrap();
+        let mut wal = Wal::create(storage.clone()).unwrap();
+        assert_eq!(wal.storage_mut().read(WAL_FILE).unwrap(), encode_header(1));
+        assert_eq!(wal.load().unwrap().unwrap().last_seq, 1);
+
+        let mut failing = crate::storage::FailingStorage::new(MemStorage::new());
+        failing.write_atomic(WAL_FILE, &bytes).unwrap();
+        let mut wal = Wal::create(failing).unwrap();
+        wal.storage_mut().fail_next_writes(1);
+        assert!(wal.seal(1).is_err(), "the header write failed");
+        assert!(!wal.storage_mut().exists(WAL_FILE).unwrap());
+        wal.append(2, b"two").unwrap();
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!(seqs(&contents), [1, 2]);
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_back_before_the_next_frame_lands() {
+        let mut failing = crate::storage::FailingStorage::new(MemStorage::new());
+        failing.tear_next_appends(2);
+        let mut wal = Wal::create(failing).unwrap();
+        wal.append(1, b"whole").unwrap_err();
+        wal.append(1, b"whole").unwrap_err();
+        wal.append(1, b"whole").unwrap();
+        wal.append(2, b"next").unwrap();
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!((seqs(&contents), contents.torn_tail_bytes), (vec![1, 2], 0));
+    }
+
+    #[test]
+    fn a_chain_that_does_not_fit_together_is_refused_by_name() {
+        let segment = |base: u64, frames: &[u64]| {
+            let mut bytes = encode_header(base);
+            for &seq in frames {
+                bytes.extend_from_slice(&encode_frame(seq, b"x"));
+            }
+            bytes
+        };
+        let sealed = segment_name(2);
+        // (the segment sealed at 2, the active segment, the file blamed, why)
+        let cases = [
+            // A sealed segment that ends mid-frame.
+            (
+                segment(0, &[1, 2])[..40].to_vec(),
+                segment(2, &[]),
+                sealed.as_str(),
+                "mid-frame",
+            ),
+            // A frame above the segment's watermark.
+            (
+                segment(0, &[1, 2, 3]),
+                segment(2, &[]),
+                sealed.as_str(),
+                "watermark",
+            ),
+            // The active segment repeats a sealed frame.
+            (
+                segment(0, &[1, 2]),
+                segment(1, &[2, 3]),
+                WAL_FILE,
+                "not above",
+            ),
+            // A damaged sealed segment.
+            (
+                b"BMWAL00X".repeat(3),
+                segment(2, &[]),
+                sealed.as_str(),
+                "bad magic",
+            ),
+        ];
+        for (sealed_bytes, active, file, needle) in cases {
+            let mut storage = MemStorage::new();
+            storage.write_atomic(&sealed, &sealed_bytes).unwrap();
+            storage.write_atomic(WAL_FILE, &active).unwrap();
+            match Wal::create(storage).unwrap().load().unwrap() {
+                Err(e @ WalCodecError::BadSegment { .. }) => {
+                    let message = e.to_string();
+                    assert!(
+                        message.contains(file) && message.contains(needle),
+                        "{message}"
+                    );
+                }
+                other => panic!("expected a bad segment {file}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The durability contract, exhaustively: a daemon killed at **every**
-//! ingest boundary and restarted must end bit-identical to an
-//! uninterrupted run — across DGA families (both estimator routes) and
-//! both execution policies — and a corrupted newest checkpoint must fall
-//! back a generation and still converge.
+//! ingest boundary, and after **every** mutating storage operation, and
+//! restarted must end bit-identical to an uninterrupted run — across DGA
+//! families (both estimator routes) and both execution policies — and a
+//! corrupted newest checkpoint must fall back a generation and still
+//! converge.
 //!
 //! "Kill" here is in-process: the daemon is dropped without a shutdown
 //! flush, exactly what `kill -9` leaves on storage (journal yes, final
@@ -13,12 +14,15 @@ use botmeter_core::{BotMeter, BotMeterConfig};
 use botmeter_daemon::checkpoint::decode_checkpoint;
 use botmeter_daemon::wal::crc32;
 use botmeter_daemon::{
-    DaemonOptions, DurabilityError, DurabilityOptions, DurableDaemon, MemStorage, Storage,
+    DaemonOptions, DurabilityError, DurabilityOptions, DurableDaemon, FailingStorage, MemStorage,
+    Storage,
 };
 use botmeter_dga::DgaFamily;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
+use botmeter_obs::Obs;
 use botmeter_sim::ScenarioSpec;
+use std::io;
 
 const EPOCHS: u64 = 2;
 
@@ -58,7 +62,7 @@ fn durability() -> DurabilityOptions {
 
 /// Drives a daemon over `shards`, mirroring `botmeterd`'s end-of-input
 /// rule: publish the trailing epoch only when unpublished work exists.
-fn drive(daemon: &mut DurableDaemon<MemStorage>, shards: &[&[ObservedLookup]]) {
+fn drive<S: Storage>(daemon: &mut DurableDaemon<S>, shards: &[&[ObservedLookup]]) {
     for shard in shards {
         daemon.ingest(shard);
     }
@@ -69,7 +73,7 @@ fn drive(daemon: &mut DurableDaemon<MemStorage>, shards: &[&[ObservedLookup]]) {
 
 /// The engine's complete recoverable state, bit-exactly comparable: raw
 /// estimates and published values travel as `f64::to_bits`.
-fn fingerprint(daemon: &DurableDaemon<MemStorage>) -> String {
+fn fingerprint<S: Storage>(daemon: &DurableDaemon<S>) -> String {
     let state = daemon.engine().checkpoint_state(0);
     serde_json::to_string(&state).expect("checkpoint state serializes")
 }
@@ -136,6 +140,158 @@ fn killed_at_every_ingest_boundary_recovers_bit_identical() {
             );
         }
     }
+}
+
+/// [`MemStorage`] that keeps what `kill -9` would leave after each of its
+/// mutating operations: a copy of the storage, labelled with the operation.
+#[derive(Debug, Default)]
+struct Recording {
+    storage: MemStorage,
+    after: Vec<(String, MemStorage)>,
+}
+
+impl Recording {
+    fn record(&mut self, op: String) -> io::Result<()> {
+        self.after.push((op, self.storage.clone()));
+        Ok(())
+    }
+}
+
+impl Storage for Recording {
+    fn read(&mut self, name: &str) -> io::Result<Vec<u8>> {
+        self.storage.read(name)
+    }
+
+    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.storage.write_atomic(name, bytes)?;
+        self.record(format!("write_atomic {name}"))
+    }
+
+    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.storage.append(name, bytes)?;
+        self.record(format!("append {name}"))
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+        self.storage.rename(from, to)?;
+        self.record(format!("rename {from} {to}"))
+    }
+
+    fn exists(&mut self, name: &str) -> io::Result<bool> {
+        self.storage.exists(name)
+    }
+
+    fn list(&mut self) -> io::Result<Vec<String>> {
+        self.storage.list()
+    }
+
+    fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.storage.remove(name)?;
+        self.record(format!("remove {name}"))
+    }
+}
+
+#[test]
+fn killed_after_every_storage_operation_recovers_bit_identical() {
+    for (family, policy) in matrix() {
+        let observed = stream(&family);
+        let shards = shards_of(&observed);
+        let (mut reference, _) = DurableDaemon::open(
+            meter(&family),
+            options(&policy),
+            Recording::default(),
+            durability(),
+        )
+        .expect("fresh open");
+        drive(&mut reference, &shards);
+        reference.shutdown().expect("final checkpoint");
+        let expected = fingerprint(&reference);
+        let after = std::mem::take(&mut reference.storage_mut().after);
+
+        // Every step of a checkpoint is a kill point: the checkpoint write
+        // and the retirement of the old generation, the seal's rename and
+        // fresh header, the retirement of covered segments.
+        for op in [
+            "append wal.log",
+            "write_atomic checkpoint.",
+            "remove checkpoint.",
+            "rename wal.log wal.",
+            "write_atomic wal.log",
+            "remove wal.",
+        ] {
+            assert!(
+                after.iter().any(|(done, _)| done.starts_with(op)),
+                "{}: no {op:?} among {:?}",
+                family.name(),
+                after.iter().map(|(done, _)| done).collect::<Vec<_>>()
+            );
+        }
+
+        for (k, (op, survives)) in after.into_iter().enumerate() {
+            let (mut recovered, report) =
+                DurableDaemon::open(meter(&family), options(&policy), survives, durability())
+                    .unwrap_or_else(|e| panic!("{}: kill after op {k} ({op}): {e}", family.name()));
+            // Resume the feed where the recovered engine stands: always on
+            // a shard boundary.
+            let resume = (0..=shards.len())
+                .find(|&i| {
+                    shards[..i].iter().map(|s| s.len() as u64).sum::<u64>()
+                        == report.ingested_records
+                })
+                .expect("recovery resumes on a shard boundary");
+            drive(&mut recovered, &shards[resume..]);
+            recovered.shutdown().expect("final checkpoint");
+            assert_eq!(
+                fingerprint(&recovered),
+                expected,
+                "{} / {policy:?}: kill after op {k} ({op}) diverged",
+                family.name(),
+            );
+        }
+    }
+}
+
+/// After `open`, no ingest or checkpoint reads storage: every read failing
+/// changes nothing — no failed checkpoint, no failed rotation — and what is
+/// left reopens to the uninterrupted state.
+#[test]
+fn after_open_the_write_path_never_reads_storage() {
+    let family = DgaFamily::murofet();
+    let policy = ExecPolicy::Sequential;
+    let observed = stream(&family);
+    let shards = shards_of(&observed);
+    let (obs, registry) = Obs::collecting();
+    let (mut daemon, _) = DurableDaemon::open(
+        meter(&family),
+        options(&policy).obs(obs),
+        FailingStorage::new(MemStorage::new()),
+        durability(),
+    )
+    .expect("fresh open");
+    daemon.storage_mut().fail_next_reads(u64::MAX);
+    drive(&mut daemon, &shards);
+    daemon.shutdown().expect("final checkpoint");
+    let stats = daemon.durability_stats();
+    assert!(stats.checkpoints >= 3, "{stats:?}");
+    assert_eq!(stats.failed_checkpoints, 0);
+    assert_eq!(daemon.storage_mut().injected(), 0, "nothing was read");
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("wal.rotate_failed"), None);
+    assert_eq!(
+        snapshot.histogram("wal.rotate_ns").map(|h| h.count),
+        Some(stats.checkpoints)
+    );
+    let expected = fingerprint(&daemon);
+
+    let storage = std::mem::take(daemon.storage_mut().inner_mut());
+    let (reopened, report) =
+        DurableDaemon::open(meter(&family), options(&policy), storage, durability())
+            .expect("reopen");
+    assert_eq!(
+        report.replayed_frames, 0,
+        "the shutdown checkpoint covers all"
+    );
+    assert_eq!(fingerprint(&reopened), expected);
 }
 
 #[test]

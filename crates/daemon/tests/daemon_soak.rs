@@ -1,12 +1,15 @@
-//! Soak: a hundred-odd synthetic epochs through the daemon on each
+//! Soak: a hundred-odd synthetic epochs through the durable daemon on each
 //! estimator route, asserting the long-haul properties batch charting
-//! cannot give you — bounded memory, exact deltas, and cheap publishes —
-//! without ever giving up bit-identity to batch charting.
+//! cannot give you — bounded memory, a bounded data directory, exact
+//! deltas, and cheap publishes — without ever giving up bit-identity to
+//! batch charting.
 
 mod common;
 
 use botmeter_core::{BotMeter, BotMeterConfig, LandscapeVersion};
-use botmeter_daemon::{BotMeterDaemon, DaemonOptions};
+use botmeter_daemon::checkpoint::CheckpointManager;
+use botmeter_daemon::wal::WAL_FILE;
+use botmeter_daemon::{DaemonOptions, DurabilityOptions, DurableDaemon, MemStorage, Storage};
 use botmeter_dga::DgaFamily;
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
@@ -19,9 +22,11 @@ const MUROFET_EPOCHS: u64 = 120;
 /// Epochs soaked on the Bernoulli route (newGoZ), whose Theorem-1 kernels
 /// cost more per cell.
 const NEWGOZ_EPOCHS: u64 = 24;
+/// Epochs (one shard each) between checkpoints.
+const CHECKPOINT_EVERY: u64 = 3;
 
 struct SoakRun {
-    daemon: BotMeterDaemon,
+    daemon: DurableDaemon<MemStorage>,
     registry: std::sync::Arc<botmeter_obs::MetricsRegistry>,
     full: Vec<ObservedLookup>,
     family: DgaFamily,
@@ -33,7 +38,7 @@ struct SoakRun {
 fn soak(family: DgaFamily, epochs: u64) -> SoakRun {
     let (obs, registry) = Obs::collecting();
     let meter = BotMeter::new(BotMeterConfig::new(family.clone()));
-    let daemon = BotMeterDaemon::new(
+    let (daemon, _) = DurableDaemon::open(
         meter,
         DaemonOptions::new(0..epochs)
             .policy(ExecPolicy::Sequential)
@@ -41,6 +46,8 @@ fn soak(family: DgaFamily, epochs: u64) -> SoakRun {
             .retention(3)
             .auto_publish(false)
             .obs(obs),
+        MemStorage::new(),
+        DurabilityOptions::new(CHECKPOINT_EVERY),
     )
     .expect("valid options");
     let mut run = SoakRun {
@@ -60,16 +67,19 @@ fn soak(family: DgaFamily, epochs: u64) -> SoakRun {
 impl SoakRun {
     /// Ingests one epoch's synthetic traffic, publishes, and checks the
     /// per-epoch invariants: snapshot == batch chart over everything so
-    /// far, and the adjacent delta round-trips.
+    /// far, the adjacent delta round-trips, and the data directory holds
+    /// no more than a checkpoint's fallback needs.
     fn run_epoch(&mut self, epoch: u64) {
         let traffic = epoch_traffic(&self.family, epoch, self.layout);
         self.daemon.ingest(&traffic);
         self.full.extend(traffic);
         let version = self.daemon.publish_now();
+        self.assert_data_dir_bounded(epoch);
+        let daemon = self.daemon.engine();
 
         // (a) Bit-identical to a from-scratch chart over the same prefix.
-        let (_, snapshot) = self.daemon.latest().expect("published");
-        let reference = self.daemon.reference_chart(&self.full);
+        let (_, snapshot) = daemon.latest().expect("published");
+        let reference = daemon.reference_chart(&self.full);
         assert_eq!(
             snapshot, &reference,
             "snapshot diverged from batch chart at epoch {epoch}"
@@ -78,13 +88,11 @@ impl SoakRun {
         // (c) prev.apply(delta) == next, for the adjacent retained pair.
         if version.0 >= 2 {
             let prev = LandscapeVersion(version.0 - 1);
-            let delta = self
-                .daemon
+            let delta = daemon
                 .store()
                 .delta(prev, version)
                 .expect("adjacent versions retained");
-            let rebuilt = self
-                .daemon
+            let rebuilt = daemon
                 .store()
                 .at(prev)
                 .expect("retained")
@@ -92,7 +100,7 @@ impl SoakRun {
                 .expect("delta applies to its own base");
             assert_eq!(
                 &rebuilt,
-                self.daemon.store().at(version).expect("retained"),
+                daemon.store().at(version).expect("retained"),
                 "delta {prev}->{version} rebuilt a different snapshot"
             );
             // An epoch of localized traffic only adds/re-estimates the
@@ -105,11 +113,39 @@ impl SoakRun {
         }
     }
 
-    /// Residency bound, flat residency, gauge = peak and incrementality,
-    /// after `epochs` epochs of [`run_epoch`](Self::run_epoch).
+    /// However long the run: at most one sealed journal segment (the frames
+    /// between the two retained checkpoints), the active `wal.log`, and two
+    /// checkpoint generations.
+    fn assert_data_dir_bounded(&mut self, epoch: u64) {
+        let names = self.daemon.storage_mut().list().expect("list");
+        let sealed = names
+            .iter()
+            .filter(|n| n.starts_with("wal.") && *n != WAL_FILE)
+            .count();
+        let checkpoints = names
+            .iter()
+            .filter(|n| CheckpointManager::parse_name(n).is_some())
+            .count();
+        assert!(
+            sealed <= 1
+                && checkpoints <= 2
+                && names.iter().any(|n| n == WAL_FILE)
+                && names.len() == sealed + checkpoints + 1,
+            "{}: epoch {epoch} leaves {names:?}",
+            self.family.name()
+        );
+    }
+
+    /// Residency bound, flat residency, gauge = peak, incrementality and
+    /// the checkpoint cadence, after `epochs` epochs of
+    /// [`run_epoch`](Self::run_epoch).
     fn assert_long_haul(&self, epochs: u64) {
         let stats = self.daemon.stats();
         let name = self.family.name();
+        assert_eq!(
+            self.daemon.durability_stats().checkpoints,
+            epochs / CHECKPOINT_EVERY
+        );
         assert_eq!(stats.publishes, epochs);
         assert_eq!(stats.stale_records, 0);
         assert_eq!(
@@ -150,7 +186,7 @@ impl SoakRun {
         // active cells, so total re-estimations are linear in epochs while
         // the landscape itself grew to active × epochs cells.
         let expected_cells = self.layout.active as u64 * epochs;
-        assert_eq!(self.daemon.cell_count() as u64, expected_cells);
+        assert_eq!(self.daemon.engine().cell_count() as u64, expected_cells);
         assert_eq!(
             stats.cells_reestimated, expected_cells,
             "{name}: one estimate per cell, ever"

@@ -121,7 +121,7 @@ if [[ -n "$clone_offenders" ]]; then
   exit 1
 fi
 
-echo "==> fs::write grep gate (daemon persistence is atomic-write only)"
+echo "==> fs::write grep gate (daemon persistence goes through Storage only)"
 # Durability state in crates/daemon must go through the Storage trait's
 # write_atomic (temp file + fsync + rename) so a crash can never leave a
 # half-written checkpoint or snapshot behind. Bare std::fs::write is a
@@ -132,6 +132,18 @@ fswrite_offenders=$(grep -rnE '(std::)?fs::write\(' \
 if [[ -n "$fswrite_offenders" ]]; then
   echo "error: bare fs::write in crates/daemon; use Storage::write_atomic:" >&2
   echo "$fswrite_offenders" >&2
+  exit 1
+fi
+# Every other way to mutate a file stays behind the Storage trait too
+# (crates/daemon/src/storage.rs), the layer FailingStorage doubles and the
+# crash matrix (tests/crash_recovery.rs) kills after each operation of.
+fsmutate_offenders=$(grep -rnE 'fs::rename|remove_file|File::create|OpenOptions' \
+  --include='*.rs' crates/daemon/src \
+  | grep -v '^crates/daemon/src/storage\.rs:' \
+  || true)
+if [[ -n "$fsmutate_offenders" ]]; then
+  echo "error: file mutation outside crates/daemon/src/storage.rs; add a Storage operation:" >&2
+  echo "$fsmutate_offenders" >&2
   exit 1
 fi
 
