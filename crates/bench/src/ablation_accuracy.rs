@@ -5,9 +5,7 @@
 //!   circle (our repair) vs read them as "not queried" (the paper-faithful
 //!   naive reading);
 //! * **MP regularisation** — pure Eq. 1 vs the Gamma-prior variant, on
-//!   small and moderate populations;
-//! * **MH composition** — the hybrid's `max(statistical, MT)` vs its two
-//!   components alone.
+//!   small and moderate populations.
 //!
 //! Each ablation reports mean ARE over seeded trials so the choice's
 //! effect is a number, not an anecdote.
@@ -15,8 +13,7 @@
 use crate::render::TextTable;
 use crate::sweep::run_trials;
 use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, CoverageEstimator, EstimationContext, Estimator,
-    HybridEstimator, PoissonEstimator, TimingEstimator,
+    absolute_relative_error, BernoulliEstimator, EstimationContext, Estimator, PoissonEstimator,
 };
 use botmeter_dga::DgaFamily;
 use botmeter_dns::ServerId;
@@ -61,7 +58,6 @@ pub fn run_all(opts: &AblationOptions) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     rows.extend(mb_window_handling(opts));
     rows.extend(mp_regularisation(opts));
-    rows.extend(hybrid_composition(opts));
     rows
 }
 
@@ -154,42 +150,6 @@ fn mp_regularisation(opts: &AblationOptions) -> Vec<AblationRow> {
     rows
 }
 
-fn hybrid_composition(opts: &AblationOptions) -> Vec<AblationRow> {
-    let seeds = SeedSequence::new(opts.seed).fork(3);
-    let estimators: Vec<(&'static str, Box<dyn Estimator + Sync>)> = vec![
-        ("Hybrid (max of both)", Box::new(HybridEstimator)),
-        ("Coverage alone", Box::new(CoverageEstimator)),
-        ("Timing alone", Box::new(TimingEstimator)),
-    ];
-    let mut rows = Vec::new();
-    for (variant, est) in &estimators {
-        let errors: Vec<f64> = run_trials(opts.trials, |trial| {
-            let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-                .population(96)
-                .seed(seeds.fork(trial as u64).seed())
-                .build()
-                .expect("valid scenario")
-                .run(ExecPolicy::default());
-            let ctx = EstimationContext::new(
-                outcome.family().clone(),
-                outcome.ttl(),
-                outcome.granularity(),
-            );
-            absolute_relative_error(
-                est.estimate(outcome.observed(), &ctx),
-                outcome.ground_truth()[0] as f64,
-            )
-        });
-        rows.push(AblationRow {
-            study: "MH composition",
-            variant: (*variant).into(),
-            workload: "newGoZ N=96".into(),
-            mean_are: errors.iter().sum::<f64>() / errors.len() as f64,
-        });
-    }
-    rows
-}
-
 /// Renders the ablation table.
 pub fn render(rows: &[AblationRow]) -> String {
     let mut table = TextTable::new(&["study", "variant", "workload", "mean ARE"]);
@@ -219,7 +179,7 @@ mod tests {
     fn all_studies_produce_rows() {
         let rows = run_all(&tiny());
         let studies: std::collections::HashSet<_> = rows.iter().map(|r| r.study).collect();
-        assert_eq!(studies.len(), 3);
+        assert_eq!(studies.len(), 2);
         assert!(rows.iter().all(|r| r.mean_are.is_finite()));
     }
 
@@ -241,7 +201,7 @@ mod tests {
     #[test]
     fn render_contains_all_studies() {
         let text = render(&run_all(&tiny()));
-        for s in ["MB window handling", "MP regularisation", "MH composition"] {
+        for s in ["MB window handling", "MP regularisation"] {
             assert!(text.contains(s));
         }
     }

@@ -1,5 +1,5 @@
 //! Runs the accuracy ablations for this reproduction's estimator design
-//! choices (window-aware MB, regularised MP, hybrid composition).
+//! choices (window-aware MB, regularised MP).
 //!
 //! Usage: `ablation [--trials N] [--seed S]`.
 

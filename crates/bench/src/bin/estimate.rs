@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Usage: `estimate --family NAME [--model auto|timing|poisson|bernoulli|
-//! coverage|sampling|windowoccupancy|hybrid] [--epochs E]
+//! coverage|sampling] [--epochs E]
 //! [--neg-ttl-mins M] [--granularity-ms G]`.
 
 use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, ModelKind};

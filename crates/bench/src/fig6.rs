@@ -19,7 +19,6 @@ use crate::sweep::{run_trials_with, SweepPoint};
 use botmeter_core::{
     absolute_relative_error, BernoulliEstimator, CellStats, CoverageEstimator, EstimationContext,
     Estimator, Lane, PoissonEstimator, SamplingEstimator, TimingEstimator,
-    WindowOccupancyEstimator,
 };
 use botmeter_dga::{BarrelClass, DgaFamily};
 use botmeter_dns::{ObservedLookup, SimDuration, TtlPolicy};
@@ -163,7 +162,7 @@ fn prototype_families() -> Vec<DgaFamily> {
 
 /// Estimators applicable to a family: the paper's assignment (`MT`
 /// everywhere, `MP` on `AU`, `MB` on `AR`) plus this reproduction's
-/// extensions (`MC` on `AR`, `MS` on `AS`, `MW` on `AP`).
+/// extensions (`MC` on `AR`, `MS` on `AS`); `AP` gets `MT` alone.
 fn estimators_for(family: &DgaFamily) -> Vec<Box<dyn Estimator + Sync>> {
     let mut list: Vec<Box<dyn Estimator + Sync>> = vec![Box::new(TimingEstimator)];
     match family.barrel_class() {
@@ -173,7 +172,7 @@ fn estimators_for(family: &DgaFamily) -> Vec<Box<dyn Estimator + Sync>> {
             list.push(Box::new(CoverageEstimator));
         }
         BarrelClass::Sampling => list.push(Box::new(SamplingEstimator)),
-        BarrelClass::Permutation => list.push(Box::new(WindowOccupancyEstimator)),
+        BarrelClass::Permutation => {}
     }
     list
 }
@@ -367,10 +366,7 @@ mod tests {
             names(DgaFamily::new_goz()),
             vec!["Timing", "Bernoulli", "Coverage"]
         );
-        assert_eq!(
-            names(DgaFamily::necurs()),
-            vec!["Timing", "WindowOccupancy"]
-        );
+        assert_eq!(names(DgaFamily::necurs()), vec!["Timing"]);
     }
 
     #[test]

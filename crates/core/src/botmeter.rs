@@ -139,25 +139,17 @@ pub enum ModelKind {
     Coverage,
     /// Force the Sampling estimator `MS` (this reproduction's `AS` model).
     Sampling,
-    /// Force the Window-Occupancy estimator `MW` (this reproduction's
-    /// `AP` model).
-    WindowOccupancy,
-    /// Force the Hybrid estimator `MH` (temporal floor + statistical
-    /// model; the paper's future-work direction #1).
-    Hybrid,
 }
 
 impl ModelKind {
     /// Every variant under the name `--model` takes for it.
-    const NAMES: [(&'static str, ModelKind); 8] = [
+    const NAMES: [(&'static str, ModelKind); 6] = [
         ("auto", ModelKind::Auto),
         ("timing", ModelKind::Timing),
         ("poisson", ModelKind::Poisson),
         ("bernoulli", ModelKind::Bernoulli),
         ("coverage", ModelKind::Coverage),
         ("sampling", ModelKind::Sampling),
-        ("windowoccupancy", ModelKind::WindowOccupancy),
-        ("hybrid", ModelKind::Hybrid),
     ];
 }
 
@@ -543,12 +535,8 @@ impl BotMeter {
             ModelKind::Bernoulli => Box::new(BernoulliEstimator::default()),
             ModelKind::Coverage => Box::new(CoverageEstimator),
             ModelKind::Sampling => Box::new(crate::sampling::SamplingEstimator),
-            ModelKind::WindowOccupancy => {
-                Box::new(crate::window_occupancy::WindowOccupancyEstimator)
-            }
-            ModelKind::Hybrid => Box::new(crate::hybrid::HybridEstimator),
             // The paper's assignment (§V-A): MP on AU, MB on AR, MT
-            // elsewhere. The AS/AP-specific extensions are opt-in.
+            // elsewhere. The extensions MC and MS are opt-in.
             ModelKind::Auto => match self.config.family.barrel_class() {
                 BarrelClass::Uniform => Box::new(PoissonEstimator::new()),
                 BarrelClass::RandomCut => Box::new(BernoulliEstimator::default()),
@@ -924,15 +912,19 @@ mod tests {
         for (name, kind) in ModelKind::NAMES {
             assert_eq!(name.parse(), Ok(kind));
             assert_eq!(name.to_ascii_uppercase().parse(), Ok(kind));
-            // `Debug`'s spelling (`WindowOccupancy`) parses too.
+            // `Debug`'s spelling (`Bernoulli`) parses too.
             assert_eq!(format!("{kind:?}").parse(), Ok(kind));
             kinds.insert(kind);
         }
-        assert_eq!(kinds.len(), 8, "a variant is listed twice");
-        let err = "mb".parse::<ModelKind>().unwrap_err().to_string();
-        assert!(err.contains("\"mb\""), "{err}");
-        for (name, _) in ModelKind::NAMES {
-            assert!(err.contains(name), "{err} does not list {name}");
+        assert_eq!(kinds.len(), 6, "a variant is listed twice");
+        // Unknown names, including the `--model` names of the two deleted
+        // models, list exactly the six that remain.
+        let listed = "auto, timing, poisson, bernoulli, coverage, sampling";
+        for name in ["mb", "hybrid", "windowoccupancy"] {
+            assert_eq!(
+                name.parse::<ModelKind>().unwrap_err().to_string(),
+                format!("unknown model {name:?} (one of {listed})")
+            );
         }
         assert!("".parse::<ModelKind>().is_err());
         assert!(" auto".parse::<ModelKind>().is_err());

@@ -201,7 +201,7 @@ pub struct EstimationContext {
 
 impl EstimationContext {
     /// Creates a context with a perfect (full-pool) detection window and
-    /// the default (quantized) segment-kernel cache.
+    /// an empty segment-kernel cache.
     pub fn new(family: DgaFamily, ttl: TtlPolicy, granularity: SimDuration) -> Self {
         EstimationContext {
             family,
@@ -219,15 +219,6 @@ impl EstimationContext {
     #[must_use]
     pub(crate) fn with_pool_table(mut self, pools: PoolTable) -> Self {
         self.pools = pools;
-        self
-    }
-
-    /// Replaces the segment-kernel cache — e.g.
-    /// [`SegmentKernelCache::exact`] to turn ρ quantization off and make
-    /// cached estimation bit-identical to the uncached kernel.
-    #[must_use]
-    pub fn with_kernel_cache(mut self, kernel: SegmentKernelCache) -> Self {
-        self.kernel = kernel;
         self
     }
 

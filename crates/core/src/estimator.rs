@@ -18,7 +18,7 @@ pub enum Lane {
     Distinct,
     /// Matched in-pool NXD sightings (`MC`).
     Volume,
-    /// The matched lookups in arrival order (`MT`, `MP`, `MW`, `MH`).
+    /// The matched lookups in arrival order (`MT`, `MP`).
     Lookups,
 }
 

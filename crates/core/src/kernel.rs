@@ -25,14 +25,13 @@
 //!   density ever asked for.
 //!
 //! The ρ axis is continuous, so exact-bit keying of the memo would only
-//! ever hit once the fixpoint has converged. [`RhoQuantization::Relative`]
-//! therefore snaps ρ onto a geometric grid (default pitch `1e-6` relative)
-//! *before both keying and evaluating*: the cached value is the exact
-//! kernel value at the snapped density, so a cache hit never returns an
-//! approximation of its key — the only approximation is the bounded
-//! `ρ → ρ̃` snap, and [`RhoQuantization::Exact`] turns even that off, making
-//! the cache a pure memo table with bit-identical results to the uncached
-//! kernel.
+//! ever hit once the fixpoint has converged. The cache therefore snaps ρ
+//! onto a geometric grid of relative pitch [`RHO_GRID`] *before both keying
+//! and evaluating*: the cached value is the exact kernel value at the
+//! snapped density, so a cache hit never returns an approximation of its
+//! key — the only approximation is the bounded `ρ → ρ̃` snap
+//! ([`SegmentKernelCache::snap_rho`]), and the uncached kernel at `ρ̃` is
+//! the bit-identical reference.
 
 use crate::segments::{Segment, SegmentKind};
 use crate::theorem1::{KernelStats, ShapeTables};
@@ -40,38 +39,9 @@ use botmeter_stats::SharedStirling;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// How the continuous ρ axis of the memo key is discretised.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RhoQuantization {
-    /// Key on the exact bit pattern of ρ. Zero approximation — results are
-    /// bit-identical to the uncached kernel — but hits only occur when the
-    /// caller re-asks for the *exact* same density (e.g. a converged
-    /// fixpoint, or identical cells).
-    Exact,
-    /// Snap ρ to a geometric grid before keying *and evaluating*:
-    /// `ρ̃ = exp(round(ln ρ / grid) · grid)`, so `ρ̃/ρ ∈ [e^{−grid/2},
-    /// e^{grid/2}]`. Densities within half a pitch of each other share one
-    /// cache line, and the cached value is the exact kernel value at `ρ̃`.
-    Relative {
-        /// Relative grid pitch (the default is
-        /// [`RhoQuantization::DEFAULT_GRID`]).
-        grid: f64,
-    },
-}
-
-impl RhoQuantization {
-    /// Default relative grid pitch: `1e-6` — far below the estimator's
-    /// statistical error, far above f64 noise.
-    pub const DEFAULT_GRID: f64 = 1e-6;
-}
-
-impl Default for RhoQuantization {
-    fn default() -> Self {
-        RhoQuantization::Relative {
-            grid: Self::DEFAULT_GRID,
-        }
-    }
-}
+/// Relative pitch of the geometric ρ grid: `1e-6` — far below the
+/// estimator's statistical error, far above f64 noise.
+const RHO_GRID: f64 = 1e-6;
 
 /// The exact inputs the Theorem-1 kernel is a pure function of — the memo
 /// key of [`SegmentKernelCache`].
@@ -150,46 +120,22 @@ type ShapeTable = HashMap<ShapeKey, Arc<Mutex<ShapeTables>>>;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SegmentKernelCache {
-    quantization: RhoQuantization,
     map: Arc<RwLock<HashMap<KernelKey, f64>>>,
     shapes: Arc<RwLock<ShapeTable>>,
 }
 
 impl SegmentKernelCache {
-    /// A cache with the given ρ quantization.
-    pub fn new(quantization: RhoQuantization) -> Self {
-        SegmentKernelCache {
-            quantization,
-            map: Arc::default(),
-            shapes: Arc::default(),
-        }
-    }
-
-    /// A cache with quantization off: pure memoization, bit-identical to
-    /// the uncached kernel.
-    pub fn exact() -> Self {
-        Self::new(RhoQuantization::Exact)
-    }
-
-    /// The configured ρ quantization.
-    pub fn quantization(&self) -> RhoQuantization {
-        self.quantization
-    }
-
     /// The density the kernel will actually evaluate at for a requested
-    /// `rho` (identity under [`RhoQuantization::Exact`]; non-finite or
-    /// non-positive inputs pass through untouched for the kernel's own
-    /// validation to reject).
+    /// `rho`: `ρ̃ = exp(round(ln ρ / grid) · grid)` on the module's grid, so
+    /// `ρ̃/ρ ∈ [e^{−grid/2}, e^{grid/2}]` and densities within half a pitch
+    /// of each other share one memo entry. Non-finite or non-positive
+    /// inputs pass through untouched for the kernel's own validation to
+    /// reject.
     pub fn snap_rho(&self, rho: f64) -> f64 {
-        match self.quantization {
-            RhoQuantization::Exact => rho,
-            RhoQuantization::Relative { grid } => {
-                if !(rho.is_finite() && rho > 0.0) || grid <= 0.0 {
-                    return rho;
-                }
-                ((rho.ln() / grid).round() * grid).exp()
-            }
+        if !(rho.is_finite() && rho > 0.0) {
+            return rho;
         }
+        ((rho.ln() / RHO_GRID).round() * RHO_GRID).exp()
     }
 
     /// The memo key for a segment shape at density `rho` (snapping ρ).
@@ -314,13 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_is_bit_identical_to_uncached() {
-        let cache = SegmentKernelCache::exact();
+    fn cached_value_is_the_uncached_kernel_at_the_snapped_density() {
+        let cache = SegmentKernelCache::default();
         let tables = SharedStirling::new();
         for (len, tq, rho) in [(500, 500, 1e-3), (730, 500, 6.4e-3), (12, 9, 2e-2)] {
             for kind in [SegmentKind::Middle, SegmentKind::Boundary] {
                 let s = seg(len, kind);
-                let direct = expected_bots_for_segment(&s, tq, rho, &tables);
+                let direct = expected_bots_for_segment(&s, tq, cache.snap_rho(rho), &tables);
                 let cached = cache.expected_bots(&s, tq, rho, &tables);
                 assert!(!cached.memo_hit);
                 assert_eq!(cached.value.to_bits(), direct.to_bits());
@@ -330,14 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_mode_snaps_within_grid_and_collides_near_densities() {
+    fn snapping_stays_within_the_grid_and_collides_near_densities() {
         let cache = SegmentKernelCache::default();
-        let grid = RhoQuantization::DEFAULT_GRID;
         let rho = 6.4e-3;
         let snapped = cache.snap_rho(rho);
-        assert!((snapped / rho).ln().abs() <= grid / 2.0 + 1e-15);
+        assert!((snapped / rho).ln().abs() <= RHO_GRID / 2.0 + 1e-15);
         // A density within a hair of the first must share the cache line.
-        let near = rho * (1.0 + grid / 8.0);
+        let near = rho * (1.0 + RHO_GRID / 8.0);
         let tables = SharedStirling::new();
         let s = seg(700, SegmentKind::Boundary);
         let first = cache.expected_bots(&s, 500, rho, &tables);
@@ -391,7 +336,7 @@ mod tests {
 
     #[test]
     fn a_second_density_reweights_the_rows_the_first_left_behind() {
-        let cache = SegmentKernelCache::exact();
+        let cache = SegmentKernelCache::default();
         let tables = SharedStirling::new();
         let s = seg(2000, SegmentKind::Boundary);
         let first = cache.expected_bots(&s, 500, 64.0 / 10_000.0, &tables);
@@ -443,13 +388,15 @@ mod tests {
                 (SegmentKind::Middle, SegmentKind::Boundary)
             };
             let shapes = [(kind, len, theta_q), (kind, len, theta_q + 1), (other, len, theta_q)];
-            let cache = SegmentKernelCache::exact();
+            let cache = SegmentKernelCache::default();
             let tables = SharedStirling::new();
             for &rho in &rhos {
                 for (kind, len, theta_q) in shapes {
                     let shared = cache.compute(&cache.key(kind, len, theta_q, rho), &tables).0;
+                    let snapped = cache.snap_rho(rho);
                     let fresh =
-                        expected_bots_for_shape(kind, len, theta_q, rho, &SharedStirling::new()).0;
+                        expected_bots_for_shape(kind, len, theta_q, snapped, &SharedStirling::new())
+                            .0;
                     prop_assert_eq!(
                         shared.to_bits(), fresh.to_bits(),
                         "{:?} len {} θq {} at ρ {} after {:?}: {} vs {}",

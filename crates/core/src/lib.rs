@@ -65,7 +65,6 @@ mod config;
 mod coverage;
 mod delta;
 mod estimator;
-mod hybrid;
 mod kernel;
 mod metrics;
 mod poisson;
@@ -74,7 +73,6 @@ mod sampling;
 mod segments;
 mod theorem1;
 mod timing;
-mod window_occupancy;
 
 pub use bernoulli::BernoulliEstimator;
 pub use botmeter::{
@@ -85,8 +83,7 @@ pub use config::{EstimationContext, PoolIndex};
 pub use coverage::CoverageEstimator;
 pub use delta::{CellChange, DeltaError, LandscapeDelta, LandscapeVersion};
 pub use estimator::{CellStats, Estimator, Lane};
-pub use hybrid::{HybridBernoulli, HybridEstimator};
-pub use kernel::{KernelEval, KernelKey, RhoQuantization, SegmentKernelCache};
+pub use kernel::{KernelEval, KernelKey, SegmentKernelCache};
 pub use metrics::{absolute_relative_error, mean_absolute_relative_error};
 pub use poisson::PoissonEstimator;
 pub use request::{ChartRequest, TelemetrySource};
@@ -94,4 +91,3 @@ pub use sampling::SamplingEstimator;
 pub use segments::{extract_segments, Segment, SegmentKind};
 pub use theorem1::{expected_bots_for_segment, expected_bots_for_shape, KernelStats};
 pub use timing::TimingEstimator;
-pub use window_occupancy::WindowOccupancyEstimator;

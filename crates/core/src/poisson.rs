@@ -30,8 +30,9 @@ use botmeter_dns::{ObservedLookup, SimInstant};
 ///   `E(N) = n + n²·δl / Σ Δi` (Eq. 1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoissonEstimator {
-    /// Optional Gamma(shape, rate-denominator in ms) prior on λ.
-    prior: Option<(f64, f64)>,
+    /// Whether the Gamma prior of [`regularized`](Self::regularized)
+    /// applies.
+    regularized: bool,
 }
 
 impl PoissonEstimator {
@@ -44,29 +45,9 @@ impl PoissonEstimator {
     /// and scale β = δl/2 (half a negative-TTL window of pseudo-waiting).
     /// See the type-level docs for when this matters.
     pub fn regularized() -> Self {
-        PoissonEstimator {
-            prior: Some((0.5, 0.5)),
-        }
+        PoissonEstimator { regularized: true }
     }
 
-    /// Eq. 1 with an explicit Gamma prior: `alpha` pseudo-activations over
-    /// `beta_ttl_fraction` negative-TTL windows of pseudo-waiting time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are finite and non-negative.
-    pub fn with_gamma_prior(alpha: f64, beta_ttl_fraction: f64) -> Self {
-        assert!(
-            alpha.is_finite()
-                && alpha >= 0.0
-                && beta_ttl_fraction.is_finite()
-                && beta_ttl_fraction >= 0.0,
-            "prior parameters must be finite and non-negative"
-        );
-        PoissonEstimator {
-            prior: Some((alpha, beta_ttl_fraction)),
-        }
-    }
     /// The instants at which *visible* activations begin: the first lookup,
     /// then each first lookup after the previous activation's negative-TTL
     /// window has expired.
@@ -120,16 +101,13 @@ impl Estimator for PoissonEstimator {
         // boundary. Avoid division by zero; one millisecond of total gap is
         // the finest the clock can resolve.
         let sum_delta = sum_delta.max(1.0);
-        match self.prior {
-            None => n + n * n * delta_l as f64 / sum_delta,
-            Some((alpha, beta_frac)) => {
-                // Posterior-mean rate, then the same masked-mass correction:
-                // N̂ = λ̂ · (ΣΔ + n·δl).
-                let beta = beta_frac * delta_l as f64;
-                let lambda = (n + alpha) / (sum_delta + beta);
-                lambda * (sum_delta + n * delta_l as f64)
-            }
+        if !self.regularized {
+            return n + n * n * delta_l as f64 / sum_delta;
         }
+        // Posterior-mean rate under the Gamma(α = 0.5, β = δl/2) prior, then
+        // the same masked-mass correction: N̂ = λ̂ · (ΣΔ + n·δl).
+        let lambda = (n + 0.5) / (sum_delta + 0.5 * delta_l as f64);
+        lambda * (sum_delta + n * delta_l as f64)
     }
 }
 
@@ -300,11 +278,5 @@ mod tests {
             reg_err < raw_err + 1.2,
             "regularisation should not wreck healthy estimates: {reg_err} vs {raw_err}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn bad_prior_panics() {
-        PoissonEstimator::with_gamma_prior(-1.0, 0.5);
     }
 }

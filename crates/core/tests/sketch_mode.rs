@@ -91,8 +91,6 @@ fn every_model_on_a_wide_sketch_is_exact_or_refused() {
         (ModelKind::Bernoulli, [Exact, Exact]),
         (ModelKind::Coverage, [Exact, Exact]),
         (ModelKind::Sampling, [Exact, Exact]),
-        (ModelKind::WindowOccupancy, [Refused, Refused]),
-        (ModelKind::Hybrid, [Refused, Refused]),
     ];
     let regimes = [
         scenario(DgaFamily::new_goz(), 48, 21),

@@ -44,13 +44,12 @@ pub struct MatchedTraffic {
 }
 
 /// What the matching scan learned about the health of the input stream —
-/// the summary [`BotMeter::chart`] uses to flag degraded landscape cells.
+/// the summary `botmeter_core::BotMeter::chart_with` uses to flag degraded
+/// landscape cells.
 ///
 /// Anomaly counts are computed from *adjacent matched pairs per server*
 /// (strict timestamp inversions, and exact adjacent repeats), so they are
 /// identical under sequential and chunked-parallel scans.
-///
-/// [`BotMeter::chart`]: https://docs.rs/botmeter-core
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamQuality {
     /// Observed lookups scanned (matched or not).

@@ -17,8 +17,10 @@ echo "==> removed entry-point grep gate"
 # gate binary, the interner's arena accessors, the daemon's public
 # test-traffic generator and its sketch sidecar's accessors, and the
 # sketch's fabricated lookups (one at the first sighting, one at the
-# last) with its unread checkpoint state. No file may mention the old
-# names.
+# last) with its unread checkpoint state, the two models that never won a
+# measured point (`MW`, `MH` and its Bernoulli twin), the ρ-grid knob
+# with its exact-mode cache and context setter, and the free Gamma-prior
+# constructor. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -29,6 +31,8 @@ pattern+='|perf_''smoke|resolve_bytes|resolve_str|arena_bytes|tld_of|first_label
 pattern+='|botmeter_daemon::''synthetic|fn stream_quality\(&self\)|\.stream_quality\(\)'
 pattern+='|sketch_config\(&self\)'
 pattern+='|sketch_cells|SketchState|SketchCellState|first_ms|last_ms'
+pattern+='|WindowOccupancy|HybridEstimator|HybridBernoulli|RhoQuantization|with_gamma_prior'
+pattern+='|with_kernel_cache|SegmentKernelCache::exact'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)

@@ -68,9 +68,8 @@ pub use botmeter_stats as stats;
 pub mod prelude {
     pub use botmeter_core::{
         absolute_relative_error, BernoulliEstimator, BotMeter, BotMeterConfig, ChartRequest,
-        CoverageEstimator, EstimationContext, Estimator, HybridEstimator, LandscapeDelta,
-        LandscapeVersion, PoissonEstimator, SamplingEstimator, TelemetrySource, TimingEstimator,
-        WindowOccupancyEstimator,
+        CoverageEstimator, EstimationContext, Estimator, LandscapeDelta, LandscapeVersion,
+        PoissonEstimator, SamplingEstimator, TelemetrySource, TimingEstimator,
     };
     pub use botmeter_daemon::{BotMeterDaemon, DaemonOptions, LandscapeStore};
     pub use botmeter_dga::{BarrelClass, DgaFamily, DgaParams, PoolClass, QueryTiming};

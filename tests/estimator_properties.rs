@@ -2,8 +2,8 @@
 
 use botmeter::core::{
     absolute_relative_error, extract_segments, BernoulliEstimator, CoverageEstimator,
-    EstimationContext, Estimator, PoissonEstimator, RhoQuantization, Segment, SegmentKernelCache,
-    SegmentKind, TimingEstimator,
+    EstimationContext, Estimator, PoissonEstimator, Segment, SegmentKernelCache, SegmentKind,
+    TimingEstimator,
 };
 use botmeter::dga::{BarrelClass, DgaFamily, DgaParams, QueryTiming};
 use botmeter::dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
@@ -147,39 +147,11 @@ proptest! {
         prop_assert!((forward - backward).abs() < 1e-9);
     }
 
-    /// The exact-mode kernel cache is a transparent memo: its value is
-    /// bit-identical to the uncached Theorem-1 evaluation at the same ρ,
-    /// and replaying the query is a hit returning the same bits.
-    #[test]
-    fn kernel_cache_exact_matches_uncached(
-        len in 2usize..3000,
-        theta_q in 20usize..600,
-        rho_mantissa in 1.0f64..10.0,
-        rho_neg_exp in 1u32..6,
-        boundary in any::<bool>(),
-    ) {
-        let rho = rho_mantissa * 10f64.powi(-(rho_neg_exp as i32));
-        let kind = if boundary { SegmentKind::Boundary } else { SegmentKind::Middle };
-        let seg = Segment { start: 0, len, kind };
-        let tables = SharedStirling::new();
-        let uncached = botmeter::core::expected_bots_for_segment(&seg, theta_q, rho, &tables);
-
-        let cache = SegmentKernelCache::exact();
-        let first = cache.expected_bots(&seg, theta_q, rho, &tables);
-        prop_assert!(!first.memo_hit);
-        prop_assert_eq!(first.value.to_bits(), uncached.to_bits(),
-                        "exact cache diverged from uncached kernel: {} vs {uncached}",
-                        first.value);
-        let replay = cache.expected_bots(&seg, theta_q, rho, &tables);
-        prop_assert!(replay.memo_hit, "identical query must hit the memo table");
-        prop_assert_eq!(replay.value.to_bits(), uncached.to_bits());
-    }
-
-    /// The quantized cache evaluates at the snapped density: its value is
+    /// The kernel cache evaluates at the snapped density: its value is
     /// bit-identical to the uncached kernel at `snap_rho(ρ)` (so the hit
-    /// value is never an approximation of the key it is stored under —
-    /// trivially within 1e-9 relative of the kernel at the cache's ρ), and
-    /// any ρ in the same grid bucket replays as a hit.
+    /// value is never an approximation of the key it is stored under),
+    /// and replaying ρ — or any ρ in the same grid bucket — is a hit
+    /// returning the same bits.
     #[test]
     fn kernel_cache_quantized_matches_uncached_at_snapped_rho(
         len in 2usize..3000,
@@ -194,7 +166,6 @@ proptest! {
         let tables = SharedStirling::new();
 
         let cache = SegmentKernelCache::default();
-        prop_assert!(matches!(cache.quantization(), RhoQuantization::Relative { .. }));
         let snapped = cache.snap_rho(rho);
         let relative_shift = (snapped - rho).abs() / rho;
         prop_assert!(relative_shift < 1e-5, "snap moved ρ by {relative_shift}");
@@ -203,8 +174,11 @@ proptest! {
         let first = cache.expected_bots(&seg, theta_q, rho, &tables);
         prop_assert!(!first.memo_hit);
         prop_assert_eq!(first.value.to_bits(), uncached.to_bits(),
-                        "quantized cache diverged from uncached kernel at snapped ρ");
-        prop_assert!(absolute_relative_error(first.value, uncached.max(1e-300)) < 1e-9);
+                        "cache diverged from uncached kernel at snapped ρ: {} vs {uncached}",
+                        first.value);
+        let replay = cache.expected_bots(&seg, theta_q, rho, &tables);
+        prop_assert!(replay.memo_hit, "identical query must hit the memo table");
+        prop_assert_eq!(replay.value.to_bits(), uncached.to_bits());
         // Any density that snaps to the same bucket must hit with the
         // identical stored value.
         let nearby = snapped * (1.0 + 1e-8);
