@@ -218,7 +218,8 @@ pub fn gates(measured: &Report, committed: &Report, cores: usize) -> Vec<Gate> {
             "timing.lookups_per_sec",
             m.timing.lookups_per_sec,
             floor(c.timing.lookups_per_sec),
-            "`MT` got slower; ~35x below means it scans every entry ever opened per lookup",
+            "`MT` got slower; ≈2.4x below means a SipHash set per entry is back, ≈90x below \
+             that it scans every entry ever opened per lookup",
         ),
         gate(
             "fixpoint.later_over_first",

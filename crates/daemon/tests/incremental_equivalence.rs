@@ -49,9 +49,15 @@ fn streaming_daemon_equals_batch_chart_across_policies() {
     // single-core machines (same convention as the core pipeline tests).
     std::env::set_var("BOTMETER_THREADS", "4");
     const EPOCHS: u64 = 2;
-    for faulty in [false, true] {
-        let outcome = scenario(DgaFamily::new_goz(), EPOCHS, 19, faulty);
+    // newGoZ charts through `MB`, Conficker.C through `MT`.
+    let families = [DgaFamily::new_goz(), DgaFamily::conficker_c()];
+    for (family, faulty) in families
+        .into_iter()
+        .flat_map(|f| [(f.clone(), false), (f, true)])
+    {
+        let outcome = scenario(family, EPOCHS, 19, faulty);
         let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
+        let model = meter.resolve_model().name();
         for policy in [
             ExecPolicy::Sequential,
             ExecPolicy::with_threads(2),
@@ -71,15 +77,16 @@ fn streaming_daemon_equals_batch_chart_across_policies() {
             assert_eq!(
                 streamed.observed(),
                 outcome.observed(),
-                "streaming changed the trace (faulty={faulty}, {policy:?})"
+                "streaming changed the trace ({model}, faulty={faulty}, {policy:?})"
             );
             daemon.publish_now();
             let (_, snapshot) = daemon.latest().expect("published");
             let reference = batch(&meter, outcome.observed(), EPOCHS, policy);
             assert_eq!(
                 snapshot, &reference,
-                "incremental != batch (faulty={faulty}, {policy:?})"
+                "incremental != batch ({model}, faulty={faulty}, {policy:?})"
             );
+            assert!(!reference.is_empty(), "{model} charted no cell");
             if faulty {
                 // The fault plan injects duplicates/reordering: both paths
                 // must agree that the stream is degraded, not just on the

@@ -2,9 +2,9 @@
 //! one activation (§III-B).
 
 use crate::taxonomy::BarrelClass;
+use botmeter_dns::{FxBuildHasher, FxHashMap};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Draws a query barrel: the sequence of pool indices a bot will look up,
 /// in order, during one activation.
@@ -63,9 +63,11 @@ pub fn draw_barrel<R: Rng + ?Sized>(
 /// Sparse Fisher–Yates: draws `k` distinct indices from `0..n` in O(k)
 /// time and memory, regardless of `n` (Conficker.C samples 500 from
 /// 50 000 — materialising the full range per bot would dominate the
-/// simulator's cost).
+/// simulator's cost). The map is only read and written by key, never
+/// iterated, so its hasher cannot change a draw.
 fn sample_without_replacement<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
-    let mut swapped: HashMap<usize, usize> = HashMap::with_capacity(k * 2);
+    let mut swapped: FxHashMap<usize, usize> =
+        FxHashMap::with_capacity_and_hasher(k * 2, FxBuildHasher::default());
     let mut out = Vec::with_capacity(k);
     for i in 0..k {
         let j = rng.gen_range(i..n);

@@ -111,7 +111,7 @@ if [[ -n "$unwrap_offenders" ]]; then
   exit 1
 fi
 
-echo "==> no per-insert domain clone in MT (crates/core/src/timing.rs borrows from the slice)"
+echo "==> no per-insert domain clone and no SipHash in MT or the Sampling barrel"
 # Algorithm 1's entries hold `&DomainName` borrowed from the cell's lookup
 # slice; cloning the name per insert is an `Arc` refcount round-trip per
 # matched lookup. The `#[cfg(test)]` reference loop keeps its clones.
@@ -122,6 +122,23 @@ clone_offenders=$(awk '
 if [[ -n "$clone_offenders" ]]; then
   echo "error: .domain.clone() in the Timing estimator; borrow from the slice:" >&2
   echo "$clone_offenders" >&2
+  exit 1
+fi
+# `MT`'s membership probe (one per surviving candidate entry) and the
+# Sampling barrel's sparse Fisher–Yates (four map operations per draw) run
+# on `FxHashSet`/`FxHashMap`: a key is one or two Fx multiplies where std's
+# default hasher spends a SipHash round. std `HashSet`/`HashMap` stay
+# legal in both files' tests.
+siphash_offenders=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^[:alnum:]_])Hash(Set|Map)([^[:alnum:]_]|$)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+  ' crates/core/src/timing.rs crates/dga/src/barrel.rs)
+if [[ -n "$siphash_offenders" ]]; then
+  echo "error: std HashSet/HashMap in MT or the Sampling barrel; use FxHashSet/FxHashMap:" >&2
+  echo "$siphash_offenders" >&2
   exit 1
 fi
 
