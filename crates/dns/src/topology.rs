@@ -27,7 +27,7 @@ use crate::ttl::TtlPolicy;
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hash;
 
 /// Identifier of the border (root) server in every topology.
@@ -418,8 +418,10 @@ impl<K: Key> Topology<K> {
     /// Pushes the difference between the current per-node cache stats and
     /// `base` into the recorder as `cache.s{id}.*` counters. Batched at
     /// trace-batch boundaries so the per-lookup hot path stays free of
-    /// recording calls; only non-zero deltas are pushed.
+    /// recording calls; only non-zero deltas are pushed, and the counter
+    /// names are spelled into one buffer per push.
     fn push_cache_deltas(&self, base: &[CacheStats]) {
+        let mut name = String::with_capacity(32);
         for (n, node) in self.nodes.iter().enumerate() {
             let now = node.cache.stats();
             let prev = base[n];
@@ -434,7 +436,9 @@ impl<K: Key> Topology<K> {
             ];
             for (field, delta) in fields {
                 if delta > 0 {
-                    self.obs.counter_add(&format!("cache.s{n}.{field}"), delta);
+                    name.clear();
+                    let _ = write!(name, "cache.s{n}.{field}");
+                    self.obs.counter_add(&name, delta);
                 }
             }
         }

@@ -63,7 +63,8 @@ pub fn replay_barrel<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<RawLookup> {
     let mut out = Vec::with_capacity(barrel.len().min(64));
-    walk_barrel(family, valid_indices, barrel, start, rng, |t, idx| {
+    let is_valid = |idx| valid_indices.contains(&idx);
+    walk_barrel(family, is_valid, barrel, start, rng, |t, idx| {
         out.push(RawLookup::new(t, client, pool[idx].clone()))
     });
     out
@@ -71,13 +72,15 @@ pub fn replay_barrel<R: Rng + ?Sized>(
 
 /// The barrel walk every replay shares: visits `barrel`'s pool indices in
 /// order, pacing them per the family's `δi` timing from `start`, and stops
-/// after the first index in `valid_indices` (C2 reached). `emit` receives
+/// after the first index `is_valid` accepts (C2 reached). `emit` receives
 /// each `(time, pool index)` and decides the record layout — names at the
 /// edges, [`DomainId`](botmeter_dns::DomainId)s inside the pipeline — so
-/// every layout consumes the identical rng stream.
+/// every layout consumes the identical rng stream. The membership test is
+/// the caller's: the pipeline scans its θ∃-long sorted index list, with no
+/// hashing per lookup.
 pub(crate) fn walk_barrel<R: Rng + ?Sized>(
     family: &DgaFamily,
-    valid_indices: &HashSet<usize>,
+    is_valid: impl Fn(usize) -> bool,
     barrel: impl IntoIterator<Item = usize>,
     start: SimInstant,
     rng: &mut R,
@@ -89,7 +92,7 @@ pub(crate) fn walk_barrel<R: Rng + ?Sized>(
             t += query_gap(family.params().timing(), rng);
         }
         emit(t, idx);
-        if valid_indices.contains(&idx) {
+        if is_valid(idx) {
             break; // C2 reached: the bot stops querying.
         }
     }

@@ -226,8 +226,9 @@ impl ScenarioSpec {
     /// metrics counters an attached [`Obs`] collects (`sim.activations`,
     /// `sim.bots_replayed`, `sim.raw_lookups`, `sim.observed_lookups`,
     /// `sim.stream.shards`, `sim.stream.peak_resident_records`; the
-    /// per-bot `sim.bot_replay_ns` histogram and the `sched.*` counters
-    /// are timing-dependent by contract).
+    /// per-bot `sim.bot_replay_ns` and per-shard `sim.shard_order_ns`
+    /// histograms and the `sched.*` counters are timing-dependent by
+    /// contract).
     ///
     /// Raw records are dropped shard by shard once filtered — only their
     /// count survives, as [`ScenarioOutcome::raw_lookups`]. The spec's
@@ -255,14 +256,15 @@ impl ScenarioSpec {
         let replay_start = self.obs.clock();
         let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
         let emit = |t, idx: usize| out.push(CompactLookup::new(t, client, ids[idx]));
+        let is_valid = |idx| plan.valid.contains(&idx);
         match self.evasion.colluded_start(plan.epoch, ids.len(), &mut rng) {
             Some(start) => {
                 let barrel = (0..theta_q.min(ids.len())).map(|k| (start + k) % ids.len());
-                walk_barrel(&self.family, &plan.valid, barrel, t, &mut rng, emit);
+                walk_barrel(&self.family, is_valid, barrel, t, &mut rng, emit);
             }
             None => {
                 let barrel = self.family.draw_barrel(plan.epoch, &mut rng);
-                walk_barrel(&self.family, &plan.valid, barrel, t, &mut rng, emit);
+                walk_barrel(&self.family, is_valid, barrel, t, &mut rng, emit);
             }
         }
         self.obs.observe_since("sim.bot_replay_ns", replay_start);
@@ -291,7 +293,7 @@ impl ScenarioSpec {
     /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
     /// horizon estimate only sizes the shard count, never correctness.
     ///
-    /// Shard *production* (per-bot replay + sort) fans out across the
+    /// Shard *production* (per-bot replay + ordering) fans out across the
     /// worker pool — each shard is owned end-to-end by one producer worker
     /// of [`botmeter_exec::run_pipelined_with`] — while the reduction
     /// (cache filtering, faulting) runs on the calling thread strictly in
@@ -303,17 +305,22 @@ impl ScenarioSpec {
     ///    shard owns a precomputed contiguous job range. A producer replays
     ///    its range in job order and partitions the records by destination
     ///    shard (a record may land past its range's own time slice); each
-    ///    partition is stably pre-sorted by the global key `(t, client)`.
-    ///    The consumer stable-merges, per shard, the overflow runs carried
-    ///    from earlier ranges (in range order) with the shard's own run —
-    ///    and a stable merge of stable-sorted segments in concatenation
-    ///    order *is* the global stable sort restricted to the shard, so the
-    ///    per-shard traces concatenate into exactly the reference's
-    ///    globally sorted trace.
+    ///    partition is stably sorted by the global key `(t, client)` with
+    ///    [`botmeter_exec::bucket_sort_by_key`], bucketed on the
+    ///    millisecond. Any stable sort by one key yields the one permutation
+    ///    `sort_by_key` does, so the partitions are those the reference's
+    ///    std sort would cut. The consumer stable-merges, per shard, the
+    ///    overflow runs carried from earlier ranges (in range order) with
+    ///    the shard's own run — and a stable merge of stable-sorted
+    ///    segments in concatenation order *is* the global stable sort
+    ///    restricted to the shard. The merge copies only while two runs
+    ///    overlap; the last run's remainder is filtered in place, right
+    ///    after the merged prefix. So the per-shard traces concatenate into
+    ///    exactly the reference's globally sorted trace.
     /// 2. **Cache state chains.** One topology filters every shard in
-    ///    order on the consumer side; its per-server cache state carries
-    ///    across shard boundaries, and per-call counter deltas telescope to
-    ///    the whole-trace totals.
+    ///    order on the consumer side, one or two calls per shard; its
+    ///    per-server cache state carries across calls and shard boundaries,
+    ///    and per-call counter deltas telescope to the whole-trace totals.
     /// 3. **Fault state chains.** A [`FaultStream`] threads each stage's
     ///    rng and working state across shards (see `botmeter-faults`), so
     ///    chunked faulting is bit-identical to whole-trace faulting.
@@ -395,52 +402,65 @@ impl ScenarioSpec {
         }
 
         // Producer side: pure per shard. Replay the owned job range in job
-        // order into a recycled buffer, split the records by destination
+        // order straight into the shard's own run, move each replay's
+        // records past the shard's slice into overflow runs by destination
         // shard (membership is a function of the primary sort key `t`, so a
         // record's shard never depends on which worker produced it) and
-        // stable-sort every partition by the global key. All record buffers
-        // are drawn from one shared recycling pool and returned by the
-        // consumer once merged, so steady-state production re-uses the same
-        // few allocations for the whole run.
+        // stable-sort every partition by the global key, bucketed on the
+        // millisecond. All record buffers, the sort's scratch included, are
+        // drawn from one shared recycling pool and returned once used, and
+        // the sort's bucket tables from a second one, so steady-state
+        // production re-uses the same few allocations for the whole run.
         let buffers: botmeter_exec::BufferPool<CompactLookup> =
             botmeter_exec::BufferPool::new(POOL_RETAIN);
+        let tables: botmeter_exec::BufferPool<usize> =
+            botmeter_exec::BufferPool::new(STREAM_ACCOUNT_WINDOW);
         let sort_key = |l: &CompactLookup| (l.t, l.client);
         let produce = |k: usize| -> ShardBatch {
             let (start, end) = shard_ranges[k];
-            let last = k + 1 == num_shards;
+            // The catch-all last shard keeps everything it generates.
+            let own_end = if k + 1 == num_shards {
+                u64::MAX
+            } else {
+                shard_ms * (k as u64 + 1)
+            };
             let mut own = buffers.acquire();
-            let mut job_buf = buffers.acquire();
             let mut overflow: BTreeMap<usize, Vec<CompactLookup>> = BTreeMap::new();
             let mut generated = 0u64;
             for &job in &jobs[start..end] {
-                job_buf.clear();
-                self.replay_bot(&plans, &pool_ids, job, theta_q, &mut job_buf);
-                generated += job_buf.len() as u64;
-                for &lookup in job_buf.iter() {
-                    let dest = if last {
-                        k
-                    } else {
-                        ((lookup.t.as_millis() / shard_ms) as usize).clamp(k, num_shards - 1)
-                    };
-                    if dest == k {
-                        own.push(lookup);
-                    } else {
-                        overflow
-                            .entry(dest)
-                            .or_insert_with(|| buffers.acquire())
-                            .push(lookup);
-                    }
+                let from = own.len();
+                self.replay_bot(&plans, &pool_ids, job, theta_q, &mut own);
+                generated += (own.len() - from) as u64;
+                // A replay is non-decreasing in `t`, so the records past
+                // this shard's slice are a suffix of it.
+                let cut = from + own[from..].partition_point(|l| l.t.as_millis() < own_end);
+                for &lookup in &own[cut..] {
+                    let dest = ((lookup.t.as_millis() / shard_ms) as usize).min(num_shards - 1);
+                    overflow
+                        .entry(dest)
+                        .or_insert_with(|| buffers.acquire())
+                        .push(lookup);
                 }
+                own.truncate(cut);
             }
-            buffers.recycle(job_buf);
-            own.sort_by_key(sort_key);
+            let order_start = self.obs.clock();
+            let mut scratch = buffers.acquire();
+            let mut counts = tables.acquire();
+            let mut order = |run: &mut Vec<CompactLookup>| {
+                let millis = |l: &CompactLookup| l.t.as_millis();
+                botmeter_exec::bucket_sort_by_key(run, &mut scratch, &mut counts, millis, sort_key);
+            };
+            order(&mut own);
             let overflow: Vec<(usize, Vec<CompactLookup>)> = overflow
                 .into_iter()
                 .map(|(dest, mut run)| {
-                    run.sort_by_key(sort_key);
+                    order(&mut run);
                     (dest, run)
                 })
                 .collect();
+            tables.recycle(counts);
+            buffers.recycle(scratch);
+            self.obs.observe_since("sim.shard_order_ns", order_start);
             ShardBatch {
                 own,
                 overflow,
@@ -476,6 +496,7 @@ impl ScenarioSpec {
         };
         let mut pending: BTreeMap<usize, Vec<Vec<CompactLookup>>> = BTreeMap::new();
         let mut in_shard: Vec<CompactLookup> = Vec::new();
+        let mut cursors: Vec<usize> = Vec::new();
         let mut raw_total = 0u64;
         // Deterministic residency accounting inputs: per-shard generated
         // counts, and a difference array charging each overflow run to the
@@ -498,18 +519,31 @@ impl ScenarioSpec {
                     pending.entry(dest).or_default().push(run);
                 }
                 runs.push(batch.own);
+                // The merged overlap, then the one run's remainder in place:
+                // two filter calls appending to one chunk, whose cache state
+                // and counter deltas chain exactly as one call's would.
                 in_shard.clear();
-                botmeter_exec::merge_sorted_runs_into(&runs, sort_key, &mut in_shard);
+                let tail = botmeter_exec::merge_sorted_runs_into(
+                    &runs,
+                    sort_key,
+                    &mut cursors,
+                    &mut in_shard,
+                );
+                let mut chunk: Vec<CompactObserved> = Vec::new();
+                for part in [&in_shard[..], tail] {
+                    if !part.is_empty() {
+                        topology
+                            .process_trace_into(part, &interner, &authority, policy, &mut chunk)
+                            .expect("single-local topology routes every client");
+                    }
+                }
+                let empty = in_shard.is_empty() && tail.is_empty();
                 for run in runs {
                     buffers.recycle(run);
                 }
-                if in_shard.is_empty() {
+                if empty {
                     return;
                 }
-                let mut chunk: Vec<CompactObserved> = Vec::new();
-                topology
-                    .process_trace_into(&in_shard, &interner, &authority, policy, &mut chunk)
-                    .expect("single-local topology routes every client");
                 for o in &mut chunk {
                     o.t = o.t.quantize(self.granularity);
                 }
@@ -596,7 +630,8 @@ impl ScenarioSpec {
         let theta_q = self.family.params().theta_q();
         let mut raw: Vec<RawLookup> = Vec::new();
         for plan in &plans {
-            let (family, pool, valid) = (&self.family, &plan.pool, &plan.valid);
+            let valid: HashSet<usize> = plan.valid.iter().copied().collect();
+            let (family, pool, valid) = (&self.family, &plan.pool, &valid);
             for &(t, client, rng_seed) in &plan.bots {
                 let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
                 let colluded = self
@@ -685,7 +720,7 @@ impl ScenarioSpec {
             ground_truth.push(times.len() as u64);
 
             let pool = self.family.pool_for_epoch(epoch);
-            let valid: HashSet<usize> = self.family.valid_indices(epoch).into_iter().collect();
+            let valid = self.family.valid_indices(epoch);
             let bots = times
                 .into_iter()
                 .enumerate()
@@ -722,11 +757,12 @@ struct ShardBatch {
 }
 
 /// One epoch's replay plan: the materialised pool, the registered indices
-/// and one `(activation time, client, rng seed)` triple per active bot.
+/// (sorted, θ∃ of them) and one `(activation time, client, rng seed)`
+/// triple per active bot.
 struct EpochPlan {
     epoch: u64,
     pool: Vec<botmeter_dns::DomainName>,
-    valid: HashSet<usize>,
+    valid: Vec<usize>,
     bots: Vec<(SimInstant, ClientId, u64)>,
 }
 

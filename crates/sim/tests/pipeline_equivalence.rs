@@ -308,6 +308,41 @@ fn pipeline_matches_reference_for_explicit_shard_widths() {
 }
 
 #[test]
+fn pipeline_matches_reference_when_bots_share_milliseconds() {
+    force_parallel();
+    // Several hundred bots squeezed into a 0.1 % burst window (≈ 86 s of a
+    // one-day epoch): different bots' lookups land on the same
+    // millisecond all the time, so the client tiebreak of the producers'
+    // bucketed sort and its dense buckets are held to the reference's std
+    // sort — at the default width and with 60 s shards, whose overflow
+    // runs overlap heavily.
+    for width in [None, Some(SimDuration::from_secs(60))] {
+        let build = || {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(300)
+                .num_epochs(1)
+                .evasion(EvasionStrategy::CoordinatedBurst {
+                    window_fraction: 0.001,
+                })
+                .seed(31)
+                .pipeline(PipelineMode::Streaming { shard: width })
+        };
+        let (_, raw) = build().build().expect("valid spec").run_reference();
+        let shared = raw
+            .windows(2)
+            .filter(|w| w[0].t == w[1].t && w[0].client != w[1].client)
+            .count();
+        assert!(
+            shared * 20 > raw.len(),
+            "only {shared} of {} neighbours share a millisecond",
+            raw.len()
+        );
+        let what = format!("millisecond ties / width {width:?}");
+        assert_matches_reference(build, &every_worker_count(), &what);
+    }
+}
+
+#[test]
 fn peak_residency_is_far_below_the_trace_length() {
     force_parallel();
     let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
