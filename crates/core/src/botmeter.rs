@@ -865,15 +865,6 @@ impl DomainMatcher for ChartMatcher {
     fn matches(&self, domain: &botmeter_dns::DomainName) -> bool {
         self.inner.matches(domain) && self.window.as_ref().is_none_or(|w| w.contains(domain))
     }
-
-    fn matches_batch(&self, domains: &[&botmeter_dns::DomainName], hits: &mut Vec<bool>) {
-        self.inner.matches_batch(domains, hits);
-        if let Some(w) = &self.window {
-            for (hit, domain) in hits.iter_mut().zip(domains) {
-                *hit = *hit && w.contains(*domain);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

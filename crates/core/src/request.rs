@@ -26,7 +26,7 @@ use std::ops::Range;
 /// * [`Observed`](Self::Observed) — the raw border stream; charting runs
 ///   the matching stage itself. Exact, but the stream must be resident.
 /// * [`Matched`](Self::Matched) — an exact pre-matched substream (e.g.
-///   accumulated by `StreamMatcher`); charting skips matching. Exact.
+///   returned by `match_stream`); charting skips matching. Exact.
 /// * [`Sketch`](Self::Sketch) — bounded sketch telemetry accumulated by
 ///   `SketchStream`; per-server state is `O(width)` regardless of traffic
 ///   volume. It fills a [`CellStats`](crate::CellStats)' positions,

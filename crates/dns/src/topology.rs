@@ -278,10 +278,10 @@ impl<K: Key> Topology<K> {
     }
 
     /// Attaches an observability handle; subsequent trace-level calls
-    /// report per-server cache deltas (`cache.s{id}.*`) and border
-    /// admission counters (`topology.lookups` / `topology.admitted` /
-    /// `topology.filtered`) through it. The default handle is the no-op
-    /// one.
+    /// (`process_trace_into`) report per-server cache deltas
+    /// (`cache.s{id}.*`) and border admission counters (`topology.lookups`
+    /// / `topology.admitted` / `topology.filtered`) through it. The default
+    /// handle is the no-op one.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -463,30 +463,6 @@ impl Topology<DomainName> {
         let forwarder = self.walk(raw.t, raw.client, &raw.domain, || &raw.domain, authority)?;
         Ok(forwarder.map(|server| ObservedLookup::new(raw.t, server, raw.domain.clone())))
     }
-
-    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy,
-    /// in order on the calling thread, and returns the border-visible
-    /// sub-trace. `policy` affects neither the result nor the schedule: the
-    /// filter opens no worker pool (see DESIGN.md §8, "why the filter is not
-    /// parallel"); the parameter only keeps the signature in step with
-    /// [`process_trace_into`](Topology::process_trace_into).
-    ///
-    /// # Errors
-    ///
-    /// Fails at the first lookup whose client is unroutable. The records
-    /// before it have been filtered — the caches (and the attached metrics)
-    /// reflect exactly those — but their observations are dropped with the
-    /// returned buffer; nothing after it is processed.
-    pub fn process_trace<A: Authority + Copy>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
-        _policy: ExecPolicy,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        let mut out = Vec::new();
-        self.filter_trace(raws, &mut out, |topo, raw| topo.process(raw, authority))?;
-        Ok(out)
-    }
 }
 
 /// The id-keyed record adapters.
@@ -557,7 +533,8 @@ mod tests {
     }
 
     /// Lets one test body drive either instantiation from name-carrying
-    /// records: the id-keyed side interns, compacts, filters and hydrates.
+    /// records: the name-keyed side processes one record at a time, the
+    /// id-keyed side interns, compacts, filters and hydrates.
     trait Filter {
         fn filter(
             &mut self,
@@ -572,9 +549,12 @@ mod tests {
             &mut self,
             trace: &[RawLookup],
             auth: &StaticAuthority,
-            policy: ExecPolicy,
+            _policy: ExecPolicy,
         ) -> Vec<ObservedLookup> {
-            self.process_trace(trace, auth, policy).unwrap()
+            trace
+                .iter()
+                .filter_map(|raw| self.process(raw, auth).unwrap())
+                .collect()
         }
     }
 
@@ -718,21 +698,26 @@ mod tests {
             .is_none());
     }
 
-    #[test]
-    fn process_trace_preserves_order_and_filters() {
-        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
-        let auth = StaticAuthority::empty();
+    fn filter_preserves_order_and_filters<K: Key>()
+    where
+        Topology<K>: Filter,
+    {
+        let mut topo = Topology::<K>::single_local(TtlPolicy::paper_default());
         let trace = vec![
             raw(0, 1, "a.example"),
             raw(10, 1, "b.example"),
             raw(20, 2, "a.example"), // absorbed
             raw(30, 2, "c.example"),
         ];
-        let obs = topo
-            .process_trace(&trace, &auth, ExecPolicy::Sequential)
-            .unwrap();
+        let obs = topo.filter(&trace, &StaticAuthority::empty(), ExecPolicy::Sequential);
         let names: Vec<&str> = obs.iter().map(|o| o.domain.as_str()).collect();
         assert_eq!(names, vec!["a.example", "b.example", "c.example"]);
+    }
+
+    #[test]
+    fn filter_preserves_order_and_filters_for_both_keys() {
+        filter_preserves_order_and_filters::<DomainName>();
+        filter_preserves_order_and_filters::<DomainId>();
     }
 
     #[test]
@@ -753,14 +738,13 @@ mod tests {
     #[test]
     fn cache_stats_survive_clear_caches_and_stay_counter_consistent() {
         let (obs, registry) = Obs::collecting();
-        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainId>::single_local(TtlPolicy::paper_default());
         topo.set_obs(obs);
         let auth = StaticAuthority::empty();
         let trace: Vec<RawLookup> = (0..64u64)
             .map(|i| raw(i * 10, 1, &format!("d{}.example", i % 8)))
             .collect();
-        topo.process_trace(&trace, &auth, ExecPolicy::Sequential)
-            .unwrap();
+        topo.filter(&trace, &auth, ExecPolicy::Sequential);
         let local = topo.local_servers()[0];
         let before = topo.cache_stats(local);
         assert!(before.hits() > 0 && before.misses > 0);
@@ -782,8 +766,7 @@ mod tests {
 
         // Further traffic keeps the cumulative stats and the pushed deltas
         // in lock-step: counter totals equal the stats totals at all times.
-        topo.process_trace(&trace, &auth, ExecPolicy::Sequential)
-            .unwrap();
+        topo.filter(&trace, &auth, ExecPolicy::Sequential);
         let after = topo.cache_stats(local);
         assert!(after.misses > before.misses);
         let snap = registry.snapshot();
@@ -896,12 +879,10 @@ mod tests {
         assert_eq!(snap.counter("cache.s1.neg_hits"), Some(2));
     }
 
-    fn trace_metrics_report_cache_deltas_and_admission<K: Key>()
-    where
-        Topology<K>: Filter,
-    {
+    #[test]
+    fn trace_metrics_report_cache_deltas_and_admission() {
         let (handle, registry) = Obs::collecting();
-        let mut topo = Topology::<K>::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::<DomainId>::single_local(TtlPolicy::paper_default());
         topo.set_obs(handle);
         let auth = StaticAuthority::from_domains([d("live.example")]);
         let trace = vec![
@@ -925,12 +906,6 @@ mod tests {
         assert_eq!(stats.positive_hits, 1);
         assert_eq!(stats.negative_hits, 1);
         assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn trace_metrics_report_cache_deltas_and_admission_for_both_keys() {
-        trace_metrics_report_cache_deltas_and_admission::<DomainName>();
-        trace_metrics_report_cache_deltas_and_admission::<DomainId>();
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //! never consults thread state, wall clocks or iteration order of unordered
 //! containers, so a faulted trace is bit-identical for a fixed `(plan,
 //! trace)` regardless of the [`ExecPolicy`] the surrounding pipeline runs
-//! under — the `parallel_determinism` suite enforces this per fault model.
+//! under. `tests/robustness.rs::faulted_landscape_is_bit_identical_across_policies`
+//! holds that contract end to end, and this crate's
+//! `streaming_matches_batch_for_every_model` /
+//! `streaming_matches_batch_for_composed_plan` hold the chunked stream to
+//! the whole-trace transform per fault model.
 //!
 //! [`Drop`]: FaultModel::Drop
 //! [`BurstLoss`]: FaultModel::BurstLoss

@@ -14,7 +14,7 @@
 //!   configured missing rate `x` (the Fig. 6(e) sweep);
 //! * [`match_stream`]/[`MatchedTraffic`] — filtering the observed stream
 //!   and grouping the hits per forwarding server, the exact shape the
-//!   estimators consume — over [`scan_hits`], the one blocked probe loop
+//!   estimators consume — over [`scan_hits`], the one in-order hit filter
 //!   every consumer of the stream (batch scan, [`SketchStream`],
 //!   `botmeterd`) visits its hits through.
 //!
@@ -46,9 +46,7 @@ pub use collision::CollisionFilter;
 pub use exact::{ExactMatcher, PlainListError};
 pub use pattern::PatternMatcher;
 pub use sketching::SketchStream;
-pub use stream::{
-    match_stream, match_stream_recorded, scan_hits, MatchedTraffic, StreamMatcher, StreamQuality,
-};
+pub use stream::{match_stream, match_stream_recorded, scan_hits, MatchedTraffic, StreamQuality};
 pub use stream::{CursorEntry, QualityCursor, QualityCursorState};
 pub use window::DetectionWindow;
 
@@ -61,37 +59,16 @@ use botmeter_dns::DomainName;
 pub trait DomainMatcher {
     /// Whether `domain` is attributed to the targeted DGA.
     fn matches(&self, domain: &DomainName) -> bool;
-
-    /// Probes a batch of domains at once, writing one verdict per domain
-    /// into `hits` (cleared first, then filled to `domains.len()`).
-    ///
-    /// Semantically identical to calling [`matches`](Self::matches) once
-    /// per domain — the `batch_properties` suite pins that equivalence —
-    /// but implementations may amortize per-probe overhead across the
-    /// batch, and the stream scanner probes through this entry point in
-    /// blocks so such implementations get dense, cache-friendly input.
-    fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-        hits.clear();
-        hits.extend(domains.iter().map(|d| self.matches(d)));
-    }
 }
 
 impl<M: DomainMatcher + ?Sized> DomainMatcher for &M {
     fn matches(&self, domain: &DomainName) -> bool {
         (**self).matches(domain)
     }
-
-    fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-        (**self).matches_batch(domains, hits)
-    }
 }
 
 impl<M: DomainMatcher + ?Sized> DomainMatcher for Box<M> {
     fn matches(&self, domain: &DomainName) -> bool {
         (**self).matches(domain)
-    }
-
-    fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-        (**self).matches_batch(domains, hits)
     }
 }

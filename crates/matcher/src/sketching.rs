@@ -1,7 +1,7 @@
 //! The sketching telemetry frontend: match-and-fold without materializing.
 //!
 //! [`SketchStream`] is the constant-memory sibling of
-//! [`StreamMatcher`](crate::StreamMatcher): it scans arrival-order chunks
+//! [`match_stream`](crate::match_stream): it scans arrival-order chunks
 //! against a [`DomainMatcher`] through the same [`scan_hits`] kernel, but
 //! instead of accumulating every hit into a `MatchedTraffic` it folds
 //! them straight into a bounded [`SketchedTraffic`] — per-(server, epoch)

@@ -1,17 +1,16 @@
 //! Stream matching: filtering the border-visible lookup stream down to the
 //! matched sub-streams the estimators consume (Fig. 2, steps 3–4).
 //!
-//! Every consumer of the observed stream probes it through the one blocked
-//! hit scan, [`scan_hits`]: the batch scan folds the hits into a
+//! Every consumer of the observed stream probes it through the one hit
+//! scan, [`scan_hits`]: the batch scan folds the hits into a
 //! [`MatchedTraffic`], [`SketchStream`](crate::SketchStream) into a sketch
-//! and `botmeterd` into its cell ledger. [`match_stream_recorded`] is the
-//! one-chunk call of [`StreamMatcher`], so the worker fan-out is written
-//! once too, and the adjacency anomalies are tallied by one function
-//! ([`StreamQuality`]) whether the predecessor lives in a [`MatchedTraffic`]
-//! group or a [`QualityCursor`].
+//! and `botmeterd` into its cell ledger. [`match_stream_recorded`] holds the
+//! crate's only worker fan-out, and the adjacency anomalies are tallied by
+//! one function ([`StreamQuality`]) whether the predecessor lives in a
+//! [`MatchedTraffic`] group or a [`QualityCursor`].
 
 use crate::DomainMatcher;
-use botmeter_dns::{DomainName, ObservedLookup, ServerId};
+use botmeter_dns::{ObservedLookup, ServerId};
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -21,13 +20,6 @@ use std::collections::BTreeMap;
 /// Below this stream length the parallel matcher falls back to the
 /// sequential scan: thread start-up costs more than the matching itself.
 const MIN_PARALLEL_MATCH: usize = 2048;
-
-/// How many lookups [`scan_hits`] probes per [`DomainMatcher::matches_batch`]
-/// call: the domain refs and verdicts of one block stay resident in two
-/// small reused buffers, so batch-aware matchers see dense input without
-/// the scan ever cloning a non-matching lookup. Purely a blocking factor —
-/// results and deterministic counters are identical for any value.
-const PROBE_BLOCK: usize = 64;
 
 /// The result of matching an observed stream against a DGA matcher:
 /// matched lookups grouped per forwarding server, each group kept in
@@ -250,10 +242,10 @@ impl MatchedTraffic {
         self.quality.matched += 1;
     }
 
-    /// Appends another shard's groups. `other` must cover a stream segment
+    /// Appends another chunk's groups. `other` must cover a stream segment
     /// strictly *after* every lookup already held, so per-server arrival
     /// order is preserved by plain concatenation. The adjacent pair
-    /// straddling the shard boundary is re-examined here, which makes the
+    /// straddling the chunk boundary is re-examined here, which makes the
     /// anomaly counters identical to a single sequential scan.
     fn append(&mut self, other: MatchedTraffic) {
         for (server, lookups) in other.by_server {
@@ -318,30 +310,37 @@ pub fn match_stream<M: DomainMatcher + Sync>(
 /// scanned), `matcher.matches` (hits), and the stream-health anomaly
 /// counts `matcher.out_of_order` / `matcher.duplicates` through `obs`, as
 /// single batched deltas at the end of the scan.
+///
+/// A stream of at least `MIN_PARALLEL_MATCH` lookups under a multi-worker
+/// policy is split into contiguous pieces, scanned one per worker and
+/// appended in piece order — the only fan-out in this crate.
 pub fn match_stream_recorded<M: DomainMatcher + Sync>(
     observed: &[ObservedLookup],
     matcher: &M,
     policy: ExecPolicy,
     obs: &Obs,
 ) -> MatchedTraffic {
-    let mut stream = StreamMatcher::new(matcher, policy, obs.clone());
-    stream.ingest(observed);
-    stream.finish()
+    let matched = if policy.worker_threads() <= 1 || observed.len() < MIN_PARALLEL_MATCH {
+        scan(observed, matcher)
+    } else {
+        let pieces = botmeter_exec::map_chunks_with(policy, obs, observed, |_, c| scan(c, matcher));
+        let mut matched = MatchedTraffic::default();
+        for piece in pieces {
+            matched.append(piece);
+        }
+        matched
+    };
+    record_metrics(obs, &matched);
+    matched
 }
 
-/// Emits the batched `matcher.*` counters for one finished scan.
-///
-/// The `matcher.batch.*` pair accounts the probes that flowed through the
-/// vectorized [`DomainMatcher::matches_batch`] entry point — every scanned
-/// lookup does, since [`scan_hits`] probes in [`PROBE_BLOCK`]-sized blocks. Both
-/// are pure functions of the stream content (never of the blocking factor
-/// or policy), keeping them inside the deterministic-counter contract.
+/// Emits the batched `matcher.*` counters for one finished scan. All are
+/// pure functions of the stream content, never of the policy, keeping
+/// them inside the deterministic-counter contract.
 fn record_metrics(obs: &Obs, matched: &MatchedTraffic) {
     if obs.enabled() {
         obs.counter_add("matcher.probes", matched.total_scanned() as u64);
         obs.counter_add("matcher.matches", matched.total_matched() as u64);
-        obs.counter_add("matcher.batch.probes", matched.total_scanned() as u64);
-        obs.counter_add("matcher.batch.matches", matched.total_matched() as u64);
         let quality = matched.quality();
         if quality.out_of_order > 0 {
             obs.counter_add("matcher.out_of_order", quality.out_of_order as u64);
@@ -352,28 +351,18 @@ fn record_metrics(obs: &Obs, matched: &MatchedTraffic) {
     }
 }
 
-/// The one blocked hit scan: probes `observed` in `PROBE_BLOCK`-sized (64)
-/// blocks through [`DomainMatcher::matches_batch`] (two small buffers reused
-/// across blocks) and hands every hit to `on_hit` in arrival order. Misses
-/// are never cloned or touched again; what a hit becomes — a
-/// [`MatchedTraffic`] entry, a sketch fold, a daemon cell — is the caller's
-/// closure, monomorphised into the loop.
+/// The one hit scan: probes every lookup of `observed` in arrival order and
+/// hands each hit to `on_hit`. Misses are never cloned or touched again;
+/// what a hit becomes — a [`MatchedTraffic`] entry, a sketch fold, a daemon
+/// cell — is the caller's closure, monomorphised into the loop.
 pub fn scan_hits<'a, M: DomainMatcher + ?Sized>(
     observed: &'a [ObservedLookup],
     matcher: &M,
     mut on_hit: impl FnMut(&'a ObservedLookup),
 ) {
-    let mut refs: Vec<&DomainName> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    for block in observed.chunks(PROBE_BLOCK) {
-        refs.clear();
-        refs.extend(block.iter().map(|l| &l.domain));
-        matcher.matches_batch(&refs, &mut hits);
-        debug_assert_eq!(hits.len(), block.len(), "matches_batch verdict count");
-        for (lookup, &hit) in block.iter().zip(&hits) {
-            if hit {
-                on_hit(lookup);
-            }
+    for lookup in observed {
+        if matcher.matches(&lookup.domain) {
+            on_hit(lookup);
         }
     }
 }
@@ -385,93 +374,6 @@ fn scan<M: DomainMatcher>(observed: &[ObservedLookup], matcher: &M) -> MatchedTr
     scan_hits(observed, matcher, |lookup| matched.push(lookup.clone()));
     matched.quality.scanned = observed.len();
     matched
-}
-
-/// An incremental [`match_stream`]: feed the observed stream in
-/// arrival-order chunks and get the same [`MatchedTraffic`] (and the same
-/// `matcher.*` metrics) a single whole-trace scan would produce.
-///
-/// This is the matching stage of the streaming pipeline — each time shard
-/// is matched as it is produced, so the raw stream never has to be held in
-/// memory at once. Equivalence with the batch scan holds for *any*
-/// contiguous chunking because per-server arrival order is preserved by
-/// concatenation and the adjacent pair straddling each chunk boundary is
-/// re-examined on append.
-///
-/// # Example
-///
-/// ```
-/// use botmeter_dns::{ObservedLookup, ServerId, SimInstant};
-/// use botmeter_exec::ExecPolicy;
-/// use botmeter_matcher::{match_stream, ExactMatcher, StreamMatcher};
-/// use botmeter_obs::Obs;
-///
-/// let matcher = ExactMatcher::from_domains(["evil.example".parse()?]);
-/// let stream: Vec<ObservedLookup> = (0..100)
-///     .map(|i| {
-///         let name = if i % 2 == 0 { "evil.example" } else { "ok.example" };
-///         ObservedLookup::new(SimInstant::from_millis(i), ServerId(1), name.parse().unwrap())
-///     })
-///     .collect();
-///
-/// let mut incremental = StreamMatcher::new(&matcher, ExecPolicy::Sequential, Obs::noop());
-/// for chunk in stream.chunks(7) {
-///     incremental.ingest(chunk);
-/// }
-/// assert_eq!(incremental.finish(), match_stream(&stream, &matcher, ExecPolicy::Sequential));
-/// # Ok::<(), botmeter_dns::ParseDomainError>(())
-/// ```
-#[derive(Debug)]
-pub struct StreamMatcher<'a, M> {
-    matcher: &'a M,
-    policy: ExecPolicy,
-    obs: Obs,
-    acc: MatchedTraffic,
-}
-
-impl<'a, M: DomainMatcher + Sync> StreamMatcher<'a, M> {
-    /// Starts an incremental scan against `matcher` under `policy`,
-    /// reporting `matcher.*` metrics through `obs` when it finishes.
-    pub fn new(matcher: &'a M, policy: ExecPolicy, obs: Obs) -> Self {
-        StreamMatcher {
-            matcher,
-            policy,
-            obs,
-            acc: MatchedTraffic::default(),
-        }
-    }
-
-    /// Scans one arrival-order chunk and folds its hits into the running
-    /// result. A chunk of at least `MIN_PARALLEL_MATCH` lookups under a
-    /// multi-worker policy is split into contiguous pieces, scanned one per
-    /// worker and appended in piece order — the only fan-out in this crate;
-    /// [`match_stream`] is this call on the whole stream.
-    pub fn ingest(&mut self, chunk: &[ObservedLookup]) {
-        let matcher = self.matcher;
-        if self.policy.worker_threads() <= 1 || chunk.len() < MIN_PARALLEL_MATCH {
-            self.acc.append(scan(chunk, matcher));
-        } else {
-            let pieces = botmeter_exec::map_chunks_with(self.policy, &self.obs, chunk, |_, c| {
-                scan(c, matcher)
-            });
-            for piece in pieces {
-                self.acc.append(piece);
-            }
-        }
-    }
-
-    /// The matched traffic accumulated so far (final after the last
-    /// [`ingest`](Self::ingest)).
-    pub fn matched_so_far(&self) -> &MatchedTraffic {
-        &self.acc
-    }
-
-    /// Emits the batched `matcher.*` metrics and returns the result —
-    /// identical to `match_stream_recorded` over the concatenated chunks.
-    pub fn finish(self) -> MatchedTraffic {
-        record_metrics(&self.obs, &self.acc);
-        self.acc
-    }
 }
 
 #[cfg(test)]
@@ -694,69 +596,20 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn stream_matcher_equals_batch_scan_for_any_chunking() {
-        let stream = anomalous_stream(6000);
-        let m = matcher();
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let batch = match_stream(&stream, &m, policy);
-            for chunk_len in [1usize, 37, 500, 4096, 10_000] {
-                let mut incremental = StreamMatcher::new(&m, policy, Obs::noop());
-                incremental.ingest(&[]);
-                for chunk in stream.chunks(chunk_len) {
-                    incremental.ingest(chunk);
-                }
-                let chunked = incremental.finish();
-                assert_eq!(
-                    chunked, batch,
-                    "chunk_len {chunk_len} under {policy:?} diverged"
-                );
-            }
-        }
+    /// Matches names starting with `hit` and records every name it probes.
+    struct ProbeLog {
+        probed: std::cell::RefCell<Vec<DomainName>>,
     }
 
-    #[test]
-    fn stream_matcher_metrics_match_batch_recorded_scan() {
-        let stream = anomalous_stream(6000);
-        let m = matcher();
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let (h_batch, r_batch) = Obs::collecting();
-            let batch = match_stream_recorded(&stream, &m, policy, &h_batch);
-            let (h_inc, r_inc) = Obs::collecting();
-            let mut incremental = StreamMatcher::new(&m, policy, h_inc);
-            for chunk in stream.chunks(2500) {
-                incremental.ingest(chunk);
-            }
-            assert!(incremental.matched_so_far().total_matched() > 0);
-            assert_eq!(incremental.finish(), batch, "{policy:?}");
-            assert_eq!(
-                r_batch.snapshot().deterministic_counters(),
-                r_inc.snapshot().deterministic_counters(),
-                "{policy:?}"
-            );
-        }
-    }
-
-    /// Matches names starting with `hit` and records the size of each
-    /// `matches_batch` call it receives.
-    struct CountingMatcher {
-        batches: std::cell::RefCell<Vec<usize>>,
-    }
-
-    impl DomainMatcher for CountingMatcher {
+    impl DomainMatcher for ProbeLog {
         fn matches(&self, domain: &DomainName) -> bool {
+            self.probed.borrow_mut().push(domain.clone());
             domain.as_str().starts_with("hit")
         }
-
-        fn matches_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-            self.batches.borrow_mut().push(domains.len());
-            hits.clear();
-            hits.extend(domains.iter().map(|d| self.matches(d)));
-        }
     }
 
     #[test]
-    fn scan_hits_probes_in_blocks_and_visits_hits_in_arrival_order() {
+    fn scan_hits_probes_once_and_visits_hits_in_arrival_order() {
         for n in [0usize, 1, 63, 64, 65, 4096] {
             let stream: Vec<_> = (0..n as u64)
                 .map(|i| {
@@ -764,15 +617,14 @@ mod tests {
                     obs(i, (i % 2) as u32, &format!("{name}{i}.example"))
                 })
                 .collect();
-            let m = CountingMatcher {
-                batches: Default::default(),
+            let m = ProbeLog {
+                probed: Default::default(),
             };
             let mut visited = Vec::new();
             scan_hits(&stream, &m, |lookup| visited.push(lookup.t));
-            let batches = m.batches.into_inner();
-            assert_eq!(batches.len(), n.div_ceil(PROBE_BLOCK), "n = {n}");
-            assert_eq!(batches.iter().sum::<usize>(), n, "n = {n}");
-            assert!(batches.iter().all(|&len| (1..=PROBE_BLOCK).contains(&len)));
+            let probed = m.probed.into_inner();
+            let arrival: Vec<_> = stream.iter().map(|l| l.domain.clone()).collect();
+            assert_eq!(probed, arrival, "n = {n}");
             let expected: Vec<_> = stream.iter().step_by(3).map(|l| l.t).collect();
             assert_eq!(visited, expected, "n = {n}");
         }

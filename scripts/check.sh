@@ -19,8 +19,10 @@ echo "==> removed entry-point grep gate"
 # sketch's fabricated lookups (one at the first sighting, one at the
 # last) with its unread checkpoint state, the two models that never won a
 # measured point (`MW`, `MH` and its Bernoulli twin), the ρ-grid knob
-# with its exact-mode cache and context setter, and the free Gamma-prior
-# constructor. No file may mention the old names.
+# with its exact-mode cache and context setter, the free Gamma-prior
+# constructor, the matcher's batch probe and its blocking factor, the
+# resumable stream matcher, and the pattern matcher's byte automaton with
+# its scalar twin. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -33,6 +35,9 @@ pattern+='|sketch_config\(&self\)'
 pattern+='|sketch_cells|SketchState|SketchCellState|first_ms|last_ms'
 pattern+='|WindowOccupancy|HybridEstimator|HybridBernoulli|RhoQuantization|with_gamma_prior'
 pattern+='|with_kernel_cache|SegmentKernelCache::exact'
+# (whole words: tests named `*_matches_batch_*` compare a stream to a batch)
+pattern+='|\b(matches_batch|PROBE_BLOCK|StreamMatcher|matched_so_far'
+pattern+='|ByteClassTable|TldTrie|label_matches_scalar|matches_bytes)\b'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -89,13 +94,14 @@ if [[ -n "$fanout_offenders" ]]; then
   exit 1
 fi
 
-echo "==> unwrap() grep gate (library code of core, dns, dga, matcher)"
+echo "==> unwrap() grep gate (library code of core, dns, dga, matcher, sketch, daemon, sim, faults, exec)"
 # User-reachable library paths must surface typed errors, not panic.
 # `unwrap()` stays legal in `#[cfg(test)]` modules (the awk below stops
 # scanning a file once it reaches that marker) and in `//` comment lines.
 unwrap_offenders=$(
   find crates/core/src crates/dns/src crates/dga/src crates/matcher/src \
-    crates/sketch/src \
+    crates/sketch/src crates/daemon/src crates/sim/src crates/faults/src \
+    crates/exec/src \
     -name '*.rs' -print0 \
   | xargs -0 awk '
       FNR == 1 { in_tests = 0 }

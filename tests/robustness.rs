@@ -1,13 +1,15 @@
 //! End-to-end robustness: fault-injected scenarios must stay deterministic
-//! across execution policies, the charting facade must degrade gracefully
-//! (loss-aware rescaling, quality flags, typed parameter errors), and a
-//! panicking task must not take its batch down with it.
+//! across execution policies and telemetry sources, the charting facade
+//! must degrade gracefully (loss-aware rescaling, quality flags, typed
+//! parameter errors), and a panicking task must not take its batch down
+//! with it.
 
 use botmeter::core::{BotMeter, BotMeterConfig, CellQuality, ChartRequest, Error, Landscape};
 use botmeter::dga::DgaFamily;
 use botmeter::dns::{SimDuration, SimInstant};
 use botmeter::exec::{try_run_indexed_with, ExecPolicy};
 use botmeter::faults::{FaultModel, FaultPlan};
+use botmeter::matcher::{match_stream, ExactMatcher};
 use botmeter::obs::Obs;
 use botmeter::sim::ScenarioSpec;
 
@@ -47,6 +49,46 @@ fn faulted_landscape_is_bit_identical_across_policies() {
     let parallel = chart(ExecPolicy::parallel());
     assert_eq!(parallel, sequential, "faulted landscape diverged");
     assert!(!sequential.is_empty());
+}
+
+#[test]
+fn matched_stream_charts_like_the_observed_trace() {
+    // A dropped-and-reordered run: charting its pre-matched stream must
+    // give the landscape charting the observed trace gives.
+    force_parallel();
+    for policy in [ExecPolicy::Sequential, ExecPolicy::parallel()] {
+        let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
+            .population(64)
+            .num_epochs(2)
+            .seed(19)
+            .faults(FaultPlan::new(5).with(FaultModel::Drop { rate: 0.2 }).with(
+                FaultModel::Reorder {
+                    rate: 0.2,
+                    max_displacement: 4,
+                },
+            ))
+            .build()
+            .expect("valid spec")
+            .run(policy);
+        let matcher = ExactMatcher::from_family(outcome.family(), 0..2);
+        let matched = match_stream(outcome.observed(), &matcher, policy);
+        let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
+        let from_matched = meter.chart_with(
+            &ChartRequest::from_matched(&matched)
+                .epochs(0..2)
+                .policy(policy),
+        );
+        let from_observed = meter.chart_with(
+            &ChartRequest::new(outcome.observed())
+                .epochs(0..2)
+                .policy(policy),
+        );
+        assert_eq!(
+            from_matched, from_observed,
+            "landscape diverged ({policy:?})"
+        );
+        assert!(!from_observed.is_empty());
+    }
 }
 
 #[test]
