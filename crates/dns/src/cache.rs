@@ -142,11 +142,7 @@ impl<K: Hash + Eq> DnsCache<K> {
     /// `policy` according to the answer's polarity (positive vs negative
     /// caching). A zero TTL stores nothing.
     pub fn store(&mut self, t: SimInstant, domain: K, answer: Answer, policy: &TtlPolicy) {
-        let ttl = match answer {
-            Answer::Address(_) => policy.positive(),
-            Answer::NxDomain => policy.negative(),
-        };
-        self.store_with_ttl(t, domain, answer, ttl);
+        self.store_with_ttl(t, domain, answer, policy.for_answer(answer));
     }
 
     /// Stores an answer with an explicit TTL (a zero TTL stores nothing).

@@ -146,9 +146,11 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// drawn from — is held once. The canonical instance keeps the backing it
 /// arrived with: a batch-built pool name goes on sharing its pool's one
 /// buffer (interning a whole pool allocates nothing per name), a parsed
-/// name keeps its own. A name carries its own text and id, so the interner
-/// is one map from [`DomainId`] to the canonical instance and
-/// [`resolve`](Self::resolve) is the way back from an id-resident record.
+/// name keeps its own. The canonical instances are numbered by dense
+/// **slots** in first-sighting order ([`slot`](Self::slot),
+/// [`names`](Self::names)), for callers that keep per-domain state in flat
+/// arrays; [`resolve`](Self::resolve) is the way back from an id-resident
+/// record.
 ///
 /// # Example
 ///
@@ -163,11 +165,14 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// assert!(std::ptr::eq(a.as_str(), b.as_str())); // one canonical instance
 /// assert_eq!(interner.len(), 1);
 /// assert_eq!(interner.resolve(a.id()), Some(&a));
+/// assert_eq!(interner.slot(&b), 0);
+/// assert_eq!(interner.names(), &[a][..]);
 /// # Ok::<(), botmeter_dns::ParseDomainError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DomainInterner {
-    names: FxHashMap<DomainId, crate::DomainName>,
+    slots: FxHashMap<DomainId, u32>,
+    names: Vec<crate::DomainName>,
 }
 
 impl DomainInterner {
@@ -187,24 +192,44 @@ impl DomainInterner {
     /// interned before — a content-hash collision (probability ~2⁻⁶⁴ per
     /// pair) that would make id-resident records ambiguous.
     pub fn intern(&mut self, name: crate::DomainName) -> crate::DomainName {
-        match self.names.entry(name.id()) {
-            Entry::Vacant(slot) => {
-                slot.insert(name.clone());
-                name
+        let slot = self.slot(&name);
+        self.names[slot as usize].clone()
+    }
+
+    /// The dense slot of `name`, registering it if it is new: interned
+    /// names are numbered 0, 1, 2, … in first-sighting order, and
+    /// [`names`](Self::names)`[slot]` is the canonical instance.
+    ///
+    /// # Panics
+    ///
+    /// On a fingerprint collision, as [`intern`](Self::intern), or past
+    /// 2³² distinct names.
+    pub fn slot(&mut self, name: &crate::DomainName) -> u32 {
+        match self.slots.entry(name.id()) {
+            Entry::Vacant(vacant) => {
+                let slot = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
+                self.names.push(name.clone());
+                *vacant.insert(slot)
             }
-            Entry::Occupied(slot) => {
+            Entry::Occupied(seen) => {
+                let canonical = &self.names[*seen.get() as usize];
                 // The id is taken by another text: refuse rather than
                 // conflate. This check is what lets id equality stand in
                 // for name equality.
                 assert!(
-                    *slot.get() == name,
+                    canonical == name,
                     "DomainId fingerprint collision: {:?} vs {:?}",
-                    slot.get().as_str(),
+                    canonical.as_str(),
                     name.as_str(),
                 );
-                slot.get().clone()
+                *seen.get()
             }
         }
+    }
+
+    /// Every canonical instance, indexed by slot.
+    pub fn names(&self) -> &[crate::DomainName] {
+        &self.names
     }
 
     /// Number of distinct names interned.
@@ -222,7 +247,7 @@ impl DomainInterner {
     /// (a refcount on the canonical instance's buffer) at egress edges.
     #[inline]
     pub fn resolve(&self, id: DomainId) -> Option<&crate::DomainName> {
-        self.names.get(&id)
+        self.slots.get(&id).map(|&slot| &self.names[slot as usize])
     }
 }
 

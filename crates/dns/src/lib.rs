@@ -72,6 +72,6 @@ pub use topology::{TopologyBuilder, TopologyError};
 pub type Topology = topology::Topology<DomainName>;
 
 /// The same resolver tree keyed by [`DomainId`], filtering `Copy`
-/// [`CompactLookup`] records — what the simulation pipeline runs.
+/// [`CompactLookup`] records in batches.
 pub type CompactTopology = topology::Topology<DomainId>;
 pub use ttl::TtlPolicy;

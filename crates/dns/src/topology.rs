@@ -12,8 +12,10 @@
 //! key the caches are indexed by. The crate exports its two
 //! instantiations: `Topology` (keyed by [`DomainName`], filtering
 //! [`RawLookup`]s — the edge format) and `CompactTopology` (keyed by
-//! [`DomainId`], filtering `Copy` [`CompactLookup`]s — what the simulation
-//! pipeline runs). Only the record adapters differ per key.
+//! [`DomainId`], filtering `Copy` [`CompactLookup`]s in batches). Only the
+//! record adapters differ per key. The simulation pipeline runs neither: on
+//! its one-resolver topology it filters per domain (`botmeter-sim`), and
+//! its equivalence suite holds that filter to `Topology`.
 
 use crate::authority::{Answer, Authority};
 use crate::cache::{CacheStats, DnsCache};
@@ -377,9 +379,7 @@ impl<K: Key> Topology<K> {
     /// There is deliberately no parallel variant: the caches are the state
     /// every record reads and writes, so a fan-out has to copy them per
     /// worker and fold them back per call — work proportional to the
-    /// accumulated cache, not to the trace — and the one caller on a hot
-    /// path (the simulation pipeline's consumer) already runs beside
-    /// producers that occupy every core. DESIGN.md §8 has the measurements.
+    /// accumulated cache, not to the trace.
     fn filter_trace<R, O>(
         &mut self,
         raws: &[R],
@@ -494,9 +494,9 @@ impl Topology<DomainId> {
     /// border-visible sub-trace to `out` — the caller owns (and recycles)
     /// the output buffer, keeping the steady state allocation-free.
     /// `policy` affects neither the result nor the schedule: the filter
-    /// opens no worker pool (see DESIGN.md §8, "why the filter is not
-    /// parallel"); the parameter stays until the frozen benchmark's call
-    /// site can drop it.
+    /// opens no worker pool; the parameter stays until the frozen
+    /// benchmark's call site, this method's last caller outside this
+    /// crate's tests, can drop it.
     ///
     /// # Errors
     ///

@@ -1,5 +1,6 @@
 //! TTL policy: how long positive and negative answers stay cached.
 
+use crate::authority::Answer;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -60,6 +61,14 @@ impl TtlPolicy {
     /// Lifetime of cached NXDOMAIN answers.
     pub fn negative(&self) -> SimDuration {
         self.negative
+    }
+
+    /// Lifetime of a cached `answer`: positive or negative by its polarity.
+    pub fn for_answer(&self, answer: Answer) -> SimDuration {
+        match answer {
+            Answer::Address(_) => self.positive,
+            Answer::NxDomain => self.negative,
+        }
     }
 }
 

@@ -4,9 +4,10 @@
 //! in `botmeter-sim`, per-epoch pool generation and chunked matching in
 //! `botmeter-matcher`, pool generation and per-server estimation in
 //! `botmeter-core`, trial sweeps in `botmeter-bench` —
-//! funnels through this crate. (The TTL-cache filter in `botmeter-dns` is
-//! deliberately not among them: it runs in order on the pipeline's
-//! consumer — DESIGN.md §8.) So the threading policy lives in one place:
+//! funnels through this crate. (The pipeline's TTL-cache filter is
+//! deliberately not among them: it runs on the pipeline's consumer, one
+//! shard at a time — DESIGN.md §8.) So the threading policy lives in one
+//! place:
 //!
 //! * **One execution policy.** Pipeline entry points take an
 //!   [`ExecPolicy`] (`Sequential` or `Parallel { threads }`); there are no
@@ -535,158 +536,6 @@ pub fn run_pipelined_with<T, P, C>(
     }
 }
 
-/// Stable k-way merge of already-sorted runs, stopping where the runs stop
-/// overlapping: equivalent to stably sorting the concatenation of `runs`
-/// in order, assuming each run is itself a stable sort of its source
-/// segment. Ties always take the earliest run's element first, so run order
-/// carries the same tie-breaking weight concatenation order would.
-///
-/// The merge copies records into `out` only while two or more runs still
-/// have some left. Once a single run remains, it returns that run's
-/// unmerged remainder instead of copying it: the stable sort of the
-/// concatenation is `out`'s appended records followed by the returned
-/// slice (empty when every run is empty). A lone run is therefore returned
-/// whole and nothing is copied. `out` is appended to, not cleared, and
-/// `cursors` is caller-owned scratch (its contents on entry are ignored),
-/// so a consumer that keeps both across calls merges without steady-state
-/// heap traffic.
-///
-/// This is the reduction step of the sharded pipeline: per-range producers
-/// pre-sort their partitions, and the consumer merges them in job-range
-/// order to reproduce exactly the global stable sort.
-///
-/// # Example
-///
-/// ```
-/// let runs = vec![vec![1, 4], vec![2, 3, 5, 6, 7]];
-/// let (mut cursors, mut out) = (Vec::new(), Vec::new());
-/// let tail = botmeter_exec::merge_sorted_runs_into(&runs, |&x| x, &mut cursors, &mut out);
-/// assert_eq!((out, tail), (vec![1, 2, 3, 4], &[5, 6, 7][..]));
-/// ```
-pub fn merge_sorted_runs_into<'a, T, K, F>(
-    runs: &'a [Vec<T>],
-    key: F,
-    cursors: &mut Vec<usize>,
-    out: &mut Vec<T>,
-) -> &'a [T]
-where
-    T: Copy,
-    K: Ord,
-    F: Fn(&T) -> K,
-{
-    cursors.clear();
-    cursors.resize(runs.len(), 0);
-    let mut live = runs.iter().filter(|run| !run.is_empty()).count();
-    while live > 1 {
-        // Scan for the smallest head; ties favour the earliest run.
-        let mut best: Option<(usize, K)> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if let Some(item) = run.get(cursors[r]) {
-                let k = key(item);
-                match &best {
-                    Some((_, bk)) if *bk <= k => {}
-                    _ => best = Some((r, k)),
-                }
-            }
-        }
-        let Some((r, _)) = best else { break };
-        out.push(runs[r][cursors[r]]);
-        cursors[r] += 1;
-        if cursors[r] == runs[r].len() {
-            live -= 1;
-        }
-    }
-    runs.iter()
-        .zip(cursors.iter())
-        .find_map(|(run, &c)| (c < run.len()).then(|| &run[c..]))
-        .unwrap_or(&[])
-}
-
-/// Stable sort by `key` in time linear in the run's length for the
-/// pipeline's inputs: one counting pass over a coarse bucket of `coarse`,
-/// one stable scatter into `scratch`, then a std stable sort inside each
-/// bucket. `coarse` must be non-decreasing in `key` (`key(a) ≤ key(b)`
-/// implies `coarse(a) ≤ coarse(b)`), so every record of a lower bucket
-/// sorts before every record of a higher one; the scatter keeps input
-/// order within a bucket and the bucket sort is stable, so the result is
-/// element for element the permutation `run.sort_by_key(key)` produces.
-///
-/// The bucket count is a power of two near a quarter of the run's length,
-/// capped by the span of `coarse` values; a bucket covers a power-of-two
-/// width of that span, so the bucket of a record is a subtraction and a
-/// shift. A run shorter than eight records, or one whose `coarse` values
-/// are all equal, falls to a single `sort_by_key`. `scratch` and `counts`
-/// are caller-owned scratch whose contents on entry are ignored; the
-/// sorted records end up in `run` (the two record buffers may swap
-/// allocations, so pass buffers from the same pool), and `scratch` is left
-/// empty.
-///
-/// # Example
-///
-/// ```
-/// let mut run = vec![(3u64, 'a'), (1, 'b'), (3, 'c'), (2, 'd'), (1, 'e')];
-/// let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-/// botmeter_exec::bucket_sort_by_key(&mut run, &mut scratch, &mut counts, |r| r.0, |r| r.0);
-/// assert_eq!(run, [(1, 'b'), (1, 'e'), (2, 'd'), (3, 'a'), (3, 'c')]);
-/// ```
-pub fn bucket_sort_by_key<T, K, C, F>(
-    run: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-    counts: &mut Vec<usize>,
-    coarse: C,
-    key: F,
-) where
-    T: Copy,
-    K: Ord,
-    C: Fn(&T) -> u64,
-    F: Fn(&T) -> K,
-{
-    scratch.clear();
-    let (lo, hi) = run
-        .iter()
-        .map(&coarse)
-        .fold((u64::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
-    // Buckets ≈ n/4 as a power of two 2^b; `shift` widens a bucket until
-    // `(hi - lo) >> shift` fits in b bits. `hi - lo` never wraps, and
-    // neither does the bucket count, which is at most 2^b (a shift by the
-    // full 64 bits means one bucket).
-    let span = hi.saturating_sub(lo);
-    let bits = (run.len() / 4).max(1).ilog2();
-    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(bits);
-    let buckets = span.checked_shr(shift).unwrap_or(0) as usize + 1;
-    if buckets == 1 {
-        run.sort_by_key(key);
-        return;
-    }
-    let bucket = |item: &T| ((coarse(item) - lo) >> shift) as usize;
-
-    // counts[b] ends as bucket b's start offset; counts[buckets] = n.
-    counts.clear();
-    counts.resize(buckets + 1, 0);
-    for item in run.iter() {
-        counts[bucket(item) + 1] += 1;
-    }
-    for b in 0..buckets {
-        counts[b + 1] += counts[b];
-    }
-    // Stable scatter; afterwards counts[b] is bucket b's end offset.
-    scratch.extend_from_slice(run);
-    for item in run.iter() {
-        let slot = &mut counts[bucket(item)];
-        scratch[*slot] = *item;
-        *slot += 1;
-    }
-    let mut start = 0;
-    for &end in &counts[..buckets] {
-        if end - start > 1 {
-            scratch[start..end].sort_by_key(&key);
-        }
-        start = end;
-    }
-    std::mem::swap(run, scratch);
-    scratch.clear();
-}
-
 /// A bounded freelist of reusable `Vec<T>` buffers.
 ///
 /// The streaming pipeline's producers fill one buffer per shard and the
@@ -816,7 +665,6 @@ impl<T> BufferPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn run_indexed_ordered_and_complete() {
@@ -1103,178 +951,6 @@ mod tests {
             |_, item| acc += item,
         );
         assert_eq!(acc, (0..64).sum());
-    }
-
-    /// Merges `runs` the pipeline's way — merged prefix, then the returned
-    /// tail — into one vector.
-    fn merged(runs: &[Vec<(u32, usize)>], out: &mut Vec<(u32, usize)>) {
-        let mut cursors = vec![7; 3]; // stale scratch must not matter
-        let tail = merge_sorted_runs_into(runs, |&(k, _)| k, &mut cursors, out);
-        out.extend_from_slice(tail);
-    }
-
-    fn stable_sort_of_concatenation(runs: &[Vec<(u32, usize)>]) -> Vec<(u32, usize)> {
-        let mut reference: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
-        reference.sort_by_key(|&(k, _)| k);
-        reference
-    }
-
-    #[test]
-    fn merge_into_equals_stable_sort_of_concatenation() {
-        // Duplicate keys across runs so the earliest-run tie-break is
-        // observable through the payload.
-        let runs: Vec<Vec<(u32, usize)>> = (0..5)
-            .map(|r| {
-                let mut run: Vec<(u32, usize)> = (0..200)
-                    .map(|i| {
-                        (
-                            ((r * 200 + i) as u32).wrapping_mul(2654435761) % 11,
-                            r * 200 + i,
-                        )
-                    })
-                    .collect();
-                run.sort_by_key(|&(k, _)| k);
-                run
-            })
-            .collect();
-        // Re-sorting the concatenation of stable-sorted runs stably equals
-        // stable-sorting the original concatenation.
-        let mut out = Vec::new();
-        merged(&runs, &mut out);
-        assert_eq!(out, stable_sort_of_concatenation(&runs));
-
-        // One run outlasts the others: the merge stops at the last overlap
-        // and hands back the rest of that run uncopied.
-        let long: Vec<(u32, usize)> = (0..50).map(|i| (i / 2, 100 + i as usize)).collect();
-        let runs = vec![vec![(0, 0), (3, 1)], vec![], long.clone(), vec![(3, 2)]];
-        let mut prefix = Vec::new();
-        let mut cursors = Vec::new();
-        let tail = merge_sorted_runs_into(&runs, |&(k, _)| k, &mut cursors, &mut prefix);
-        assert_eq!(tail, &long[8..], "the tail starts after the last key-3 tie");
-        assert_eq!(prefix.len(), 3 + 8);
-        prefix.extend_from_slice(tail);
-        assert_eq!(prefix, stable_sort_of_concatenation(&runs));
-
-        // A lone non-empty run is returned whole, nothing copied.
-        let runs = vec![vec![], long.clone(), vec![]];
-        let mut none = Vec::new();
-        let tail = merge_sorted_runs_into(&runs, |&(k, _)| k, &mut cursors, &mut none);
-        assert!(none.is_empty());
-        assert_eq!(tail, &long[..]);
-
-        // All runs empty, or no runs at all: nothing merged, empty tail.
-        for runs in [vec![vec![], vec![]], vec![]] {
-            let mut out = vec![(9, 9)];
-            assert!(merge_sorted_runs_into(&runs, |&(k, _)| k, &mut cursors, &mut out).is_empty());
-            assert_eq!(out, vec![(9, 9)]);
-        }
-
-        // Appends, never clears.
-        let mut seeded = vec![(99u32, 0usize)];
-        merged(&[vec![], vec![(1, 1), (3, 3)], vec![(2, 2)]], &mut seeded);
-        assert_eq!(seeded, vec![(99, 0), (1, 1), (2, 2), (3, 3)]);
-    }
-
-    /// Sorts `records` (time, client, payload) both ways and compares:
-    /// the payload is the input position, so any tie resolved differently
-    /// from the std stable sort shows.
-    fn assert_bucket_sort_is_std(records: Vec<(u64, u32)>) -> Result<(), TestCaseError> {
-        let input: Vec<(u64, u32, usize)> = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, (t, c))| (t, c, i))
-            .collect();
-        let mut expected = input.clone();
-        expected.sort_by_key(|&(t, c, _)| (t, c));
-        let mut run = input;
-        // Stale scratch contents must not leak into the result.
-        let mut scratch = vec![(1, 1, usize::MAX); 3];
-        let mut counts = vec![5; 9];
-        bucket_sort_by_key(
-            &mut run,
-            &mut scratch,
-            &mut counts,
-            |&(t, _, _)| t,
-            |&(t, c, _)| (t, c),
-        );
-        prop_assert_eq!(run, expected);
-        prop_assert!(scratch.is_empty());
-        Ok(())
-    }
-
-    /// Concatenated ascending runs — the producers' input shape: each run
-    /// starts at its own offset and steps forward by small gaps.
-    fn ascending_runs(spec: Vec<(u64, Vec<(u64, u32)>)>) -> Vec<(u64, u32)> {
-        spec.into_iter()
-            .flat_map(|(start, steps)| {
-                let mut t = start;
-                steps.into_iter().map(move |(gap, c)| {
-                    t += gap;
-                    (t, c)
-                })
-            })
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn bucket_sort_equals_std_on_random_input(
-            records in prop::collection::vec((0u64..5_000, 0u32..8), 0..600),
-        ) {
-            assert_bucket_sort_is_std(records)?;
-        }
-
-        #[test]
-        fn bucket_sort_equals_std_on_concatenated_ascending_runs(
-            spec in prop::collection::vec(
-                (0u64..100_000, prop::collection::vec((0u64..900, 0u32..4), 0..60)),
-                0..40,
-            ),
-        ) {
-            assert_bucket_sort_is_std(ascending_runs(spec))?;
-        }
-
-        #[test]
-        fn bucket_sort_equals_std_when_every_record_shares_a_time(
-            t in any::<u64>(),
-            clients in prop::collection::vec(0u32..6, 0..300),
-        ) {
-            assert_bucket_sort_is_std(clients.into_iter().map(|c| (t, c)).collect())?;
-        }
-
-        #[test]
-        fn bucket_sort_equals_std_on_many_equal_times(
-            records in prop::collection::vec((0u64..4, any::<u32>()), 0..400),
-        ) {
-            assert_bucket_sort_is_std(records)?;
-        }
-
-        #[test]
-        fn bucket_sort_equals_std_on_the_full_u64_range(
-            records in prop::collection::vec((any::<u64>(), 0u32..3), 0..200),
-            ends in (0u64..3, 0u64..3),
-        ) {
-            // Pin the extremes so `hi - lo` is the whole domain.
-            let mut records = records;
-            records.push((ends.0, 0));
-            records.push((u64::MAX - ends.1, 0));
-            assert_bucket_sort_is_std(records)?;
-        }
-    }
-
-    #[test]
-    fn bucket_sort_handles_the_shortest_runs() {
-        for records in [
-            vec![],
-            vec![(4, 1)],
-            vec![(4, 1), (3, 0)],
-            vec![(4, 1), (4, 0)],
-        ] {
-            assert_bucket_sort_is_std(records).unwrap();
-        }
-        assert_bucket_sort_is_std(vec![(u64::MAX, 0), (0, 1)]).unwrap();
     }
 
     #[test]

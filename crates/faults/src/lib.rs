@@ -84,10 +84,10 @@ use std::fmt;
 /// timestamp and the forwarding server — never on the domain — so the same
 /// plan applied to an [`ObservedLookup`] stream and to its id-resident
 /// [`CompactObserved`] mirror draws identical random numbers and produces
-/// streams that hydrate to each other bit-for-bit. The streaming pipeline
-/// exploits exactly that: it faults `Copy` compact records (no `Arc`
-/// refcount traffic per retained record) and hydrates only at the egress
-/// boundary.
+/// streams that hydrate to each other bit-for-bit. The simulation pipeline
+/// exploits exactly that: it faults its own `Copy` records (a timestamp
+/// and a slot in its name table; no `Arc` refcount traffic per retained
+/// record) and hydrates only at the egress boundary.
 pub trait FaultRecord: Clone {
     /// The record's (arrival) timestamp.
     fn t(&self) -> SimInstant;

@@ -46,6 +46,7 @@ mod background;
 mod bot;
 mod enterprise;
 mod evasion;
+mod filter;
 mod scenario;
 mod waves;
 

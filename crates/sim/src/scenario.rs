@@ -3,10 +3,11 @@
 use crate::activation::ActivationModel;
 use crate::bot::{replay_barrel, simulate_activation, walk_barrel};
 use crate::evasion::EvasionStrategy;
+use crate::filter::{DomainFilter, SlotLookup, SlotObserved, LOCAL};
 use botmeter_dga::{DgaFamily, EpochAuthority};
 use botmeter_dns::{
-    ClientId, CompactLookup, CompactObserved, CompactTopology, DomainId, DomainInterner,
-    ObservedLookup, RawLookup, SimDuration, SimInstant, Topology, TtlPolicy,
+    ClientId, DomainInterner, DomainName, ObservedLookup, RawLookup, SimDuration, SimInstant,
+    Topology, TtlPolicy,
 };
 use botmeter_exec::ExecPolicy;
 use botmeter_faults::{FaultPlan, FaultPlanError, FaultReport, FaultStream};
@@ -214,7 +215,7 @@ impl ScenarioSpec {
     /// Runs the simulation under `policy`: activations → raw lookups →
     /// cache filtering → faults, fused over fixed-width time shards.
     ///
-    /// Under a parallel policy shard production (per-bot replay + sort)
+    /// Under a parallel policy shard production (per-bot replay)
     /// fans out across the worker pool — each shard built end-to-end by one
     /// worker inside the bounded ticket window of
     /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
@@ -226,7 +227,7 @@ impl ScenarioSpec {
     /// metrics counters an attached [`Obs`] collects (`sim.activations`,
     /// `sim.bots_replayed`, `sim.raw_lookups`, `sim.observed_lookups`,
     /// `sim.stream.shards`, `sim.stream.peak_resident_records`; the
-    /// per-bot `sim.bot_replay_ns` and per-shard `sim.shard_order_ns`
+    /// per-bot `sim.bot_replay_ns` and per-shard `sim.shard_filter_ns`
     /// histograms and the `sched.*` counters are timing-dependent by
     /// contract).
     ///
@@ -239,27 +240,35 @@ impl ScenarioSpec {
     }
 
     /// Replays one `(plan index, bot index)` job, appending its lookups to
-    /// `out` as id-resident records. Pure per job: every bot draws from its
-    /// own pre-derived rng seed, so jobs can run in any order on any
-    /// thread.
+    /// `out` as slot records. Pure per job: every bot draws from its own
+    /// pre-derived rng seed, so jobs can run in any order on any thread.
     fn replay_bot(
         &self,
         plans: &[EpochPlan],
-        pool_ids: &[Vec<DomainId>],
+        pool_slots: &[Vec<u32>],
         (p, b): (usize, usize),
         theta_q: usize,
-        out: &mut Vec<CompactLookup>,
+        out: &mut Vec<SlotLookup>,
     ) {
         let plan = &plans[p];
-        let ids = &pool_ids[p];
+        let slots = &pool_slots[p];
         let (t, client, rng_seed) = plan.bots[b];
         let replay_start = self.obs.clock();
         let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
-        let emit = |t, idx: usize| out.push(CompactLookup::new(t, client, ids[idx]));
+        let emit = |t, idx: usize| {
+            out.push(SlotLookup {
+                t,
+                client,
+                slot: slots[idx],
+            })
+        };
         let is_valid = |idx| plan.valid.contains(&idx);
-        match self.evasion.colluded_start(plan.epoch, ids.len(), &mut rng) {
+        match self
+            .evasion
+            .colluded_start(plan.epoch, slots.len(), &mut rng)
+        {
             Some(start) => {
-                let barrel = (0..theta_q.min(ids.len())).map(|k| (start + k) % ids.len());
+                let barrel = (0..theta_q.min(slots.len())).map(|k| (start + k) % slots.len());
                 walk_barrel(&self.family, is_valid, barrel, t, &mut rng, emit);
             }
             None => {
@@ -293,34 +302,30 @@ impl ScenarioSpec {
     /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
     /// horizon estimate only sizes the shard count, never correctness.
     ///
-    /// Shard *production* (per-bot replay + ordering) fans out across the
-    /// worker pool — each shard is owned end-to-end by one producer worker
-    /// of [`botmeter_exec::run_pipelined_with`] — while the reduction
-    /// (cache filtering, faulting) runs on the calling thread strictly in
-    /// shard order. Equivalence with the whole-trace
+    /// Shard *production* (per-bot replay) fans out across the worker pool
+    /// — each shard is owned end-to-end by one producer worker of
+    /// [`botmeter_exec::run_pipelined_with`] — while the reduction (cache
+    /// filtering, faulting) runs on the calling thread strictly in shard
+    /// order. Equivalence with the whole-trace
     /// [`run_reference`](Self::run_reference) rests on three invariants:
     ///
-    /// 1. **Deterministic shard ownership and reduction order.** The
+    /// 1. **Deterministic shard ownership and replay order.** The
     ///    flattened job list is nondecreasing in activation time, so each
     ///    shard owns a precomputed contiguous job range. A producer replays
-    ///    its range in job order and partitions the records by destination
-    ///    shard (a record may land past its range's own time slice); each
-    ///    partition is stably sorted by the global key `(t, client)` with
-    ///    [`botmeter_exec::bucket_sort_by_key`], bucketed on the
-    ///    millisecond. Any stable sort by one key yields the one permutation
-    ///    `sort_by_key` does, so the partitions are those the reference's
-    ///    std sort would cut. The consumer stable-merges, per shard, the
-    ///    overflow runs carried from earlier ranges (in range order) with
-    ///    the shard's own run — and a stable merge of stable-sorted
-    ///    segments in concatenation order *is* the global stable sort
-    ///    restricted to the shard. The merge copies only while two runs
-    ///    overlap; the last run's remainder is filtered in place, right
-    ///    after the merged prefix. So the per-shard traces concatenate into
-    ///    exactly the reference's globally sorted trace.
-    /// 2. **Cache state chains.** One topology filters every shard in
-    ///    order on the consumer side, one or two calls per shard; its
-    ///    per-server cache state carries across calls and shard boundaries,
-    ///    and per-call counter deltas telescope to the whole-trace totals.
+    ///    its range in job order and moves the records past its own time
+    ///    slice into overflow runs by destination shard (a function of `t`
+    ///    alone). The consumer walks a shard's parked overflow runs, in
+    ///    range order, then its own run: that walk is the replay order of
+    ///    every record in the shard, which is the order the reference's
+    ///    stable sort breaks `(t, client)` ties by.
+    /// 2. **Filtering by domain.** Caches are unbounded, so a lookup's
+    ///    visibility depends only on the earlier lookups of its own
+    ///    domain, and the one local resolver and the border cache in
+    ///    lockstep. The filter (`filter.rs`) reduces each shard per domain
+    ///    in one pass, carrying each domain's entry across shards, and
+    ///    sorts only the lookups it admits by `(t, client, position)`. A
+    ///    domain whose fresh entry expires before its last lookup in the
+    ///    shard has its lookups replayed in that order.
     /// 3. **Fault state chains.** A [`FaultStream`] threads each stage's
     ///    rng and working state across shards (see `botmeter-faults`), so
     ///    chunked faulting is bit-identical to whole-trace faulting.
@@ -344,23 +349,17 @@ impl ScenarioSpec {
         );
         let jobs = Self::flatten_jobs(&plans);
         let theta_q = self.family.params().theta_q();
-
-        // Intern every pool domain once, up front: producers then work
-        // purely in ids (8-byte `Copy` records, no `Arc` traffic), and the
-        // interner resolves them back to names at the egress edge. Pool materialisation draws no rng, so planning streams are
-        // untouched; fingerprint collisions would panic here, which is what
-        // makes id equality stand in for name equality downstream.
+        // Every distinct pool domain gets a dense slot (a dictionary
+        // family's pools share names across epochs): producers emit slots,
+        // the filter keeps per-domain state in flat arrays indexed by them,
+        // and hydration indexes the interner's slot table. A fingerprint
+        // collision panics here, which is what lets a slot stand for a name.
         let mut interner = DomainInterner::new();
-        for plan in &plans {
-            for domain in &plan.pool {
-                interner.intern(domain.clone());
-            }
-        }
-        let interner = interner;
-        let pool_ids: Vec<Vec<DomainId>> = plans
+        let pool_slots: Vec<Vec<u32>> = plans
             .iter()
-            .map(|p| p.pool.iter().map(botmeter_dns::DomainName::id).collect())
+            .map(|p| p.pool.iter().map(|d| interner.slot(d)).collect())
             .collect();
+        let names = interner.names();
 
         let shard_len = shard_width(&self.family, self.pipeline);
         let shard_ms = shard_len.as_millis();
@@ -402,20 +401,15 @@ impl ScenarioSpec {
         }
 
         // Producer side: pure per shard. Replay the owned job range in job
-        // order straight into the shard's own run, move each replay's
+        // order straight into the shard's own run and move each replay's
         // records past the shard's slice into overflow runs by destination
-        // shard (membership is a function of the primary sort key `t`, so a
-        // record's shard never depends on which worker produced it) and
-        // stable-sort every partition by the global key, bucketed on the
-        // millisecond. All record buffers, the sort's scratch included, are
-        // drawn from one shared recycling pool and returned once used, and
-        // the sort's bucket tables from a second one, so steady-state
-        // production re-uses the same few allocations for the whole run.
-        let buffers: botmeter_exec::BufferPool<CompactLookup> =
+        // shard (membership is a function of `t`, so a record's shard never
+        // depends on which worker produced it). Nothing is sorted. All
+        // record buffers are drawn from one shared recycling pool and
+        // returned once filtered, so steady-state production re-uses the
+        // same few allocations for the whole run.
+        let buffers: botmeter_exec::BufferPool<SlotLookup> =
             botmeter_exec::BufferPool::new(POOL_RETAIN);
-        let tables: botmeter_exec::BufferPool<usize> =
-            botmeter_exec::BufferPool::new(STREAM_ACCOUNT_WINDOW);
-        let sort_key = |l: &CompactLookup| (l.t, l.client);
         let produce = |k: usize| -> ShardBatch {
             let (start, end) = shard_ranges[k];
             // The catch-all last shard keeps everything it generates.
@@ -425,11 +419,11 @@ impl ScenarioSpec {
                 shard_ms * (k as u64 + 1)
             };
             let mut own = buffers.acquire();
-            let mut overflow: BTreeMap<usize, Vec<CompactLookup>> = BTreeMap::new();
+            let mut overflow: BTreeMap<usize, Vec<SlotLookup>> = BTreeMap::new();
             let mut generated = 0u64;
             for &job in &jobs[start..end] {
                 let from = own.len();
-                self.replay_bot(&plans, &pool_ids, job, theta_q, &mut own);
+                self.replay_bot(&plans, &pool_slots, job, theta_q, &mut own);
                 generated += (own.len() - from) as u64;
                 // A replay is non-decreasing in `t`, so the records past
                 // this shard's slice are a suffix of it.
@@ -443,24 +437,6 @@ impl ScenarioSpec {
                 }
                 own.truncate(cut);
             }
-            let order_start = self.obs.clock();
-            let mut scratch = buffers.acquire();
-            let mut counts = tables.acquire();
-            let mut order = |run: &mut Vec<CompactLookup>| {
-                let millis = |l: &CompactLookup| l.t.as_millis();
-                botmeter_exec::bucket_sort_by_key(run, &mut scratch, &mut counts, millis, sort_key);
-            };
-            order(&mut own);
-            let overflow: Vec<(usize, Vec<CompactLookup>)> = overflow
-                .into_iter()
-                .map(|(dest, mut run)| {
-                    order(&mut run);
-                    (dest, run)
-                })
-                .collect();
-            tables.recycle(counts);
-            buffers.recycle(scratch);
-            self.obs.observe_since("sim.shard_order_ns", order_start);
             ShardBatch {
                 own,
                 overflow,
@@ -468,35 +444,33 @@ impl ScenarioSpec {
             }
         };
 
-        // Consumer state: the carried id-keyed cache topology, the
-        // incremental fault application (over compact records — stage
-        // decisions depend only on count, time and server, so faulting
-        // commutes with hydration), the accumulated observed trace, and the
-        // overflow runs awaiting their destination shard (keyed by shard,
-        // each holding runs in ascending range order because shards are
-        // consumed in order). Records stay id-resident through filter and
-        // fault; hydration through the interner happens once per *released*
-        // record at the egress edge — the cache-filtered stream is roughly
-        // an order of magnitude smaller than the raw one.
-        let mut topology = CompactTopology::single_local(self.ttl);
-        topology.set_obs(self.obs.clone());
-        let mut fault_stream: Option<FaultStream<CompactObserved>> =
+        // Consumer state: the per-domain filter with its carried cache
+        // entries, the incremental fault application (over slot records —
+        // stage decisions depend only on count, time and server, so
+        // faulting commutes with hydration), the accumulated observed
+        // trace, and the overflow runs awaiting their destination shard
+        // (keyed by shard, each holding runs in ascending range order
+        // because shards are consumed in order). Hydration reads the slot
+        // table once per *released* record at the egress edge — the
+        // cache-filtered stream is roughly an order of magnitude smaller
+        // than the raw one.
+        let mut filter = DomainFilter::new(self.ttl, names, &authority);
+        let mut fault_stream: Option<FaultStream<SlotObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
         let mut observed: Vec<ObservedLookup> = Vec::new();
-        let mut release = |released: &[CompactObserved]| {
+        let mut release = |released: &[SlotObserved]| {
             if released.is_empty() {
                 return;
             }
             let egress_from = observed.len();
-            observed.extend(released.iter().map(|o| {
-                o.hydrate(&interner)
-                    .expect("released records were interned at planning time")
-            }));
+            observed.extend(
+                released
+                    .iter()
+                    .map(|o| ObservedLookup::new(o.t, LOCAL, names[o.slot as usize].clone())),
+            );
             sink(&observed[egress_from..]);
         };
-        let mut pending: BTreeMap<usize, Vec<Vec<CompactLookup>>> = BTreeMap::new();
-        let mut in_shard: Vec<CompactLookup> = Vec::new();
-        let mut cursors: Vec<usize> = Vec::new();
+        let mut pending: BTreeMap<usize, Vec<Vec<SlotLookup>>> = BTreeMap::new();
         let mut raw_total = 0u64;
         // Deterministic residency accounting inputs: per-shard generated
         // counts, and a difference array charging each overflow run to the
@@ -519,29 +493,14 @@ impl ScenarioSpec {
                     pending.entry(dest).or_default().push(run);
                 }
                 runs.push(batch.own);
-                // The merged overlap, then the one run's remainder in place:
-                // two filter calls appending to one chunk, whose cache state
-                // and counter deltas chain exactly as one call's would.
-                in_shard.clear();
-                let tail = botmeter_exec::merge_sorted_runs_into(
-                    &runs,
-                    sort_key,
-                    &mut cursors,
-                    &mut in_shard,
-                );
-                let mut chunk: Vec<CompactObserved> = Vec::new();
-                for part in [&in_shard[..], tail] {
-                    if !part.is_empty() {
-                        topology
-                            .process_trace_into(part, &interner, &authority, policy, &mut chunk)
-                            .expect("single-local topology routes every client");
-                    }
-                }
-                let empty = in_shard.is_empty() && tail.is_empty();
+                let filter_start = self.obs.clock();
+                let mut chunk: Vec<SlotObserved> = Vec::new();
+                let lookups = filter.filter_shard(&runs, &mut chunk);
+                self.obs.observe_since("sim.shard_filter_ns", filter_start);
                 for run in runs {
                     buffers.recycle(run);
                 }
-                if empty {
+                if lookups == 0 {
                     return;
                 }
                 for o in &mut chunk {
@@ -554,6 +513,7 @@ impl ScenarioSpec {
             },
         );
         buffers.record_metrics(&self.obs);
+        filter.record_metrics(&self.obs);
         let fault_report = fault_stream.map(FaultStream::finish).map(|(tail, report)| {
             release(&tail);
             report
@@ -742,16 +702,14 @@ impl ScenarioSpec {
 
 /// One producer worker's output for a shard: the records that fall inside
 /// the shard's own time slice plus the runs that overshoot into later
-/// shards, every run stable-sorted by the global key `(t, client)`. The
-/// buffers are drawn from the pipeline's
-/// [`BufferPool`](botmeter_exec::BufferPool) and recycled by the consumer
-/// once the shard is merged.
+/// shards, every run in replay order. The buffers are drawn from the
+/// pipeline's [`BufferPool`](botmeter_exec::BufferPool) and recycled by the
+/// consumer once the shard is filtered.
 struct ShardBatch {
-    /// Records whose destination is this shard, sorted by `(t, client)`.
-    own: Vec<CompactLookup>,
-    /// `(destination shard, sorted run)` pairs for overshooting records,
-    /// in ascending destination order.
-    overflow: Vec<(usize, Vec<CompactLookup>)>,
+    /// Records whose destination is this shard.
+    own: Vec<SlotLookup>,
+    /// Runs of overshooting records, by destination shard.
+    overflow: BTreeMap<usize, Vec<SlotLookup>>,
     /// Total records this shard's job range generated.
     generated: u64,
 }
@@ -761,7 +719,7 @@ struct ShardBatch {
 /// triple per active bot.
 struct EpochPlan {
     epoch: u64,
-    pool: Vec<botmeter_dns::DomainName>,
+    pool: Vec<DomainName>,
     valid: Vec<usize>,
     bots: Vec<(SimInstant, ClientId, u64)>,
 }
@@ -828,8 +786,9 @@ impl ScenarioSpecBuilder {
     }
 
     /// Attaches an observability handle; [`ScenarioSpec::run`] then reports
-    /// `sim.*` counters, the `sim.bot_replay_ns` histogram and the
-    /// topology's `cache.s{id}.*` / `topology.*` metrics through it
+    /// `sim.*` counters, the `sim.bot_replay_ns` and `sim.shard_filter_ns`
+    /// histograms and the filter's `cache.s{id}.*` / `topology.*` metrics
+    /// (the totals a `Topology::single_local` would push) through it
     /// (default: the no-op handle).
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;

@@ -7,10 +7,14 @@
 //! count; a sink fed by `run_streaming_into` sees exactly the observed
 //! trace; and the deterministic metrics counters and the resident
 //! high-water mark do not depend on the policy. The reference runs once per
-//! scenario. A proptest walks the space between the pinned corners.
+//! scenario. The cache counters are also pinned to a name-keyed topology
+//! walked over the raw trace, and TTL corners drive the filter's per-domain
+//! replay. A proptest walks the space between the pinned corners.
 
 use botmeter_dga::DgaFamily;
-use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
+use botmeter_dns::{
+    CacheStats, ObservedLookup, ServerId, SimDuration, SimInstant, Topology, TtlPolicy,
+};
 use botmeter_exec::ExecPolicy;
 use botmeter_faults::{FaultModel, FaultPlan};
 use botmeter_obs::Obs;
@@ -312,10 +316,10 @@ fn pipeline_matches_reference_when_bots_share_milliseconds() {
     force_parallel();
     // Several hundred bots squeezed into a 0.1 % burst window (≈ 86 s of a
     // one-day epoch): different bots' lookups land on the same
-    // millisecond all the time, so the client tiebreak of the producers'
-    // bucketed sort and its dense buckets are held to the reference's std
-    // sort — at the default width and with 60 s shards, whose overflow
-    // runs overlap heavily.
+    // millisecond all the time, so the filter's `(t, client, position)`
+    // order of the admitted lookups is held to the reference's std sort —
+    // at the default width and with 60 s shards, whose overflow runs
+    // overlap heavily.
     for width in [None, Some(SimDuration::from_secs(60))] {
         let build = || {
             ScenarioSpec::builder(DgaFamily::new_goz())
@@ -362,6 +366,132 @@ fn peak_residency_is_far_below_the_trace_length() {
         outcome.peak_resident_records(),
         outcome.raw_lookups()
     );
+}
+
+/// TTL policies whose entries expire inside a domain's span in a shard,
+/// or are never stored: a negative TTL of zero and of 20 min, a positive
+/// TTL of 30 min over a negative one of 10 min, both zero, and 1 ms over
+/// 700 ms. Under each the filter cannot let a domain's first lookup in a
+/// shard absorb the rest and must replay them one by one.
+fn ttl_corners() -> [(&'static str, TtlPolicy); 5] {
+    let paper = TtlPolicy::paper_default();
+    let ms = SimDuration::from_millis;
+    [
+        ("negative 0", paper.with_negative(SimDuration::ZERO)),
+        (
+            "negative 20 min",
+            paper.with_negative(SimDuration::from_mins(20)),
+        ),
+        (
+            "positive 30 min / negative 10 min",
+            TtlPolicy::new(SimDuration::from_mins(30), SimDuration::from_mins(10)),
+        ),
+        (
+            "both 0",
+            TtlPolicy::new(SimDuration::ZERO, SimDuration::ZERO),
+        ),
+        (
+            "positive 1 ms / negative 700 ms",
+            TtlPolicy::new(ms(1), ms(700)),
+        ),
+    ]
+}
+
+#[test]
+fn pipeline_matches_reference_at_ttl_corners() {
+    force_parallel();
+    let widths = [
+        None,
+        Some(SimDuration::from_secs(60)),
+        Some(SimDuration::from_secs(24 * 3600)),
+    ];
+    let policies = [ExecPolicy::Sequential, ExecPolicy::with_threads(2)];
+    for (ttl_name, ttl) in ttl_corners() {
+        for family in FAMILIES {
+            for width in widths {
+                let build = || {
+                    ScenarioSpec::builder(family())
+                        .population(24)
+                        .num_epochs(2)
+                        .ttl(ttl)
+                        .seed(13)
+                        .pipeline(PipelineMode::Streaming { shard: width })
+                };
+                let what = format!("ttl {ttl_name} / {} / width {width:?}", family().name());
+                let reference = assert_matches_reference(build, &policies, &what);
+                // Nothing is ever cached: every raw lookup reaches the border.
+                if ttl.positive().is_zero() && ttl.negative().is_zero() {
+                    assert_eq!(
+                        reference.observed().len() as u64,
+                        reference.raw_lookups(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cache_counters_equal_a_name_keyed_topology_over_the_raw_trace() {
+    // The pipeline pushes the `cache.s{0,1}.*` and `topology.*` totals of
+    // the `Topology::single_local` it stands for; hold them to one, walked
+    // over the reference's raw trace one lookup at a time: hits split by
+    // polarity, misses and expired evictions, for the border and the
+    // local resolver.
+    let corners =
+        std::iter::once(("paper default", TtlPolicy::paper_default())).chain(ttl_corners());
+    for (ttl_name, ttl) in corners {
+        for family in FAMILIES {
+            for width in [None, Some(SimDuration::from_secs(60))] {
+                let epochs = 2;
+                let build = || {
+                    ScenarioSpec::builder(family())
+                        .population(24)
+                        .num_epochs(epochs)
+                        .ttl(ttl)
+                        .seed(19)
+                        .pipeline(PipelineMode::Streaming { shard: width })
+                };
+                let what = format!("ttl {ttl_name} / {} / width {width:?}", family().name());
+                let (_, raw) = build().build().expect("valid spec").run_reference();
+                let authority = family().authority_for_epochs(epochs + 1);
+                let mut topology = Topology::single_local(ttl);
+                let admitted = raw
+                    .iter()
+                    .filter(|lookup| {
+                        topology
+                            .process(lookup, &authority)
+                            .expect("single-local topology routes every client")
+                            .is_some()
+                    })
+                    .count() as u64;
+
+                let (obs, registry) = Obs::collecting();
+                build()
+                    .obs(obs)
+                    .build()
+                    .expect("valid spec")
+                    .run(ExecPolicy::Sequential);
+                let snap = registry.snapshot();
+                let counter = |name: &str| snap.counter(name).unwrap_or(0);
+                for server in [ServerId(0), ServerId(1)] {
+                    let prefix = format!("cache.s{}.", server.0);
+                    let pushed = CacheStats {
+                        positive_hits: counter(&format!("{prefix}pos_hits")),
+                        negative_hits: counter(&format!("{prefix}neg_hits")),
+                        misses: counter(&format!("{prefix}misses")),
+                        expired_evictions: counter(&format!("{prefix}expired_evictions")),
+                    };
+                    assert_eq!(pushed, topology.cache_stats(server), "{what} / {server}");
+                }
+                let lookups = raw.len() as u64;
+                assert_eq!(counter("topology.lookups"), lookups, "{what}");
+                assert_eq!(counter("topology.admitted"), admitted, "{what}");
+                assert_eq!(counter("topology.filtered"), lookups - admitted, "{what}");
+            }
+        }
+    }
 }
 
 const FAMILIES: [fn() -> DgaFamily; 5] = [

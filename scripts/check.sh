@@ -21,8 +21,10 @@ echo "==> removed entry-point grep gate"
 # measured point (`MW`, `MH` and its Bernoulli twin), the ρ-grid knob
 # with its exact-mode cache and context setter, the free Gamma-prior
 # constructor, the matcher's batch probe and its blocking factor, the
-# resumable stream matcher, and the pattern matcher's byte automaton with
-# its scalar twin. No file may mention the old names.
+# resumable stream matcher, the pattern matcher's byte automaton with
+# its scalar twin, and the shard ordering the per-domain filter replaced
+# (the producers' bucketed sort, the consumer's run merge and the sort's
+# histogram). No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -35,6 +37,7 @@ pattern+='|sketch_config\(&self\)'
 pattern+='|sketch_cells|SketchState|SketchCellState|first_ms|last_ms'
 pattern+='|WindowOccupancy|HybridEstimator|HybridBernoulli|RhoQuantization|with_gamma_prior'
 pattern+='|with_kernel_cache|SegmentKernelCache::exact'
+pattern+='|bucket_sort_by_key|merge_sorted_runs_into|shard_order_ns'
 # (whole words: tests named `*_matches_batch_*` compare a stream to a batch)
 pattern+='|\b(matches_batch|PROBE_BLOCK|StreamMatcher|matched_so_far'
 pattern+='|ByteClassTable|TldTrie|label_matches_scalar|matches_bytes)\b'
@@ -81,10 +84,10 @@ if [[ -n "$spawn_offenders" ]]; then
 fi
 
 echo "==> no fan-out under a cache (crates/dns/src opens no worker pool)"
-# The TTL-cache filter runs in order on its caller's thread: a fan-out
-# there has to copy the caches per worker and fold them back per call
-# (DESIGN.md §8, "why the filter is not parallel"). Parallelism lives in
-# sim's shard producers, matcher's chunks and core's cells.
+# A topology filters on its caller's thread: a fan-out there has to copy
+# the caches per worker and fold them back per call (DESIGN.md §8, "Where
+# else the parallelism lives"). Parallelism lives in sim's shard
+# producers, matcher's chunks and core's cells.
 fanout_offenders=$(grep -rnE 'run_indexed_with|map_chunks_with|thread::' \
   --include='*.rs' crates/dns/src \
   || true)
