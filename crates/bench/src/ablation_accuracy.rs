@@ -10,35 +10,19 @@
 //! Each ablation reports mean ARE over seeded trials so the choice's
 //! effect is a number, not an anecdote.
 
+use crate::chart::{detection_window, TrialChart};
 use crate::render::TextTable;
-use crate::sweep::run_trials;
-use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, EstimationContext, Estimator, PoissonEstimator,
-};
+use botmeter_core::{absolute_relative_error, BernoulliEstimator, ModelKind, PoissonEstimator};
 use botmeter_dga::DgaFamily;
-use botmeter_dns::ServerId;
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{match_stream, DetectionWindow, ExactMatcher};
+use botmeter_obs::Obs;
 use botmeter_sim::ScenarioSpec;
 use botmeter_stats::SeedSequence;
 
-/// Options for the ablation study.
-#[derive(Debug, Clone, Copy)]
-pub struct AblationOptions {
-    /// Trials per cell.
-    pub trials: usize,
-    /// Root seed.
-    pub seed: u64,
-}
-
-impl Default for AblationOptions {
-    fn default() -> Self {
-        AblationOptions {
-            trials: 10,
-            seed: 0xAB1A,
-        }
-    }
-}
+/// Trials per cell.
+pub const TRIALS: usize = 10;
+/// Root seed.
+const SEED: u64 = 0xAB1A;
 
 /// One ablation row: a named configuration and its mean ARE.
 #[derive(Debug, Clone)]
@@ -53,75 +37,74 @@ pub struct AblationRow {
     pub mean_are: f64,
 }
 
-/// Runs every ablation.
-pub fn run_all(opts: &AblationOptions) -> Vec<AblationRow> {
+/// Runs every ablation, `trials` trials per cell.
+pub fn run_all(trials: usize) -> Vec<AblationRow> {
     let mut rows = Vec::new();
-    rows.extend(mb_window_handling(opts));
-    rows.extend(mp_regularisation(opts));
+    rows.extend(mb_window_handling(trials));
+    rows.extend(mp_regularisation(trials));
     rows
 }
 
-/// Mean ARE of `estimator` over seeded newGoZ trials with a detection
-/// window of the given missing rate (0 = perfect).
-fn windowed_mean_are(
-    estimator: &(dyn Estimator + Sync),
-    missing: f64,
-    population: u64,
-    opts: &AblationOptions,
-    stream_label: u64,
-) -> f64 {
-    let family = DgaFamily::new_goz();
-    let seeds = SeedSequence::new(opts.seed).fork(stream_label);
-    let errors: Vec<f64> = run_trials(opts.trials, |trial| {
-        let outcome = ScenarioSpec::builder(family.clone())
-            .population(population)
-            .seed(seeds.fork(trial as u64).seed())
-            .build()
-            .expect("valid scenario")
-            .run(ExecPolicy::default());
-        let exact = ExactMatcher::from_family(&family, 0..2);
-        let mut ctx = EstimationContext::new(family.clone(), outcome.ttl(), outcome.granularity());
-        let lookups = if missing > 0.0 {
-            let window = DetectionWindow::new(&exact, missing, trial as u64);
-            ctx = ctx.with_detection_window(window.known_domains().clone());
-            match_stream(outcome.observed(), &window, ExecPolicy::default())
-        } else {
-            match_stream(outcome.observed(), &exact, ExecPolicy::default())
-        };
-        let est = estimator.estimate(lookups.for_server(ServerId(1)), &ctx);
-        absolute_relative_error(est, outcome.ground_truth()[0] as f64)
-    });
-    errors.iter().sum::<f64>() / errors.len() as f64
+/// The mean of each column of per-trial `(a, b)` pairs.
+fn column_means(per_trial: &[(f64, f64)]) -> (f64, f64) {
+    let n = per_trial.len() as f64;
+    (
+        per_trial.iter().map(|t| t.0).sum::<f64>() / n,
+        per_trial.iter().map(|t| t.1).sum::<f64>() / n,
+    )
 }
 
-fn mb_window_handling(opts: &AblationOptions) -> Vec<AblationRow> {
+/// Window-aware `MB` (the meter's) against the window-naive one over the
+/// same seeded newGoZ N = 64 trials, under a perfect and a 30 %-missing
+/// detection window.
+fn mb_window_handling(trials: usize) -> Vec<AblationRow> {
+    let family = DgaFamily::new_goz();
+    let seeds = SeedSequence::new(SEED).fork(1);
     let mut rows = Vec::new();
     for (missing, label) in [(0.0, "perfect window"), (0.3, "30% missing")] {
-        rows.push(AblationRow {
-            study: "MB window handling",
-            variant: "window-aware (default)".into(),
-            workload: format!("newGoZ N=64, {label}"),
-            mean_are: windowed_mean_are(&BernoulliEstimator::default(), missing, 64, opts, 1),
-        });
-        rows.push(AblationRow {
-            study: "MB window handling",
-            variant: "window-naive (as printed)".into(),
-            workload: format!("newGoZ N=64, {label}"),
-            mean_are: windowed_mean_are(&BernoulliEstimator::window_naive(), missing, 64, opts, 1),
-        });
+        let per_trial: Vec<(f64, f64)> =
+            botmeter_exec::run_indexed_with(ExecPolicy::default(), &Obs::noop(), trials, |trial| {
+                let outcome = ScenarioSpec::builder(family.clone())
+                    .population(64)
+                    .seed(seeds.fork(trial as u64).seed())
+                    .build()
+                    .expect("valid scenario")
+                    .run(ExecPolicy::default());
+                let window =
+                    (missing > 0.0).then(|| detection_window(&family, 0..1, missing, trial as u64));
+                let chart = TrialChart::of_scenario(&outcome, window);
+                let actual = outcome.ground_truth()[0] as f64;
+                let aware = chart.estimates(ModelKind::Bernoulli)[0];
+                let naive = chart.estimates_with(&BernoulliEstimator::window_naive())[0];
+                (
+                    absolute_relative_error(aware, actual),
+                    absolute_relative_error(naive, actual),
+                )
+            });
+        let (aware, naive) = column_means(&per_trial);
+        for (variant, mean_are) in [
+            ("window-aware (default)", aware),
+            ("window-naive (as printed)", naive),
+        ] {
+            rows.push(AblationRow {
+                study: "MB window handling",
+                variant: variant.into(),
+                workload: format!("newGoZ N=64, {label}"),
+                mean_are,
+            });
+        }
     }
     rows
 }
 
-fn mp_regularisation(opts: &AblationOptions) -> Vec<AblationRow> {
-    let seeds = SeedSequence::new(opts.seed).fork(2);
+/// Pure Eq. 1 `MP` (the meter's) against the Gamma-prior variant over the
+/// same seeded Murofet trials, on a tiny and a moderate population.
+fn mp_regularisation(trials: usize) -> Vec<AblationRow> {
+    let seeds = SeedSequence::new(SEED).fork(2);
     let mut rows = Vec::new();
     for (population, label) in [(4u64, "tiny (N=4)"), (64, "moderate (N=64)")] {
-        for (est, variant) in [
-            (PoissonEstimator::new(), "pure Eq. 1"),
-            (PoissonEstimator::regularized(), "Gamma-prior"),
-        ] {
-            let errors: Vec<f64> = run_trials(opts.trials, |trial| {
+        let per_trial: Vec<(f64, f64)> =
+            botmeter_exec::run_indexed_with(ExecPolicy::default(), &Obs::noop(), trials, |trial| {
                 let outcome = ScenarioSpec::builder(DgaFamily::murofet())
                     .population(population)
                     .seed(seeds.fork(population).fork(trial as u64).seed())
@@ -130,20 +113,23 @@ fn mp_regularisation(opts: &AblationOptions) -> Vec<AblationRow> {
                     .run(ExecPolicy::default());
                 let actual = outcome.ground_truth()[0];
                 if actual == 0 {
-                    return 0.0; // quiet draw: both variants answer 0-ish
+                    return (0.0, 0.0); // quiet draw: both variants answer 0-ish
                 }
-                let ctx = EstimationContext::new(
-                    outcome.family().clone(),
-                    outcome.ttl(),
-                    outcome.granularity(),
-                );
-                absolute_relative_error(est.estimate(outcome.observed(), &ctx), actual as f64)
+                let chart = TrialChart::of_scenario(&outcome, None);
+                let pure = chart.estimates(ModelKind::Poisson)[0];
+                let prior = chart.estimates_with(&PoissonEstimator::regularized())[0];
+                (
+                    absolute_relative_error(pure, actual as f64),
+                    absolute_relative_error(prior, actual as f64),
+                )
             });
+        let (pure, prior) = column_means(&per_trial);
+        for (variant, mean_are) in [("pure Eq. 1", pure), ("Gamma-prior", prior)] {
             rows.push(AblationRow {
                 study: "MP regularisation",
                 variant: variant.into(),
                 workload: format!("Murofet {label}"),
-                mean_are: errors.iter().sum::<f64>() / errors.len() as f64,
+                mean_are,
             });
         }
     }
@@ -171,13 +157,9 @@ pub fn render(rows: &[AblationRow]) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> AblationOptions {
-        AblationOptions { trials: 2, seed: 3 }
-    }
-
     #[test]
     fn all_studies_produce_rows() {
-        let rows = run_all(&tiny());
+        let rows = run_all(2);
         let studies: std::collections::HashSet<_> = rows.iter().map(|r| r.study).collect();
         assert_eq!(studies.len(), 2);
         assert!(rows.iter().all(|r| r.mean_are.is_finite()));
@@ -185,7 +167,7 @@ mod tests {
 
     #[test]
     fn window_aware_beats_naive_under_missing_domains() {
-        let rows = mb_window_handling(&tiny());
+        let rows = mb_window_handling(2);
         let find = |variant: &str, workload: &str| {
             rows.iter()
                 .find(|r| r.variant.starts_with(variant) && r.workload.contains(workload))
@@ -200,7 +182,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_studies() {
-        let text = render(&run_all(&tiny()));
+        let text = render(&run_all(2));
         for s in ["MB window handling", "MP regularisation"] {
             assert!(text.contains(s));
         }

@@ -1,46 +1,9 @@
 //! Runs the evasion study (the paper's future-work direction #3):
-//! estimator accuracy under adversarial DGA behaviours.
-//!
-//! Usage: `evasion [--trials N] [--population N] [--seed S]`.
+//! estimator accuracy under adversarial DGA behaviours,
+//! `results/evasion.txt`.
 
-use botmeter_bench::evasion_study::{render_study, run_study, EvasionOptions};
+use botmeter_bench::evasion_study::{render_study, run_study, TRIALS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = EvasionOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trials" => {
-                i += 1;
-                opts.trials = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--trials needs a number");
-            }
-            "--population" => {
-                i += 1;
-                opts.population = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--population needs a number");
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: evasion [--trials N] [--population N] [--seed S]"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let rows = run_study(&opts);
-    print!("{}", render_study(&rows));
+    botmeter_bench::print_artifact(|| render_study(&run_study(TRIALS)));
 }

@@ -1,96 +1,6 @@
-//! Regenerates Fig. 6: estimation accuracy over synthetic traces.
-//!
-//! Usage: `fig6 [a|b|c|d|e|all] [--trials N] [--seed S] [--json PATH]
-//! [--metrics-out PATH]` (default: all subplots, 15 trials).
-//!
-//! With `--metrics-out`, the whole sweep runs with a collecting recorder
-//! attached and its [`MetricsSnapshot`](botmeter_obs::MetricsSnapshot) —
-//! per-server cache counters, matcher probe/match totals, scheduler task
-//! counts — is written as JSON next to the figure artifacts.
-
-use botmeter_bench::fig6::{render_panels, run_subplot, Fig6Options, Subplot};
-use botmeter_obs::Obs;
+//! Regenerates Fig. 6: estimation accuracy over synthetic traces, all five
+//! subplots at 15 trials per point: `results/fig6.txt`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut subplots: Vec<Subplot> = Vec::new();
-    let mut opts = Fig6Options::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).cloned().expect("--json needs a path"));
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_path = Some(args.get(i).cloned().expect("--metrics-out needs a path"));
-            }
-            "--trials" => {
-                i += 1;
-                opts.trials = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--trials needs a number");
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "all" => subplots.extend(Subplot::ALL),
-            letter => match Subplot::from_letter(letter) {
-                Some(s) => subplots.push(s),
-                None => {
-                    eprintln!(
-                        "usage: fig6 [a|b|c|d|e|all] [--trials N] [--seed S] [--json PATH] \
-                         [--metrics-out PATH]"
-                    );
-                    std::process::exit(2);
-                }
-            },
-        }
-        i += 1;
-    }
-    if subplots.is_empty() {
-        subplots.extend(Subplot::ALL);
-    }
-    let registry = metrics_path.as_ref().map(|_| {
-        let (obs, registry) = Obs::collecting();
-        opts.obs = obs;
-        registry
-    });
-
-    println!(
-        "Fig. 6 — estimation accuracy of BotMeter ({} trials per point; \
-         error bars = 25th–75th percentile of ARE)",
-        opts.trials
-    );
-    let mut all_panels = Vec::new();
-    for subplot in subplots {
-        let started = std::time::Instant::now();
-        let panels = run_subplot(subplot, &opts);
-        print!("{}", render_panels(&panels));
-        eprintln!(
-            "[fig6-{}] completed in {:.1}s",
-            subplot.letter(),
-            started.elapsed().as_secs_f64()
-        );
-        all_panels.extend(panels);
-    }
-    if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&all_panels).expect("panels serialise");
-        std::fs::write(&path, json).expect("write json artifact");
-        eprintln!("[fig6] wrote machine-readable results to {path}");
-    }
-    if let (Some(path), Some(registry)) = (metrics_path, registry) {
-        let json = serde_json::to_string_pretty(&registry.snapshot()).expect("metrics serialise");
-        std::fs::write(&path, format!("{json}\n")).expect("write metrics artifact");
-        eprintln!("[fig6] wrote metrics snapshot to {path}");
-    }
+    botmeter_bench::print_artifact(botmeter_bench::fig6::report);
 }

@@ -1,68 +1,7 @@
-//! Regenerates Fig. 7 (daily populations vs estimates over the enterprise
-//! trace) and prints Table II alongside.
-//!
-//! Usage: `fig7 [--quick] [--days N] [--seed S]`
-//! (default: the paper-scale 365-day, 22.5K-client configuration).
-
-use botmeter_bench::fig7::{overall_summary, render_series, render_table2, run};
-use botmeter_sim::EnterpriseSpec;
+//! Regenerates Fig. 7 (daily populations vs estimates over the paper-scale
+//! 365-day, 22.5K-client enterprise trace) and prints Table II alongside:
+//! `results/fig7.txt`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut days: Option<u64> = None;
-    let mut seed = 0x0000_F167_u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--days" => {
-                i += 1;
-                days = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--days needs a number"),
-                );
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            other => {
-                eprintln!("unknown argument {other}; usage: fig7 [--quick] [--days N] [--seed S]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let mut spec = if quick {
-        EnterpriseSpec::quick(seed)
-    } else {
-        EnterpriseSpec::paper_scale(seed)
-    };
-    if let Some(d) = days {
-        spec = spec.with_days(d);
-    }
-
-    eprintln!(
-        "[fig7] simulating {} days of enterprise DNS traffic...",
-        spec.days()
-    );
-    let started = std::time::Instant::now();
-    let result = run(&spec);
-    eprintln!(
-        "[fig7] simulation + estimation finished in {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
-
-    print!("{}", render_series(&result));
-    print!("{}", render_table2(&result));
-    println!("\nOverall per-estimator ARE distribution (active days):");
-    for (name, summary) in overall_summary(&result) {
-        println!("  {name:<10} {summary}");
-    }
+    botmeter_bench::print_artifact(botmeter_bench::fig7::paper_scale_report);
 }

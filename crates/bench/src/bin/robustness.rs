@@ -1,189 +1,6 @@
-//! Degradation curves under measurement faults: sweeps packet-loss rates
-//! and vantage-outage fractions over the newGoZ pipeline and records, for
-//! each fault intensity, the absolute relative error of the charted
-//! population — both naive and after the delivery-rate correction the
-//! estimator facade offers. The curves quantify how gracefully BotMeter
-//! degrades as the observable stream erodes, and go to
-//! `results/robustness.json`.
-//!
-//! Usage: `robustness [--population N] [--seed S] [--out PATH]`.
-
-use botmeter_core::{absolute_relative_error, BotMeter, BotMeterConfig, CellQuality, ChartRequest};
-use botmeter_dga::DgaFamily;
-use botmeter_dns::SimInstant;
-use botmeter_exec::ExecPolicy;
-use botmeter_faults::{FaultModel, FaultPlan, FaultReport};
-use botmeter_sim::ScenarioSpec;
-use serde::Serialize;
-
-/// One day of simulated time, the default scenario horizon.
-const DAY_MS: u64 = 24 * 3_600_000;
-
-#[derive(Serialize)]
-struct Report {
-    benchmark: &'static str,
-    family: &'static str,
-    population: u64,
-    seed: u64,
-    loss_sweep: Vec<Point>,
-    outage_sweep: Vec<Point>,
-}
-
-/// One fault intensity along a degradation curve.
-#[derive(Serialize)]
-struct Point {
-    /// Swept intensity: drop probability or blacked-out day fraction.
-    intensity: f64,
-    /// `output / input` of the fault plan on this run.
-    delivery_rate: f64,
-    observed_lookups: usize,
-    naive_estimate: f64,
-    naive_are: f64,
-    corrected_estimate: f64,
-    corrected_are: f64,
-    degraded_cells: usize,
-}
-
-struct Sweep {
-    population: u64,
-    seed: u64,
-}
-
-impl Sweep {
-    /// Runs one faulted scenario and charts it twice: once naively and once
-    /// with the measured delivery rate declared to the estimator.
-    fn point(&self, intensity: f64, plan: Option<FaultPlan>) -> Point {
-        let mut builder = ScenarioSpec::builder(DgaFamily::new_goz())
-            .population(self.population)
-            .seed(self.seed);
-        if let Some(plan) = plan {
-            builder = builder.faults(plan);
-        }
-        let outcome = builder
-            .build()
-            .expect("valid scenario")
-            .run(ExecPolicy::parallel());
-        let truth = outcome.ground_truth()[0] as f64;
-        let rate = outcome
-            .fault_report()
-            .map(FaultReport::delivery_rate)
-            .unwrap_or(1.0)
-            // Guard the degenerate end of the sweep: a plan that destroys
-            // the whole trace reports rate 0, which `delivery_rate()` on
-            // the config would rightly reject.
-            .max(1e-9);
-
-        let naive = BotMeter::new(BotMeterConfig::new(outcome.family().clone()))
-            .chart_with(&ChartRequest::new(outcome.observed()).policy(ExecPolicy::parallel()));
-        let corrected = BotMeter::new(
-            BotMeterConfig::new(outcome.family().clone()).delivery_rate(rate.min(1.0)),
-        )
-        .chart_with(&ChartRequest::new(outcome.observed()).policy(ExecPolicy::parallel()));
-
-        Point {
-            intensity,
-            delivery_rate: rate,
-            observed_lookups: outcome.observed().len(),
-            naive_estimate: naive.total_for_epoch(0),
-            naive_are: absolute_relative_error(naive.total_for_epoch(0), truth),
-            corrected_estimate: corrected.total_for_epoch(0),
-            corrected_are: absolute_relative_error(corrected.total_for_epoch(0), truth),
-            degraded_cells: corrected
-                .entries()
-                .iter()
-                .filter(|e| e.quality != CellQuality::Ok)
-                .count(),
-        }
-    }
-
-    fn loss_sweep(&self) -> Vec<Point> {
-        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-            .iter()
-            .map(|&rate| {
-                let plan = (rate > 0.0)
-                    .then(|| FaultPlan::new(self.seed ^ 0x01).with(FaultModel::Drop { rate }));
-                self.point(rate, plan)
-            })
-            .collect()
-    }
-
-    fn outage_sweep(&self) -> Vec<Point> {
-        [0.0, 0.125, 0.25, 0.375, 0.5]
-            .iter()
-            .map(|&fraction: &f64| {
-                let plan = (fraction > 0.0).then(|| {
-                    FaultPlan::new(self.seed ^ 0x02).with(FaultModel::Outage {
-                        server: None,
-                        from: SimInstant::from_millis(0),
-                        until: SimInstant::from_millis((DAY_MS as f64 * fraction) as u64),
-                    })
-                });
-                self.point(fraction, plan)
-            })
-            .collect()
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("robustness: {msg}");
-    eprintln!("usage: robustness [--population N] [--seed S] [--out PATH]");
-    std::process::exit(2);
-}
+//! Prints the degradation curves under packet loss and vantage outages
+//! (see `botmeter_bench::robustness`): `results/robustness.json`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut population = 2_000u64;
-    let mut seed = 42u64;
-    let mut out = String::from("results/robustness.json");
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = args.get(i).cloned();
-        match flag {
-            "--population" => {
-                population = value
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--population needs a number"))
-            }
-            "--seed" => {
-                seed = value
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"))
-            }
-            "--out" => out = value.unwrap_or_else(|| usage("--out needs a path")),
-            other => usage(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-
-    let sweep = Sweep { population, seed };
-    eprintln!("robustness: newGoZ, {population} bots, sweeping loss and outage");
-
-    let loss_sweep = sweep.loss_sweep();
-    let outage_sweep = sweep.outage_sweep();
-    for (label, points) in [("loss", &loss_sweep), ("outage", &outage_sweep)] {
-        for p in points {
-            eprintln!(
-                "  {label} {:>5.3}: delivery {:.3}, ARE naive {:.3} -> corrected {:.3}",
-                p.intensity, p.delivery_rate, p.naive_are, p.corrected_are
-            );
-        }
-    }
-
-    let report = Report {
-        benchmark: "robustness",
-        family: "newGoZ",
-        population,
-        seed,
-        loss_sweep,
-        outage_sweep,
-    };
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write(&out, json).expect("write report");
-    eprintln!("robustness: wrote {out}");
+    botmeter_bench::print_artifact(botmeter_bench::robustness::report);
 }

@@ -1,32 +1,6 @@
-//! Regenerates Table I: DGA-specific parameter settings.
-
-use botmeter_bench::render::TextTable;
-use botmeter_dga::DgaFamily;
+//! Regenerates Table I: DGA-specific parameter settings,
+//! `results/table1.txt`.
 
 fn main() {
-    let mut table = TextTable::new(&[
-        "DGA Model",
-        "Prototype",
-        "theta_nx",
-        "theta_valid",
-        "theta_q",
-        "delta_i",
-        "pool model",
-    ]);
-    for family in DgaFamily::table1_prototypes() {
-        let p = family.params();
-        table.row(&[
-            family.barrel_class().shorthand(),
-            family.name(),
-            &p.theta_nx().to_string(),
-            &p.theta_valid().to_string(),
-            &p.theta_q().to_string(),
-            &p.timing().to_string(),
-            &family.pool_class().to_string(),
-        ]);
-    }
-    println!("Table I — DGA-specific parameter setting\n");
-    print!("{}", table.render());
-    println!("\n(paper: Murofet 798/2/798/500ms, Conficker.C 49995/5/500/1sec,");
-    println!(" newGoZ 9995/5/500/1sec, Necurs 2046/2/2046/500ms)");
+    botmeter_bench::print_artifact(botmeter_bench::tables::table1);
 }

@@ -1,44 +1,6 @@
-//! Regenerates Fig. 3: the DGA taxonomy grid with known families.
-
-use botmeter_bench::render::TextTable;
-use botmeter_dga::{known_families, BarrelClass, PoolClass};
+//! Regenerates Fig. 3: the DGA taxonomy grid with known families,
+//! `results/fig3.txt`.
 
 fn main() {
-    println!("Fig. 3 — a taxonomy of DGAs (rows: barrel model, columns: pool model)");
-    println!("('?' marks combinations not yet spotted in the wild)\n");
-
-    let grid = known_families();
-    let mut table = TextTable::new(&[
-        "barrel \\ pool",
-        "drain-replenish",
-        "sliding-window",
-        "multiple-mixture",
-    ]);
-    for barrel in [
-        BarrelClass::Sampling,
-        BarrelClass::Permutation,
-        BarrelClass::RandomCut,
-        BarrelClass::Uniform,
-    ] {
-        let cell = |pool: PoolClass| -> String {
-            let families = &grid
-                .iter()
-                .find(|c| c.pool == pool && c.barrel == barrel)
-                .expect("complete grid")
-                .families;
-            if families.is_empty() {
-                "?".to_owned()
-            } else {
-                families.join(", ")
-            }
-        };
-        let label = format!("{} ({})", barrel, barrel.shorthand());
-        table.row(&[
-            &label,
-            &cell(PoolClass::DrainReplenish),
-            &cell(PoolClass::SlidingWindow),
-            &cell(PoolClass::MultipleMixture),
-        ]);
-    }
-    print!("{}", table.render());
+    botmeter_bench::print_artifact(botmeter_bench::tables::taxonomy);
 }

@@ -15,37 +15,20 @@
 //!   the full population is a measure of the strategy's stealth, not an
 //!   estimator bug.
 
+use crate::chart::{model_name, models_for, TrialChart};
 use crate::render::TextTable;
-use crate::sweep::run_trials;
-use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, CoverageEstimator, EstimationContext, Estimator,
-    PoissonEstimator, TimingEstimator,
-};
-use botmeter_dga::{BarrelClass, DgaFamily};
+use botmeter_core::absolute_relative_error;
+use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
 use botmeter_sim::{EvasionStrategy, ScenarioSpec};
 use botmeter_stats::SeedSequence;
 
-/// Options for the evasion study.
-#[derive(Debug, Clone, Copy)]
-pub struct EvasionOptions {
-    /// Trials per (family, strategy, estimator) cell.
-    pub trials: usize,
-    /// Bot population per trial.
-    pub population: u64,
-    /// Root seed.
-    pub seed: u64,
-}
-
-impl Default for EvasionOptions {
-    fn default() -> Self {
-        EvasionOptions {
-            trials: 10,
-            population: 64,
-            seed: 0x00E7A,
-        }
-    }
-}
+/// Trials per (family, strategy, estimator) cell.
+pub const TRIALS: usize = 10;
+/// Bot population per trial.
+const POPULATION: u64 = 64;
+/// Root seed.
+const SEED: u64 = 0x00E7A;
 
 /// One row of the study: a (family, strategy, estimator) cell.
 #[derive(Debug, Clone)]
@@ -74,64 +57,54 @@ fn strategies() -> Vec<EvasionStrategy> {
     ]
 }
 
-fn estimators_for(family: &DgaFamily) -> Vec<Box<dyn Estimator + Sync>> {
-    match family.barrel_class() {
-        BarrelClass::Uniform => vec![Box::new(PoissonEstimator::new()), Box::new(TimingEstimator)],
-        BarrelClass::RandomCut => vec![
-            Box::new(BernoulliEstimator::default()),
-            Box::new(CoverageEstimator),
-            Box::new(TimingEstimator),
-        ],
-        _ => vec![Box::new(TimingEstimator)],
-    }
-}
-
-/// Runs the full study over the `AU` and `AR` prototypes.
-pub fn run_study(opts: &EvasionOptions) -> Vec<EvasionRow> {
+/// Runs the full study over the `AU` and `AR` prototypes, `trials` trials
+/// per cell, each charting [`models_for`] the family.
+pub fn run_study(trials: usize) -> Vec<EvasionRow> {
     let mut rows = Vec::new();
     for (fi, family) in [DgaFamily::murofet(), DgaFamily::new_goz()]
         .into_iter()
         .enumerate()
     {
-        let estimators = estimators_for(&family);
+        let models = models_for(&family);
         for (si, strategy) in strategies().into_iter().enumerate() {
-            let seeds = SeedSequence::new(opts.seed).fork(fi as u64).fork(si as u64);
+            let seeds = SeedSequence::new(SEED).fork(fi as u64).fork(si as u64);
             // Each trial yields (ARE vs active, ARE vs configured) per
-            // estimator.
-            let per_trial: Vec<Vec<(f64, f64)>> = run_trials(opts.trials, |trial| {
-                let outcome = ScenarioSpec::builder(family.clone())
-                    .population(opts.population)
-                    .evasion(strategy)
-                    .seed(seeds.fork(trial as u64).seed())
-                    .build()
-                    .expect("study parameters are valid")
-                    .run(ExecPolicy::default());
-                let ctx = EstimationContext::new(
-                    outcome.family().clone(),
-                    outcome.ttl(),
-                    outcome.granularity(),
-                );
-                let active = outcome.ground_truth()[0] as f64;
-                let configured = opts.population as f64;
-                estimators
-                    .iter()
-                    .map(|est| {
-                        let e = est.estimate(outcome.observed(), &ctx);
-                        (
-                            absolute_relative_error(e, active.max(1.0)),
-                            absolute_relative_error(e, configured),
-                        )
-                    })
-                    .collect()
-            });
-            for (ei, est) in estimators.iter().enumerate() {
+            // model.
+            let per_trial: Vec<Vec<(f64, f64)>> = botmeter_exec::run_indexed_with(
+                ExecPolicy::default(),
+                &botmeter_obs::Obs::noop(),
+                trials,
+                |trial| {
+                    let outcome = ScenarioSpec::builder(family.clone())
+                        .population(POPULATION)
+                        .evasion(strategy)
+                        .seed(seeds.fork(trial as u64).seed())
+                        .build()
+                        .expect("study parameters are valid")
+                        .run(ExecPolicy::default());
+                    let chart = TrialChart::of_scenario(&outcome, None);
+                    let active = outcome.ground_truth()[0] as f64;
+                    let configured = POPULATION as f64;
+                    models
+                        .iter()
+                        .map(|&model| {
+                            let e = chart.estimates(model)[0];
+                            (
+                                absolute_relative_error(e, active.max(1.0)),
+                                absolute_relative_error(e, configured),
+                            )
+                        })
+                        .collect()
+                },
+            );
+            for (mi, &model) in models.iter().enumerate() {
                 let n = per_trial.len() as f64;
-                let mean_active = per_trial.iter().map(|t| t[ei].0).sum::<f64>() / n;
-                let mean_configured = per_trial.iter().map(|t| t[ei].1).sum::<f64>() / n;
+                let mean_active = per_trial.iter().map(|t| t[mi].0).sum::<f64>() / n;
+                let mean_configured = per_trial.iter().map(|t| t[mi].1).sum::<f64>() / n;
                 rows.push(EvasionRow {
                     family: family.name().to_owned(),
                     strategy: strategy.to_string(),
-                    estimator: est.name().to_owned(),
+                    estimator: model_name(&family, model).to_owned(),
                     mean_are_active: mean_active,
                     mean_are_configured: mean_configured,
                 });
@@ -169,17 +142,9 @@ pub fn render_study(rows: &[EvasionRow]) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> EvasionOptions {
-        EvasionOptions {
-            trials: 2,
-            population: 32,
-            seed: 5,
-        }
-    }
-
     #[test]
     fn study_covers_families_strategies_estimators() {
-        let rows = run_study(&tiny());
+        let rows = run_study(2);
         // Murofet: 2 estimators × 4 strategies; newGoZ: 3 × 4.
         assert_eq!(rows.len(), 2 * 4 + 3 * 4);
         assert!(rows.iter().any(|r| r.strategy.contains("collusion")));
@@ -188,7 +153,7 @@ mod tests {
 
     #[test]
     fn start_collusion_breaks_set_statistics() {
-        let rows = run_study(&tiny());
+        let rows = run_study(2);
         let cell = |strategy: &str, estimator: &str| -> f64 {
             rows.iter()
                 .find(|r| {
@@ -209,7 +174,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_strategy() {
-        let rows = run_study(&tiny());
+        let rows = run_study(2);
         let text = render_study(&rows);
         for s in ["none", "coordinated-burst", "start-collusion", "duty-cycle"] {
             assert!(text.contains(s), "{s} missing from render");

@@ -10,26 +10,32 @@
 //! * **(d)** activation-rate dynamics `σ ∈ {0.5, 1, 1.5, 2, 2.5}`;
 //! * **(e)** D3 missing rate `x ∈ {10, 20, 30, 40, 50}` %.
 //!
-//! The Timing estimator runs everywhere, the Poisson estimator on `AU`,
-//! and the Bernoulli estimator (plus this reproduction's Coverage
-//! cross-check) on `AR` — exactly the paper's assignment (§V-A).
+//! Every panel charts the models of [`models_for`] through
+//! [`BotMeter`](botmeter_core::BotMeter) — `MT` everywhere, `MP` on `AU`,
+//! `MB` on `AR`, exactly the paper's assignment (§V-A), plus this
+//! reproduction's `MC` and `MS` extensions.
 
+use crate::chart::{detection_window, model_name, models_for, TrialChart};
 use crate::render::TextTable;
-use crate::sweep::{run_trials_with, SweepPoint};
-use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, CellStats, CoverageEstimator, EstimationContext,
-    Estimator, Lane, PoissonEstimator, SamplingEstimator, TimingEstimator,
-};
+use botmeter_core::{absolute_relative_error, BernoulliEstimator, ModelKind};
 use botmeter_dga::{BarrelClass, DgaFamily};
-use botmeter_dns::{ObservedLookup, SimDuration, TtlPolicy};
+use botmeter_dns::{SimDuration, TtlPolicy};
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{match_stream_recorded, DetectionWindow, ExactMatcher};
-use botmeter_obs::Obs;
 use botmeter_sim::{ActivationModel, ScenarioSpec};
-use botmeter_stats::SeedSequence;
+use botmeter_stats::{SeedSequence, Summary};
+
+/// Independent trials per sweep point (the paper draws quartile error
+/// bars; 15 trials make them stable).
+pub const TRIALS: usize = 15;
+/// Root seed for the whole figure.
+const SEED: u64 = 0x0000_F166;
+/// Population for subplots (b)–(e).
+const DEFAULT_POPULATION: u64 = 64;
+/// The series label of the window-naive `MB` in subplot (e).
+const NAIVE_BERNOULLI: &str = "Bernoulli-naive";
 
 /// Which Fig. 6 subplot to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subplot {
     /// (a) DGA-bot population.
     Population,
@@ -52,18 +58,6 @@ impl Subplot {
         Subplot::RateDynamics,
         Subplot::MissingRate,
     ];
-
-    /// Parses the subplot letter `a`–`e`.
-    pub fn from_letter(letter: &str) -> Option<Subplot> {
-        match letter.trim().to_ascii_lowercase().as_str() {
-            "a" => Some(Subplot::Population),
-            "b" => Some(Subplot::WindowLength),
-            "c" => Some(Subplot::NegativeTtl),
-            "d" => Some(Subplot::RateDynamics),
-            "e" => Some(Subplot::MissingRate),
-            _ => None,
-        }
-    }
 
     /// The figure letter.
     pub fn letter(&self) -> char {
@@ -99,35 +93,8 @@ impl Subplot {
     }
 }
 
-/// Harness options (trial counts scale runtime linearly).
-#[derive(Debug, Clone)]
-pub struct Fig6Options {
-    /// Independent trials per sweep point (the paper draws quartile error
-    /// bars; 15+ trials make them stable).
-    pub trials: usize,
-    /// Root seed for the whole figure.
-    pub seed: u64,
-    /// Default population for subplots (b)–(e).
-    pub default_population: u64,
-    /// Observability handle: every trial's pipeline (simulation, cache
-    /// filtering, matching) and the sweep scheduler report into it. Counter
-    /// totals are order-independent, so the sweep stays reproducible.
-    pub obs: Obs,
-}
-
-impl Default for Fig6Options {
-    fn default() -> Self {
-        Fig6Options {
-            trials: 15,
-            seed: 0x0000_F166,
-            default_population: 64,
-            obs: Obs::noop(),
-        }
-    }
-}
-
 /// The aggregated result of one (subplot, family) panel.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Panel {
     /// Which subplot the panel belongs to.
     pub subplot: Subplot,
@@ -139,103 +106,108 @@ pub struct Panel {
     pub points: Vec<SweepPoint>,
 }
 
-/// The paper-faithful, window-naive Bernoulli variant with a distinct
-/// series label for the Fig. 6(e) tables.
-struct NaiveBernoulli;
-
-impl Estimator for NaiveBernoulli {
-    fn name(&self) -> &'static str {
-        "Bernoulli-naive"
-    }
-    fn lanes(&self) -> &'static [Lane] {
-        BernoulliEstimator::window_naive().lanes()
-    }
-    fn estimate_cell(&self, cell: &CellStats<'_>, ctx: &EstimationContext) -> f64 {
-        BernoulliEstimator::window_naive().estimate_cell(cell, ctx)
-    }
+/// One aggregated sweep point: the x value, a series label and the
+/// distribution of per-trial AREs.
+#[derive(Debug, Clone)]
+pub struct SweepPoint {
+    /// The swept parameter's value at this point.
+    pub x: f64,
+    /// Series label (estimator name).
+    pub series: String,
+    /// Distribution of per-trial absolute relative errors.
+    pub summary: Summary,
 }
 
-/// The four Table I prototypes the figure sweeps over.
-fn prototype_families() -> Vec<DgaFamily> {
-    DgaFamily::table1_prototypes()
-}
-
-/// Estimators applicable to a family: the paper's assignment (`MT`
-/// everywhere, `MP` on `AU`, `MB` on `AR`) plus this reproduction's
-/// extensions (`MC` on `AR`, `MS` on `AS`); `AP` gets `MT` alone.
-fn estimators_for(family: &DgaFamily) -> Vec<Box<dyn Estimator + Sync>> {
-    let mut list: Vec<Box<dyn Estimator + Sync>> = vec![Box::new(TimingEstimator)];
-    match family.barrel_class() {
-        BarrelClass::Uniform => list.push(Box::new(PoissonEstimator::new())),
-        BarrelClass::RandomCut => {
-            list.push(Box::new(BernoulliEstimator::default()));
-            list.push(Box::new(CoverageEstimator));
+impl SweepPoint {
+    /// Aggregates raw per-trial errors into a point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `errors` is empty.
+    pub fn from_errors(x: f64, series: &str, errors: &[f64]) -> Self {
+        SweepPoint {
+            x,
+            series: series.to_owned(),
+            summary: Summary::from_slice(errors),
         }
-        BarrelClass::Sampling => list.push(Box::new(SamplingEstimator)),
-        BarrelClass::Permutation => {}
     }
-    list
+}
+
+/// Runs all five subplots at [`TRIALS`] trials per point and renders
+/// what `fig6` prints.
+pub fn report() -> String {
+    let mut out = format!(
+        "Fig. 6 — estimation accuracy of BotMeter ({TRIALS} trials per point; \
+         error bars = 25th–75th percentile of ARE)\n"
+    );
+    for subplot in Subplot::ALL {
+        out.push_str(&render_panels(&run_subplot(subplot, TRIALS)));
+    }
+    out
 }
 
 /// Runs one subplot across all four prototype families.
-pub fn run_subplot(subplot: Subplot, opts: &Fig6Options) -> Vec<Panel> {
-    prototype_families()
+pub fn run_subplot(subplot: Subplot, trials: usize) -> Vec<Panel> {
+    DgaFamily::table1_prototypes()
         .into_iter()
         .enumerate()
-        .map(|(fi, family)| run_panel(subplot, family, fi as u64, opts))
+        .map(|(fi, family)| run_panel(subplot, family, fi as u64, trials))
         .collect()
 }
 
-fn run_panel(subplot: Subplot, family: DgaFamily, family_idx: u64, opts: &Fig6Options) -> Panel {
-    let mut estimators = estimators_for(&family);
-    // Subplot (e) contrasts the paper-faithful (window-naive) Bernoulli
-    // against the window-aware repair.
-    if subplot == Subplot::MissingRate && family.barrel_class() == BarrelClass::RandomCut {
-        estimators.push(Box::new(NaiveBernoulli));
+/// Subplot (e) contrasts the paper-faithful (window-naive) `MB` against
+/// the window-aware repair.
+fn charts_naive_bernoulli(subplot: Subplot, family: &DgaFamily) -> bool {
+    subplot == Subplot::MissingRate && family.barrel_class() == BarrelClass::RandomCut
+}
+
+fn run_panel(subplot: Subplot, family: DgaFamily, family_idx: u64, trials: usize) -> Panel {
+    let models = models_for(&family);
+    let mut series: Vec<&str> = models.iter().map(|&m| model_name(&family, m)).collect();
+    if charts_naive_bernoulli(subplot, &family) {
+        series.push(NAIVE_BERNOULLI);
     }
-    let shorthand = family.barrel_class().shorthand();
-    let root = SeedSequence::new(opts.seed)
+    let root = SeedSequence::new(SEED)
         .fork(subplot.letter() as u64)
         .fork(family_idx);
 
     let mut points = Vec::new();
     for (xi, &x) in subplot.values().iter().enumerate() {
         let trial_seeds = root.fork(xi as u64);
-        // Each trial returns one ARE per estimator.
-        let per_trial: Vec<Vec<f64>> =
-            run_trials_with(ExecPolicy::default(), &opts.obs, opts.trials, |trial| {
-                run_one_trial(
-                    subplot,
-                    &family,
-                    &estimators,
-                    x,
-                    trial_seeds.fork(trial as u64).seed(),
-                    opts,
-                )
-            });
-        for (ei, est) in estimators.iter().enumerate() {
-            let errors: Vec<f64> = per_trial.iter().map(|t| t[ei]).collect();
-            points.push(SweepPoint::from_errors(x, est.name(), &errors));
+        // Each trial returns one ARE per series.
+        let per_trial: Vec<Vec<f64>> = botmeter_exec::run_indexed_with(
+            ExecPolicy::default(),
+            &botmeter_obs::Obs::noop(),
+            trials,
+            |trial| {
+                let seed = trial_seeds.fork(trial as u64).seed();
+                run_one_trial(subplot, &family, &models, x, seed)
+            },
+        );
+        for (si, name) in series.iter().enumerate() {
+            let errors: Vec<f64> = per_trial.iter().map(|t| t[si]).collect();
+            points.push(SweepPoint::from_errors(x, name, &errors));
         }
     }
     Panel {
         subplot,
         family: family.name().to_owned(),
-        shorthand,
+        shorthand: family.barrel_class().shorthand(),
         points,
     }
 }
 
+/// One trial's ARE per model of `models`, then the window-naive `MB`'s
+/// where subplot (e) charts it.
 fn run_one_trial(
     subplot: Subplot,
     family: &DgaFamily,
-    estimators: &[Box<dyn Estimator + Sync>],
+    models: &[ModelKind],
     x: f64,
     seed: u64,
-    opts: &Fig6Options,
 ) -> Vec<f64> {
     // Assemble the scenario for this subplot's x value.
-    let mut population = opts.default_population;
+    let mut population = DEFAULT_POPULATION;
     let mut num_epochs = 1u64;
     let mut ttl = TtlPolicy::paper_default();
     let mut activation = ActivationModel::ConstantRate;
@@ -254,45 +226,26 @@ fn run_one_trial(
         .ttl(ttl)
         .activation(activation)
         .seed(seed)
-        .obs(opts.obs.clone())
         .build()
         .expect("sweep parameters are valid")
         .run(ExecPolicy::default());
 
     // D3 matching, with an imperfect window for subplot (e).
-    let exact = ExactMatcher::from_family(family, 0..num_epochs + 1);
-    let window = if missing_rate > 0.0 {
-        Some(DetectionWindow::new(&exact, missing_rate, seed ^ 0xD3))
-    } else {
-        None
-    };
-    let matched = match window.as_ref() {
-        Some(w) => match_stream_recorded(outcome.observed(), w, ExecPolicy::default(), &opts.obs),
-        None => match_stream_recorded(outcome.observed(), &exact, ExecPolicy::default(), &opts.obs),
-    };
-    let lookups = matched.for_server(botmeter_dns::ServerId(1));
-
-    let mut ctx = EstimationContext::new(family.clone(), ttl, outcome.granularity());
-    if let Some(w) = &window {
-        ctx = ctx.with_detection_window(w.known_domains().clone());
-    }
+    let window = (missing_rate > 0.0)
+        .then(|| detection_window(family, 0..num_epochs, missing_rate, seed ^ 0xD3));
+    let chart = TrialChart::of_scenario(&outcome, window);
 
     // Per-epoch estimates averaged over the window (§V-A for Fig. 6(b)).
-    let epoch_len = family.epoch_len();
     let actual_avg = outcome.ground_truth().iter().sum::<u64>() as f64 / num_epochs as f64;
-    estimators
+    let mut estimates: Vec<Vec<f64>> = models.iter().map(|&m| chart.estimates(m)).collect();
+    if charts_naive_bernoulli(subplot, family) {
+        estimates.push(chart.estimates_with(&BernoulliEstimator::window_naive()));
+    }
+    estimates
         .iter()
-        .map(|est| {
-            let mut sum = 0.0;
-            for epoch in 0..num_epochs {
-                let slice: Vec<ObservedLookup> = lookups
-                    .iter()
-                    .filter(|l| l.t.epoch_day(epoch_len) == epoch)
-                    .cloned()
-                    .collect();
-                sum += est.estimate(&slice, &ctx);
-            }
-            absolute_relative_error(sum / num_epochs as f64, actual_avg)
+        .map(|per_epoch| {
+            let mean = per_epoch.iter().sum::<f64>() / num_epochs as f64;
+            absolute_relative_error(mean, actual_avg)
         })
         .collect()
 }
@@ -335,45 +288,34 @@ fn format_x(subplot: Subplot, x: f64) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> Fig6Options {
-        Fig6Options {
-            trials: 2,
-            seed: 1,
-            default_population: 16,
-            obs: Obs::noop(),
-        }
-    }
-
     #[test]
-    fn subplot_parsing_and_labels() {
-        assert_eq!(Subplot::from_letter("a"), Some(Subplot::Population));
-        assert_eq!(Subplot::from_letter("E"), Some(Subplot::MissingRate));
-        assert_eq!(Subplot::from_letter("z"), None);
-        for s in Subplot::ALL {
-            assert_eq!(Subplot::from_letter(&s.letter().to_string()), Some(s));
-            assert_eq!(s.values().len(), 5);
-        }
+    fn sweep_point_aggregation() {
+        let p = SweepPoint::from_errors(64.0, "Poisson", &[0.1, 0.2, 0.3]);
+        assert_eq!(p.x, 64.0);
+        assert_eq!(p.series, "Poisson");
+        assert_eq!(p.summary.median(), 0.2);
     }
 
     #[test]
     fn estimator_assignment_matches_paper() {
-        let names = |f: DgaFamily| -> Vec<&'static str> {
-            estimators_for(&f).iter().map(|e| e.name()).collect()
-        };
-        assert_eq!(names(DgaFamily::murofet()), vec!["Timing", "Poisson"]);
-        assert_eq!(names(DgaFamily::conficker_c()), vec!["Timing", "Sampling"]);
+        use ModelKind::*;
+        assert_eq!(models_for(&DgaFamily::murofet()), vec![Timing, Poisson]);
         assert_eq!(
-            names(DgaFamily::new_goz()),
-            vec!["Timing", "Bernoulli", "Coverage"]
+            models_for(&DgaFamily::conficker_c()),
+            vec![Timing, Sampling]
         );
-        assert_eq!(names(DgaFamily::necurs()), vec!["Timing"]);
+        assert_eq!(
+            models_for(&DgaFamily::new_goz()),
+            vec![Timing, Bernoulli, Coverage]
+        );
+        assert_eq!(models_for(&DgaFamily::necurs()), vec![Timing]);
     }
 
     #[test]
     fn one_trial_produces_one_error_per_estimator() {
         let family = DgaFamily::murofet();
-        let estimators = estimators_for(&family);
-        let errors = run_one_trial(Subplot::Population, &family, &estimators, 16.0, 42, &tiny());
+        let models = models_for(&family);
+        let errors = run_one_trial(Subplot::Population, &family, &models, 16.0, 42);
         assert_eq!(errors.len(), 2);
         assert!(errors.iter().all(|e| e.is_finite() && *e >= 0.0));
     }
@@ -381,15 +323,19 @@ mod tests {
     #[test]
     fn missing_rate_trial_uses_detection_window() {
         let family = DgaFamily::new_goz();
-        let estimators = estimators_for(&family);
-        let errors = run_one_trial(Subplot::MissingRate, &family, &estimators, 50.0, 7, &tiny());
-        assert_eq!(errors.len(), 3);
+        let models = models_for(&family);
+        let errors = run_one_trial(Subplot::MissingRate, &family, &models, 50.0, 7);
+        // Three library models plus the window-naive MB.
+        assert_eq!(errors.len(), 4);
+        // Without window handling MB bills every hidden domain's gap as
+        // extra segments; the window-aware MB the meter charts does not.
+        assert!(errors[1] < errors[3], "{errors:?}");
     }
 
     #[test]
     fn render_contains_every_series() {
         let family = DgaFamily::murofet();
-        let panel = run_panel(Subplot::Population, family, 0, &tiny());
+        let panel = run_panel(Subplot::Population, family, 0, 2);
         let text = render_panels(&[panel]);
         assert!(text.contains("Timing") && text.contains("Poisson"));
         assert!(text.contains("Fig. 6(a)"));

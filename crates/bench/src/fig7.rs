@@ -8,21 +8,20 @@
 //! std ARE per estimator.
 //!
 //! We run the same study over the enterprise simulator (DESIGN.md §3,
-//! substitution 1): the primary estimator per family (`MB` for `AR`, `MP`
-//! for `AU`) against the Timing baseline, with this reproduction's
-//! Coverage estimator as the `AR` cross-check.
+//! substitution 1): the family's `Auto` model (`MB` for `AR`, `MP` for
+//! `AU`) against the Timing baseline, with this reproduction's Coverage
+//! estimator as the `AR` cross-check, each charted through
+//! [`BotMeter`](botmeter_core::BotMeter).
 
+use crate::chart::{model_name, models_for, TrialChart};
 use crate::render::TextTable;
-use botmeter_core::{
-    absolute_relative_error, BernoulliEstimator, CoverageEstimator, EstimationContext, Estimator,
-    PoissonEstimator, TimingEstimator,
-};
-use botmeter_dga::{BarrelClass, DgaFamily};
-use botmeter_dns::ObservedLookup;
-use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{match_stream, ExactMatcher};
+use botmeter_core::{absolute_relative_error, BotMeterConfig, ModelKind};
+use botmeter_dga::DgaFamily;
 use botmeter_sim::{EnterpriseOutcome, EnterpriseSpec};
 use botmeter_stats::{OnlineMoments, Summary};
+
+/// Root seed of the enterprise trace.
+const SEED: u64 = 0x0000_F167;
 
 /// One family's daily series: ground truth vs estimates.
 #[derive(Debug, Clone)]
@@ -31,7 +30,8 @@ pub struct FamilySeries {
     pub family: String,
     /// Taxonomy shorthand (`AU`, `AR`, ...).
     pub shorthand: &'static str,
-    /// Name of the family's primary estimator (`MB` or `MP`).
+    /// Name of the estimator the family's `Auto` model resolves to (`MB`
+    /// or `MP`).
     pub primary_name: &'static str,
     /// Per-day rows: `(day, actual, primary, timing, coverage)`;
     /// `coverage` is `None` for non-`AR` families.
@@ -146,46 +146,31 @@ fn evaluate_family(
     family_idx: usize,
 ) -> FamilySeries {
     let days = outcome.days();
-    let matcher = ExactMatcher::from_family(family, 0..days + 1);
-    let matched = match_stream(outcome.observed(), &matcher, ExecPolicy::default());
-    let lookups = matched.for_server(botmeter_dns::ServerId(1));
-    let epoch_len = family.epoch_len();
-
-    // Pre-slice per day (single pass; lookups are time-ordered).
-    let mut per_day: Vec<Vec<ObservedLookup>> = vec![Vec::new(); days as usize];
-    for l in lookups {
-        let d = l.t.epoch_day(epoch_len);
-        if (d as usize) < per_day.len() {
-            per_day[d as usize].push(l.clone());
-        }
-    }
-
-    let ctx = EstimationContext::new(family.clone(), outcome.ttl(), outcome.granularity());
-    let is_randomcut = family.barrel_class() == BarrelClass::RandomCut;
-    let primary: Box<dyn Estimator> = if is_randomcut {
-        Box::new(BernoulliEstimator::default())
-    } else {
-        Box::new(PoissonEstimator::new())
-    };
-    let primary_name = if is_randomcut { "Bernoulli" } else { "Poisson" };
+    let config = BotMeterConfig::new(family.clone())
+        .ttl(outcome.ttl())
+        .granularity(outcome.granularity());
+    let chart = TrialChart::new(config, None, outcome.observed(), 0..days);
+    let primary = chart.estimates(ModelKind::Auto);
+    let timing = chart.estimates(ModelKind::Timing);
+    let coverage = models_for(family)
+        .contains(&ModelKind::Coverage)
+        .then(|| chart.estimates(ModelKind::Coverage));
 
     let ground_truth = &outcome.ground_truth()[family_idx];
-    let mut rows = Vec::with_capacity(days as usize);
-    for d in 0..days as usize {
-        let slice = &per_day[d];
-        rows.push(DayRow {
+    let rows = (0..days as usize)
+        .map(|d| DayRow {
             day: d as u64,
             actual: ground_truth[d],
-            primary: primary.estimate(slice, &ctx),
-            timing: TimingEstimator.estimate(slice, &ctx),
-            coverage: is_randomcut.then(|| CoverageEstimator.estimate(slice, &ctx)),
-        });
-    }
+            primary: primary[d],
+            timing: timing[d],
+            coverage: coverage.as_ref().map(|c| c[d]),
+        })
+        .collect();
 
     FamilySeries {
         family: family.name().to_owned(),
         shorthand: family.barrel_class().shorthand(),
-        primary_name,
+        primary_name: model_name(family, ModelKind::Auto),
         days: rows,
     }
 }
@@ -193,6 +178,20 @@ fn evaluate_family(
 /// Simulates the enterprise and evaluates it in one call.
 pub fn run(spec: &EnterpriseSpec) -> Fig7Result {
     evaluate(&spec.run())
+}
+
+/// Runs the paper-scale study (365 days, 22.5 K addresses) and renders
+/// what `fig7` prints: the daily series, Table II and the per-estimator
+/// error distribution.
+pub fn paper_scale_report() -> String {
+    let result = run(&EnterpriseSpec::paper_scale(SEED));
+    let mut out = render_series(&result);
+    out.push_str(&render_table2(&result));
+    out.push_str("\nOverall per-estimator ARE distribution (active days):\n");
+    for (name, summary) in overall_summary(&result) {
+        out.push_str(&format!("  {name:<10} {summary}\n"));
+    }
+    out
 }
 
 /// Renders the Fig. 7 daily series (active days only, like the paper's

@@ -24,7 +24,11 @@ echo "==> removed entry-point grep gate"
 # resumable stream matcher, the pattern matcher's byte automaton with
 # its scalar twin, and the shard ordering the per-domain filter replaced
 # (the producers' bucketed sort, the consumer's run merge and the sort's
-# histogram). No file may mention the old names.
+# histogram), and the experiment binaries' flags with what only they kept
+# alive (the options structs, the trial-runner veneers over
+# `run_indexed_with`, the subplot-letter parser, the metrics-file flag, the
+# private estimator tables `models_for` replaced and the naive-`MB`
+# wrapper). No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -38,6 +42,8 @@ pattern+='|sketch_cells|SketchState|SketchCellState|first_ms|last_ms'
 pattern+='|WindowOccupancy|HybridEstimator|HybridBernoulli|RhoQuantization|with_gamma_prior'
 pattern+='|with_kernel_cache|SegmentKernelCache::exact'
 pattern+='|bucket_sort_by_key|merge_sorted_runs_into|shard_order_ns'
+pattern+='|Fig6Options|AblationOptions|EvasionOptions|run_trials|from_letter'
+pattern+='|metrics-out|estimators_for|NaiveBernoulli'
 # (whole words: tests named `*_matches_batch_*` compare a stream to a batch)
 pattern+='|\b(matches_batch|PROBE_BLOCK|StreamMatcher|matched_so_far'
 pattern+='|ByteClassTable|TldTrie|label_matches_scalar|matches_bytes)\b'
