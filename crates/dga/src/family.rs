@@ -8,7 +8,7 @@ use crate::params::{DgaParams, QueryTiming};
 use crate::pool::PoolModel;
 use crate::registrar::EpochAuthority;
 use crate::taxonomy::{BarrelClass, PoolClass};
-use botmeter_dns::{DomainName, SimDuration, SimInstant};
+use botmeter_dns::{DomainName, SimDuration};
 use botmeter_stats::mix64;
 use rand::Rng;
 use std::fmt;
@@ -94,11 +94,6 @@ impl DgaFamily {
     /// Length of one epoch (one day for every family in the paper).
     pub fn epoch_len(&self) -> SimDuration {
         self.epoch_len
-    }
-
-    /// The epoch index a simulation instant falls in.
-    pub fn epoch_of(&self, t: SimInstant) -> u64 {
-        t.epoch_day(self.epoch_len)
     }
 
     /// The ordered query pool for `epoch`.
@@ -883,16 +878,6 @@ mod tests {
         assert!(FamilyError::BadLabelLength { min: 9, max: 4 }
             .to_string()
             .contains("9..=4"));
-    }
-
-    #[test]
-    fn epoch_of_uses_family_epoch_len() {
-        let f = DgaFamily::murofet();
-        assert_eq!(f.epoch_of(SimInstant::ZERO), 0);
-        assert_eq!(
-            f.epoch_of(SimInstant::ZERO + SimDuration::from_hours(25)),
-            1
-        );
     }
 
     #[test]

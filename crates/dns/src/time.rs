@@ -129,12 +129,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Checked integer division of two durations (how many `rhs` fit in
-    /// `self`); `None` when `rhs` is zero.
-    pub fn checked_div_duration(self, rhs: SimDuration) -> Option<u64> {
-        self.0.checked_div(rhs.0)
-    }
 }
 
 impl Add<SimDuration> for SimInstant {
@@ -297,13 +291,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(7).to_string(), "7s");
         assert_eq!(SimDuration::from_millis(500).to_string(), "500ms");
         assert_eq!(SimDuration::ZERO.to_string(), "0ms");
-    }
-
-    #[test]
-    fn div_duration() {
-        let d = SimDuration::from_hours(2);
-        assert_eq!(d.checked_div_duration(SimDuration::from_mins(30)), Some(4));
-        assert_eq!(d.checked_div_duration(SimDuration::ZERO), None);
     }
 
     #[test]

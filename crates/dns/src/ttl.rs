@@ -47,12 +47,6 @@ impl TtlPolicy {
         TtlPolicy { negative, ..self }
     }
 
-    /// Returns this policy with a different positive TTL.
-    #[must_use]
-    pub fn with_positive(self, positive: SimDuration) -> Self {
-        TtlPolicy { positive, ..self }
-    }
-
     /// Lifetime of cached valid answers.
     pub fn positive(&self) -> SimDuration {
         self.positive
@@ -92,13 +86,6 @@ mod tests {
         let p = TtlPolicy::paper_default().with_negative(SimDuration::from_mins(20));
         assert_eq!(p.negative(), SimDuration::from_mins(20));
         assert_eq!(p.positive(), SimDuration::from_days(1));
-    }
-
-    #[test]
-    fn with_positive_keeps_negative() {
-        let p = TtlPolicy::paper_default().with_positive(SimDuration::from_days(3));
-        assert_eq!(p.positive(), SimDuration::from_days(3));
-        assert_eq!(p.negative(), SimDuration::from_hours(2));
     }
 
     #[test]

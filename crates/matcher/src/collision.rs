@@ -54,11 +54,6 @@ impl<M: DomainMatcher> CollisionFilter<M> {
         self
     }
 
-    /// Number of known collisions.
-    pub fn collision_count(&self) -> usize {
-        self.collisions.len()
-    }
-
     /// The wrapped matcher.
     pub fn inner(&self) -> &M {
         &self.inner
@@ -93,7 +88,6 @@ mod tests {
         let pool = family.pool_for_epoch(0);
         let matcher = ExactMatcher::from_family(&family, 0..1);
         let filtered = CollisionFilter::new(matcher, [pool[3].clone(), pool[7].clone()]);
-        assert_eq!(filtered.collision_count(), 2);
         assert!(!filtered.matches(&pool[3]));
         assert!(!filtered.matches(&pool[7]));
         assert!(filtered.matches(&pool[0]));

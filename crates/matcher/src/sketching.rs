@@ -4,8 +4,8 @@
 //! [`match_stream`](crate::match_stream): it scans arrival-order chunks
 //! against a [`DomainMatcher`] through the same [`scan_hits`] kernel, but
 //! instead of accumulating every hit into a `MatchedTraffic` it folds
-//! them straight into a bounded [`SketchedTraffic`] — per-(server, epoch)
-//! HLL registers plus a bottom-k distinct sample — and tracks stream
+//! them straight into a bounded [`SketchedTraffic`] — a per-(server,
+//! epoch) bottom-k distinct sample — and tracks stream
 //! health through the bounded [`QualityCursor`](crate::QualityCursor).
 //! Resident state is `O(servers × width)`, independent of traffic volume.
 //!
@@ -84,7 +84,7 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
         self.cursor.note_scanned(chunk.len());
         scan_hits(chunk, self.matcher, |lookup| {
             self.cursor.note_matched(lookup);
-            if self.sketch.push(lookup).evicted {
+            if self.sketch.push(lookup) {
                 self.evictions += 1;
             }
         });
@@ -101,12 +101,6 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
         let effect = self.sketch.absorb(other);
         self.evictions += effect.evictions;
         self.merges += 1;
-    }
-
-    /// The sketch accumulated so far (final after the last
-    /// [`ingest`](Self::ingest)).
-    pub fn sketch_so_far(&self) -> &SketchedTraffic {
-        &self.sketch
     }
 
     /// The stream-health summary accumulated so far.

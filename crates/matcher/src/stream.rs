@@ -60,16 +60,6 @@ impl StreamQuality {
         self.out_of_order > 0 || self.duplicates > 0
     }
 
-    /// Fraction of matched lookups that are anomalous (`0.0` when nothing
-    /// matched).
-    pub fn anomaly_rate(&self) -> f64 {
-        if self.matched == 0 {
-            0.0
-        } else {
-            (self.out_of_order + self.duplicates) as f64 / self.matched as f64
-        }
-    }
-
     /// Tallies how matched lookup `next` relates to its server's previous
     /// matched lookup `prev`: a strict timestamp inversion, an exact
     /// adjacent repeat (same timestamp, same domain), or neither. The one
@@ -505,7 +495,6 @@ mod tests {
         assert_eq!(q.out_of_order, 1);
         assert_eq!(q.duplicates, 1);
         assert!(q.is_degraded());
-        assert!((q.anomaly_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -513,7 +502,6 @@ mod tests {
         let stream = vec![obs(0, 1, "a.evil.example"), obs(1, 1, "b.evil.example")];
         let m = match_stream(&stream, &matcher(), ExecPolicy::Sequential);
         assert!(!m.quality().is_degraded());
-        assert_eq!(m.quality().anomaly_rate(), 0.0);
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl MetricsSnapshot {
             .map(|c| c.value)
     }
 
-    /// All counters whose name starts with `prefix`.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a CounterSnapshot> {
-        self.counters
-            .iter()
-            .filter(move |c| c.name.starts_with(prefix))
-    }
-
     /// A histogram by name, `None` if it was never observed into.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
@@ -168,8 +158,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.counter("cache.s1.misses"), Some(4));
         assert_eq!(s.counter("nope"), None);
-        assert_eq!(s.counters_with_prefix("cache.").count(), 1);
-        assert_eq!(s.counters_with_prefix("sched.").count(), 2);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! One sketch cell: HLL registers plus the bottom-k distinct sample for a
-//! single (server, epoch) pair.
+//! One sketch cell: the bottom-k distinct sample of a single (server,
+//! epoch) pair.
 
-use crate::SketchConfig;
 use botmeter_dns::DomainName;
 use std::collections::BTreeMap;
 
@@ -17,25 +16,15 @@ pub struct RetainedDomain<'a> {
     pub count: u64,
 }
 
-/// What a single ingest did to a cell's bounded structures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CellEffect {
-    /// A new domain entered the bottom-k summary.
-    pub inserted: bool,
-    /// A previously retained domain was pushed out to make room.
-    pub evicted: bool,
-}
-
 /// The constant-memory summary of one (server, epoch) matched substream:
-/// `2^precision` HLL registers plus the `width` domains with the smallest
-/// stable hash rank, each with its exact sighting count.
+/// the `width` domains with the smallest stable hash rank, each with its
+/// exact sighting count.
 ///
 /// Retention is a pure function of the *set* of domains seen (never of
 /// arrival order), so merging per-shard cells is bit-identical to one
 /// sequential pass — see DESIGN.md §16 for the argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSketch {
-    registers: Box<[u8]>,
     /// Bottom-k sample keyed by (hash rank, domain). The domain is part of
     /// the key so two texts colliding on the 64-bit rank stay distinct and
     /// the order stays fully deterministic. The value is the sighting count.
@@ -48,41 +37,29 @@ pub struct CellSketch {
 }
 
 impl CellSketch {
-    pub(crate) fn new(config: &SketchConfig) -> CellSketch {
+    pub(crate) fn new() -> CellSketch {
         CellSketch {
-            registers: vec![0u8; config.registers()].into_boxed_slice(),
             entries: BTreeMap::new(),
             lossy: false,
             total: 0,
         }
     }
 
-    /// Folds one matched sighting into the cell.
-    pub(crate) fn ingest(
-        &mut self,
-        domain: &DomainName,
-        width: usize,
-        precision: u8,
-    ) -> CellEffect {
+    /// Folds one matched sighting into the cell; returns whether a retained
+    /// domain was evicted to make room.
+    pub(crate) fn ingest(&mut self, domain: &DomainName, width: usize) -> bool {
         self.total += 1;
-        let rank = domain.id().0;
-        self.observe_register(rank, precision);
-        self.absorb_entry((rank, domain.clone()), 1, width)
+        self.absorb_entry((domain.id().0, domain.clone()), 1, width)
     }
 
-    /// Element-wise max of the HLL register banks plus a bottom-k union;
-    /// returns how many retained entries the union had to evict.
+    /// The bottom-k union with another cell's sample; returns how many
+    /// retained entries the union had to evict.
     pub(crate) fn merge(&mut self, other: &CellSketch, width: usize) -> u64 {
-        debug_assert_eq!(self.registers.len(), other.registers.len());
-        for (mine, theirs) in self.registers.iter_mut().zip(other.registers.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
         self.lossy |= other.lossy;
         self.total += other.total;
         let mut evictions = 0;
         for (key, count) in &other.entries {
-            let effect = self.absorb_entry(key.clone(), *count, width);
-            if effect.evicted {
+            if self.absorb_entry(key.clone(), *count, width) {
                 evictions += 1;
             }
         }
@@ -90,18 +67,16 @@ impl CellSketch {
     }
 
     /// Merges `count` sightings of `key` into the bottom-k summary,
-    /// evicting the largest-rank entry when the sample overflows `width`.
-    fn absorb_entry(&mut self, key: (u64, DomainName), count: u64, width: usize) -> CellEffect {
+    /// evicting the largest-rank entry when the sample overflows `width`;
+    /// returns whether it evicted.
+    fn absorb_entry(&mut self, key: (u64, DomainName), count: u64, width: usize) -> bool {
         if let Some(existing) = self.entries.get_mut(&key) {
             *existing += count;
-            return CellEffect::default();
+            return false;
         }
         if self.entries.len() < width {
             self.entries.insert(key, count);
-            return CellEffect {
-                inserted: true,
-                evicted: false,
-            };
+            return false;
         }
         // Full: the sample keeps the `width` smallest ranks ever seen.
         // A rank at or above the current maximum can never join (the
@@ -112,26 +87,13 @@ impl CellSketch {
             .entries
             .last_key_value()
             .map(|(k, _)| k.clone())
-            .expect("non-empty: len == width >= 1");
+            .expect("non-empty: len == width >= 2");
         if key < max_key {
             self.entries.remove(&max_key);
             self.entries.insert(key, count);
-            CellEffect {
-                inserted: true,
-                evicted: true,
-            }
+            true
         } else {
-            CellEffect::default()
-        }
-    }
-
-    fn observe_register(&mut self, rank: u64, precision: u8) {
-        let idx = (rank >> (64 - precision)) as usize;
-        let tail = rank << precision;
-        let max_rho = 64 - u32::from(precision) + 1;
-        let rho = tail.leading_zeros().saturating_add(1).min(max_rho) as u8;
-        if rho > self.registers[idx] {
-            self.registers[idx] = rho;
+            false
         }
     }
 
@@ -165,45 +127,17 @@ impl CellSketch {
     /// Estimated number of distinct matched domains in the cell.
     ///
     /// Exact (`retained()`) while the cell is lossless; once it saturates
-    /// the bottom-k (KMV) estimator `(k - 1) / R_k` takes over, where
-    /// `R_k` is the largest retained rank scaled to `(0, 1]`, falling back
-    /// to the HLL registers in the degenerate all-ranks-tiny corner.
+    /// the bottom-k (KMV) estimator `(k - 1) / R_k` takes over, where `k`
+    /// is the retained count (the width, at least two) and `R_k` the
+    /// largest retained rank scaled to `(0, 1]`.
     pub fn distinct_estimate(&self) -> f64 {
         if !self.lossy {
             return self.entries.len() as f64;
         }
-        let k = self.entries.len();
+        let k = self.entries.len() as f64;
         let max_rank = self.entries.last_key_value().map_or(0, |((r, _), _)| *r);
-        if k >= 2 && max_rank > 0 {
-            let r = max_rank as f64 / u64::MAX as f64;
-            (k as f64 - 1.0) / r
-        } else {
-            self.hll_estimate()
-        }
-    }
-
-    /// The HLL distinct estimate from the register bank alone (with the
-    /// usual linear-counting small-range correction).
-    pub fn hll_estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let alpha = match self.registers.len() {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            n => 0.7213 / (1.0 + 1.079 / n as f64),
-        };
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 1.0 / f64::from(1u32 << u32::from(r.min(31))))
-            .sum();
-        let raw = alpha * m * m / sum;
-        let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-        if raw <= 2.5 * m && zeros > 0 {
-            m * (m / zeros as f64).ln()
-        } else {
-            raw
-        }
+        let r = max_rank as f64 / u64::MAX as f64;
+        (k - 1.0) / r
     }
 
     /// Conservative relative error bound on [`distinct_estimate`]

@@ -4,23 +4,18 @@
 //! exactly: a day of traffic from millions of clients produces orders of
 //! magnitude more matched lookups than any charting node wants to keep
 //! resident. This crate provides the alternative telemetry frontend of
-//! DESIGN.md §16 — per-(server, epoch) cells that hold
+//! DESIGN.md §16 — per-(server, epoch) cells that each hold a **bottom-k
+//! distinct sample**: the `width` matched domains with the *smallest
+//! stable hash rank* (a KMV sample), each with its exact sighting count.
 //!
-//! * **HLL-style distinct-counting registers** (`2^precision` one-byte
-//!   registers updated with the harmonic max-ρ rule), and
-//! * a **bottom-k distinct sample**: the `width` matched domains with the
-//!   *smallest stable hash rank* (a KMV sample), each with its exact
-//!   sighting count.
-//!
-//! Both structures are bounded by configuration, not by traffic volume:
-//! per-cell state is `O(2^precision + width)` no matter how many lookups
-//! stream through. Retention in the bottom-k summary depends only on a
-//! domain's hash rank — never on arrival order — so accumulation is
-//! **mergeable**: sketching shards independently and merging gives
-//! bit-identical state to one sequential pass, which is what makes the
-//! frontend safe to run under any `ExecPolicy × PipelineMode × worker
-//! count` combination (the same determinism contract every other BotMeter
-//! layer obeys).
+//! A cell is bounded by configuration, not by traffic volume: its state
+//! is `O(width)` no matter how many lookups stream through. Retention
+//! depends only on a domain's hash rank — never on arrival order — so
+//! accumulation is **mergeable**: sketching shards independently and
+//! merging gives bit-identical state to one sequential pass, which is what
+//! makes the frontend safe to run under any `ExecPolicy × PipelineMode ×
+//! worker count` combination (the same determinism contract every other
+//! BotMeter layer obeys).
 //!
 //! A sketch is a statistic, not a trace: it keeps no timestamps. The
 //! estimator side (`botmeter_core::TelemetrySource::Sketch`) turns each
@@ -58,36 +53,27 @@ mod cell;
 mod traffic;
 
 pub use cell::{CellSketch, RetainedDomain};
-pub use traffic::{MergeEffect, PushEffect, SketchedTraffic};
+pub use traffic::{MergeEffect, SketchedTraffic};
 
 use botmeter_dns::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default bottom-k capacity per (server, epoch) cell.
 pub const DEFAULT_WIDTH: usize = 64;
 
-/// Default HLL precision (`2^8 = 256` one-byte registers per cell).
-pub const DEFAULT_PRECISION: u8 = 8;
-
-/// Smallest accepted HLL precision.
-pub const MIN_PRECISION: u8 = 4;
-
-/// Largest accepted HLL precision (`2^16` registers — 64 KiB per cell —
-/// is already past the point where exact telemetry wins).
-pub const MAX_PRECISION: u8 = 16;
+/// Smallest accepted bottom-k capacity: the KMV estimate `(k - 1) / R_k`
+/// needs two retained ranks.
+pub const MIN_WIDTH: usize = 2;
 
 /// Invalid sketch parameters, reported by the [`SketchConfig`] builders
 /// instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SketchConfigError {
-    /// The heavy-hitter width must retain at least one domain.
-    ZeroWidth,
-    /// The HLL precision is outside `MIN_PRECISION..=MAX_PRECISION`.
-    BadPrecision {
-        /// The offending precision.
-        precision: u8,
+    /// The bottom-k width is below [`MIN_WIDTH`].
+    NarrowWidth {
+        /// The offending width.
+        width: usize,
     },
     /// The epoch length must be positive to route lookups to epochs.
     ZeroEpochLen,
@@ -96,12 +82,9 @@ pub enum SketchConfigError {
 impl fmt::Display for SketchConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SketchConfigError::ZeroWidth => {
-                write!(f, "sketch width must retain at least one domain")
-            }
-            SketchConfigError::BadPrecision { precision } => write!(
+            SketchConfigError::NarrowWidth { width } => write!(
                 f,
-                "HLL precision {precision} outside {MIN_PRECISION}..={MAX_PRECISION}"
+                "sketch width {width} is below {MIN_WIDTH}: the distinct estimate needs two ranks"
             ),
             SketchConfigError::ZeroEpochLen => {
                 write!(f, "sketch epoch length must be positive")
@@ -114,21 +97,20 @@ impl std::error::Error for SketchConfigError {}
 
 /// Shape of every cell in a sketch: the width/error knob of the frontend.
 ///
-/// `width` bounds the heavy-hitter summary (and with it the relative error
-/// of distinct counting once a cell saturates: ~`1/sqrt(width - 2)`);
-/// `precision` sizes the HLL register bank; `epoch_len` routes lookups to
-/// (server, epoch) cells exactly like the charting pipeline does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// `width` bounds the bottom-k sample (and with it the relative error of
+/// distinct counting once a cell saturates: ~`1/sqrt(width - 2)`);
+/// `epoch_len` routes lookups to (server, epoch) cells exactly like the
+/// charting pipeline does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchConfig {
     width: usize,
-    precision: u8,
     epoch_len_ms: u64,
 }
 
 impl SketchConfig {
-    /// A configuration with the default width and precision, routing
-    /// epochs of length `epoch_len` (use the targeted family's
-    /// `epoch_len()` so sketch cells line up with landscape cells).
+    /// A configuration with the default width, routing epochs of length
+    /// `epoch_len` (use the targeted family's `epoch_len()` so sketch cells
+    /// line up with landscape cells).
     ///
     /// # Errors
     ///
@@ -139,51 +121,27 @@ impl SketchConfig {
         }
         Ok(SketchConfig {
             width: DEFAULT_WIDTH,
-            precision: DEFAULT_PRECISION,
             epoch_len_ms: epoch_len.as_millis(),
         })
     }
 
-    /// Sets the bottom-k heavy-hitter capacity per cell.
+    /// Sets the bottom-k capacity per cell.
     ///
     /// # Errors
     ///
-    /// [`SketchConfigError::ZeroWidth`] when `width` is zero.
+    /// [`SketchConfigError::NarrowWidth`] when `width` is below
+    /// [`MIN_WIDTH`].
     pub fn width(mut self, width: usize) -> Result<Self, SketchConfigError> {
-        if width == 0 {
-            return Err(SketchConfigError::ZeroWidth);
+        if width < MIN_WIDTH {
+            return Err(SketchConfigError::NarrowWidth { width });
         }
         self.width = width;
-        Ok(self)
-    }
-
-    /// Sets the HLL precision (register count is `2^precision`).
-    ///
-    /// # Errors
-    ///
-    /// [`SketchConfigError::BadPrecision`] outside
-    /// [`MIN_PRECISION`]`..=`[`MAX_PRECISION`].
-    pub fn precision(mut self, precision: u8) -> Result<Self, SketchConfigError> {
-        if !(MIN_PRECISION..=MAX_PRECISION).contains(&precision) {
-            return Err(SketchConfigError::BadPrecision { precision });
-        }
-        self.precision = precision;
         Ok(self)
     }
 
     /// The bottom-k capacity per cell.
     pub fn hh_width(&self) -> usize {
         self.width
-    }
-
-    /// The HLL precision.
-    pub fn hll_precision(&self) -> u8 {
-        self.precision
-    }
-
-    /// The number of HLL registers per cell.
-    pub fn registers(&self) -> usize {
-        1usize << self.precision
     }
 
     /// The epoch length lookups are routed by.
@@ -196,9 +154,7 @@ impl SketchConfig {
     /// through it. `sketch.peak_resident_bytes` is gated against
     /// `cells × cell_budget_bytes()` in the benches.
     pub fn cell_budget_bytes(&self) -> u64 {
-        self.registers() as u64
-            + traffic::CELL_OVERHEAD_BYTES
-            + self.width as u64 * traffic::ENTRY_BYTES
+        traffic::CELL_OVERHEAD_BYTES + self.width as u64 * traffic::ENTRY_BYTES
     }
 }
 
@@ -211,32 +167,30 @@ mod tests {
         let day = SimDuration::from_days(1);
         let config = SketchConfig::new(day).unwrap();
         assert_eq!(config.hh_width(), DEFAULT_WIDTH);
-        assert_eq!(config.registers(), 256);
         assert_eq!(
             SketchConfig::new(SimDuration::ZERO),
             Err(SketchConfigError::ZeroEpochLen)
         );
-        assert_eq!(config.width(0), Err(SketchConfigError::ZeroWidth));
         assert_eq!(
-            config.precision(3),
-            Err(SketchConfigError::BadPrecision { precision: 3 })
+            config.width(0),
+            Err(SketchConfigError::NarrowWidth { width: 0 })
         );
         assert_eq!(
-            config.precision(17),
-            Err(SketchConfigError::BadPrecision { precision: 17 })
+            config.width(1),
+            Err(SketchConfigError::NarrowWidth { width: 1 })
         );
-        let tuned = config.width(8).unwrap().precision(4).unwrap();
-        assert_eq!(tuned.hh_width(), 8);
-        assert_eq!(tuned.registers(), 16);
-        assert!(tuned.cell_budget_bytes() > 16);
+        assert_eq!(config.width(2).unwrap().hh_width(), 2);
+        for width in [2, 8, 64] {
+            let tuned = config.width(width).unwrap();
+            assert_eq!(tuned.cell_budget_bytes(), 48 + 64 * width as u64);
+        }
     }
 
     #[test]
     fn config_error_messages_name_the_knob() {
-        assert!(SketchConfigError::ZeroWidth.to_string().contains("width"));
-        assert!(SketchConfigError::BadPrecision { precision: 99 }
-            .to_string()
-            .contains("99"));
+        let narrow = SketchConfigError::NarrowWidth { width: 1 }.to_string();
+        assert!(narrow.contains("width 1"), "{narrow}");
+        assert!(narrow.contains('2'), "{narrow}");
         assert!(SketchConfigError::ZeroEpochLen
             .to_string()
             .contains("epoch"));

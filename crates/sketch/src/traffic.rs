@@ -12,22 +12,9 @@ use std::collections::BTreeMap;
 /// bit-identical across platforms and runs.
 pub(crate) const ENTRY_BYTES: u64 = 64;
 
-/// Logical cost charged per cell beyond its register bank (map key +
+/// Logical cost charged per cell beyond its retained entries (map key +
 /// bookkeeping).
 pub(crate) const CELL_OVERHEAD_BYTES: u64 = 48;
-
-/// What one [`SketchedTraffic::push`] did to the bounded structures — the
-/// caller (the sketching matcher frontend) folds these into its `sketch.*`
-/// observability counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PushEffect {
-    /// A new (server, epoch) cell was allocated.
-    pub new_cell: bool,
-    /// The domain entered its cell's heavy-hitter summary.
-    pub inserted: bool,
-    /// A previously retained domain was evicted to make room.
-    pub evicted: bool,
-}
 
 /// What one [`SketchedTraffic::absorb`] did: how many cells were merged
 /// or newly created and how many retained entries the union evicted.
@@ -50,14 +37,12 @@ pub struct MergeEffect {
 /// order- and shard-independent: pushing a stream record by record,
 /// chunking it arbitrarily, or sketching shards separately and
 /// [`absorb`](Self::absorb)-ing the pieces all produce bit-identical
-/// state (`PartialEq` compares every register and retained entry).
+/// state (`PartialEq` compares every cell's retained entries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchedTraffic {
     config: SketchConfig,
     cells: BTreeMap<(ServerId, u64), CellSketch>,
     total: u64,
-    resident_bytes: u64,
-    peak_resident_bytes: u64,
 }
 
 impl SketchedTraffic {
@@ -67,8 +52,6 @@ impl SketchedTraffic {
             config,
             cells: BTreeMap::new(),
             total: 0,
-            resident_bytes: 0,
-            peak_resident_bytes: 0,
         }
     }
 
@@ -77,48 +60,15 @@ impl SketchedTraffic {
         &self.config
     }
 
-    /// Folds one matched lookup into its (server, epoch) cell.
-    pub fn push(&mut self, lookup: &ObservedLookup) -> PushEffect {
+    /// Folds one matched lookup into its (server, epoch) cell; returns
+    /// whether a previously retained domain was evicted to make room.
+    pub fn push(&mut self, lookup: &ObservedLookup) -> bool {
         let epoch = lookup.t.epoch_day(self.config.epoch_len());
-        let key = (lookup.server, epoch);
-        let mut new_cell = false;
-        let cell = self.cells.entry(key).or_insert_with(|| {
-            new_cell = true;
-            CellSketch::new(&self.config)
-        });
-        if new_cell {
-            self.resident_bytes += self.config.registers() as u64 + CELL_OVERHEAD_BYTES;
-        }
-        let effect = cell.ingest(
-            &lookup.domain,
-            self.config.hh_width(),
-            self.config.hll_precision(),
-        );
         self.total += 1;
-        if effect.inserted {
-            self.resident_bytes += ENTRY_BYTES;
-        }
-        if effect.evicted {
-            self.resident_bytes -= ENTRY_BYTES;
-        }
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        PushEffect {
-            new_cell,
-            inserted: effect.inserted,
-            evicted: effect.evicted,
-        }
-    }
-
-    /// Folds a chunk of matched lookups; effects are summed into one
-    /// [`MergeEffect`]-like tally via the returned `(pushes, evictions)`.
-    pub fn extend_from_slice(&mut self, matched: &[ObservedLookup]) -> (u64, u64) {
-        let mut evictions = 0;
-        for lookup in matched {
-            if self.push(lookup).evicted {
-                evictions += 1;
-            }
-        }
-        (matched.len() as u64, evictions)
+        self.cells
+            .entry((lookup.server, epoch))
+            .or_insert_with(CellSketch::new)
+            .ingest(&lookup.domain, self.config.hh_width())
     }
 
     /// Merges another sketch accumulated under the **same configuration**
@@ -126,8 +76,8 @@ impl SketchedTraffic {
     ///
     /// # Panics
     ///
-    /// Panics when the configurations differ — merging incompatible
-    /// register banks would silently corrupt estimates.
+    /// Panics when the configurations differ — a union of samples of
+    /// different widths or epoch routings is no sample of either.
     pub fn absorb(&mut self, other: &SketchedTraffic) -> MergeEffect {
         assert_eq!(
             self.config, other.config,
@@ -137,24 +87,16 @@ impl SketchedTraffic {
         for (key, theirs) in &other.cells {
             match self.cells.get_mut(key) {
                 Some(mine) => {
-                    let before = mine.retained() as u64;
-                    let evictions = mine.merge(theirs, self.config.hh_width());
-                    let after = mine.retained() as u64;
-                    self.resident_bytes += (after - before) * ENTRY_BYTES;
+                    effect.evictions += mine.merge(theirs, self.config.hh_width());
                     effect.merged_cells += 1;
-                    effect.evictions += evictions;
                 }
                 None => {
-                    self.resident_bytes += self.config.registers() as u64
-                        + CELL_OVERHEAD_BYTES
-                        + theirs.retained() as u64 * ENTRY_BYTES;
                     self.cells.insert(*key, theirs.clone());
                     effect.new_cells += 1;
                 }
             }
         }
         self.total += other.total;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
         effect
     }
 
@@ -181,22 +123,18 @@ impl SketchedTraffic {
         self.total
     }
 
-    /// Current logical resident size of the bounded structures, in bytes.
+    /// High-water mark of the logical resident size, in bytes.
     ///
-    /// Deterministic accounting: register banks at one byte per register,
-    /// [`ENTRY_BYTES`] per retained entry, [`CELL_OVERHEAD_BYTES`] per
-    /// cell. Bounded by `cell_count() × cell_budget_bytes()` no matter the
-    /// traffic volume.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// High-water mark of [`resident_bytes`](Self::resident_bytes). The
-    /// structures only grow (evictions swap entries, never shrink the
-    /// sample), so this equals the current size — exposed separately so
-    /// the bench gate documents the O(servers × width) claim explicitly.
+    /// Deterministic accounting: [`ENTRY_BYTES`] per retained entry and
+    /// [`CELL_OVERHEAD_BYTES`] per cell. The structures only grow
+    /// (evictions swap entries, never shrink a sample), so the high-water
+    /// mark is the current size. Bounded by `cell_count() ×
+    /// cell_budget_bytes()` no matter the traffic volume.
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident_bytes
+        self.cells
+            .values()
+            .map(|cell| CELL_OVERHEAD_BYTES + cell.retained() as u64 * ENTRY_BYTES)
+            .sum()
     }
 
     /// Whether any cell has evicted (i.e. any estimate derived from the
@@ -215,8 +153,6 @@ mod tests {
         SketchConfig::new(SimDuration::from_days(1))
             .unwrap()
             .width(width)
-            .unwrap()
-            .precision(4)
             .unwrap()
     }
 
@@ -299,9 +235,8 @@ mod tests {
                 large.push(&lookup(round * 100 + i, 1, &format!("domain{i}.com")));
             }
         }
-        assert_eq!(small.resident_bytes(), large.resident_bytes());
-        assert_eq!(small.peak_resident_bytes(), small.resident_bytes());
-        assert!(small.resident_bytes() <= cfg.cell_budget_bytes());
+        assert_eq!(small.peak_resident_bytes(), large.peak_resident_bytes());
+        assert!(small.peak_resident_bytes() <= cfg.cell_budget_bytes());
         // And the sketches agree cell-for-cell on what was retained.
         assert_eq!(
             small.cell(ServerId(1), 0).unwrap().retained(),
@@ -315,13 +250,17 @@ mod tests {
         let stream: Vec<ObservedLookup> = (0..40)
             .map(|i| lookup(i, 1 + (i % 3) as u32, &format!("d{}.net", i % 11)))
             .collect();
-        let mut sequential = SketchedTraffic::new(cfg);
-        sequential.extend_from_slice(&stream);
+        let sketch_of = |lookups: &[ObservedLookup]| {
+            let mut sketch = SketchedTraffic::new(cfg);
+            for lookup in lookups {
+                sketch.push(lookup);
+            }
+            sketch
+        };
+        let sequential = sketch_of(&stream);
         let mut merged = SketchedTraffic::new(cfg);
         for shard in stream.chunks(7) {
-            let mut piece = SketchedTraffic::new(cfg);
-            piece.extend_from_slice(shard);
-            merged.absorb(&piece);
+            merged.absorb(&sketch_of(shard));
         }
         assert_eq!(sequential, merged);
     }
@@ -335,23 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn hll_estimate_tracks_distinct_order_of_magnitude() {
-        let mut sketch = SketchedTraffic::new(
-            SketchConfig::new(SimDuration::from_days(1))
-                .unwrap()
-                .width(4)
-                .unwrap()
-                .precision(10)
-                .unwrap(),
-        );
-        for i in 0..5000u64 {
-            sketch.push(&lookup(i, 1, &format!("hll{i}.info")));
+    fn lossy_width_two_cell_estimates_from_its_two_ranks() {
+        let mut sketch = SketchedTraffic::new(config(2));
+        for i in 0..50 {
+            sketch.push(&lookup(i, 1, &format!("kmv{i}.org")));
         }
         let cell = sketch.cell(ServerId(1), 0).unwrap();
-        let hll = cell.hll_estimate();
-        assert!((2500.0..10000.0).contains(&hll), "hll estimate {hll}");
-        let kmv = cell.distinct_estimate();
-        let are = (kmv - 5000.0).abs() / 5000.0;
-        assert!(are < 1.5, "kmv estimate {kmv} too far from 5000");
+        assert!(cell.is_lossy());
+        assert_eq!(cell.retained(), 2);
+        let r_k = cell.retained_domains().map(|r| r.rank).max().unwrap() as f64 / u64::MAX as f64;
+        let estimate = cell.distinct_estimate();
+        assert!(estimate.is_finite(), "estimate {estimate}");
+        assert_eq!(estimate, (2.0 - 1.0) / r_k);
+        assert_eq!(cell.distinct_error_bound(2), 1.0);
     }
 }

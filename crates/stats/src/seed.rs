@@ -73,18 +73,6 @@ impl SeedSequence {
     pub fn seed(&self) -> u64 {
         mix64(self.state)
     }
-
-    /// 32 bytes of seed material, as expected by `rand::SeedableRng`
-    /// implementations with `[u8; 32]` seeds (e.g. ChaCha).
-    pub fn seed_bytes(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        let mut s = self.state;
-        for chunk in out.chunks_mut(8) {
-            s = mix64(s);
-            chunk.copy_from_slice(&s.to_le_bytes());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -129,12 +117,5 @@ mod tests {
             root.fork_str("newgoz").seed(),
             root.fork_str("newgoz").seed()
         );
-    }
-
-    #[test]
-    fn seed_bytes_vary_per_chunk() {
-        let b = SeedSequence::new(5).seed_bytes();
-        assert_ne!(&b[0..8], &b[8..16]);
-        assert_ne!(&b[8..16], &b[16..24]);
     }
 }

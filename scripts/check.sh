@@ -28,7 +28,9 @@ echo "==> removed entry-point grep gate"
 # alive (the options structs, the trial-runner veneers over
 # `run_indexed_with`, the subplot-letter parser, the metrics-file flag, the
 # private estimator tables `models_for` replaced and the naive-`MB`
-# wrapper). No file may mention the old names.
+# wrapper), the sketch cell's HLL register bank with its precision knob
+# and the sketch API nothing read, and seven public functions only their
+# own unit tests called. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -47,6 +49,10 @@ pattern+='|metrics-out|estimators_for|NaiveBernoulli'
 # (whole words: tests named `*_matches_batch_*` compare a stream to a batch)
 pattern+='|\b(matches_batch|PROBE_BLOCK|StreamMatcher|matched_so_far'
 pattern+='|ByteClassTable|TldTrie|label_matches_scalar|matches_bytes)\b'
+pattern+='|\b(hll_estimate|hll_precision|observe_register|BadPrecision'
+pattern+='|DEFAULT_PRECISION|MIN_PRECISION|MAX_PRECISION|PushEffect|sketch_so_far'
+pattern+='|checked_div_duration|epoch_of|with_positive|counters_with_prefix'
+pattern+='|seed_bytes|anomaly_rate|collision_count)\b'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)

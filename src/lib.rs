@@ -14,8 +14,8 @@
 //! * [`dns`] — the hierarchical caching-and-forwarding DNS substrate;
 //! * [`sim`] — bot activation processes and network/trace simulators;
 //! * [`matcher`] — the D3 (DGA-domain detection) matching stage;
-//! * [`sketch`] — the constant-memory telemetry frontend: per-server HLL
-//!   registers plus a bottom-k distinct sample over matched domains,
+//! * [`sketch`] — the constant-memory telemetry frontend: a per-(server,
+//!   epoch) bottom-k distinct sample over matched domains,
 //!   `O(servers × width)` resident whatever the traffic volume;
 //! * [`core`] — the estimator library (Timing `MT`, Poisson `MP`,
 //!   Bernoulli `MB`, Coverage `MC`) and the [`core::BotMeter`] facade
