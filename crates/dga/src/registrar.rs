@@ -66,35 +66,11 @@ impl EpochAuthority {
         }
     }
 
-    /// Merges several per-family authorities with the same epoch length
-    /// (the enterprise scenario runs three infections at once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch lengths disagree or `sources` is empty.
-    pub fn merge(sources: &[EpochAuthority]) -> Self {
-        assert!(!sources.is_empty(), "cannot merge zero authorities");
-        let epoch_len = sources[0].epoch_len;
-        assert!(
-            sources.iter().all(|s| s.epoch_len == epoch_len),
-            "epoch lengths must agree"
-        );
-        let max_epochs = sources
-            .iter()
-            .map(|s| s.valid_by_epoch.len())
-            .max()
-            .unwrap_or(0);
-        let mut valid_by_epoch = vec![FxHashSet::default(); max_epochs];
-        for s in sources {
-            for (e, set) in s.valid_by_epoch.iter().enumerate() {
-                valid_by_epoch[e].extend(set.iter().cloned());
-            }
-        }
-        EpochAuthority {
-            epoch_len,
-            valid_by_epoch,
-            c2_address: sources[0].c2_address,
-        }
+    /// Appends the registered set of the next epoch (epoch
+    /// [`num_epochs`](Self::num_epochs)), for callers that generate pools
+    /// as they go and cover each epoch just before its first lookup.
+    pub fn push_epoch(&mut self, valid: Vec<DomainName>) {
+        self.valid_by_epoch.push(valid.into_iter().collect());
     }
 
     /// Number of precomputed epochs.
@@ -150,11 +126,17 @@ mod tests {
         let built = f.authority_for_epochs(3);
         let given =
             EpochAuthority::from_valid_domains(f.epoch_len(), (0..3).map(|e| f.valid_domains(e)));
+        let mut pushed = EpochAuthority::from_valid_domains(f.epoch_len(), []);
+        for e in 0..3 {
+            pushed.push_epoch(f.valid_domains(e));
+        }
         assert_eq!(given.num_epochs(), 3);
+        assert_eq!(pushed.num_epochs(), 3);
         for epoch in 0..4u64 {
             let t = SimInstant::ZERO + f.epoch_len() * epoch;
             for d in f.pool_for_epoch(epoch) {
                 assert_eq!(given.resolve(t, &d), built.resolve(t, &d), "{epoch}: {d}");
+                assert_eq!(pushed.resolve(t, &d), built.resolve(t, &d), "{epoch}: {d}");
             }
         }
     }
@@ -174,27 +156,6 @@ mod tests {
         let auth = f.authority_for_epochs(1);
         let foreign: DomainName = "www.benign.example".parse().unwrap();
         assert!(!auth.resolve(SimInstant::ZERO, &foreign).is_positive());
-    }
-
-    #[test]
-    fn merge_unions_valid_sets() {
-        let a = DgaFamily::murofet().authority_for_epochs(2);
-        let b = DgaFamily::new_goz().authority_for_epochs(3);
-        let merged = EpochAuthority::merge(&[a.clone(), b.clone()]);
-        assert_eq!(merged.num_epochs(), 3);
-        let t = SimInstant::ZERO;
-        for d in a.valid_domains(0).unwrap() {
-            assert!(merged.resolve(t, d).is_positive());
-        }
-        for d in b.valid_domains(0).unwrap() {
-            assert!(merged.resolve(t, d).is_positive());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge zero")]
-    fn merge_empty_panics() {
-        EpochAuthority::merge(&[]);
     }
 
     /// The retention rule: a pool is one text buffer per generated batch,
@@ -225,10 +186,6 @@ mod tests {
                 for d in auth.valid_domains(epoch).unwrap() {
                     assert_eq!(d.backing_len(), d.as_str().len(), "{}: {d}", f.name());
                 }
-            }
-            let merged = EpochAuthority::merge(&[auth.clone(), auth]);
-            for d in merged.valid_domains(2).unwrap() {
-                assert_eq!(d.backing_len(), d.as_str().len());
             }
         }
     }

@@ -23,7 +23,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// rotate-xor-multiply mixing.
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// Hashes a byte string with the FxHash rotate-xor-multiply scheme.
+/// Hashes a byte string: one 64×64→128-bit multiply by the FxHash
+/// constant per 8-byte word, folded back to 64 bits, then the length and
+/// an avalanche finalizer.
 ///
 /// This is **not** a cryptographic or DoS-resistant hash; it is a fast,
 /// deterministic content fingerprint. BotMeter's inputs are simulation
@@ -42,16 +44,16 @@ pub fn fx_hash64(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        hash = fx_mix(hash, word);
+        hash = fold_mix(hash, word);
     }
     let rest = chunks.remainder();
     if !rest.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rest.len()].copy_from_slice(rest);
-        hash = fx_mix(hash, u64::from_le_bytes(tail));
+        hash = fold_mix(hash, u64::from_le_bytes(tail));
     }
     // Fold in the length so "a\0\0..." padding cannot collide with "a".
-    finalize(fx_mix(hash, bytes.len() as u64))
+    finalize(fold_mix(hash, bytes.len() as u64))
 }
 
 #[inline]
@@ -59,10 +61,21 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
 
-/// Murmur3-style avalanche finalizer. The rotate-multiply rounds only
-/// propagate bit differences upward, leaving the low bits — the ones a hash
-/// table indexes with — clustered for similar strings; the xor-shifts fold
-/// the well-mixed high bits back down.
+/// One fingerprint round: a 64×64→128-bit multiply folded back to 64 bits
+/// (high half xor low half), so a difference anywhere in the word reaches
+/// every bit of the state. [`fx_mix`]'s product carries a difference only
+/// upward: one in a word's top bits survives only in the state's top bits,
+/// and a difference in the next word's low byte could cancel it — the
+/// `site000090` / `site000840` collision of the benign catalog.
+#[inline]
+fn fold_mix(hash: u64, word: u64) -> u64 {
+    let product = u128::from(hash ^ word) * u128::from(FX_SEED);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// Murmur3-style avalanche finalizer: the xor-shifts and multiplies make
+/// every bit of the result, the low ones a hash table indexes with
+/// included, depend on every bit of the state.
 #[inline]
 fn finalize(mut h: u64) -> u64 {
     h ^= h >> 33;
@@ -265,6 +278,23 @@ mod tests {
         // 8-byte boundary handling: chunked and tail bytes both mixed.
         assert_ne!(fx_hash64(b"12345678"), fx_hash64(b"12345679"));
         assert_ne!(fx_hash64(b"123456789"), fx_hash64(b"123456788"));
+    }
+
+    /// Structured names that differ in a few bytes at a word's top end —
+    /// the benign catalog's shape and numbered host names — must not
+    /// share a fingerprint: `DomainInterner` panics on such a pair.
+    #[test]
+    fn structured_names_have_distinct_fingerprints() {
+        let collisions = |names: &mut dyn Iterator<Item = String>| {
+            let mut seen = HashSet::new();
+            names
+                .filter(|n| !seen.insert(fx_hash64(n.as_bytes())))
+                .count()
+        };
+        let catalog = &mut (0..20_000).map(|i| format!("site{i:06}.benign.example"));
+        assert_eq!(collisions(catalog), 0, "catalog collisions");
+        let hosts = &mut (0..1_000_000).map(|i| format!("host-{i}.corp.example"));
+        assert_eq!(collisions(hosts), 0, "host-N collisions");
     }
 
     #[test]

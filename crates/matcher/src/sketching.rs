@@ -98,8 +98,7 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
     /// Panics when the configurations differ (see
     /// [`SketchedTraffic::absorb`]).
     pub fn absorb_sketch(&mut self, other: &SketchedTraffic) {
-        let effect = self.sketch.absorb(other);
-        self.evictions += effect.evictions;
+        self.evictions += self.sketch.absorb(other);
         self.merges += 1;
     }
 

@@ -6,44 +6,32 @@
 //! Zipf-distributed over a fixed catalog — the classic shape of enterprise
 //! DNS workloads.
 
-use botmeter_dns::{Answer, Authority, ClientId, DomainName, RawLookup, SimDuration, SimInstant};
+use crate::filter::SlotLookup;
+use botmeter_dns::{Answer, Authority, ClientId, DomainName, SimDuration, SimInstant};
 use botmeter_stats::{Poisson, SampleU64, Zipf};
 use rand::Rng;
 use std::net::Ipv4Addr;
 
 /// Generator of benign background lookups for a population of clients.
-///
-/// # Example
-///
-/// ```
-/// use botmeter_sim::BenignTraffic;
-/// use botmeter_dns::SimInstant;
-/// use rand::SeedableRng;
-///
-/// let traffic = BenignTraffic::new(1_000, 1.1, 3.0);
-/// let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
-/// let day = traffic.day_lookups(SimInstant::ZERO, &[0, 1, 2], &mut rng);
-/// assert!(!day.is_empty());
-/// ```
 #[derive(Debug, Clone)]
-pub struct BenignTraffic {
+pub(crate) struct BenignTraffic {
     catalog: Vec<DomainName>,
     popularity: Zipf,
     lookups_per_client: f64,
 }
 
 impl BenignTraffic {
-    /// Creates a generator with a `catalog_size`-domain catalog, Zipf
+    /// Creates a generator with a `catalog_len`-domain catalog, Zipf
     /// exponent `zipf_s`, and a mean of `lookups_per_client` benign lookups
     /// per active client per day.
     ///
     /// # Panics
     ///
-    /// Panics if `catalog_size == 0` or `lookups_per_client <= 0`.
-    pub fn new(catalog_size: usize, zipf_s: f64, lookups_per_client: f64) -> Self {
-        assert!(catalog_size > 0, "catalog must be non-empty");
+    /// Panics if `catalog_len == 0` or `lookups_per_client <= 0`.
+    pub(crate) fn new(catalog_len: usize, zipf_s: f64, lookups_per_client: f64) -> Self {
+        assert!(catalog_len > 0, "catalog must be non-empty");
         assert!(lookups_per_client > 0.0, "lookup rate must be positive");
-        let catalog = (0..catalog_size)
+        let catalog = (0..catalog_len)
             .map(|i| {
                 format!("site{i:06}.benign.example")
                     .parse()
@@ -52,47 +40,42 @@ impl BenignTraffic {
             .collect();
         BenignTraffic {
             catalog,
-            popularity: Zipf::new(catalog_size, zipf_s).expect("validated above"),
+            popularity: Zipf::new(catalog_len, zipf_s).expect("validated above"),
             lookups_per_client,
         }
     }
 
-    /// Number of domains in the catalog.
-    pub fn catalog_size(&self) -> usize {
-        self.catalog.len()
+    /// The catalog in popularity order: index 0 is the Zipf rank-1 domain.
+    pub(crate) fn catalog(&self) -> &[DomainName] {
+        &self.catalog
     }
 
-    /// Whether a domain belongs to the benign catalog.
-    pub fn contains(&self, domain: &DomainName) -> bool {
-        // Catalog names have a recognisable fixed shape; a set lookup is
-        // unnecessary.
-        domain.as_str().ends_with(".benign.example")
-    }
-
-    /// Generates one day of benign lookups for the given active clients,
-    /// starting at `day_start`. Lookups are *not* sorted; callers merge and
-    /// sort with the malicious traffic.
-    pub fn day_lookups<R: Rng + ?Sized>(
+    /// Appends one day of benign lookups for the given active clients,
+    /// starting at `day_start`, to `out`, each domain as its catalog index:
+    /// the caller gives the catalog the slots `0..catalog().len()`.
+    /// Lookups are *not* sorted.
+    pub(crate) fn day_slots<R: Rng + ?Sized>(
         &self,
         day_start: SimInstant,
         active_clients: &[u32],
         rng: &mut R,
-    ) -> Vec<RawLookup> {
+        out: &mut Vec<SlotLookup>,
+    ) {
         let day_ms = SimDuration::from_days(1).as_millis();
         let count_dist = Poisson::new(self.lookups_per_client).expect("rate validated");
-        let mut out = Vec::with_capacity(
-            (active_clients.len() as f64 * self.lookups_per_client) as usize + 16,
-        );
+        out.reserve((active_clients.len() as f64 * self.lookups_per_client) as usize + 16);
         for &client in active_clients {
             let count = count_dist.sample(rng);
             for _ in 0..count {
-                let rank = self.popularity.sample(rng) as usize;
-                let domain = self.catalog[rank - 1].clone();
+                let rank = self.popularity.sample(rng) as u32;
                 let t = day_start + SimDuration::from_millis(rng.gen_range(0..day_ms));
-                out.push(RawLookup::new(t, ClientId(client), domain));
+                out.push(SlotLookup {
+                    t,
+                    client: ClientId(client),
+                    slot: rank - 1,
+                });
             }
         }
-        out
     }
 }
 
@@ -142,47 +125,49 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
+    fn day(
+        traffic: &BenignTraffic,
+        start: SimInstant,
+        clients: &[u32],
+        seed: u64,
+    ) -> Vec<SlotLookup> {
+        let mut out = Vec::new();
+        traffic.day_slots(
+            start,
+            clients,
+            &mut ChaCha12Rng::seed_from_u64(seed),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn day_volume_scales_with_clients() {
         let traffic = BenignTraffic::new(100, 1.0, 5.0);
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
         let clients: Vec<u32> = (0..200).collect();
-        let lookups = traffic.day_lookups(SimInstant::ZERO, &clients, &mut rng);
-        let n = lookups.len() as f64;
+        let n = day(&traffic, SimInstant::ZERO, &clients, 1).len() as f64;
         assert!((n - 1000.0).abs() < 150.0, "volume {n}");
     }
 
     #[test]
-    fn lookups_fall_within_the_day() {
+    fn lookups_fall_within_the_day_and_the_catalog() {
         let traffic = BenignTraffic::new(50, 1.0, 3.0);
-        let mut rng = ChaCha12Rng::seed_from_u64(2);
         let start = SimInstant::ZERO + SimDuration::from_days(7);
-        let lookups = traffic.day_lookups(start, &[1, 2, 3], &mut rng);
-        for l in &lookups {
+        for l in &day(&traffic, start, &[1, 2, 3], 2) {
             assert!(l.t >= start && l.t < start + SimDuration::from_days(1));
+            assert!((l.slot as usize) < traffic.catalog().len());
         }
     }
 
     #[test]
     fn popularity_is_skewed() {
         let traffic = BenignTraffic::new(1000, 1.1, 50.0);
-        let mut rng = ChaCha12Rng::seed_from_u64(3);
         let clients: Vec<u32> = (0..100).collect();
-        let lookups = traffic.day_lookups(SimInstant::ZERO, &clients, &mut rng);
-        let top = lookups
-            .iter()
-            .filter(|l| l.domain.as_str() == "site000000.benign.example")
-            .count() as f64;
+        let lookups = day(&traffic, SimInstant::ZERO, &clients, 3);
+        assert_eq!(traffic.catalog()[0].as_str(), "site000000.benign.example");
+        let top = lookups.iter().filter(|l| l.slot == 0).count() as f64;
         let frac = top / lookups.len() as f64;
         assert!(frac > 0.05, "rank-1 share {frac} too flat for Zipf(1.1)");
-    }
-
-    #[test]
-    fn catalog_membership() {
-        let traffic = BenignTraffic::new(10, 1.0, 1.0);
-        assert_eq!(traffic.catalog_size(), 10);
-        assert!(traffic.contains(&"site000003.benign.example".parse().unwrap()));
-        assert!(!traffic.contains(&"evil.example".parse().unwrap()));
     }
 
     #[test]

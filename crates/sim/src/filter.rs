@@ -9,7 +9,9 @@
 //! so a local miss is always a border miss and the border never absorbs a
 //! lookup. The filter therefore needs no global order: [`DomainFilter`]
 //! reduces a shard's lookups per domain in one pass and orders only the
-//! lookups it admits. DESIGN.md §8 ("Filtering by domain") has the
+//! lookups it admits. Its callers are the scenario pipeline (time shards)
+//! and the enterprise simulator (one shard per day, days overlapping where
+//! replays run past midnight). DESIGN.md §8 ("Filtering by domain") has the
 //! exactness argument.
 
 use botmeter_dns::{
@@ -109,10 +111,8 @@ impl DomainState {
 
 /// The pipeline's filter: per-domain cache state over dense slots, the
 /// local resolver's cache counters, and scratch reused across shards.
-pub(crate) struct DomainFilter<'a, A> {
+pub(crate) struct DomainFilter {
     ttl: TtlPolicy,
-    names: &'a [DomainName],
-    authority: A,
     domains: Vec<DomainState>,
     shard: u32,
     touched: Vec<u32>,
@@ -124,15 +124,12 @@ pub(crate) struct DomainFilter<'a, A> {
     admitted_total: u64,
 }
 
-impl<'a, A: Authority> DomainFilter<'a, A> {
-    /// A filter with cold caches over the slot table `names` (the
-    /// interner's `names()`).
-    pub(crate) fn new(ttl: TtlPolicy, names: &'a [DomainName], authority: A) -> Self {
+impl DomainFilter {
+    /// A filter with cold caches.
+    pub(crate) fn new(ttl: TtlPolicy) -> Self {
         DomainFilter {
             ttl,
-            names,
-            authority,
-            domains: vec![DomainState::default(); names.len()],
+            domains: Vec::new(),
             shard: 0,
             touched: Vec::new(),
             replaying: Vec::new(),
@@ -146,13 +143,26 @@ impl<'a, A: Authority> DomainFilter<'a, A> {
 
     /// Filters one shard — the concatenation of `runs`, in replay order —
     /// and appends what reaches the border to `out` in trace order.
-    /// Returns how many lookups the shard held. Every lookup of a shard
-    /// must be at or after every lookup of the shards filtered before it.
-    pub(crate) fn filter_shard(
+    /// Returns how many lookups the shard held.
+    ///
+    /// `names` is the slot table (the interner's `names()`, which may have
+    /// grown since the last shard) and `authority` answers the misses.
+    /// The result is the walk of a name-keyed `Topology::single_local`
+    /// over each shard sorted on its own, shard after shard. Shards may
+    /// overlap in time: a lookup meets its domain's entry from the shards
+    /// before through `DnsCache::lookup`'s own predicate, `t <
+    /// expires_at`, whether it is earlier than the lookup that stored the
+    /// entry or not.
+    pub(crate) fn filter_shard<A: Authority>(
         &mut self,
         runs: &[Vec<SlotLookup>],
+        names: &[DomainName],
+        authority: &A,
         out: &mut Vec<SlotObserved>,
     ) -> usize {
+        if self.domains.len() < names.len() {
+            self.domains.resize(names.len(), DomainState::default());
+        }
         self.shard += 1;
         let shard = self.shard;
         // The pass: a lookup before its domain's incoming entry expires is
@@ -194,7 +204,7 @@ impl<'a, A: Authority> DomainFilter<'a, A> {
         for slot in self.touched.drain(..) {
             let d = &mut self.domains[slot as usize];
             let first = d.first;
-            let answer = self.authority.resolve(first.t, &self.names[slot as usize]);
+            let answer = authority.resolve(first.t, &names[slot as usize]);
             let fresh = entry(&self.ttl, first.t, answer);
             if d.candidates == 1 || fresh.is_some_and(|e| d.last < e.expires_at) {
                 count_miss(&mut self.local, d.entry);
@@ -207,7 +217,7 @@ impl<'a, A: Authority> DomainFilter<'a, A> {
             }
         }
         if !self.replaying.is_empty() {
-            self.replay_candidates(runs);
+            self.replay_candidates(runs, names, authority);
         }
 
         self.admitted.sort_unstable_by_key(Candidate::key);
@@ -223,7 +233,12 @@ impl<'a, A: Authority> DomainFilter<'a, A> {
     /// The per-lookup rule, in trace order, over the candidates of the
     /// domains marked for replay: the walk the name-keyed topology makes,
     /// restricted to those domains.
-    fn replay_candidates(&mut self, runs: &[Vec<SlotLookup>]) {
+    fn replay_candidates<A: Authority>(
+        &mut self,
+        runs: &[Vec<SlotLookup>],
+        names: &[DomainName],
+        authority: &A,
+    ) {
         let mut pos = 0;
         for run in runs {
             for l in run {
@@ -244,7 +259,7 @@ impl<'a, A: Authority> DomainFilter<'a, A> {
                 Some(e) => count_hits(&mut self.local, e.answer, 1),
                 None => {
                     count_miss(&mut self.local, d.entry);
-                    let answer = self.authority.resolve(c.t, &self.names[c.slot as usize]);
+                    let answer = authority.resolve(c.t, &names[c.slot as usize]);
                     d.entry = entry(&self.ttl, c.t, answer);
                     self.admitted.push(c);
                 }
@@ -310,4 +325,78 @@ fn count_hits(stats: &mut CacheStats, answer: Answer, n: u64) {
 fn count_miss(stats: &mut CacheStats, incoming: Option<CachedAnswer>) {
     stats.misses += 1;
     stats.expired_evictions += u64::from(incoming.is_some());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use botmeter_dns::{DnsCache, SimDuration, StaticAuthority};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
+
+    /// Shards that overlap in time — each starts before the last one
+    /// ends, as an enterprise day's replays run past midnight — filtered
+    /// by domain equal a `DnsCache` walk over each shard stable-sorted by
+    /// `(t, client)`, shard after shard: the same admitted lookups in the
+    /// same order, and the same counters.
+    #[test]
+    fn overlapping_shards_filter_like_a_per_shard_sorted_cache_walk() {
+        let names: Vec<DomainName> = (0..6)
+            .map(|i| format!("d{i}.example").parse().unwrap())
+            .collect();
+        let authority = StaticAuthority::from_domains(names[..2].iter().cloned());
+        let secs = SimDuration::from_secs;
+        let policies = [
+            TtlPolicy::new(secs(30), secs(10)),
+            TtlPolicy::new(secs(300), SimDuration::ZERO),
+            TtlPolicy::new(SimDuration::ZERO, SimDuration::ZERO),
+            TtlPolicy::new(secs(5), secs(5)),
+        ];
+        let mut rng = ChaCha12Rng::seed_from_u64(17);
+        for ttl in policies {
+            let mut filter = DomainFilter::new(ttl);
+            let mut cache: DnsCache = DnsCache::new();
+            let mut overlapped = false;
+            let mut last_end = 0u64;
+            for shard in 0..40u64 {
+                // Shard k spans [100k − 40, 100k + 100) seconds.
+                let start = (shard * 100).saturating_sub(40);
+                let runs: Vec<Vec<SlotLookup>> = (0..rng.gen_range(1..4usize))
+                    .map(|_| {
+                        (0..rng.gen_range(0..12usize))
+                            .map(|_| SlotLookup {
+                                t: SimInstant::from_millis(
+                                    rng.gen_range(start * 1000..(shard * 100 + 100) * 1000),
+                                ),
+                                client: ClientId(rng.gen_range(0..3)),
+                                slot: rng.gen_range(0..names.len() as u32),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut walk: Vec<SlotLookup> = runs.concat();
+                if let Some(first) = walk.iter().map(|l| l.t.as_millis()).min() {
+                    overlapped |= first < last_end;
+                    last_end = last_end.max(walk.iter().map(|l| l.t.as_millis()).max().unwrap());
+                }
+                walk.sort_by_key(|l| (l.t, l.client));
+                let mut expected = Vec::new();
+                for l in &walk {
+                    let name = &names[l.slot as usize];
+                    if cache.lookup(l.t, name).is_none() {
+                        let answer = authority.resolve(l.t, name);
+                        cache.store(l.t, name.clone(), answer, &ttl);
+                        expected.push((l.t, l.slot));
+                    }
+                }
+                let mut out = Vec::new();
+                let held = filter.filter_shard(&runs, &names, &authority, &mut out);
+                assert_eq!(held, walk.len());
+                let admitted: Vec<_> = out.iter().map(|o| (o.t, o.slot)).collect();
+                assert_eq!(admitted, expected, "{ttl:?}, shard {shard}");
+            }
+            assert!(overlapped, "no shard started before the previous one ended");
+            assert_eq!(filter.local, cache.stats(), "{ttl:?}");
+        }
+    }
 }

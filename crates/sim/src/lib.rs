@@ -8,8 +8,9 @@
 //!    `λi = λ0·e^{κi}`, `κi ~ N(0, σ²)`);
 //! 2. each activation replays one bot's query barrel as timestamped
 //!    pre-cache lookups, stopping at the first registered C2 domain;
-//! 3. the raw lookups run, one time shard at a time, through a
-//!    caching-forwarding [`Topology`](botmeter_dns::Topology), producing
+//! 3. the raw lookups are filtered, one time shard at a time, by the
+//!    visibility rule of a caching-forwarding
+//!    [`Topology`](botmeter_dns::Topology) applied per domain, producing
 //!    the border-visible [`ObservedLookup`](botmeter_dns::ObservedLookup)
 //!    stream (with timestamps quantised to the trace's granularity). Only
 //!    that stream and the raw *count* leave the run: the raw trace is the
@@ -51,7 +52,7 @@ mod scenario;
 mod waves;
 
 pub use activation::ActivationModel;
-pub use background::{BenignAuthority, BenignTraffic, DualAuthority};
+pub use background::{BenignAuthority, DualAuthority};
 pub use bot::{replay_barrel, simulate_activation};
 pub use enterprise::{EnterpriseOutcome, EnterpriseSpec, Infection};
 pub use evasion::EvasionStrategy;

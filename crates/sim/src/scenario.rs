@@ -454,7 +454,7 @@ impl ScenarioSpec {
         // table once per *released* record at the egress edge — the
         // cache-filtered stream is roughly an order of magnitude smaller
         // than the raw one.
-        let mut filter = DomainFilter::new(self.ttl, names, &authority);
+        let mut filter = DomainFilter::new(self.ttl);
         let mut fault_stream: Option<FaultStream<SlotObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
         let mut observed: Vec<ObservedLookup> = Vec::new();
@@ -495,7 +495,7 @@ impl ScenarioSpec {
                 runs.push(batch.own);
                 let filter_start = self.obs.clock();
                 let mut chunk: Vec<SlotObserved> = Vec::new();
-                let lookups = filter.filter_shard(&runs, &mut chunk);
+                let lookups = filter.filter_shard(&runs, names, &authority, &mut chunk);
                 self.obs.observe_since("sim.shard_filter_ns", filter_start);
                 for run in runs {
                     buffers.recycle(run);

@@ -53,7 +53,7 @@ mod cell;
 mod traffic;
 
 pub use cell::{CellSketch, RetainedDomain};
-pub use traffic::{MergeEffect, SketchedTraffic};
+pub use traffic::SketchedTraffic;
 
 use botmeter_dns::SimDuration;
 use std::fmt;

@@ -16,18 +16,6 @@ pub(crate) const ENTRY_BYTES: u64 = 64;
 /// bookkeeping).
 pub(crate) const CELL_OVERHEAD_BYTES: u64 = 48;
 
-/// What one [`SketchedTraffic::absorb`] did: how many cells were merged
-/// or newly created and how many retained entries the union evicted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeEffect {
-    /// Cells merged into existing cells.
-    pub merged_cells: u64,
-    /// Cells copied over as new.
-    pub new_cells: u64,
-    /// Retained entries evicted while merging.
-    pub evictions: u64,
-}
-
 /// Constant-memory telemetry over the matched D3 stream: one
 /// [`CellSketch`] per (server, epoch) cell, routed by the configured epoch
 /// length.
@@ -72,32 +60,29 @@ impl SketchedTraffic {
     }
 
     /// Merges another sketch accumulated under the **same configuration**
-    /// (per-worker or per-shard sketches folding into one), cell by cell.
+    /// (per-worker or per-shard sketches folding into one), cell by cell;
+    /// returns how many retained entries the union evicted.
     ///
     /// # Panics
     ///
     /// Panics when the configurations differ — a union of samples of
     /// different widths or epoch routings is no sample of either.
-    pub fn absorb(&mut self, other: &SketchedTraffic) -> MergeEffect {
+    pub fn absorb(&mut self, other: &SketchedTraffic) -> u64 {
         assert_eq!(
             self.config, other.config,
             "cannot merge sketches with different configurations"
         );
-        let mut effect = MergeEffect::default();
+        let mut evictions = 0;
         for (key, theirs) in &other.cells {
             match self.cells.get_mut(key) {
-                Some(mine) => {
-                    effect.evictions += mine.merge(theirs, self.config.hh_width());
-                    effect.merged_cells += 1;
-                }
+                Some(mine) => evictions += mine.merge(theirs, self.config.hh_width()),
                 None => {
                     self.cells.insert(*key, theirs.clone());
-                    effect.new_cells += 1;
                 }
             }
         }
         self.total += other.total;
-        effect
+        evictions
     }
 
     /// All cells in (server asc, epoch asc) order.

@@ -29,8 +29,11 @@ echo "==> removed entry-point grep gate"
 # `run_indexed_with`, the subplot-letter parser, the metrics-file flag, the
 # private estimator tables `models_for` replaced and the naive-`MB`
 # wrapper), the sketch cell's HLL register bank with its precision knob
-# and the sketch API nothing read, and seven public functions only their
-# own unit tests called. No file may mention the old names.
+# and the sketch API nothing read, seven public functions only their
+# own unit tests called, and the merge counters nothing read with the
+# benign-traffic API the enterprise simulator's slot form replaced and
+# the registrar merge it no longer needs. No file may mention the old
+# names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -53,6 +56,7 @@ pattern+='|\b(hll_estimate|hll_precision|observe_register|BadPrecision'
 pattern+='|DEFAULT_PRECISION|MIN_PRECISION|MAX_PRECISION|PushEffect|sketch_so_far'
 pattern+='|checked_div_duration|epoch_of|with_positive|counters_with_prefix'
 pattern+='|seed_bytes|anomaly_rate|collision_count)\b'
+pattern+='|\b(MergeEffect|merged_cells|new_cells|day_lookups|catalog_size)\b|EpochAuthority::merge'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
