@@ -1,5 +1,5 @@
 //! The one charting path of every accuracy experiment: each estimate is
-//! read from a [`Landscape`] that [`BotMeter::chart_with`] produced, the
+//! read from a [`Landscape`](botmeter_core::Landscape) that [`BotMeter::chart_with`] produced, the
 //! same call the `estimate` CLI and `botmeterd` make.
 //!
 //! A trial matches its scenario's observed stream once, with the meter's

@@ -40,7 +40,7 @@ impl DecodeBench {
     }
 
     /// `observed` as the journal holds it — one JSON array per
-    /// [`SHARD_RECORDS`] records — through `serde_json::from_slice`: the
+    /// `SHARD_RECORDS` records — through `serde_json::from_slice`: the
     /// decode half of `DurableDaemon`'s replay.
     pub fn journal(observed: &[ObservedLookup]) -> DecodeBench {
         let payloads: Vec<Vec<u8>> = observed

@@ -71,9 +71,9 @@ pub struct Report {
     /// The simulate → filter → chart pipeline under the full worker pool.
     pub streaming: Streaming,
     /// Heap allocations per raw lookup during the simulate stage. Covers
-    /// everything the stage allocates (interner build, shard buffers
-    /// before the recycler warms up, egress hydration), so a
-    /// zero-allocation steady state reads as a small fraction, not 0.
+    /// everything the stage allocates (interner build, per-shard run
+    /// buffers, egress hydration), so a path that allocates per shard,
+    /// never per lookup, reads as a small fraction, not 0.
     pub allocs_per_raw_lookup: f64,
     /// The simulate stage on one thread against the full pool.
     pub scaling: Scaling,
@@ -99,7 +99,7 @@ pub struct Report {
     pub timing: TimingBench,
 }
 
-/// Best stage times of [`PIPELINE_RUNS`] runs after an untimed one;
+/// Best stage times of `PIPELINE_RUNS` runs after an untimed one;
 /// residency and allocator traffic of the first.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Streaming {
@@ -259,7 +259,7 @@ impl Report {
         chart(&outcome, parallel, obs.clone());
         let charted = AllocSnapshot::now().since(&before);
         // Under `alloc.`, which `deterministic_counters()` excludes:
-        // allocator traffic depends on worker count and recycling timing.
+        // allocator traffic depends on worker count and scheduling.
         obs.counter_add("alloc.simulate.count", simulate.count);
         obs.counter_add("alloc.simulate.bytes", simulate.bytes);
         obs.counter_add("alloc.chart.count", charted.count);

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 /// estimating, the estimator runs a fixpoint: start from the deterministic
 /// lower bound `Σ ⌈l/θq⌉`, estimate, feed the estimate back as the prior,
 /// repeat. The map is a contraction, and a secant-accelerated step
-/// ([`DensityFixpoint`]) drives it to convergence at the
+/// (`DensityFixpoint`) drives it to convergence at the
 /// [`SegmentKernelCache`](crate::SegmentKernelCache) ρ resolution — the
 /// final round re-probes the keys the previous one cached, so a converged
 /// cell costs only memo hits.

@@ -5,7 +5,7 @@
 //! lookups, raw estimates as IEEE-754 *bits*, dirty/frozen/stale flags),
 //! the [`QualityCursor`](botmeter_matcher::QualityCursor) stream-health
 //! state, the head/auto-publish bookkeeping, the running
-//! [`DaemonStats`](crate::DaemonStats), and the retained
+//! [`DaemonStats`], and the retained
 //! [`LandscapeStore`](crate::LandscapeStore) snapshots with their
 //! versions. The `SegmentKernelCache` is deliberately **not** persisted:
 //! it is a deterministic memo, rebuilt lazily, and cannot affect results.
@@ -34,6 +34,7 @@
 
 use crate::storage::Storage;
 use crate::wal::crc32;
+use crate::DaemonStats;
 use botmeter_core::{CellQuality, Landscape, LandscapeEntry, LandscapeVersion};
 use botmeter_dns::{ObservedLookup, ServerId, SimInstant};
 use botmeter_matcher::QualityCursorState;
@@ -81,25 +82,6 @@ pub struct SnapshotCheckpoint {
     pub entries: Vec<EntryCheckpoint>,
 }
 
-/// The running counters, mirrored as plain `u64`s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatsCheckpoint {
-    /// Mirror of [`DaemonStats::ingested`](crate::DaemonStats).
-    pub ingested: u64,
-    /// Mirror of [`DaemonStats::matched`](crate::DaemonStats).
-    pub matched: u64,
-    /// Mirror of [`DaemonStats::stale_records`](crate::DaemonStats).
-    pub stale_records: u64,
-    /// Mirror of [`DaemonStats::resident_records`](crate::DaemonStats).
-    pub resident_records: u64,
-    /// Mirror of [`DaemonStats::peak_resident_records`](crate::DaemonStats).
-    pub peak_resident_records: u64,
-    /// Mirror of [`DaemonStats::publishes`](crate::DaemonStats).
-    pub publishes: u64,
-    /// Mirror of [`DaemonStats::cells_reestimated`](crate::DaemonStats).
-    pub cells_reestimated: u64,
-}
-
 /// The complete recoverable engine state at one journal watermark.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
@@ -119,7 +101,7 @@ pub struct EngineCheckpoint {
     /// The auto-publish trigger's previous head epoch.
     pub prev_head_epoch: Option<u64>,
     /// Running counters.
-    pub stats: StatsCheckpoint,
+    pub stats: DaemonStats,
     /// Retained snapshots, oldest first.
     pub snapshots: Vec<SnapshotCheckpoint>,
     /// The newest version ever published (survives eviction).
@@ -395,9 +377,9 @@ mod tests {
             cursor: QualityCursorState::default(),
             head: None,
             prev_head_epoch: Some(1),
-            stats: StatsCheckpoint {
+            stats: DaemonStats {
                 ingested: 10,
-                ..StatsCheckpoint::default()
+                ..DaemonStats::default()
             },
             snapshots: vec![SnapshotCheckpoint {
                 version: 2,

@@ -16,7 +16,7 @@
 //! [`scan_hits`] for the probe loop over each shard, and
 //! [`LandscapeEntry::from_raw`] for turning a raw estimate into a cell.
 
-use crate::checkpoint::{CellCheckpoint, EngineCheckpoint, SnapshotCheckpoint, StatsCheckpoint};
+use crate::checkpoint::{CellCheckpoint, EngineCheckpoint, SnapshotCheckpoint};
 use crate::store::LandscapeStore;
 use botmeter_core::{
     BotMeter, CellStats, ChartMatcher, ChartRequest, EstimationContext, Estimator, Landscape,
@@ -26,6 +26,7 @@ use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_exec::ExecPolicy;
 use botmeter_matcher::{scan_hits, QualityCursor};
 use botmeter_obs::Obs;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -142,7 +143,8 @@ struct CellState {
 
 /// Counters a running daemon exposes directly (they are also mirrored as
 /// `daemon.*` observability metrics when an [`Obs`] handle is attached).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A checkpoint stores them as they are.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DaemonStats {
     /// Observed lookups ingested (matched or not).
     pub ingested: u64,
@@ -500,15 +502,7 @@ impl BotMeterDaemon {
             cursor: self.cursor.to_state(),
             head: self.head,
             prev_head_epoch: self.prev_head_epoch,
-            stats: StatsCheckpoint {
-                ingested: self.stats.ingested,
-                matched: self.stats.matched,
-                stale_records: self.stats.stale_records,
-                resident_records: self.stats.resident_records as u64,
-                peak_resident_records: self.stats.peak_resident_records as u64,
-                publishes: self.stats.publishes,
-                cells_reestimated: self.stats.cells_reestimated,
-            },
+            stats: self.stats,
             snapshots: self
                 .store
                 .versions()
@@ -569,15 +563,7 @@ impl BotMeterDaemon {
         engine.cursor = QualityCursor::from_state(state.cursor.clone());
         engine.head = state.head;
         engine.prev_head_epoch = state.prev_head_epoch;
-        engine.stats = DaemonStats {
-            ingested: state.stats.ingested,
-            matched: state.stats.matched,
-            stale_records: state.stats.stale_records,
-            resident_records: state.stats.resident_records as usize,
-            peak_resident_records: state.stats.peak_resident_records as usize,
-            publishes: state.stats.publishes,
-            cells_reestimated: state.stats.cells_reestimated,
-        };
+        engine.stats = state.stats;
         engine.store = LandscapeStore::restore(
             engine.store.retention(),
             botmeter_core::LandscapeVersion(state.newest_version),

@@ -27,9 +27,9 @@ pub struct CachedAnswer {
 ///
 /// Hits are split by answer polarity — a positive hit masks a successful
 /// resolution, a negative hit masks an NXDOMAIN retry — because the two
-/// distort BotMeter's visibility model differently (§II-B). These counters
-/// are the source of truth the observability layer snapshots into
-/// `cache.s{id}.*` metrics after each trace batch.
+/// distort BotMeter's visibility model differently (§II-B). The
+/// simulation's per-domain filter reports the same four counters per
+/// server as `cache.s{id}.*` metrics at the end of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from a live positive (address) entry.
@@ -159,11 +159,6 @@ impl<K: Hash + Eq> DnsCache<K> {
         );
     }
 
-    /// Removes every entry (e.g. at an epoch boundary in tests).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Number of entries currently stored (including not-yet-evicted
     /// expired ones).
     pub fn len(&self) -> usize {
@@ -287,13 +282,5 @@ mod tests {
     #[test]
     fn hit_rate_empty_is_zero() {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_drops_everything() {
-        let mut c = DnsCache::new();
-        c.store(SimInstant::ZERO, d("a.example"), Answer::NxDomain, &ttl());
-        c.clear();
-        assert!(c.is_empty());
     }
 }

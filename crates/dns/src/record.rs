@@ -57,12 +57,6 @@ impl RawLookup {
         RawLookup { t, client, domain }
     }
 
-    /// The queried domain's precomputed content fingerprint — what the TTL
-    /// caches probe instead of re-hashing the name.
-    pub fn domain_id(&self) -> crate::DomainId {
-        self.domain.id()
-    }
-
     /// The id-resident form of this record (drops the `Arc`-backed text).
     pub fn compact(&self) -> CompactLookup {
         CompactLookup {
@@ -77,12 +71,9 @@ impl RawLookup {
 /// carrying the domain's [`DomainId`](crate::DomainId) instead of its
 /// `Arc<str>`-backed text.
 ///
-/// This is the hot-path record: copying, sorting, partitioning and merging
-/// it touches no reference counts and frees no allocations, so shard
-/// buffers full of these recycle through a
-/// [`BufferPool`](https://docs.rs/botmeter-exec) without per-record cost.
-/// The text stays resolvable through the
-/// [`DomainInterner`](crate::DomainInterner).
+/// This is the record `CompactTopology` filters: copying it touches no
+/// reference counts and frees no allocations. The text stays resolvable
+/// through the [`DomainInterner`](crate::DomainInterner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactLookup {
     /// When the client issued the query.
@@ -102,7 +93,7 @@ impl CompactLookup {
 
 /// The id-resident form of an [`ObservedLookup`] — same `Copy`/POD
 /// properties as [`CompactLookup`], for the border-visible
-/// `⟨t, server, domain⟩` shape the filter, fault and match stages stream.
+/// `⟨t, server, domain⟩` records `CompactTopology` emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactObserved {
     /// Arrival time at the border server.
@@ -148,21 +139,6 @@ impl ObservedLookup {
     /// Convenience constructor.
     pub fn new(t: SimInstant, server: ServerId, domain: DomainName) -> Self {
         ObservedLookup { t, server, domain }
-    }
-
-    /// The queried domain's precomputed content fingerprint — what the
-    /// matcher's confirmed set probes instead of re-hashing the name.
-    pub fn domain_id(&self) -> crate::DomainId {
-        self.domain.id()
-    }
-
-    /// The id-resident form of this record.
-    pub fn compact(&self) -> CompactObserved {
-        CompactObserved {
-            t: self.t,
-            server: self.server,
-            domain: self.domain.id(),
-        }
     }
 }
 
@@ -222,7 +198,7 @@ mod tests {
         assert_eq!(compact, CompactLookup::new(raw.t, raw.client, domain.id()));
 
         let obs = ObservedLookup::new(SimInstant::from_millis(7), ServerId(2), domain);
-        let cobs = obs.compact();
+        let cobs = CompactObserved::new(obs.t, obs.server, obs.domain.id());
         assert_eq!(cobs.hydrate(&interner), Some(obs));
 
         // Ids unknown to the interner cannot rehydrate.

@@ -27,9 +27,8 @@ use crate::record::{
 use crate::time::SimInstant;
 use crate::ttl::TtlPolicy;
 use botmeter_exec::ExecPolicy;
-use botmeter_obs::Obs;
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::Hash;
 
 /// Identifier of the border (root) server in every topology.
@@ -154,7 +153,6 @@ impl<K: Key> From<TopologyBuilder> for Topology<K> {
                 .collect(),
             client_map: HashMap::new(),
             default_leaf: None,
-            obs: Obs::noop(),
             scratch_path: Vec::with_capacity(4),
         }
     }
@@ -195,7 +193,6 @@ pub struct Topology<K> {
     nodes: Vec<Node<K>>,
     client_map: HashMap<ClientId, ServerId>,
     default_leaf: Option<ServerId>,
-    obs: Obs,
     /// The hierarchy walk's path buffer, owned here so steady-state
     /// processing allocates nothing.
     scratch_path: Vec<ServerId>,
@@ -279,15 +276,6 @@ impl<K: Key> Topology<K> {
             .ok_or(TopologyError::UnroutedClient(client))
     }
 
-    /// Attaches an observability handle; subsequent trace-level calls
-    /// (`process_trace_into`) report per-server cache deltas
-    /// (`cache.s{id}.*`) and border admission counters (`topology.lookups`
-    /// / `topology.admitted` / `topology.filtered`) through it. The default
-    /// handle is the no-op one.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Cache statistics of one node.
     ///
     /// # Panics
@@ -295,13 +283,6 @@ impl<K: Key> Topology<K> {
     /// Panics if `server` does not exist.
     pub fn cache_stats(&self, server: ServerId) -> CacheStats {
         self.nodes[server.0 as usize].cache.stats()
-    }
-
-    /// Clears every cache in the hierarchy.
-    pub fn clear_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.cache.clear();
-        }
     }
 
     /// The visibility rule: walks one lookup for `domain` up from
@@ -370,79 +351,6 @@ impl<K: Key> Topology<K> {
         border.cache.store(t, domain.clone(), answer, &self.ttl);
         answer
     }
-
-    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy,
-    /// one record after the other on the calling thread, appending the
-    /// border-visible sub-trace to `out`. `step` filters one record (a key
-    /// type's `process`).
-    ///
-    /// There is deliberately no parallel variant: the caches are the state
-    /// every record reads and writes, so a fan-out has to copy them per
-    /// worker and fold them back per call — work proportional to the
-    /// accumulated cache, not to the trace.
-    fn filter_trace<R, O>(
-        &mut self,
-        raws: &[R],
-        out: &mut Vec<O>,
-        step: impl Fn(&mut Self, &R) -> Result<Option<O>, TopologyError>,
-    ) -> Result<(), TopologyError> {
-        let base_stats: Option<Vec<CacheStats>> = self
-            .obs
-            .enabled()
-            .then(|| self.nodes.iter().map(|n| n.cache.stats()).collect());
-        let admitted_before = out.len();
-
-        // An unroutable record fails before it touches a cache, so on error
-        // `out`, the caches and the metrics below all account for exactly
-        // the `processed` records before it.
-        let mut processed = 0usize;
-        let result = raws.iter().try_for_each(|raw| {
-            if let Some(observed) = step(self, raw)? {
-                out.push(observed);
-            }
-            processed += 1;
-            Ok(())
-        });
-
-        if let Some(base) = base_stats {
-            self.push_cache_deltas(&base);
-            self.obs.counter_add("topology.lookups", processed as u64);
-            let admitted = out.len() - admitted_before;
-            self.obs.counter_add("topology.admitted", admitted as u64);
-            self.obs
-                .counter_add("topology.filtered", (processed - admitted) as u64);
-        }
-        result
-    }
-
-    /// Pushes the difference between the current per-node cache stats and
-    /// `base` into the recorder as `cache.s{id}.*` counters. Batched at
-    /// trace-batch boundaries so the per-lookup hot path stays free of
-    /// recording calls; only non-zero deltas are pushed, and the counter
-    /// names are spelled into one buffer per push.
-    fn push_cache_deltas(&self, base: &[CacheStats]) {
-        let mut name = String::with_capacity(32);
-        for (n, node) in self.nodes.iter().enumerate() {
-            let now = node.cache.stats();
-            let prev = base[n];
-            let fields = [
-                ("pos_hits", now.positive_hits - prev.positive_hits),
-                ("neg_hits", now.negative_hits - prev.negative_hits),
-                ("misses", now.misses - prev.misses),
-                (
-                    "expired_evictions",
-                    now.expired_evictions - prev.expired_evictions,
-                ),
-            ];
-            for (field, delta) in fields {
-                if delta > 0 {
-                    name.clear();
-                    let _ = write!(name, "cache.s{n}.{field}");
-                    self.obs.counter_add(&name, delta);
-                }
-            }
-        }
-    }
 }
 
 /// The name-keyed record adapters.
@@ -490,20 +398,26 @@ impl Topology<DomainId> {
     }
 
     /// Runs a whole compact raw trace (assumed time-ordered) through the
-    /// hierarchy, in order on the calling thread, and appends the
-    /// border-visible sub-trace to `out` — the caller owns (and recycles)
-    /// the output buffer, keeping the steady state allocation-free.
+    /// hierarchy, one record after the other on the calling thread, and
+    /// appends the border-visible sub-trace to `out` — the caller owns the
+    /// output buffer, keeping the steady state allocation-free.
     /// `policy` affects neither the result nor the schedule: the filter
     /// opens no worker pool; the parameter stays until the frozen
     /// benchmark's call site, this method's last caller outside this
     /// crate's tests, can drop it.
     ///
+    /// There is deliberately no parallel variant: the caches are the state
+    /// every record reads and writes, so a fan-out has to copy them per
+    /// worker and fold them back per call — work proportional to the
+    /// accumulated cache, not to the trace.
+    ///
     /// # Errors
     ///
-    /// Fails at the first lookup whose client is unroutable. The records
-    /// before it have been filtered and their observations appended to
-    /// `out`; the caches (and the attached metrics) reflect exactly those
-    /// records, and nothing after the unroutable one is processed.
+    /// Fails at the first lookup whose client is unroutable. An unroutable
+    /// record fails before it touches a cache, so the records before it
+    /// have been filtered and their observations appended to `out`, the
+    /// caches reflect exactly those records, and nothing after the
+    /// unroutable one is processed.
     pub fn process_trace_into<A: Authority + Copy>(
         &mut self,
         raws: &[CompactLookup],
@@ -512,9 +426,12 @@ impl Topology<DomainId> {
         _policy: ExecPolicy,
         out: &mut Vec<CompactObserved>,
     ) -> Result<(), TopologyError> {
-        self.filter_trace(raws, out, |topo, raw| {
-            topo.process(raw, interner, authority)
-        })
+        for raw in raws {
+            if let Some(observed) = self.process(raw, interner, authority)? {
+                out.push(observed);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -720,63 +637,6 @@ mod tests {
         filter_preserves_order_and_filters::<DomainId>();
     }
 
-    #[test]
-    fn clear_caches_resets_filtering() {
-        let mut topo = Topology::<DomainName>::single_local(TtlPolicy::paper_default());
-        let auth = StaticAuthority::empty();
-        assert!(topo
-            .process(&raw(0, 1, "a.example"), &auth)
-            .unwrap()
-            .is_some());
-        topo.clear_caches();
-        assert!(topo
-            .process(&raw(1, 1, "a.example"), &auth)
-            .unwrap()
-            .is_some());
-    }
-
-    #[test]
-    fn cache_stats_survive_clear_caches_and_stay_counter_consistent() {
-        let (obs, registry) = Obs::collecting();
-        let mut topo = Topology::<DomainId>::single_local(TtlPolicy::paper_default());
-        topo.set_obs(obs);
-        let auth = StaticAuthority::empty();
-        let trace: Vec<RawLookup> = (0..64u64)
-            .map(|i| raw(i * 10, 1, &format!("d{}.example", i % 8)))
-            .collect();
-        topo.filter(&trace, &auth, ExecPolicy::Sequential);
-        let local = topo.local_servers()[0];
-        let before = topo.cache_stats(local);
-        assert!(before.hits() > 0 && before.misses > 0);
-
-        // Clearing drops cached entries but not the lifetime statistics —
-        // they track the same totals the pushed obs counters do.
-        topo.clear_caches();
-        assert_eq!(topo.cache_stats(local), before);
-        let snap = registry.snapshot();
-        let prefix = format!("cache.s{}.", local.0);
-        assert_eq!(
-            snap.counter(&format!("{prefix}neg_hits")),
-            Some(before.negative_hits)
-        );
-        assert_eq!(
-            snap.counter(&format!("{prefix}misses")),
-            Some(before.misses)
-        );
-
-        // Further traffic keeps the cumulative stats and the pushed deltas
-        // in lock-step: counter totals equal the stats totals at all times.
-        topo.filter(&trace, &auth, ExecPolicy::Sequential);
-        let after = topo.cache_stats(local);
-        assert!(after.misses > before.misses);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter(&format!("{prefix}neg_hits")),
-            Some(after.negative_hits)
-        );
-        assert_eq!(snap.counter(&format!("{prefix}misses")), Some(after.misses));
-    }
-
     /// Filters `len` records with heavy domain re-use (so cache state
     /// actually matters) under `policy` on a fresh single-local topology,
     /// then re-asks for every domain just after the trace ends.
@@ -828,10 +688,6 @@ mod tests {
 
     #[test]
     fn unroutable_client_stops_the_trace_after_the_records_before_it() {
-        let (handle, registry) = Obs::collecting();
-        let mut topo = Topology::<DomainId>::star(TtlPolicy::paper_default(), 1);
-        topo.assign_client(ClientId(1), ServerId(1)).unwrap();
-        topo.set_obs(handle);
         let auth = StaticAuthority::empty();
         let mut interner = DomainInterner::new();
         let trace: Vec<CompactLookup> = [
@@ -848,8 +704,8 @@ mod tests {
         .collect();
 
         for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            topo.clear_caches();
-            let before = topo.cache_stats(ServerId(1));
+            let mut topo = Topology::<DomainId>::star(TtlPolicy::paper_default(), 1);
+            topo.assign_client(ClientId(1), ServerId(1)).unwrap();
             let mut out = Vec::new();
             let err = topo
                 .process_trace_into(&trace, &interner, &auth, policy, &mut out)
@@ -866,46 +722,12 @@ mod tests {
                 )]
             );
             // ... the caches saw exactly those two (one miss, one hit) ...
-            let after = topo.cache_stats(ServerId(1));
-            assert_eq!(after.misses - before.misses, 1);
-            assert_eq!(after.hits() - before.hits(), 1);
+            let stats = topo.cache_stats(ServerId(1));
+            assert_eq!(stats.misses, 1);
+            assert_eq!(stats.hits(), 1);
             // ... and nothing after it ran: c.example still reaches the border.
             assert!(topo.process(&trace[3], &interner, &auth).unwrap().is_some());
         }
-        // The metrics account for the same two records per call.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("topology.lookups"), Some(4));
-        assert_eq!(snap.counter("topology.admitted"), Some(2));
-        assert_eq!(snap.counter("cache.s1.neg_hits"), Some(2));
-    }
-
-    #[test]
-    fn trace_metrics_report_cache_deltas_and_admission() {
-        let (handle, registry) = Obs::collecting();
-        let mut topo = Topology::<DomainId>::single_local(TtlPolicy::paper_default());
-        topo.set_obs(handle);
-        let auth = StaticAuthority::from_domains([d("live.example")]);
-        let trace = vec![
-            raw(0, 1, "live.example"),
-            raw(10, 2, "live.example"), // positive cache hit at the local
-            raw(20, 1, "nx.example"),
-            raw(30, 2, "nx.example"), // negative cache hit at the local
-        ];
-        let seen = topo.filter(&trace, &auth, ExecPolicy::Sequential);
-        assert_eq!(seen.len(), 2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("topology.lookups"), Some(4));
-        assert_eq!(snap.counter("topology.admitted"), Some(2));
-        assert_eq!(snap.counter("topology.filtered"), Some(2));
-        // The local resolver is node 1.
-        assert_eq!(snap.counter("cache.s1.pos_hits"), Some(1));
-        assert_eq!(snap.counter("cache.s1.neg_hits"), Some(1));
-        assert_eq!(snap.counter("cache.s1.misses"), Some(2));
-        // Counters agree with the in-cache source of truth.
-        let stats = topo.cache_stats(topo.local_servers()[0]);
-        assert_eq!(stats.positive_hits, 1);
-        assert_eq!(stats.negative_hits, 1);
-        assert_eq!(stats.misses, 2);
     }
 
     #[test]

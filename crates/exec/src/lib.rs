@@ -536,132 +536,6 @@ pub fn run_pipelined_with<T, P, C>(
     }
 }
 
-/// A bounded freelist of reusable `Vec<T>` buffers.
-///
-/// The streaming pipeline's producers fill one buffer per shard and the
-/// consumer hands each buffer back after draining it; with the pool sized
-/// to the pipeline window, steady-state shard production reuses the same
-/// few allocations for the whole run instead of allocating and freeing one
-/// `Vec` per shard. Buffers keep their capacity across recycles (they are
-/// cleared, not shrunk), so after warm-up `acquire` is a pop and `recycle`
-/// a push.
-///
-/// All methods take `&self`; the freelist is behind a mutex and the
-/// counters are relaxed atomics, so producers and the consumer share one
-/// pool. Metrics (scheduling-dependent, `sched.` prefix, therefore exempt
-/// from the determinism contract): `sched.pool.acquires`,
-/// `sched.pool.fresh_allocs` (acquires the freelist could not serve),
-/// `sched.pool.recycled`, `sched.pool.dropped` (recycles beyond the bound)
-/// and the `sched.pool.high_water` gauge (most buffers ever outstanding at
-/// once).
-///
-/// # Example
-///
-/// ```
-/// use botmeter_exec::BufferPool;
-/// let pool: BufferPool<u64> = BufferPool::new(4);
-/// let mut buf = pool.acquire();
-/// buf.extend([1, 2, 3]);
-/// pool.recycle(buf);
-/// let again = pool.acquire();
-/// assert!(again.is_empty() && again.capacity() >= 3);
-/// ```
-#[derive(Debug)]
-pub struct BufferPool<T> {
-    free: Mutex<Vec<Vec<T>>>,
-    max_pooled: usize,
-    acquires: AtomicU64,
-    fresh_allocs: AtomicU64,
-    recycled: AtomicU64,
-    dropped: AtomicU64,
-    outstanding: AtomicU64,
-    high_water: AtomicU64,
-}
-
-impl<T> BufferPool<T> {
-    /// Creates a pool retaining at most `max_pooled` idle buffers
-    /// (clamped to ≥ 1). Recycles beyond the bound drop the buffer, so the
-    /// pool can never hoard more memory than its high-water working set.
-    pub fn new(max_pooled: usize) -> Self {
-        BufferPool {
-            free: Mutex::new(Vec::with_capacity(max_pooled.max(1))),
-            max_pooled: max_pooled.max(1),
-            acquires: AtomicU64::new(0),
-            fresh_allocs: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes an empty buffer from the freelist, or allocates a fresh one
-    /// when the pool is dry (counted as `sched.pool.fresh_allocs`).
-    pub fn acquire(&self) -> Vec<T> {
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        let now = 1 + self.outstanding.fetch_add(1, Ordering::Relaxed);
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-        let pooled = self
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        pooled.unwrap_or_else(|| {
-            self.fresh_allocs.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        })
-    }
-
-    /// Clears `buf` (keeping its capacity) and returns it to the freelist;
-    /// buffers beyond the retention bound are dropped instead.
-    pub fn recycle(&self, mut buf: Vec<T>) {
-        // Saturating: recycling a buffer that was never acquired from this
-        // pool (e.g. seeded by the caller) must not underflow.
-        let _ = self
-            .outstanding
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(1))
-            });
-        buf.clear();
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        if free.len() < self.max_pooled {
-            free.push(buf);
-            drop(free);
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            drop(free);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of idle buffers currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// The most buffers ever outstanding (acquired, not yet recycled) at
-    /// one moment.
-    pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
-    }
-
-    /// Pushes the pool's lifetime counters through `obs` under the
-    /// scheduling-dependent `sched.pool.` prefix.
-    pub fn record_metrics(&self, obs: &Obs) {
-        obs.counter_add("sched.pool.acquires", self.acquires.load(Ordering::Relaxed));
-        obs.counter_add(
-            "sched.pool.fresh_allocs",
-            self.fresh_allocs.load(Ordering::Relaxed),
-        );
-        obs.counter_add("sched.pool.recycled", self.recycled.load(Ordering::Relaxed));
-        obs.counter_add("sched.pool.dropped", self.dropped.load(Ordering::Relaxed));
-        obs.gauge_max("sched.pool.high_water", self.high_water());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -951,55 +825,5 @@ mod tests {
             |_, item| acc += item,
         );
         assert_eq!(acc, (0..64).sum());
-    }
-
-    #[test]
-    fn buffer_pool_recycles_capacity_and_bounds_retention() {
-        let pool: BufferPool<u64> = BufferPool::new(2);
-        let mut a = pool.acquire();
-        let mut b = pool.acquire();
-        let c = pool.acquire();
-        assert_eq!(pool.high_water(), 3);
-        a.extend(0..100);
-        b.extend(0..50);
-        let a_cap = a.capacity();
-        pool.recycle(a);
-        pool.recycle(b);
-        pool.recycle(c); // beyond the bound: dropped
-        assert_eq!(pool.idle(), 2);
-
-        // LIFO: the most recently pooled comes back first, and capacity
-        // survives the round trip.
-        let back = pool.acquire();
-        assert!(back.is_empty());
-        let back2 = pool.acquire();
-        assert!(back2.capacity() >= a_cap.min(100));
-        // Dry pool allocates fresh.
-        let fresh = pool.acquire();
-        assert_eq!(fresh.capacity(), 0);
-    }
-
-    #[test]
-    fn buffer_pool_metrics_live_under_the_sched_prefix() {
-        let pool: BufferPool<u8> = BufferPool::new(1);
-        let a = pool.acquire();
-        let b = pool.acquire();
-        pool.recycle(a);
-        pool.recycle(b);
-        let _ = pool.acquire();
-        let (obs, registry) = botmeter_obs::Obs::collecting();
-        pool.record_metrics(&obs);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("sched.pool.acquires"), Some(3));
-        assert_eq!(snap.counter("sched.pool.fresh_allocs"), Some(2));
-        assert_eq!(snap.counter("sched.pool.recycled"), Some(1));
-        assert_eq!(snap.counter("sched.pool.dropped"), Some(1));
-        assert_eq!(snap.counter("sched.pool.high_water"), Some(2));
-        // Everything the pool reports is scheduling-dependent and stays
-        // out of the determinism contract.
-        assert!(snap
-            .deterministic_counters()
-            .iter()
-            .all(|c| !c.name.starts_with("sched.pool.")));
     }
 }

@@ -70,7 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use botmeter_dns::{CompactObserved, ObservedLookup, ServerId, SimDuration, SimInstant};
+use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_stats::{mix64, SeedSequence};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -82,12 +82,13 @@ use std::fmt;
 ///
 /// Every stage's decisions depend only on the record *count*, the
 /// timestamp and the forwarding server — never on the domain — so the same
-/// plan applied to an [`ObservedLookup`] stream and to its id-resident
-/// [`CompactObserved`] mirror draws identical random numbers and produces
-/// streams that hydrate to each other bit-for-bit. The simulation pipeline
-/// exploits exactly that: it faults its own `Copy` records (a timestamp
-/// and a slot in its name table; no `Arc` refcount traffic per retained
-/// record) and hydrates only at the egress boundary.
+/// plan applied to an [`ObservedLookup`] stream and to any other record
+/// shape carrying the same timestamps and servers draws identical random
+/// numbers and keeps the same records. The simulation pipeline exploits
+/// exactly that: it faults its own `Copy` records (a timestamp and a slot
+/// in its name table; no `Arc` refcount traffic per retained record) and
+/// hydrates only at the egress boundary; its `pipeline_equivalence` suite
+/// holds the faulted result to [`FaultPlan::apply`] over `ObservedLookup`s.
 pub trait FaultRecord: Clone {
     /// The record's (arrival) timestamp.
     fn t(&self) -> SimInstant;
@@ -98,18 +99,6 @@ pub trait FaultRecord: Clone {
 }
 
 impl FaultRecord for ObservedLookup {
-    fn t(&self) -> SimInstant {
-        self.t
-    }
-    fn set_t(&mut self, t: SimInstant) {
-        self.t = t;
-    }
-    fn server(&self) -> ServerId {
-        self.server
-    }
-}
-
-impl FaultRecord for CompactObserved {
     fn t(&self) -> SimInstant {
         self.t
     }
@@ -563,9 +552,9 @@ impl FaultPlan {
     ///
     /// This is the one-chunk case of [`FaultPlan::stream`] — the batch and
     /// streaming paths share every drawn random number by construction.
-    /// Generic over the [`FaultRecord`] shape: the legacy
-    /// [`ObservedLookup`] stream and its [`CompactObserved`] mirror fault
-    /// identically (stage decisions never look at the domain).
+    /// Generic over the [`FaultRecord`] shape: stage decisions never look
+    /// at the domain, so any shape with the same timestamps and servers
+    /// faults identically to an [`ObservedLookup`] stream.
     pub fn apply<R: FaultRecord>(&self, trace: Vec<R>) -> (Vec<R>, FaultReport) {
         let mut stream = self.stream();
         let mut out = stream.push(trace);
@@ -677,12 +666,6 @@ impl<R: FaultRecord> FaultStream<R> {
         }
         self.report.output += tail.len() as u64;
         (tail, self.report)
-    }
-
-    /// The report accumulated so far. `output` counts only records already
-    /// released; [`finish`](Self::finish) returns the complete report.
-    pub fn report_so_far(&self) -> FaultReport {
-        self.report
     }
 }
 
@@ -1083,47 +1066,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_records_fault_identically_to_observed_lookups() {
-        // Full stack of every model: the compact stream must draw the same
-        // random numbers and hydrate back to the legacy faulted stream.
-        let mut interner = botmeter_dns::DomainInterner::new();
-        let legacy: Vec<ObservedLookup> = (0..1200u64)
-            .map(|i| {
-                let name = interner.intern(format!("d{}.example", i % 37).parse().unwrap());
-                ObservedLookup::new(
-                    SimInstant::from_millis(i * 100),
-                    ServerId((i % 3) as u32 + 1),
-                    name,
-                )
-            })
-            .collect();
-        let compact: Vec<CompactObserved> = legacy.iter().map(|o| o.compact()).collect();
-        let mut plan = FaultPlan::new(99);
-        for model in every_model() {
-            plan = plan.with(model);
-        }
-        let (expect, expect_report) = plan.apply(legacy);
-        let (got, got_report) = plan.apply(compact);
-        assert_eq!(got_report, expect_report);
-        let hydrated: Vec<ObservedLookup> = got
-            .iter()
-            .map(|o| o.hydrate(&interner).expect("interned"))
-            .collect();
-        assert_eq!(hydrated, expect);
-    }
-
-    #[test]
-    fn stream_report_so_far_tracks_released_records() {
+    fn stream_report_counts_released_and_tail_records() {
         let plan = FaultPlan::new(12).with(FaultModel::Reorder {
             rate: 1.0,
             max_displacement: 50,
         });
         let mut stream = plan.stream();
         let released = stream.push(trace(100));
-        let partial = stream.report_so_far();
-        assert_eq!(partial.input, 100);
-        assert_eq!(partial.output as usize, released.len());
         let (tail, full) = stream.finish();
+        assert_eq!(full.input, 100);
         assert_eq!(full.output as usize, released.len() + tail.len());
         assert_eq!(full.output, 100, "reorder neither drops nor duplicates");
     }

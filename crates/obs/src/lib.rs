@@ -73,8 +73,8 @@ pub const SCHED_PREFIX: &str = "sched.";
 
 /// Prefix of allocation-accounting counters (`alloc.count`, `alloc.bytes`,
 /// and per-stage variants) reported by the perf harness under the `bench`
-/// feature. Allocator traffic depends on worker count and buffer-recycling
-/// timing, so these are exempt from the determinism contract exactly like
+/// feature. Allocator traffic depends on worker count and scheduling, so
+/// these are exempt from the determinism contract exactly like
 /// [`SCHED_PREFIX`].
 pub const ALLOC_PREFIX: &str = "alloc.";
 

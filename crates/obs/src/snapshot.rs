@@ -94,7 +94,7 @@ impl MetricsSnapshot {
     /// and panic counts — `sched.exec.panics` included), the
     /// [`alloc.`](crate::ALLOC_PREFIX) allocation accounting the perf
     /// harness reports (allocator traffic varies with worker count and
-    /// buffer-recycling timing), and any wall-clock key (a `_ns` suffix,
+    /// scheduling), and any wall-clock key (a `_ns` suffix,
     /// the histogram naming convention — latency totals leaking into a
     /// counter would differ between runs by nature). Sequential and
     /// parallel runs of the same pipeline must agree on these bit-for-bit,

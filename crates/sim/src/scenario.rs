@@ -30,12 +30,6 @@ const DEFAULT_SHARDS_PER_EPOCH: u64 = 16;
 /// high-water mark is bit-identical under every [`ExecPolicy`].
 const STREAM_ACCOUNT_WINDOW: usize = botmeter_exec::PIPELINE_WINDOW + 1;
 
-/// How many idle shard buffers the streaming pipeline's recycling
-/// [`BufferPool`](botmeter_exec::BufferPool) retains: enough to cover the
-/// producer ticket window plus overflow runs parked for later shards, while
-/// bounding how much capacity an overflow burst can pin after the run.
-const POOL_RETAIN: usize = 4 * STREAM_ACCOUNT_WINDOW;
-
 /// The most shards one run may be cut into. The pipeline sizes its shard
 /// tables, and issues one producer ticket, per shard whether or not any
 /// traffic falls in it, so memory and time are `O(horizon / width)`; the
@@ -404,12 +398,7 @@ impl ScenarioSpec {
         // order straight into the shard's own run and move each replay's
         // records past the shard's slice into overflow runs by destination
         // shard (membership is a function of `t`, so a record's shard never
-        // depends on which worker produced it). Nothing is sorted. All
-        // record buffers are drawn from one shared recycling pool and
-        // returned once filtered, so steady-state production re-uses the
-        // same few allocations for the whole run.
-        let buffers: botmeter_exec::BufferPool<SlotLookup> =
-            botmeter_exec::BufferPool::new(POOL_RETAIN);
+        // depends on which worker produced it). Nothing is sorted.
         let produce = |k: usize| -> ShardBatch {
             let (start, end) = shard_ranges[k];
             // The catch-all last shard keeps everything it generates.
@@ -418,7 +407,7 @@ impl ScenarioSpec {
             } else {
                 shard_ms * (k as u64 + 1)
             };
-            let mut own = buffers.acquire();
+            let mut own = Vec::new();
             let mut overflow: BTreeMap<usize, Vec<SlotLookup>> = BTreeMap::new();
             let mut generated = 0u64;
             for &job in &jobs[start..end] {
@@ -430,10 +419,7 @@ impl ScenarioSpec {
                 let cut = from + own[from..].partition_point(|l| l.t.as_millis() < own_end);
                 for &lookup in &own[cut..] {
                     let dest = ((lookup.t.as_millis() / shard_ms) as usize).min(num_shards - 1);
-                    overflow
-                        .entry(dest)
-                        .or_insert_with(|| buffers.acquire())
-                        .push(lookup);
+                    overflow.entry(dest).or_default().push(lookup);
                 }
                 own.truncate(cut);
             }
@@ -497,9 +483,7 @@ impl ScenarioSpec {
                 let mut chunk: Vec<SlotObserved> = Vec::new();
                 let lookups = filter.filter_shard(&runs, names, &authority, &mut chunk);
                 self.obs.observe_since("sim.shard_filter_ns", filter_start);
-                for run in runs {
-                    buffers.recycle(run);
-                }
+                drop(runs);
                 if lookups == 0 {
                     return;
                 }
@@ -512,7 +496,6 @@ impl ScenarioSpec {
                 }
             },
         );
-        buffers.record_metrics(&self.obs);
         filter.record_metrics(&self.obs);
         let fault_report = fault_stream.map(FaultStream::finish).map(|(tail, report)| {
             release(&tail);
@@ -702,9 +685,8 @@ impl ScenarioSpec {
 
 /// One producer worker's output for a shard: the records that fall inside
 /// the shard's own time slice plus the runs that overshoot into later
-/// shards, every run in replay order. The buffers are drawn from the
-/// pipeline's [`BufferPool`](botmeter_exec::BufferPool) and recycled by the
-/// consumer once the shard is filtered.
+/// shards, every run in replay order. The consumer drops the runs once the
+/// shard is filtered.
 struct ShardBatch {
     /// Records whose destination is this shard.
     own: Vec<SlotLookup>,
@@ -913,16 +895,6 @@ impl ScenarioOutcome {
     pub fn fault_report(&self) -> Option<&FaultReport> {
         self.fault_report.as_ref()
     }
-
-    /// The observed lookups whose timestamps fall in `epoch`.
-    pub fn observed_in_epoch(&self, epoch: u64) -> Vec<ObservedLookup> {
-        let len = self.family.epoch_len();
-        self.observed
-            .iter()
-            .filter(|o| o.t.epoch_day(len) == epoch)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1075,11 +1047,19 @@ mod tests {
             .unwrap()
             .run(ExecPolicy::default());
         assert_eq!(outcome.ground_truth().len(), 3);
-        let total: usize = (0..3).map(|e| outcome.observed_in_epoch(e).len()).sum();
+        let len = outcome.family().epoch_len();
+        let in_epoch = |e: u64| {
+            outcome
+                .observed()
+                .iter()
+                .filter(|o| o.t.epoch_day(len) == e)
+                .count()
+        };
+        let total: usize = (0..3).map(in_epoch).sum();
         // Activations late in an epoch can spill lookups into the next
         // epoch; every observed lookup must land in epochs 0..=3.
         let all = outcome.observed().len();
-        let spill = outcome.observed_in_epoch(3).len();
+        let spill = in_epoch(3);
         assert_eq!(total + spill, all);
     }
 

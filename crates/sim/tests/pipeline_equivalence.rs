@@ -312,6 +312,25 @@ fn pipeline_matches_reference_for_explicit_shard_widths() {
 }
 
 #[test]
+fn pipeline_matches_reference_at_default_and_ten_minute_widths() {
+    force_parallel();
+    // A fault-free newGoZ run over two epochs at the default geometry and
+    // at ten-minute shards: the stream a sketch frontend folds shard by
+    // shard is the reference's under every worker count.
+    for width in [None, Some(SimDuration::from_secs(600))] {
+        let build = || {
+            ScenarioSpec::builder(DgaFamily::new_goz())
+                .population(32)
+                .num_epochs(2)
+                .seed(19)
+                .pipeline(PipelineMode::Streaming { shard: width })
+        };
+        let what = format!("newGoZ seed 19, shard width {width:?}");
+        assert_matches_reference(build, &every_worker_count(), &what);
+    }
+}
+
+#[test]
 fn pipeline_matches_reference_when_bots_share_milliseconds() {
     force_parallel();
     // Several hundred bots squeezed into a 0.1 % burst window (≈ 86 s of a

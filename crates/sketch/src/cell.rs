@@ -140,10 +140,10 @@ impl CellSketch {
         (k - 1.0) / r
     }
 
-    /// Conservative relative error bound on [`distinct_estimate`]
-    /// (`Self::distinct_estimate`): `0` while the cell is lossless,
-    /// the KMV standard error `1/sqrt(width - 2)` once it saturates
-    /// (clamped to `1.0` for degenerate widths).
+    /// Conservative relative error bound on
+    /// [`distinct_estimate`](Self::distinct_estimate): `0` while the cell
+    /// is lossless, the KMV standard error `1/sqrt(width - 2)` once it
+    /// saturates (clamped to `1.0` for degenerate widths).
     pub fn distinct_error_bound(&self, width: usize) -> f64 {
         if !self.lossy {
             0.0

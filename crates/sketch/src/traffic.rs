@@ -110,8 +110,8 @@ impl SketchedTraffic {
 
     /// High-water mark of the logical resident size, in bytes.
     ///
-    /// Deterministic accounting: [`ENTRY_BYTES`] per retained entry and
-    /// [`CELL_OVERHEAD_BYTES`] per cell. The structures only grow
+    /// Deterministic accounting: `ENTRY_BYTES` per retained entry and
+    /// `CELL_OVERHEAD_BYTES` per cell. The structures only grow
     /// (evictions swap entries, never shrink a sample), so the high-water
     /// mark is the current size. Bounded by `cell_count() ×
     /// cell_budget_bytes()` no matter the traffic volume.

@@ -32,8 +32,12 @@ echo "==> removed entry-point grep gate"
 # and the sketch API nothing read, seven public functions only their
 # own unit tests called, and the merge counters nothing read with the
 # benign-traffic API the enterprise simulator's slot form replaced and
-# the registrar merge it no longer needs. No file may mention the old
-# names.
+# the registrar merge it no longer needs, and what the per-domain filter
+# left behind (the shard-buffer recycler with its counters, the
+# topology's unattached metrics and cache reset, the fault path over
+# id-keyed records), six public functions only their own unit tests
+# called and the checkpoint's copy of the daemon's counters. No file may
+# mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -57,6 +61,11 @@ pattern+='|DEFAULT_PRECISION|MIN_PRECISION|MAX_PRECISION|PushEffect|sketch_so_fa
 pattern+='|checked_div_duration|epoch_of|with_positive|counters_with_prefix'
 pattern+='|seed_bytes|anomaly_rate|collision_count)\b'
 pattern+='|\b(MergeEffect|merged_cells|new_cells|day_lookups|catalog_size)\b|EpochAuthority::merge'
+pattern+='|BufferPool|POOL_RETAIN|sched\.pool\.|set_obs|push_cache_deltas|clear_caches'
+pattern+='|report_so_far|binomial_rows_cached|observed_in_epoch|StatsCheckpoint'
+pattern+='|impl FaultRecord for CompactObserved'
+# (whole words: `ln_stirling2` stays)
+pattern+='|\b(stirling2|domain_id)\b'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -294,6 +303,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, -D warnings)"
+# A broken intra-doc link, or a public doc linking a private item, fails
+# here instead of rotting unseen.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace
