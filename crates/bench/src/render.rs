@@ -1,5 +1,6 @@
-//! Plain-text rendering of experiment results: aligned tables and simple
-//! series plots, printed to stdout exactly as EXPERIMENTS.md records them.
+//! Plain-text rendering of experiment results: aligned tables and a
+//! landscape heatmap, printed to stdout exactly as EXPERIMENTS.md records
+//! them.
 
 use std::fmt::Write as _;
 
@@ -79,43 +80,6 @@ impl TextTable {
         }
         out
     }
-}
-
-/// Renders a horizontal-bar series plot (one row per x value), for
-/// eyeballing sweep shapes in a terminal.
-///
-/// `points` are `(label, value)` pairs; bars are scaled to `width`
-/// characters at `max(value)`.
-///
-/// # Example
-///
-/// ```
-/// let s = botmeter_bench::render::bar_chart(&[("N=16".into(), 0.2), ("N=32".into(), 0.1)], 20);
-/// assert!(s.contains("N=16"));
-/// ```
-pub fn bar_chart(points: &[(String, f64)], width: usize) -> String {
-    let max = points
-        .iter()
-        .map(|(_, v)| *v)
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let label_width = points
-        .iter()
-        .map(|(l, _)| l.chars().count())
-        .max()
-        .unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in points {
-        let bar_len = ((value / max) * width as f64).round() as usize;
-        let _ = writeln!(
-            out,
-            "{:<label_width$} | {:<width$} {:.4}",
-            label,
-            "#".repeat(bar_len.min(width)),
-            value,
-        );
-    }
-    out
 }
 
 /// Renders a landscape as a server × epoch intensity heatmap — a terminal
@@ -203,22 +167,6 @@ mod tests {
         assert!(!t.is_empty());
         let s = t.render();
         assert!(s.contains("only-one"));
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let s = bar_chart(&[("x".into(), 1.0), ("y".into(), 0.5)], 10);
-        let lines: Vec<&str> = s.lines().collect();
-        let hashes = |l: &str| l.chars().filter(|&c| c == '#').count();
-        assert_eq!(hashes(lines[0]), 10);
-        assert_eq!(hashes(lines[1]), 5);
-    }
-
-    #[test]
-    fn bar_chart_empty_and_zero() {
-        assert_eq!(bar_chart(&[], 10), "");
-        let s = bar_chart(&[("z".into(), 0.0)], 10);
-        assert!(s.contains("0.0000"));
     }
 
     #[test]

@@ -115,13 +115,6 @@ pub enum CellQuality {
     Invalid,
 }
 
-impl CellQuality {
-    /// The worse of two flags.
-    pub fn worst(self, other: CellQuality) -> CellQuality {
-        self.max(other)
-    }
-}
-
 /// Which analytical model to run (Fig. 2, step 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ModelKind {
@@ -390,55 +383,6 @@ impl Landscape {
     /// Whether the landscape is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Merges several landscapes cell-wise (estimates for the same
-    /// (server, epoch) add up, quality flags take the worst) — e.g.
-    /// charting multiple DGA families into one remediation-priority view.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use botmeter_core::Landscape;
-    /// let a: Landscape = serde_json::from_str(
-    ///     r#"{"entries":[{"server":1,"epoch":0,"estimate":5.0}]}"#).unwrap();
-    /// let b: Landscape = serde_json::from_str(
-    ///     r#"{"entries":[{"server":1,"epoch":0,"estimate":7.0}]}"#).unwrap();
-    /// let merged = Landscape::merge([a, b]);
-    /// assert_eq!(merged.estimate(botmeter_dns::ServerId(1), 0), 12.0);
-    /// ```
-    pub fn merge<I: IntoIterator<Item = Landscape>>(landscapes: I) -> Landscape {
-        use std::collections::BTreeMap;
-        let mut cells: BTreeMap<(ServerId, u64), (f64, CellQuality, Option<f64>)> = BTreeMap::new();
-        for landscape in landscapes {
-            for e in landscape.entries {
-                let cell = cells
-                    .entry((e.server, e.epoch))
-                    .or_insert((0.0, CellQuality::Ok, None));
-                cell.0 += e.estimate;
-                cell.1 = cell.1.worst(e.quality);
-                // The merged cell is only as trustworthy as its sketchiest
-                // contribution: keep the widest error bound.
-                cell.2 = match (cell.2, e.error_bound) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        Landscape {
-            entries: cells
-                .into_iter()
-                .map(
-                    |((server, epoch), (estimate, quality, error_bound))| LandscapeEntry {
-                        server,
-                        epoch,
-                        estimate,
-                        quality,
-                        error_bound,
-                    },
-                )
-                .collect(),
-        }
     }
 }
 
@@ -1341,7 +1285,7 @@ mod tests {
         let daemon = |raw: f64, rate: f64, stream: &StreamQuality, stale: bool| {
             let (estimate, quality, _) = batch(raw, rate, stream, None);
             let quality = if stale {
-                quality.worst(CellQuality::Degraded)
+                quality.max(CellQuality::Degraded)
             } else {
                 quality
             };
@@ -1384,7 +1328,7 @@ mod tests {
                                 // Neither caller produces this; it must
                                 // still be the worse of the two flags.
                                 let (estimate, quality, _) = batch(raw, rate, stream, bound);
-                                let worst = quality.worst(CellQuality::Degraded);
+                                let worst = quality.max(CellQuality::Degraded);
                                 assert_eq!(got, (estimate, worst, bound), "{case}");
                             }
                             checked += 1;
@@ -1476,43 +1420,6 @@ mod tests {
             }],
         };
         assert!(degraded.to_string().contains("(degraded)"));
-    }
-
-    #[test]
-    fn merge_adds_cells_and_unions_servers() {
-        let a = Landscape {
-            entries: vec![entry(1, 0, 5.0), entry(2, 0, 3.0)],
-        };
-        let b = Landscape {
-            entries: vec![entry(1, 0, 7.0), entry(1, 1, 2.0)],
-        };
-        let merged = Landscape::merge([a, b]);
-        assert_eq!(merged.estimate(ServerId(1), 0), 12.0);
-        assert_eq!(merged.estimate(ServerId(2), 0), 3.0);
-        assert_eq!(merged.estimate(ServerId(1), 1), 2.0);
-        assert_eq!(merged.len(), 3);
-        assert!(Landscape::merge(std::iter::empty::<Landscape>()).is_empty());
-    }
-
-    #[test]
-    fn merge_takes_worst_quality_per_cell() {
-        let clean = Landscape {
-            entries: vec![entry(1, 0, 5.0)],
-        };
-        let degraded = Landscape {
-            entries: vec![LandscapeEntry {
-                quality: CellQuality::Degraded,
-                ..entry(1, 0, 7.0)
-            }],
-        };
-        let merged = Landscape::merge([clean, degraded]);
-        assert_eq!(merged.entries()[0].quality, CellQuality::Degraded);
-        assert_eq!(merged.estimate(ServerId(1), 0), 12.0);
-        assert_eq!(
-            CellQuality::Invalid.worst(CellQuality::Degraded),
-            CellQuality::Invalid
-        );
-        assert_eq!(CellQuality::Ok.worst(CellQuality::Ok), CellQuality::Ok);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use crate::config::EstimationContext;
 use crate::estimator::{CellStats, Estimator, Lane};
-use botmeter_dns::ObservedLookup;
 use std::collections::BTreeMap;
 
 /// `MC`: closed-form coverage/rate inversion for `AR` DGAs.
@@ -32,81 +31,6 @@ pub struct CoverageEstimator;
 
 /// Upper bound on populations the bisection will report.
 const MAX_POPULATION: f64 = 1e7;
-
-impl CoverageEstimator {
-    /// Point estimate plus an approximate `z`-score confidence interval.
-    ///
-    /// The dominant noise in the observed volume `O` is the Poisson
-    /// activation count itself: `O` scales near-linearly with the `N̂`
-    /// activations that produced it, so `sd[O] ≈ O/√N̂` (per-domain renewal
-    /// noise is an order of magnitude smaller and is absorbed by the same
-    /// bound). Inverting the rate equation at `O ± z·O/√N̂` brackets the
-    /// population; with `z = 1.96` the interval is a ~95% CI under the
-    /// model.
-    ///
-    /// Returns `(lower, estimate, upper)`; all zero for an empty stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is negative or non-finite.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use botmeter_core::{CoverageEstimator, EstimationContext};
-    /// use botmeter_dga::DgaFamily;
-    /// use botmeter_sim::ScenarioSpec;
-    ///
-    /// let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-    ///     .population(64).seed(1).build()?.run(botmeter_exec::ExecPolicy::default());
-    /// let ctx = EstimationContext::new(
-    ///     outcome.family().clone(), outcome.ttl(), outcome.granularity());
-    /// let (lo, est, hi) = CoverageEstimator.estimate_with_interval(
-    ///     outcome.observed(), &ctx, 1.96);
-    /// assert!(lo <= est && est <= hi);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn estimate_with_interval(
-        &self,
-        lookups: &[ObservedLookup],
-        ctx: &EstimationContext,
-        z: f64,
-    ) -> (f64, f64, f64) {
-        assert!(z.is_finite() && z >= 0.0, "z-score must be non-negative");
-        let cell = CellStats::of_slice(lookups, ctx);
-        let Some((buckets, pool_len, r, observed)) = Self::prepare(&cell, ctx) else {
-            return (0.0, 0.0, 0.0);
-        };
-        let invert = |target: f64| -> f64 {
-            if target <= 0.0 {
-                0.0
-            } else {
-                Self::invert(&buckets, pool_len, r, target)
-            }
-        };
-        let estimate = invert(observed);
-        let spread = z * observed / estimate.max(1.0).sqrt();
-        (
-            invert(observed - spread),
-            estimate,
-            invert(observed + spread),
-        )
-    }
-
-    /// `E[O | N]` for per-domain coverage probabilities compressed as
-    /// `(cover_count, multiplicity)` pairs; `r = δl/δe`.
-    fn expected_lookups(buckets: &[(usize, usize)], pool_len: usize, n: f64, r: f64) -> f64 {
-        let p_scale = 1.0 / pool_len as f64;
-        buckets
-            .iter()
-            .map(|&(cover, mult)| {
-                let p = cover as f64 * p_scale;
-                let rate = n * p;
-                mult as f64 * rate / (1.0 + rate * r)
-            })
-            .sum()
-    }
-}
 
 impl Estimator for CoverageEstimator {
     fn name(&self) -> &'static str {
@@ -179,6 +103,20 @@ impl CoverageEstimator {
 
         let r = ctx.ttl().negative().as_millis() as f64 / family.epoch_len().as_millis() as f64;
         Some((buckets, pool_len, r, observed))
+    }
+
+    /// `E[O | N]` for per-domain coverage probabilities compressed as
+    /// `(cover_count, multiplicity)` pairs; `r = δl/δe`.
+    fn expected_lookups(buckets: &[(usize, usize)], pool_len: usize, n: f64, r: f64) -> f64 {
+        let p_scale = 1.0 / pool_len as f64;
+        buckets
+            .iter()
+            .map(|&(cover, mult)| {
+                let p = cover as f64 * p_scale;
+                let rate = n * p;
+                mult as f64 * rate / (1.0 + rate * r)
+            })
+            .sum()
     }
 
     /// Solves `E[O|N] = target` by bracketing + bisection (monotone in N).
@@ -296,67 +234,5 @@ mod tests {
     #[test]
     fn estimator_name() {
         assert_eq!(CoverageEstimator.name(), "Coverage");
-    }
-
-    #[test]
-    fn interval_brackets_truth_most_of_the_time() {
-        let mut covered = 0;
-        let trials = 8;
-        for seed in 0..trials {
-            let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-                .population(64)
-                .seed(7000 + seed)
-                .build()
-                .unwrap()
-                .run(botmeter_exec::ExecPolicy::default());
-            let c = EstimationContext::new(
-                outcome.family().clone(),
-                outcome.ttl(),
-                outcome.granularity(),
-            );
-            let (lo, est, hi) =
-                CoverageEstimator.estimate_with_interval(outcome.observed(), &c, 1.96);
-            assert!(lo <= est && est <= hi, "ordering: {lo} {est} {hi}");
-            let actual = outcome.ground_truth()[0] as f64;
-            if (lo..=hi).contains(&actual) {
-                covered += 1;
-            }
-        }
-        // Nominal 95%; allow slack for the renewal approximation.
-        assert!(covered >= trials / 2, "only {covered}/{trials} covered");
-    }
-
-    #[test]
-    fn interval_empty_and_zero_z() {
-        let c = ctx(DgaFamily::new_goz());
-        assert_eq!(
-            CoverageEstimator.estimate_with_interval(&[], &c, 1.96),
-            (0.0, 0.0, 0.0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "z-score must be non-negative")]
-    fn interval_rejects_bad_z() {
-        let c = ctx(DgaFamily::new_goz());
-        CoverageEstimator.estimate_with_interval(&[], &c, -1.0);
-    }
-
-    #[test]
-    fn interval_width_grows_with_z() {
-        let outcome = ScenarioSpec::builder(DgaFamily::new_goz())
-            .population(64)
-            .seed(3)
-            .build()
-            .unwrap()
-            .run(botmeter_exec::ExecPolicy::default());
-        let c = EstimationContext::new(
-            outcome.family().clone(),
-            outcome.ttl(),
-            outcome.granularity(),
-        );
-        let (lo1, _, hi1) = CoverageEstimator.estimate_with_interval(outcome.observed(), &c, 1.0);
-        let (lo3, _, hi3) = CoverageEstimator.estimate_with_interval(outcome.observed(), &c, 3.0);
-        assert!(hi3 - lo3 > hi1 - lo1);
     }
 }

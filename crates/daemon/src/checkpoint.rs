@@ -409,16 +409,27 @@ mod tests {
 
     #[test]
     fn any_corruption_is_detected() {
-        let bytes = encode_checkpoint(&state(7)).unwrap();
-        for pos in [0, 3, 9, 15, bytes.len() / 2, bytes.len() - 1] {
-            let mut damaged = bytes.clone();
-            damaged[pos] ^= 0x20;
+        // A checkpoint `botmeterd` wrote (see the fixture's README).
+        let bytes: &[u8] = include_bytes!(
+            "../tests/fixtures/parent_data_dir/checkpoint.00000000000000000011.bmck"
+        );
+        assert!(decode_checkpoint(bytes).is_ok(), "the pristine file loads");
+        for pos in 0..bytes.len() {
+            for mask in [0x01, 0x20, 0x80, 0xFF] {
+                let mut damaged = bytes.to_vec();
+                damaged[pos] ^= mask;
+                assert!(
+                    decode_checkpoint(&damaged).is_err(),
+                    "flip {mask:#04x} at {pos} went undetected"
+                );
+            }
+        }
+        for len in 0..bytes.len() {
             assert!(
-                decode_checkpoint(&damaged).is_err(),
-                "flip at {pos} went undetected"
+                decode_checkpoint(&bytes[..len]).is_err(),
+                "truncation to {len} bytes went undetected"
             );
         }
-        assert!(decode_checkpoint(b"").is_err());
         assert!(decode_checkpoint(b"BMCKPT01 zzzzzzzz 4\nbody").is_err());
     }
 

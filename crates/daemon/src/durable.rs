@@ -25,14 +25,14 @@
 //! engine state straight into the checkpoint's output buffer, and each is
 //! encoded once however often the storage write behind it is retried.
 //!
-//! Transient I/O faults are retried under bounded exponential backoff
-//! with deterministic jitter ([`RetryPolicy`]); a journal that stays
-//! unavailable past the retry budget degrades the daemon (counted, never
-//! crashed): ingest and publishing continue in memory, and the next
-//! successful checkpoint heals durability by capturing the unjournaled
-//! state wholesale. A shard too large for one journal frame
-//! ([`MAX_SHARD_RECORDS`]) takes the same route without the retries: the
-//! reader would refuse its frame as corrupt, so the writer never writes it.
+//! Transient I/O faults are retried three times, after pauses of 2, 4 and
+//! 8 ms; a journal that stays unavailable past those retries degrades the
+//! daemon (counted, never crashed): ingest and publishing continue in
+//! memory, and the next successful checkpoint heals durability by
+//! capturing the unjournaled state wholesale. A shard too large for one
+//! journal frame ([`MAX_SHARD_RECORDS`]) takes the same route without the
+//! retries: the reader would refuse its frame as corrupt, so the writer
+//! never writes it.
 
 use crate::checkpoint::{encode_checkpoint, CheckpointError, CheckpointManager};
 use crate::engine::{BotMeterDaemon, DaemonOptions, DaemonStats};
@@ -42,8 +42,6 @@ use crate::wal::{encode_frame_into, Wal, WalCodecError, MAX_FRAME_LEN};
 use botmeter_core::{BotMeter, LandscapeVersion};
 use botmeter_dns::ObservedLookup;
 use botmeter_obs::Obs;
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -160,58 +158,17 @@ impl From<StoreError> for DurabilityError {
     }
 }
 
-/// Bounded exponential backoff with deterministic jitter.
-///
-/// Attempt `i` (zero-based) sleeps `min(cap, base · 2^i)` scaled by a
-/// jitter factor in `[0.5, 1.0)` drawn from a [`ChaCha12Rng`] seeded with
-/// `seed` — the workspace's deterministic-RNG discipline extended to
-/// fault handling, so a retry schedule is reproducible in tests.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (the first try plus retries); 0 behaves as 1.
-    pub attempts: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Ceiling on any single backoff.
-    pub cap: Duration,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-}
+/// The pauses between attempts of one I/O operation: three retries after
+/// the first try, each pause double the last.
+const BACKOFF: [Duration; 3] = [
+    Duration::from_millis(2),
+    Duration::from_millis(4),
+    Duration::from_millis(8),
+];
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(100),
-            seed: 0xB07_3E7A,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The deterministic jittered backoff schedule: one duration per
-    /// retry (so `attempts - 1` entries).
-    pub fn backoff_schedule(&self) -> Vec<Duration> {
-        let mut rng = ChaCha12Rng::seed_from_u64(self.seed);
-        (0..self.attempts.saturating_sub(1))
-            .map(|i| {
-                let exp = self.base.saturating_mul(1u32 << i.min(20));
-                let capped = exp.min(self.cap);
-                // Jitter factor in [0.5, 1.0): decorrelates a fleet of
-                // daemons retrying against the same sick disk.
-                let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                capped.mul_f64(0.5 + 0.5 * unit)
-            })
-            .collect()
-    }
-}
-
-/// Runs `op` under `policy`, sleeping between attempts via `sleeper`. The
-/// backoff schedule is only drawn once the first attempt has failed: the
-/// success path seeds no RNG and allocates nothing.
+/// Runs `op`, retrying a failure after each pause of [`BACKOFF`] (slept via
+/// `sleeper`) and counting every failed attempt under `counter`.
 fn with_retries<T>(
-    policy: &RetryPolicy,
     obs: &Obs,
     counter: &str,
     sleeper: &mut dyn FnMut(Duration),
@@ -222,7 +179,7 @@ fn with_retries<T>(
         Err(e) => e,
     };
     obs.counter_add(counter, 1);
-    for pause in policy.backoff_schedule() {
+    for pause in BACKOFF {
         sleeper(pause);
         match op() {
             Ok(v) => return Ok(v),
@@ -239,8 +196,6 @@ fn with_retries<T>(
 pub struct DurabilityOptions {
     /// Checkpoint after this many journaled shards (clamped ≥ 1).
     pub checkpoint_every: u64,
-    /// Retry budget and backoff shape for journal and checkpoint I/O.
-    pub retry: RetryPolicy,
     /// How retries pause. Defaults to `std::thread::sleep`; tests inject
     /// a recorder so no wall-clock time passes.
     pub sleeper: Box<dyn FnMut(Duration) + Send>,
@@ -250,7 +205,6 @@ impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
             checkpoint_every: 16,
-            retry: RetryPolicy::default(),
             sleeper: Box::new(std::thread::sleep),
         }
     }
@@ -260,7 +214,6 @@ impl fmt::Debug for DurabilityOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurabilityOptions")
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("retry", &self.retry)
             .finish_non_exhaustive()
     }
 }
@@ -474,7 +427,6 @@ impl<S: Storage> DurableDaemon<S> {
         let start = self.obs.clock();
         let appended = encoded.and_then(|()| {
             with_retries(
-                &self.options.retry,
                 &self.obs,
                 "wal.append_retries",
                 &mut self.options.sleeper,
@@ -529,7 +481,6 @@ impl<S: Storage> DurableDaemon<S> {
         let seq = self.seq;
         let saved = encoded.and_then(|bytes| {
             with_retries(
-                &self.options.retry,
                 &self.obs,
                 "ckpt.save_retries",
                 &mut self.options.sleeper,
@@ -565,7 +516,6 @@ impl<S: Storage> DurableDaemon<S> {
         // which recovery skips.
         let start = self.obs.clock();
         let rotated = with_retries(
-            &self.options.retry,
             &self.obs,
             "wal.rotate_retries",
             &mut self.options.sleeper,
@@ -659,34 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_is_deterministic_bounded_and_jittered() {
-        let policy = RetryPolicy {
-            attempts: 6,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(50),
-            seed: 7,
-        };
-        let a = policy.backoff_schedule();
-        let b = policy.backoff_schedule();
-        assert_eq!(a, b, "same seed, same schedule");
-        assert_eq!(a.len(), 5);
-        for (i, d) in a.iter().enumerate() {
-            let exp = Duration::from_millis(10).saturating_mul(1 << i);
-            let cap = exp.min(Duration::from_millis(50));
-            assert!(
-                *d >= cap / 2 && *d < cap,
-                "attempt {i}: {d:?} not in [{:?}, {cap:?})",
-                cap / 2
-            );
-        }
-        let other = RetryPolicy { seed: 8, ..policy }.backoff_schedule();
-        assert_ne!(a, other, "different seed, different jitter");
-    }
-
-    #[test]
     fn transient_append_faults_are_retried_through() {
         let mut storage = FailingStorage::new(MemStorage::new());
-        storage.fail_next_appends(2); // retry budget is 4 attempts
+        storage.fail_next_appends(2); // one try and three retries
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::default();
         let sleeps = slept.clone();
         let opts = DurabilityOptions {
@@ -701,7 +626,7 @@ mod tests {
         assert_eq!(stats.unjournaled_shards, 0);
         assert_eq!(
             *slept.lock().unwrap(),
-            RetryPolicy::default().backoff_schedule()[..2],
+            [Duration::from_millis(2), Duration::from_millis(4)],
             "the schedule's first two pauses, in order"
         );
     }
@@ -841,14 +766,25 @@ mod tests {
     #[test]
     fn journal_outage_degrades_and_checkpoint_heals() {
         let storage = FailingStorage::new(MemStorage::new());
+        let slept: Arc<Mutex<Vec<Duration>>> = Arc::default();
+        let sleeps = slept.clone();
         let opts = DurabilityOptions {
-            sleeper: Box::new(|_| {}),
+            sleeper: Box::new(move |d| sleeps.lock().unwrap().push(d)),
             ..DurabilityOptions::new(1000)
         };
-        let (mut daemon, _) = DurableDaemon::open(meter(), options(), storage, opts).unwrap();
+        let (obs, registry) = Obs::collecting();
+        let (mut daemon, _) =
+            DurableDaemon::open(meter(), options().obs(obs), storage, opts).unwrap();
         let stream = observed();
         daemon.storage_mut().fail_next_appends(u64::MAX);
         daemon.ingest(&stream[..64]);
+        assert_eq!(
+            *slept.lock().unwrap(),
+            [2, 4, 8].map(Duration::from_millis),
+            "every pause of the schedule, in order, then the shard degrades"
+        );
+        assert_eq!(daemon.durability_stats().unjournaled_shards, 1);
+        assert_eq!(registry.snapshot().counter("wal.degraded_shards"), Some(1));
         daemon.ingest(&stream[64..128]);
         assert!(daemon.is_degraded(), "journal gone, serve path alive");
         assert_eq!(daemon.durability_stats().unjournaled_shards, 2);

@@ -19,8 +19,8 @@
 use crate::checkpoint::{CellCheckpoint, EngineCheckpoint, SnapshotCheckpoint};
 use crate::store::LandscapeStore;
 use botmeter_core::{
-    BotMeter, CellStats, ChartMatcher, ChartRequest, EstimationContext, Estimator, Landscape,
-    LandscapeEntry, LandscapeVersion,
+    BotMeter, CellStats, ChartMatcher, EstimationContext, Estimator, Landscape, LandscapeEntry,
+    LandscapeVersion,
 };
 use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_exec::ExecPolicy;
@@ -446,17 +446,6 @@ impl BotMeterDaemon {
         &self.meter
     }
 
-    /// A from-scratch batch chart over `observed` with this daemon's epoch
-    /// window and policy — the reference the equivalence contract compares
-    /// [`latest`](Self::latest) against.
-    pub fn reference_chart(&self, observed: &[ObservedLookup]) -> Landscape {
-        self.meter.chart_with(
-            &ChartRequest::new(observed)
-                .epochs(self.epochs.clone())
-                .policy(self.policy),
-        )
-    }
-
     /// Fingerprint of everything that shapes this engine's *results*:
     /// family, estimator route, epoch window, close lag, delivery rate and
     /// retention. Recovery refuses to load a checkpoint taken under a
@@ -588,7 +577,7 @@ impl std::fmt::Debug for BotMeterDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botmeter_core::{BotMeterConfig, CellQuality};
+    use botmeter_core::{BotMeterConfig, CellQuality, ChartRequest};
     use botmeter_dga::DgaFamily;
     use botmeter_matcher::DomainMatcher;
     use botmeter_sim::ScenarioSpec;
@@ -601,6 +590,16 @@ mod tests {
             .build()
             .expect("valid scenario")
             .run(ExecPolicy::default())
+    }
+
+    /// A from-scratch batch chart over `observed` with `daemon`'s epoch
+    /// window and policy: what every published snapshot must equal.
+    fn batch_chart(daemon: &BotMeterDaemon, observed: &[ObservedLookup]) -> Landscape {
+        daemon.meter().chart_with(
+            &ChartRequest::new(observed)
+                .epochs(daemon.epochs.clone())
+                .policy(daemon.policy),
+        )
     }
 
     #[test]
@@ -630,7 +629,7 @@ mod tests {
         daemon.publish_now();
         let (version, snapshot) = daemon.latest().expect("published");
         assert_eq!(version, LandscapeVersion(1));
-        assert_eq!(snapshot, &daemon.reference_chart(out.observed()));
+        assert_eq!(snapshot, &batch_chart(&daemon, out.observed()));
         assert_eq!(daemon.dirty_cells(), 0);
     }
 
@@ -684,7 +683,7 @@ mod tests {
         let index = daemon.ctx.pool_index(0);
         assert_eq!(
             daemon.latest().expect("published").1,
-            &daemon.reference_chart(&out.observed()[..half])
+            &batch_chart(&daemon, &out.observed()[..half])
         );
         daemon.ingest(&out.observed()[half..]);
         daemon.publish_now();
@@ -694,7 +693,7 @@ mod tests {
         );
         assert_eq!(
             daemon.latest().expect("published").1,
-            &daemon.reference_chart(out.observed())
+            &batch_chart(&daemon, out.observed())
         );
         // `daemon.matched` is added once per shard, to the same total.
         assert_eq!(

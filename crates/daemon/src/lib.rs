@@ -46,7 +46,7 @@ pub mod wal;
 pub use checkpoint::{CheckpointError, CheckpointManager, EngineCheckpoint};
 pub use durable::{
     DurabilityError, DurabilityOptions, DurabilityStats, DurableDaemon, RecoveryReport,
-    RetryPolicy, MAX_SHARD_RECORDS,
+    MAX_SHARD_RECORDS,
 };
 pub use engine::{BotMeterDaemon, DaemonOptions, DaemonStats};
 pub use storage::{DiskStorage, FailingStorage, MemStorage, Storage};

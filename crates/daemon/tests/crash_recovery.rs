@@ -56,7 +56,6 @@ fn durability() -> DurabilityOptions {
     DurabilityOptions {
         checkpoint_every: 3,
         sleeper: Box::new(|_| {}),
-        ..DurabilityOptions::default()
     }
 }
 

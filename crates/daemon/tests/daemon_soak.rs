@@ -6,7 +6,7 @@
 
 mod common;
 
-use botmeter_core::{BotMeter, BotMeterConfig, LandscapeVersion};
+use botmeter_core::{BotMeter, BotMeterConfig, ChartRequest, LandscapeVersion};
 use botmeter_daemon::checkpoint::CheckpointManager;
 use botmeter_daemon::wal::WAL_FILE;
 use botmeter_daemon::{DaemonOptions, DurabilityOptions, DurableDaemon, MemStorage, Storage};
@@ -30,6 +30,8 @@ struct SoakRun {
     registry: std::sync::Arc<botmeter_obs::MetricsRegistry>,
     full: Vec<ObservedLookup>,
     family: DgaFamily,
+    /// The daemon's epoch window is `0..epochs`.
+    epochs: u64,
     layout: SoakLayout,
 }
 
@@ -55,6 +57,7 @@ fn soak(family: DgaFamily, epochs: u64) -> SoakRun {
         registry,
         full: Vec::new(),
         family,
+        epochs,
         layout: SoakLayout::default(),
     };
     for epoch in 0..epochs {
@@ -79,7 +82,11 @@ impl SoakRun {
 
         // (a) Bit-identical to a from-scratch chart over the same prefix.
         let (_, snapshot) = daemon.latest().expect("published");
-        let reference = daemon.reference_chart(&self.full);
+        let reference = daemon.meter().chart_with(
+            &ChartRequest::new(&self.full)
+                .epochs(0..self.epochs)
+                .policy(ExecPolicy::Sequential),
+        );
         assert_eq!(
             snapshot, &reference,
             "snapshot diverged from batch chart at epoch {epoch}"

@@ -87,11 +87,6 @@ impl StaticAuthority {
         }
     }
 
-    /// Registers one more domain.
-    pub fn register(&mut self, domain: DomainName) {
-        self.registered.insert(domain);
-    }
-
     /// Number of registered domains.
     pub fn len(&self) -> usize {
         self.registered.len()
@@ -146,8 +141,7 @@ mod tests {
 
     #[test]
     fn registered_domains_resolve() {
-        let mut a = StaticAuthority::from_domains([d("a.example")]);
-        a.register(d("b.example"));
+        let a = StaticAuthority::from_domains([d("a.example"), d("b.example")]);
         assert_eq!(a.len(), 2);
         assert!(a.resolve(SimInstant::ZERO, &d("a.example")).is_positive());
         assert!(a.resolve(SimInstant::ZERO, &d("b.example")).is_positive());

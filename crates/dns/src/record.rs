@@ -109,16 +109,6 @@ impl CompactObserved {
     pub fn new(t: SimInstant, server: ServerId, domain: crate::DomainId) -> Self {
         CompactObserved { t, server, domain }
     }
-
-    /// Rehydrates the full record through the interner that interned the
-    /// domain; `None` if the id is unknown to it.
-    pub fn hydrate(&self, interner: &crate::DomainInterner) -> Option<ObservedLookup> {
-        interner.resolve(self.domain).map(|domain| ObservedLookup {
-            t: self.t,
-            server: self.server,
-            domain: domain.clone(),
-        })
-    }
 }
 
 /// A DNS lookup as observed at the border vantage point, *after* cache
@@ -199,10 +189,10 @@ mod tests {
 
         let obs = ObservedLookup::new(SimInstant::from_millis(7), ServerId(2), domain);
         let cobs = CompactObserved::new(obs.t, obs.server, obs.domain.id());
-        assert_eq!(cobs.hydrate(&interner), Some(obs));
+        assert_eq!((cobs.t, cobs.server), (obs.t, obs.server));
+        assert_eq!(interner.resolve(cobs.domain), Some(&obs.domain));
 
-        // Ids unknown to the interner cannot rehydrate.
-        let stranger = CompactObserved::new(SimInstant::ZERO, ServerId(0), crate::DomainId(42));
-        assert_eq!(stranger.hydrate(&interner), None);
+        // Ids unknown to the interner resolve to nothing.
+        assert_eq!(interner.resolve(crate::DomainId(42)), None);
     }
 }

@@ -494,7 +494,10 @@ mod tests {
             self.process_trace_into(&compact, &interner, auth, policy, &mut seen)
                 .unwrap();
             seen.iter()
-                .map(|o| o.hydrate(&interner).expect("interned"))
+                .map(|o| {
+                    let domain = interner.resolve(o.domain).expect("interned");
+                    ObservedLookup::new(o.t, o.server, domain.clone())
+                })
                 .collect()
         }
     }

@@ -20,8 +20,8 @@
 //!   steals the next index the moment it finishes — the same load-balancing
 //!   effect as a work-stealing deque for the independent-jobs shapes BotMeter
 //!   has, with none of the queue allocation.
-//! * **Determinism by index.** Workers write each job's result into its own
-//!   slot, so outputs are returned in job order no matter which thread ran
+//! * **Determinism by index.** Workers hand back each job's result with its
+//!   index, so outputs are returned in job order no matter which thread ran
 //!   what. Callers keep the contract that job `i` is a pure function of `i`.
 //! * **Observability.** Every entry point takes a [`botmeter_obs::Obs`]
 //!   handle and reports batch/task/steal counts and a queue-depth
@@ -41,9 +41,8 @@
 #![warn(missing_docs)]
 
 use botmeter_obs::Obs;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
@@ -130,42 +129,6 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A structured record of one job's panic, produced by
-/// [`try_run_indexed_with`]: the batch keeps running, the pool stays
-/// usable, and the panicking job surfaces as this error instead of
-/// aborting the whole scope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct TaskPanic {
-    /// The index of the job that panicked.
-    pub index: usize,
-    /// The panic payload, when it was a string (the overwhelmingly common
-    /// case); a placeholder otherwise.
-    pub message: String,
-}
-
-impl fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-/// Runs job `i` with per-task panic isolation.
-fn catch_job<T, F: Fn(usize) -> T>(f: &F, i: usize) -> Result<T, TaskPanic> {
-    catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_owned()
-        };
-        TaskPanic { index: i, message }
-    })
-}
-
 /// Runs `jobs` independent jobs of `f` (given the job index) under
 /// `policy` and returns the results in index order.
 ///
@@ -177,44 +140,16 @@ fn catch_job<T, F: Fn(usize) -> T>(f: &F, i: usize) -> Result<T, TaskPanic> {
 /// Scheduling metrics reported through `obs` (all under the `sched.`
 /// prefix, so they are exempt from the determinism contract):
 /// `sched.exec.batches`, `sched.exec.tasks`, `sched.exec.steals` (jobs a
-/// worker took beyond its even share), `sched.exec.queue_high_water`
-/// (the deepest dispatch queue any single batch presented) and
-/// `sched.exec.panics` (jobs that panicked — see [`try_run_indexed_with`]).
+/// worker took beyond its even share) and `sched.exec.queue_high_water`
+/// (the deepest dispatch queue any single batch presented).
 ///
 /// # Panics
 ///
-/// If any job panics. Unlike a bare `thread::scope`, the panic is
-/// *contained* per task ([`try_run_indexed_with`] is the non-panicking
-/// form): every other job still runs to completion and the pool winds down
-/// cleanly before the first panicking job's error is re-raised here.
+/// If a job panics, with that job's own payload. Under a parallel policy
+/// the other workers keep draining the batch, and the panic resurfaces only
+/// once every worker has been joined, so the next batch on the same policy
+/// starts from a clean pool.
 pub fn run_indexed_with<T, F>(policy: ExecPolicy, obs: &Obs, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(jobs);
-    for result in try_run_indexed_with(policy, obs, jobs, f) {
-        match result {
-            Ok(value) => out.push(value),
-            Err(panic) => panic!("{panic}"),
-        }
-    }
-    out
-}
-
-/// [`run_indexed_with`] with per-task panic isolation: every job runs under
-/// `catch_unwind`, so a panicking job yields `Err(TaskPanic)` in its slot
-/// while the rest of the batch completes normally — no hang, no abort, and
-/// the calling thread (and any surrounding pool) stays usable.
-///
-/// Results come back in job index order, one `Result` per job. Panic counts
-/// are reported through `obs` as `sched.exec.panics`.
-pub fn try_run_indexed_with<T, F>(
-    policy: ExecPolicy,
-    obs: &Obs,
-    jobs: usize,
-    f: F,
-) -> Vec<Result<T, TaskPanic>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -226,56 +161,46 @@ where
     obs.counter_add("sched.exec.batches", 1);
     obs.counter_add("sched.exec.tasks", jobs as u64);
     obs.gauge_max("sched.exec.queue_high_water", jobs as u64);
-    let results: Vec<Result<T, TaskPanic>> = if workers <= 1 {
-        (0..jobs).map(|i| catch_job(&f, i)).collect()
-    } else {
-        // Bounded coordination state: one atomic dispenser + one slot per
-        // job. No job queue is materialised at all.
-        let next_job = AtomicUsize::new(0);
-        let steals = AtomicU64::new(0);
-        let even_share = jobs / workers;
-        let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
-            (0..jobs).map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
+    if workers <= 1 {
+        return (0..jobs).map(f).collect();
+    }
+    // Bounded coordination state: one atomic dispenser. Each worker returns
+    // the `(index, value)` pairs it took.
+    let next_job = AtomicUsize::new(0);
+    let joined: Vec<thread::Result<Vec<(usize, T)>>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(|| {
-                    let mut taken = 0u64;
+                    let mut run = Vec::new();
                     loop {
                         let i = next_job.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs {
-                            break;
+                            return run;
                         }
-                        taken += 1;
-                        let value = catch_job(&f, i);
-                        // catch_unwind already fenced the job, so the lock
-                        // cannot be poisoned by `f`; recover defensively
-                        // anyway instead of cascading a second panic.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+                        run.push((i, f(i)));
                     }
-                    // Anything beyond the even split is load the worker
-                    // "stole" from slower peers through the dispenser.
-                    let stolen = taken.saturating_sub(even_share as u64);
-                    if stolen > 0 {
-                        steals.fetch_add(stolen, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        obs.counter_add("sched.exec.steals", steals.into_inner());
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every job completed")
+                })
             })
-            .collect()
-    };
-    let panics = results.iter().filter(|r| r.is_err()).count();
-    if panics > 0 {
-        obs.counter_add("sched.exec.panics", panics as u64);
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    // Anything beyond the even split is load the worker "stole" from
+    // slower peers through the dispenser.
+    let even_share = jobs / workers;
+    let mut steals = 0;
+    for run in joined {
+        let run = run.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        steals += run.len().saturating_sub(even_share) as u64;
+        for (i, value) in run {
+            slots[i] = Some(value);
+        }
     }
-    results
+    obs.counter_add("sched.exec.steals", steals);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every job completed"))
+        .collect()
 }
 
 /// Splits `items` into at most [`ExecPolicy::worker_threads`] contiguous
@@ -596,83 +521,6 @@ mod tests {
         let out = f();
         std::panic::set_hook(prev);
         out
-    }
-
-    #[test]
-    fn one_panicking_task_in_a_thousand_fails_alone() {
-        with_silent_panics(|| {
-            let (obs, registry) = botmeter_obs::Obs::collecting();
-            let results = try_run_indexed_with(ExecPolicy::with_threads(4), &obs, 1000, |i| {
-                if i == 357 {
-                    panic!("boom at {i}");
-                }
-                i * 2
-            });
-            assert_eq!(results.len(), 1000, "no job may be lost");
-            for (i, r) in results.iter().enumerate() {
-                if i == 357 {
-                    let e = r.as_ref().unwrap_err();
-                    assert_eq!(e.index, 357);
-                    assert!(e.message.contains("boom at 357"), "{e}");
-                    assert!(e.to_string().contains("job 357 panicked"));
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 2, "job {i} must complete");
-                }
-            }
-            assert_eq!(registry.snapshot().counter("sched.exec.panics"), Some(1));
-            // The pool stays usable: the very next batch runs clean.
-            let again = run_indexed_with(ExecPolicy::with_threads(4), &obs, 64, |i| i + 1);
-            assert_eq!(again.len(), 64);
-            assert_eq!(again[63], 64);
-        });
-    }
-
-    #[test]
-    fn sequential_policy_isolates_panics_too() {
-        with_silent_panics(|| {
-            let results = try_run_indexed_with(ExecPolicy::Sequential, &Obs::noop(), 5, |i| {
-                if i == 2 {
-                    panic!("odd one out");
-                }
-                i
-            });
-            assert!(results[2].is_err());
-            assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 4);
-        });
-    }
-
-    #[test]
-    fn run_indexed_repanics_after_batch_completes() {
-        with_silent_panics(|| {
-            let completed = AtomicUsize::new(0);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_indexed_with(ExecPolicy::with_threads(4), &Obs::noop(), 32, |i| {
-                    if i == 3 {
-                        panic!("resurfaced");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    i
-                })
-            }));
-            let err = caught.expect_err("panic must resurface");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("job 3 panicked"), "{msg}");
-            assert!(msg.contains("resurfaced"), "{msg}");
-            // Isolation means the remaining 31 jobs all ran to completion
-            // before the panic was re-raised.
-            assert_eq!(completed.load(Ordering::Relaxed), 31);
-        });
-    }
-
-    #[test]
-    fn non_string_panic_payloads_are_reported() {
-        with_silent_panics(|| {
-            let results = try_run_indexed_with(ExecPolicy::Sequential, &Obs::noop(), 1, |_| {
-                std::panic::panic_any(42_u32);
-            });
-            let e = results[0].as_ref().unwrap_err();
-            assert_eq!(e.message, "non-string panic payload");
-        });
     }
 
     #[test]

@@ -31,7 +31,7 @@ const MIN_PARALLEL_MATCH: usize = 2048;
 pub struct MatchedTraffic {
     by_server: BTreeMap<ServerId, Vec<ObservedLookup>>,
     /// Scan totals and adjacency anomalies, maintained on insert so
-    /// `total_matched`/`match_rate` never re-walk the per-server map.
+    /// `total_matched`/`total_scanned` never re-walk the per-server map.
     quality: StreamQuality,
 }
 
@@ -120,12 +120,6 @@ impl QualityCursor {
         self.quality
     }
 
-    /// How many servers the cursor currently remembers a predecessor for
-    /// — the cursor's entire resident state.
-    pub fn tracked_servers(&self) -> usize {
-        self.last.len()
-    }
-
     /// Serializable snapshot of the cursor's entire state — what a
     /// crash-safe daemon checkpoints so stream-health tracking resumes
     /// exactly where the killed process left it.
@@ -202,15 +196,6 @@ impl MatchedTraffic {
     /// How many observed lookups were scanned (matched or not).
     pub fn total_scanned(&self) -> usize {
         self.quality.scanned
-    }
-
-    /// Fraction of scanned lookups that matched (O(1)).
-    pub fn match_rate(&self) -> f64 {
-        if self.quality.scanned == 0 {
-            0.0
-        } else {
-            self.quality.matched as f64 / self.quality.scanned as f64
-        }
     }
 
     /// Iterates `(server, matched lookups)` pairs in server order.
@@ -405,7 +390,6 @@ mod tests {
         let s2 = m.for_server(ServerId(2));
         assert_eq!(s2.len(), 2);
         assert!(s2[0].t < s2[1].t, "arrival order preserved");
-        assert!((m.match_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -422,7 +406,7 @@ mod tests {
     fn empty_stream() {
         let m = match_stream(&[], &matcher(), ExecPolicy::Sequential);
         assert_eq!(m.total_matched(), 0);
-        assert_eq!(m.match_rate(), 0.0);
+        assert_eq!(m.total_scanned(), 0);
         assert_eq!(m.servers().count(), 0);
     }
 
@@ -633,7 +617,7 @@ mod tests {
         assert_eq!(cursor.quality(), batch.quality());
         assert!(cursor.quality().is_degraded());
         // The cursor's whole state is one lookup per server.
-        assert_eq!(cursor.tracked_servers(), batch.servers().count());
+        assert_eq!(cursor.last.len(), batch.servers().count());
     }
 
     #[test]
@@ -662,8 +646,7 @@ mod tests {
             for l in stream[cut..].iter().filter(|l| m.matches(&l.domain)) {
                 resumed.note_matched(l);
             }
-            assert_eq!(resumed.quality(), whole.quality(), "cut {cut} diverged");
-            assert_eq!(resumed.tracked_servers(), whole.tracked_servers());
+            assert_eq!(resumed.to_state(), whole.to_state(), "cut {cut} diverged");
         }
     }
 

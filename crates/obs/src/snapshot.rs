@@ -90,8 +90,8 @@ impl MetricsSnapshot {
     }
 
     /// The counters covered by the determinism contract: everything except
-    /// the [`sched.`](crate::SCHED_PREFIX) scheduling metrics (task, steal
-    /// and panic counts — `sched.exec.panics` included), the
+    /// the [`sched.`](crate::SCHED_PREFIX) scheduling metrics (batch, task
+    /// and steal counts — `sched.exec.steals` included), the
     /// [`alloc.`](crate::ALLOC_PREFIX) allocation accounting the perf
     /// harness reports (allocator traffic varies with worker count and
     /// scheduling), and any wall-clock key (a `_ns` suffix,
@@ -128,7 +128,7 @@ mod tests {
                     value: 9,
                 },
                 CounterSnapshot {
-                    name: "sched.exec.panics".into(),
+                    name: "sched.exec.tasks".into(),
                     value: 1,
                 },
                 CounterSnapshot {

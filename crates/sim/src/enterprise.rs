@@ -53,6 +53,13 @@ impl Infection {
     }
 }
 
+/// Maximum per-lookup timestamp noise, in milliseconds, applied to the
+/// *observed* trace (network/logging latency in a real deployment): enough
+/// to knock fixed-interval lookups off their δi lattice once quantised to
+/// 1-second stamps — the effect §V-B blames for MT's collapse on the real
+/// traces.
+const JITTER_MS: u64 = 400;
+
 /// Specification of the synthetic enterprise network.
 #[derive(Debug, Clone)]
 pub struct EnterpriseSpec {
@@ -64,12 +71,6 @@ pub struct EnterpriseSpec {
     infections: Vec<Infection>,
     ttl: TtlPolicy,
     granularity: SimDuration,
-    /// Maximum per-lookup timestamp noise applied to the *observed* trace
-    /// (network/logging latency in a real deployment). Defaults to 400 ms,
-    /// enough to knock fixed-interval lookups off their δi lattice once
-    /// quantised to 1-second stamps — the effect §V-B blames for MT's
-    /// collapse on the real traces.
-    jitter: SimDuration,
     seed: u64,
 }
 
@@ -91,7 +92,6 @@ impl EnterpriseSpec {
             ],
             ttl: TtlPolicy::paper_default(),
             granularity: SimDuration::from_secs(1),
-            jitter: SimDuration::from_millis(400),
             seed,
         }
     }
@@ -110,7 +110,6 @@ impl EnterpriseSpec {
             ],
             ttl: TtlPolicy::paper_default(),
             granularity: SimDuration::from_secs(1),
-            jitter: SimDuration::from_millis(400),
             seed,
         }
     }
@@ -126,13 +125,6 @@ impl EnterpriseSpec {
     #[must_use]
     pub fn with_days(mut self, days: u64) -> Self {
         self.days = days;
-        self
-    }
-
-    /// Sets the observed-timestamp jitter bound (zero disables it).
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
         self
     }
 
@@ -191,7 +183,6 @@ impl EnterpriseSpec {
         let mut admitted: Vec<SlotObserved> = Vec::new();
         let mut observed: Vec<ObservedLookup> = Vec::new();
         let mut raw_count = 0usize;
-        let jitter_ms = self.jitter.as_millis();
 
         let mut consume = |d: u64, mut batch: DayBatch| {
             for (range, pool) in batch.bots {
@@ -238,10 +229,7 @@ impl EnterpriseSpec {
             // from the day's rng; the caches saw the true times.
             let rng = &mut batch.rng;
             observed.extend(admitted.drain(..).map(|o| {
-                let mut t = o.t;
-                if jitter_ms > 0 {
-                    t += SimDuration::from_millis(rng.gen_range(0..=jitter_ms));
-                }
+                let t = o.t + SimDuration::from_millis(rng.gen_range(0..=JITTER_MS));
                 ObservedLookup::new(
                     t.quantize(self.granularity),
                     LOCAL,
@@ -542,12 +530,9 @@ mod tests {
                 previous_last = Some(last.t);
             }
             raw_count += raws.len();
-            let jitter_ms = spec.jitter.as_millis();
             for raw in &raws {
                 if let Some(mut o) = topology.process(raw, authority).unwrap() {
-                    if jitter_ms > 0 {
-                        o.t += SimDuration::from_millis(day_rng.gen_range(0..=jitter_ms));
-                    }
+                    o.t += SimDuration::from_millis(day_rng.gen_range(0..=JITTER_MS));
                     o.t = o.t.quantize(spec.granularity);
                     observed.push(o);
                 }
@@ -600,10 +585,9 @@ mod tests {
     }
 
     #[test]
-    fn run_equals_the_per_lookup_walk_on_quick_specs_with_and_without_jitter() {
+    fn run_equals_the_per_lookup_walk_on_quick_specs() {
         for seed in [1, 7, 9, 11] {
             assert_matches_oracle(&EnterpriseSpec::quick(seed));
-            assert_matches_oracle(&EnterpriseSpec::quick(seed).with_jitter(SimDuration::ZERO));
         }
     }
 

@@ -84,14 +84,6 @@ impl Normal {
         }
         Ok(Normal { mu, sigma })
     }
-
-    /// Standard normal, `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal {
-            mu: 0.0,
-            sigma: 1.0,
-        }
-    }
 }
 
 impl SampleF64 for Normal {

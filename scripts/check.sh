@@ -36,8 +36,10 @@ echo "==> removed entry-point grep gate"
 # left behind (the shard-buffer recycler with its counters, the
 # topology's unattached metrics and cache reset, the fault path over
 # id-keyed records), six public functions only their own unit tests
-# called and the checkpoint's copy of the daemon's counters. No file may
-# mention the old names.
+# called and the checkpoint's copy of the daemon's counters, four library
+# capabilities no program used (per-job panic results, `MC`'s interval,
+# landscape merging, the seeded retry jitter) and eight public functions
+# only tests called. No file may mention the old names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -66,6 +68,9 @@ pattern+='|report_so_far|binomial_rows_cached|observed_in_epoch|StatsCheckpoint'
 pattern+='|impl FaultRecord for CompactObserved'
 # (whole words: `ln_stirling2` stays)
 pattern+='|\b(stirling2|domain_id)\b'
+pattern+='|\b(try_run_indexed_with|TaskPanic|estimate_with_interval|RetryPolicy'
+pattern+='|backoff_schedule|reference_chart|tracked_servers|match_rate|bar_chart|with_jitter)\b'
+pattern+='|Landscape::merge|Normal::standard|StaticAuthority::register|\.hydrate\('
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)

@@ -1,17 +1,19 @@
 //! End-to-end robustness: fault-injected scenarios must stay deterministic
 //! across execution policies and telemetry sources, the charting facade
 //! must degrade gracefully (loss-aware rescaling, quality flags, typed
-//! parameter errors), and a panicking task must not take its batch down
-//! with it.
+//! parameter errors), and a panicking job must resurface with its own
+//! payload and leave the worker pool usable.
 
 use botmeter::core::{BotMeter, BotMeterConfig, CellQuality, ChartRequest, Error, Landscape};
 use botmeter::dga::DgaFamily;
 use botmeter::dns::{SimDuration, SimInstant};
-use botmeter::exec::{try_run_indexed_with, ExecPolicy};
+use botmeter::exec::{run_indexed_with, ExecPolicy};
 use botmeter::faults::{FaultModel, FaultPlan};
 use botmeter::matcher::{match_stream, ExactMatcher};
 use botmeter::obs::Obs;
 use botmeter::sim::ScenarioSpec;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn force_parallel() {
     std::env::set_var("BOTMETER_THREADS", "4");
@@ -168,41 +170,35 @@ fn outage_degrades_but_never_corrupts_the_landscape() {
 }
 
 #[test]
-fn one_panicking_task_in_a_thousand_fails_alone_end_to_end() {
-    force_parallel();
-    let (obs, registry) = Obs::collecting();
-    // Silence the default panic hook for the intentionally panicking task.
+fn a_panicking_job_resurfaces_its_own_payload_and_the_pool_runs_on() {
+    // Silence the default panic hook for the intentionally panicking job.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let results = try_run_indexed_with(ExecPolicy::parallel(), &obs, 1000, |i| {
-        if i == 613 {
-            panic!("injected failure at {i}");
+    for workers in [1, 4] {
+        let policy = ExecPolicy::with_threads(workers);
+        let completed = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_indexed_with(policy, &Obs::noop(), 1000, |i| {
+                if i == 613 {
+                    panic!("injected failure at {i}");
+                }
+                completed.fetch_add(1, Ordering::Relaxed);
+                i * 2
+            })
+        }));
+        let payload = caught.expect_err("the job's panic must resurface");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("injected failure at 613"),
+            "{workers} workers: the job's own payload"
+        );
+        if workers > 1 {
+            // The other workers drained the batch before the panic resurfaced.
+            assert_eq!(completed.load(Ordering::Relaxed), 999);
         }
-        i * 2
-    });
-    std::panic::set_hook(hook);
-    assert_eq!(results.len(), 1000);
-    let failures: Vec<_> = results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_err())
-        .collect();
-    assert_eq!(failures.len(), 1, "exactly one structured per-item error");
-    assert_eq!(failures[0].0, 613);
-    let err = results[613].as_ref().unwrap_err();
-    assert_eq!(err.index, 613);
-    assert!(err.message.contains("injected failure at 613"));
-    for (i, r) in results.iter().enumerate() {
-        if i != 613 {
-            assert_eq!(*r.as_ref().expect("healthy task"), i * 2);
-        }
+        // The next batch on the same policy runs normally.
+        let again = run_indexed_with(policy, &Obs::noop(), 64, |i| i + 1);
+        assert_eq!(again, (1..=64).collect::<Vec<_>>(), "{workers} workers");
     }
-    assert_eq!(
-        registry.snapshot().counter("sched.exec.panics"),
-        Some(1),
-        "panic counter wired through obs"
-    );
-    // The pool is reusable: a follow-up batch on the same policy completes.
-    let again = try_run_indexed_with(ExecPolicy::parallel(), &obs, 64, |i| i + 1);
-    assert!(again.iter().all(|r| r.is_ok()));
+    std::panic::set_hook(hook);
 }
