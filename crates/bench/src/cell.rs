@@ -17,7 +17,7 @@ use std::time::Instant;
 /// The observed lookups of `population` bots of `family` over one epoch
 /// (seed 42, the seed every committed figure is quoted at) and the
 /// context to estimate them under.
-pub fn simulated_cell(
+pub(crate) fn simulated_cell(
     family: DgaFamily,
     population: u64,
 ) -> (Vec<ObservedLookup>, EstimationContext) {

@@ -25,7 +25,7 @@ const SERVER: ServerId = ServerId(1);
 /// the paper's statistical model for the barrel class (`MP` on `AU`, `MB`
 /// on `AR`) and this reproduction's extensions (`MC` on `AR`, `MS` on
 /// `AS`); `AP` gets `MT` alone.
-pub fn models_for(family: &DgaFamily) -> Vec<ModelKind> {
+pub(crate) fn models_for(family: &DgaFamily) -> Vec<ModelKind> {
     let mut models = vec![ModelKind::Timing];
     match family.barrel_class() {
         BarrelClass::Uniform => models.push(ModelKind::Poisson),
@@ -38,7 +38,7 @@ pub fn models_for(family: &DgaFamily) -> Vec<ModelKind> {
 
 /// The display name of the estimator `model` resolves to for `family`
 /// (`Auto` resolves per barrel class).
-pub fn model_name(family: &DgaFamily, model: ModelKind) -> &'static str {
+pub(crate) fn model_name(family: &DgaFamily, model: ModelKind) -> &'static str {
     BotMeter::new(BotMeterConfig::new(family.clone()).model(model))
         .resolve_model()
         .name()
@@ -99,7 +99,10 @@ impl TrialChart {
 
     /// Matches a simulated scenario over all its epochs, under its family,
     /// TTLs and timestamp granularity.
-    pub fn of_scenario(outcome: &ScenarioOutcome, window: Option<HashSet<DomainName>>) -> Self {
+    pub(crate) fn of_scenario(
+        outcome: &ScenarioOutcome,
+        window: Option<HashSet<DomainName>>,
+    ) -> Self {
         let config = BotMeterConfig::new(outcome.family().clone())
             .ttl(outcome.ttl())
             .granularity(outcome.granularity());
@@ -126,7 +129,7 @@ impl TrialChart {
     /// The estimate per epoch of an estimator no [`ModelKind`] names (the
     /// window-naive `MB` and the Gamma-prior `MP` of the ablations): one
     /// exact cell per epoch, estimated under the meter's context.
-    pub fn estimates_with(&self, estimator: &dyn Estimator) -> Vec<f64> {
+    pub(crate) fn estimates_with(&self, estimator: &dyn Estimator) -> Vec<f64> {
         let ctx = self.meter.estimation_context();
         let epoch_len = self.config.family().epoch_len();
         let lookups = self.matched.for_server(SERVER);

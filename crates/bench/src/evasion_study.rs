@@ -58,7 +58,7 @@ fn strategies() -> Vec<EvasionStrategy> {
 }
 
 /// Runs the full study over the `AU` and `AR` prototypes, `trials` trials
-/// per cell, each charting [`models_for`] the family.
+/// per cell, each charting `models_for` the family.
 pub fn run_study(trials: usize) -> Vec<EvasionRow> {
     let mut rows = Vec::new();
     for (fi, family) in [DgaFamily::murofet(), DgaFamily::new_goz()]

@@ -10,7 +10,7 @@
 //! * **(d)** activation-rate dynamics `σ ∈ {0.5, 1, 1.5, 2, 2.5}`;
 //! * **(e)** D3 missing rate `x ∈ {10, 20, 30, 40, 50}` %.
 //!
-//! Every panel charts the models of [`models_for`] through
+//! Every panel charts the models of `models_for` through
 //! [`BotMeter`](botmeter_core::BotMeter) — `MT` everywhere, `MP` on `AU`,
 //! `MB` on `AR`, exactly the paper's assignment (§V-A), plus this
 //! reproduction's `MC` and `MS` extensions.
@@ -124,7 +124,7 @@ impl SweepPoint {
     /// # Panics
     ///
     /// Panics if `errors` is empty.
-    pub fn from_errors(x: f64, series: &str, errors: &[f64]) -> Self {
+    pub(crate) fn from_errors(x: f64, series: &str, errors: &[f64]) -> Self {
         SweepPoint {
             x,
             series: series.to_owned(),
@@ -147,7 +147,7 @@ pub fn report() -> String {
 }
 
 /// Runs one subplot across all four prototype families.
-pub fn run_subplot(subplot: Subplot, trials: usize) -> Vec<Panel> {
+pub(crate) fn run_subplot(subplot: Subplot, trials: usize) -> Vec<Panel> {
     DgaFamily::table1_prototypes()
         .into_iter()
         .enumerate()
@@ -251,7 +251,7 @@ fn run_one_trial(
 }
 
 /// Renders the panels of one subplot as text tables.
-pub fn render_panels(panels: &[Panel]) -> String {
+pub(crate) fn render_panels(panels: &[Panel]) -> String {
     let mut out = String::new();
     for panel in panels {
         out.push_str(&format!(

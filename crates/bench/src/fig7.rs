@@ -78,7 +78,7 @@ pub struct Fig7Result {
 }
 
 /// Runs the enterprise experiment on an already-simulated outcome.
-pub fn evaluate(outcome: &EnterpriseOutcome) -> Fig7Result {
+pub(crate) fn evaluate(outcome: &EnterpriseOutcome) -> Fig7Result {
     let mut series = Vec::new();
     let mut table2 = Vec::new();
 
@@ -196,7 +196,7 @@ pub fn paper_scale_report() -> String {
 
 /// Renders the Fig. 7 daily series (active days only, like the paper's
 /// x-axis, which skips quiet days).
-pub fn render_series(result: &Fig7Result) -> String {
+pub(crate) fn render_series(result: &Fig7Result) -> String {
     let mut out = String::new();
     for fs in &result.series {
         out.push_str(&format!(
@@ -228,7 +228,7 @@ pub fn render_series(result: &Fig7Result) -> String {
 }
 
 /// Renders Table II, with the paper's reported values alongside.
-pub fn render_table2(result: &Fig7Result) -> String {
+pub(crate) fn render_table2(result: &Fig7Result) -> String {
     let mut table = TextTable::new(&[
         "DGA",
         "estimator",
@@ -264,7 +264,7 @@ fn paper_reference(family: &str, estimator: &str) -> &'static str {
 
 /// Per-estimator ARE distribution across all active days of all `AR` or
 /// `AU` families (diagnostic summary printed after Table II).
-pub fn overall_summary(result: &Fig7Result) -> Vec<(String, Summary)> {
+pub(crate) fn overall_summary(result: &Fig7Result) -> Vec<(String, Summary)> {
     use std::collections::BTreeMap;
     let mut errors: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for fs in &result.series {

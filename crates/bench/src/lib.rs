@@ -16,7 +16,7 @@
 //!
 //! Every accuracy number is charted by
 //! [`BotMeter::chart_with`](botmeter_core::BotMeter::chart_with) through
-//! [`chart`], over the models of [`chart::models_for`]. The library half
+//! [`chart`], over the models of `chart::models_for`. The library half
 //! also hosts the plain-text renderers ([`render`]) and the experiment
 //! definitions themselves, so unit tests run scaled-down versions of every
 //! experiment and `tests/results.rs` holds `results/` to what they print.
@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablation_accuracy;
 pub mod cell;

@@ -20,10 +20,8 @@ use std::collections::HashMap;
 /// consecutive positions from a random start, stopping early at an arc
 /// boundary (a registered C2 domain). The distinct NXDs observed during an
 /// epoch therefore form *segments* whose lengths and endpoints encode the
-/// bot count: `MB` extracts the segments
-/// ([`extract_segments`](crate::extract_segments)), applies Theorem 1 to
-/// each ([`expected_bots_for_segment`](crate::expected_bots_for_segment))
-/// and sums.
+/// bot count: `MB` extracts the segments, applies Theorem 1 to each
+/// ([`expected_bots_for_shape`](crate::expected_bots_for_shape)) and sums.
 ///
 /// Because it consumes only the *set* of queried NXDs, `MB` is immune to
 /// negative-cache masking, timestamp granularity and activation-rate
@@ -31,7 +29,7 @@ use std::collections::HashMap;
 /// the trade-off Fig. 6 reports.
 ///
 /// The per-segment posterior needs a prior start density `ρ = N/P` (see
-/// [`crate::expected_bots_for_segment`]); since `N` is what we are
+/// [`crate::expected_bots_for_shape`]); since `N` is what we are
 /// estimating, the estimator runs a fixpoint: start from the deterministic
 /// lower bound `Σ ⌈l/θq⌉`, estimate, feed the estimate back as the prior,
 /// repeat. The map is a contraction, and a secant-accelerated step
@@ -40,7 +38,7 @@ use std::collections::HashMap;
 /// final round re-probes the keys the previous one cached, so a converged
 /// cell costs only memo hits.
 ///
-/// See the faithfulness note on [`crate::expected_bots_for_segment`]: the
+/// See the faithfulness note in the Theorem-1 module docs: the
 /// printed Theorem 1 needed reconstruction, and
 /// [`CoverageEstimator`](crate::CoverageEstimator) serves as the
 /// independently-derived cross-check for this taxonomy cell.

@@ -6,7 +6,7 @@
 //! to prioritise remediation.
 
 use crate::bernoulli::BernoulliEstimator;
-use crate::config::{EpochPool, EstimationContext, PoolIndex, PoolTable};
+use crate::config::{EpochPool, EstimationContext, PoolTable};
 use crate::coverage::CoverageEstimator;
 use crate::estimator::{CellStats, Estimator, Lane};
 use crate::poisson::PoissonEstimator;
@@ -552,7 +552,7 @@ impl BotMeter {
         ChartMatcher {
             inner: ExactMatcher::from_pools(pools.iter().map(|pool| &pool.names[..])),
             window: self.detection_window.clone(),
-            pools,
+            _pools: pools,
         }
     }
 
@@ -641,7 +641,7 @@ impl BotMeter {
         // estimators below index.
         let matcher_here;
         let sliced;
-        let ((servers, cells), stream_quality) = match request.source() {
+        let ((servers, cells), quality) = match request.source() {
             TelemetrySource::Observed(observed) => {
                 matcher_here = self.matcher_under(epochs.clone(), policy);
                 matched_here = match_stream_recorded(observed, &matcher_here, policy, &self.obs);
@@ -670,7 +670,8 @@ impl BotMeter {
                         (server, CellStats::from_sketch(epoch, cell, &index, width))
                     })
                     .unzip();
-                (cells, request.attached_stream_quality().unwrap_or_default())
+                // A sketch keeps no timestamps: it carries no stream health.
+                (cells, StreamQuality::default())
             }
             // `TelemetrySource` is non-exhaustive for future frontends;
             // charting an unknown source would be silently wrong.
@@ -703,7 +704,7 @@ impl BotMeter {
                     stats.epoch(),
                     raw,
                     rate,
-                    &stream_quality,
+                    &quality,
                     false,
                     stats.error_bound(),
                 )
@@ -794,20 +795,25 @@ impl BotMeter {
 pub struct ChartMatcher {
     inner: ExactMatcher,
     window: Option<HashSet<botmeter_dns::DomainName>>,
-    pools: Vec<Arc<EpochPool>>,
-}
-
-impl ChartMatcher {
-    /// Whether `index` reads a pool this matcher was built from and keeps
-    /// alive — the same generation, not an equal copy.
-    pub fn shares_pool(&self, index: &PoolIndex) -> bool {
-        self.pools.iter().any(|pool| Arc::ptr_eq(pool, &index.pool))
-    }
+    /// Held, never read: while the matcher lives, the meter's contexts
+    /// index these generations instead of building their own.
+    _pools: Vec<Arc<EpochPool>>,
 }
 
 impl DomainMatcher for ChartMatcher {
     fn matches(&self, domain: &botmeter_dns::DomainName) -> bool {
         self.inner.matches(domain) && self.window.as_ref().is_none_or(|w| w.contains(domain))
+    }
+}
+
+#[cfg(test)]
+impl ChartMatcher {
+    /// Whether `index` reads a pool this matcher was built from and keeps
+    /// alive — the same generation, not an equal copy.
+    pub(crate) fn shares_pool(&self, index: &crate::PoolIndex) -> bool {
+        self._pools
+            .iter()
+            .any(|pool| Arc::ptr_eq(pool, &index.pool))
     }
 }
 
@@ -969,11 +975,7 @@ mod tests {
     /// rotate (Necurs), slide (Ranbyus) or mix (Pykspa) included.
     #[test]
     fn matcher_and_landscape_do_not_depend_on_the_pool_fill_policy() {
-        let export = |m: &ChartMatcher| {
-            let mut text = Vec::new();
-            m.inner.write_plain_list(&mut text).unwrap();
-            text
-        };
+        let export = |m: &ChartMatcher| m.inner.domains().iter().cloned().collect::<Vec<_>>();
         for family in [
             DgaFamily::new_goz(),
             DgaFamily::conficker_c(),
@@ -1006,7 +1008,7 @@ mod tests {
                 export(&ChartMatcher {
                     inner: ExactMatcher::from_family(outcome.family(), epochs.clone()),
                     window: None,
-                    pools: Vec::new(),
+                    _pools: Vec::new(),
                 }),
                 "{name}"
             );

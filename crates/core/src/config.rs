@@ -23,7 +23,7 @@ pub(crate) struct EpochPool {
 /// One epoch's query pool, indexed by position and by name, with the
 /// registered (valid) positions beside it: what a
 /// [`CellStats`](crate::CellStats) derives its positions, distinct and
-/// volume lanes against. Handed out by [`EstimationContext::pool_index`];
+/// volume lanes against. Handed out by `EstimationContext::pool_index`;
 /// the name → position map is built by the first
 /// [`position`](Self::position) call, so a chart whose model reads only
 /// lookups (`MP`, `MT`) never pays for it.
@@ -264,7 +264,7 @@ impl EstimationContext {
     /// context to every landscape cell shares one memo table across the
     /// whole chart, so a segment shape priced for one cell is a cache hit
     /// for every other cell, epoch and fixpoint round.
-    pub fn kernel_cache(&self) -> &SegmentKernelCache {
+    pub(crate) fn kernel_cache(&self) -> &SegmentKernelCache {
         &self.kernel
     }
 
@@ -276,13 +276,13 @@ impl EstimationContext {
     /// [`ChartMatcher`](crate::ChartMatcher) was built from is the pool
     /// indexed here, not a second generation. Callers racing for a missing
     /// epoch wait for one build; other epochs build concurrently.
-    pub fn pool_index(&self, epoch: u64) -> Arc<PoolIndex> {
+    pub(crate) fn pool_index(&self, epoch: u64) -> Arc<PoolIndex> {
         self.pools.index(&self.family, epoch)
     }
 
     /// Whether a domain is inside the detection window (always true when
     /// the window is perfect).
-    pub fn detectable(&self, domain: &DomainName) -> bool {
+    pub(crate) fn detectable(&self, domain: &DomainName) -> bool {
         self.detection_window
             .as_ref()
             .is_none_or(|w| w.contains(domain))

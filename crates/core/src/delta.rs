@@ -132,7 +132,7 @@ pub struct LandscapeDelta {
 
 impl LandscapeDelta {
     /// Every cell transition, ordered by (server, epoch).
-    pub fn changes(&self) -> &[CellChange] {
+    pub(crate) fn changes(&self) -> &[CellChange] {
         &self.changes
     }
 

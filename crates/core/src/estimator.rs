@@ -167,7 +167,7 @@ impl<'a> CellStats<'a> {
 
     /// The positions lane: the sorted distinct positions of the in-pool
     /// NXDs the cell saw. `None` for a summary that cannot fill it.
-    pub fn positions(&self, ctx: &EstimationContext) -> Option<Cow<'_, [usize]>> {
+    pub(crate) fn positions(&self, ctx: &EstimationContext) -> Option<Cow<'_, [usize]>> {
         match &self.lanes {
             Lanes::Exact(lookups) => {
                 let index = ctx.pool_index(self.epoch);

@@ -131,7 +131,7 @@ impl SegmentKernelCache {
     /// of each other share one memo entry. Non-finite or non-positive
     /// inputs pass through untouched for the kernel's own validation to
     /// reject.
-    pub fn snap_rho(&self, rho: f64) -> f64 {
+    pub(crate) fn snap_rho(&self, rho: f64) -> f64 {
         if !(rho.is_finite() && rho > 0.0) {
             return rho;
         }
@@ -173,7 +173,7 @@ impl SegmentKernelCache {
     /// shape's shared rows, bypassing the memo. Holds the shape's lock for
     /// the evaluation: concurrent calls on one shape run one after the
     /// other, in either order to the same bits.
-    pub fn compute(&self, key: &KernelKey, tables: &SharedStirling) -> (f64, KernelStats) {
+    pub(crate) fn compute(&self, key: &KernelKey, tables: &SharedStirling) -> (f64, KernelStats) {
         let shape = key.shape();
         let existing = self
             .shapes
@@ -196,7 +196,7 @@ impl SegmentKernelCache {
         rows.expected_bots(key.rho(), tables)
     }
 
-    /// Cached [`expected_bots_for_segment`](crate::expected_bots_for_segment):
+    /// Cached [`expected_bots_for_shape`](crate::expected_bots_for_shape):
     /// look the shape up, computing and caching on a miss.
     pub fn expected_bots(
         &self,

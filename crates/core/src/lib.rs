@@ -58,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bernoulli;
 mod botmeter;
@@ -89,5 +90,5 @@ pub use poisson::PoissonEstimator;
 pub use request::{ChartRequest, TelemetrySource};
 pub use sampling::SamplingEstimator;
 pub use segments::{extract_segments, Segment, SegmentKind};
-pub use theorem1::{expected_bots_for_segment, expected_bots_for_shape, KernelStats};
+pub use theorem1::{expected_bots_for_shape, KernelStats};
 pub use timing::TimingEstimator;

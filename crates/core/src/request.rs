@@ -15,7 +15,7 @@
 
 use botmeter_dns::ObservedLookup;
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{MatchedTraffic, StreamQuality};
+use botmeter_matcher::MatchedTraffic;
 use botmeter_sketch::SketchedTraffic;
 use std::ops::Range;
 
@@ -73,7 +73,6 @@ pub struct ChartRequest<'a> {
     source: TelemetrySource<'a>,
     epochs: Range<u64>,
     policy: ExecPolicy,
-    stream_quality: Option<StreamQuality>,
 }
 
 impl<'a> ChartRequest<'a> {
@@ -89,20 +88,17 @@ impl<'a> ChartRequest<'a> {
         Self::from_source(TelemetrySource::Matched(matched))
     }
 
-    /// A request charting sketch telemetry. Pair with
-    /// [`stream_quality`](Self::stream_quality) to carry the health
-    /// summary the sketching frontend tracked alongside the sketch.
+    /// A request charting sketch telemetry.
     pub fn from_sketch(sketch: &'a SketchedTraffic) -> Self {
         Self::from_source(TelemetrySource::Sketch(sketch))
     }
 
     /// A request over an explicit [`TelemetrySource`].
-    pub fn from_source(source: TelemetrySource<'a>) -> Self {
+    pub(crate) fn from_source(source: TelemetrySource<'a>) -> Self {
         ChartRequest {
             source,
             epochs: 0..1,
             policy: ExecPolicy::default(),
-            stream_quality: None,
         }
     }
 
@@ -118,17 +114,6 @@ impl<'a> ChartRequest<'a> {
     #[must_use]
     pub fn policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Attaches the stream-health summary tracked while the telemetry was
-    /// accumulated. Only consulted for [`TelemetrySource::Sketch`] (the
-    /// other sources carry or compute their own quality); a degraded
-    /// summary marks every charted cell `CellQuality::Degraded`, exactly
-    /// like exact-mode charting does.
-    #[must_use]
-    pub fn stream_quality(mut self, quality: StreamQuality) -> Self {
-        self.stream_quality = Some(quality);
         self
     }
 
@@ -152,13 +137,8 @@ impl<'a> ChartRequest<'a> {
     }
 
     /// The execution policy.
-    pub fn exec_policy(&self) -> ExecPolicy {
+    pub(crate) fn exec_policy(&self) -> ExecPolicy {
         self.policy
-    }
-
-    /// The attached stream-health summary, if any.
-    pub fn attached_stream_quality(&self) -> Option<StreamQuality> {
-        self.stream_quality
     }
 }
 
@@ -173,7 +153,6 @@ mod tests {
         assert_eq!(request.epoch_range(), 0..1);
         assert_eq!(request.exec_policy(), ExecPolicy::default());
         assert!(matches!(request.source(), TelemetrySource::Observed(o) if o.is_empty()));
-        assert_eq!(request.attached_stream_quality(), None);
     }
 
     #[test]
@@ -198,15 +177,8 @@ mod tests {
         let config = botmeter_sketch::SketchConfig::new(botmeter_dns::SimDuration::from_days(1))
             .expect("valid epoch length");
         let sketch = SketchedTraffic::new(config);
-        let quality = StreamQuality {
-            scanned: 10,
-            matched: 0,
-            out_of_order: 0,
-            duplicates: 0,
-        };
-        let request = ChartRequest::from_sketch(&sketch).stream_quality(quality);
+        let request = ChartRequest::from_sketch(&sketch);
         assert!(request.observed().is_empty());
         assert!(matches!(request.source(), TelemetrySource::Sketch(_)));
-        assert_eq!(request.attached_stream_quality(), Some(quality));
     }
 }

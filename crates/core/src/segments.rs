@@ -56,6 +56,7 @@ pub struct Segment {
 /// assert_eq!((segs[0].start, segs[0].len, segs[0].kind), (2, 2, SegmentKind::Boundary));
 /// assert_eq!((segs[1].start, segs[1].len, segs[1].kind), (6, 1, SegmentKind::Middle));
 /// ```
+#[doc(hidden)]
 pub fn extract_segments(
     nxd_positions: &[usize],
     valid_positions: &[usize],

@@ -37,7 +37,7 @@
 //! [`CoverageEstimator`](crate::CoverageEstimator) provides an
 //! independently-derived cross-check for the same taxonomy cell.
 
-use crate::segments::{Segment, SegmentKind};
+use crate::segments::SegmentKind;
 use botmeter_stats::{ln_binomial, ln_factorial, LogSumAcc, SharedStirling};
 
 /// Hard cap on the per-segment bot count considered by the posterior sum.
@@ -51,46 +51,6 @@ const TAIL_EPSILON: f64 = 1e-9;
 /// range changes the averaged expectation negligibly while bounding the
 /// per-segment cost (a fully-covered newGoZ arc has ~θq candidate spans).
 const MAX_SPAN_SAMPLES: usize = 48;
-
-/// Expected number of bots required to cover `segment` (Theorem 1).
-///
-/// `theta_q` is the family's barrel size; `start_density` is the prior
-/// expected number of bot starts per pool position (`ρ = N/P`), typically
-/// supplied by [`BernoulliEstimator`](crate::BernoulliEstimator)'s
-/// fixpoint loop. Returns at least `1.0` for any non-empty segment
-/// (someone must have produced it).
-///
-/// # Panics
-///
-/// Panics if `theta_q == 0`, the segment has zero length, or
-/// `start_density` is not finite and positive.
-///
-/// `tables` is the shared combinatorics cache (Stirling triangle +
-/// memoized `ln_binomial` rows): one filled cache serves every segment,
-/// cell and epoch of a chart, and sharing it is bit-identical to a private
-/// table because every cached value is a pure function of its indices.
-///
-/// # Example
-///
-/// ```
-/// use botmeter_core::{expected_bots_for_segment, Segment, SegmentKind};
-/// use botmeter_stats::SharedStirling;
-///
-/// let tables = SharedStirling::new();
-/// // An m-segment of exactly θq positions is one bot's work (up to the
-/// // tiny prior probability of a second bot on the same start).
-/// let seg = Segment { start: 0, len: 500, kind: SegmentKind::Middle };
-/// let e = expected_bots_for_segment(&seg, 500, 1e-3, &tables);
-/// assert!((e - 1.0).abs() < 1e-2);
-/// ```
-pub fn expected_bots_for_segment(
-    segment: &Segment,
-    theta_q: usize,
-    start_density: f64,
-    tables: &SharedStirling,
-) -> f64 {
-    expected_bots_for_shape(segment.kind, segment.len, theta_q, start_density, tables).0
-}
 
 /// Work done by one kernel evaluation that the observability layer wants
 /// to know about. Summed over a set of densities priced against one
@@ -122,14 +82,41 @@ impl KernelStats {
     }
 }
 
-/// [`expected_bots_for_segment`] on the segment's *shape* alone, on fresh
-/// tables: the reference the shared-table path of
-/// [`SegmentKernelCache`](crate::SegmentKernelCache) is bit-identical to.
+/// Expected number of bots required to cover a segment of shape
+/// `(kind, len)` (Theorem 1), with the [`KernelStats`] of the evaluation.
 ///
-/// The posterior depends only on `(kind, len, θq, ρ)` — never on the
-/// segment's start position. This is the cache's own evaluation on
-/// `ShapeTables` built for the call and dropped after it — one kernel, not
-/// two. Also returns the [`KernelStats`] of the evaluation.
+/// `theta_q` is the family's barrel size; `start_density` is the prior
+/// expected number of bot starts per pool position (`ρ = N/P`), typically
+/// supplied by [`BernoulliEstimator`](crate::BernoulliEstimator)'s
+/// fixpoint loop. Returns at least `1.0` for any non-empty segment
+/// (someone must have produced it). The posterior depends only on
+/// `(kind, len, θq, ρ)` — never on the segment's start position.
+///
+/// `tables` is the shared Stirling triangle: one filled cache serves every
+/// segment, cell and epoch of a chart, and sharing it is bit-identical to a
+/// private table because every cached value is a pure function of its
+/// indices. The kernel's own tables are built for the call and dropped
+/// after it: this is the reference the shared-table path of
+/// [`SegmentKernelCache`](crate::SegmentKernelCache) is bit-identical to —
+/// the cache's own evaluation, one kernel, not two.
+///
+/// # Panics
+///
+/// Panics if `theta_q == 0`, `len == 0`, or `start_density` is not finite
+/// and positive.
+///
+/// # Example
+///
+/// ```
+/// use botmeter_core::{expected_bots_for_shape, SegmentKind};
+/// use botmeter_stats::SharedStirling;
+///
+/// let tables = SharedStirling::new();
+/// // An m-segment of exactly θq positions is one bot's work (up to the
+/// // tiny prior probability of a second bot on the same start).
+/// let (e, _) = expected_bots_for_shape(SegmentKind::Middle, 500, 500, 1e-3, &tables);
+/// assert!((e - 1.0).abs() < 1e-2);
+/// ```
 pub fn expected_bots_for_shape(
     kind: SegmentKind,
     len: usize,
@@ -456,9 +443,21 @@ fn g_gap_probability(l_tilde: usize, m: usize, theta_q: usize) -> f64 {
     (positive - negative).clamp(0.0, 1.0)
 }
 
+/// [`expected_bots_for_shape`] of `segment`'s shape: the estimate alone.
+#[cfg(test)]
+pub(crate) fn expected_bots_for_segment(
+    segment: &crate::segments::Segment,
+    theta_q: usize,
+    start_density: f64,
+    tables: &SharedStirling,
+) -> f64 {
+    expected_bots_for_shape(segment.kind, segment.len, theta_q, start_density, tables).0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segments::Segment;
 
     const DENSITY: f64 = 1e-3; // sparse prior: ~N=10 on a 10k circle
 

@@ -56,13 +56,9 @@ fn meter(outcome: &ScenarioOutcome, model: ModelKind) -> BotMeter {
 
 fn sketch_chart(
     meter: &BotMeter,
-    (sketch, quality): &(SketchedTraffic, StreamQuality),
+    (sketch, _): &(SketchedTraffic, StreamQuality),
 ) -> Result<Landscape, Error> {
-    meter.try_chart_with(
-        &ChartRequest::from_sketch(sketch)
-            .stream_quality(*quality)
-            .epochs(EPOCHS),
-    )
+    meter.try_chart_with(&ChartRequest::from_sketch(sketch).epochs(EPOCHS))
 }
 
 fn exact_chart(meter: &BotMeter, outcome: &ScenarioOutcome) -> Landscape {

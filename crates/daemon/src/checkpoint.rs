@@ -110,7 +110,7 @@ pub struct EngineCheckpoint {
 
 impl SnapshotCheckpoint {
     /// Converts a published snapshot into its checkpoint form.
-    pub fn from_landscape(version: LandscapeVersion, landscape: &Landscape) -> Self {
+    pub(crate) fn from_landscape(version: LandscapeVersion, landscape: &Landscape) -> Self {
         SnapshotCheckpoint {
             version: version.0,
             entries: landscape
@@ -127,7 +127,7 @@ impl SnapshotCheckpoint {
     }
 
     /// Rebuilds the published snapshot, bit for bit.
-    pub fn to_landscape(&self) -> (LandscapeVersion, Landscape) {
+    pub(crate) fn to_landscape(&self) -> (LandscapeVersion, Landscape) {
         let entries: Vec<LandscapeEntry> = self
             .entries
             .iter()
@@ -213,6 +213,7 @@ pub fn encode_checkpoint(state: &EngineCheckpoint) -> Result<Vec<u8>, String> {
 }
 
 /// Validates the envelope and deserializes the body.
+#[doc(hidden)]
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
     let newline =
         bytes
@@ -278,7 +279,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, CheckpointErr
 /// How many checkpoint generations [`CheckpointManager`] retains.
 pub const RETAINED_CHECKPOINTS: usize = 2;
 
-/// What [`CheckpointManager::load_latest`] found: the newest readable
+/// What `CheckpointManager::load_latest` found: the newest readable
 /// checkpoint (if any generation is readable) plus every corrupt
 /// generation skipped on the way, as `(wal_seq, why)` pairs.
 pub type LoadedCheckpoint = (Option<EngineCheckpoint>, Vec<(u64, CheckpointError)>);
@@ -296,15 +297,19 @@ impl CheckpointManager {
         format!("checkpoint.{seq:020}.bmck")
     }
 
-    /// Parses a checkpoint file name back into its watermark.
+    /// Parses a checkpoint file name back into its watermark. Only the
+    /// name [`file_name`](Self::file_name) writes parses: every later read
+    /// and remove uses that name, so any other spelling of a number
+    /// (`checkpoint.1.bmck`) is a foreign file.
+    #[doc(hidden)]
     pub fn parse_name(name: &str) -> Option<u64> {
         let rest = name.strip_prefix("checkpoint.")?;
-        let digits = rest.strip_suffix(".bmck")?;
-        digits.parse().ok()
+        let seq = rest.strip_suffix(".bmck")?.parse().ok()?;
+        (Self::file_name(seq) == name).then_some(seq)
     }
 
     /// All checkpoint watermarks currently stored, ascending.
-    pub fn stored_seqs<S: Storage>(storage: &mut S) -> io::Result<Vec<u64>> {
+    pub(crate) fn stored_seqs<S: Storage>(storage: &mut S) -> io::Result<Vec<u64>> {
         let mut seqs: Vec<u64> = storage
             .list()?
             .iter()
@@ -317,7 +322,7 @@ impl CheckpointManager {
     /// Atomically writes the checkpoint for `state.wal_seq`, then retires
     /// generations beyond [`RETAINED_CHECKPOINTS`]. Returns the watermark
     /// of the *oldest retained* checkpoint — what the journal may retire
-    /// up to ([`Wal::retire`](crate::Wal::retire)).
+    /// up to (`Wal::retire`).
     pub fn save<S: Storage>(storage: &mut S, state: &EngineCheckpoint) -> io::Result<u64> {
         let bytes = encode_checkpoint(state).map_err(io::Error::other)?;
         Self::save_encoded(storage, state.wal_seq, &bytes)
@@ -343,7 +348,7 @@ impl CheckpointManager {
     /// Loads the newest readable checkpoint, walking backwards over
     /// damaged generations. Returns the state plus how many corrupt
     /// checkpoints were skipped; `None` if no generation is readable.
-    pub fn load_latest<S: Storage>(storage: &mut S) -> io::Result<LoadedCheckpoint> {
+    pub(crate) fn load_latest<S: Storage>(storage: &mut S) -> io::Result<LoadedCheckpoint> {
         let mut skipped = Vec::new();
         for seq in Self::stored_seqs(storage)?.into_iter().rev() {
             let bytes = storage.read(&Self::file_name(seq))?;
@@ -482,5 +487,23 @@ mod tests {
         assert!(CheckpointManager::file_name(99) < CheckpointManager::file_name(100));
         assert_eq!(CheckpointManager::parse_name("wal.log"), None);
         assert_eq!(CheckpointManager::parse_name("checkpoint.x.bmck"), None);
+        assert_eq!(CheckpointManager::parse_name("checkpoint.1.bmck"), None);
+    }
+
+    #[test]
+    fn checkpoint_names_the_manager_never_wrote_are_ignored() {
+        // The only real checkpoint is damaged, so loading walks back past
+        // it; the strays parse as 1 and 3 but were never written under
+        // `file_name(1)` / `file_name(3)`.
+        let mut storage = MemStorage::new();
+        CheckpointManager::save(&mut storage, &state(7)).unwrap();
+        storage.get_mut(&CheckpointManager::file_name(7)).unwrap()[0] ^= 0xFF;
+        for stray in ["checkpoint.1.bmck", "checkpoint.+3.bmck"] {
+            storage.write_atomic(stray, b"not a checkpoint").unwrap();
+        }
+        assert_eq!(CheckpointManager::stored_seqs(&mut storage).unwrap(), [7]);
+        let (loaded, skipped) = CheckpointManager::load_latest(&mut storage).unwrap();
+        assert!(loaded.is_none());
+        assert_eq!(skipped.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(), [7]);
     }
 }

@@ -470,7 +470,7 @@ impl<S: Storage> DurableDaemon<S> {
     /// budget; the failure is also counted in
     /// [`DurabilityStats::failed_checkpoints`] so callers on the ingest
     /// path can ignore it safely.
-    pub fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
+    pub(crate) fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
         let start = self.obs.clock();
         let state = self.engine.checkpoint_state(self.seq);
         let encoded = encode_checkpoint(&state).map_err(io::Error::other);
@@ -573,6 +573,7 @@ impl<S: Storage> DurableDaemon<S> {
 
     /// Mutable access to the underlying storage (chaos tests corrupt
     /// checkpoints through this).
+    #[doc(hidden)]
     pub fn storage_mut(&mut self) -> &mut S {
         self.wal.storage_mut()
     }

@@ -120,7 +120,7 @@ impl DaemonOptions {
     }
 
     /// The attached observability handle (a noop handle by default).
-    pub fn observability(&self) -> Obs {
+    pub(crate) fn observability(&self) -> Obs {
         self.obs.clone()
     }
 }
@@ -427,7 +427,7 @@ impl BotMeterDaemon {
 
     /// The epoch of the latest matched timestamp seen so far (`None`
     /// before any match).
-    pub fn head_epoch(&self) -> Option<u64> {
+    pub(crate) fn head_epoch(&self) -> Option<u64> {
         self.head.map(|t| t.epoch_day(self.epoch_len))
     }
 
@@ -453,7 +453,7 @@ impl BotMeterDaemon {
     /// engine would silently skew the landscape. The [`ExecPolicy`] is
     /// deliberately excluded: results are policy-independent, so a daemon
     /// may restart with a different worker count.
-    pub fn config_fingerprint(&self) -> String {
+    pub(crate) fn config_fingerprint(&self) -> String {
         format!(
             "family={};model={};epochs={}..{};close_lag={};rate={};retention={}",
             self.meter.config().family().name(),
@@ -520,7 +520,7 @@ impl BotMeterDaemon {
     /// [`config_fingerprint`](Self::config_fingerprint); and
     /// [`StoreError`](crate::StoreError) when the checkpointed snapshot
     /// sequence is internally inconsistent.
-    pub fn from_checkpoint(
+    pub(crate) fn from_checkpoint(
         meter: BotMeter,
         options: DaemonOptions,
         state: &EngineCheckpoint,
@@ -660,8 +660,9 @@ mod tests {
     #[test]
     fn publishes_share_one_pool_index_and_count_matches_per_shard() {
         // A Bernoulli daemon: every publish plans its dirty cell against
-        // the epoch's indexed pool, which the long-lived context builds
-        // once — and every snapshot still equals the cold batch chart.
+        // the epoch's pool, which the long-lived context and matcher
+        // generate once — and every snapshot still equals the cold batch
+        // chart.
         let out = ScenarioSpec::builder(DgaFamily::new_goz())
             .population(12)
             .seed(5)
@@ -669,7 +670,7 @@ mod tests {
             .expect("valid scenario")
             .run(ExecPolicy::default());
         let (obs, registry) = Obs::collecting();
-        let meter = BotMeter::new(BotMeterConfig::new(out.family().clone()));
+        let meter = BotMeter::new(BotMeterConfig::new(out.family().clone())).with_obs(obs.clone());
         let mut daemon = BotMeterDaemon::new(
             meter,
             DaemonOptions::new(0..1)
@@ -680,16 +681,16 @@ mod tests {
         let half = out.observed().len() / 2;
         daemon.ingest(&out.observed()[..half]);
         daemon.publish_now();
-        let index = daemon.ctx.pool_index(0);
         assert_eq!(
             daemon.latest().expect("published").1,
             &batch_chart(&daemon, &out.observed()[..half])
         );
         daemon.ingest(&out.observed()[half..]);
         daemon.publish_now();
-        assert!(
-            std::sync::Arc::ptr_eq(&index, &daemon.ctx.pool_index(0)),
-            "the second publish reused the first one's index"
+        assert_eq!(
+            registry.snapshot().counter("chart.pools_built"),
+            Some(1),
+            "the second publish reused the first one's pool"
         );
         assert_eq!(
             daemon.latest().expect("published").1,
@@ -706,14 +707,10 @@ mod tests {
     fn context_indexes_the_pools_the_matcher_was_built_from() {
         let (obs, registry) = Obs::collecting();
         let meter = BotMeter::new(BotMeterConfig::new(DgaFamily::new_goz())).with_obs(obs);
-        let daemon = BotMeterDaemon::new(meter, DaemonOptions::new(2..9)).expect("valid options");
-        for epoch in 2..9 {
-            assert!(
-                daemon.matcher.shares_pool(&daemon.ctx.pool_index(epoch)),
-                "epoch {epoch}"
-            );
-        }
-        // One generation per configured epoch, however often indexed.
+        let _daemon = BotMeterDaemon::new(meter, DaemonOptions::new(2..9)).expect("valid options");
+        // One generation per configured epoch: the context indexes the
+        // matcher's pools (core's `a_meters_matcher_and_contexts_share_one_pool_per_epoch`
+        // holds the sharing by identity).
         assert_eq!(registry.snapshot().counter("chart.pools_built"), Some(7));
     }
 

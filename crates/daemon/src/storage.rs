@@ -276,21 +276,25 @@ impl<S: Storage> FailingStorage<S> {
 
     /// Schedules the next `n` appends to fail (use `u64::MAX` for "the
     /// journal is gone").
+    #[doc(hidden)]
     pub fn fail_next_appends(&mut self, n: u64) {
         self.fail_appends = n;
     }
 
     /// Schedules the next `n` atomic writes to fail.
+    #[doc(hidden)]
     pub fn fail_next_writes(&mut self, n: u64) {
         self.fail_writes = n;
     }
 
     /// Schedules the next `n` reads to fail.
+    #[doc(hidden)]
     pub fn fail_next_reads(&mut self, n: u64) {
         self.fail_reads = n;
     }
 
     /// Schedules the next `n` renames to fail.
+    #[doc(hidden)]
     pub fn fail_next_renames(&mut self, n: u64) {
         self.fail_renames = n;
     }
@@ -298,16 +302,19 @@ impl<S: Storage> FailingStorage<S> {
     /// Schedules the next `n` appends to tear: each writes the first half
     /// of its bytes to the inner storage, then fails. Counted before
     /// [`fail_next_appends`](Self::fail_next_appends)' budget.
+    #[doc(hidden)]
     pub fn tear_next_appends(&mut self, n: u64) {
         self.tear_appends = n;
     }
 
     /// Faults injected so far.
+    #[doc(hidden)]
     pub fn injected(&self) -> u64 {
         self.injected
     }
 
     /// The wrapped storage.
+    #[doc(hidden)]
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
     }

@@ -111,7 +111,7 @@ impl LandscapeStore {
     /// [`StoreError::NonContiguous`] when versions skip or repeat, and
     /// [`StoreError::UnknownVersion`] when the sequence ends beyond
     /// `newest` (a snapshot claims a version that was never assigned).
-    pub fn restore(
+    pub(crate) fn restore(
         retention: usize,
         newest: LandscapeVersion,
         snapshots: Vec<(LandscapeVersion, Landscape)>,
@@ -169,7 +169,7 @@ impl LandscapeStore {
 
     /// The snapshot published as `version`, with a typed reason when it
     /// cannot be served: never published vs. published-then-evicted.
-    pub fn try_at(&self, version: LandscapeVersion) -> Result<&Landscape, StoreError> {
+    pub(crate) fn try_at(&self, version: LandscapeVersion) -> Result<&Landscape, StoreError> {
         if version > self.newest || version == LandscapeVersion::ZERO {
             return Err(StoreError::UnknownVersion {
                 version,
@@ -213,13 +213,13 @@ impl LandscapeStore {
     }
 
     /// Versions currently retained, oldest first.
-    pub fn versions(&self) -> Vec<LandscapeVersion> {
+    pub(crate) fn versions(&self) -> Vec<LandscapeVersion> {
         self.snapshots.iter().map(|(v, _)| *v).collect()
     }
 
     /// The newest version ever assigned ([`LandscapeVersion::ZERO`]
     /// before the first publish).
-    pub fn newest_version(&self) -> LandscapeVersion {
+    pub(crate) fn newest_version(&self) -> LandscapeVersion {
         self.newest
     }
 

@@ -32,9 +32,9 @@
 //! The journal is zero or more *sealed* segments `wal.<seq:020>.log` and
 //! the *active* segment `wal.log`, each one such file. Appends go to the
 //! active segment. After a checkpoint at watermark `S` is on storage,
-//! [`Wal::seal`] renames `wal.log` to `wal.<S>.log` — every frame it holds
+//! `Wal::seal` renames `wal.log` to `wal.<S>.log` — every frame it holds
 //! is at or below `S` — and starts a fresh `wal.log` based at `S`; then
-//! [`Wal::retire`] deletes every sealed segment at or below the *oldest*
+//! `Wal::retire` deletes every sealed segment at or below the *oldest*
 //! retained checkpoint, whose frames each retained generation covers. A
 //! checkpoint therefore renames one file and deletes whole ones: no frame
 //! is read back, re-checked or written twice. [`Wal::load`] reads the
@@ -68,14 +68,19 @@ pub const WAL_FILE: &str = "wal.log";
 /// The file name of the segment sealed at checkpoint watermark `seq`:
 /// `wal.<seq, 20 digits zero-padded>.log`, so the storage's sorted listing
 /// is also chain order.
+#[doc(hidden)]
 pub fn segment_name(seq: u64) -> String {
     format!("wal.{seq:020}.log")
 }
 
-/// Parses a sealed segment's file name back into its watermark.
+/// Parses a sealed segment's file name back into its watermark. Only the
+/// name [`segment_name`] writes parses: every later read and remove uses
+/// that name, so any other spelling of a number (`wal.5.log`,
+/// `wal.+5.log`) is a foreign file.
 fn parse_segment_name(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("wal.")?.strip_suffix(".log")?;
-    digits.parse().ok()
+    let seq = digits.parse().ok()?;
+    (segment_name(seq) == name).then_some(seq)
 }
 
 const MAGIC: &[u8; 8] = b"BMWAL001";
@@ -127,6 +132,7 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 /// CRC-32 (IEEE) over `bytes` — the checksum every journal frame and the
 /// checkpoint envelope carry. Slicing-by-8: eight bytes a step, then the
 /// tail a byte at a time.
+#[doc(hidden)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
@@ -235,6 +241,7 @@ impl std::error::Error for WalCodecError {}
 
 /// Encodes the journal file header for a journal whose retained frames
 /// start strictly after `base_seq`.
+#[doc(hidden)]
 pub fn encode_header(base_seq: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(MAGIC);
@@ -561,7 +568,7 @@ impl<S: Storage> Wal<S> {
     /// Sealing a watermark that is already sealed — a retry after the
     /// rename landed, or a second checkpoint with no shard between — only
     /// writes the fresh header: no frame above `seq` can exist yet.
-    pub fn seal(&mut self, seq: u64) -> io::Result<()> {
+    pub(crate) fn seal(&mut self, seq: u64) -> io::Result<()> {
         let sealed = segment_name(seq);
         if !self.storage.exists(&sealed)? {
             if self.mend {
@@ -580,7 +587,7 @@ impl<S: Storage> Wal<S> {
     /// frames is covered by every retained generation. The segments above
     /// it stay, so a corrupt newest checkpoint can still fall back one
     /// generation and replay.
-    pub fn retire(&mut self, oldest_retained: u64) -> io::Result<()> {
+    pub(crate) fn retire(&mut self, oldest_retained: u64) -> io::Result<()> {
         for seq in self.sealed()? {
             if seq <= oldest_retained {
                 self.storage.remove(&segment_name(seq))?;
@@ -627,7 +634,7 @@ impl<S: Storage> Wal<S> {
     /// [`load`](Self::load), then, if the active segment has a torn tail,
     /// truncates it back to the longest valid prefix so future appends
     /// start on a frame boundary. Returns the decoded contents.
-    pub fn load_and_repair(&mut self) -> io::Result<Result<WalContents, WalCodecError>> {
+    pub(crate) fn load_and_repair(&mut self) -> io::Result<Result<WalContents, WalCodecError>> {
         let contents = match self.load()? {
             Ok(c) => c,
             Err(e) => return Ok(Err(e)),
@@ -639,7 +646,7 @@ impl<S: Storage> Wal<S> {
     }
 
     /// The wrapped storage (checkpoints share it).
-    pub fn storage_mut(&mut self) -> &mut S {
+    pub(crate) fn storage_mut(&mut self) -> &mut S {
         &mut self.storage
     }
 }
@@ -900,6 +907,24 @@ mod tests {
         assert_eq!(names(&mut wal), [segment_name(4), WAL_FILE.to_owned()]);
         let contents = wal.load().unwrap().unwrap();
         assert_eq!((contents.base_seq, seqs(&contents)), (2, vec![3, 4, 5]));
+    }
+
+    #[test]
+    fn segment_names_the_journal_never_wrote_are_ignored() {
+        // Both parse as 5 but neither is `segment_name(5)`, the name every
+        // read and remove uses: foreign files, like any other.
+        let mut wal = Wal::create(MemStorage::new()).unwrap();
+        wal.append(1, b"one").unwrap();
+        wal.seal(1).unwrap();
+        wal.append(2, b"two").unwrap();
+        for stray in ["wal.5.log", "wal.+5.log"] {
+            let storage = wal.storage_mut();
+            storage.write_atomic(stray, b"not a segment").unwrap();
+        }
+        let contents = wal.load().unwrap().unwrap();
+        assert_eq!(seqs(&contents), vec![1, 2]);
+        wal.retire(1).unwrap();
+        assert!(wal.storage_mut().exists("wal.5.log").unwrap());
     }
 
     #[test]

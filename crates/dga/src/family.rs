@@ -75,17 +75,6 @@ impl DgaFamily {
         }
     }
 
-    /// The concrete pool model.
-    pub fn pool_model(&self) -> &PoolModel {
-        &self.pool_model
-    }
-
-    /// The deterministic generator producing this family's domains
-    /// (exposes the lexical profile the pattern matcher compiles against).
-    pub fn generator(&self) -> &DomainGenerator {
-        &self.generator
-    }
-
     /// Which barrel-model axis cell this family occupies.
     pub fn barrel_class(&self) -> BarrelClass {
         self.barrel_class
@@ -124,7 +113,7 @@ impl DgaFamily {
 
     /// The actual pool length at `epoch` (differs from the steady-state
     /// length only for early sliding-window epochs).
-    pub fn pool_for_epoch_len(&self, epoch: u64) -> usize {
+    pub(crate) fn pool_for_epoch_len(&self, epoch: u64) -> usize {
         match &self.pool_model {
             PoolModel::SlidingWindow {
                 back,
@@ -393,7 +382,7 @@ impl DgaFamily {
     /// θ∅ = 126, θ∃ = 2, θq = 128, δi = 1 s, uniform barrel. Unlike the
     /// gibberish families, its daily pools can re-use word pairs across
     /// epochs — exactly the behaviour real dictionary DGAs exhibit.
-    pub fn suppobox() -> DgaFamily {
+    pub(crate) fn suppobox() -> DgaFamily {
         const WORDS: &[&str] = &[
             "ability", "account", "action", "amount", "animal", "answer", "article", "autumn",
             "balance", "banner", "basket", "battle", "beauty", "belief", "bottle", "branch",
@@ -536,7 +525,7 @@ pub struct DgaFamilyBuilder {
 
 impl DgaFamilyBuilder {
     /// Sets the pool model (default: daily drain-and-replenish).
-    pub fn pool(mut self, model: PoolModel) -> Self {
+    pub(crate) fn pool(mut self, model: PoolModel) -> Self {
         self.pool_model = model;
         self
     }
@@ -548,13 +537,13 @@ impl DgaFamilyBuilder {
     }
 
     /// Sets the label charset (default: alphanumeric).
-    pub fn charset(mut self, charset: Charset) -> Self {
+    pub(crate) fn charset(mut self, charset: Charset) -> Self {
         self.charset = charset;
         self
     }
 
     /// Sets the generated label length range (default: 12–18).
-    pub fn label_len(mut self, min: usize, max: usize) -> Self {
+    pub(crate) fn label_len(mut self, min: usize, max: usize) -> Self {
         self.len_range = (min, max);
         self
     }
@@ -712,6 +701,14 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
     use std::collections::HashSet;
+
+    /// The first label of a validated name (the DGA-generated part).
+    fn first_label(d: &DomainName) -> &str {
+        d.as_str()
+            .split('.')
+            .next()
+            .expect("validated: has a label")
+    }
 
     #[test]
     fn table1_parameters_match_paper() {
@@ -925,7 +922,7 @@ mod tests {
         assert_eq!(distinct.len(), 128, "in-epoch duplicates");
         assert!(pool
             .iter()
-            .all(|d| d.first_label().chars().all(|c| c.is_ascii_lowercase())));
+            .all(|d| first_label(d).chars().all(|c| c.is_ascii_lowercase())));
     }
 
     #[test]

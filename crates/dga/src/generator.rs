@@ -10,8 +10,6 @@
 //! [`DomainGenerator::batch`] writes them straight into one
 //! [`DomainBatch`] text buffer — validated in place like any parsed name —
 //! instead of building a `String` and an `Arc` per name.
-//! [`DomainGenerator::domain`] is the same label routine run for a batch of
-//! one.
 
 use botmeter_dns::{DomainBatch, DomainName, FxBuildHasher, FxHashMap};
 use botmeter_stats::mix64;
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// The character alphabet a generator draws labels from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Charset {
+pub(crate) enum Charset {
     /// Lower-case letters only (e.g. Conficker-style names).
     Alpha,
     /// Lower-case letters and digits (e.g. newGoZ-style names).
@@ -44,7 +42,7 @@ impl Charset {
 
 /// How a generator builds the pseudo-random first label.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NameStyle {
+pub(crate) enum NameStyle {
     /// Random characters from a [`Charset`], with a length range
     /// (Conficker/newGoZ-style gibberish).
     Chars {
@@ -67,23 +65,11 @@ pub enum NameStyle {
 
 /// A deterministic domain-name generator for one DGA family.
 ///
-/// `domain(stream, index)` is a pure function: the same triple of
+/// The `index`-th name of a stream is a pure function: the same triple of
 /// `(generator seed, stream, index)` always yields the same name, and the
 /// label length varies deterministically within `[min_len, max_len]`.
-///
-/// # Example
-///
-/// ```
-/// use botmeter_dga::{Charset, DomainGenerator};
-/// let g = DomainGenerator::new("newgoz", 42, 12, 20, Charset::AlphaNumeric, "net");
-/// let a = g.domain(0, 7);
-/// let b = g.domain(0, 7);
-/// assert_eq!(a, b); // deterministic
-/// assert!(a.as_str().ends_with(".net"));
-/// assert_ne!(a, g.domain(1, 7)); // different stream → different name
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DomainGenerator {
+pub(crate) struct DomainGenerator {
     label: String,
     seed: u64,
     style: NameStyle,
@@ -97,7 +83,7 @@ impl DomainGenerator {
     ///
     /// Panics if `min_len` is zero, `min_len > max_len`, or `tld` is not a
     /// plausible TLD label (1–16 lower-case letters).
-    pub fn new(
+    pub(crate) fn new(
         label: &str,
         seed: u64,
         min_len: usize,
@@ -129,7 +115,7 @@ impl DomainGenerator {
     ///
     /// Panics if `words` is empty, any word is not 1–20 lower-case ASCII
     /// letters, `words_per_name` is zero, or the TLD is implausible.
-    pub fn dictionary(
+    pub(crate) fn dictionary(
         label: &str,
         seed: u64,
         words: &[&str],
@@ -159,24 +145,8 @@ impl DomainGenerator {
         }
     }
 
-    /// The family label this generator was built for.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Shortest first-label length this generator produces.
-    pub fn min_len(&self) -> usize {
-        match &self.style {
-            NameStyle::Chars { min_len, .. } => *min_len,
-            NameStyle::Dictionary {
-                words,
-                words_per_name,
-            } => words_per_name * words.iter().map(String::len).min().expect("non-empty"),
-        }
-    }
-
     /// Longest first-label length this generator produces.
-    pub fn max_len(&self) -> usize {
+    pub(crate) fn max_len(&self) -> usize {
         match &self.style {
             NameStyle::Chars { max_len, .. } => *max_len,
             NameStyle::Dictionary {
@@ -186,28 +156,9 @@ impl DomainGenerator {
         }
     }
 
-    /// The alphabet labels are drawn from (dictionary names are pure
-    /// letters).
-    pub fn charset(&self) -> Charset {
-        match &self.style {
-            NameStyle::Chars { charset, .. } => *charset,
-            NameStyle::Dictionary { .. } => Charset::Alpha,
-        }
-    }
-
-    /// The label-construction style.
-    pub fn style(&self) -> &NameStyle {
-        &self.style
-    }
-
-    /// The TLD every generated domain ends with.
-    pub fn tld(&self) -> &str {
-        &self.tld
-    }
-
     /// Appends the text of the `index`-th name of stream `stream` to
-    /// `out`'s open name — the one label routine behind both
-    /// [`domain`](Self::domain) and [`batch`](Self::batch).
+    /// `out`'s open name — the label routine behind
+    /// [`batch`](Self::batch).
     fn write_name(&self, stream: u64, index: u64, out: &mut DomainBatch) {
         let mut state = mix64(self.seed ^ mix64(stream.wrapping_add(0x5bd1_e995)));
         state = mix64(state ^ mix64(index.wrapping_add(0x1000_0193)));
@@ -249,17 +200,6 @@ impl DomainGenerator {
         self.max_len() + 1 + self.tld.len()
     }
 
-    /// Generates the `index`-th domain of stream `stream` (a stream is
-    /// typically an epoch or a sliding-window batch) — a batch of one, so
-    /// the name owns exactly its own text.
-    pub fn domain(&self, stream: u64, index: u64) -> DomainName {
-        let mut one = DomainBatch::with_capacity(1, self.max_name_len());
-        self.write_name(stream, index, &mut one);
-        one.commit()
-            .expect("generated names are valid by construction");
-        one.finish().pop().expect("one committed name")
-    }
-
     /// Generates a batch of `count` *distinct* domains for one stream, all
     /// over one shared text buffer (see [`DomainBatch`]): names are written
     /// straight into it, so a pool costs a handful of allocations, not
@@ -274,7 +214,7 @@ impl DomainGenerator {
     ///
     /// Panics if the style cannot produce `count` distinct names (a
     /// dictionary with fewer combinations than the pool needs).
-    pub fn batch(&self, stream: u64, count: usize) -> Vec<DomainName> {
+    pub(crate) fn batch(&self, stream: u64, count: usize) -> Vec<DomainName> {
         let mut out = DomainBatch::with_capacity(count, count * self.max_name_len());
         // Dedupe on fingerprint → first index carrying it; a fingerprint
         // hit is confirmed on the text, so a collision between distinct
@@ -309,9 +249,32 @@ impl DomainGenerator {
 }
 
 #[cfg(test)]
+impl DomainGenerator {
+    /// Generates the `index`-th domain of stream `stream` (a stream is
+    /// typically an epoch or a sliding-window batch) — a batch of one, so
+    /// the name owns exactly its own text.
+    pub(crate) fn domain(&self, stream: u64, index: u64) -> DomainName {
+        let mut one = DomainBatch::with_capacity(1, self.max_name_len());
+        self.write_name(stream, index, &mut one);
+        one.commit()
+            .expect("generated names are valid by construction");
+        one.finish().pop().expect("one committed name")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The first label of a validated name (the DGA-generated part).
+    fn first_label(d: &DomainName) -> &str {
+        d.as_str()
+            .split('.')
+            .next()
+            .expect("validated: has a label")
+    }
 
     fn gen() -> DomainGenerator {
         DomainGenerator::new("test", 7, 10, 16, Charset::AlphaNumeric, "example")
@@ -347,7 +310,7 @@ mod tests {
         let mut lens = HashSet::new();
         for i in 0..500 {
             let d = g.domain(0, i);
-            let first = d.first_label();
+            let first = first_label(&d);
             assert!(first.len() >= 10 && first.len() <= 16, "{d}");
             assert_eq!(d.tld(), "example");
             lens.insert(first.len());
@@ -361,7 +324,7 @@ mod tests {
         for i in 0..200 {
             let d = g.domain(0, i);
             assert!(
-                d.first_label().chars().all(|c| c.is_ascii_lowercase()),
+                first_label(&d).chars().all(|c| c.is_ascii_lowercase()),
                 "{d}"
             );
         }
@@ -372,7 +335,7 @@ mod tests {
         let g = DomainGenerator::new("an", 1, 12, 12, Charset::AlphaNumeric, "com");
         let has_digit = (0..200)
             .map(|i| g.domain(0, i))
-            .any(|d| d.first_label().chars().any(|c| c.is_ascii_digit()));
+            .any(|d| first_label(&d).chars().any(|c| c.is_ascii_digit()));
         assert!(has_digit);
     }
 
@@ -389,17 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn label_accessor() {
-        assert_eq!(gen().label(), "test");
-    }
-
-    #[test]
     fn dictionary_names_concatenate_words() {
         let words = ["red", "blue", "stone", "river"];
         let g = DomainGenerator::dictionary("suppo", 3, &words, 2, "net");
         for i in 0..100 {
             let d = g.domain(0, i);
-            let label = d.first_label();
+            let label = first_label(&d);
             // Every label decomposes into two dictionary words.
             let ok = words
                 .iter()
@@ -407,9 +365,7 @@ mod tests {
             assert!(ok, "{label} is not two dictionary words");
             assert_eq!(d.tld(), "net");
         }
-        assert_eq!(g.min_len(), 6); // red+red
         assert_eq!(g.max_len(), 10); // stone+river / river+stone
-        assert_eq!(g.charset(), Charset::Alpha);
     }
 
     #[test]
@@ -435,5 +391,80 @@ mod tests {
     #[should_panic(expected = "lower-case ASCII")]
     fn bad_word_panics() {
         DomainGenerator::dictionary("x", 1, &["ok", "Bad"], 2, "com");
+    }
+
+    /// `DomainGenerator::batch` as it was first written: one `domain(stream, i)`
+    /// per index from 0, keeping first sightings. Test-side reference only.
+    fn reference_batch(g: &DomainGenerator, stream: u64, count: usize) -> Vec<DomainName> {
+        let mut seen = HashSet::new();
+        let mut out = Vec::with_capacity(count);
+        let mut index = 0;
+        while out.len() < count {
+            let d = g.domain(stream, index);
+            if seen.insert(d.clone()) {
+                out.push(d);
+            }
+            index += 1;
+        }
+        out
+    }
+
+    /// Same names, same order — and the batch is one buffer while every
+    /// reference name owns its text.
+    fn assert_batch_is_the_reference(g: &DomainGenerator, stream: u64, count: usize) {
+        let batch = g.batch(stream, count);
+        let reference = reference_batch(g, stream, count);
+        assert_eq!(batch, reference);
+        let text: usize = batch.iter().map(|d| d.as_str().len()).sum();
+        assert!(batch.iter().all(|d| d.backing_len() == text));
+        assert!(reference
+            .iter()
+            .all(|d| d.backing_len() == d.as_str().len()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A character-style pool is the per-index reference, name for name —
+        /// down to label ranges short enough (26² names) to repeat often.
+        #[test]
+        fn chars_batch_is_the_per_index_reference(
+            seed in any::<u64>(),
+            stream in any::<u64>(),
+            label in "[a-z0-9]{1,8}",
+            min_len in 2usize..7,
+            extra in 0usize..5,
+            alpha in any::<bool>(),
+            count in 0usize..200,
+        ) {
+            let charset = if alpha { Charset::Alpha } else { Charset::AlphaNumeric };
+            let g = DomainGenerator::new(&label, seed, min_len, min_len + extra, charset, "example");
+            assert_batch_is_the_reference(&g, stream, count);
+        }
+
+        /// A dictionary small enough that most indices repeat an earlier name:
+        /// the skipped repeats are the reference's, up to 60 % of the whole
+        /// combination space.
+        #[test]
+        fn dictionary_batch_is_the_per_index_reference(
+            seed in any::<u64>(),
+            stream in any::<u64>(),
+            vocabulary in 3usize..9,
+            words_per_name in 1usize..3,
+            fill_percent in 0usize..61,
+        ) {
+            // Equal-length words: every word sequence spells a distinct label.
+            let words = ["red", "blu", "grn", "ylw", "blk", "wht", "gry", "pnk"];
+            let g = DomainGenerator::dictionary("dict", seed, &words[..vocabulary], words_per_name, "net");
+            let combinations = vocabulary.pow(words_per_name as u32);
+            assert_batch_is_the_reference(&g, stream, combinations * fill_percent / 100);
+        }
+    }
+
+    /// Two one-word names exist; asking for a third still fails loudly.
+    #[test]
+    #[should_panic(expected = "cannot produce 3 distinct names")]
+    fn batch_larger_than_the_dictionary_space_panics() {
+        DomainGenerator::dictionary("tiny", 1, &["red", "blu"], 1, "net").batch(0, 3);
     }
 }

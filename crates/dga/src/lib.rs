@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod barrel;
 mod family;
@@ -50,8 +51,6 @@ mod taxonomy;
 
 pub use barrel::draw_barrel;
 pub use family::{DgaFamily, DgaFamilyBuilder, FamilyError};
-pub use generator::{Charset, DomainGenerator, NameStyle};
 pub use params::{DgaParams, ParamsError, QueryTiming};
-pub use pool::PoolModel;
 pub use registrar::EpochAuthority;
 pub use taxonomy::{known_families, BarrelClass, PoolClass, TaxonomyCell};

@@ -35,7 +35,7 @@ impl QueryTiming {
 
     /// An upper bound on the gap between consecutive lookups, used to bound
     /// an activation's duration (`θq · δi` in Algorithm 1).
-    pub fn max_interval(&self) -> SimDuration {
+    pub(crate) fn max_interval(&self) -> SimDuration {
         match self {
             QueryTiming::Fixed(d) => *d,
             QueryTiming::Irregular { max, .. } => *max,
@@ -69,7 +69,7 @@ impl fmt::Display for QueryTiming {
 /// let p = DgaParams::new(
 ///     9_995, 5, 500, QueryTiming::Fixed(SimDuration::from_secs(1)),
 /// )?;
-/// assert_eq!(p.pool_size(), 10_000);
+/// assert_eq!(p.theta_nx() + p.theta_valid(), 10_000);
 /// # Ok::<(), botmeter_dga::ParamsError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -141,7 +141,7 @@ impl DgaParams {
     }
 
     /// Total pool size, `θ∅ + θ∃`.
-    pub fn pool_size(&self) -> usize {
+    pub(crate) fn pool_size(&self) -> usize {
         self.theta_nx + self.theta_valid
     }
 

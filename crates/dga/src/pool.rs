@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// rotation > 1 keeps the pool constant for several epochs), and different
 /// mixture components never collide.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PoolModel {
+pub(crate) enum PoolModel {
     /// The pool is regenerated wholesale every `rotation` epochs
     /// (`rotation = 1` for daily DGAs like Murofet; Necurs uses 4).
     DrainReplenish {
@@ -41,13 +41,13 @@ pub enum PoolModel {
 
 impl PoolModel {
     /// Simple daily drain-and-replenish (the paper's default).
-    pub fn daily() -> Self {
+    pub(crate) fn daily() -> Self {
         PoolModel::DrainReplenish { rotation: 1 }
     }
 
     /// Total pool length at a steady-state epoch, given the size of the
     /// useful pool (`θ∃ + θ∅`).
-    pub fn steady_pool_len(&self, useful_len: usize) -> usize {
+    pub(crate) fn steady_pool_len(&self, useful_len: usize) -> usize {
         match self {
             PoolModel::DrainReplenish { .. } => useful_len,
             PoolModel::SlidingWindow {
@@ -65,7 +65,7 @@ impl PoolModel {
     ///
     /// `useful_len` is `θ∃ + θ∅`; for the sliding-window model it must equal
     /// the window size (validated at family construction).
-    pub fn pool_for_epoch(
+    pub(crate) fn pool_for_epoch(
         &self,
         generator: &DomainGenerator,
         useful_len: usize,
@@ -103,7 +103,7 @@ impl PoolModel {
     /// Length of the index range in which the registrar may place valid
     /// domains: the whole pool, except for mixtures, where only the useful
     /// component hosts C2 domains.
-    pub fn valid_index_range(&self, useful_len: usize) -> usize {
+    pub(crate) fn valid_index_range(&self, useful_len: usize) -> usize {
         match self {
             PoolModel::MultipleMixture { .. } => useful_len,
             _ => self.steady_pool_len(useful_len),
@@ -115,6 +115,7 @@ impl PoolModel {
 mod tests {
     use super::*;
     use crate::generator::Charset;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn generator() -> DomainGenerator {
@@ -222,5 +223,16 @@ mod tests {
         };
         let json = serde_json::to_string(&m).unwrap();
         assert_eq!(m, serde_json::from_str::<PoolModel>(&json).unwrap());
+    }
+
+    proptest! {
+        /// PoolModel::steady_pool_len is consistent with materialised pools at
+        /// steady state.
+        #[test]
+        fn steady_len_consistent(per_day in 1usize..60, back in 0u64..40, forward in 0u64..10) {
+            let m = PoolModel::SlidingWindow { back, forward, per_day };
+            let useful = ((back + forward + 1) as usize) * per_day;
+            prop_assert_eq!(m.steady_pool_len(useful), useful);
+        }
     }
 }

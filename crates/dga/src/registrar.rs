@@ -20,15 +20,15 @@ use std::net::Ipv4Addr;
 ///
 /// ```
 /// use botmeter_dga::DgaFamily;
-/// use botmeter_dns::{Authority, SimInstant};
+/// use botmeter_dns::{Answer, Authority, SimInstant};
 ///
 /// let family = DgaFamily::murofet();
 /// let auth = family.authority_for_epochs(2);
 /// let c2 = &family.valid_domains(0)[0];
-/// assert!(auth.resolve(SimInstant::ZERO, c2).is_positive());
+/// assert!(auth.resolve(SimInstant::ZERO, c2) != Answer::NxDomain);
 /// // The same domain is NOT registered on day 1 (fresh pool).
 /// let day1 = SimInstant::ZERO + family.epoch_len();
-/// assert!(!auth.resolve(day1, c2).is_positive());
+/// assert!(auth.resolve(day1, c2) == Answer::NxDomain);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EpochAuthority {
@@ -97,7 +97,7 @@ impl Authority for EpochAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PoolModel;
+    use crate::taxonomy::PoolClass;
 
     #[test]
     fn resolves_only_registered_epoch_domains() {
@@ -108,7 +108,7 @@ mod tests {
             let t = SimInstant::ZERO + f.epoch_len() * epoch + SimDuration::from_hours(1);
             let valid = f.valid_domains(epoch);
             for d in &valid {
-                assert!(auth.resolve(t, d).is_positive(), "epoch {epoch}: {d}");
+                assert!(auth.resolve(t, d) != Answer::NxDomain, "epoch {epoch}: {d}");
             }
             // A non-registered pool domain is NXD.
             let pool = f.pool_for_epoch(epoch);
@@ -116,7 +116,7 @@ mod tests {
                 .iter()
                 .find(|d| !valid.contains(d))
                 .expect("pool has NXDs");
-            assert!(!auth.resolve(t, nx).is_positive());
+            assert!(auth.resolve(t, nx) == Answer::NxDomain);
         }
     }
 
@@ -147,7 +147,7 @@ mod tests {
         let auth = f.authority_for_epochs(1);
         let far_future = SimInstant::ZERO + SimDuration::from_days(100);
         let c2 = &f.valid_domains(0)[0];
-        assert!(!auth.resolve(far_future, c2).is_positive());
+        assert!(auth.resolve(far_future, c2) == Answer::NxDomain);
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         let f = DgaFamily::murofet();
         let auth = f.authority_for_epochs(1);
         let foreign: DomainName = "www.benign.example".parse().unwrap();
-        assert!(!auth.resolve(SimInstant::ZERO, &foreign).is_positive());
+        assert!(auth.resolve(SimInstant::ZERO, &foreign) == Answer::NxDomain);
     }
 
     /// The retention rule: a pool is one text buffer per generated batch,
@@ -171,7 +171,7 @@ mod tests {
             DgaFamily::pykspa(),  // mixture: a buffer per component
         ] {
             let pool = f.pool_for_epoch(2);
-            if matches!(f.pool_model(), PoolModel::DrainReplenish { .. }) {
+            if f.pool_class() == PoolClass::DrainReplenish {
                 let pool_text: usize = pool.iter().map(|d| d.as_str().len()).sum();
                 assert!(pool.iter().all(|d| d.backing_len() == pool_text));
             }

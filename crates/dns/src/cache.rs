@@ -146,7 +146,13 @@ impl<K: Hash + Eq> DnsCache<K> {
     }
 
     /// Stores an answer with an explicit TTL (a zero TTL stores nothing).
-    pub fn store_with_ttl(&mut self, t: SimInstant, domain: K, answer: Answer, ttl: SimDuration) {
+    pub(crate) fn store_with_ttl(
+        &mut self,
+        t: SimInstant,
+        domain: K,
+        answer: Answer,
+        ttl: SimDuration,
+    ) {
         if ttl.is_zero() {
             return;
         }

@@ -31,15 +31,7 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// deterministic content fingerprint. BotMeter's inputs are simulation
 /// traces (or analyst-supplied feeds), not adversarial hash-flooding
 /// attempts, and every equality check still falls back to the full string.
-///
-/// # Example
-///
-/// ```
-/// use botmeter_dns::fx_hash64;
-/// assert_eq!(fx_hash64(b"a.example"), fx_hash64(b"a.example"));
-/// assert_ne!(fx_hash64(b"a.example"), fx_hash64(b"b.example"));
-/// ```
-pub fn fx_hash64(bytes: &[u8]) -> u64 {
+pub(crate) fn fx_hash64(bytes: &[u8]) -> u64 {
     let mut hash = 0u64;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {

@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod authority;
 mod cache;
@@ -59,9 +60,7 @@ mod ttl;
 
 pub use authority::{Answer, Authority, StaticAuthority};
 pub use cache::{CacheStats, CachedAnswer, DnsCache};
-pub use intern::{
-    fx_hash64, DomainId, DomainInterner, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
-};
+pub use intern::{DomainId, DomainInterner, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use name::{DomainBatch, DomainName, ParseDomainError};
 pub use record::{ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId};
 pub use time::{SimDuration, SimInstant};

@@ -44,7 +44,6 @@ use std::sync::Arc;
 /// use botmeter_dns::DomainName;
 /// let d: DomainName = "abc123.evil.example".parse()?;
 /// assert_eq!(d.tld(), "example");
-/// assert_eq!(d.label_count(), 3);
 /// assert!("..".parse::<DomainName>().is_err());
 /// # Ok::<(), botmeter_dns::ParseDomainError>(())
 /// ```
@@ -95,22 +94,6 @@ impl DomainName {
             .rsplit('.')
             .next()
             .expect("validated: has a label")
-    }
-
-    /// The first label (the DGA-generated part for typical `<rand>.<tld>`
-    /// constructions).
-    pub fn first_label(&self) -> &str {
-        self.labels().next().expect("validated: has a label")
-    }
-
-    /// Number of dot-separated labels.
-    pub fn label_count(&self) -> usize {
-        self.labels().count()
-    }
-
-    /// Iterates over the labels from left to right.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.as_str().split('.')
     }
 
     /// An equal name backed by exactly its own text. Whoever keeps a few
@@ -510,12 +493,6 @@ mod tests {
     fn accessors() {
         let d: DomainName = "foo.bar.example".parse().unwrap();
         assert_eq!(d.tld(), "example");
-        assert_eq!(d.first_label(), "foo");
-        assert_eq!(d.label_count(), 3);
-        assert_eq!(
-            d.labels().collect::<Vec<_>>(),
-            vec!["foo", "bar", "example"]
-        );
         assert_eq!(d.as_str(), "foo.bar.example");
         assert_eq!(d.to_string(), "foo.bar.example");
     }
@@ -620,9 +597,7 @@ mod tests {
             assert_eq!(b.as_str(), text);
             assert_eq!(b.as_bytes(), p.as_bytes());
             assert_eq!(<DomainName as AsRef<str>>::as_ref(b), text);
-            assert_eq!((b.tld(), b.first_label()), (p.tld(), p.first_label()));
-            assert_eq!(b.label_count(), p.label_count());
-            assert!(b.labels().eq(p.labels()));
+            assert_eq!(b.tld(), p.tld());
             assert_eq!(
                 serde_json::to_string(b).unwrap(),
                 serde_json::to_string(&p).unwrap()

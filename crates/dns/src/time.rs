@@ -49,11 +49,6 @@ impl SimInstant {
         self.0
     }
 
-    /// Seconds since the simulation epoch (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// The index of the epoch (e.g. day) this instant falls in, for a given
     /// epoch length.
     ///

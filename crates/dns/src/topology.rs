@@ -92,9 +92,9 @@ impl std::error::Error for TopologyError {}
 /// let site_b = b.add_resolver_under_border();
 /// let floor = b.add_resolver(site_a)?; // a second caching level
 /// let mut topo = b.build();
-/// topo.set_default_leaf(site_b)?;
-/// assert_eq!(topo.local_servers().len(), 3);
-/// # let _ = floor;
+/// topo.assign_client(botmeter_dns::ClientId(7), floor)?;
+/// assert_eq!(topo.border().0, 0);
+/// # let _ = site_b;
 /// # Ok::<(), botmeter_dns::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -114,6 +114,7 @@ impl TopologyBuilder {
     }
 
     /// Adds a resolver forwarding directly to the border; returns its id.
+    #[doc(hidden)]
     pub fn add_resolver_under_border(&mut self) -> ServerId {
         self.add_resolver(BORDER).expect("border always exists")
     }
@@ -124,6 +125,7 @@ impl TopologyBuilder {
     ///
     /// Returns [`TopologyError::UnknownServer`] if `parent` was never
     /// created.
+    #[doc(hidden)]
     pub fn add_resolver(&mut self, parent: ServerId) -> Result<ServerId, TopologyError> {
         if parent.0 as usize >= self.parents.len() {
             return Err(TopologyError::UnknownServer(parent));
@@ -209,24 +211,9 @@ impl<K: Key> Topology<K> {
         t
     }
 
-    /// A one-level topology with `n` local resolvers under the border
-    /// (clients must be assigned, or a default leaf set, before processing).
-    pub fn star(ttl: TtlPolicy, n: usize) -> Self {
-        let mut b = TopologyBuilder::new(ttl);
-        for _ in 0..n {
-            b.add_resolver_under_border();
-        }
-        b.into()
-    }
-
     /// The border server's id (always `ServerId(0)`).
     pub fn border(&self) -> ServerId {
         BORDER
-    }
-
-    /// Ids of all non-border resolvers.
-    pub fn local_servers(&self) -> Vec<ServerId> {
-        (1..self.nodes.len() as u32).map(ServerId).collect()
     }
 
     /// Routes every client without an explicit assignment to `leaf`.
@@ -235,7 +222,7 @@ impl<K: Key> Topology<K> {
     ///
     /// [`TopologyError::UnknownServer`] for a nonexistent id,
     /// [`TopologyError::BorderNotALeaf`] for the border.
-    pub fn set_default_leaf(&mut self, leaf: ServerId) -> Result<(), TopologyError> {
+    pub(crate) fn set_default_leaf(&mut self, leaf: ServerId) -> Result<(), TopologyError> {
         self.check_leaf(leaf)?;
         self.default_leaf = Some(leaf);
         Ok(())
@@ -246,6 +233,7 @@ impl<K: Key> Topology<K> {
     /// # Errors
     ///
     /// Same as [`set_default_leaf`](Self::set_default_leaf).
+    #[doc(hidden)]
     pub fn assign_client(&mut self, client: ClientId, leaf: ServerId) -> Result<(), TopologyError> {
         self.check_leaf(leaf)?;
         self.client_map.insert(client, leaf);
@@ -268,7 +256,7 @@ impl<K: Key> Topology<K> {
     ///
     /// [`TopologyError::UnroutedClient`] if the client has no assignment
     /// and no default leaf is set.
-    pub fn route(&self, client: ClientId) -> Result<ServerId, TopologyError> {
+    pub(crate) fn route(&self, client: ClientId) -> Result<ServerId, TopologyError> {
         self.client_map
             .get(&client)
             .copied()
@@ -522,12 +510,19 @@ mod tests {
             .is_some());
     }
 
+    /// A one-level tree with `n` local resolvers under the border, and
+    /// their ids.
+    fn star<K: Key>(n: usize) -> (Topology<K>, Vec<ServerId>) {
+        let mut b = TopologyBuilder::new(TtlPolicy::paper_default());
+        let servers = (0..n).map(|_| b.add_resolver_under_border()).collect();
+        (b.into(), servers)
+    }
+
     fn star_attributes_forwarding_server<K: Key>()
     where
         Topology<K>: Filter,
     {
-        let mut topo = Topology::<K>::star(TtlPolicy::paper_default(), 2);
-        let servers = topo.local_servers();
+        let (mut topo, servers) = star::<K>(2);
         topo.assign_client(ClientId(1), servers[0]).unwrap();
         topo.assign_client(ClientId(2), servers[1]).unwrap();
         // Same domain via the *other* resolver: its own cache is cold, so it
@@ -587,7 +582,7 @@ mod tests {
 
     #[test]
     fn routing_errors() {
-        let mut topo = Topology::<DomainName>::star(TtlPolicy::paper_default(), 1);
+        let (mut topo, _) = star::<DomainName>(1);
         let auth = StaticAuthority::empty();
         let err = topo.process(&raw(0, 9, "nx.example"), &auth).unwrap_err();
         assert_eq!(err, TopologyError::UnroutedClient(ClientId(9)));
@@ -707,7 +702,7 @@ mod tests {
         .collect();
 
         for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let mut topo = Topology::<DomainId>::star(TtlPolicy::paper_default(), 1);
+            let (mut topo, _) = star::<DomainId>(1);
             topo.assign_client(ClientId(1), ServerId(1)).unwrap();
             let mut out = Vec::new();
             let err = topo
@@ -739,8 +734,7 @@ mod tests {
         let auth = StaticAuthority::empty();
         topo.process(&raw(0, 1, "a.example"), &auth).unwrap();
         topo.process(&raw(1, 1, "a.example"), &auth).unwrap();
-        let local = topo.local_servers()[0];
-        let s = topo.cache_stats(local);
+        let s = topo.cache_stats(ServerId(1));
         assert_eq!(s.hits(), 1);
         assert_eq!(s.misses, 1);
     }

@@ -197,7 +197,8 @@ proptest! {
     ) {
         let mut cache = DnsCache::new();
         let t0 = SimInstant::from_millis(stored_at);
-        cache.store_with_ttl(t0, d.clone(), Answer::NxDomain, SimDuration::from_millis(ttl_ms));
+        let policy = TtlPolicy::new(SimDuration::ZERO, SimDuration::from_millis(ttl_ms));
+        cache.store(t0, d.clone(), Answer::NxDomain, &policy);
         let probe = t0 + SimDuration::from_millis(probe_offset);
         let hit = cache.lookup(probe, &d).is_some();
         prop_assert_eq!(hit, probe_offset < ttl_ms);

@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use botmeter_obs::Obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -224,7 +225,7 @@ where
 
 /// Computes `chunks` near-equal `(start, end)` ranges covering `0..len`
 /// (fewer when `len < chunks`; none when `len == 0`).
-pub fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     if len == 0 || chunks == 0 {
         return Vec::new();
     }

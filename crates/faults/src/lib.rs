@@ -69,6 +69,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use botmeter_dns::{ObservedLookup, ServerId, SimDuration, SimInstant};
 use botmeter_stats::{mix64, SeedSequence};
@@ -525,11 +526,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The stages in application order.
-    pub fn stages(&self) -> &[FaultModel] {
-        &self.stages
-    }
-
     /// Whether the plan has no stages.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
@@ -951,7 +947,7 @@ mod tests {
             .with(FaultModel::Drop { rate: 0.0 })
             .with(FaultModel::Sample { keep_one_in: 1 });
         assert!(good_plan.validate().is_ok());
-        assert_eq!(good_plan.stages().len(), 2);
+        assert_eq!(good_plan.stages.len(), 2);
         assert!(!good_plan.is_empty());
         assert_eq!(good_plan.seed(), 0);
     }

@@ -1,12 +1,10 @@
-//! Plain-list matching: the "confirmed domains" input mode of §II-B.
+//! Exact matching: the "confirmed domains" input of §II-B.
 
 use crate::DomainMatcher;
 use botmeter_dga::DgaFamily;
-use botmeter_dns::{DomainName, FxBuildHasher, FxHashSet, ParseDomainError};
+use botmeter_dns::{DomainName, FxBuildHasher, FxHashSet};
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
-use std::fmt;
-use std::io::{self, BufRead, Write};
 use std::ops::Range;
 
 /// Matches against an explicit set of confirmed DGA domains (e.g. a
@@ -76,55 +74,6 @@ impl ExactMatcher {
         ExactMatcher { domains }
     }
 
-    /// Reads a plain-text domain list — one name per line, `#` comments
-    /// and blank lines ignored — the format DGArchive-style feeds export.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first malformed domain with its 1-based line number.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use botmeter_matcher::{DomainMatcher, ExactMatcher};
-    /// let list = "# newGoZ 2014-07-13\nabc123.net\n\nxyz987.net\n";
-    /// let m = ExactMatcher::from_plain_list(list.as_bytes())?;
-    /// assert_eq!(m.len(), 2);
-    /// assert!(m.matches(&"abc123.net".parse()?));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn from_plain_list<R: BufRead>(reader: R) -> Result<Self, PlainListError> {
-        let mut domains = FxHashSet::default();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(PlainListError::Io)?;
-            let entry = line.trim();
-            if entry.is_empty() || entry.starts_with('#') {
-                continue;
-            }
-            let domain: DomainName = entry.parse().map_err(|source| PlainListError::Parse {
-                line: i + 1,
-                source,
-            })?;
-            domains.insert(domain);
-        }
-        Ok(ExactMatcher { domains })
-    }
-
-    /// Writes the confirmed-domain list in the plain one-per-line format
-    /// (sorted, for reproducible exports).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_plain_list<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        let mut sorted: Vec<&DomainName> = self.domains.iter().collect();
-        sorted.sort();
-        for d in sorted {
-            writeln!(writer, "{d}")?;
-        }
-        Ok(())
-    }
-
     /// Number of confirmed domains.
     pub fn len(&self) -> usize {
         self.domains.len()
@@ -144,40 +93,6 @@ impl ExactMatcher {
 impl DomainMatcher for ExactMatcher {
     fn matches(&self, domain: &DomainName) -> bool {
         self.domains.contains(domain)
-    }
-}
-
-/// A plain-list import failure.
-#[derive(Debug)]
-pub enum PlainListError {
-    /// Underlying reader failure.
-    Io(io::Error),
-    /// A line failed to parse as a domain name.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// The domain-validation failure.
-        source: ParseDomainError,
-    },
-}
-
-impl fmt::Display for PlainListError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlainListError::Io(e) => write!(f, "plain-list i/o failed: {e}"),
-            PlainListError::Parse { line, source } => {
-                write!(f, "malformed domain on line {line}: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlainListError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PlainListError::Io(e) => Some(e),
-            PlainListError::Parse { source, .. } => Some(source),
-        }
     }
 }
 
@@ -218,16 +133,10 @@ mod tests {
 
     /// Under any worker count `from_family` is the fold it replaced —
     /// each epoch's pool generated and moved into the pre-sized set in
-    /// turn: the same names in the same iteration order, and a byte-equal
-    /// export. Rotating (Necurs), sliding-window (Ranbyus) and mixture
+    /// turn: the same names in the same iteration order. Rotating (Necurs), sliding-window (Ranbyus) and mixture
     /// (Pykspa) pools included.
     #[test]
     fn from_family_does_not_depend_on_the_worker_count() {
-        let export = |m: &ExactMatcher| {
-            let mut text = Vec::new();
-            m.write_plain_list(&mut text).unwrap();
-            text
-        };
         for (family, epochs) in [
             (DgaFamily::new_goz(), 0..5u64),
             (DgaFamily::conficker_c(), 2..4),
@@ -235,7 +144,7 @@ mod tests {
             (DgaFamily::ranbyus(), 28..35),
             (DgaFamily::pykspa(), 0..5),
         ] {
-            let expected: usize = epochs.clone().map(|e| family.pool_for_epoch_len(e)).sum();
+            let expected: usize = epochs.clone().map(|e| family.pool_for_epoch(e).len()).sum();
             let mut domains =
                 FxHashSet::with_capacity_and_hasher(expected, FxBuildHasher::default());
             for epoch in epochs.clone() {
@@ -252,7 +161,6 @@ mod tests {
                 let what = format!("{} / {policy:?}", family.name());
                 let built = ExactMatcher::from_family_under(&family, epochs.clone(), policy);
                 assert!(built.domains().iter().eq(reference.domains()), "{what}");
-                assert_eq!(export(&built), export(&reference), "{what}");
             }
         }
         assert!(ExactMatcher::from_family(&DgaFamily::torpig(), 3..3).is_empty());
@@ -290,40 +198,6 @@ mod tests {
         m.extend(["x.example".parse().unwrap()]);
         assert_eq!(m.len(), 1);
         assert!(m.domains().contains(&"x.example".parse().unwrap()));
-    }
-
-    #[test]
-    fn plain_list_roundtrip() {
-        let family = DgaFamily::torpig();
-        let original = ExactMatcher::from_family(&family, 0..2);
-        let mut buf = Vec::new();
-        original.write_plain_list(&mut buf).unwrap();
-        let back = ExactMatcher::from_plain_list(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), original.len());
-        for d in original.domains() {
-            assert!(back.matches(d));
-        }
-    }
-
-    #[test]
-    fn plain_list_skips_comments_and_blanks() {
-        let text = "# feed header
-
-  a.example  
-# trailer
-b.example
-";
-        let m = ExactMatcher::from_plain_list(text.as_bytes()).unwrap();
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn plain_list_reports_bad_line() {
-        let text = "good.example
-NOT OK
-";
-        let err = ExactMatcher::from_plain_list(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]

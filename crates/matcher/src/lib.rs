@@ -1,15 +1,14 @@
 //! The D3 (DGA-domain detection) stage of BotMeter (Fig. 2, steps 2–4).
 //!
-//! BotMeter assumes confirmed DGA domains as input (§II-B): analysts feed it
-//! either plain domain lists or algorithmic patterns, and incoming border
-//! DNS traffic is matched against them. In reality the detection covers
-//! only part of each epoch's pool — its *detection window* — and a few pool
-//! domains may collide with legitimately registered names.
+//! BotMeter assumes confirmed DGA domains as input (§II-B), and incoming
+//! border DNS traffic is matched against them. Here the confirmed domains
+//! are the family's own pools, refined by the detection window: in reality
+//! the detection covers only part of each epoch's pool.
 //!
 //! This crate provides:
 //!
 //! * [`DomainMatcher`] — the matching interface, with [`ExactMatcher`]
-//!   (plain lists) and [`PatternMatcher`] (lexical patterns) implementations;
+//!   (the confirmed-domain set) as its implementation;
 //! * [`DetectionWindow`] — deterministic sub-sampling of the pool at a
 //!   configured missing rate `x` (the Fig. 6(e) sweep);
 //! * [`match_stream`]/[`MatchedTraffic`] — filtering the observed stream
@@ -34,17 +33,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-mod collision;
 mod exact;
-mod pattern;
 mod sketching;
 mod stream;
 mod window;
 
-pub use collision::CollisionFilter;
-pub use exact::{ExactMatcher, PlainListError};
-pub use pattern::PatternMatcher;
+pub use exact::ExactMatcher;
 pub use sketching::SketchStream;
 pub use stream::{match_stream, match_stream_recorded, scan_hits, MatchedTraffic, StreamQuality};
 pub use stream::{CursorEntry, QualityCursor, QualityCursorState};

@@ -12,10 +12,8 @@
 //! Hits are folded on the calling thread in arrival order, so the
 //! accumulated sketch is bit-identical for any chunking and any upstream
 //! `ExecPolicy × PipelineMode × worker count` combination that delivers
-//! shards in stream order (which the streaming simulator guarantees).
-//! Per-shard sketches built by independent workers merge into the same
-//! state via [`SketchStream::absorb_sketch`] — retention depends only on
-//! domain hash ranks, never on arrival order.
+//! shards in stream order (which the streaming simulator guarantees);
+//! retention depends only on domain hash ranks, never on arrival order.
 //!
 //! The sketch keeps a sighting count per retained domain and no
 //! timestamps: charting reads it as a cell statistic (positions, distinct
@@ -58,7 +56,6 @@ pub struct SketchStream<'a, M> {
     sketch: SketchedTraffic,
     cursor: QualityCursor,
     evictions: u64,
-    merges: u64,
 }
 
 impl<'a, M: DomainMatcher> SketchStream<'a, M> {
@@ -72,7 +69,6 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
             sketch: SketchedTraffic::new(config),
             cursor: QualityCursor::new(),
             evictions: 0,
-            merges: 0,
         }
     }
 
@@ -90,18 +86,6 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
         });
     }
 
-    /// Merges a pre-accumulated sketch (e.g. built by an independent
-    /// worker over its own shard) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configurations differ (see
-    /// [`SketchedTraffic::absorb`]).
-    pub fn absorb_sketch(&mut self, other: &SketchedTraffic) {
-        self.evictions += self.sketch.absorb(other);
-        self.merges += 1;
-    }
-
     /// The stream-health summary accumulated so far.
     pub fn quality(&self) -> StreamQuality {
         self.cursor.quality()
@@ -113,15 +97,13 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
     /// Counters (all deterministic, included in
     /// `MetricsSnapshot::deterministic_counters()`): `sketch.ingest`
     /// (matched lookups folded), `sketch.hh_evictions` (retained entries
-    /// pushed out of a bottom-k sample), `sketch.merges` (pre-accumulated
-    /// sketches absorbed), `sketch.cells` (non-empty (server, epoch)
+    /// pushed out of a bottom-k sample), `sketch.cells` (non-empty (server, epoch)
     /// cells) — plus the `sketch.peak_resident_bytes` gauge proving the
     /// volume-independent memory bound.
     pub fn finish(self) -> (SketchedTraffic, StreamQuality) {
         if self.obs.enabled() {
             self.obs.counter_add("sketch.ingest", self.sketch.total());
             self.obs.counter_add("sketch.hh_evictions", self.evictions);
-            self.obs.counter_add("sketch.merges", self.merges);
             self.obs
                 .counter_add("sketch.cells", self.sketch.cell_count() as u64);
             self.obs.gauge_max(
@@ -196,24 +178,5 @@ mod tests {
         assert_eq!(sketch.total(), expected);
         assert_eq!(quality.matched as u64, expected);
         assert_eq!(quality.scanned, stream.len());
-    }
-
-    #[test]
-    fn worker_sketches_absorb_to_the_sequential_state() {
-        let stream = stream();
-        let matcher = matcher();
-        let mut sequential = SketchStream::new(&matcher, config(), Obs::noop());
-        sequential.ingest(&stream);
-        let (sequential, _) = sequential.finish();
-
-        let mut merged = SketchStream::new(&matcher, config(), Obs::noop());
-        for shard in stream.chunks(31) {
-            let mut worker = SketchStream::new(&matcher, config(), Obs::noop());
-            worker.ingest(shard);
-            let (piece, _) = worker.finish();
-            merged.absorb_sketch(&piece);
-        }
-        let (merged, _) = merged.finish();
-        assert_eq!(merged, sequential);
     }
 }

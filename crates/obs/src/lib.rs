@@ -53,6 +53,7 @@
 // contract (it only forwards to `std::alloc::System`).
 #![cfg_attr(not(feature = "bench"), forbid(unsafe_code))]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 #[cfg(feature = "bench")]
 mod alloc;

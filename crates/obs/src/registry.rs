@@ -8,7 +8,7 @@ use std::sync::Mutex;
 /// Number of latency buckets. Bucket `i` counts observations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs everything above
 /// (~ 9 minutes), so no observation is ever dropped.
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// A fixed-bucket latency histogram with power-of-two nanosecond bounds.
 ///
@@ -19,7 +19,7 @@ pub const BUCKETS: usize = 40;
 /// let mut h = Histogram::default();
 /// h.record(1_500); // falls in the [1024, 2048) ns bucket
 /// assert_eq!(h.count(), 1);
-/// assert_eq!(h.sum_ns(), 1_500);
+/// assert_eq!(h.max_ns(), 1_500);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -43,7 +43,7 @@ impl Default for Histogram {
 impl Histogram {
     /// The bucket index an observation of `ns` nanoseconds falls into.
     #[inline]
-    pub fn bucket_index(ns: u64) -> usize {
+    pub(crate) fn bucket_index(ns: u64) -> usize {
         // ilog2(ns) for ns >= 1; 0 ns shares the first bucket.
         let idx = 63 - ns.max(1).leading_zeros() as usize;
         idx.min(BUCKETS - 1)
@@ -52,7 +52,7 @@ impl Histogram {
     /// The exclusive upper bound of bucket `i`, in nanoseconds
     /// (`u64::MAX` for the overflow bucket).
     #[inline]
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
         if i + 1 >= BUCKETS {
             u64::MAX
         } else {
@@ -73,23 +73,9 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observations, in nanoseconds (saturating).
-    pub fn sum_ns(&self) -> u64 {
-        self.sum_ns
-    }
-
     /// Largest single observation, in nanoseconds.
     pub fn max_ns(&self) -> u64 {
         self.max_ns
-    }
-
-    /// Mean observation in nanoseconds (`0.0` when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
     }
 
     fn to_snapshot(&self, name: &str) -> HistogramSnapshot {
@@ -214,9 +200,8 @@ mod tests {
             h.record(ns);
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.sum_ns(), 11_110);
+        assert_eq!(h.to_snapshot("h").sum_ns, 11_110);
         assert_eq!(h.max_ns(), 10_000);
-        assert!((h.mean_ns() - 2777.5).abs() < 1e-9);
     }
 
     #[test]

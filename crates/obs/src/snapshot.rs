@@ -36,17 +36,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<BucketCount>,
 }
 
-impl HistogramSnapshot {
-    /// Mean observation in nanoseconds (`0.0` when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// Everything a [`MetricsRegistry`](crate::MetricsRegistry) collected, in
 /// a stable, name-ordered, JSON-friendly shape.
 ///
@@ -99,6 +88,7 @@ impl MetricsSnapshot {
     /// counter would differ between runs by nature). Sequential and
     /// parallel runs of the same pipeline must agree on these bit-for-bit,
     /// faulted runs included.
+    #[doc(hidden)]
     pub fn deterministic_counters(&self) -> Vec<CounterSnapshot> {
         self.counters
             .iter()
@@ -165,25 +155,6 @@ mod tests {
         let det = sample().deterministic_counters();
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].name, "cache.s1.misses");
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let s = sample();
-        let h = s.histogram("chart.estimate_ns").unwrap();
-        assert!((h.mean_ns() - 1_500.0).abs() < 1e-9);
-        assert!(
-            HistogramSnapshot {
-                name: "empty".into(),
-                count: 0,
-                sum_ns: 0,
-                max_ns: 0,
-                buckets: vec![],
-            }
-            .mean_ns()
-            .abs()
-                < 1e-12
-        );
     }
 
     #[test]

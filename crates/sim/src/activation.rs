@@ -35,7 +35,7 @@ impl ActivationModel {
     /// # Panics
     ///
     /// Panics if `population == 0` or `epoch_len` is zero.
-    pub fn sample_times<R: Rng + ?Sized>(
+    pub(crate) fn sample_times<R: Rng + ?Sized>(
         &self,
         population: u64,
         epoch_len: SimDuration,
@@ -77,6 +77,7 @@ impl ActivationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
@@ -175,5 +176,76 @@ mod tests {
     #[test]
     fn default_is_constant() {
         assert_eq!(ActivationModel::default(), ActivationModel::ConstantRate);
+    }
+
+    /// The one-sample Kolmogorov–Smirnov statistic: the supremum distance
+    /// between the sample's empirical CDF and a reference CDF (`cdf` weakly
+    /// increasing onto `[0, 1]`).
+    fn ks_statistic<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> f64 {
+        assert!(!sample.is_empty(), "KS statistic of empty sample");
+        let mut sorted = sample.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len() as f64;
+        let mut d = 0.0f64;
+        for (i, &x) in sorted.iter().enumerate() {
+            let f = cdf(x);
+            let ecdf_before = i as f64 / n;
+            let ecdf_after = (i + 1) as f64 / n;
+            d = d.max((f - ecdf_before).abs()).max((ecdf_after - f).abs());
+        }
+        d
+    }
+
+    /// Asymptotic critical value `c(α)/√n` of the one-sample KS statistic at
+    /// significance 1 % (good for n ≥ 35).
+    fn ks_critical_value_1pct(n: usize) -> f64 {
+        1.628 / (n as f64).sqrt()
+    }
+
+    #[test]
+    fn constant_rate_gaps_are_exponential() {
+        // Pool many epochs of activation gaps and KS-test them against the
+        // Exp(λ0) law the paper's §V-A model prescribes.
+        let mut rng = ChaCha12Rng::seed_from_u64(99);
+        let day = SimDuration::from_days(1);
+        let population = 256u64;
+        let lambda_per_ms = population as f64 / day.as_millis() as f64;
+        let mut gaps = Vec::new();
+        for _ in 0..20 {
+            let times = ActivationModel::ConstantRate.sample_times(
+                population,
+                day,
+                SimInstant::ZERO,
+                day,
+                &mut rng,
+            );
+            for w in times.windows(2) {
+                gaps.push((w[1].as_millis() - w[0].as_millis()) as f64);
+            }
+        }
+        assert!(gaps.len() > 4000, "need a large sample, got {}", gaps.len());
+        let d = ks_statistic(&gaps, |x| 1.0 - (-lambda_per_ms * x.max(0.0)).exp());
+        // Millisecond discretisation adds ~λ·1ms ≈ 3e-3 of distance on top of
+        // sampling noise; allow the 1% critical value plus that bias.
+        let bound = ks_critical_value_1pct(gaps.len()) + 2.0 * lambda_per_ms * 1.0;
+        assert!(d < bound, "KS {d} vs bound {bound}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Activation sampling respects the window for every model.
+        #[test]
+        fn activations_stay_in_window(seed in any::<u64>(), sigma in 0.1f64..3.0) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let day = SimDuration::from_days(1);
+            let start = SimInstant::ZERO + day * 3;
+            for model in [ActivationModel::ConstantRate, ActivationModel::DynamicRate { sigma }] {
+                let times = model.sample_times(32, day, start, day, &mut rng);
+                for t in times {
+                    prop_assert!(t >= start && t < start + day);
+                }
+            }
+        }
     }
 }

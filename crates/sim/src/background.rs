@@ -173,12 +173,13 @@ mod tests {
     #[test]
     fn benign_authority_resolves_catalog_only() {
         let auth = BenignAuthority;
-        assert!(auth
-            .resolve(SimInstant::ZERO, &"x.benign.example".parse().unwrap())
-            .is_positive());
-        assert!(!auth
-            .resolve(SimInstant::ZERO, &"x.evil.example".parse().unwrap())
-            .is_positive());
+        assert!(
+            auth.resolve(SimInstant::ZERO, &"x.benign.example".parse().unwrap())
+                != Answer::NxDomain
+        );
+        assert!(
+            auth.resolve(SimInstant::ZERO, &"x.evil.example".parse().unwrap()) == Answer::NxDomain
+        );
     }
 
     #[test]
@@ -186,15 +187,12 @@ mod tests {
         use botmeter_dns::StaticAuthority;
         let a = StaticAuthority::from_domains(["a.example".parse().unwrap()]);
         let dual = DualAuthority::new(&a, BenignAuthority);
-        assert!(dual
-            .resolve(SimInstant::ZERO, &"a.example".parse().unwrap())
-            .is_positive());
-        assert!(dual
-            .resolve(SimInstant::ZERO, &"z.benign.example".parse().unwrap())
-            .is_positive());
-        assert!(!dual
-            .resolve(SimInstant::ZERO, &"nx.example".parse().unwrap())
-            .is_positive());
+        assert!(dual.resolve(SimInstant::ZERO, &"a.example".parse().unwrap()) != Answer::NxDomain);
+        assert!(
+            dual.resolve(SimInstant::ZERO, &"z.benign.example".parse().unwrap())
+                != Answer::NxDomain
+        );
+        assert!(dual.resolve(SimInstant::ZERO, &"nx.example".parse().unwrap()) == Answer::NxDomain);
     }
 
     #[test]

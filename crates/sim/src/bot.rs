@@ -53,7 +53,7 @@ pub fn simulate_activation<R: Rng + ?Sized>(
 /// [`simulate_activation`] draws the barrel from the family's model; this
 /// entry point lets callers substitute an adversarial barrel (e.g. the
 /// start-collusion evasion strategy).
-pub fn replay_barrel<R: Rng + ?Sized>(
+pub(crate) fn replay_barrel<R: Rng + ?Sized>(
     family: &DgaFamily,
     pool: &[botmeter_dns::DomainName],
     valid_indices: &HashSet<usize>,

@@ -621,7 +621,7 @@ mod tests {
             Infection::new(DgaFamily::necurs(), WaveConfig::brisk()),
             Infection::new(DgaFamily::ranbyus(), WaveConfig::brisk()),
             Infection::new(DgaFamily::conficker_c(), WaveConfig::brisk()),
-            Infection::new(DgaFamily::suppobox(), WaveConfig::brisk()),
+            Infection::new(DgaFamily::by_name("suppobox").unwrap(), WaveConfig::brisk()),
         ]);
         assert_matches_oracle(&spec);
     }

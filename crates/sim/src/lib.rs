@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod activation;
 mod background;
@@ -53,7 +54,7 @@ mod waves;
 
 pub use activation::ActivationModel;
 pub use background::{BenignAuthority, DualAuthority};
-pub use bot::{replay_barrel, simulate_activation};
+pub use bot::simulate_activation;
 pub use enterprise::{EnterpriseOutcome, EnterpriseSpec, Infection};
 pub use evasion::EvasionStrategy;
 pub use scenario::{

@@ -206,33 +206,6 @@ impl ScenarioSpec {
         self.population
     }
 
-    /// Runs the simulation under `policy`: activations → raw lookups →
-    /// cache filtering → faults, fused over fixed-width time shards.
-    ///
-    /// Under a parallel policy shard production (per-bot replay)
-    /// fans out across the worker pool — each shard built end-to-end by one
-    /// worker inside the bounded ticket window of
-    /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
-    /// filters and faults finished shards strictly in shard order. Every
-    /// bot's RNG is an independently seeded ChaCha substream derived from
-    /// the scenario's [`SeedSequence`], so no draw depends on which thread
-    /// replays which bot: the outcome is bit-identical to
-    /// `run(ExecPolicy::Sequential)` for the same spec, including on the
-    /// metrics counters an attached [`Obs`] collects (`sim.activations`,
-    /// `sim.bots_replayed`, `sim.raw_lookups`, `sim.observed_lookups`,
-    /// `sim.stream.shards`, `sim.stream.peak_resident_records`; the
-    /// per-bot `sim.bot_replay_ns` and per-shard `sim.shard_filter_ns`
-    /// histograms and the `sched.*` counters are timing-dependent by
-    /// contract).
-    ///
-    /// Raw records are dropped shard by shard once filtered — only their
-    /// count survives, as [`ScenarioOutcome::raw_lookups`]. The spec's
-    /// [`PipelineMode`] (see [`pipeline`](ScenarioSpecBuilder::pipeline))
-    /// sets the shard width; the outcome does not depend on it.
-    pub fn run(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        self.run_streaming_into(policy, &mut |_| {})
-    }
-
     /// Replays one `(plan index, bot index)` job, appending its lookups to
     /// `out` as slot records. Pure per job: every bot draws from its own
     /// pre-derived rng seed, so jobs can run in any order on any thread.
@@ -284,13 +257,29 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// [`run`](Self::run) that also hands `sink` each shard's released
-    /// observed records (post cache-filter, quantisation and faults) in
-    /// stream order, from the calling thread, never an empty slice — so
-    /// callers can match or aggregate incrementally without waiting for
-    /// the whole observed trace. The slices concatenate to exactly
-    /// [`ScenarioOutcome::observed`], and the returned outcome is
-    /// identical to [`run`](Self::run)'s.
+    /// Runs the simulation under `policy`: activations → raw lookups →
+    /// cache filtering → faults, fused over fixed-width time shards.
+    ///
+    /// Under a parallel policy shard production (per-bot replay)
+    /// fans out across the worker pool — each shard built end-to-end by one
+    /// worker inside the bounded ticket window of
+    /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
+    /// filters and faults finished shards strictly in shard order. Every
+    /// bot's RNG is an independently seeded ChaCha substream derived from
+    /// the scenario's [`SeedSequence`], so no draw depends on which thread
+    /// replays which bot: the outcome is bit-identical to
+    /// `run(ExecPolicy::Sequential)` for the same spec, including on the
+    /// metrics counters an attached [`Obs`] collects (`sim.activations`,
+    /// `sim.bots_replayed`, `sim.raw_lookups`, `sim.observed_lookups`,
+    /// `sim.stream.shards`, `sim.stream.peak_resident_records`; the
+    /// per-bot `sim.bot_replay_ns` and per-shard `sim.shard_filter_ns`
+    /// histograms and the `sched.*` counters are timing-dependent by
+    /// contract).
+    ///
+    /// Raw records are dropped shard by shard once filtered — only their
+    /// count survives, as [`ScenarioOutcome::raw_lookups`]. The spec's
+    /// [`PipelineMode`] (see [`pipeline`](ScenarioSpecBuilder::pipeline))
+    /// sets the shard width; the outcome does not depend on it.
     ///
     /// This is the pipeline. Shard `k` covers simulated time
     /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
@@ -323,11 +312,7 @@ impl ScenarioSpec {
     /// 3. **Fault state chains.** A [`FaultStream`] threads each stage's
     ///    rng and working state across shards (see `botmeter-faults`), so
     ///    chunked faulting is bit-identical to whole-trace faulting.
-    pub fn run_streaming_into(
-        &self,
-        policy: ExecPolicy,
-        sink: &mut dyn FnMut(&[ObservedLookup]),
-    ) -> ScenarioOutcome {
+    pub fn run(&self, policy: ExecPolicy) -> ScenarioOutcome {
         let (plans, ground_truth) = self.plan_epochs();
         // The registrar oracle for the planned epochs plus the one replays
         // spill into, built from the pools the plans already hold
@@ -445,16 +430,11 @@ impl ScenarioSpec {
             self.faults.as_ref().map(FaultPlan::stream);
         let mut observed: Vec<ObservedLookup> = Vec::new();
         let mut release = |released: &[SlotObserved]| {
-            if released.is_empty() {
-                return;
-            }
-            let egress_from = observed.len();
             observed.extend(
                 released
                     .iter()
                     .map(|o| ObservedLookup::new(o.t, LOCAL, names[o.slot as usize].clone())),
             );
-            sink(&observed[egress_from..]);
         };
         let mut pending: BTreeMap<usize, Vec<Vec<SlotLookup>>> = BTreeMap::new();
         let mut raw_total = 0u64;

@@ -52,20 +52,6 @@ impl CellSketch {
         self.absorb_entry((domain.id().0, domain.clone()), 1, width)
     }
 
-    /// The bottom-k union with another cell's sample; returns how many
-    /// retained entries the union had to evict.
-    pub(crate) fn merge(&mut self, other: &CellSketch, width: usize) -> u64 {
-        self.lossy |= other.lossy;
-        self.total += other.total;
-        let mut evictions = 0;
-        for (key, count) in &other.entries {
-            if self.absorb_entry(key.clone(), *count, width) {
-                evictions += 1;
-            }
-        }
-        evictions
-    }
-
     /// Merges `count` sightings of `key` into the bottom-k summary,
     /// evicting the largest-rank entry when the sample overflows `width`;
     /// returns whether it evicted.
@@ -81,7 +67,7 @@ impl CellSketch {
         // Full: the sample keeps the `width` smallest ranks ever seen.
         // A rank at or above the current maximum can never join (the
         // threshold only decreases), so the retained set — and with it the
-        // whole cell — is independent of arrival and merge order.
+        // whole cell — is independent of arrival order.
         self.lossy = true;
         let max_key = self
             .entries

@@ -10,11 +10,9 @@
 //!
 //! A cell is bounded by configuration, not by traffic volume: its state
 //! is `O(width)` no matter how many lookups stream through. Retention
-//! depends only on a domain's hash rank — never on arrival order — so
-//! accumulation is **mergeable**: sketching shards independently and
-//! merging gives bit-identical state to one sequential pass, which is what
-//! makes the frontend safe to run under any `ExecPolicy × PipelineMode ×
-//! worker count` combination (the same determinism contract every other
+//! depends only on a domain's hash rank — never on arrival order — which
+//! is what makes the frontend safe to run under any `ExecPolicy ×
+//! PipelineMode × worker count` combination (the same determinism contract every other
 //! BotMeter layer obeys).
 //!
 //! A sketch is a statistic, not a trace: it keeps no timestamps. The
@@ -48,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cell;
 mod traffic;

@@ -1,4 +1,4 @@
-//! [`SketchedTraffic`]: the bounded, mergeable accumulation of matched
+//! [`SketchedTraffic`]: the bounded accumulation of matched
 //! lookups across all (server, epoch) cells.
 
 use crate::cell::CellSketch;
@@ -22,10 +22,9 @@ pub(crate) const CELL_OVERHEAD_BYTES: u64 = 48;
 ///
 /// State is bounded by `cells ×` [`SketchConfig::cell_budget_bytes`] —
 /// independent of how many lookups stream through — and accumulation is
-/// order- and shard-independent: pushing a stream record by record,
-/// chunking it arbitrarily, or sketching shards separately and
-/// [`absorb`](Self::absorb)-ing the pieces all produce bit-identical
-/// state (`PartialEq` compares every cell's retained entries).
+/// order-independent: pushing a stream record by record in any order
+/// produces bit-identical state (`PartialEq` compares every cell's
+/// retained entries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchedTraffic {
     config: SketchConfig,
@@ -57,32 +56,6 @@ impl SketchedTraffic {
             .entry((lookup.server, epoch))
             .or_insert_with(CellSketch::new)
             .ingest(&lookup.domain, self.config.hh_width())
-    }
-
-    /// Merges another sketch accumulated under the **same configuration**
-    /// (per-worker or per-shard sketches folding into one), cell by cell;
-    /// returns how many retained entries the union evicted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configurations differ — a union of samples of
-    /// different widths or epoch routings is no sample of either.
-    pub fn absorb(&mut self, other: &SketchedTraffic) -> u64 {
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge sketches with different configurations"
-        );
-        let mut evictions = 0;
-        for (key, theirs) in &other.cells {
-            match self.cells.get_mut(key) {
-                Some(mine) => evictions += mine.merge(theirs, self.config.hh_width()),
-                None => {
-                    self.cells.insert(*key, theirs.clone());
-                }
-            }
-        }
-        self.total += other.total;
-        evictions
     }
 
     /// All cells in (server asc, epoch asc) order.
@@ -227,35 +200,6 @@ mod tests {
             small.cell(ServerId(1), 0).unwrap().retained(),
             large.cell(ServerId(1), 0).unwrap().retained()
         );
-    }
-
-    #[test]
-    fn sharded_absorb_is_bit_identical_to_sequential() {
-        let cfg = config(3);
-        let stream: Vec<ObservedLookup> = (0..40)
-            .map(|i| lookup(i, 1 + (i % 3) as u32, &format!("d{}.net", i % 11)))
-            .collect();
-        let sketch_of = |lookups: &[ObservedLookup]| {
-            let mut sketch = SketchedTraffic::new(cfg);
-            for lookup in lookups {
-                sketch.push(lookup);
-            }
-            sketch
-        };
-        let sequential = sketch_of(&stream);
-        let mut merged = SketchedTraffic::new(cfg);
-        for shard in stream.chunks(7) {
-            merged.absorb(&sketch_of(shard));
-        }
-        assert_eq!(sequential, merged);
-    }
-
-    #[test]
-    #[should_panic(expected = "different configurations")]
-    fn absorb_rejects_mismatched_configs() {
-        let mut a = SketchedTraffic::new(config(4));
-        let b = SketchedTraffic::new(config(8));
-        a.absorb(&b);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the sketch algebra.
 //!
 //! The load-bearing invariant: retention is a pure function of the distinct
-//! domain *set* a cell has seen — never of arrival order, chunking, or
-//! merge order. That is what makes sharded accumulation bit-identical to
-//! single-shot ingest across every execution plan. These properties pin it
+//! domain *set* a cell has seen — never of arrival order or chunking.
+//! That is what makes accumulation bit-identical across every execution
+//! plan. These properties pin it
 //! with randomized streams, alongside the `lossy ⟺ distinct > width`
 //! oracle.
 
@@ -48,54 +48,17 @@ fn entry_strategy() -> impl Strategy<Value = Vec<(u64, u32, u8)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sharded accumulation ≡ single-shot ingest: splitting the stream at
-    /// any point, sketching each shard independently, and absorbing the
-    /// tail shard lands on the exact same state.
+    /// Retention is order-independent: the stream pushed reversed, or
+    /// rotated at any point, lands on the exact same state.
     #[test]
-    fn split_ingest_is_bit_identical_to_single_shot(
-        entries in entry_strategy(),
-        cut_seed in any::<u64>(),
-    ) {
+    fn ingest_order_is_irrelevant(entries in entry_strategy(), cut_seed in any::<u64>()) {
         let lookups = stream(&entries);
         let reference = sketch_of(&lookups);
-        let cut = (cut_seed as usize) % (lookups.len() + 1);
-        let mut head = sketch_of(&lookups[..cut]);
-        let tail = sketch_of(&lookups[cut..]);
-        head.absorb(&tail);
-        prop_assert_eq!(head, reference);
-    }
-
-    /// Merge is commutative: `a ∪ b == b ∪ a`, bit for bit.
-    #[test]
-    fn merge_is_commutative(a in entry_strategy(), b in entry_strategy()) {
-        let (sa, sb) = (sketch_of(&stream(&a)), sketch_of(&stream(&b)));
-        let mut ab = sa.clone();
-        ab.absorb(&sb);
-        let mut ba = sb.clone();
-        ba.absorb(&sa);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Merge is associative: `(a ∪ b) ∪ c == a ∪ (b ∪ c)`, bit for bit.
-    #[test]
-    fn merge_is_associative(
-        a in entry_strategy(),
-        b in entry_strategy(),
-        c in entry_strategy(),
-    ) {
-        let (sa, sb, sc) = (
-            sketch_of(&stream(&a)),
-            sketch_of(&stream(&b)),
-            sketch_of(&stream(&c)),
-        );
-        let mut left = sa.clone();
-        left.absorb(&sb);
-        left.absorb(&sc);
-        let mut bc = sb.clone();
-        bc.absorb(&sc);
-        let mut right = sa;
-        right.absorb(&bc);
-        prop_assert_eq!(left, right);
+        let reversed: Vec<ObservedLookup> = lookups.iter().rev().cloned().collect();
+        prop_assert_eq!(&sketch_of(&reversed), &reference);
+        let mut rotated = lookups.clone();
+        rotated.rotate_left((cut_seed as usize) % (lookups.len() + 1));
+        prop_assert_eq!(sketch_of(&rotated), reference);
     }
 
     /// `lossy` is exact, not heuristic: a cell is lossy iff it saw more

@@ -21,7 +21,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Sample variance (Bessel-corrected); `0.0` for fewer than two points.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -184,7 +184,7 @@ impl std::fmt::Display for Summary {
 ///     m.push(x);
 /// }
 /// assert_eq!(m.mean(), 4.0);
-/// assert_eq!(m.variance(), 4.0);
+/// assert_eq!(m.std_dev(), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineMoments {
@@ -218,7 +218,7 @@ impl OnlineMoments {
     }
 
     /// Bessel-corrected sample variance (`0.0` with fewer than two points).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

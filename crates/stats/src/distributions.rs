@@ -244,11 +244,6 @@ impl Zipf {
         }
         Ok(Zipf { cdf })
     }
-
-    /// Number of ranks in the support.
-    pub fn support(&self) -> usize {
-        self.cdf.len()
-    }
 }
 
 impl SampleU64 for Zipf {

@@ -29,21 +29,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod descriptive;
 mod distributions;
-mod gof;
 mod kahan;
 mod seed;
 mod special;
 mod stirling;
 
-pub use descriptive::{mean, percentile, std_dev, variance, OnlineMoments, Summary};
+pub use descriptive::{mean, percentile, std_dev, OnlineMoments, Summary};
 pub use distributions::{
     Bernoulli, Exponential, LogNormal, Normal, Poisson, SampleF64, SampleU64, Zipf,
 };
-pub use gof::{ks_critical_value, ks_statistic};
 pub use kahan::KahanSum;
 pub use seed::{mix64, SeedSequence};
-pub use special::{binomial, ln_binomial, ln_factorial, ln_gamma, log_sum_exp, LogSumAcc};
-pub use stirling::{SharedStirling, StirlingTable};
+pub use special::{ln_binomial, ln_factorial, LogSumAcc};
+pub use stirling::SharedStirling;

@@ -11,14 +11,7 @@
 ///
 /// Panics if `x <= 0` (the estimators only ever evaluate the positive branch,
 /// so a hard error is preferable to silently returning a reflected value).
-///
-/// # Example
-///
-/// ```
-/// let v = botmeter_stats::ln_gamma(5.0); // Γ(5) = 24
-/// assert!((v - 24f64.ln()).abs() < 1e-12);
-/// ```
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Lanczos coefficients for g = 7.
     const G: f64 = 7.0;
@@ -50,7 +43,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Natural logarithm of `n!`.
 ///
 /// Values up to `n = 255` come from a precomputed table (exact to f64
-/// rounding); larger arguments fall back to [`ln_gamma`].
+/// rounding); larger arguments fall back to the Lanczos `ln Γ`.
 ///
 /// # Example
 ///
@@ -85,7 +78,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 ///
 /// Returns `f64::NEG_INFINITY` when `k > n`, which is the natural log-space
 /// encoding of "zero ways" and lets callers use the value in
-/// [`log_sum_exp`]-style accumulation without special-casing.
+/// [`LogSumAcc`] accumulation without special-casing.
 ///
 /// # Example
 ///
@@ -103,39 +96,6 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
         return 0.0;
     }
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
-/// The binomial coefficient `C(n, k)` as an `f64` (may be `inf` for huge
-/// arguments; use [`ln_binomial`] when magnitudes are extreme).
-///
-/// # Example
-///
-/// ```
-/// assert!((botmeter_stats::binomial(6, 2) - 15.0).abs() < 1e-9);
-/// ```
-pub fn binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    ln_binomial(n, k).exp()
-}
-
-/// Numerically stable `ln(Σ exp(x_i))` over a slice.
-///
-/// Empty input yields `NEG_INFINITY` (the log of an empty sum).
-///
-/// # Example
-///
-/// ```
-/// let v = botmeter_stats::log_sum_exp(&[0.0, 0.0]); // ln(2)
-/// assert!((v - 2f64.ln()).abs() < 1e-12);
-/// ```
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let mut acc = LogSumAcc::new();
-    for &x in xs {
-        acc.add(x);
-    }
-    acc.value()
 }
 
 /// Streaming log-sum-exp accumulator.
@@ -200,6 +160,35 @@ impl Default for LogSumAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `ln(Σ exp(x_i))` through the streaming accumulator.
+    fn lse(xs: &[f64]) -> f64 {
+        let mut acc = LogSumAcc::new();
+        for &x in xs {
+            acc.add(x);
+        }
+        acc.value()
+    }
+
+    proptest! {
+        /// ln Γ satisfies the functional equation Γ(x+1) = x·Γ(x).
+        #[test]
+        fn ln_gamma_recurrence(x in 0.05f64..200.0) {
+            let lhs = ln_gamma(x + 1.0);
+            let rhs = x.ln() + ln_gamma(x);
+            prop_assert!((lhs - rhs).abs() < 1e-8 * (1.0 + lhs.abs()));
+        }
+
+        /// ln n! is monotone increasing and consistent with ln Γ(n+1).
+        #[test]
+        fn ln_factorial_consistency(n in 0u64..5000) {
+            let a = ln_factorial(n);
+            let b = ln_gamma(n as f64 + 1.0);
+            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()));
+            prop_assert!(ln_factorial(n + 1) >= a);
+        }
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {
@@ -238,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_small_values_exact() {
-        assert_eq!(binomial(0, 0), 1.0);
-        assert_eq!(binomial(5, 0), 1.0);
-        assert_eq!(binomial(5, 5), 1.0);
-        assert!((binomial(10, 4) - 210.0).abs() < 1e-9);
-        assert_eq!(binomial(4, 9), 0.0);
-    }
-
-    #[test]
     fn ln_binomial_symmetry() {
         for n in 0u64..40 {
             for k in 0..=n {
@@ -263,7 +243,7 @@ mod tests {
         for n in 2u64..60 {
             for k in 1..n {
                 let lhs = ln_binomial(n, k);
-                let rhs = log_sum_exp(&[ln_binomial(n - 1, k - 1), ln_binomial(n - 1, k)]);
+                let rhs = lse(&[ln_binomial(n - 1, k - 1), ln_binomial(n - 1, k)]);
                 assert!((lhs - rhs).abs() < 1e-9, "Pascal fails at ({n},{k})");
             }
         }
@@ -271,9 +251,9 @@ mod tests {
 
     #[test]
     fn log_sum_exp_handles_extremes() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
-        let v = log_sum_exp(&[-1000.0, -1000.0 + 1.0]);
+        assert_eq!(lse(&[]), f64::NEG_INFINITY);
+        assert_eq!(lse(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
+        let v = lse(&[-1000.0, -1000.0 + 1.0]);
         let want = (-1000.0f64).exp(); // irrelevant: check shifted identity
         let _ = want;
         assert!((v - (-1000.0 + (1.0 + std::f64::consts::E).ln())).abs() < 1e-9);

@@ -39,7 +39,12 @@ echo "==> removed entry-point grep gate"
 # called and the checkpoint's copy of the daemon's counters, four library
 # capabilities no program used (per-job panic results, `MC`'s interval,
 # landscape merging, the seeded retry jitter) and eight public functions
-# only tests called. No file may mention the old names.
+# only tests called, and what the public-surface audit found dead: the
+# matcher's test-only input modes (the pattern matcher, the collision
+# filter, the plain-list feed), sketch merging, the simulator's shard
+# sink, the sketch request's stream-health setter and the accessors and
+# Stirling/binomial caches no program read. No file may mention the old
+# names.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 pattern+='|process_trace_sharded|absorb_shard|MIN_PARALLEL_TRACE'
 pattern+='|matches_id|ingest_compact|scan_compact|kernel_quantization'
@@ -66,11 +71,17 @@ pattern+='|\b(MergeEffect|merged_cells|new_cells|day_lookups|catalog_size)\b|Epo
 pattern+='|BufferPool|POOL_RETAIN|sched\.pool\.|set_obs|push_cache_deltas|clear_caches'
 pattern+='|report_so_far|binomial_rows_cached|observed_in_epoch|StatsCheckpoint'
 pattern+='|impl FaultRecord for CompactObserved'
-# (whole words: `ln_stirling2` stays)
+# (whole words: `ln_stirling2_row` stays)
 pattern+='|\b(stirling2|domain_id)\b'
 pattern+='|\b(try_run_indexed_with|TaskPanic|estimate_with_interval|RetryPolicy'
 pattern+='|backoff_schedule|reference_chart|tracked_servers|match_rate|bar_chart|with_jitter)\b'
 pattern+='|Landscape::merge|Normal::standard|StaticAuthority::register|\.hydrate\('
+pattern+='|\b(PatternMatcher|CollisionFilter|PlainListError|from_plain_list|write_plain_list'
+pattern+='|absorb_sketch|label_matches|mean_ns|log_sum_exp|ln_stirling2|ln_binomial_row'
+pattern+='|stirling_rows_filled|rows_filled|binomial_rows|is_positive|local_servers|label_count'
+pattern+='|run_streaming_into|stream_quality|attached_stream_quality)\b|sketch\.merges|\bbinomial\('
+pattern+='|\.sum_ns\(\)|\.support\(\)|Topology::star|\.pool_model\(\)|\.style\(\)|\.generator\(\)'
+pattern+='|\.min_len\(\)|\.charset\(\)|\.stages\(\)|\.absorb\('
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
@@ -78,6 +89,63 @@ if [[ -n "$offenders" ]]; then
   echo "error: removed dual entry points referenced:" >&2
   echo "$offenders" >&2
   echo "use the unified ExecPolicy-taking API instead." >&2
+  exit 1
+fi
+
+echo "==> public-surface audit (every library pub fn is named by program code)"
+# rustc's dead_code lint cannot see an unused `pub` item, so this step
+# does it by name: a `pub fn` in a crate's library must be named, as a
+# whole word, by program code outside that library — another crate's
+# src/ (its src/bin/ included), the crate's own src/bin/, the root src/,
+# examples/ or benchmark/src. Tests do not count: an item only tests call
+# is `pub(crate)`, and rustc then reports whether anything uses it.
+# `#[cfg(test)]` tails and `//` lines count on neither side. Common names
+# (`new`, `len`) always match somewhere, so this is a lower bound.
+# The exceptions are oracles and test doubles integration tests reach,
+# `#[doc(hidden)]` in the source: the pipeline oracle and the
+# determinism filter, the daemon's fault-injecting storage with its
+# knobs, the codec pieces the crash tests forge bytes with, the routing
+# calls the multi-level topology test builds Fig. 1's tree with, the
+# name-retention probe, and the segment extraction a root test holds to
+# its partition property.
+audit_exceptions=(
+  run_reference deterministic_counters
+  storage_mut fail_next_appends fail_next_writes fail_next_reads fail_next_renames
+  tear_next_appends injected inner_mut
+  crc32 encode_header decode_checkpoint segment_name parse_name
+  add_resolver add_resolver_under_border assign_client
+  backing_len extract_segments
+)
+# Prints the files' lines above their `#[cfg(test)]` tail, `//` lines
+# dropped.
+non_test_code() {
+  xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } t { next }
+    /^[[:space:]]*\/\// { next } { print }'
+}
+unnamed=""
+for crate_dir in crates/*/; do
+  crate=$(basename "$crate_dir")
+  program_words=$(
+    { find crates -path "crates/$crate" -prune -o -path '*/src/*' -name '*.rs' -print0
+      if [[ -d crates/$crate/src/bin ]]; then find "crates/$crate/src/bin" -name '*.rs' -print0; fi
+      find src examples benchmark/src -name '*.rs' -print0
+    } | non_test_code | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u
+  )
+  library_fns=$(
+    find "crates/$crate/src" -name '*.rs' -not -path '*/src/bin/*' -print0 \
+      | non_test_code \
+      | grep -oE '^[[:space:]]*pub (const )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*' \
+      | awk '{ print $NF }' | sort -u
+  )
+  for name in $(comm -23 <(echo "$library_fns") <(echo "$program_words")); do
+    if [[ " ${audit_exceptions[*]} " != *" $name "* ]]; then
+      unnamed+="crates/$crate: $name"$'\n'
+    fi
+  done
+done
+if [[ -n "$unnamed" ]]; then
+  echo "error: pub fn named by no program code (make it pub(crate), then let rustc judge it):" >&2
+  printf '%s' "$unnamed" >&2
   exit 1
 fi
 

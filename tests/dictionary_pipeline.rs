@@ -1,47 +1,43 @@
-//! End-to-end pipeline over the dictionary DGA (Suppobox) and the
-//! plain-list feed format — exercising the analyst workflow the paper's
-//! Fig. 2 describes with real exported domain lists.
+//! End-to-end pipeline over the dictionary DGA (Suppobox): the analyst
+//! workflow the paper's Fig. 2 describes, on a family whose names are
+//! word pairs rather than gibberish.
 
 use botmeter::core::{absolute_relative_error, EstimationContext, Estimator, PoissonEstimator};
-use botmeter::dga::{DgaFamily, NameStyle};
+use botmeter::dga::DgaFamily;
 use botmeter::dns::ServerId;
 use botmeter::exec::ExecPolicy;
-use botmeter::matcher::{match_stream, DomainMatcher, ExactMatcher, PatternMatcher};
+use botmeter::matcher::{match_stream, ExactMatcher};
 use botmeter::sim::ScenarioSpec;
+
+fn suppobox() -> DgaFamily {
+    DgaFamily::by_name("suppobox").expect("suppobox is a preset")
+}
 
 #[test]
 fn suppobox_is_a_dictionary_family() {
-    let f = DgaFamily::suppobox();
-    match f.generator().style() {
-        NameStyle::Dictionary { words_per_name, .. } => assert_eq!(*words_per_name, 2),
-        other => panic!("expected a dictionary style, got {other:?}"),
-    }
+    let f = suppobox();
     // Lexically benign: pure letters, word-like lengths.
     for d in f.pool_for_epoch(0).iter().take(20) {
-        assert!(d.first_label().chars().all(|c| c.is_ascii_lowercase()));
-        assert!(d.first_label().len() >= 10);
+        let label = d.as_str().split('.').next().expect("a label");
+        assert!(label.chars().all(|c| c.is_ascii_lowercase()));
+        assert!(label.len() >= 10);
     }
 }
 
 #[test]
-fn plain_list_feed_drives_the_full_pipeline() {
-    // Simulate a Suppobox infection...
-    let outcome = ScenarioSpec::builder(DgaFamily::suppobox())
+fn suppobox_exact_matcher_drives_the_full_pipeline() {
+    // Simulate a Suppobox infection, match it against the family's pools
+    // and run the estimation pipeline off the matched stream.
+    let outcome = ScenarioSpec::builder(suppobox())
         .population(32)
         .seed(11)
         .build()
         .expect("valid scenario")
         .run(ExecPolicy::default());
+    let matcher = ExactMatcher::from_family(outcome.family(), 0..2);
 
-    // ...export the day's pool as a DGArchive-style plain list, re-import
-    // it, and run the estimation pipeline off the imported feed.
-    let exported = ExactMatcher::from_family(outcome.family(), 0..2);
-    let mut feed = Vec::new();
-    exported.write_plain_list(&mut feed).expect("export");
-    let imported = ExactMatcher::from_plain_list(feed.as_slice()).expect("import");
-
-    let matched = match_stream(outcome.observed(), &imported, ExecPolicy::default());
-    assert!(matched.total_matched() > 0, "feed matched nothing");
+    let matched = match_stream(outcome.observed(), &matcher, ExecPolicy::default());
+    assert!(matched.total_matched() > 0, "matcher matched nothing");
     let lookups = matched.for_server(ServerId(1));
 
     // Suppobox is AU: the Poisson estimator applies.
@@ -56,27 +52,11 @@ fn plain_list_feed_drives_the_full_pipeline() {
 }
 
 #[test]
-fn pattern_matcher_covers_dictionary_names_but_is_coarse() {
-    let f = DgaFamily::suppobox();
-    let pattern = PatternMatcher::for_family(&f);
-    // Total recall over the family's own pools...
-    for epoch in 0..3 {
-        for d in f.pool_for_epoch(epoch) {
-            assert!(pattern.matches(&d), "{d} missed");
-        }
-    }
-    // ...but any letter-only label of matching length also passes — the
-    // documented weakness of lexical patterns on dictionary DGAs, which is
-    // why they evade entropy detectors in the first place.
-    assert!(pattern.matches(&"ratherordinary.net".parse().unwrap()));
-}
-
-#[test]
 fn dictionary_pools_may_share_domains_across_epochs() {
     // Unlike the gibberish families, word-pair pools drawn from a finite
     // dictionary can re-use names on different days (as real dictionary
     // DGAs do). The matcher-over-epochs union handles this shape.
-    let f = DgaFamily::suppobox();
+    let f = suppobox();
     let union = ExactMatcher::from_family(&f, 0..30);
     let total_with_dupes: usize = (0..30).map(|e| f.pool_for_epoch(e).len()).sum();
     assert!(

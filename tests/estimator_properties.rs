@@ -1,9 +1,9 @@
 //! Property-based tests over the estimator library's invariants.
 
 use botmeter::core::{
-    absolute_relative_error, extract_segments, BernoulliEstimator, CoverageEstimator,
-    EstimationContext, Estimator, PoissonEstimator, Segment, SegmentKernelCache, SegmentKind,
-    TimingEstimator,
+    absolute_relative_error, expected_bots_for_shape, extract_segments, BernoulliEstimator,
+    CoverageEstimator, EstimationContext, Estimator, PoissonEstimator, Segment, SegmentKernelCache,
+    SegmentKind, TimingEstimator,
 };
 use botmeter::dga::{BarrelClass, DgaFamily, DgaParams, QueryTiming};
 use botmeter::dns::{DomainName, ObservedLookup, ServerId, SimDuration, SimInstant, TtlPolicy};
@@ -115,13 +115,11 @@ proptest! {
     #[test]
     fn theorem1_monotone_in_length(extra in 0usize..60, theta_q in 20usize..60) {
         let tables = SharedStirling::new();
-        let base = Segment { start: 0, len: theta_q, kind: SegmentKind::Middle };
-        let longer = Segment { start: 0, len: theta_q + extra, kind: SegmentKind::Middle };
-        let e1 = botmeter::core::expected_bots_for_segment(&base, theta_q, 1e-3, &tables);
-        let e2 = botmeter::core::expected_bots_for_segment(&longer, theta_q, 1e-3, &tables);
+        let (base, longer) = (theta_q, theta_q + extra);
+        let e1 = expected_bots_for_shape(SegmentKind::Middle, base, theta_q, 1e-3, &tables).0;
+        let e2 = expected_bots_for_shape(SegmentKind::Middle, longer, theta_q, 1e-3, &tables).0;
         prop_assert!(e1 >= 0.99, "{e1}");
-        prop_assert!(e2 >= e1 - 1e-6, "len {} -> {e1}, len {} -> {e2}",
-                     base.len, longer.len);
+        prop_assert!(e2 >= e1 - 1e-6, "len {base} -> {e1}, len {longer} -> {e2}");
     }
 
     /// The Bernoulli estimator is permutation-invariant over the lookup
@@ -148,7 +146,7 @@ proptest! {
     }
 
     /// The kernel cache evaluates at the snapped density: its value is
-    /// bit-identical to the uncached kernel at `snap_rho(ρ)` (so the hit
+    /// bit-identical to the uncached kernel at its key's `ρ̃` (so the hit
     /// value is never an approximation of the key it is stored under),
     /// and replaying ρ — or any ρ in the same grid bucket — is a hit
     /// returning the same bits.
@@ -166,10 +164,10 @@ proptest! {
         let tables = SharedStirling::new();
 
         let cache = SegmentKernelCache::default();
-        let snapped = cache.snap_rho(rho);
+        let snapped = cache.key(kind, len, theta_q, rho).rho();
         let relative_shift = (snapped - rho).abs() / rho;
         prop_assert!(relative_shift < 1e-5, "snap moved ρ by {relative_shift}");
-        let uncached = botmeter::core::expected_bots_for_segment(&seg, theta_q, snapped, &tables);
+        let uncached = expected_bots_for_shape(kind, len, theta_q, snapped, &tables).0;
 
         let first = cache.expected_bots(&seg, theta_q, rho, &tables);
         prop_assert!(!first.memo_hit);
@@ -182,7 +180,7 @@ proptest! {
         // Any density that snaps to the same bucket must hit with the
         // identical stored value.
         let nearby = snapped * (1.0 + 1e-8);
-        if cache.snap_rho(nearby) == snapped {
+        if cache.key(kind, len, theta_q, nearby).rho() == snapped {
             let replay = cache.expected_bots(&seg, theta_q, nearby, &tables);
             prop_assert!(replay.memo_hit);
             prop_assert_eq!(replay.value.to_bits(), uncached.to_bits());

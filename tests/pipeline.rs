@@ -91,13 +91,17 @@ fn matcher_strips_foreign_traffic_before_estimation() {
 #[test]
 fn landscape_separates_servers_in_star_topology() {
     use botmeter::dga::DgaFamily;
-    use botmeter::dns::{SimInstant, Topology, TtlPolicy};
+    use botmeter::dns::{SimInstant, TopologyBuilder, TtlPolicy};
 
     // Hand-route two bot populations behind different local resolvers.
     let family = DgaFamily::new_goz();
     let authority = family.authority_for_epochs(1);
-    let mut topo = Topology::star(TtlPolicy::paper_default(), 2);
-    let servers = topo.local_servers();
+    let mut builder = TopologyBuilder::new(TtlPolicy::paper_default());
+    let servers = [
+        builder.add_resolver_under_border(),
+        builder.add_resolver_under_border(),
+    ];
+    let mut topo = builder.build();
 
     // Re-simulate raw traffic (only the whole-trace reference run keeps
     // it), then route clients by parity.

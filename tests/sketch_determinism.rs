@@ -6,7 +6,7 @@
 //! The sketch's own bit-identity is held where it is decided: the observed
 //! stream is the same under every `ExecPolicy` and shard width
 //! (`pipeline_equivalence` in `botmeter-sim`), and a sketch of one stream
-//! is the same under any chunking or merge order (`SketchStream`'s unit
+//! is the same under any chunking or arrival order (`SketchStream`'s unit
 //! tests and the `sketch_props` proptests in `botmeter-sketch`).
 
 use botmeter::dga::DgaFamily;
@@ -40,17 +40,9 @@ fn sketch_metrics_surface_through_deterministic_counters() {
     let family = outcome.family().clone();
     let matcher = ExactMatcher::from_family(&family, EPOCHS);
 
-    // Pre-sketch half the stream so `sketch.merges` is exercised too.
-    let observed = outcome.observed();
-    let mid = observed.len() / 2;
-    let mut worker = SketchStream::new(&matcher, config(family.epoch_len()), Obs::noop());
-    worker.ingest(&observed[mid..]);
-    let (worker_sketch, _) = worker.finish();
-
     let (obs, registry) = Obs::collecting();
     let mut frontend = SketchStream::new(&matcher, config(family.epoch_len()), obs);
-    frontend.ingest(&observed[..mid]);
-    frontend.absorb_sketch(&worker_sketch);
+    frontend.ingest(outcome.observed());
     let (sketch, _) = frontend.finish();
 
     let det = registry.snapshot().deterministic_counters();
@@ -61,7 +53,6 @@ fn sketch_metrics_surface_through_deterministic_counters() {
             .value
     };
     assert_eq!(value("sketch.ingest"), sketch.total());
-    assert_eq!(value("sketch.merges"), 1);
     assert_eq!(value("sketch.cells"), sketch.cell_count() as u64);
     assert!(
         value("sketch.hh_evictions") > 0,
