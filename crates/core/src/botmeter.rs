@@ -670,7 +670,9 @@ impl BotMeter {
                         (server, CellStats::from_sketch(epoch, cell, &index, width))
                     })
                     .unzip();
-                // A sketch keeps no timestamps: it carries no stream health.
+                // No caller hands the sketch path the stream health that
+                // `SketchStream::finish` tracks, so its cells chart as
+                // in-order, duplicate-free traffic.
                 (cells, StreamQuality::default())
             }
             // `TelemetrySource` is non-exhaustive for future frontends;

@@ -17,7 +17,7 @@ use botmeter_core::{
 };
 use botmeter_dga::DgaFamily;
 use botmeter_exec::ExecPolicy;
-use botmeter_matcher::{SketchStream, StreamQuality};
+use botmeter_matcher::SketchStream;
 use botmeter_obs::Obs;
 use botmeter_sim::{ScenarioOutcome, ScenarioSpec};
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
@@ -38,7 +38,7 @@ fn scenario(family: DgaFamily, population: u64, seed: u64) -> ScenarioOutcome {
         .run(ExecPolicy::Sequential)
 }
 
-fn sketch_of(outcome: &ScenarioOutcome, width: usize) -> (SketchedTraffic, StreamQuality) {
+fn sketch_of(outcome: &ScenarioOutcome, width: usize) -> SketchedTraffic {
     let meter = BotMeter::new(BotMeterConfig::new(outcome.family().clone()));
     let config = SketchConfig::new(outcome.family().epoch_len())
         .expect("valid epoch length")
@@ -47,17 +47,14 @@ fn sketch_of(outcome: &ScenarioOutcome, width: usize) -> (SketchedTraffic, Strea
     let matcher = meter.matcher_for(EPOCHS);
     let mut frontend = SketchStream::new(&matcher, config, Obs::noop());
     frontend.ingest(outcome.observed());
-    frontend.finish()
+    frontend.finish().0
 }
 
 fn meter(outcome: &ScenarioOutcome, model: ModelKind) -> BotMeter {
     BotMeter::new(BotMeterConfig::new(outcome.family().clone()).model(model))
 }
 
-fn sketch_chart(
-    meter: &BotMeter,
-    (sketch, _): &(SketchedTraffic, StreamQuality),
-) -> Result<Landscape, Error> {
+fn sketch_chart(meter: &BotMeter, sketch: &SketchedTraffic) -> Result<Landscape, Error> {
     meter.try_chart_with(&ChartRequest::from_sketch(sketch).epochs(EPOCHS))
 }
 
@@ -94,7 +91,7 @@ fn every_model_on_a_wide_sketch_is_exact_or_refused() {
     ];
     for (column, outcome) in regimes.iter().enumerate() {
         let sketch = sketch_of(outcome, 16384);
-        assert!(!sketch.0.any_lossy(), "width 16384 must never evict here");
+        assert!(!sketch.any_lossy(), "width 16384 must never evict here");
         for (model, expected) in table {
             let meter = meter(outcome, model);
             let name = meter.resolve_model().name();
@@ -134,7 +131,7 @@ fn refusal_names_the_model_and_the_lane() {
 fn narrow_sketch_invalidates_positions_cells_and_bounds_the_rest() {
     let outcome = scenario(DgaFamily::new_goz(), 48, 21);
     let sketch = sketch_of(&outcome, 8);
-    assert!(sketch.0.any_lossy(), "width 8 must evict on this scenario");
+    assert!(sketch.any_lossy(), "width 8 must evict on this scenario");
     // MB reads positions, which a lossy cell cannot fill.
     let positions = sketch_chart(&meter(&outcome, ModelKind::Bernoulli), &sketch).expect("MB");
     assert!(!positions.is_empty());
@@ -207,7 +204,7 @@ fn sweep_ends() -> Vec<(DgaFamily, usize, SketchedTraffic)> {
     ] {
         let outcome = scenario(family.clone(), population, seed);
         for width in [8, 16384] {
-            points.push((family.clone(), width, sketch_of(&outcome, width).0));
+            points.push((family.clone(), width, sketch_of(&outcome, width)));
         }
     }
     points
@@ -228,7 +225,7 @@ fn resident_bytes_stay_within_cells_times_the_cell_budget() {
 
 #[test]
 fn a_saturated_sketch_does_not_grow_with_traffic_volume() {
-    let probe = |population| sketch_of(&scenario(DgaFamily::new_goz(), population, 21), 8).0;
+    let probe = |population| sketch_of(&scenario(DgaFamily::new_goz(), population, 21), 8);
     let (small, large) = (probe(48), probe(96));
     assert!(
         large.total() > small.total(),

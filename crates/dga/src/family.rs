@@ -13,6 +13,25 @@ use botmeter_stats::mix64;
 use rand::Rng;
 use std::fmt;
 
+/// Suppobox's dictionary: each label concatenates two of these words.
+const SUPPOBOX_WORDS: &[&str] = &[
+    "ability", "account", "action", "amount", "animal", "answer", "article", "autumn", "balance",
+    "banner", "basket", "battle", "beauty", "belief", "bottle", "branch", "breath", "bridge",
+    "butter", "camera", "candle", "canvas", "carbon", "castle", "cattle", "change", "charge",
+    "choice", "circle", "client", "closet", "coffee", "column", "comfort", "command", "common",
+    "copper", "corner", "cotton", "county", "couple", "course", "cousin", "credit", "culture",
+    "custom", "damage", "danger", "debate", "decade", "degree", "design", "detail", "device",
+    "dinner", "doctor", "dollar", "double", "dragon", "driver", "editor", "effect", "effort",
+    "energy", "engine", "estate", "event", "expert", "fabric", "factor", "family", "farmer",
+    "father", "figure", "finger", "flight", "flower", "forest", "fortune", "friend", "future",
+    "garden", "gather", "ground", "growth", "guitar", "hammer", "harbor", "health", "height",
+    "history", "hollow", "honey", "humor", "island", "jacket", "journey", "jungle", "kitchen",
+    "ladder", "leader", "league", "legend", "letter", "little", "luxury", "magnet", "manner",
+    "marble", "margin", "market", "master", "matter", "meadow", "member", "memory", "metal",
+    "method", "middle", "minute", "mirror", "moment", "monkey", "mother", "motion", "nature",
+    "needle", "nation",
+];
+
 /// A fully-specified DGA family.
 ///
 /// Combines a taxonomy cell (pool model × barrel model), the scalar
@@ -383,27 +402,10 @@ impl DgaFamily {
     /// gibberish families, its daily pools can re-use word pairs across
     /// epochs — exactly the behaviour real dictionary DGAs exhibit.
     pub(crate) fn suppobox() -> DgaFamily {
-        const WORDS: &[&str] = &[
-            "ability", "account", "action", "amount", "animal", "answer", "article", "autumn",
-            "balance", "banner", "basket", "battle", "beauty", "belief", "bottle", "branch",
-            "breath", "bridge", "butter", "camera", "candle", "canvas", "carbon", "castle",
-            "cattle", "change", "charge", "choice", "circle", "client", "closet", "coffee",
-            "column", "comfort", "command", "common", "copper", "corner", "cotton", "county",
-            "couple", "course", "cousin", "credit", "culture", "custom", "damage", "danger",
-            "debate", "decade", "degree", "design", "detail", "device", "dinner", "doctor",
-            "dollar", "double", "dragon", "driver", "editor", "effect", "effort", "energy",
-            "engine", "estate", "event", "expert", "fabric", "factor", "family", "farmer",
-            "father", "figure", "finger", "flight", "flower", "forest", "fortune", "friend",
-            "future", "garden", "gather", "ground", "growth", "guitar", "hammer", "harbor",
-            "health", "height", "history", "hollow", "honey", "humor", "island", "jacket",
-            "journey", "jungle", "kitchen", "ladder", "leader", "league", "legend", "letter",
-            "little", "luxury", "magnet", "manner", "marble", "margin", "market", "master",
-            "matter", "meadow", "member", "memory", "metal", "method", "middle", "minute",
-            "mirror", "moment", "monkey", "mother", "motion", "nature", "needle", "nation",
-        ];
         let params = DgaParams::new(126, 2, 128, QueryTiming::Fixed(SimDuration::from_secs(1)))
             .expect("preset params are valid");
-        let generator = DomainGenerator::dictionary("Suppobox", 0x00b0_73e7, WORDS, 2, "net");
+        let generator =
+            DomainGenerator::dictionary("Suppobox", 0x00b0_73e7, SUPPOBOX_WORDS, 2, "net");
         DgaFamily {
             name: "Suppobox".to_owned(),
             params,
@@ -920,9 +922,16 @@ mod tests {
         assert_eq!(pool.len(), 128);
         let distinct: HashSet<_> = pool.iter().collect();
         assert_eq!(distinct.len(), 128, "in-epoch duplicates");
-        assert!(pool
-            .iter()
-            .all(|d| first_label(d).chars().all(|c| c.is_ascii_lowercase())));
+        // Every label is exactly two dictionary words: the generator is
+        // the dictionary style with two words per name, not gibberish.
+        let is_word = |w: &str| SUPPOBOX_WORDS.contains(&w);
+        for d in pool.iter() {
+            let label = first_label(d);
+            assert!(
+                (1..label.len()).any(|i| is_word(&label[..i]) && is_word(&label[i..])),
+                "{label} is not a word pair"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@ fn suppobox() -> DgaFamily {
 #[test]
 fn suppobox_is_a_dictionary_family() {
     let f = suppobox();
-    // Lexically benign: pure letters, word-like lengths.
+    // Lexically benign: pure letters, word-like lengths. That every label
+    // is a pair of Suppobox's words is held by dga's unit test
+    // `suppobox_pools_are_distinct_word_pairs`.
     for d in f.pool_for_epoch(0).iter().take(20) {
         let label = d.as_str().split('.').next().expect("a label");
         assert!(label.chars().all(|c| c.is_ascii_lowercase()));
