@@ -22,8 +22,9 @@
 //! ```
 //!
 //! With `--data-dir DIR` the daemon runs **crash-safe**: every shard is
-//! written to a checksummed write-ahead journal before ingest, the engine
-//! state is checkpointed atomically every `--checkpoint-every` shards, and
+//! written to a checksummed write-ahead journal and is durable before its
+//! ingest call returns (beside the engine's fold, or before it under
+//! `--threads 1`), the engine state is checkpointed atomically every `--checkpoint-every` shards, and
 //! on startup the daemon recovers from the newest readable checkpoint plus
 //! journal replay. Records already ingested before a crash are skipped on
 //! the refed stream, so a `kill -9` + restart publishes snapshots

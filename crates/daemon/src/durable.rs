@@ -9,16 +9,26 @@
 //! > run.
 //!
 //! The mechanism: every shard is appended to the journal (CRC-framed,
-//! fsynced) *before* it reaches the engine, so acknowledged ingest is
-//! replayable; every `checkpoint_every` shards the complete engine state
-//! is written atomically, the journal's active segment is sealed at that
-//! watermark, and the sealed segments the oldest retained checkpoint
-//! covers are deleted whole. Recovery loads the newest readable
-//! checkpoint (falling back a generation past corruption), replays the
-//! journal suffix through the normal ingest path — which re-fires the
-//! same auto-publishes with the same versions — and resumes. After
-//! [`DurableDaemon::open`] the write path reads storage only to mend the
-//! journal after a failed write.
+//! fsynced) and is durable before [`DurableDaemon::ingest`] returns, so
+//! acknowledged ingest is replayable; every `checkpoint_every` shards the
+//! complete engine state is written atomically, the journal's active
+//! segment is sealed at that watermark, and the sealed segments the
+//! oldest retained checkpoint covers are deleted whole. Recovery loads
+//! the newest readable checkpoint (falling back a generation past
+//! corruption), replays the journal suffix through the normal ingest
+//! path — which re-fires the same auto-publishes with the same versions —
+//! and resumes. After [`DurableDaemon::open`] the write path reads
+//! storage only to mend the journal after a failed write.
+//!
+//! The journal and the engine never read each other, so under a parallel
+//! [`ExecPolicy`](botmeter_exec::ExecPolicy) they run side by side
+//! (`botmeter_exec::join_with`): a worker encodes and appends the shard's
+//! frame while the calling thread folds the shard into the engine and, on
+//! cadence, encodes the checkpoint. The storage half of that checkpoint runs after both, so
+//! storage sees the same operations in the same order under every
+//! policy. Recovery likewise decodes frames on workers ahead of the
+//! in-order replay (`botmeter_exec::run_pipelined_with`). A sequential
+//! policy does everything inline, journal first.
 //!
 //! Both writes stream: the shard is serialized straight into its journal
 //! frame (`wal::encode_frame_into`, one buffer reused across shards), the
@@ -190,6 +200,47 @@ fn with_retries<T>(
         }
     }
     Err(last)
+}
+
+/// The journal half of [`DurableDaemon::ingest`]: lays shard `seq` out as
+/// a frame in `frame` and appends it under retry/backoff. Touches nothing
+/// the engine reads, so it may run beside the engine's fold.
+fn append_frame<S: Storage>(
+    wal: &mut Wal<S>,
+    frame: &mut Vec<u8>,
+    sleeper: &mut dyn FnMut(Duration),
+    obs: &Obs,
+    seq: u64,
+    shard: &[ObservedLookup],
+) -> io::Result<()> {
+    let start = obs.clock();
+    frame.clear();
+    let encoded = encode_frame_into(frame, seq, |payload| {
+        serde_json::to_writer(payload, shard).map_err(io::Error::other)
+    });
+    if obs.enabled() {
+        obs.observe_since("wal.encode_ns", start);
+    }
+    let start = obs.clock();
+    encoded?;
+    with_retries(obs, "wal.append_retries", sleeper, || {
+        wal.append_encoded(frame)
+    })?;
+    if obs.enabled() {
+        obs.observe_since("wal.fsync_ns", start);
+    }
+    Ok(())
+}
+
+/// The CPU half of a checkpoint: captures the engine state at watermark
+/// `seq` and encodes it, timed as `ckpt.encode_ns`. Touches no storage.
+fn encode_state(engine: &BotMeterDaemon, obs: &Obs, seq: u64) -> io::Result<Vec<u8>> {
+    let start = obs.clock();
+    let encoded = encode_checkpoint(&engine.checkpoint_state(seq)).map_err(io::Error::other);
+    if obs.enabled() {
+        obs.observe_since("ckpt.encode_ns", start);
+    }
+    encoded
 }
 
 /// Tuning of the durability layer.
@@ -372,22 +423,42 @@ impl<S: Storage> DurableDaemon<S> {
             stats: DurabilityStats::default(),
             frame: Vec::new(),
         };
-        for frame in &contents.frames {
-            if frame.seq <= checkpoint_seq {
-                continue;
-            }
+        // Frames ascend strictly by `seq`. Workers decode payloads ahead;
+        // the caller replays them in order and stops at the first that
+        // does not parse, so nothing from that frame on reaches the engine.
+        let suffix = &contents.frames[contents
+            .frames
+            .partition_point(|frame| frame.seq <= checkpoint_seq)..];
+        let mut bad_frame = None;
+        botmeter_exec::run_pipelined_with(
+            daemon.engine.policy(),
+            &daemon.obs,
+            suffix.len(),
             // `from_slice` refuses invalid UTF-8 instead of patching it.
-            let shard: Vec<ObservedLookup> =
-                serde_json::from_slice(&frame.payload).map_err(|e| {
-                    DurabilityError::BadFramePayload {
-                        seq: frame.seq,
-                        reason: e.to_string(),
+            |i| serde_json::from_slice::<Vec<ObservedLookup>>(&suffix[i].payload),
+            |i, decoded| {
+                if bad_frame.is_some() {
+                    return;
+                }
+                let seq = suffix[i].seq;
+                match decoded {
+                    Ok(shard) => {
+                        report.replayed_frames += 1;
+                        report.replayed_records += shard.len() as u64;
+                        daemon.engine.ingest(&shard);
+                        daemon.seq = seq;
                     }
-                })?;
-            report.replayed_frames += 1;
-            report.replayed_records += shard.len() as u64;
-            daemon.engine.ingest(&shard);
-            daemon.seq = frame.seq;
+                    Err(e) => {
+                        bad_frame = Some(DurabilityError::BadFramePayload {
+                            seq,
+                            reason: e.to_string(),
+                        })
+                    }
+                }
+            },
+        );
+        if let Some(e) = bad_frame {
+            return Err(e);
         }
         // The next shard goes above everything the journal accounts for,
         // a sealed watermark with no frame after it included.
@@ -402,44 +473,48 @@ impl<S: Storage> DurableDaemon<S> {
         Ok((daemon, report))
     }
 
-    /// Journals then ingests one shard, checkpointing on cadence.
+    /// Journals and ingests one shard, checkpointing on cadence.
     ///
     /// The shard is serialized straight into its journal frame and the
-    /// frame appended (under retry/backoff) before the shard touches the
-    /// engine; a journal that stays unavailable degrades the daemon
-    /// (counted via [`DurabilityStats::unjournaled_shards`] and
-    /// `wal.degraded_shards`) instead of failing the serve path. So does a
-    /// shard whose frame would exceed the journal's frame ceiling
-    /// (more than [`MAX_SHARD_RECORDS`] records can): recovery would refuse
-    /// that frame as corrupt, so it is never written and no retry is spent
-    /// on it. Either way the next checkpoint covers the shard.
+    /// frame appended (under retry/backoff); it is durable before this
+    /// returns. The engine folds the shard whatever the journal does, under
+    /// a parallel policy while the frame is written (see the module docs);
+    /// a journal that stays unavailable degrades the daemon (counted via
+    /// [`DurabilityStats::unjournaled_shards`] and `wal.degraded_shards`)
+    /// instead of failing the serve path. So does a shard whose frame would
+    /// exceed the journal's frame ceiling (more than [`MAX_SHARD_RECORDS`]
+    /// records can): recovery would refuse that frame as corrupt, so it is
+    /// never written and no retry is spent on it. Either way the next
+    /// checkpoint covers the shard.
     /// Returns the version auto-published by this shard, if any.
     pub fn ingest(&mut self, shard: &[ObservedLookup]) -> Option<LandscapeVersion> {
         let next_seq = self.seq + 1;
-        let start = self.obs.clock();
-        self.frame.clear();
-        let encoded = encode_frame_into(&mut self.frame, next_seq, |payload| {
-            serde_json::to_writer(payload, shard).map_err(io::Error::other)
-        });
-        if self.obs.enabled() {
-            self.obs.observe_since("wal.encode_ns", start);
-        }
-        let start = self.obs.clock();
-        let appended = encoded.and_then(|()| {
-            with_retries(
-                &self.obs,
-                "wal.append_retries",
-                &mut self.options.sleeper,
-                || self.wal.append_encoded(&self.frame),
-            )
-        });
+        let on_cadence = next_seq.is_multiple_of(self.options.checkpoint_every);
+        let DurableDaemon {
+            engine,
+            wal,
+            options,
+            obs,
+            frame,
+            ..
+        } = self;
+        let obs = &*obs;
+        let (appended, (published, checkpoint)) = botmeter_exec::join_with(
+            engine.policy(),
+            obs,
+            || append_frame(wal, frame, &mut options.sleeper, obs, next_seq, shard),
+            || {
+                let published = engine.ingest(shard);
+                let checkpoint = on_cadence.then(|| encode_state(engine, obs, next_seq));
+                (published, checkpoint)
+            },
+        );
         match appended {
             Ok(()) => {
                 self.stats.wal_appends += 1;
                 self.degraded = false;
                 if self.obs.enabled() {
                     self.obs.counter_add("wal.appends", 1);
-                    self.obs.observe_since("wal.fsync_ns", start);
                 }
             }
             Err(_) => {
@@ -453,30 +528,25 @@ impl<S: Storage> DurableDaemon<S> {
             }
         }
         self.seq = next_seq;
-        let published = self.engine.ingest(shard);
-        if self.seq.is_multiple_of(self.options.checkpoint_every) {
-            self.checkpoint_now().ok(); // failure counted, serve path lives
+        if let Some(encoded) = checkpoint {
+            self.write_checkpoint(encoded).ok(); // failure counted, serve path lives
         }
         published
     }
 
-    /// Writes a checkpoint at the current watermark, retires old
-    /// generations, seals the journal's active segment at the watermark and
-    /// deletes the sealed segments the oldest retained checkpoint covers.
+    /// The storage half of a checkpoint at the current watermark: saves
+    /// `encoded` (the engine state at [`journal_seq`](Self::journal_seq)),
+    /// retires old generations, seals the journal's active segment at the
+    /// watermark and deletes the sealed segments the oldest retained
+    /// checkpoint covers.
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Io`] when the write fails past the retry
-    /// budget; the failure is also counted in
+    /// [`DurabilityError::Io`] when the encode failed or the write fails
+    /// past the retry budget; the failure is also counted in
     /// [`DurabilityStats::failed_checkpoints`] so callers on the ingest
     /// path can ignore it safely.
-    pub(crate) fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
-        let start = self.obs.clock();
-        let state = self.engine.checkpoint_state(self.seq);
-        let encoded = encode_checkpoint(&state).map_err(io::Error::other);
-        if self.obs.enabled() {
-            self.obs.observe_since("ckpt.encode_ns", start);
-        }
+    fn write_checkpoint(&mut self, encoded: io::Result<Vec<u8>>) -> Result<(), DurabilityError> {
         let start = self.obs.clock();
         let seq = self.seq;
         let saved = encoded.and_then(|bytes| {
@@ -535,8 +605,14 @@ impl<S: Storage> DurableDaemon<S> {
 
     /// Graceful shutdown: a final checkpoint flush. Called by `botmeterd`
     /// on SIGTERM/SIGINT so a restart needs no journal replay.
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::Io`] when the checkpoint write fails past the
+    /// retry budget.
     pub fn shutdown(&mut self) -> Result<(), DurabilityError> {
-        self.checkpoint_now()
+        let encoded = encode_state(&self.engine, &self.obs, self.seq);
+        self.write_checkpoint(encoded)
     }
 
     /// Publishes the trailing partial epoch (see
@@ -632,6 +708,13 @@ mod tests {
         );
     }
 
+    /// The reference policy and two workers: the journal inline, and beside
+    /// the engine (and decoding ahead of replay).
+    const POLICIES: [ExecPolicy; 2] = [
+        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { threads: Some(2) },
+    ];
+
     #[test]
     fn a_crc_valid_frame_that_is_not_a_shard_is_refused_not_replayed() {
         let shard = serde_json::to_string(&observed()[..4])
@@ -648,27 +731,74 @@ mod tests {
             + 11;
         not_utf8[at] = 0xFF;
         assert!(std::str::from_utf8(&not_utf8).is_err());
-        for (payload, needle) in [
-            (not_utf8, "UTF-8"),
-            (b"{\"not\": \"a shard\"}".to_vec(), ""),
-            (b"[1, 2, 3]".to_vec(), ""),
-        ] {
-            let mut storage = MemStorage::new();
-            let mut journal = crate::wal::encode_header(0);
-            journal.extend(crate::wal::encode_frame(1, &shard));
-            journal.extend(crate::wal::encode_frame(2, &payload));
-            storage
-                .write_atomic(crate::wal::WAL_FILE, &journal)
-                .unwrap();
-            let err =
-                DurableDaemon::open(meter(), options(), storage, DurabilityOptions::default())
-                    .expect_err("frame 2 is not a shard");
-            match err {
-                DurabilityError::BadFramePayload { seq: 2, reason } => {
-                    assert!(reason.contains(needle), "{reason}")
+        for policy in POLICIES {
+            for (payload, needle) in [
+                (not_utf8.clone(), "UTF-8"),
+                (b"{\"not\": \"a shard\"}".to_vec(), ""),
+                (b"[1, 2, 3]".to_vec(), ""),
+            ] {
+                // A valid frame 3 behind the bad one: decoded ahead of
+                // replay, it must not mask frame 2's refusal.
+                let mut storage = MemStorage::new();
+                let mut journal = crate::wal::encode_header(0);
+                journal.extend(crate::wal::encode_frame(1, &shard));
+                journal.extend(crate::wal::encode_frame(2, &payload));
+                journal.extend(crate::wal::encode_frame(3, &shard));
+                storage
+                    .write_atomic(crate::wal::WAL_FILE, &journal)
+                    .unwrap();
+                let err = DurableDaemon::open(
+                    meter(),
+                    options().policy(policy),
+                    storage,
+                    DurabilityOptions::default(),
+                )
+                .expect_err("frame 2 is not a shard");
+                match err {
+                    DurabilityError::BadFramePayload { seq: 2, reason } => {
+                        assert!(reason.contains(needle), "{policy:?}: {reason}")
+                    }
+                    other => {
+                        panic!("{policy:?}: expected BadFramePayload for frame 2, got {other}")
+                    }
                 }
-                other => panic!("expected BadFramePayload for frame 2, got {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_journal_longer_than_the_decode_window_recovers_under_every_policy() {
+        let stream = observed();
+        let shards: Vec<_> = stream.chunks(stream.len().div_ceil(20)).collect();
+        assert!(shards.len() > botmeter_exec::PIPELINE_WINDOW);
+        let (mut uninterrupted, _) = DurableDaemon::open(
+            meter(),
+            options(),
+            MemStorage::new(),
+            DurabilityOptions::new(1000),
+        )
+        .unwrap();
+        for shard in &shards {
+            uninterrupted.ingest(shard);
+        }
+        let journal = uninterrupted.storage_mut().clone();
+        uninterrupted.publish_now();
+        for policy in POLICIES {
+            let (mut recovered, report) = DurableDaemon::open(
+                meter(),
+                options().policy(policy),
+                journal.clone(),
+                DurabilityOptions::new(1000),
+            )
+            .unwrap();
+            assert_eq!(report.replayed_frames, shards.len() as u64, "{policy:?}");
+            assert_eq!(recovered.journal_seq(), shards.len() as u64, "{policy:?}");
+            recovered.publish_now();
+            assert_eq!(
+                recovered.engine().latest(),
+                uninterrupted.engine().latest(),
+                "{policy:?}"
+            );
         }
     }
 
@@ -766,45 +896,51 @@ mod tests {
 
     #[test]
     fn journal_outage_degrades_and_checkpoint_heals() {
-        let storage = FailingStorage::new(MemStorage::new());
-        let slept: Arc<Mutex<Vec<Duration>>> = Arc::default();
-        let sleeps = slept.clone();
-        let opts = DurabilityOptions {
-            sleeper: Box::new(move |d| sleeps.lock().unwrap().push(d)),
-            ..DurabilityOptions::new(1000)
-        };
-        let (obs, registry) = Obs::collecting();
-        let (mut daemon, _) =
-            DurableDaemon::open(meter(), options().obs(obs), storage, opts).unwrap();
-        let stream = observed();
-        daemon.storage_mut().fail_next_appends(u64::MAX);
-        daemon.ingest(&stream[..64]);
-        assert_eq!(
-            *slept.lock().unwrap(),
-            [2, 4, 8].map(Duration::from_millis),
-            "every pause of the schedule, in order, then the shard degrades"
-        );
-        assert_eq!(daemon.durability_stats().unjournaled_shards, 1);
-        assert_eq!(registry.snapshot().counter("wal.degraded_shards"), Some(1));
-        daemon.ingest(&stream[64..128]);
-        assert!(daemon.is_degraded(), "journal gone, serve path alive");
-        assert_eq!(daemon.durability_stats().unjournaled_shards, 2);
-        assert_eq!(daemon.stats().ingested, 128, "ingest kept working");
-        // A successful checkpoint covers the unjournaled shards.
-        daemon.storage_mut().fail_next_appends(0);
-        daemon.checkpoint_now().unwrap();
-        assert!(!daemon.is_degraded());
-        // Recovery from that storage resumes with everything ingested.
-        let storage =
-            std::mem::replace(daemon.storage_mut(), FailingStorage::new(MemStorage::new()));
-        drop(daemon);
-        let opts = DurabilityOptions {
-            sleeper: Box::new(|_| {}),
-            ..DurabilityOptions::new(1000)
-        };
-        let (recovered, report) = DurableDaemon::open(meter(), options(), storage, opts).unwrap();
-        assert_eq!(recovered.stats().ingested, 128);
-        assert_eq!(report.replayed_frames, 0, "checkpoint covered everything");
+        // On two workers the retries pause on the journal's worker while
+        // the engine folds the shard on the caller.
+        for policy in POLICIES {
+            let storage = FailingStorage::new(MemStorage::new());
+            let slept: Arc<Mutex<Vec<Duration>>> = Arc::default();
+            let sleeps = slept.clone();
+            let opts = DurabilityOptions {
+                sleeper: Box::new(move |d| sleeps.lock().unwrap().push(d)),
+                ..DurabilityOptions::new(1000)
+            };
+            let (obs, registry) = Obs::collecting();
+            let (mut daemon, _) =
+                DurableDaemon::open(meter(), options().policy(policy).obs(obs), storage, opts)
+                    .unwrap();
+            let stream = observed();
+            daemon.storage_mut().fail_next_appends(u64::MAX);
+            daemon.ingest(&stream[..64]);
+            assert_eq!(
+                *slept.lock().unwrap(),
+                [2, 4, 8].map(Duration::from_millis),
+                "{policy:?}: every pause of the schedule, in order, then the shard degrades"
+            );
+            assert_eq!(daemon.durability_stats().unjournaled_shards, 1);
+            assert_eq!(registry.snapshot().counter("wal.degraded_shards"), Some(1));
+            daemon.ingest(&stream[64..128]);
+            assert!(daemon.is_degraded(), "journal gone, serve path alive");
+            assert_eq!(daemon.durability_stats().unjournaled_shards, 2);
+            assert_eq!(daemon.stats().ingested, 128, "ingest kept working");
+            // A successful checkpoint covers the unjournaled shards.
+            daemon.storage_mut().fail_next_appends(0);
+            daemon.shutdown().unwrap();
+            assert!(!daemon.is_degraded());
+            // Recovery from that storage resumes with everything ingested.
+            let storage =
+                std::mem::replace(daemon.storage_mut(), FailingStorage::new(MemStorage::new()));
+            drop(daemon);
+            let opts = DurabilityOptions {
+                sleeper: Box::new(|_| {}),
+                ..DurabilityOptions::new(1000)
+            };
+            let (recovered, report) =
+                DurableDaemon::open(meter(), options(), storage, opts).unwrap();
+            assert_eq!(recovered.stats().ingested, 128);
+            assert_eq!(report.replayed_frames, 0, "checkpoint covered everything");
+        }
     }
 
     #[test]
@@ -848,10 +984,10 @@ mod tests {
         // so the segment sealed at 5 is kept and read on reopen.)
         let (mut daemon, _) =
             DurableDaemon::open(meter(), options(), FailingStorage::new(storage), opts()).unwrap();
-        daemon.checkpoint_now().unwrap();
+        daemon.shutdown().unwrap();
         daemon.storage_mut().tear_next_appends(u64::MAX);
         daemon.ingest(shards[4]);
-        daemon.checkpoint_now().unwrap();
+        daemon.shutdown().unwrap();
         let storage = std::mem::take(daemon.storage_mut().inner_mut());
         let (recovered, report) =
             DurableDaemon::open(meter(), options(), storage, opts()).expect("the chain reopens");
@@ -918,13 +1054,13 @@ mod tests {
         .unwrap();
         let stream = observed();
         daemon.ingest(&stream[..32]);
-        daemon.checkpoint_now().unwrap();
+        daemon.shutdown().unwrap();
         // Shard 2 rides on checkpoint 2 alone, which then turns out corrupt:
         // recovery falls back to 1 with nothing to replay, and the journal
         // is already sealed at 2.
         daemon.storage_mut().fail_next_appends(u64::MAX);
         daemon.ingest(&stream[32..64]);
-        daemon.checkpoint_now().unwrap();
+        daemon.shutdown().unwrap();
         let mut storage = std::mem::take(daemon.storage_mut().inner_mut());
         storage
             .get_mut(&CheckpointManager::file_name(2))
@@ -955,7 +1091,7 @@ mod tests {
         assert_eq!(daemon.durability_stats().failed_checkpoints, 1);
         assert_eq!(daemon.stats().ingested, 64);
         assert!(matches!(
-            daemon.checkpoint_now(),
+            daemon.shutdown(),
             Err(DurabilityError::Io {
                 op: "checkpoint.save",
                 ..

@@ -70,7 +70,10 @@ impl DaemonOptions {
         }
     }
 
-    /// Sets the execution policy estimation fans out under.
+    /// Sets the execution policy estimation fans out under. A
+    /// [`DurableDaemon`](crate::DurableDaemon) uses it too: under a
+    /// sequential policy it journals each shard before the engine folds
+    /// it, under any other beside the fold.
     #[must_use]
     pub fn policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
@@ -444,6 +447,11 @@ impl BotMeterDaemon {
     /// The BotMeter this engine runs (useful for reference batch charts).
     pub fn meter(&self) -> &BotMeter {
         &self.meter
+    }
+
+    /// The policy set by [`DaemonOptions::policy`].
+    pub(crate) fn policy(&self) -> ExecPolicy {
+        self.policy
     }
 
     /// Fingerprint of everything that shapes this engine's *results*:

@@ -37,7 +37,10 @@ use std::path::{Path, PathBuf};
 /// Names are plain file names (no separators); the implementation decides
 /// where they live. All mutating operations are durable when they return
 /// `Ok`: an acknowledged write survives an immediate `kill -9`.
-pub trait Storage: std::fmt::Debug {
+///
+/// `Send`, because [`DurableDaemon`](crate::DurableDaemon) appends a
+/// shard's journal frame on a worker while its engine folds the shard.
+pub trait Storage: std::fmt::Debug + Send {
     /// Reads the full content of `name`. `NotFound` if it does not exist.
     fn read(&mut self, name: &str) -> io::Result<Vec<u8>>;
 

@@ -1,8 +1,8 @@
 //! The write-ahead journal: checksummed, length-prefixed shard frames.
 //!
-//! Every shard `botmeterd` ingests is appended here *before* it reaches
-//! the engine, so a daemon killed at any instant can replay exactly what
-//! it had acknowledged. The format is built for two failure modes with
+//! Every shard `botmeterd` ingests is appended here and is durable before
+//! `DurableDaemon::ingest` returns, so a daemon killed at any instant can
+//! replay exactly what it had acknowledged. The format is built for two failure modes with
 //! opposite treatments:
 //!
 //! * **Torn tail** — the process died mid-append, leaving a prefix of the

@@ -250,6 +250,40 @@ fn killed_after_every_storage_operation_recovers_bit_identical() {
     }
 }
 
+/// Running the journal beside the engine never reorders storage: one
+/// stream, checkpointed on a cadence of 4 and shut down, performs the same
+/// mutating storage operations in the same order under `Sequential`
+/// (journal first, inline) and on two workers (journal beside the fold).
+#[test]
+fn the_journal_overlap_never_reorders_storage_operations() {
+    let family = DgaFamily::new_goz();
+    let observed = stream(&family);
+    let shards = shards_of(&observed);
+    let ops = |policy: ExecPolicy| {
+        let (mut daemon, _) = DurableDaemon::open(
+            meter(&family),
+            options(&policy),
+            Recording::default(),
+            DurabilityOptions {
+                checkpoint_every: 4,
+                sleeper: Box::new(|_| {}),
+            },
+        )
+        .expect("fresh open");
+        drive(&mut daemon, &shards);
+        daemon.shutdown().expect("final checkpoint");
+        assert!(daemon.durability_stats().checkpoints >= 3, "{policy:?}");
+        std::mem::take(&mut daemon.storage_mut().after)
+            .into_iter()
+            .map(|(op, _)| op)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        ops(ExecPolicy::Sequential),
+        ops(ExecPolicy::with_threads(2))
+    );
+}
+
 /// After `open`, no ingest or checkpoint reads storage: every read failing
 /// changes nothing — no failed checkpoint, no failed rotation — and what is
 /// left reopens to the uninterrupted state.

@@ -3,11 +3,12 @@
 //! Every parallel stage in the workspace — shard production (bot replay)
 //! in `botmeter-sim`, per-epoch pool generation and chunked matching in
 //! `botmeter-matcher`, pool generation and per-server estimation in
-//! `botmeter-core`, trial sweeps in `botmeter-bench` —
-//! funnels through this crate. (The pipeline's TTL-cache filter is
-//! deliberately not among them: it runs on the pipeline's consumer, one
-//! shard at a time — DESIGN.md §8.) So the threading policy lives in one
-//! place:
+//! `botmeter-core`, the journal write beside the engine's fold and the
+//! frame decode ahead of replay in `botmeter-daemon`, trial sweeps in
+//! `botmeter-bench` — funnels through this crate. (The pipeline's
+//! TTL-cache filter is deliberately not among them: it runs on the
+//! pipeline's consumer, one shard at a time — DESIGN.md §8.) So the
+//! threading policy lives in one place:
 //!
 //! * **One execution policy.** Pipeline entry points take an
 //!   [`ExecPolicy`] (`Sequential` or `Parallel { threads }`); there are no
@@ -462,6 +463,44 @@ pub fn run_pipelined_with<T, P, C>(
     }
 }
 
+/// Runs two independent closures under `policy` and returns both results.
+///
+/// Sequential policies (`Sequential`, `with_threads(1)`) run `a` and then
+/// `b` inline on the calling thread: the reference order. Any other policy
+/// runs `a` on one scoped worker while `b` runs on the caller, so only `a`
+/// and its result must be `Send`; `b` may borrow state that never leaves
+/// the calling thread. The call returns once both have finished.
+///
+/// Metrics (scheduling-dependent, `sched.` prefix): `sched.join.forks`
+/// counts calls that ran `a` on a worker.
+///
+/// # Panics
+///
+/// If either closure panics, with its own payload, once both have
+/// finished (a panic in `a` first, as the sequential order would raise
+/// it). Under a sequential policy a panic in `a` means `b` never runs.
+pub fn join_with<A, B, RA, RB>(policy: ExecPolicy, obs: &Obs, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    RA: Send,
+    B: FnOnce() -> RB,
+{
+    if policy.is_sequential() {
+        let ra = a();
+        return (ra, b());
+    }
+    obs.counter_add("sched.join.forks", 1);
+    let (ra, rb) = thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        let rb = catch_unwind(AssertUnwindSafe(b));
+        (worker.join(), rb)
+    });
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,6 +696,122 @@ mod tests {
                 .copied()
                 .unwrap_or("");
             assert_eq!(msg, "consumer died");
+        });
+    }
+
+    #[test]
+    fn join_sequential_runs_a_then_b_on_the_caller() {
+        let caller = thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let (a, b) = join_with(
+            ExecPolicy::Sequential,
+            &Obs::noop(),
+            || {
+                order.lock().unwrap().push(("a", thread::current().id()));
+                1
+            },
+            || {
+                order.lock().unwrap().push(("b", thread::current().id()));
+                2
+            },
+        );
+        assert_eq!((a, b), (1, 2));
+        assert_eq!(order.into_inner().unwrap(), [("a", caller), ("b", caller)]);
+    }
+
+    #[test]
+    fn join_with_one_thread_is_sequential() {
+        let caller = thread::current().id();
+        let (obs, registry) = Obs::collecting();
+        let (a, b) = join_with(
+            ExecPolicy::with_threads(1),
+            &obs,
+            || thread::current().id(),
+            || thread::current().id(),
+        );
+        assert_eq!((a, b), (caller, caller));
+        assert_eq!(registry.snapshot().counter("sched.join.forks"), None);
+    }
+
+    #[test]
+    fn join_parallel_runs_a_off_the_caller_and_returns_both() {
+        let caller = thread::current().id();
+        let (obs, registry) = Obs::collecting();
+        let mut carried = vec![1, 2];
+        let ((a_thread, a_sum), b_thread) = join_with(
+            ExecPolicy::with_threads(2),
+            &obs,
+            || (thread::current().id(), (0..100u64).sum::<u64>()),
+            || {
+                // `b` may mutate state borrowed from the caller.
+                carried.push(3);
+                thread::current().id()
+            },
+        );
+        assert_ne!(a_thread, caller);
+        assert_eq!(b_thread, caller);
+        assert_eq!(a_sum, 4950);
+        assert_eq!(carried, [1, 2, 3]);
+        assert_eq!(registry.snapshot().counter("sched.join.forks"), Some(1));
+    }
+
+    #[test]
+    fn join_panic_in_either_side_resurfaces_after_both_finish() {
+        with_silent_panics(|| {
+            let b_ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                join_with(
+                    ExecPolicy::with_threads(2),
+                    &Obs::noop(),
+                    || -> usize { panic!("a died") },
+                    || b_ran.fetch_add(1, Ordering::SeqCst),
+                )
+            }));
+            let payload = caught.expect_err("a's panic must resurface");
+            assert_eq!(payload.downcast_ref::<&'static str>(), Some(&"a died"));
+            assert_eq!(b_ran.load(Ordering::SeqCst), 1, "b ran to completion");
+
+            // `a` finishes only once `b` is unwinding: `b`'s guard signals
+            // from its drop.
+            struct SignalOnDrop(std::sync::mpsc::Sender<()>);
+            impl Drop for SignalOnDrop {
+                fn drop(&mut self) {
+                    let _ = self.0.send(());
+                }
+            }
+            let a_ran = AtomicUsize::new(0);
+            let (unwinding, wait_for_b) = std::sync::mpsc::channel();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                let a_ran = &a_ran;
+                join_with(
+                    ExecPolicy::with_threads(2),
+                    &Obs::noop(),
+                    move || {
+                        wait_for_b.recv().expect("b's guard signals");
+                        a_ran.fetch_add(1, Ordering::SeqCst)
+                    },
+                    || -> usize {
+                        let _signal = SignalOnDrop(unwinding);
+                        panic!("b died")
+                    },
+                )
+            }));
+            let payload = caught.expect_err("b's panic must resurface");
+            assert_eq!(payload.downcast_ref::<&'static str>(), Some(&"b died"));
+            assert_eq!(a_ran.load(Ordering::SeqCst), 1, "a was joined first");
+
+            // Sequential: a's panic stops the call before b starts.
+            let b_ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                join_with(
+                    ExecPolicy::Sequential,
+                    &Obs::noop(),
+                    || -> usize { panic!("a died") },
+                    || b_ran.fetch_add(1, Ordering::SeqCst),
+                )
+            }));
+            assert!(caught.is_err());
+            assert_eq!(b_ran.load(Ordering::SeqCst), 0);
         });
     }
 

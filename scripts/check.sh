@@ -154,19 +154,20 @@ if [[ -n "$chart_offenders" ]]; then
   exit 1
 fi
 
-echo "==> thread::spawn grep gate (parallelism stays behind botmeter-exec)"
+echo "==> thread grep gate (parallelism stays behind botmeter-exec)"
 # Every thread the workspace starts must come from the botmeter-exec pool,
 # so worker counts, panic propagation and sched.* accounting stay in one
-# place. `crates/stats/src/stirling.rs` predates the pool and only spawns
-# inside #[cfg(test)] code.
-spawn_offenders=$(grep -rln 'thread::spawn' \
+# place: no `thread::spawn`, no scoped `thread::scope` and no
+# `thread::Builder` anywhere else. `crates/stats/src/stirling.rs` predates
+# the pool and only spawns inside #[cfg(test)] code.
+spawn_offenders=$(grep -rlE 'thread::(spawn|scope|Builder)' \
   --include='*.rs' src crates tests examples \
   | grep -vxF \
       -e crates/exec/src/lib.rs \
       -e crates/stats/src/stirling.rs \
   || true)
 if [[ -n "$spawn_offenders" ]]; then
-  echo "error: direct thread::spawn outside botmeter-exec:" >&2
+  echo "error: a thread started outside botmeter-exec:" >&2
   echo "$spawn_offenders" >&2
   echo "route parallel work through the botmeter-exec worker pool." >&2
   exit 1
