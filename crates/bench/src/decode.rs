@@ -28,7 +28,7 @@ pub struct DecodeBench {
 
 impl DecodeBench {
     /// `observed` written with [`trace::write_jsonl`] and read back with
-    /// [`trace::read_jsonl`]: the input path of `estimate` and `botmeterd`.
+    /// [`trace::read_jsonl`]: `estimate`'s input path.
     pub fn trace(observed: &[ObservedLookup]) -> DecodeBench {
         let mut text = Vec::new();
         trace::write_jsonl(observed, &mut text).expect("lookups serialize");

@@ -146,7 +146,7 @@ pub fn gates(measured: &Report, committed: &Report, cores: usize) -> Vec<Gate> {
             "trace_decode.mb_per_sec",
             m.trace_decode.mb_per_sec,
             floor(c.trace_decode.mb_per_sec),
-            "reading a JSON Lines trace (`estimate`'s and `botmeterd`'s input path) got slower",
+            "reading a JSON Lines trace (`estimate`'s input path) got slower",
         ),
         gate(
             "trace_decode.allocs_per_record",

@@ -27,7 +27,8 @@
 //! cadence, encodes the checkpoint. The storage half of that checkpoint runs after both, so
 //! storage sees the same operations in the same order under every
 //! policy. Recovery likewise decodes frames on workers ahead of the
-//! in-order replay (`botmeter_exec::run_pipelined_with`). A sequential
+//! in-order replay (`botmeter_exec::run_pipelined_with`) and stops at the
+//! first bad frame, a window of decodes past it at most. A sequential
 //! policy does everything inline, journal first.
 //!
 //! Both writes stream: the shard is serialized straight into its journal
@@ -54,6 +55,7 @@ use botmeter_dns::ObservedLookup;
 use botmeter_obs::Obs;
 use std::fmt;
 use std::io;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// The longest JSON one [`ObservedLookup`] can serialize to, with the comma
@@ -424,8 +426,9 @@ impl<S: Storage> DurableDaemon<S> {
             frame: Vec::new(),
         };
         // Frames ascend strictly by `seq`. Workers decode payloads ahead;
-        // the caller replays them in order and stops at the first that
-        // does not parse, so nothing from that frame on reaches the engine.
+        // the caller replays them in order and stops the run at the first
+        // that does not parse, so nothing from that frame on reaches the
+        // engine and at most a window of frames past it is decoded.
         let suffix = &contents.frames[contents
             .frames
             .partition_point(|frame| frame.seq <= checkpoint_seq)..];
@@ -433,27 +436,26 @@ impl<S: Storage> DurableDaemon<S> {
         botmeter_exec::run_pipelined_with(
             daemon.engine.policy(),
             &daemon.obs,
-            suffix.len(),
+            suffix,
             // `from_slice` refuses invalid UTF-8 instead of patching it.
-            |i| serde_json::from_slice::<Vec<ObservedLookup>>(&suffix[i].payload),
-            |i, decoded| {
-                if bad_frame.is_some() {
-                    return;
+            |frame| {
+                let decoded = serde_json::from_slice::<Vec<ObservedLookup>>(&frame.payload);
+                (frame.seq, decoded)
+            },
+            |_, (seq, decoded)| match decoded {
+                Ok(shard) => {
+                    report.replayed_frames += 1;
+                    report.replayed_records += shard.len() as u64;
+                    daemon.engine.ingest(&shard);
+                    daemon.seq = seq;
+                    ControlFlow::Continue(())
                 }
-                let seq = suffix[i].seq;
-                match decoded {
-                    Ok(shard) => {
-                        report.replayed_frames += 1;
-                        report.replayed_records += shard.len() as u64;
-                        daemon.engine.ingest(&shard);
-                        daemon.seq = seq;
-                    }
-                    Err(e) => {
-                        bad_frame = Some(DurabilityError::BadFramePayload {
-                            seq,
-                            reason: e.to_string(),
-                        })
-                    }
+                Err(e) => {
+                    bad_frame = Some(DurabilityError::BadFramePayload {
+                        seq,
+                        reason: e.to_string(),
+                    });
+                    ControlFlow::Break(())
                 }
             },
         );
@@ -737,19 +739,23 @@ mod tests {
                 (b"{\"not\": \"a shard\"}".to_vec(), ""),
                 (b"[1, 2, 3]".to_vec(), ""),
             ] {
-                // A valid frame 3 behind the bad one: decoded ahead of
-                // replay, it must not mask frame 2's refusal.
+                // Valid frames 3..=40 behind the bad one: decoded ahead of
+                // replay, they must not mask frame 2's refusal, and the
+                // decode stops a window past it.
                 let mut storage = MemStorage::new();
                 let mut journal = crate::wal::encode_header(0);
                 journal.extend(crate::wal::encode_frame(1, &shard));
                 journal.extend(crate::wal::encode_frame(2, &payload));
-                journal.extend(crate::wal::encode_frame(3, &shard));
+                for seq in 3..=40 {
+                    journal.extend(crate::wal::encode_frame(seq, &shard));
+                }
                 storage
                     .write_atomic(crate::wal::WAL_FILE, &journal)
                     .unwrap();
+                let (obs, registry) = Obs::collecting();
                 let err = DurableDaemon::open(
                     meter(),
-                    options().policy(policy),
+                    options().policy(policy).obs(obs),
                     storage,
                     DurabilityOptions::default(),
                 )
@@ -761,6 +767,15 @@ mod tests {
                     other => {
                         panic!("{policy:?}: expected BadFramePayload for frame 2, got {other}")
                     }
+                }
+                // Frames handed to the decoders.
+                let pulled = registry.snapshot().counter("sched.stream.items");
+                let pulled = pulled.expect("recovery ran the decode");
+                if policy.is_sequential() {
+                    assert_eq!(pulled, 2);
+                } else {
+                    let bound = 2 + botmeter_exec::PIPELINE_WINDOW as u64;
+                    assert!(pulled <= bound, "{policy:?}: {pulled} frames decoded");
                 }
             }
         }

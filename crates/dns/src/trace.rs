@@ -5,23 +5,38 @@
 //! `botmeter-bench` exchange traces in this format, one JSON object per
 //! line, so they compose with standard shell tooling.
 //!
-//! Reading is one pass over one buffer: [`read_jsonl_iter`] owns a single
-//! line buffer it refills for every line (`read_until`, then one UTF-8
-//! check), and `serde_json::from_str` decodes the record straight out of
-//! it — the only allocation a record costs is what the record itself owns
-//! (an `ObservedLookup`: its name's text). The buffer never grows past
-//! [`MAX_LINE_BYTES`]: a longer line is dropped as it streams by and
-//! reported as [`TraceError::LineTooLong`]. A line that is not UTF-8, like
-//! any reader failure, is [`TraceError::Io`] (kind `InvalidData`); a line
-//! that is not the record's JSON is [`TraceError::Parse`] with its 1-based
-//! number, blank lines counted.
+//! Reading a line is one pass over one buffer: [`read_jsonl_iter`] owns a
+//! single line buffer it refills for every line (`read_until`, then one
+//! UTF-8 check), and `serde_json::from_str` decodes the record straight
+//! out of it — the only allocation a record costs is what the record
+//! itself owns (an `ObservedLookup`: its name's text). The buffer never
+//! grows past [`MAX_LINE_BYTES`]: a longer line is dropped as it streams
+//! by and reported as [`TraceError::LineTooLong`]. A line that is not
+//! UTF-8, like any reader failure, is [`TraceError::Io`] (kind
+//! `InvalidData`); a line that is not the record's JSON is
+//! [`TraceError::Parse`] with its 1-based number, blank lines counted.
+//!
+//! Reading a whole trace, [`read_jsonl`] decodes on the worker pool under
+//! `ExecPolicy::default()` (`BOTMETER_THREADS`): the calling thread cuts
+//! the input into newline-terminated blocks of about 256 KiB, workers run
+//! [`read_jsonl_iter`] over a block each, and the caller appends the
+//! blocks' records in input order. At most `PIPELINE_WINDOW` (8) blocks
+//! are in flight, each under 256 KiB plus one capped line, so the reader
+//! holds at most 8 × (256 KiB + [`MAX_LINE_BYTES`]) of input text at once.
 
+use botmeter_exec::ExecPolicy;
+use botmeter_obs::Obs;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
+use std::ops::ControlFlow;
 
 /// Writes records as JSON Lines (one object per line).
+///
+/// Each record is serialised into one kept line buffer, then written with
+/// its newline in one call; a record that fails to serialise writes
+/// nothing.
 ///
 /// # Errors
 ///
@@ -40,22 +55,32 @@ use std::io::{self, BufRead, Read, Write};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn write_jsonl<T: Serialize, W: Write>(records: &[T], mut writer: W) -> Result<(), TraceError> {
+    let mut line = Vec::new();
     for (i, record) in records.iter().enumerate() {
-        let line = serde_json::to_string(record).map_err(|source| TraceError::Serialize {
+        line.clear();
+        serde_json::to_writer(&mut line, record).map_err(|source| TraceError::Serialize {
             line: i + 1,
             source,
         })?;
-        writer.write_all(line.as_bytes()).map_err(TraceError::Io)?;
-        writer.write_all(b"\n").map_err(TraceError::Io)?;
+        line.push(b'\n');
+        writer.write_all(&line).map_err(TraceError::Io)?;
     }
     Ok(())
 }
 
 /// Reads a JSON-Lines stream into records, skipping blank lines.
 ///
+/// Decodes on the worker pool under `ExecPolicy::default()`, a
+/// newline-terminated block of about 256 KiB per job, and holds at most
+/// `PIPELINE_WINDOW` blocks of input at once (see the [module
+/// docs](self)). The records, and the error, are those of
+/// `read_jsonl_iter(reader).collect()` under every policy; the input is
+/// read at most a window of blocks past the first error.
+///
 /// # Errors
 ///
-/// Reports the 1-based line number of the first malformed record.
+/// Reports the first malformed line in input order, with its 1-based line
+/// number.
 ///
 /// # Example
 ///
@@ -66,8 +91,103 @@ pub fn write_jsonl<T: Serialize, W: Write>(records: &[T], mut writer: W) -> Resu
 /// assert_eq!(records.len(), 1);
 /// # Ok::<(), botmeter_dns::trace::TraceError>(())
 /// ```
-pub fn read_jsonl<T: DeserializeOwned, R: BufRead>(reader: R) -> Result<Vec<T>, TraceError> {
-    read_jsonl_iter(reader).collect()
+pub fn read_jsonl<T, R>(reader: R) -> Result<Vec<T>, TraceError>
+where
+    T: DeserializeOwned + Send,
+    R: BufRead,
+{
+    read_jsonl_with(ExecPolicy::default(), BLOCK_BYTES, reader)
+}
+
+/// The bytes [`read_jsonl`] reads into a block before it finishes the line
+/// they stop in.
+const BLOCK_BYTES: usize = 256 << 10;
+
+/// [`read_jsonl`] under `policy`, cutting blocks of `block_bytes` (plus the
+/// end of their last line).
+pub(crate) fn read_jsonl_with<T, R>(
+    policy: ExecPolicy,
+    block_bytes: usize,
+    mut reader: R,
+) -> Result<Vec<T>, TraceError>
+where
+    T: DeserializeOwned + Send,
+    R: BufRead,
+{
+    let mut records = Vec::new();
+    let mut lines_before = 0;
+    let mut first_error = None;
+    let mut ended = false;
+    let blocks = std::iter::from_fn(|| {
+        if ended {
+            return None;
+        }
+        let mut block = Vec::with_capacity(block_bytes);
+        let read = cut_block(&mut reader, block_bytes, &mut block);
+        ended = !matches!(read, Ok(true));
+        (!block.is_empty() || read.is_err()).then_some((block, read))
+    });
+    botmeter_exec::run_pipelined_with(policy, &Obs::noop(), blocks, decode_block, |_, decoded| {
+        match decoded {
+            Ok((mut block, lines)) => {
+                records.append(&mut block);
+                lines_before += lines;
+                ControlFlow::Continue(())
+            }
+            Err(e) => {
+                first_error = Some(e.after_lines(lines_before));
+                ControlFlow::Break(())
+            }
+        }
+    });
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(records),
+    }
+}
+
+/// Reads `block_bytes` of the input into `block`, then the rest of the
+/// line they stop in — at most `MAX_LINE_BYTES + 1` bytes of it, enough
+/// for [`read_jsonl_iter`] to report a longer line as too long. Returns
+/// whether input may follow the block: not at the end of the input, nor
+/// after a line cut short (its error ends the read).
+fn cut_block<R: BufRead>(
+    reader: &mut R,
+    block_bytes: usize,
+    block: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let read = reader
+        .by_ref()
+        .take(block_bytes as u64)
+        .read_to_end(block)?;
+    if read < block_bytes || block.ends_with(b"\n") {
+        return Ok(read == block_bytes);
+    }
+    reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', block)?;
+    Ok(block.ends_with(b"\n"))
+}
+
+/// One block's records and its line count, or its first error with a line
+/// number counted from the block's start. After a failed read the lines
+/// read in full decode first; the read's error follows them.
+fn decode_block<T: DeserializeOwned>(
+    (block, read): (Vec<u8>, io::Result<bool>),
+) -> Result<(Vec<T>, usize), TraceError> {
+    let whole = match read {
+        Ok(_) => block.len(),
+        Err(_) => block.iter().rposition(|&b| b == b'\n').map_or(0, |n| n + 1),
+    };
+    let block = &block[..whole];
+    let lines = block.iter().filter(|&&b| b == b'\n').count();
+    let mut records = Vec::with_capacity(lines + 1);
+    for record in read_jsonl_iter(block) {
+        records.push(record?);
+    }
+    read.map_err(TraceError::Io)?;
+    Ok((records, lines))
 }
 
 /// Streaming [`read_jsonl`]: yields one record (or the first error) at a
@@ -178,6 +298,23 @@ pub enum TraceError {
     },
 }
 
+impl TraceError {
+    /// This error with its line number moved `lines` lines further down.
+    fn after_lines(self, lines: usize) -> TraceError {
+        match self {
+            TraceError::Parse { line, source } => TraceError::Parse {
+                line: line + lines,
+                source,
+            },
+            TraceError::LineTooLong { line, limit } => TraceError::LineTooLong {
+                line: line + lines,
+                limit,
+            },
+            other => other,
+        }
+    }
+}
+
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -242,6 +379,55 @@ mod tests {
         write_jsonl(&records, &mut buf).unwrap();
         let back: Vec<RawLookup> = read_jsonl(buf.as_slice()).unwrap();
         assert_eq!(records, back);
+    }
+
+    #[test]
+    fn write_jsonl_writes_what_to_string_writes() {
+        fn per_record<T: Serialize>(records: &[T]) -> Vec<u8> {
+            let lines = records
+                .iter()
+                .map(|r| serde_json::to_string(r).unwrap() + "\n");
+            lines.collect::<String>().into_bytes()
+        }
+        let observed = observed(50);
+        let raw: Vec<RawLookup> = (0..50)
+            .map(|i| {
+                let name = format!("r{i}.example").parse().unwrap();
+                RawLookup::new(SimInstant::from_millis(i * 7), ClientId(i as u32), name)
+            })
+            .collect();
+        let mut written = Vec::new();
+        write_jsonl(&observed, &mut written).unwrap();
+        assert_eq!(written, per_record(&observed));
+        let mut written = Vec::new();
+        write_jsonl(&raw, &mut written).unwrap();
+        assert_eq!(written, per_record(&raw));
+    }
+
+    #[test]
+    fn a_record_that_fails_to_serialise_writes_nothing() {
+        /// `{"a":1}`, or, refused, an error after `{"a":1` is written.
+        struct Half {
+            refused: bool,
+        }
+        impl Serialize for Half {
+            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                use serde::ser::{Error, SerializeStruct};
+                let mut fields = s.serialize_struct("Half", 2)?;
+                fields.serialize_field("a", &1u64)?;
+                if self.refused {
+                    return Err(S::Error::custom("refused"));
+                }
+                fields.end()
+            }
+        }
+        let records = [false, false, true, false].map(|refused| Half { refused });
+        let mut written = Vec::new();
+        match write_jsonl(&records, &mut written) {
+            Err(TraceError::Serialize { line: 3, .. }) => {}
+            other => panic!("expected record 3 to fail, got {other:?}"),
+        }
+        assert_eq!(written, b"{\"a\":1}\n{\"a\":1}\n");
     }
 
     #[test]
@@ -360,5 +546,230 @@ mod tests {
         let items: Vec<_> = read_jsonl_iter::<ObservedLookup, _>(text.as_slice()).collect();
         assert_eq!(items.len(), 3);
         assert!(items[0].is_ok() && items[1].is_err() && items[2].is_ok());
+    }
+
+    /// The policies every block-reader test runs under.
+    fn policies() -> [ExecPolicy; 3] {
+        [
+            ExecPolicy::Sequential,
+            ExecPolicy::with_threads(2),
+            ExecPolicy::default(),
+        ]
+    }
+
+    /// `read_jsonl_with` over `input` in blocks of each of `block_sizes`
+    /// bytes, under every policy, against the line reader's
+    /// `collect()` (records, or the first error with its line).
+    fn assert_blocks_read_like_lines(input: &[u8], block_sizes: impl IntoIterator<Item = usize>) {
+        let expected: Result<Vec<ObservedLookup>, _> = read_jsonl_iter(input).collect();
+        let expected = format!("{expected:?}");
+        for block in block_sizes {
+            for policy in policies() {
+                let read = read_jsonl_with::<ObservedLookup, _>(policy, block, input);
+                assert_eq!(
+                    format!("{read:?}"),
+                    expected,
+                    "{policy:?}, {block}-byte blocks"
+                );
+            }
+        }
+    }
+
+    const GOOD: &str = "{\"t\":0,\"server\":1,\"domain\":\"a.example\"}";
+
+    #[test]
+    fn blank_whitespace_and_crlf_lines_on_block_edges_read_like_lines() {
+        let text =
+            format!("\n{GOOD}\r\n\r\n   \n{GOOD}\n\t \r\n\n{GOOD}\r\n{GOOD}\n  {GOOD}  \n\n");
+        assert_blocks_read_like_lines(text.as_bytes(), 1..=64);
+        let bad = format!("{text}\r\nnot-json\r\n{GOOD}\n");
+        assert_blocks_read_like_lines(bad.as_bytes(), 1..=64);
+    }
+
+    #[test]
+    fn a_last_line_without_a_newline_reads_like_lines() {
+        let text = format!("{GOOD}\n\n{GOOD}\n{GOOD}");
+        assert_blocks_read_like_lines(text.as_bytes(), [1, 5, 24, 40, 41, 42, 90, 1000]);
+        let records: Vec<ObservedLookup> =
+            read_jsonl_with(ExecPolicy::with_threads(2), 24, text.as_bytes()).unwrap();
+        assert_eq!(records.len(), 3);
+    }
+
+    #[test]
+    fn an_oversized_line_straddling_a_block_edge_reads_like_lines() {
+        let long = "x".repeat(MAX_LINE_BYTES + 10);
+        for text in [
+            format!("{GOOD}\n{long}\n{GOOD}\n"),
+            format!("{GOOD}\n{GOOD}\n{long}"),
+            // A line of exactly the cap is fine; one byte more is not.
+            format!(
+                "{GOOD}\n{GOOD}{}\n{GOOD}\n",
+                " ".repeat(MAX_LINE_BYTES - GOOD.len())
+            ),
+            format!(
+                "{GOOD}\n{GOOD}{}\n{GOOD}\n",
+                " ".repeat(MAX_LINE_BYTES + 1 - GOOD.len())
+            ),
+        ] {
+            assert_blocks_read_like_lines(text.as_bytes(), [30, 48]);
+        }
+        // A line that never ends is read no further than the cap past
+        // its block's first bytes.
+        let endless = format!("{GOOD}\n{}", "x".repeat(3 * MAX_LINE_BYTES));
+        for policy in policies() {
+            let reader = Tripwire {
+                data: endless.as_bytes(),
+                pos: 0,
+                limit: 48 + MAX_LINE_BYTES + 1,
+                fail: false,
+            };
+            match read_jsonl_with::<ObservedLookup, _>(policy, 48, reader) {
+                Err(TraceError::LineTooLong { line: 2, .. }) => {}
+                other => panic!("{policy:?}: expected line 2 to be too long, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_reads_like_lines() {
+        let mut text = format!("{GOOD}\n{GOOD}\r\n").into_bytes();
+        text.extend_from_slice(b"\xff\xfe\n");
+        text.extend_from_slice(format!("{GOOD}\nnot-json\n").as_bytes());
+        assert_blocks_read_like_lines(&text, [1, 20, 41, 48, 200]);
+        match read_jsonl_with::<ObservedLookup, _>(ExecPolicy::with_threads(2), 20, &text[..]) {
+            Err(TraceError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected the UTF-8 error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_earlier_of_two_bad_blocks_wins_when_the_later_finishes_first() {
+        // Block 1's error sits at the end of a line nearly a mebibyte long,
+        // block 2's is its first byte: a worker finishes block 2 long before
+        // block 1, and line 1's error must still be the one reported.
+        let slow = format!(
+            "{{\"t\":0,\"server\":1,\"domain\":\"a.example\",\"note\":\"{}\",oops}}",
+            "a".repeat(900_000)
+        );
+        let text = format!("{slow}\nnot-json\n{GOOD}\n");
+        assert_blocks_read_like_lines(text.as_bytes(), [32]);
+        for policy in policies() {
+            match read_jsonl_with::<ObservedLookup, _>(policy, 32, text.as_bytes()) {
+                Err(TraceError::Parse { line: 1, .. }) => {}
+                other => panic!("{policy:?}: expected line 1's error, got {other:?}"),
+            }
+        }
+        // Errors several blocks apart: the first in line order wins.
+        let line = format!("{GOOD}\n");
+        let mut text = String::new();
+        for i in 0..40 {
+            text += if i == 17 || i == 31 {
+                "not-json\n"
+            } else {
+                &line
+            };
+        }
+        assert_blocks_read_like_lines(text.as_bytes(), [16, 32, 100]);
+    }
+
+    #[test]
+    fn empty_input_reads_no_blocks() {
+        for text in ["", "\n", "\n\n\r\n  \n"] {
+            assert_blocks_read_like_lines(text.as_bytes(), [1, 32]);
+        }
+    }
+
+    /// A reader over `data` that hands out at most 16 bytes at a time, none
+    /// past `limit`, and asked for more there, panics or (with `fail`)
+    /// fails.
+    struct Tripwire<'a> {
+        data: &'a [u8],
+        pos: usize,
+        limit: usize,
+        fail: bool,
+    }
+
+    impl Read for Tripwire<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.fill_buf()?.len().min(out.len());
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Tripwire<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.pos >= self.limit && self.fail {
+                return Err(io::Error::other(format!("cut at byte {}", self.limit)));
+            }
+            assert!(self.pos < self.limit, "read past byte {}", self.limit);
+            let end = self.data.len().min(self.limit).min(self.pos + 16);
+            Ok(&self.data[self.pos..end])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn a_bad_first_line_stops_the_read_a_window_later() {
+        let line = format!("{GOOD}\n");
+        let block = 2 * line.len();
+        let text = format!("not-json\n{}", line.repeat(2000));
+        // Each block is `block` bytes plus the end of the line they stop
+        // in; the first bad block and a window after it may be read.
+        let window = botmeter_exec::PIPELINE_WINDOW;
+        let limit = (window + 1) * (block + line.len());
+        assert!(limit < text.len() / 10);
+        for policy in policies() {
+            let reader = Tripwire {
+                data: text.as_bytes(),
+                pos: 0,
+                limit,
+                fail: false,
+            };
+            match read_jsonl_with::<ObservedLookup, _>(policy, block, reader) {
+                Err(TraceError::Parse { line: 1, .. }) => {}
+                other => panic!("{policy:?}: expected line 1's error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_read_reports_the_earlier_bad_line_first() {
+        let line = format!("{GOOD}\n");
+        let text = format!("{}not-json\n{}", line.repeat(3), line.repeat(5));
+        let bad_at = 3 * line.len();
+        // Cut before, inside and after the bad line, mid-line and on edges.
+        for limit in [
+            0,
+            5,
+            line.len(),
+            bad_at,
+            bad_at + 4,
+            bad_at + 9,
+            bad_at + 30,
+        ] {
+            let reader = |fail| Tripwire {
+                data: text.as_bytes(),
+                pos: 0,
+                limit,
+                fail,
+            };
+            let expected: Result<Vec<ObservedLookup>, _> = read_jsonl_iter(reader(true)).collect();
+            let expected = format!("{expected:?}");
+            for block in [1, 16, 48, 1000] {
+                for policy in policies() {
+                    let read = read_jsonl_with::<ObservedLookup, _>(policy, block, reader(true));
+                    assert_eq!(
+                        format!("{read:?}"),
+                        expected,
+                        "{policy:?}, {block}, cut at {limit}"
+                    );
+                }
+            }
+        }
     }
 }

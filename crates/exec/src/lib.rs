@@ -4,8 +4,9 @@
 //! in `botmeter-sim`, per-epoch pool generation and chunked matching in
 //! `botmeter-matcher`, pool generation and per-server estimation in
 //! `botmeter-core`, the journal write beside the engine's fold and the
-//! frame decode ahead of replay in `botmeter-daemon`, trial sweeps in
-//! `botmeter-bench` — funnels through this crate. (The pipeline's
+//! frame decode ahead of replay in `botmeter-daemon`, the trace reader's
+//! block decode in `botmeter-dns`, trial sweeps in `botmeter-bench` —
+//! funnels through this crate. (The pipeline's
 //! TTL-cache filter is deliberately not among them: it runs on the
 //! pipeline's consumer, one shard at a time — DESIGN.md §8.) So the
 //! threading policy lives in one place:
@@ -43,6 +44,8 @@
 #![warn(unreachable_pub)]
 
 use botmeter_obs::Obs;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -244,221 +247,259 @@ pub(crate) fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
 }
 
 /// How many items beyond the consumer's cursor the multi-producer runner
-/// ([`run_pipelined_with`]) may claim at once. Fixed (not derived from the
-/// worker count) so anything accounted against the window — the streaming
-/// pipeline's deterministic residency bound — is identical under every
+/// ([`run_pipelined_with`]) may pull from its source at once. Fixed (not
+/// derived from the worker count) so anything accounted against the
+/// window — the streaming pipeline's deterministic residency bound, the
+/// trace reader's memory bound — is identical under every
 /// [`ExecPolicy`]. Worker counts above this see no extra producer
 /// parallelism; today's pools (≤ 16 threads typical) fit inside it.
 pub const PIPELINE_WINDOW: usize = 8;
 
-/// Shared state of the multi-producer runner: claimed tickets, finished
-/// items waiting for their turn, and the consumer's cursor.
-struct PipeState<T> {
-    /// Next item index a producer may claim.
-    next_ticket: usize,
-    /// Next item index the consumer will accept.
-    next_consume: usize,
+/// Shared state of the multi-producer runner: pulled items no producer has
+/// claimed yet, finished items waiting for their turn, and whether the run
+/// is over.
+struct PipeState<I, T> {
+    /// Items the caller pulled from the source, oldest first, with their
+    /// indices.
+    pending: VecDeque<(usize, I)>,
+    /// The source is exhausted: once `pending` is empty, producers exit.
+    drained: bool,
     /// Finished items that arrived ahead of the consumer, keyed by index.
-    ready: std::collections::BTreeMap<usize, T>,
-    /// Producer threads still running (normally or not).
-    producers_alive: usize,
-    /// The consumer died; producers should stop claiming tickets.
-    aborted: bool,
-    /// Ticket claims that had to wait for the window to advance.
+    ready: BTreeMap<usize, T>,
+    /// The run ends early — the consumer stopped it, or a producer or the
+    /// caller panicked: producers claim nothing more.
+    stopped: bool,
+    /// Times a producer found nothing to claim before the source was
+    /// drained (it waited on the window or on the source).
     stalls: u64,
     /// Deepest the ready buffer ever got.
     high_water: u64,
 }
 
-struct PipeChannel<T> {
-    state: Mutex<PipeState<T>>,
-    /// Signalled when an item lands in `ready` or a producer exits.
+struct PipeChannel<I, T> {
+    state: Mutex<PipeState<I, T>>,
+    /// Signalled when an item lands in `ready` or the run stops.
     ready: Condvar,
-    /// Signalled when the consumer advances (or aborts).
-    advanced: Condvar,
+    /// Signalled when an item lands in `pending`, the source is drained or
+    /// the run stops.
+    work: Condvar,
 }
 
-/// Decrements the live-producer count (and wakes the consumer) when a
-/// producer thread exits — *including* by panic. A panicking producer may
-/// have claimed a ticket it will never deliver, which would strand the
-/// consumer on `ready` and its peers on the full window, so the panic path
-/// additionally aborts the whole pipeline and wakes both sides; the
-/// payload then resurfaces when the scope joins the dead thread.
-struct ProducerExitGuard<'a, T>(&'a PipeChannel<T>);
+impl<I, T> PipeChannel<I, T> {
+    /// The shared state, poisoned or not: no caller code runs under the
+    /// lock, and every update under it leaves the state valid.
+    fn lock(&self) -> std::sync::MutexGuard<'_, PipeState<I, T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl<T> Drop for ProducerExitGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        s.producers_alive -= 1;
-        if thread::panicking() {
-            s.aborted = true;
+    /// Ends the run early: producers drop what they hold and exit.
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.work.notify_all();
+        self.ready.notify_all();
+    }
+
+    /// One producer worker's loop: takes the oldest pulled item, builds it
+    /// outside the lock (so peers claim and the consumer drains freely)
+    /// and files the result, until the source is drained or the run stops.
+    fn produce_until_drained(&self, produce: &impl Fn(I) -> T) {
+        loop {
+            let (i, item) = {
+                let mut s = self.lock();
+                let mut waited = false;
+                loop {
+                    if s.stopped {
+                        return;
+                    }
+                    if let Some(next) = s.pending.pop_front() {
+                        break next;
+                    }
+                    if s.drained {
+                        return;
+                    }
+                    if !waited {
+                        s.stalls += 1;
+                        waited = true;
+                    }
+                    s = self.work.wait(s).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let built = produce(item);
+            let mut s = self.lock();
+            if s.stopped {
+                return;
+            }
+            s.ready.insert(i, built);
+            s.high_water = s.high_water.max(s.ready.len() as u64);
+            drop(s);
+            self.ready.notify_all();
         }
-        drop(s);
-        self.0.ready.notify_all();
-        self.0.advanced.notify_all();
     }
 }
 
-/// Runs an indexed produce→consume pipeline with **multiple producer
-/// workers**: up to [`ExecPolicy::worker_threads`] threads build items
-/// concurrently while the calling thread consumes them **strictly in index
-/// order**.
+/// Stops the run when its producer unwinds: the item the producer took
+/// will never be delivered, and the caller would wait for it forever. The
+/// payload resurfaces when the producer is joined.
+struct StopOnPanic<'a, I, T>(&'a PipeChannel<I, T>);
+
+impl<I, T> Drop for StopOnPanic<'_, I, T> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
+/// Runs a produce→consume pipeline over the items of `source` with
+/// **multiple producer workers**: up to [`ExecPolicy::worker_threads`]
+/// threads run `produce` on items concurrently while the calling thread
+/// pulls items from `source` and consumes the results **strictly in source
+/// order**, passing each one's 0-based index.
 ///
-/// Item indices are handed to the pool of producers through a ticket
-/// window — a producer may claim index
-/// `i` only once `i < consumed + `[`PIPELINE_WINDOW`], so at most
-/// `PIPELINE_WINDOW` items are in flight (being built or buffered) beyond
-/// the consumer's cursor at any moment. The window is a fixed constant
-/// rather than a function of the worker count, so any memory accounting a
-/// caller derives from it is identical under every policy — the streaming
-/// pipeline's deterministic residency bound depends on exactly that.
+/// Only the calling thread touches `source`, so it need not be `Send` (a
+/// locked stdin is fine); only its items travel to the workers. It pulls
+/// item `i` only once `i < consumed + `[`PIPELINE_WINDOW`], counting the
+/// item being consumed as consumed, so at most `PIPELINE_WINDOW` items are
+/// in flight (queued, being built or buffered) beyond the one in the
+/// consumer's hands. The window is a fixed constant rather than a function
+/// of the worker count, so any memory accounting a caller derives from it
+/// is identical under every policy — the streaming pipeline's
+/// deterministic residency bound depends on exactly that.
 ///
-/// `produce` must be a pure function of the index (it runs concurrently on
+/// `produce` must be a pure function of its item (it runs concurrently on
 /// several threads); `consume` runs only on the calling thread, so it may
 /// freely mutate carried state — cache topologies, fault streams,
-/// accumulators.
+/// accumulators. When `consume` returns [`ControlFlow::Break`] the run
+/// stops: nothing more is consumed, producers drop what they hold, and the
+/// source has been pulled at most `PIPELINE_WINDOW` items past the one
+/// that stopped it.
 ///
-/// Sequential policies alternate the two closures inline, which is also the
-/// reference behaviour the determinism suites compare against. Metrics
+/// Sequential policies (and sources of at most one item) alternate the
+/// closures inline — pull, produce, consume — which is also the reference
+/// behaviour the determinism suites compare against. Metrics
 /// (scheduling-dependent, `sched.` prefix): `sched.stream.batches`,
-/// `sched.stream.items`, `sched.stream.producer_workers` (threads the
-/// parallel path actually spawned), `sched.stream.queue_high_water` and
-/// `sched.stream.backpressure_stalls` (ticket claims that blocked on the
-/// window).
+/// `sched.stream.items` (items pulled), `sched.stream.producer_workers`
+/// (threads the parallel path actually spawned),
+/// `sched.stream.queue_high_water` and `sched.stream.backpressure_stalls`
+/// (times a producer waited for the window or the source).
 ///
 /// # Panics
 ///
-/// A panic in `produce` or `consume` tears the pipeline down cleanly (no
-/// deadlock on the window) and resurfaces on the calling thread.
-pub fn run_pipelined_with<T, P, C>(
+/// A panic in `source`, `produce` or `consume` tears the pipeline down
+/// cleanly (no deadlock on the window) and resurfaces on the calling
+/// thread.
+pub fn run_pipelined_with<S, T, P, C>(
     policy: ExecPolicy,
     obs: &Obs,
-    jobs: usize,
+    source: S,
     produce: P,
     mut consume: C,
 ) where
+    S: IntoIterator,
+    S::Item: Send,
     T: Send,
-    P: Fn(usize) -> T + Sync,
-    C: FnMut(usize, T),
+    P: Fn(S::Item) -> T + Sync,
+    C: FnMut(usize, T) -> ControlFlow<()>,
 {
     obs.counter_add("sched.stream.batches", 1);
-    obs.counter_add("sched.stream.items", jobs as u64);
-    if jobs == 0 {
-        return;
-    }
-    if policy.is_sequential() {
-        for i in 0..jobs {
-            let item = produce(i);
-            consume(i, item);
+    let mut source = source.into_iter().fuse();
+    let most = source.size_hint().1.unwrap_or(usize::MAX);
+    let workers = policy.worker_threads().min(most).min(PIPELINE_WINDOW);
+    if workers <= 1 {
+        let mut pulled = 0;
+        for (i, item) in source.by_ref().enumerate() {
+            pulled = i + 1;
+            if consume(i, produce(item)).is_break() {
+                break;
+            }
         }
+        obs.counter_add("sched.stream.items", pulled as u64);
         return;
     }
-    let workers = policy.worker_threads().min(jobs).min(PIPELINE_WINDOW);
     obs.gauge_max("sched.stream.producer_workers", workers as u64);
     let channel = PipeChannel {
         state: Mutex::new(PipeState {
-            next_ticket: 0,
-            next_consume: 0,
-            ready: std::collections::BTreeMap::new(),
-            producers_alive: workers,
-            aborted: false,
+            pending: VecDeque::new(),
+            drained: false,
+            ready: BTreeMap::new(),
+            stopped: false,
             stalls: 0,
             high_water: 0,
         }),
         ready: Condvar::new(),
-        advanced: Condvar::new(),
+        work: Condvar::new(),
     };
-    let consumer_outcome = thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _exit = ProducerExitGuard(&channel);
-                loop {
-                    // Claim the next ticket once it enters the window.
-                    let i = {
-                        let mut s = channel.state.lock().unwrap_or_else(PoisonError::into_inner);
-                        let mut waited = false;
-                        loop {
-                            if s.aborted || s.next_ticket >= jobs {
-                                return;
-                            }
-                            if s.next_ticket < s.next_consume + PIPELINE_WINDOW {
-                                break;
-                            }
-                            if !waited {
-                                s.stalls += 1;
-                                waited = true;
-                            }
-                            s = channel
-                                .advanced
-                                .wait(s)
-                                .unwrap_or_else(PoisonError::into_inner);
+    let mut pulled = 0;
+    let outcome = thread::scope(|scope| {
+        let producers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _stop = StopOnPanic(&channel);
+                    channel.produce_until_drained(&produce);
+                })
+            })
+            .collect();
+        // Pulls items until the window is full or the source runs dry, off
+        // the lock: the source may block on I/O.
+        let mut refill = |consumed: usize| {
+            let mut drained = false;
+            while pulled < consumed + PIPELINE_WINDOW {
+                let Some(item) = source.next() else {
+                    drained = true;
+                    break;
+                };
+                channel.lock().pending.push_back((pulled, item));
+                channel.work.notify_one();
+                pulled += 1;
+            }
+            if drained {
+                channel.lock().drained = true;
+                channel.work.notify_all();
+            }
+            pulled
+        };
+        let caller = catch_unwind(AssertUnwindSafe(|| {
+            let mut consumed = 0;
+            let mut last = refill(0);
+            while consumed < last {
+                let item = {
+                    let mut s = channel.lock();
+                    loop {
+                        if let Some(item) = s.ready.remove(&consumed) {
+                            break item;
                         }
-                        s.next_ticket += 1;
-                        s.next_ticket - 1
-                    };
-                    // Build outside the lock so peers claim and the
-                    // consumer drains freely.
-                    let item = produce(i);
-                    let mut s = channel.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if s.aborted {
-                        return;
+                        if s.stopped {
+                            // A producer panicked.
+                            return;
+                        }
+                        s = channel
+                            .ready
+                            .wait(s)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
-                    s.ready.insert(i, item);
-                    s.high_water = s.high_water.max(s.ready.len() as u64);
-                    drop(s);
-                    channel.ready.notify_all();
+                };
+                consumed += 1;
+                last = refill(consumed);
+                if consume(consumed - 1, item).is_break() {
+                    return;
                 }
-            });
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let next = {
-                let mut s = channel.state.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if s.aborted {
-                        // A producer panicked; its ticket will never be
-                        // delivered. The payload resurfaces at scope join.
-                        return;
-                    }
-                    if s.next_consume >= jobs {
-                        return;
-                    }
-                    let turn = s.next_consume;
-                    if let Some(item) = s.ready.remove(&turn) {
-                        s.next_consume += 1;
-                        break (turn, item);
-                    }
-                    if s.producers_alive == 0 {
-                        // A producer died before building this item; the
-                        // panic resurfaces when the scope joins.
-                        return;
-                    }
-                    s = channel
-                        .ready
-                        .wait(s)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            channel.advanced.notify_all();
-            consume(next.0, next.1);
+            }
         }));
-        if outcome.is_err() {
-            // Unblock producers stuck on the window so the scope can wind
-            // down instead of deadlocking.
-            let mut s = channel.state.lock().unwrap_or_else(PoisonError::into_inner);
-            s.aborted = true;
-            drop(s);
-            channel.advanced.notify_all();
-        }
-        outcome
-        // A producer panic propagates here when the scope joins it.
+        // However the caller left — done, stopped or unwinding — release
+        // producers still waiting for work so the scope can wind down.
+        channel.stop();
+        // The caller's panic first, else the first producer's.
+        let joined = producers.into_iter().map(|p| p.join());
+        caller.and(joined.fold(Ok(()), Result::and))
     });
     let s = channel
         .state
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
+    obs.counter_add("sched.stream.items", pulled as u64);
     obs.counter_add("sched.stream.backpressure_stalls", s.stalls);
     obs.gauge_max("sched.stream.queue_high_water", s.high_water);
-    if let Err(payload) = consumer_outcome {
+    if let Err(payload) = outcome {
         std::panic::resume_unwind(payload);
     }
 }
@@ -504,6 +545,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn run_indexed_ordered_and_complete() {
@@ -595,14 +638,17 @@ mod tests {
 
     #[test]
     fn pipelined_runner_consumes_in_index_order_under_every_worker_count() {
-        for workers in [1usize, 2, 4, 8, 16] {
+        for workers in (1usize..=8).chain([16]) {
             let mut seen = Vec::new();
             run_pipelined_with(
                 ExecPolicy::with_threads(workers),
                 &Obs::noop(),
-                300,
+                0..300,
                 |i| i * 3,
-                |i, item| seen.push((i, item)),
+                |i, item| {
+                    seen.push((i, item));
+                    ControlFlow::Continue(())
+                },
             );
             assert_eq!(seen.len(), 300, "{workers} workers");
             for (k, &(i, item)) in seen.iter().enumerate() {
@@ -614,13 +660,87 @@ mod tests {
 
     #[test]
     fn pipelined_runner_zero_jobs_is_inert() {
-        run_pipelined_with(
-            ExecPolicy::with_threads(4),
-            &Obs::noop(),
-            0,
-            |i| i,
-            |_, _| panic!("no items to consume"),
-        );
+        for source in [0..0, 5..5] {
+            run_pipelined_with(
+                ExecPolicy::with_threads(4),
+                &Obs::noop(),
+                source,
+                |i| i,
+                |_, _| panic!("no items to consume"),
+            );
+        }
+    }
+
+    /// A source of `0..len` that counts its pulls and holds an `Rc`, so it
+    /// is not `Send`: only the calling thread may touch it.
+    fn counted_source(len: usize, pulls: &Rc<Cell<usize>>) -> impl Iterator<Item = usize> {
+        let pulls = Rc::clone(pulls);
+        std::iter::from_fn(move || {
+            let i = pulls.get();
+            (i < len).then(|| {
+                pulls.set(i + 1);
+                i
+            })
+        })
+    }
+
+    #[test]
+    fn pipelined_runner_pulls_a_source_that_is_not_send_on_the_caller() {
+        let caller = thread::current().id();
+        for workers in [1usize, 2, 3, 8] {
+            let pulls = Rc::new(Cell::new(0));
+            let mut seen = Vec::new();
+            run_pipelined_with(
+                ExecPolicy::with_threads(workers),
+                &Obs::noop(),
+                counted_source(50, &pulls).inspect(|_| assert_eq!(thread::current().id(), caller)),
+                |i| (i, thread::current().id()),
+                |k, (i, _)| {
+                    assert_eq!(thread::current().id(), caller);
+                    seen.push((k, i));
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(pulls.get(), 50);
+            assert_eq!(seen, (0..50).map(|i| (i, i)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn an_early_stop_pulls_at_most_one_window_past_the_stopping_item() {
+        for workers in 1usize..=8 {
+            for stop in [0usize, 3, 40] {
+                let pulls = Rc::new(Cell::new(0));
+                let (obs, registry) = Obs::collecting();
+                let mut seen = Vec::new();
+                run_pipelined_with(
+                    ExecPolicy::with_threads(workers),
+                    &obs,
+                    counted_source(1000, &pulls),
+                    |i| i,
+                    |k, i| {
+                        seen.push(i);
+                        if k == stop {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    },
+                );
+                assert_eq!(seen, (0..=stop).collect::<Vec<_>>(), "{workers} workers");
+                let pulled = pulls.get();
+                assert!(pulled > stop, "{workers} workers pulled {pulled}");
+                assert!(
+                    pulled <= stop + 1 + PIPELINE_WINDOW,
+                    "{workers} workers pulled {pulled} to stop at {stop}"
+                );
+                if workers == 1 {
+                    assert_eq!(pulled, stop + 1);
+                }
+                let counted = registry.snapshot().counter("sched.stream.items");
+                assert_eq!(counted, Some(pulled as u64));
+            }
+        }
     }
 
     #[test]
@@ -629,9 +749,12 @@ mod tests {
         run_pipelined_with(
             ExecPolicy::with_threads(4),
             &obs,
-            100,
+            0..100,
             |i| vec![i; 8],
-            |_, _| thread::sleep(std::time::Duration::from_micros(100)),
+            |_, _| {
+                thread::sleep(std::time::Duration::from_micros(100));
+                ControlFlow::Continue(())
+            },
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sched.stream.batches"), Some(1));
@@ -656,7 +779,7 @@ mod tests {
                 run_pipelined_with(
                     ExecPolicy::with_threads(3),
                     &Obs::noop(),
-                    60,
+                    0..60,
                     |i| {
                         if i == 9 {
                             panic!("producer died");
@@ -665,12 +788,38 @@ mod tests {
                     },
                     |_, _| {
                         consumed.fetch_add(1, Ordering::Relaxed);
+                        ControlFlow::Continue(())
                     },
                 );
             }));
-            assert!(caught.is_err(), "producer panic must resurface");
+            let payload = caught.expect_err("producer panic must resurface");
+            assert_eq!(
+                payload.downcast_ref::<&'static str>(),
+                Some(&"producer died")
+            );
             // Only a prefix strictly before the dead item was consumed.
             assert!(consumed.load(Ordering::Relaxed) <= 9);
+        });
+    }
+
+    #[test]
+    fn pipelined_runner_source_panic_resurfaces_without_deadlock() {
+        with_silent_panics(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_pipelined_with(
+                    ExecPolicy::with_threads(3),
+                    &Obs::noop(),
+                    (0..60).inspect(|&i| {
+                        if i == 20 {
+                            panic!("source died");
+                        }
+                    }),
+                    |i| i,
+                    |_, _| ControlFlow::Continue(()),
+                );
+            }));
+            let payload = caught.expect_err("source panic must resurface");
+            assert_eq!(payload.downcast_ref::<&'static str>(), Some(&"source died"));
         });
     }
 
@@ -681,12 +830,13 @@ mod tests {
                 run_pipelined_with(
                     ExecPolicy::with_threads(3),
                     &Obs::noop(),
-                    500,
+                    0..500,
                     |i| i,
                     |i, _| {
                         if i == 5 {
                             panic!("consumer died");
                         }
+                        ControlFlow::Continue(())
                     },
                 );
             }));
@@ -824,9 +974,12 @@ mod tests {
         run_pipelined_with(
             ExecPolicy::with_threads(4),
             &Obs::noop(),
-            64,
+            0..64,
             |i| i,
-            |_, item| acc += item,
+            |_, item| {
+                acc += item;
+                ControlFlow::Continue(())
+            },
         );
         assert_eq!(acc, (0..64).sum());
     }

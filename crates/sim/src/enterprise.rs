@@ -35,7 +35,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::cmp::Ordering;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// One DGA infection inside the enterprise: a family plus its wave process.
 #[derive(Debug, Clone)]
@@ -255,12 +255,15 @@ impl EnterpriseSpec {
             botmeter_exec::run_pipelined_with(
                 ExecPolicy::default(),
                 &Obs::noop(),
-                inputs.len(),
+                0..inputs.len(),
                 |k| {
                     let (rng, clients) = &inputs[k];
                     self.produce_day(first + k as u64, &seeds, &schedules, &benign, rng, clients)
                 },
-                |k, batch| consume(first + k as u64, batch),
+                |k, batch| {
+                    consume(first + k as u64, batch);
+                    ControlFlow::Continue(())
+                },
             );
             first = last;
         }

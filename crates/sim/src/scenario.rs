@@ -17,6 +17,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// How many fixed-width time shards the streaming pipeline cuts each epoch
 /// into by default.
@@ -447,7 +448,7 @@ impl ScenarioSpec {
         botmeter_exec::run_pipelined_with(
             policy,
             &self.obs,
-            num_shards,
+            0..num_shards,
             produce,
             |k, batch: ShardBatch| {
                 raw_total += batch.generated;
@@ -465,7 +466,7 @@ impl ScenarioSpec {
                 self.obs.observe_since("sim.shard_filter_ns", filter_start);
                 drop(runs);
                 if lookups == 0 {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 for o in &mut chunk {
                     o.t = o.t.quantize(self.granularity);
@@ -474,6 +475,7 @@ impl ScenarioSpec {
                     Some(stream) => release(&stream.push(chunk)),
                     None => release(&chunk),
                 }
+                ControlFlow::Continue(())
             },
         );
         filter.record_metrics(&self.obs);

@@ -173,11 +173,12 @@ if [[ -n "$spawn_offenders" ]]; then
   exit 1
 fi
 
-echo "==> no fan-out under a cache (crates/dns/src opens no worker pool)"
+echo "==> no fan-out under a cache (crates/dns/src calls no run_indexed_with / map_chunks_with)"
 # A topology filters on its caller's thread: a fan-out there has to copy
 # the caches per worker and fold them back per call (DESIGN.md §8, "Where
 # else the parallelism lives"). Parallelism lives in sim's shard
-# producers, matcher's chunks and core's cells.
+# producers, matcher's chunks and core's cells; the one pool dns opens is
+# the trace reader's block decode, through run_pipelined_with.
 fanout_offenders=$(grep -rnE 'run_indexed_with|map_chunks_with|thread::' \
   --include='*.rs' crates/dns/src \
   || true)
